@@ -4,6 +4,7 @@
 For each reduced fraction in (1/2, sqrt(2)/2) the full report is computed
 and one JSON line emitted; a closing table summarizes how the measured
 index and nullity sit against the bounds as p/q approaches sqrt(2)/2.
+A family that fails gets an error line and row; the exit code is then 2.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from otsuki import jsonio
-from otsuki.pipeline import bounds_check, compute_index
+from otsuki.pipeline import iter_reports
 
 
 def admissible(max_q):
@@ -36,26 +37,29 @@ def main():
     ap.add_argument("--jsonl-out", default=None)
     args = ap.parse_args()
 
-    rows = []
+    docs = []
     sink = open(args.jsonl_out, "w") if args.jsonl_out else None
-    for p, q in admissible(args.max_q):
-        report = compute_index(p, q, method=args.method, n=args.n)
-        checks = bounds_check(report)
-        doc = report.to_json_dict()
-        doc["bounds_check"] = checks
+    for doc in iter_reports(admissible(args.max_q), method=args.method,
+                            n=args.n):
         line = jsonio.dumps(doc, indent=0).replace("\n", " ")
         (sink or sys.stdout).write(line + "\n")
-        rows.append((p, q, report.b, report.ind, report.nul,
-                     report.bounds["thm_lower"], report.bounds["thm_upper"],
-                     report.flags.get("s1")))
+        docs.append(doc)
     if sink:
         sink.close()
 
     print(f"\n{'p/q':>6} {'b':>12} {'ind':>5} {'bounds':>10} {'nul':>4} {'s1':>9}")
-    for p, q, b, ind, nul, lo, hi, s1 in rows:
+    for doc in docs:
+        p, q = doc["p"], doc["q"]
+        if "error" in doc:
+            print(f"{p}/{q:<4} error: {doc['error']['type']}")
+            continue
+        lo, hi = doc["bounds"]["thm_lower"], doc["bounds"]["thm_upper"]
+        s1 = doc["flags"]["s1"]
         s1txt = f"{s1:9.4f}" if s1 is not None else "      n/a"
-        print(f"{p}/{q:<4} {b:12.6f} {ind:5d} [{lo:3d},{hi:3d}] {nul:4d} {s1txt}")
+        print(f"{p}/{q:<4} {doc['b']:12.6f} {doc['ind']:5d} [{lo:3d},{hi:3d}] "
+              f"{doc['nul']:4d} {s1txt}")
+    return 2 if any("error" in doc for doc in docs) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,9 +12,9 @@ from .errors import (AmbiguousClassificationError, DomainError,
                      EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION, GeodesicFamily,
-                       RotationNumber, Trajectory, evaluate_extended,
-                       half_period, metric_coefficients, rotation_angle,
-                       sample_trajectory, solve_parameter)
+                       RotationNumber, Trajectory, half_period,
+                       metric_coefficients, rotation_angle, sample_trajectory,
+                       solve_parameter)
 from .surface import (FramePoint, KernelField, SeparatedCoefficients, frame,
                       immersion, kernel_fields, kernel_residual,
                       export_immersion_csv, separated_coefficients,
@@ -30,6 +30,5 @@ from .edwards import (BoundaryFormData, TwistedCount, aggregate_roots,
 from .pipeline import (IndexReport, bounds_check, cache_load, cache_store,
                        compute_index, spectral_index_formula, index_bounds,
                        verify_family)
-from .cli import run_cli
 
 __version__ = "0.1.0"

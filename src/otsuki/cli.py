@@ -5,7 +5,7 @@ family), ``spectrum`` (one discretized problem), ``edwards`` (boundary
 form data), ``index`` (the full report), ``verify`` (invariant battery),
 ``sweep`` (batch of families).  JSON goes to stdout unless --json-out is
 given.  Exit codes: 0 success, 1 validation problem, 2 numerical or
-consistency failure.
+consistency failure (for ``sweep``: any family failed).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import sys
 
 from . import jsonio
 from .errors import NumericalError, ValidationError
-from .geodesic import GeodesicFamily, sample_trajectory, solve_parameter
-from .pipeline import (bounds_check, cache_load, cache_store, compute_index,
-                       verify_family)
+from .geodesic import (GeodesicFamily, RotationNumber, sample_trajectory,
+                       solve_parameter)
+from .pipeline import (cache_load, cache_store, compute_index, iter_reports,
+                       report_document, verify_family)
 from .sl import BoundaryCondition
 from .edwards import (aggregate_roots, boundary_form, roots_of_unity_ladder)
 from .spectral import spectrum_below
@@ -166,13 +167,13 @@ def _cmd_edwards(args) -> int:
 
 def _cmd_index(args) -> int:
     if not args.no_cache:
-        hit = cache_load(args.p, args.q, args.n, cache_dir=args.cache_dir)
+        hit = cache_load(args.p, args.q, args.n, method=args.method,
+                         cache_dir=args.cache_dir)
         if hit is not None:
             _emit(hit, args)
             return 0
     report = compute_index(args.p, args.q, method=args.method, n=args.n)
-    doc = report.to_json_dict()
-    doc["bounds_check"] = bounds_check(report)
+    doc = report_document(report)
     if not args.no_cache:
         cache_store(report, cache_dir=args.cache_dir)
     _emit(doc, args)
@@ -191,25 +192,39 @@ def _cmd_verify(args) -> int:
     return 0 if ok_all else 2
 
 
-def _cmd_sweep(args) -> int:
+def _read_pairs(path: str) -> list[tuple[int, int]]:
+    """Admissible (p, q) pairs from lines 'p q' or 'p/q' ('#' comments)."""
     pairs = []
-    with open(args.input) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip().replace("/", " ")
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip().replace("/", " ")
             if not line:
                 continue
-            p_str, q_str = line.split()
-            pairs.append((int(p_str), int(q_str)))
+            try:
+                p, q = map(int, line.split())
+                RotationNumber(p, q, t0=1.0)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad family {raw.strip()!r}: {exc}")
+            pairs.append((p, q))
+    return pairs
+
+
+def _cmd_sweep(args) -> int:
+    pairs = sorted(_read_pairs(args.input))
+    failed = 0
     out = sys.stdout if not args.json_out else open(args.json_out, "w")
     try:
-        for p, q in sorted(pairs):
-            report = compute_index(p, q, method=args.method, n=args.n)
-            doc = report.to_json_dict()
-            doc["bounds_check"] = bounds_check(report)
+        for doc in iter_reports(pairs, method=args.method, n=args.n):
+            failed += "error" in doc
             out.write(jsonio.dumps(doc, indent=0).replace("\n", " ") + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
+    if failed:
+        print(f"error: {failed} of {len(pairs)} families failed",
+              file=sys.stderr)
+        return 2
     return 0
 
 

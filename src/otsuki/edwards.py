@@ -24,13 +24,11 @@ from scipy.integrate import solve_ivp
 
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
-from .geodesic import Trajectory
+from .geodesic import Trajectory, _geodesic_rhs
 from .sl import BoundaryCondition
 from .spectral import TAU_ZERO_DEFAULT, spectrum_counts
-from .surface import fourier_block_system
+from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
 from .eigencount import eigenvalues_in
-
-FOUR_PI2 = 4.0 * math.pi ** 2
 
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
 
@@ -83,12 +81,8 @@ class BoundarySolutions:
 
     def psi(self, i: int, t) -> np.ndarray:
         """Values of psi_i (boundary data e_i) at times t; shape (2, len(t))."""
-        y = self._sol(np.atleast_1d(t))
-        out = np.zeros((2, y.shape[1]))
-        for k in range(4):
-            out[0] += self.coeffs[k, i] * y[2 + 4 * k]
-            out[1] += self.coeffs[k, i] * y[3 + 4 * k]
-        return out
+        Y = self._sol(np.atleast_1d(t))[2:].reshape(4, 4, -1)
+        return np.tensordot(self.coeffs[:, i], Y[:, :2], axes=1)
 
 
 def boundary_solutions(l: int, traj: Trajectory, rtol: float = 1e-11,
@@ -107,66 +101,46 @@ def boundary_solutions(l: int, traj: Trajectory, rtol: float = 1e-11,
     c = fam.c
 
     def rhs(t, y):
+        # the four solutions are the rows of Y = [H | H'], and
+        # (p H')' = H Q_l gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]]
         phi, phid = y[0], y[1]
-        cphi = math.cos(phi)
-        sphi = math.sin(phi)
-        phidd = (sphi / cphi) * phid * phid \
-            - c * c * sphi / (8.0 * math.pi ** 4 * cphi ** 7)
-        thd = c / (FOUR_PI2 * cphi ** 4)
-        p = FOUR_PI2 * cphi * cphi
-        pd = -8.0 * math.pi ** 2 * cphi * sphi * phid
-        base = l * l / (cphi * cphi) + FOUR_PI2 * phid * phid - 2.0
-        bend = 8.0 * math.pi ** 2 * cphi * cphi * thd * thd
-        q11 = base - bend
-        q22 = base - sphi * sphi * bend
-        q12 = -4.0 * math.pi * l * phid / cphi
-        out = [phid, phidd]
-        for k in range(4):
-            h1, h2, d1, d2 = y[2 + 4 * k: 6 + 4 * k]
-            out.extend([d1, d2,
-                        (q11 * h1 + q12 * h2 - pd * d1) / p,
-                        (q12 * h1 + q22 * h2 - pd * d2) / p])
+        phidd, _ = _geodesic_rhs(phi, phid, c)
+        p, q11, q12, q22 = _q_entries(l, c, phi, phid)
+        damp = -_weight_prime(phi, phid) / p
+        A = np.array([[0.0, 0.0, q11 / p, q12 / p],
+                      [0.0, 0.0, q12 / p, q22 / p],
+                      [1.0, 0.0, damp, 0.0],
+                      [0.0, 1.0, 0.0, damp]])
+        out = np.empty(18)
+        out[0], out[1] = phid, phidd
+        out[2:] = (y[2:].reshape(4, 4) @ A).ravel()
         return out
 
-    y0 = [fam.b, 0.0,
-          1, 0, 0, 0,
-          0, 1, 0, 0,
-          0, 0, 1, 0,
-          0, 0, 0, 1]
+    y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     sol = solve_ivp(rhs, (0.0, fam.T), y0, method="DOP853",
                     rtol=rtol, atol=1e-12, dense_output=True)
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
     yT = sol.y[:, -1]
-    U = np.array([[yT[2 + 4 * k] for k in range(4)],
-                  [yT[3 + 4 * k] for k in range(4)]])       # u_k(T)
-    Ud = np.array([[yT[4 + 4 * k] for k in range(4)],
-                   [yT[5 + 4 * k] for k in range(4)]])      # u_k'(T)
+    YT = yT[2:].reshape(4, 4)
+    U, Ud = YT[:, :2].T, YT[:, 2:].T        # columns u_k(T), u_k'(T)
 
-    boundary_map = np.zeros((4, 4))
-    boundary_map[0, 0] = boundary_map[1, 1] = 1.0           # u_k(0)
-    boundary_map[2:, :] = U
+    boundary_map = np.vstack((np.eye(2, 4), U))     # rows u_k(0), u_k(T)
     condition = float(np.linalg.cond(boundary_map))
     if condition > 1e10:
         raise NumericalError(
             f"boundary matching is ill conditioned (cond = {condition:.3e})")
 
     M = U[:, 2:]
-    C = np.zeros((4, 4))
-    C[0, 0] = C[1, 1] = 1.0
-    C[2:, 0] = np.linalg.solve(M, -U[:, 0])
-    C[2:, 1] = np.linalg.solve(M, -U[:, 1])
-    C[2:, 2] = np.linalg.solve(M, np.array([1.0, 0.0]))
-    C[2:, 3] = np.linalg.solve(M, np.array([0.0, 1.0]))
+    C = np.vstack((np.eye(2, 4),
+                   np.linalg.solve(M, np.hstack((-U[:, :2], np.eye(2))))))
 
     psi_prime_0 = C[2:, :].copy()        # u_3'(0), u_4'(0) are the unit vectors
     psi_prime_T = Ud @ C
-    phiT = yT[0]
-    p0 = FOUR_PI2 * math.cos(fam.b) ** 2
-    pT = FOUR_PI2 * math.cos(phiT) ** 2
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
-                             p_ends=(p0, pT), _sol=sol.sol)
+                             p_ends=(_weight(fam.b), _weight(yT[0])),
+                             _sol=sol.sol)
 
 
 def gram_matrix(l: int, traj: Trajectory,
@@ -180,12 +154,7 @@ def gram_matrix(l: int, traj: Trajectory,
     if sols is None:
         sols = boundary_solutions(l, traj, **kwargs)
     p0, pT = sols.p_ends
-    a = np.zeros((4, 4))
-    for j in range(4):
-        a[0, j] = -p0 * sols.psi_prime_0[0, j]
-        a[1, j] = -p0 * sols.psi_prime_0[1, j]
-        a[2, j] = pT * sols.psi_prime_T[0, j]
-        a[3, j] = pT * sols.psi_prime_T[1, j]
+    a = np.vstack((-p0 * sols.psi_prime_0, pT * sols.psi_prime_T))
     scale = np.abs(a).max()
     sym_err = np.abs(a - a.T).max() / scale
     swap = a[np.ix_(SIGMA_SWAP, SIGMA_SWAP)]
@@ -277,10 +246,6 @@ class BoundaryFormData:
     poly: DeterminantPolynomial
     condition: float
 
-    @property
-    def applicability_margin(self) -> float:
-        return self.dirichlet.margin
-
     def form(self, omega: complex) -> np.ndarray:
         return twisted_form(self.a, omega)
 
@@ -291,7 +256,7 @@ class BoundaryFormData:
             "a": [[float(v) for v in row] for row in self.a],
             "P_coeffs": [float(v) for v in self.poly.coeffs],
             "roots": [float(r) for r in self.poly.roots],
-            "applicability_margin": float(self.applicability_margin),
+            "applicability_margin": float(self.dirichlet.margin),
         }
 
 

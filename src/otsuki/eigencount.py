@@ -48,10 +48,6 @@ class BandOperator:
         return self.diag.shape[0]
 
     @property
-    def size(self) -> int:
-        return self.dim * self.m
-
-    @property
     def cyclic(self) -> bool:
         return self.wrap_off is not None
 

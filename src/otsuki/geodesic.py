@@ -21,14 +21,15 @@ from .quadrature import adaptive_gauss
 
 TWO_PI = 2.0 * math.pi
 
-# Limits of T(b) and Xi(b) as b -> 0- (the Clifford degeneration) and the
-# Xi limit as b -> -pi/2.
+# Limits of T(b) and Xi(b) as b -> 0- (the Clifford degeneration).
 CLIFFORD_HALF_PERIOD = math.sqrt(2.0) * math.pi ** 2
 CLIFFORD_ROTATION = math.sqrt(2.0) * math.pi / 2.0
-ROTATION_POLAR_LIMIT = math.pi / 2.0
 
 ROTATION_LO = 0.5
 ROTATION_HI = math.sqrt(2.0) / 2.0
+
+# RK4 steps per half period, for the endpoint polish and the sampled grid
+_RK4_STEPS = 32768
 
 
 def metric_coefficients(phi: float) -> tuple[float, float]:
@@ -224,24 +225,29 @@ def _geodesic_rhs(phi: float, phid: float, c: float):
     return phidd, thd
 
 
-def _endpoint_state(b: float, c: float, T: float, steps: int = 32768):
-    """(phi, phidot, theta, phidotdot, thetadot) at time T, fixed-step RK4."""
-    h = T / steps
+def _rk4(y0: float, y1: float, y2: float, c: float, h: float,
+         n_out: int, stride: int):
+    """Fixed-step RK4 for (phi, phidot, theta) with step h.
+
+    Yields the state and its derivatives (phi, phidot, theta, phidotdot,
+    thetadot) after every ``stride`` steps, ``n_out`` times.  Plain floats in
+    and out: this is the hot loop of the geodesic solve.
+    """
     h2, h6 = h / 2.0, h / 6.0
-    y0, y1, y2 = b, 0.0, 0.0
-    for _ in range(steps):
-        a1, t1 = _geodesic_rhs(y0, y1, c)
-        v2 = y1 + h2 * a1
-        a2, t2 = _geodesic_rhs(y0 + h2 * y1, v2, c)
-        v3 = y1 + h2 * a2
-        a3, t3 = _geodesic_rhs(y0 + h2 * v2, v3, c)
-        v4 = y1 + h * a3
-        a4, t4 = _geodesic_rhs(y0 + h * v3, v4, c)
-        y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
-        y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
-    add, thd = _geodesic_rhs(y0, y1, c)
-    return y0, y1, y2, add, thd
+    a1, t1 = _geodesic_rhs(y0, y1, c)
+    for _ in range(n_out):
+        for _ in range(stride):
+            v2 = y1 + h2 * a1
+            a2, t2 = _geodesic_rhs(y0 + h2 * y1, v2, c)
+            v3 = y1 + h2 * a2
+            a3, t3 = _geodesic_rhs(y0 + h2 * v2, v3, c)
+            v4 = y1 + h * a3
+            a4, t4 = _geodesic_rhs(y0 + h * v3, v4, c)
+            y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
+            y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
+            a1, t1 = _geodesic_rhs(y0, y1, c)
+        yield y0, y1, y2, a1, t1
 
 
 def _polish_endpoint(b: float, c: float, T: float):
@@ -253,7 +259,8 @@ def _polish_endpoint(b: float, c: float, T: float):
     integrator's own turning time; theta at the corrected time follows to
     second order in the (tiny) shift.
     """
-    phi, phid, theta, phidd, thd = _endpoint_state(b, c, T)
+    _, phid, theta, phidd, thd = next(_rk4(b, 0.0, 0.0, c, T / _RK4_STEPS,
+                                           1, _RK4_STEPS))
     if phidd == 0.0:
         return T, theta
     dT = -phid / phidd
@@ -372,30 +379,15 @@ def sample_trajectory(family: GeodesicFamily, n: int,
         return Trajectory(family=family, grid=grid, phi=phi,
                           phidot=phid, theta=theta)
 
-    m_sub = max(1, -(-32768 // n))
+    m_sub = max(1, -(-_RK4_STEPS // n))
     h = family.T / (n * m_sub)
-    c = family.c
     phi_out = np.empty(n + 1)
     phid_out = np.empty(n + 1)
     th_out = np.empty(n + 1)
-    y0, y1, y2 = family.b, 0.0, 0.0
-    phi_out[0], phid_out[0], th_out[0] = y0, y1, y2
-    h2 = h / 2.0
-    h6 = h / 6.0
-    for i in range(1, n + 1):
-        for _ in range(m_sub):
-            a1, t1 = _geodesic_rhs(y0, y1, c)
-            k1 = (y1, a1, t1)
-            a2, t2 = _geodesic_rhs(y0 + h2 * k1[0], y1 + h2 * k1[1], c)
-            k2 = (y1 + h2 * a1, a2, t2)
-            a3, t3 = _geodesic_rhs(y0 + h2 * k2[0], y1 + h2 * k2[1], c)
-            k3 = (y1 + h2 * a2, a3, t3)
-            a4, t4 = _geodesic_rhs(y0 + h * k3[0], y1 + h * k3[1], c)
-            k4 = (y1 + h * a3, a4, t4)
-            y0 += h6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y1 += h6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            y2 += h6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        phi_out[i], phid_out[i], th_out[i] = y0, y1, y2
+    phi_out[0], phid_out[0], th_out[0] = family.b, 0.0, 0.0
+    states = _rk4(family.b, 0.0, 0.0, family.c, h, n, m_sub)
+    for i, (phi, phid, theta, _, _) in enumerate(states, 1):
+        phi_out[i], phid_out[i], th_out[i] = phi, phid, theta
 
     traj = Trajectory(family=family, grid=grid, phi=phi_out,
                       phidot=phid_out, theta=th_out)
@@ -404,8 +396,3 @@ def sample_trajectory(family: GeodesicFamily, n: int,
         raise NumericalError(
             f"energy conservation drifted to {drift:.3e}", residual=drift)
     return traj
-
-
-def evaluate_extended(traj: Trajectory, t):
-    """Extended evaluation of a trajectory; see :meth:`Trajectory.at`."""
-    return traj.at(t)

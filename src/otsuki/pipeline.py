@@ -242,6 +242,29 @@ def bounds_check(report: IndexReport) -> dict:
     }
 
 
+def report_document(report: IndexReport) -> dict:
+    """The JSON document the CLI emits: the report plus its bounds check."""
+    doc = report.to_json_dict()
+    doc["bounds_check"] = bounds_check(report)
+    return doc
+
+
+def iter_reports(pairs, method: str = "both", n: int = 4096):
+    """Yield the report document of each (p, q) pair in turn.
+
+    A family that fails with a numerical error yields
+    ``{"p", "q", "error": {"type", "message"}}`` instead, and the remaining
+    families still run.  A validation error concerns the whole run (the
+    pairs are checked before they get here) and propagates.
+    """
+    for p, q in pairs:
+        try:
+            yield report_document(compute_index(p, q, method=method, n=n))
+        except NumericalError as exc:
+            yield {"p": p, "q": q,
+                   "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -249,27 +272,40 @@ def cache_dir_path(cache_dir: Optional[str] = None) -> str:
     return cache_dir or os.environ.get("OTSUKI_CACHE", ".cache")
 
 
-def cache_key(p: int, q: int, n: int, version: str = REPORT_VERSION) -> str:
-    return f"{p}-{q}-{n}-v{version}"
+def cache_key(p: int, q: int, n: int, method: str = "both",
+              version: str = REPORT_VERSION) -> str:
+    return f"{p}-{q}-{n}-{method}-v{version}"
 
 
 def cache_store(report: IndexReport, cache_dir: Optional[str] = None) -> str:
+    """Store the report's emitted document (:func:`report_document`).
+
+    The entry is written to a temporary file and renamed into place, so an
+    interrupted run never leaves a truncated entry behind.
+    """
     path = cache_dir_path(cache_dir)
     os.makedirs(path, exist_ok=True)
-    fname = os.path.join(path, cache_key(report.p, report.q, report.n) + ".json")
-    with open(fname, "w") as fh:
-        fh.write(jsonio.dumps(report.to_json_dict()))
-        fh.write("\n")
+    fname = os.path.join(path, cache_key(report.p, report.q, report.n,
+                                         report.method) + ".json")
+    tmp = f"{fname}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(jsonio.dumps(report_document(report)) + "\n")
+        os.replace(tmp, fname)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return fname
 
 
-def cache_load(p: int, q: int, n: int, cache_dir: Optional[str] = None,
+def cache_load(p: int, q: int, n: int, method: str = "both",
+               cache_dir: Optional[str] = None,
                version: str = REPORT_VERSION) -> Optional[dict]:
     import json
     import warnings
 
     fname = os.path.join(cache_dir_path(cache_dir),
-                         cache_key(p, q, n, version) + ".json")
+                         cache_key(p, q, n, method, version) + ".json")
     if not os.path.exists(fname):
         return None
     try:
@@ -359,12 +395,3 @@ def verify_family(p: int, q: int, n: int = 1024,
 
     add("l=3 positive", verify_high_l_positive(3, traj, n=max(512, n // 2)), "")
     return rows
-
-
-def sweep(pairs, method: str = "both", n: int = 4096):
-    """Compute reports for a list of (p, q) pairs, ordered by (p, q)."""
-    out = []
-    for p, q in sorted(pairs):
-        report = compute_index(p, q, method=method, n=n)
-        out.append(report)
-    return out

@@ -43,7 +43,6 @@ class SpectrumSummary:
     neg_count: int
     zero_count: int
     mesh: int
-    method_tag: str
     cutoff: float
     l: Optional[int] = None
     bc: str = ""
@@ -176,8 +175,7 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
             eigenfunctions.extend(vecs)
     return SpectrumSummary(
         eigenvalues=lam_list, neg_count=neg, zero_count=zero, mesh=n,
-        method_tag="direct-fd", cutoff=cutoff, l=system.l,
-        bc=system.bc.kind, omega_index=omega_index,
+        cutoff=cutoff, l=system.l, bc=system.bc.kind, omega_index=omega_index,
         grid=grid, eigenfunctions=eigenfunctions)
 
 

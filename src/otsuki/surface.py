@@ -30,6 +30,16 @@ def _theta_dot(c: float, phi):
     return c / (FOUR_PI2 * np.cos(phi) ** 4)
 
 
+def _weight(phi):
+    """The weight p = 4 pi^2 cos^2(phi) of the separated systems."""
+    return FOUR_PI2 * np.cos(phi) ** 2
+
+
+def _weight_prime(phi, phid):
+    """Exact derivative of the weight, p'(t) = -8 pi^2 cos(phi) sin(phi) phi'."""
+    return -8.0 * math.pi ** 2 * np.cos(phi) * np.sin(phi) * phid
+
+
 def immersion(alpha: float, t: float, traj: Trajectory) -> np.ndarray:
     """Unit 5-vector of the torus at frame angle alpha and arc time t."""
     phi, _, theta = traj.at(t)
@@ -93,21 +103,17 @@ class SeparatedCoefficients:
     weight: np.ndarray          # (m,)
     potential: np.ndarray       # (m, 2, 2), symmetric at every node
 
-    def rows(self) -> np.ndarray:
-        """Potential as (m, 3) rows (Q11, Q12, Q22) for the discretizer."""
-        return np.stack([self.potential[:, 0, 0], self.potential[:, 0, 1],
-                         self.potential[:, 1, 1]], axis=1)
-
 
 def _q_entries(l: int, c: float, phi, phid):
+    """(p, Q11, Q12, Q22) of mode l at latitude phi and velocity phid."""
     cphi = np.cos(phi)
-    thd = c / (FOUR_PI2 * cphi ** 4)
+    thd = _theta_dot(c, phi)
     base = l * l / cphi ** 2 + FOUR_PI2 * phid ** 2 - 2.0
     bend = 8.0 * math.pi ** 2 * cphi ** 2 * thd ** 2
     q11 = base - bend
     q22 = base - np.sin(phi) ** 2 * bend
     q12 = -4.0 * math.pi * l * phid / cphi
-    return FOUR_PI2 * cphi ** 2, q11, q12, q22
+    return _weight(phi), q11, q12, q22
 
 
 def separated_coefficients(l: int, traj: Trajectory,
@@ -125,12 +131,6 @@ def separated_coefficients(l: int, traj: Trajectory,
     Q[:, 1, 0] = q12
     Q[:, 1, 1] = q22
     return SeparatedCoefficients(l=l, grid=np.asarray(grid), weight=p, potential=Q)
-
-
-def weight_prime(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    """Exact derivative of the weight, p'(t) = -8 pi^2 cos(phi) sin(phi) phi'."""
-    phi, phid, _ = traj.at(grid)
-    return -8.0 * math.pi ** 2 * np.cos(phi) * np.sin(phi) * phid
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,8 @@ def kernel_residual(field: KernelField, coeffs: SeparatedCoefficients,
     m = len(grid)
     h = grid[1] - grid[0]
     p = coeffs.weight
-    pd = weight_prime(traj, grid)
+    phi, phid, _ = traj.at(grid)
+    pd = _weight_prime(phi, phid)
     Q = coeffs.potential
 
     def d1(f):
@@ -296,8 +297,7 @@ def laplace_system(l: int, traj: Trajectory, interval: str = "t0",
 
     def sampler(t):
         phi, _, _ = traj.at(np.asarray(t))
-        cphi2 = np.cos(phi) ** 2
-        return FOUR_PI2 * cphi2, l * l / cphi2
+        return _weight(phi), l * l / np.cos(phi) ** 2
 
     return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=l,
                     label=f"laplace l={l} on {interval}")

@@ -85,6 +85,11 @@ class TestSolveParameter:
                                         rel=1e-15)
         assert fam23.rotation.t0 == pytest.approx(6 * fam23.T, rel=1e-15)
 
+    def test_parameters_are_plain_floats(self, fam23):
+        # the RK4 stepper runs on Python floats; numpy scalars would slow it
+        for value in (fam23.b, fam23.c, fam23.T, fam23.Xi):
+            assert type(value) is float
+
     def test_excluded_boundary_ratio(self):
         with pytest.raises(ValidationError):
             solve_parameter(1, 2)

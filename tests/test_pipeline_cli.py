@@ -1,15 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from otsuki import jsonio
+from otsuki import jsonio, pipeline
 from otsuki.cli import run_cli
-from otsuki.errors import RouteDisagreementError
+from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
-                             compute_index, spectral_index_formula,
-                             index_bounds, verify_family)
+                             compute_index, report_document,
+                             spectral_index_formula, index_bounds,
+                             verify_family)
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +123,8 @@ class TestCache:
         path = cache_store(report23, cache_dir=str(tmp_path))
         assert os.path.basename(path) == cache_key(2, 3, 512) + ".json"
         doc = cache_load(2, 3, 512, cache_dir=str(tmp_path))
-        assert doc == json.loads(jsonio.dumps(report23.to_json_dict()))
-        assert jsonio.dumps(doc) == jsonio.dumps(report23.to_json_dict())
+        assert doc == json.loads(jsonio.dumps(report_document(report23)))
+        assert jsonio.dumps(doc) == jsonio.dumps(report_document(report23))
 
     def test_version_bump_misses(self, report23, tmp_path):
         cache_store(report23, cache_dir=str(tmp_path))
@@ -147,6 +150,27 @@ class TestCache:
         monkeypatch.setenv("OTSUKI_CACHE", str(tmp_path / "envcache"))
         cache_store(report23)
         assert cache_load(2, 3, 512) is not None
+
+    def test_other_method_misses(self, report23, tmp_path):
+        cache_store(report23, cache_dir=str(tmp_path))
+        assert cache_load(2, 3, 512, method="direct",
+                          cache_dir=str(tmp_path)) is None
+
+    def test_entry_mode_follows_umask(self, report23, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = cache_store(report23, cache_dir=str(tmp_path))
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+    def test_interrupted_write_leaves_no_entry(self, report23, tmp_path,
+                                               monkeypatch):
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError):
+            cache_store(report23, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
 
 class TestJsonFormat:
@@ -217,11 +241,68 @@ class TestCli:
         args = ["index", "--p", "2", "--q", "3", "--method", "direct",
                 "--n", "512", "--cache-dir", str(tmp_path)]
         assert run_cli(args) == 0
-        first = json.loads(capsys.readouterr().out)
+        miss = capsys.readouterr().out
+        first = json.loads(miss)
         assert first["ind"] == 31 and first["nul"] == 9
         assert run_cli(args) == 0
-        second = json.loads(capsys.readouterr().out)
+        hit = capsys.readouterr().out
+        second = json.loads(hit)
         assert second["timestamp"] == first["timestamp"]   # served from cache
+        assert hit == miss and second["bounds_check"]["nul_ok"] is True
+
+    def test_cache_keyed_on_method(self, capsys, tmp_path):
+        args = ["index", "--p", "2", "--q", "3", "--n", "512",
+                "--cache-dir", str(tmp_path)]
+        assert run_cli(args + ["--method", "direct"]) == 0
+        capsys.readouterr()
+        assert run_cli(args + ["--method", "edwards"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == "edwards"
+        assert {r["method"] for r in doc["per_mode"][1:]} == {"edwards"}
+
+    def test_sweep_survives_failing_family(self, capsys, tmp_path,
+                                           monkeypatch, report23):
+        def flaky(p, q, **kwargs):
+            if (p, q) == (3, 5):
+                raise AmbiguousClassificationError("forced")
+            return report23
+
+        monkeypatch.setattr(pipeline, "compute_index", flaky)
+        listing = tmp_path / "families.txt"
+        listing.write_text("3/5\n2 3\n")
+        code = run_cli(["sweep", "--input", str(listing)])
+        assert code == 2
+        docs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()
+                if ln.strip()]
+        assert [(d["p"], d["q"]) for d in docs] == [(2, 3), (3, 5)]
+        assert docs[0]["ind"] == 31 and docs[0]["bounds_check"]["nul_ok"]
+        assert docs[1]["error"] == {"type": "AmbiguousClassificationError",
+                                    "message": "forced"}
+
+    def test_sweep_run_wide_error_exits_1(self, capsys, tmp_path,
+                                          monkeypatch):
+        attempted = []
+
+        def counted(p, q, **kwargs):
+            attempted.append((p, q))
+            return compute_index(p, q, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_index", counted)
+        listing = tmp_path / "families.txt"
+        listing.write_text("2/3\n3/5\n")
+        code = run_cli(["sweep", "--input", str(listing), "--n", "100"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "mesh too coarse" in err
+        assert attempted == [(2, 3)]
+
+    @pytest.mark.parametrize("line", ["2 3 4", "a b", "2", "1/2"])
+    def test_sweep_bad_line_exits_1(self, capsys, tmp_path, line):
+        listing = tmp_path / "families.txt"
+        listing.write_text(f"2/3\n{line}\n")
+        assert run_cli(["sweep", "--input", str(listing)]) == 1
+        err = capsys.readouterr().err
+        assert "families.txt:2" in err and repr(line) in err
 
     def test_sweep_jsonl(self, capsys, tmp_path):
         listing = tmp_path / "families.txt"
@@ -233,3 +314,16 @@ class TestCli:
         assert len(lines) == 1
         doc = json.loads(lines[0])
         assert (doc["p"], doc["q"], doc["ind"]) == (2, 3, 31)
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "otsuki.cli",
+         "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: otsuki" in proc.stdout

@@ -206,7 +206,7 @@ class TestOscillation:
         t = np.linspace(0, 2 * math.pi, 512, endpoint=False)
         fake = SpectrumSummary(
             eigenvalues=[0.0], neg_count=0, zero_count=1, mesh=512,
-            method_tag="direct-fd", cutoff=1.0, bc="periodic",
+            cutoff=1.0, bc="periodic",
             grid=t, eigenfunctions=[np.sin(2 * t)])   # 4 zeros, ladder wants 0
         with pytest.raises(NumericalError):
             oscillation_index(fake)
