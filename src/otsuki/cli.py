@@ -154,8 +154,7 @@ def _cmd_edwards(args) -> int:
     data = boundary_form(args.l, traj, n_dirichlet=args.n)
     doc = data.to_json_dict()
     if family.rotation is not None:
-        agg = aggregate_roots(args.l, family.rotation.p, family.rotation.q,
-                              traj, data=data)
+        agg = aggregate_roots(args.l, family.rotation.q, traj, data=data)
         doc["per_omega"] = [
             {"r": t.omega_index, "neg": t.neg, "zero": t.zero}
             for t in agg.per_omega]

@@ -9,7 +9,7 @@ plus the index of the restricted 2x2 form; its nullity is the form's
 nullity.  The determinant of the restricted form is a quadratic
 polynomial in s = Re(omega) whose roots mark the twists carrying zero
 modes.  The method needs the Dirichlet problem to be nondegenerate,
-which is checked up front.
+which ``boundary_solutions`` checks once per mode before integrating.
 """
 
 from __future__ import annotations
@@ -26,11 +26,17 @@ from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
 from .geodesic import Trajectory, _geodesic_rhs
 from .sl import BoundaryCondition
-from .spectral import TAU_ZERO_DEFAULT, spectrum_counts
+from .spectral import TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
 from .eigencount import eigenvalues_in
 
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
+# the route is refused unless the Dirichlet margin from zero exceeds this
+DIRICHLET_MARGIN = 10.0 * TAU_ZERO
+ODE_RTOL = 1e-11
+SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
+FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
+ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
 
 
 def roots_of_unity_ladder(q: int) -> list[complex]:
@@ -47,11 +53,16 @@ class DirichletCounts:
     mesh: int
 
 
-def dirichlet_negative_count(l: int, traj: Trajectory, n: int = 2048,
-                             tau_zero: float = TAU_ZERO_DEFAULT) -> DirichletCounts:
-    """Negative count and zero-distance margin of the Dirichlet block on [0, T]."""
+def dirichlet_negative_count(l: int, traj: Trajectory,
+                             n: int = 2048) -> DirichletCounts:
+    """Negative count and zero-distance margin of the Dirichlet block on [0, T].
+
+    Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
+    at most DIRICHLET_MARGIN: the boundary-form route needs a
+    nondegenerate Dirichlet problem.
+    """
     system = fourier_block_system(l, traj, "T", BoundaryCondition.dirichlet())
-    neg, zero = spectrum_counts(system, n, tau_zero)
+    neg, zero = spectrum_counts(system, n)
     op = system.discretize(n)
     margin = 4.0
     for width in (1e-3, 1e-2, 1e-1, 1.0, 4.0):
@@ -59,10 +70,10 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int = 2048,
         if len(lam):
             margin = float(np.abs(lam).min())
             break
-    if zero > 0 or margin <= tau_zero:
+    if zero > 0 or margin <= DIRICHLET_MARGIN:
         raise EdwardsInapplicableError(
-            f"Dirichlet problem at l={l} has an eigenvalue within "
-            f"{tau_zero:g} of zero (margin {margin:.3e})")
+            f"Dirichlet problem at l={l} is degenerate: {zero} zero mode(s), "
+            f"margin {margin:.3e} (needs > {DIRICHLET_MARGIN:g})")
     return DirichletCounts(l=l, negative=neg, margin=margin, mesh=n)
 
 
@@ -74,6 +85,7 @@ class BoundarySolutions:
     T: float
     coeffs: np.ndarray            # (4, 4): psi_i in the initial-value basis
     condition: float
+    dirichlet: DirichletCounts
     psi_prime_0: np.ndarray       # (2, 4)
     psi_prime_T: np.ndarray       # (2, 4)
     p_ends: tuple
@@ -85,17 +97,17 @@ class BoundarySolutions:
         return np.tensordot(self.coeffs[:, i], Y[:, :2], axes=1)
 
 
-def boundary_solutions(l: int, traj: Trajectory, rtol: float = 1e-11,
-                       n_dirichlet: int = 2048,
-                       tau_zero: float = TAU_ZERO_DEFAULT) -> BoundarySolutions:
+def boundary_solutions(l: int, traj: Trajectory,
+                       n_dirichlet: int = 2048) -> BoundarySolutions:
     """Integrate the four fundamental solutions and match boundary values.
 
     The geodesic rides along in the integrated state so the coefficients
     are exact along the way.  Fails when the Dirichlet problem is
     degenerate (the boundary map is then no bijection) or when the 4x4
-    matching system is ill conditioned.
+    matching system is ill conditioned.  The Dirichlet counts of that
+    check ride along in the result.
     """
-    dirichlet_negative_count(l, traj, n=n_dirichlet, tau_zero=tau_zero)
+    dirichlet = dirichlet_negative_count(l, traj, n=n_dirichlet)
 
     fam = traj.family
     c = fam.c
@@ -118,7 +130,7 @@ def boundary_solutions(l: int, traj: Trajectory, rtol: float = 1e-11,
 
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     sol = solve_ivp(rhs, (0.0, fam.T), y0, method="DOP853",
-                    rtol=rtol, atol=1e-12, dense_output=True)
+                    rtol=ODE_RTOL, atol=1e-12, dense_output=True)
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
     yT = sol.y[:, -1]
@@ -138,28 +150,28 @@ def boundary_solutions(l: int, traj: Trajectory, rtol: float = 1e-11,
     psi_prime_0 = C[2:, :].copy()        # u_3'(0), u_4'(0) are the unit vectors
     psi_prime_T = Ud @ C
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
+                             dirichlet=dirichlet,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
                              p_ends=(_weight(fam.b), _weight(yT[0])),
                              _sol=sol.sol)
 
 
 def gram_matrix(l: int, traj: Trajectory,
-                sols: Optional[BoundarySolutions] = None,
-                sym_tol: float = 1e-6, **kwargs) -> np.ndarray:
+                sols: Optional[BoundarySolutions] = None) -> np.ndarray:
     """The 4x4 boundary-form matrix a_ij = <e_i boundary, p psi_j'> |_0^T.
 
     Symmetry (real coefficients) and the ends-swap symmetry (coefficients
     even about the midpoint) are verified, then enforced by averaging.
     """
     if sols is None:
-        sols = boundary_solutions(l, traj, **kwargs)
+        sols = boundary_solutions(l, traj)
     p0, pT = sols.p_ends
     a = np.vstack((-p0 * sols.psi_prime_0, pT * sols.psi_prime_T))
     scale = np.abs(a).max()
     sym_err = np.abs(a - a.T).max() / scale
     swap = a[np.ix_(SIGMA_SWAP, SIGMA_SWAP)]
     swap_err = np.abs(a - swap).max() / scale
-    if sym_err > sym_tol or swap_err > sym_tol:
+    if sym_err > SYM_TOL or swap_err > SYM_TOL:
         raise NumericalError(
             f"boundary form symmetry violated (sym {sym_err:.2e}, "
             f"swap {swap_err:.2e}); integration is suspect")
@@ -260,27 +272,18 @@ class BoundaryFormData:
         }
 
 
-def boundary_form(l: int, traj: Trajectory, n_dirichlet: int = 2048,
-                  tau_zero: float = TAU_ZERO_DEFAULT,
-                  rtol: float = 1e-11,
-                  margin_factor: float = 10.0) -> BoundaryFormData:
+def boundary_form(l: int, traj: Trajectory,
+                  n_dirichlet: int = 2048) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
-    The route is refused (EdwardsInapplicableError) unless the Dirichlet
-    spectrum keeps a margin of ``margin_factor * tau_zero`` from zero.
+    The route is refused (EdwardsInapplicableError) when the Dirichlet
+    problem is degenerate; see :func:`dirichlet_negative_count`.
     """
-    dir_counts = dirichlet_negative_count(l, traj, n=n_dirichlet,
-                                          tau_zero=tau_zero)
-    if dir_counts.margin <= margin_factor * tau_zero:
-        raise EdwardsInapplicableError(
-            f"Dirichlet margin {dir_counts.margin:.3e} below "
-            f"{margin_factor:g} * tau_zero at l={l}")
-    sols = boundary_solutions(l, traj, rtol=rtol, n_dirichlet=n_dirichlet,
-                              tau_zero=tau_zero)
+    sols = boundary_solutions(l, traj, n_dirichlet=n_dirichlet)
     a = gram_matrix(l, traj, sols=sols)
     poly = det_polynomial(a)
     return BoundaryFormData(l=l, b=traj.family.b, a=a,
-                            dirichlet=dir_counts, poly=poly,
+                            dirichlet=sols.dirichlet, poly=poly,
                             condition=sols.condition)
 
 
@@ -294,9 +297,7 @@ class TwistedCount:
 
 
 def twisted_counts(data: BoundaryFormData, omega: complex,
-                   omega_index: Optional[int] = None,
-                   tau_form_rel: float = 1e-7,
-                   root_tol: float = 1e-6) -> TwistedCount:
+                   omega_index: Optional[int] = None) -> TwistedCount:
     """Counts of the omega-twisted problem from the boundary form.
 
     neg = Dirichlet negatives + index of the restricted form; zero is the
@@ -310,12 +311,12 @@ def twisted_counts(data: BoundaryFormData, omega: complex,
     disc = max(tr * tr - 4.0 * det, 0.0)
     rt = math.sqrt(disc)
     eigs = np.array([(tr - rt) / 2.0, (tr + rt) / 2.0])
-    tau = tau_form_rel * max(np.abs(A).max(), 1e-30)
+    tau = FORM_TOL_REL * max(np.abs(A).max(), 1e-30)
     ind = int(np.sum(eigs < -tau))
     nul = int(np.sum(np.abs(eigs) <= tau))
     if nul > 0:
         s = omega.real
-        near_root = any(abs(s - r) <= root_tol for r in data.poly.roots)
+        near_root = any(abs(s - r) <= ROOT_TOL for r in data.poly.roots)
         if not near_root:
             raise AmbiguousClassificationError(
                 f"restricted form nearly singular at Re(omega)={s:.6f} "
@@ -334,16 +335,15 @@ class AggregatedCounts:
     odd_r: Optional[tuple] = None     # (neg, zero) over r = 1, 3, ...
 
 
-def aggregate_roots(l: int, p: int, q: int, traj: Trajectory,
-                    data: Optional[BoundaryFormData] = None,
-                    **kwargs) -> AggregatedCounts:
+def aggregate_roots(l: int, q: int, traj: Trajectory,
+                    data: Optional[BoundaryFormData] = None) -> AggregatedCounts:
     """Sum the twisted counts over all 2q-th roots of unity.
 
     For even q the even-r and odd-r partial sums are returned too; they
     are the half-length periodic and antiperiodic classes respectively.
     """
     if data is None:
-        data = boundary_form(l, traj, **kwargs)
+        data = boundary_form(l, traj)
     per = []
     for r, om in enumerate(roots_of_unity_ladder(q)):
         per.append(twisted_counts(data, om, omega_index=r))

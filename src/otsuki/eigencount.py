@@ -264,8 +264,12 @@ def inertia(op: BandOperator, sigma: float) -> int:
 def eigenvalues_in(op: BandOperator, lo: float, hi: float,
                    tol: float = 1e-9) -> np.ndarray:
     """All eigenvalues in (lo, hi], each located to +-tol by bisection."""
-    c_lo = inertia(op, lo)
-    c_hi = inertia(op, hi)
+    return _bisect(op, lo, hi, inertia(op, lo), inertia(op, hi), tol)
+
+
+def _bisect(op: BandOperator, lo: float, hi: float, c_lo: int, c_hi: int,
+            tol: float) -> np.ndarray:
+    """The c_hi - c_lo eigenvalues in (lo, hi], given the counts at both ends."""
     out = []
     stack = [(lo, hi, c_lo, c_hi)]
     while stack:
@@ -287,6 +291,10 @@ def eigenvalues_in(op: BandOperator, lo: float, hi: float,
 
 # ---------------------------------------------------------------------------
 # linear solves and inverse iteration (scalar operators)
+
+INVERSE_ITERATIONS = 4
+INVERSE_ITERATION_SEED = 1234
+
 
 def _thomas_band(d, e, rhs):
     m = len(d)
@@ -331,8 +339,8 @@ def _solve_scalar(op: BandOperator, sigma: float, rhs: np.ndarray) -> np.ndarray
     return np.array([yj - fac * zj for yj, zj in zip(y, z)])
 
 
-def scalar_eigenfunctions(op: BandOperator, lam: float, count: int = 1,
-                          iters: int = 4, seed: int = 1234) -> list[np.ndarray]:
+def scalar_eigenfunctions(op: BandOperator, lam: float,
+                          count: int = 1) -> list[np.ndarray]:
     """Inverse iteration at a converged eigenvalue; returns orthonormal vectors.
 
     For a (near-)degenerate pair request count=2; the iteration deflates
@@ -340,14 +348,14 @@ def scalar_eigenfunctions(op: BandOperator, lam: float, count: int = 1,
     """
     if op.dim != 1:
         raise NumericalError("inverse iteration implemented for scalar operators")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(INVERSE_ITERATION_SEED)
     shift = lam + 1e-9 * max(1.0, abs(lam))
     found: list[np.ndarray] = []
     for _ in range(count):
         x = rng.standard_normal(op.m)
         for v in found:
             x -= (v @ x) * v
-        for _ in range(iters):
+        for _ in range(INVERSE_ITERATIONS):
             x = _solve_scalar(op, shift, x)
             for v in found:
                 x -= (v @ x) * v

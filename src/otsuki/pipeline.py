@@ -25,7 +25,7 @@ from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import Trajectory, sample_trajectory, solve_parameter
 from .sl import BoundaryCondition
-from .spectral import (TAU_ZERO_DEFAULT, direct_twisted_counts, spectral_index,
+from .spectral import (TAU_ZERO, direct_twisted_counts, spectral_index,
                        spectrum_counts, verify_high_l_positive)
 from .surface import l0_channel_system
 
@@ -98,25 +98,24 @@ def spectral_index_formula(p: int, q: int) -> int:
     return 2 * q + 4 * p - 2 if q % 2 == 1 else q + 2 * p - 2
 
 
-def _mode0_counts(traj: Trajectory, n: int, tau_zero: float) -> PerModeRecord:
+def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
     q = traj.family.rotation.q
     interval = "t0/2" if q % 2 == 0 else "t0"
     neg = zero = 0
     for chan in (1, 2):
         system = l0_channel_system(chan, traj, interval,
                                    BoundaryCondition.periodic())
-        c_neg, c_zero = spectrum_counts(system, n, tau_zero)
+        c_neg, c_zero = spectrum_counts(system, n)
         neg += c_neg
         zero += c_zero
     return PerModeRecord(l=0, neg=neg, zero=zero, method="direct")
 
 
-def _direct_mode_counts(l: int, traj: Trajectory, n: int,
-                        tau_zero: float) -> list[tuple]:
+def _direct_mode_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
     q = traj.family.rotation.q
     rows = []
     for r, om in enumerate(roots_of_unity_ladder(q)):
-        neg, zero = direct_twisted_counts(l, om, traj, n, tau_zero)
+        neg, zero = direct_twisted_counts(l, om, traj, n)
         rows.append((r, neg, zero))
     return rows
 
@@ -131,7 +130,6 @@ def _sum_rows(rows, parity: Optional[int] = None) -> tuple[int, int]:
 
 
 def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
-                  tau_zero: float = TAU_ZERO_DEFAULT,
                   n_traj: int = 4096) -> IndexReport:
     """Full Morse index / nullity report for the closed family p/q.
 
@@ -147,8 +145,8 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
     traj = sample_trajectory(family, n_traj)
     q_even = (q % 2 == 0)
 
-    records = [_mode0_counts(traj, n, tau_zero)]
-    flags: dict = {"tau_zero": tau_zero, "edwards_applicable": {},
+    records = [_mode0_counts(traj, n)]
+    flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
                    "s1": None, "s2": None, "s1_below_minus_one": None,
                    "abs_s1_gt_s2": None}
 
@@ -160,8 +158,8 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
         edwards_ok = None       # None: not attempted
         if method in ("edwards", "both"):
             try:
-                data = boundary_form(l, traj, n_dirichlet=n, tau_zero=tau_zero)
-                agg = aggregate_roots(l, p, q, traj, data=data)
+                data = boundary_form(l, traj, n_dirichlet=n)
+                agg = aggregate_roots(l, q, traj, data=data)
                 edwards_rows = _edwards_mode_counts(agg)
                 edwards_ok = True
             except EdwardsInapplicableError:
@@ -179,7 +177,7 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
                 flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
                 flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
         if method in ("direct", "both") or not edwards_ok:
-            direct_rows = _direct_mode_counts(l, traj, n, tau_zero)
+            direct_rows = _direct_mode_counts(l, traj, n)
 
         if edwards_rows is not None and direct_rows is not None:
             diffs = [(l, r, (en, ez), (dn, dz))
@@ -204,14 +202,14 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
         records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
                                      split=split, per_omega=tuple(rows)))
 
-    if not verify_high_l_positive(3, traj, n=max(512, n // 4), tau_zero=tau_zero):
+    if not verify_high_l_positive(3, traj, n=max(512, n // 4)):
         raise NumericalError("mode l=3 failed the positivity check; "
                              "higher modes cannot be dismissed")
     flags["l3_positive"] = True
 
     ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
     nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
-    ind_s = spectral_index(p, q, traj, n=n, tau_zero=tau_zero)
+    ind_s = spectral_index(q, traj, n=n)
 
     bounds = index_bounds(p, q)
     bounds["rough_upper"] = 5 * ind_s + 2
@@ -361,7 +359,7 @@ def verify_family(p: int, q: int, n: int = 1024,
         worst = max(worst, kernel_residual(fld, coeffs, traj).value)
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
-    rec0 = _mode0_counts(traj, n, TAU_ZERO_DEFAULT)
+    rec0 = _mode0_counts(traj, n)
     if q % 2 == 1:
         exp_neg = 2 * q + 4 * p - 1
     else:
@@ -370,7 +368,7 @@ def verify_family(p: int, q: int, n: int = 1024,
         f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")
 
     lam1, lam2, corr = antiperiodic_check_l0(traj, n=n)
-    add("antiperiodic l=0", lam1 < 0 and abs(lam2) <= TAU_ZERO_DEFAULT
+    add("antiperiodic l=0", lam1 < 0 and abs(lam2) <= TAU_ZERO
         and corr > 0.999, f"lam1={lam1:.4f}, lam2={lam2:.2e}, corr={corr:.5f}")
 
     for l in (1, 2):
@@ -383,8 +381,8 @@ def verify_family(p: int, q: int, n: int = 1024,
             else:
                 val = abs(data.poly(1.0)) / data.poly.scale
                 add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
-            agg = aggregate_roots(l, p, q, traj, data=data)
-            direct_rows = _direct_mode_counts(l, traj, n, TAU_ZERO_DEFAULT)
+            agg = aggregate_roots(l, q, traj, data=data)
+            direct_rows = _direct_mode_counts(l, traj, n)
             same = all((t.neg, t.zero) == (dn, dz)
                        for t, (_, dn, dz) in zip(agg.per_omega, direct_rows))
             add(f"route agreement l={l}", same,

@@ -124,7 +124,7 @@ class SLSystem:
         h2 = h * h
         dsum = (p_half + np.roll(p_half, 1)) / h2
         off = -p_half[:-1] / h2
-        wrap_off = -p_half[-1] / h2
+        wrap_off = float(-p_half[-1] / h2)
         if self.dim == 1:
             diag = dsum + q_nodes
         else:

@@ -1,9 +1,9 @@
 """Eigenvalue counts, oscillation indexing, and the spectral index.
 
 Counting convention: an eigenvalue is "zero" when its mesh-extrapolated
-value lies within tau_zero of the target level.  The exact zero modes of
+value lies within TAU_ZERO of the target level.  The exact zero modes of
 the stability operator drift like h^2 under the second-order
-discretization, which can exceed tau_zero on coarse meshes; every count
+discretization, which can exceed TAU_ZERO on coarse meshes; every count
 therefore combines two meshes (n and 2n): the inertia sweeps classify
 everything outside a small zone around the level, and eigenvalues inside
 the zone are located by bisection on both meshes and Richardson
@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .eigencount import eigenvalues_in, inertia, scalar_eigenfunctions
+from .eigencount import (_bisect, eigenvalues_in, inertia,
+                         scalar_eigenfunctions)
 from .errors import (AmbiguousClassificationError, NumericalError,
                      ValidationError)
 from .geodesic import Trajectory
@@ -27,8 +28,8 @@ from .sl import BoundaryCondition, SLSystem
 from .surface import (fourier_block_system, l0_channel_system, laplace_system,
                       separated_coefficients, full_period_grid)
 
-TAU_ZERO_DEFAULT = 1e-5
-ZONE_DEFAULT = 2e-3
+TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
+ZONE = 2e-3         # smallest half-width of the zone refined by bisection
 # exact zero modes drift below zero like D h^2 with D <= ~0.03 across the
 # families probed; the refinement zone scales with the mesh (10x margin)
 # so coarse runs still capture them, capped well under the genuine
@@ -63,19 +64,8 @@ class SpectrumSummary:
         }
 
 
-def _zone_eigs(op1, op2, lo, hi, tol):
-    lam1 = eigenvalues_in(op1, lo, hi, tol=tol)
-    lam2 = eigenvalues_in(op2, lo, hi, tol=tol)
-    if len(lam1) != len(lam2):
-        raise AmbiguousClassificationError(
-            f"zone ({lo:g}, {hi:g}] holds {len(lam1)} eigenvalues at one mesh "
-            f"but {len(lam2)} at the doubled mesh")
-    return lam1, lam2
-
-
-def boundary_counts(system: SLSystem, n: int, boundary: float = 0.0,
-                    tau_zero: float = TAU_ZERO_DEFAULT,
-                    zone: float = ZONE_DEFAULT) -> tuple[int, int]:
+def boundary_counts(system: SLSystem, n: int,
+                    boundary: float = 0.0) -> tuple[int, int]:
     """(#{lambda < boundary - tau}, #{|lambda - boundary| <= tau}).
 
     Inertia handles everything outside [boundary - zone, boundary + zone];
@@ -83,29 +73,30 @@ def boundary_counts(system: SLSystem, n: int, boundary: float = 0.0,
     """
     op1 = system.discretize(n)
     op2 = system.discretize(2 * n)
-    zone = max(zone, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
+    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
     lo, hi = boundary - zone, boundary + zone
     below1, below2 = inertia(op1, lo), inertia(op2, lo)
     if below1 != below2:
         raise AmbiguousClassificationError(
             f"count below {lo:g} changed under mesh doubling: {below1} vs {below2}")
-    k1 = inertia(op1, hi) - below1
-    k2 = inertia(op2, hi) - below2
+    above1, above2 = inertia(op1, hi), inertia(op2, hi)
+    k1, k2 = above1 - below1, above2 - below2
     if k1 != k2:
         raise AmbiguousClassificationError(
             f"zone population changed under mesh doubling: {k1} vs {k2}")
     if k1 == 0:
         return below1, 0
-    tol = min(tau_zero * 1e-2, zone * 1e-3)
-    lam1, lam2 = _zone_eigs(op1, op2, lo, hi, tol)
+    tol = min(TAU_ZERO * 1e-2, zone * 1e-3)
+    lam1 = _bisect(op1, lo, hi, below1, above1, tol)
+    lam2 = _bisect(op2, lo, hi, below2, above2, tol)
     lam = (4.0 * lam2 - lam1) / 3.0 - boundary
 
     def classify(vals):
-        return np.where(vals < -tau_zero, -1, np.where(vals > tau_zero, 1, 0))
+        return np.where(vals < -TAU_ZERO, -1, np.where(vals > TAU_ZERO, 1, 0))
 
     cls = classify(lam)
-    borderline = (np.abs(np.abs(lam) - tau_zero) < 2.0 * tau_zero) & \
-                 (np.abs(lam) > tau_zero / 3.0)
+    borderline = (np.abs(np.abs(lam) - TAU_ZERO) < 2.0 * TAU_ZERO) & \
+                 (np.abs(lam) > TAU_ZERO / 3.0)
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
@@ -128,11 +119,9 @@ def boundary_counts(system: SLSystem, n: int, boundary: float = 0.0,
     return below, at
 
 
-def spectrum_counts(system: SLSystem, n: int,
-                    tau_zero: float = TAU_ZERO_DEFAULT,
-                    zone: float = ZONE_DEFAULT) -> tuple[int, int]:
+def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
     """(negative, zero) eigenvalue counts of the system."""
-    return boundary_counts(system, n, 0.0, tau_zero, zone)
+    return boundary_counts(system, n)
 
 
 def _group_degenerate(values, gap):
@@ -146,16 +135,19 @@ def _group_degenerate(values, gap):
 
 
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
-                   tau_zero: float = TAU_ZERO_DEFAULT,
-                   zone: float = ZONE_DEFAULT,
                    want_eigenfunctions: bool = False,
                    omega_index: Optional[int] = None) -> SpectrumSummary:
     """Everything below the cutoff: extrapolated eigenvalues plus counts."""
-    neg, zero = spectrum_counts(system, n, tau_zero, zone)
+    neg, zero = spectrum_counts(system, n)
     op1 = system.discretize(n)
     op2 = system.discretize(2 * n)
     floor = min(op1.gershgorin_lower(), op2.gershgorin_lower()) - 1.0
-    lam1, lam2 = _zone_eigs(op1, op2, floor, cutoff + zone, tol=1e-9)
+    lam1 = eigenvalues_in(op1, floor, cutoff + ZONE, tol=1e-9)
+    lam2 = eigenvalues_in(op2, floor, cutoff + ZONE, tol=1e-9)
+    if len(lam1) != len(lam2):
+        raise AmbiguousClassificationError(
+            f"({floor:g}, {cutoff + ZONE:g}] holds {len(lam1)} eigenvalues at "
+            f"one mesh but {len(lam2)} at the doubled mesh")
     lam = (4.0 * lam2 - lam1) / 3.0
     keep = lam < cutoff
     lam_list = [float(v) for v in lam[keep]]
@@ -182,8 +174,11 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 # ---------------------------------------------------------------------------
 # oscillation utilities
 
-def zero_count(samples, antiperiodic: bool = False,
-               rel_floor: float = 1e-8) -> int:
+ZERO_FLOOR_REL = 1e-8       # samples below this fraction of the max count as 0
+INTERLACING_SLACK = 1e-8
+
+
+def zero_count(samples, antiperiodic: bool = False) -> int:
     """Sign changes of a sampled function over one period.
 
     Nodes that are exactly zero (below the relative floor) are treated as
@@ -196,7 +191,7 @@ def zero_count(samples, antiperiodic: bool = False,
     scale = np.abs(f).max()
     if scale == 0.0 or not np.isfinite(scale):
         raise ValidationError("function is identically zero (or invalid)")
-    s = np.sign(np.where(np.abs(f) <= rel_floor * scale, 0.0, f)).astype(int)
+    s = np.sign(np.where(np.abs(f) <= ZERO_FLOOR_REL * scale, 0.0, f)).astype(int)
     signs = s[s != 0]
     if len(signs) == 0:
         raise ValidationError("function sits below the noise floor everywhere")
@@ -230,7 +225,7 @@ def oscillation_index(summary: SpectrumSummary) -> list[dict]:
     return rows
 
 
-def check_interlacing(periodic_eigs, antiperiodic_eigs, slack: float = 1e-8) -> bool:
+def check_interlacing(periodic_eigs, antiperiodic_eigs) -> bool:
     """Pattern lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < mu_3 <= mu_4 < ...
 
     The ground state opens the periodic ladder, then (anti)periodic pairs
@@ -255,14 +250,13 @@ def check_interlacing(periodic_eigs, antiperiodic_eigs, slack: float = 1e-8) -> 
             i += 2
         next_pair_antiperiodic = not next_pair_antiperiodic
     for (ka, a), (kb, b) in zip(seq, seq[1:]):
-        ok = (a <= b + slack) if ka == kb else (a < b + slack)
-        if not ok:
+        top = b + INTERLACING_SLACK
+        if not ((a <= top) if ka == kb else (a < top)):
             return False
     return True
 
 
-def antiperiodic_check_l0(traj: Trajectory, n: int = 2048,
-                          tau_zero: float = TAU_ZERO_DEFAULT):
+def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
     """Two smallest eigenvalues of the half-period antiperiodic channel-2
     problem: the first must be negative, the second a zero mode whose
     eigenfunction matches 2 pi cos^2(phi) phi'.
@@ -285,7 +279,7 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048,
     if len(lam1) < 2 or len(lam2) < 2:
         raise NumericalError("failed to locate the two smallest eigenvalues")
     lamR = (4.0 * lam2[:2] - lam1[:2]) / 3.0
-    if not (lamR[0] < -tau_zero and abs(lamR[1]) <= tau_zero):
+    if not (lamR[0] < -TAU_ZERO and abs(lamR[1]) <= TAU_ZERO):
         raise NumericalError(
             f"antiperiodic check failed: got {lamR[0]:.3e}, {lamR[1]:.3e}")
     vec = scalar_eigenfunctions(op1, float(lam1[1]))[0]
@@ -299,9 +293,7 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048,
 # ---------------------------------------------------------------------------
 # spectral index and high-l positivity
 
-def spectral_index(p: int, q: int, traj: Trajectory, n: int = 4096,
-                   tau_zero: float = TAU_ZERO_DEFAULT,
-                   zone: float = ZONE_DEFAULT) -> int:
+def spectral_index(q: int, traj: Trajectory, n: int = 4096) -> int:
     """Number of Laplace eigenvalues below 2, restricted to the symmetry
     class of the surface when q is even; mode l = 0 counts once, higher
     modes twice.  Eigenvalues landing exactly on 2 (the coordinate
@@ -320,14 +312,13 @@ def spectral_index(p: int, q: int, traj: Trajectory, n: int = 4096,
             system = laplace_system(l, traj, "t0/2", bc)
         else:
             system = laplace_system(l, traj, "t0")
-        below, _at = boundary_counts(system, n, cutoff, tau_zero, zone)
+        below, _at = boundary_counts(system, n, cutoff)
         total += below if l == 0 else 2 * below
         l += 1
     return total
 
 
-def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024,
-                           tau_zero: float = TAU_ZERO_DEFAULT) -> bool:
+def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024) -> bool:
     """True when the mode-l block is strictly positive: the potential is
     pointwise positive definite and the discretized block has no
     eigenvalue at or below zero."""
@@ -339,13 +330,12 @@ def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024,
     det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
     pointwise = bool(np.all(Q[:, 0, 0] > 0) and np.all(det > 0))
     system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
-    neg, zero = spectrum_counts(system, n, tau_zero)
+    neg, zero = spectrum_counts(system, n)
     return pointwise and neg == 0 and zero == 0
 
 
-def direct_twisted_counts(l: int, omega: complex, traj: Trajectory, n: int,
-                          tau_zero: float = TAU_ZERO_DEFAULT,
-                          zone: float = ZONE_DEFAULT) -> tuple[int, int]:
+def direct_twisted_counts(l: int, omega: complex, traj: Trajectory,
+                          n: int) -> tuple[int, int]:
     """(negative, zero) counts of the omega-twisted block on [0, T]."""
     system = fourier_block_system(l, traj, "T", BoundaryCondition.twisted(omega))
-    return spectrum_counts(system, n, tau_zero, zone)
+    return spectrum_counts(system, n)

@@ -1,9 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from otsuki import edwards
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
                             dirichlet_negative_count, gram_matrix,
@@ -203,16 +205,21 @@ class TestTwistedCounts:
 
     def test_zero_without_root_is_ambiguous(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=512)
-        # loosened classification makes a regular value look singular, which
-        # must surface as an error since Re(omega) is no polynomial root
+        p, q = 2, 3
+        om = roots_of_unity_ladder(q)[q - p]      # a genuine zero twist
+        assert twisted_counts(data, om).zero == 1
+        # without the polynomial roots nothing vouches for the singular
+        # form, which must surface as an error rather than a count
+        rootless = dataclasses.replace(
+            data, poly=dataclasses.replace(data.poly, roots=()))
         with pytest.raises(AmbiguousClassificationError):
-            twisted_counts(data, cmath.exp(0.4j), tau_form_rel=0.5)
+            twisted_counts(rootless, om)
 
 
 class TestAggregation:
     def test_family23_mode1(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)
-        agg = aggregate_roots(1, 2, 3, traj23, data=data)
+        agg = aggregate_roots(1, 3, traj23, data=data)
         p, q = 2, 3
         assert agg.zero_total in (2, 4)
         sum_ind = agg.neg_total - 2 * q * data.dirichlet.negative
@@ -220,12 +227,13 @@ class TestAggregation:
         assert agg.even_r is None and agg.odd_r is None
 
     def test_family23_mode2(self, traj23):
-        agg = aggregate_roots(2, 2, 3, traj23, n_dirichlet=1024)
+        data = boundary_form(2, traj23, n_dirichlet=1024)
+        agg = aggregate_roots(2, 3, traj23, data=data)
         assert (agg.neg_total, agg.zero_total) == (0, 1)
 
     def test_family58_even_split(self, traj58):
         data = boundary_form(1, traj58, n_dirichlet=1024)
-        agg = aggregate_roots(1, 5, 8, traj58, data=data)
+        agg = aggregate_roots(1, 8, traj58, data=data)
         p, q = 5, 8
         odd_neg, odd_zero = agg.odd_r
         sum_ind_odd = odd_neg - q * data.dirichlet.negative
@@ -235,15 +243,30 @@ class TestAggregation:
 
     def test_zero_twists_hit_conjugate_pair(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)
-        agg = aggregate_roots(1, 2, 3, traj23, data=data)
+        agg = aggregate_roots(1, 3, traj23, data=data)
         carriers = [t.omega_index for t in agg.per_omega if t.zero > 0]
         assert carriers == [3 - 2, 3 + 2]     # r = q -+ p
 
 
 class TestApplicabilityGate:
-    def test_margin_gate_raises(self, traj23):
+    def test_margin_gate_raises(self, traj23, monkeypatch):
+        # the recorded margin never exceeds 4, so the gate must refuse
+        monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", 1e2)
         with pytest.raises(EdwardsInapplicableError):
-            boundary_form(1, traj23, n_dirichlet=512, margin_factor=1e7)
+            boundary_form(1, traj23, n_dirichlet=512)
+
+    def test_dirichlet_checked_once(self, traj23, monkeypatch):
+        calls = []
+        original = edwards.dirichlet_negative_count
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(edwards, "dirichlet_negative_count", counted)
+        data = boundary_form(2, traj23, n_dirichlet=512)
+        assert calls == [2]
+        assert data.dirichlet.l == 2 and data.dirichlet.mesh == 512
 
     def test_group_action_pairs_conjugate_spectra(self, traj23):
         # complex conjugation intertwines the omega and conj(omega) problems

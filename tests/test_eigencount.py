@@ -113,6 +113,17 @@ def test_constant_coefficient_counts_property(weight, pot, L, anti, cut):
     assert inertia(op, sigma) == expected
 
 
+@pytest.mark.parametrize("bc", [BoundaryCondition.periodic(),
+                                BoundaryCondition.antiperiodic(),
+                                BoundaryCondition.twisted(cmath.exp(0.7j))],
+                         ids=["periodic", "antiperiodic", "twisted"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wrap_off_is_plain_float(dim, bc):
+    # the cyclic sweeps do scalar arithmetic on it, which numpy scalars slow
+    op = _wavy_system(dim, bc).discretize(128)
+    assert type(op.wrap_off) is float
+
+
 def test_small_operator_rejected():
     op = constant_system(1, 1.0, 1.0, 0.0, BoundaryCondition.periodic())
     bad = op.discretize(128)

@@ -85,8 +85,8 @@ class TestComputeIndex:
 
         _orig = pipeline._direct_mode_counts
 
-        def wrong(l, traj, n, tau_zero):
-            return [(r, neg + 1, zero) for (r, neg, zero) in _orig(l, traj, n, tau_zero)]
+        def wrong(l, traj, n):
+            return [(r, neg + 1, zero) for (r, neg, zero) in _orig(l, traj, n)]
 
         monkeypatch.setattr(pipeline, "_direct_mode_counts", wrong)
         with pytest.raises(RouteDisagreementError):

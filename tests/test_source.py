@@ -1,0 +1,35 @@
+"""Checks over the package source itself."""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "otsuki")
+                 .glob("*.py"))
+
+
+def _functions(tree):
+    """Module-level functions and the methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for name, fn in _functions(ast.parse(path.read_text())):
+        a = fn.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        # a method's receiver is fixed by the protocol it implements
+        unread += [f"{name}({p})" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    assert not unread, f"parameters never read: {unread}"

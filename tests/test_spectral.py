@@ -60,7 +60,26 @@ class TestCalibration:
         # positive, so the count must come out rather than error
         system = constant_system(1, 2 * math.pi, 1.0, 2e-5,
                                  BoundaryCondition.periodic())
-        assert spectrum_counts(system, 256, tau_zero=1e-5) == (0, 0)
+        assert spectrum_counts(system, 256) == (0, 0)
+
+    def test_counts_sweep_each_point_once(self, monkeypatch):
+        from otsuki import eigencount, spectral
+
+        original = eigencount.inertia
+        seen = []
+
+        def recorded(op, sigma):
+            seen.append((id(op), sigma))
+            return original(op, sigma)
+
+        monkeypatch.setattr(eigencount, "inertia", recorded)
+        monkeypatch.setattr(spectral, "inertia", recorded)
+        # the zero mode lies in the zone, which is then bisected on both meshes
+        system = constant_system(1, 2 * math.pi, 1.0, 0.0,
+                                 BoundaryCondition.periodic())
+        assert spectrum_counts(system, 256) == (0, 1)
+        assert len(seen) > 4
+        assert len(set(seen)) == len(seen)
 
     def test_borderline_unstable_value_is_ambiguous(self):
         from otsuki.errors import AmbiguousClassificationError
@@ -79,7 +98,7 @@ class TestCalibration:
         system = SLSystem(dim=1, length=2 * math.pi,
                           bc=BoundaryCondition.periodic(), sampler=sampler)
         with pytest.raises(AmbiguousClassificationError):
-            spectrum_counts(system, 256, tau_zero=1e-5)
+            spectrum_counts(system, 256)
 
 
 class TestMode0Counts:
@@ -185,7 +204,6 @@ class TestOscillation:
         assert rows[0]["zeros"] == 0
 
     def test_interlacing_on_half_period(self, traj23):
-        kw = dict(n=512, tau_zero=1e-5)
         per = spectrum_below(l0_channel_system(2, traj23, "T",
                                                BoundaryCondition.periodic()),
                              2.0, 512)
@@ -230,10 +248,10 @@ class TestAntiperiodicCheck:
 
 class TestSpectralIndex:
     def test_family23(self, traj23):
-        assert spectral_index(2, 3, traj23, n=1024) == 12
+        assert spectral_index(3, traj23, n=1024) == 12
 
     def test_family58(self, traj58):
-        assert spectral_index(5, 8, traj58, n=1024) == 16
+        assert spectral_index(8, traj58, n=1024) == 16
 
 
 class TestHighModes:
