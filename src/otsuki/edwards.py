@@ -33,6 +33,7 @@ from .eigencount import eigenvalues_in
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
 # the route is refused unless the Dirichlet margin from zero exceeds this
 DIRICHLET_MARGIN = 10.0 * TAU_ZERO
+_MARGIN_CAP = 4.0       # the margin reported when no eigenvalue is nearer
 ODE_RTOL = 1e-11
 SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
 FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
@@ -63,13 +64,10 @@ def dirichlet_negative_count(l: int, traj: Trajectory,
     """
     system = fourier_block_system(l, traj, "T", BoundaryCondition.dirichlet())
     neg, zero = spectrum_counts(system, n)
-    op = system.discretize(n)
-    margin = 4.0
-    for width in (1e-3, 1e-2, 1e-1, 1.0, 4.0):
-        lam = eigenvalues_in(op, -width, width, tol=1e-10)
-        if len(lam):
-            margin = float(np.abs(lam).min())
-            break
+    # the margin is the distance from zero to the nearest eigenvalue, capped
+    lam = eigenvalues_in(system.operator(n), -_MARGIN_CAP, _MARGIN_CAP,
+                         tol=1e-10, near=0.0)
+    margin = float(np.abs(lam).min()) if len(lam) else _MARGIN_CAP
     if zero > 0 or margin <= DIRICHLET_MARGIN:
         raise EdwardsInapplicableError(
             f"Dirichlet problem at l={l} is degenerate: {zero} zero mode(s), "

@@ -5,19 +5,25 @@ off-diagonal couplings are scalar multiples of the identity, plus a single
 wrap-around block for periodic-type boundary conditions.  Symmetric
 block elimination of A - sigma*I is a congruence transform, so the signs
 of the pivot blocks give the number of eigenvalues below sigma (Sylvester
-inertia).  Everything here - counts, bisection for individual
-eigenvalues, inverse iteration for eigenfunctions - is built on that one
-O(n) sweep; the wrap-around entries only ever fill the last block row.
+inertia), and the product of their determinants is det(A - sigma*I).
+Everything here - counts, individual eigenvalues, inverse iteration for
+eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
+only ever fill the last block row.  An eigenvalue is bracketed by the
+count: bisection isolates it, and secant steps on the determinant, kept
+inside the bracket, refine it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, isfinite, log
 from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
+
+_MAX_LOG_RATIO = 700.0      # exp() of more overflows a float
 
 
 class _PivotBreakdown(Exception):
@@ -99,34 +105,62 @@ class BandOperator:
 
 # ---------------------------------------------------------------------------
 # inertia sweeps
+#
+# Each sweep returns (count, log|det(A - sigma I)|).  The determinant is
+# the product of the pivot determinants, so its log is one accumulation
+# per pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
+# treats like a zero pivot.  The hot loops inline ``_pivot``/``_block``.
+
+def _pivot(s):
+    """(1 if the scalar pivot is negative else 0, log|s|)."""
+    if s > 0.0:
+        return 0, log(s)
+    if s < 0.0:
+        return 1, log(-s)
+    raise _PivotBreakdown               # zero or nan
+
+
+def _block(det, s11):
+    """(negative eigenvalues, log|det|) of a symmetric 2x2 pivot."""
+    if det > 0.0:
+        return (2 if s11 < 0.0 else 0), log(det)
+    if det < 0.0:
+        return 1, log(-det)
+    raise _PivotBreakdown
+
 
 def _inertia_d1_band(d, e, sigma):
     neg = 0
+    ld = 0.0
     s = d[0] - sigma
     for j in range(1, len(d)):
-        if s == 0.0 or not np.isfinite(s):
-            raise _PivotBreakdown
-        if s < 0.0:
+        if s > 0.0:
+            ld += log(s)
+        elif s < 0.0:
             neg += 1
+            ld += log(-s)
+        else:
+            raise _PivotBreakdown
         s = d[j] - sigma - e[j - 1] * e[j - 1] / s
-    if s == 0.0 or not np.isfinite(s):
-        raise _PivotBreakdown
-    if s < 0.0:
-        neg += 1
-    return neg
+    c, l = _pivot(s)
+    return neg + c, ld + l
 
 
 def _inertia_d1_cyclic(d, e, w_off, w, sigma):
     m = len(d)
     neg = 0
+    ld = 0.0
     s = d[0] - sigma
     f = w_off * w                       # entry (m-1, 0)
     b = d[m - 1] - sigma
     for j in range(m - 2):
-        if s == 0.0 or not np.isfinite(s):
-            raise _PivotBreakdown
-        if s < 0.0:
+        if s > 0.0:
+            ld += log(s)
+        elif s < 0.0:
             neg += 1
+            ld += log(-s)
+        else:
+            raise _PivotBreakdown
         inv = 1.0 / s
         ej = e[j]
         b -= (f * f.conjugate()).real * inv if isinstance(f, complex) else f * f * inv
@@ -135,45 +169,40 @@ def _inertia_d1_cyclic(d, e, w_off, w, sigma):
             fn += e[m - 2]
         s = d[j + 1] - sigma - ej * ej * inv
         f = fn
-    if s == 0.0 or not np.isfinite(s):
-        raise _PivotBreakdown
-    if s < 0.0:
-        neg += 1
+    c, l = _pivot(s)
     b -= (f * f.conjugate()).real / s if isinstance(f, complex) else f * f / s
-    if b == 0.0 or not np.isfinite(b):
-        raise _PivotBreakdown
-    if b < 0.0:
-        neg += 1
-    return neg
-
-
-def _count_block(s11, s12, s22):
-    det = s11 * s22 - s12 * s12
-    if det == 0.0 or not np.isfinite(det):
-        raise _PivotBreakdown
-    if det < 0.0:
-        return 1
-    return 2 if s11 < 0.0 else 0
+    cb, lb = _pivot(b)
+    return neg + c + cb, ld + l + lb
 
 
 def _inertia_d2_band(d11, d12, d22, e, sigma):
     m = len(d11)
     neg = 0
+    ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
     for j in range(1, m):
-        neg += _count_block(s11, s12, s22)
         det = s11 * s22 - s12 * s12
+        if det > 0.0:
+            ld += log(det)
+            if s11 < 0.0:
+                neg += 2
+        elif det < 0.0:
+            neg += 1
+            ld += log(-det)
+        else:
+            raise _PivotBreakdown
         ee = e[j - 1] * e[j - 1] / det
         s11, s12, s22 = (d11[j] - sigma - ee * s22,
                          d12[j] + ee * s12,
                          d22[j] - sigma - ee * s11)
-    neg += _count_block(s11, s12, s22)
-    return neg
+    c, l = _block(s11 * s22 - s12 * s12, s11)
+    return neg + c, ld + l
 
 
 def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
     m = len(d11)
     neg = 0
+    ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
     f11 = w_off * w1
     f12 = 0.0j
@@ -183,8 +212,16 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
     b12 = complex(d12[m - 1])
     b22 = d22[m - 1] - sigma
     for j in range(m - 2):
-        neg += _count_block(s11, s12, s22)
         det = s11 * s22 - s12 * s12
+        if det > 0.0:
+            ld += log(det)
+            if s11 < 0.0:
+                neg += 2
+        elif det < 0.0:
+            neg += 1
+            ld += log(-det)
+        else:
+            raise _PivotBreakdown
         x11 = s22 / det
         x12 = -s12 / det
         x22 = s11 / det
@@ -205,8 +242,8 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
         s11, s12, s22 = (d11[j + 1] - sigma - ee * s22,
                          d12[j + 1] + ee * s12,
                          d22[j + 1] - sigma - ee * s11)
-    neg += _count_block(s11, s12, s22)
     det = s11 * s22 - s12 * s12
+    c, l = _block(det, s11)
     x11 = s22 / det
     x12 = -s12 / det
     x22 = s11 / det
@@ -217,17 +254,11 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
     b11 -= (g11 * f11.conjugate() + g12 * f12.conjugate()).real
     b22 -= (g21 * f21.conjugate() + g22 * f22.conjugate()).real
     b12 -= g11 * f21.conjugate() + g12 * f22.conjugate()
-    detb = b11 * b22 - (b12 * b12.conjugate()).real
-    if detb == 0.0 or not np.isfinite(detb):
-        raise _PivotBreakdown
-    if detb < 0.0:
-        neg += 1
-    elif b11 < 0.0:
-        neg += 2
-    return neg
+    cb, lb = _block(b11 * b22 - (b12 * b12.conjugate()).real, b11)
+    return neg + c + cb, ld + l + lb
 
 
-def _inertia_raw(op: BandOperator, sigma: float) -> int:
+def _inertia_raw(op: BandOperator, sigma: float) -> tuple[int, float]:
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     if op.dim == 1:
@@ -250,43 +281,118 @@ def _inertia_raw(op: BandOperator, sigma: float) -> int:
     return _inertia_d2_cyclic(d11, d12, d22, e, op.wrap_off, w1, w2, sigma)
 
 
-def inertia(op: BandOperator, sigma: float) -> int:
-    """Number of eigenvalues strictly below sigma."""
+def inertia(op: BandOperator, sigma: float) -> tuple[int, float]:
+    """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
+
+    det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
+    (-1)**count.
+    """
     scale = max(1.0, abs(sigma))
     for attempt in range(4):
         try:
-            return _inertia_raw(op, sigma + attempt * 1e-13 * scale)
+            count, logdet = _inertia_raw(op, sigma + attempt * 1e-13 * scale)
         except _PivotBreakdown:
             continue
+        if isfinite(logdet):
+            return count, logdet
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
 
 
 def eigenvalues_in(op: BandOperator, lo: float, hi: float,
-                   tol: float = 1e-9) -> np.ndarray:
-    """All eigenvalues in (lo, hi], each located to +-tol by bisection."""
-    return _bisect(op, lo, hi, inertia(op, lo), inertia(op, hi), tol)
+                   tol: float = 1e-9, near: Optional[float] = None) -> np.ndarray:
+    """All eigenvalues in (lo, hi], each the midpoint of a bracket no wider
+    than tol.
+
+    With ``near`` (inside the window) only the eigenvalues next to it are
+    located: the largest below it and the smallest at or above it.
+    """
+    end_lo, end_hi = inertia(op, lo), inertia(op, hi)
+    if near is None:
+        return _bisect(op, lo, hi, end_lo, end_hi, tol)
+    if not lo < near < hi:
+        raise ValidationError(f"near={near!r} lies outside ({lo!r}, {hi!r})")
+    end_near = inertia(op, near)
+    want = (end_near[0] - 1, end_near[0] + 1)
+    return np.concatenate((_bisect(op, lo, near, end_lo, end_near, tol, want),
+                           _bisect(op, near, hi, end_near, end_hi, tol, want)))
 
 
-def _bisect(op: BandOperator, lo: float, hi: float, c_lo: int, c_hi: int,
-            tol: float) -> np.ndarray:
-    """The c_hi - c_lo eigenvalues in (lo, hi], given the counts at both ends."""
+def _bisect(op: BandOperator, lo: float, hi: float, end_lo: tuple,
+            end_hi: tuple, tol: float, want: Optional[tuple] = None) -> np.ndarray:
+    """The eigenvalues in (lo, hi], given the sweeps (count, log|det|) at
+    both ends; with ``want = (i, j)`` only those numbered i <= k < j from
+    the bottom of the spectrum.
+
+    Bisection on the count splits the window until an interval isolates
+    one eigenvalue, which ``_secant`` then refines; an interval holding
+    more is bisected down to tol.
+    """
+    first, last = want if want is not None else (end_lo[0], end_hi[0])
     out = []
-    stack = [(lo, hi, c_lo, c_hi)]
+    stack = [(lo, hi, end_lo, end_hi)]
     while stack:
-        a, b, ca, cb = stack.pop()
-        k = cb - ca
-        if k == 0:
+        a, b, end_a, end_b = stack.pop()
+        ca, cb = end_a[0], end_b[0]
+        k = min(cb, last) - max(ca, first)
+        if k <= 0:
             continue
         if b - a <= tol:
             out.extend([0.5 * (a + b)] * k)
             continue
+        if cb - ca == 1:
+            out.append(_secant(op, a, b, end_a, end_b, tol))
+            continue
         mid = 0.5 * (a + b)
         # rounding can break exact monotonicity of the count right at a
         # degenerate eigenvalue; clamping keeps the split conservative
-        cm = min(max(inertia(op, mid), ca), cb)
-        stack.append((a, mid, ca, cm))
-        stack.append((mid, b, cm, cb))
+        cm, lm = inertia(op, mid)
+        end_m = (min(max(cm, ca), cb), lm)
+        stack.append((a, mid, end_a, end_m))
+        stack.append((mid, b, end_m, end_b))
     return np.array(sorted(out))
+
+
+def _secant(op: BandOperator, a: float, b: float, end_a: tuple,
+            end_b: tuple, tol: float) -> float:
+    """The one eigenvalue in (a, b], refined by safeguarded secant steps.
+
+    The steps solve f = 0 for f(x) = (-1)**count * exp(log|det|), through
+    the last two points; the ratio of two values is exp of a difference,
+    so it cannot overflow.  The full determinant is smooth across the
+    interval, where its last pivot alone would have poles.  The bracket
+    moves by the count alone.  A step that leaves the stretch between the
+    bracket end of smaller |f| and the midpoint is a bisection instead
+    (Dekker's rule), so is the step after two that failed to halve the
+    bracket, and each trial point stays at least tol/2 inside the
+    bracket.  Returns the midpoint of a bracket no wider than tol.
+    """
+    c = end_a[0]                        # the count left of the eigenvalue
+    half = 0.5 * tol
+    la, lb = end_a[1], end_b[1]
+    # the last two points (x, sign of f, log|f|); f is known up to (-1)**c
+    x0, s0, l0 = a, 1.0, la
+    x1, s1, l1 = b, -1.0, lb
+    checkpoint, steps = b - a, 0
+    while b - a > tol:
+        mid = x = 0.5 * (a + b)
+        if steps < 2 or b - a <= 0.5 * checkpoint:
+            ratio = s0 * s1 * exp(min(l0 - l1, _MAX_LOG_RATIO))    # f0 / f1
+            if ratio != 1.0:
+                x = x1 - (x1 - x0) / (1.0 - ratio)
+            best = a if la < lb else b
+            if not min(best, mid) <= x <= max(best, mid):
+                x = mid
+        if steps == 2:
+            checkpoint, steps = b - a, 0
+        x = min(max(x, a + half), b - half)
+        count, logdet = inertia(op, x)
+        if count <= c:
+            a, la, s = x, logdet, 1.0
+        else:
+            b, lb, s = x, logdet, -1.0
+        x0, s0, l0, x1, s1, l1 = x1, s1, l1, x, s, logdet
+        steps += 1
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

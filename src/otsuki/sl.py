@@ -12,7 +12,7 @@ reliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,12 +80,21 @@ class SLSystem:
     sampler: Callable[[np.ndarray], tuple]
     l: Optional[int] = None
     label: str = ""
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValidationError("only scalar and 2x2 systems are supported")
         if self.length <= 0:
             raise ValidationError("interval length must be positive")
+
+    def operator(self, n: int) -> BandOperator:
+        """``discretize(n)``, built once per system and mesh."""
+        op = self._operators.get(n)
+        if op is None:
+            op = self._operators[n] = self.discretize(n)
+        return op
 
     def sample(self, n: int):
         """Node and half-node samples used by ``discretize``."""

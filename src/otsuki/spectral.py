@@ -69,29 +69,40 @@ def boundary_counts(system: SLSystem, n: int,
     """(#{lambda < boundary - tau}, #{|lambda - boundary| <= tau}).
 
     Inertia handles everything outside [boundary - zone, boundary + zone];
-    the zone is refined on two meshes and extrapolated.
+    the zone is refined on two meshes and extrapolated.  A zone eigenvalue
+    whose extrapolated value lies within its error bound of +-tau is
+    ambiguous.
     """
-    op1 = system.discretize(n)
-    op2 = system.discretize(2 * n)
+    op1 = system.operator(n)
+    op2 = system.operator(2 * n)
     zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
     lo, hi = boundary - zone, boundary + zone
-    below1, below2 = inertia(op1, lo), inertia(op2, lo)
+    end_lo1, end_lo2 = inertia(op1, lo), inertia(op2, lo)
+    below1, below2 = end_lo1[0], end_lo2[0]
     if below1 != below2:
         raise AmbiguousClassificationError(
             f"count below {lo:g} changed under mesh doubling: {below1} vs {below2}")
-    above1, above2 = inertia(op1, hi), inertia(op2, hi)
-    k1, k2 = above1 - below1, above2 - below2
+    end_hi1, end_hi2 = inertia(op1, hi), inertia(op2, hi)
+    k1, k2 = end_hi1[0] - below1, end_hi2[0] - below2
     if k1 != k2:
         raise AmbiguousClassificationError(
             f"zone population changed under mesh doubling: {k1} vs {k2}")
     if k1 == 0:
         return below1, 0
     tol = min(TAU_ZERO * 1e-2, zone * 1e-3)
-    lam1 = _bisect(op1, lo, hi, below1, above1, tol)
-    lam2 = _bisect(op2, lo, hi, below2, above2, tol)
+    # each located value is within tol/2, so an extrapolated one within
+    # (4 + 1) / 3 * tol/2
+    err = 5.0 * tol / 6.0
+    lam1 = _bisect(op1, lo, hi, end_lo1, end_hi1, tol)
+    lam2 = _bisect(op2, lo, hi, end_lo2, end_hi2, tol)
     lam = (4.0 * lam2 - lam1) / 3.0 - boundary
 
     def classify(vals):
+        near = np.abs(np.abs(vals) - TAU_ZERO) <= err
+        if np.any(near):
+            raise AmbiguousClassificationError(
+                "eigenvalue(s) within the location error of the classification "
+                "boundary: " + np.array2string(vals[near] + boundary, precision=8))
         return np.where(vals < -TAU_ZERO, -1, np.where(vals > TAU_ZERO, 1, 0))
 
     cls = classify(lam)
@@ -100,7 +111,7 @@ def boundary_counts(system: SLSystem, n: int,
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
-        op4 = system.discretize(4 * n)
+        op4 = system.operator(4 * n)
         lam4 = eigenvalues_in(op4, lo, hi, tol=tol)
         if len(lam4) != len(lam2):
             raise AmbiguousClassificationError(
@@ -137,10 +148,14 @@ def _group_degenerate(values, gap):
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
                    want_eigenfunctions: bool = False,
                    omega_index: Optional[int] = None) -> SpectrumSummary:
-    """Everything below the cutoff: extrapolated eigenvalues plus counts."""
+    """Everything below the cutoff: extrapolated eigenvalues plus counts.
+
+    A listing that contradicts the counts, as far as it reaches, is
+    ambiguous.
+    """
     neg, zero = spectrum_counts(system, n)
-    op1 = system.discretize(n)
-    op2 = system.discretize(2 * n)
+    op1 = system.operator(n)
+    op2 = system.operator(2 * n)
     floor = min(op1.gershgorin_lower(), op2.gershgorin_lower()) - 1.0
     lam1 = eigenvalues_in(op1, floor, cutoff + ZONE, tol=1e-9)
     lam2 = eigenvalues_in(op2, floor, cutoff + ZONE, tol=1e-9)
@@ -150,6 +165,14 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
             f"one mesh but {len(lam2)} at the doubled mesh")
     lam = (4.0 * lam2 - lam1) / 3.0
     keep = lam < cutoff
+    listed = (int(np.sum(lam[keep] < -TAU_ZERO)),
+              int(np.sum(np.abs(lam[keep]) <= TAU_ZERO)))
+    # a class is listed in full once the cutoff passes its upper edge
+    for got, counted, edge in zip(listed, (neg, zero), (-TAU_ZERO, TAU_ZERO)):
+        if got > counted or (cutoff > edge and got != counted):
+            raise AmbiguousClassificationError(
+                f"listing (neg, zero) = {listed} contradicts the counts "
+                f"{(neg, zero)}")
     lam_list = [float(v) for v in lam[keep]]
 
     eigenfunctions = None

@@ -1,5 +1,6 @@
 import pytest
 
+from otsuki import eigencount, spectral
 from otsuki.geodesic import GeodesicFamily, sample_trajectory, solve_parameter
 
 
@@ -26,3 +27,18 @@ def traj58(fam58):
 @pytest.fixture(scope="session")
 def clifford_traj():
     return sample_trajectory(GeodesicFamily.clifford(), 1024)
+
+
+@pytest.fixture
+def count_sweeps(monkeypatch):
+    """Records (id(op), sigma) of every inertia sweep, at both bindings."""
+    original = eigencount.inertia
+    seen = []
+
+    def recorded(op, sigma):
+        seen.append((id(op), sigma))
+        return original(op, sigma)
+
+    monkeypatch.setattr(eigencount, "inertia", recorded)
+    monkeypatch.setattr(spectral, "inertia", recorded)
+    return seen

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otsuki.eigencount import eigenvalues_in, inertia, scalar_eigenfunctions
+from otsuki.errors import ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, constant_system
 
 
@@ -39,7 +40,20 @@ def test_inertia_matches_dense(dim, bc):
     assert np.array_equal(A, A.conj().T)  # exactly self adjoint
     w = np.linalg.eigvalsh(A)
     for sigma in (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0):
-        assert inertia(op, sigma) == int((w < sigma).sum())
+        assert inertia(op, sigma)[0] == int((w < sigma).sum())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", BCS, ids=lambda b: b.kind)
+def test_logdet_matches_dense(dim, bc):
+    # every sweep kind: band (dirichlet), cyclic real and twisted, dim 1 and 2
+    op = _wavy_system(dim, bc).discretize(256)
+    A = op.to_dense()
+    for sigma in (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0):
+        count, logdet = inertia(op, sigma)
+        sign, ref = np.linalg.slogdet(A - sigma * np.eye(len(A)))
+        assert abs(sign - (-1) ** count) < 1e-12   # complex for twisted
+        assert abs(logdet - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -51,6 +65,52 @@ def test_eigenvalues_match_dense(dim, bc):
     ref = w[(w > -1.0) & (w <= 2.5)]
     assert len(lam) == len(ref)
     assert np.abs(lam - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", BCS, ids=lambda b: b.kind)
+def test_refinement_sweeps_per_eigenvalue(dim, bc, count_sweeps):
+    # bisection alone takes 33-37 sweeps per eigenvalue here
+    op = _wavy_system(dim, bc).discretize(256)
+    lam = eigenvalues_in(op, -1.0, 2.5, tol=1e-10)
+    assert len(count_sweeps) <= 15 * len(lam)
+
+
+def _split_system(split, bc, L=7.0):
+    """Two uncoupled channels whose spectra differ by the shift ``split``."""
+
+    def sampler(t):
+        t = np.asarray(t)
+        p = 2.0 + np.cos(2 * np.pi * t / L)
+        q = np.sin(4 * np.pi * t / L) - 0.4
+        return p, np.stack([q, np.zeros_like(q), q + split], axis=1)
+
+    return SLSystem(dim=2, length=L, bc=bc, sampler=sampler)
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.periodic(),
+                                BoundaryCondition.dirichlet()],
+                         ids=lambda b: b.kind)
+@pytest.mark.parametrize("split", [0.0, 0.3, 3.0])
+def test_clustered_eigenvalues_match_dense(split, bc):
+    tol = 1e-10
+    op = _split_system(split * tol, bc).discretize(256)
+    w = np.linalg.eigvalsh(op.to_dense())
+    lam = eigenvalues_in(op, -1.0, 2.5, tol=tol)
+    ref = w[(w > -1.0) & (w <= 2.5)]
+    assert len(lam) == len(ref) and len(ref) % 2 == 0
+    assert np.abs(lam - ref).max() <= tol
+
+
+def test_eigenvalues_next_to_a_point():
+    op = _wavy_system(2, BoundaryCondition.dirichlet()).discretize(256)
+    w = np.linalg.eigvalsh(op.to_dense())
+    k = int((w < 0.1).sum())
+    lam = eigenvalues_in(op, -4.0, 4.0, tol=1e-10, near=0.1)
+    assert -4.0 < w[k - 1] and w[k] <= 4.0
+    assert np.abs(lam - w[k - 1:k + 1]).max() < 1e-10
+    with pytest.raises(ValidationError):
+        eigenvalues_in(op, -4.0, 4.0, near=5.0)
 
 
 def test_gershgorin_is_lower_bound():
@@ -110,7 +170,7 @@ def test_constant_coefficient_counts_property(weight, pot, L, anti, cut):
     expected = int((exact < sigma).sum())
     if expected >= 35:
         return
-    assert inertia(op, sigma) == expected
+    assert inertia(op, sigma)[0] == expected
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.periodic(),

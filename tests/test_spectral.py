@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otsuki.eigencount import eigenvalues_in
-from otsuki.errors import ValidationError
+from otsuki.errors import AmbiguousClassificationError, ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, constant_system
-from otsuki.spectral import (antiperiodic_check_l0, check_interlacing,
+from otsuki.spectral import (TAU_ZERO, antiperiodic_check_l0, check_interlacing,
                              direct_twisted_counts, oscillation_index,
                              spectral_index, spectrum_below, spectrum_counts,
                              verify_high_l_positive, zero_count)
@@ -62,28 +62,24 @@ class TestCalibration:
                                  BoundaryCondition.periodic())
         assert spectrum_counts(system, 256) == (0, 0)
 
-    def test_counts_sweep_each_point_once(self, monkeypatch):
-        from otsuki import eigencount, spectral
+    @pytest.mark.parametrize("shift", [-1e-5, 1e-5])
+    def test_value_at_tau_is_ambiguous(self, shift):
+        # the ground state sits at the shift, on the classification
+        # boundary and well inside the location error, so no class is sure
+        system = constant_system(1, 2 * math.pi, 1.0, shift,
+                                 BoundaryCondition.periodic())
+        with pytest.raises(AmbiguousClassificationError):
+            spectrum_counts(system, 256)
 
-        original = eigencount.inertia
-        seen = []
-
-        def recorded(op, sigma):
-            seen.append((id(op), sigma))
-            return original(op, sigma)
-
-        monkeypatch.setattr(eigencount, "inertia", recorded)
-        monkeypatch.setattr(spectral, "inertia", recorded)
-        # the zero mode lies in the zone, which is then bisected on both meshes
+    def test_counts_sweep_each_point_once(self, count_sweeps):
+        # the zero mode lies in the zone, which is then refined on both meshes
         system = constant_system(1, 2 * math.pi, 1.0, 0.0,
                                  BoundaryCondition.periodic())
         assert spectrum_counts(system, 256) == (0, 1)
-        assert len(seen) > 4
-        assert len(set(seen)) == len(seen)
+        assert len(count_sweeps) > 4
+        assert len(set(count_sweeps)) == len(count_sweeps)
 
     def test_borderline_unstable_value_is_ambiguous(self):
-        from otsuki.errors import AmbiguousClassificationError
-
         # ground state whose extrapolated value crosses the tau boundary
         # between mesh pairs: class flips under refinement, so the counts
         # must refuse rather than guess
@@ -338,8 +334,17 @@ class TestTwistedConsistency:
 
 @settings(max_examples=10, deadline=None)
 @given(shift=st.floats(min_value=-2.0, max_value=2.0))
+@example(shift=-1e-5)
+@example(shift=1e-5)
+@example(shift=-9.9999e-6)
 def test_counts_consistent_with_listing(shift):
+    # the ground state sits exactly at the shift
     system = constant_system(1, 5.0, 1.0, shift, BoundaryCondition.periodic())
-    s = spectrum_below(system, 3.0, 256)
-    below = [v for v in s.eigenvalues if v < -1e-5]
-    assert s.neg_count == len(below)
+    try:
+        s = spectrum_below(system, 3.0, 256)
+    except AmbiguousClassificationError:
+        assert abs(abs(shift) - TAU_ZERO) < 1e-6
+        return
+    below = [v for v in s.eigenvalues if v < -TAU_ZERO]
+    at = [v for v in s.eigenvalues if abs(v) <= TAU_ZERO]
+    assert (s.neg_count, s.zero_count) == (len(below), len(at))
