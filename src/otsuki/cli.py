@@ -4,21 +4,23 @@ Subcommands mirror the computation stages: ``geodesic`` (solve for the
 family), ``spectrum`` (one discretized problem), ``edwards`` (boundary
 form data), ``index`` (the full report), ``verify`` (invariant battery),
 ``sweep`` (batch of families).  JSON goes to stdout unless --json-out is
-given.  Exit codes: 0 success, 1 validation problem, 2 numerical or
-consistency failure (for ``sweep``: any family failed).
+given.  Exit codes: 0 success, 1 validation problem or a file (the cache
+included) that cannot be read or written, 2 numerical or consistency
+failure (for ``sweep``: any family failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import jsonio
 from .errors import NumericalError, ValidationError
 from .geodesic import (GeodesicFamily, RotationNumber, sample_trajectory,
                        solve_parameter)
-from .pipeline import (cache_load, cache_store, compute_index, iter_reports,
-                       report_document, verify_family)
+from .pipeline import (cache_dir_path, cache_load, cache_store, compute_index,
+                       iter_reports, report_document, verify_family)
 from .sl import BoundaryCondition
 from .edwards import (aggregate_roots, boundary_form, roots_of_unity_ladder)
 from .spectral import spectrum_below
@@ -166,16 +168,17 @@ def _cmd_edwards(args) -> int:
 
 def _cmd_index(args) -> int:
     if not args.no_cache:
+        # an unusable cache dir fails here, before the computation
+        os.makedirs(cache_dir_path(args.cache_dir), exist_ok=True)
         hit = cache_load(args.p, args.q, args.n, method=args.method,
                          cache_dir=args.cache_dir)
         if hit is not None:
             _emit(hit, args)
             return 0
     report = compute_index(args.p, args.q, method=args.method, n=args.n)
-    doc = report_document(report)
+    _emit(report_document(report), args)
     if not args.no_cache:
         cache_store(report, cache_dir=args.cache_dir)
-    _emit(doc, args)
     return 0
 
 
@@ -242,7 +245,7 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -329,27 +329,19 @@ class AggregatedCounts:
     neg_total: int
     zero_total: int
     per_omega: tuple
-    even_r: Optional[tuple] = None    # (neg, zero) over r = 0, 2, ...
-    odd_r: Optional[tuple] = None     # (neg, zero) over r = 1, 3, ...
 
 
 def aggregate_roots(l: int, q: int, traj: Trajectory,
                     data: Optional[BoundaryFormData] = None) -> AggregatedCounts:
     """Sum the twisted counts over all 2q-th roots of unity.
 
-    For even q the even-r and odd-r partial sums are returned too; they
-    are the half-length periodic and antiperiodic classes respectively.
+    For even q, the even-r and odd-r rows of ``per_omega`` are the
+    half-length periodic and antiperiodic classes respectively.
     """
     if data is None:
         data = boundary_form(l, traj)
-    per = []
-    for r, om in enumerate(roots_of_unity_ladder(q)):
-        per.append(twisted_counts(data, om, omega_index=r))
-    neg_total = sum(t.neg for t in per)
-    zero_total = sum(t.zero for t in per)
-    even_r = odd_r = None
-    if q % 2 == 0:
-        even_r = (sum(t.neg for t in per[::2]), sum(t.zero for t in per[::2]))
-        odd_r = (sum(t.neg for t in per[1::2]), sum(t.zero for t in per[1::2]))
-    return AggregatedCounts(l=l, neg_total=neg_total, zero_total=zero_total,
-                            per_omega=tuple(per), even_r=even_r, odd_r=odd_r)
+    per = [twisted_counts(data, om, omega_index=r)
+           for r, om in enumerate(roots_of_unity_ladder(q))]
+    return AggregatedCounts(l=l, neg_total=sum(t.neg for t in per),
+                            zero_total=sum(t.zero for t in per),
+                            per_omega=tuple(per))

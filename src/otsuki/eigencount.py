@@ -8,9 +8,11 @@ of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
 Everything here - counts, individual eigenvalues, inverse iteration for
 eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
-only ever fill the last block row.  An eigenvalue is bracketed by the
-count: bisection isolates it, and secant steps on the determinant, kept
-inside the bracket, refine it.
+only ever fill the last block row, so the sweep runs in real arithmetic and
+the unit-modulus wrap multipliers enter only the last Schur complement.
+The scalar band sweep is the scalar cyclic sweep with no wrap.  An
+eigenvalue is bracketed by the count: bisection isolates it, and secant
+steps on the determinant, kept inside the bracket, refine it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,20 @@ class BandOperator:
 # Each sweep returns (count, log|det(A - sigma I)|).  The determinant is
 # the product of the pivot determinants, so its log is one accumulation
 # per pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
-# treats like a zero pivot.  The hot loops inline ``_pivot``/``_block``.
+# treats like a zero pivot.  The hot loops inline ``_pivot``/``_block``
+# and do real arithmetic only.
+#
+# A cyclic sweep eliminates the rows in order, as a band sweep does, and
+# also tracks the last row.  Eliminating row j < m-2 leaves diag(w) R on
+# block (m-1, j+1), with R real (R <- -e_j R X_j, X_j the inverse pivot),
+# and takes diag(w) R X_j R^T diag(w)^H off block (m-1, m-1); the loop
+# sums R X_j R^T into P.  So the unit-modulus multipliers w enter only the
+# last Schur complement,
+#     D_{m-1} - sigma I - diag(w) P diag(w)^H - F X_{m-2} F^H,
+# with F = diag(w) R + e_{m-2} I formed before it is squared (its two
+# terms nearly cancel next to an eigenvalue).  With no wrap R stays 0, so
+# the scalar band sweep is the scalar cyclic sweep with w_off = 0.  The
+# 2x2 band sweep stays separate: it costs about half as much per node.
 
 def _pivot(s):
     """(1 if the scalar pivot is negative else 0, log|s|)."""
@@ -129,29 +144,12 @@ def _block(det, s11):
     raise _PivotBreakdown
 
 
-def _inertia_d1_band(d, e, sigma):
-    neg = 0
-    ld = 0.0
-    s = d[0] - sigma
-    for j in range(1, len(d)):
-        if s > 0.0:
-            ld += log(s)
-        elif s < 0.0:
-            neg += 1
-            ld += log(-s)
-        else:
-            raise _PivotBreakdown
-        s = d[j] - sigma - e[j - 1] * e[j - 1] / s
-    c, l = _pivot(s)
-    return neg + c, ld + l
-
-
-def _inertia_d1_cyclic(d, e, w_off, w, sigma):
+def _inertia_d1(d, e, w_off, w, sigma):
     m = len(d)
     neg = 0
     ld = 0.0
     s = d[0] - sigma
-    f = w_off * w                       # entry (m-1, 0)
+    r = w_off
     b = d[m - 1] - sigma
     for j in range(m - 2):
         if s > 0.0:
@@ -161,17 +159,13 @@ def _inertia_d1_cyclic(d, e, w_off, w, sigma):
             ld += log(-s)
         else:
             raise _PivotBreakdown
-        inv = 1.0 / s
         ej = e[j]
-        b -= (f * f.conjugate()).real * inv if isinstance(f, complex) else f * f * inv
-        fn = -f * ej * inv
-        if j + 1 == m - 2:
-            fn += e[m - 2]
-        s = d[j + 1] - sigma - ej * ej * inv
-        f = fn
+        b -= r * r / s
+        r = -ej * r / s
+        s = d[j + 1] - sigma - ej * ej / s
     c, l = _pivot(s)
-    b -= (f * f.conjugate()).real / s if isinstance(f, complex) else f * f / s
-    cb, lb = _pivot(b)
+    f = w * r + e[m - 2]
+    cb, lb = _pivot(b - (f * f.conjugate()).real / s)
     return neg + c + cb, ld + l + lb
 
 
@@ -204,13 +198,8 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
     neg = 0
     ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
-    f11 = w_off * w1
-    f12 = 0.0j
-    f21 = 0.0j
-    f22 = w_off * w2
-    b11 = d11[m - 1] - sigma
-    b12 = complex(d12[m - 1])
-    b22 = d22[m - 1] - sigma
+    r11, r12, r21, r22 = w_off, 0.0, 0.0, w_off
+    p11 = p12 = p22 = 0.0
     for j in range(m - 2):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
@@ -225,35 +214,34 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
         x11 = s22 / det
         x12 = -s12 / det
         x22 = s11 / det
-        # G = F X  (X real symmetric)
-        g11 = f11 * x11 + f12 * x12
-        g12 = f11 * x12 + f12 * x22
-        g21 = f21 * x11 + f22 * x12
-        g22 = f21 * x12 + f22 * x22
-        # B -= G F^H  (Hermitian)
-        b11 -= (g11 * f11.conjugate() + g12 * f12.conjugate()).real
-        b22 -= (g21 * f21.conjugate() + g22 * f22.conjugate()).real
-        b12 -= g11 * f21.conjugate() + g12 * f22.conjugate()
+        # G = R X, P += G R^T
+        g11 = r11 * x11 + r12 * x12
+        g12 = r11 * x12 + r12 * x22
+        g21 = r21 * x11 + r22 * x12
+        g22 = r21 * x12 + r22 * x22
+        p11 += g11 * r11 + g12 * r12
+        p12 += g11 * r21 + g12 * r22
+        p22 += g21 * r21 + g22 * r22
         ej = e[j]
-        nat = e[m - 2] if j + 1 == m - 2 else 0.0
-        f11, f12, f21, f22 = (nat - ej * g11, -ej * g12,
-                              -ej * g21, nat - ej * g22)
+        r11, r12, r21, r22 = -ej * g11, -ej * g12, -ej * g21, -ej * g22
         ee = ej * ej / det
         s11, s12, s22 = (d11[j + 1] - sigma - ee * s22,
                          d12[j + 1] + ee * s12,
                          d22[j + 1] - sigma - ee * s11)
     det = s11 * s22 - s12 * s12
     c, l = _block(det, s11)
-    x11 = s22 / det
-    x12 = -s12 / det
-    x22 = s11 / det
-    g11 = f11 * x11 + f12 * x12
-    g12 = f11 * x12 + f12 * x22
-    g21 = f21 * x11 + f22 * x12
-    g22 = f21 * x12 + f22 * x22
-    b11 -= (g11 * f11.conjugate() + g12 * f12.conjugate()).real
-    b22 -= (g21 * f21.conjugate() + g22 * f22.conjugate()).real
-    b12 -= g11 * f21.conjugate() + g12 * f22.conjugate()
+    x11, x12, x22 = s22 / det, -s12 / det, s11 / det
+    ej = e[m - 2]
+    f11, f12, f21, f22 = w1 * r11 + ej, w1 * r12, w2 * r21, w2 * r22 + ej
+    # G = F X; B = D - sigma I - diag(w) P diag(w)^H - G F^H
+    g11, g12 = f11 * x11 + f12 * x12, f11 * x12 + f12 * x22
+    g21, g22 = f21 * x11 + f22 * x12, f21 * x12 + f22 * x22
+    b11 = (d11[m - 1] - sigma - p11
+           - (g11 * f11.conjugate() + g12 * f12.conjugate()).real)
+    b22 = (d22[m - 1] - sigma - p22
+           - (g21 * f21.conjugate() + g22 * f22.conjugate()).real)
+    b12 = (d12[m - 1] - w1 * w2.conjugate() * p12
+           - (g11 * f21.conjugate() + g12 * f22.conjugate()))
     cb, lb = _block(b11 * b22 - (b12 * b12.conjugate()).real, b11)
     return neg + c + cb, ld + l + lb
 
@@ -261,23 +249,14 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
 def _inertia_raw(op: BandOperator, sigma: float) -> tuple[int, float]:
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
-    if op.dim == 1:
-        d = op.diag.tolist()
-        e = op.off.tolist()
-        if not op.cyclic:
-            return _inertia_d1_band(d, e, sigma)
-        w = complex(op.wrap_mult[0])
-        if w.imag == 0.0:
-            return _inertia_d1_cyclic(d, e, op.wrap_off, w.real, sigma)
-        return _inertia_d1_cyclic(d, e, op.wrap_off, w, sigma)
-    d11 = op.diag[:, 0].tolist()
-    d12 = op.diag[:, 1].tolist()
-    d22 = op.diag[:, 2].tolist()
     e = op.off.tolist()
+    if op.dim == 1:
+        w_off, w = (op.wrap_off, op.wrap_mult[0]) if op.cyclic else (0.0, 0.0)
+        return _inertia_d1(op.diag.tolist(), e, w_off, complex(w), sigma)
+    d11, d12, d22 = op.diag.T.tolist()
     if not op.cyclic:
         return _inertia_d2_band(d11, d12, d22, e, sigma)
-    w1 = complex(op.wrap_mult[0])
-    w2 = complex(op.wrap_mult[1])
+    w1, w2 = map(complex, op.wrap_mult)
     return _inertia_d2_cyclic(d11, d12, d22, e, op.wrap_off, w1, w2, sigma)
 
 

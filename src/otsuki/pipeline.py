@@ -291,7 +291,8 @@ def cache_store(report: IndexReport, cache_dir: Optional[str] = None) -> str:
             fh.write(jsonio.dumps(report_document(report)) + "\n")
         os.replace(tmp, fname)
     except BaseException:
-        os.unlink(tmp)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
     return fname
 

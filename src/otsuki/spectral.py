@@ -6,9 +6,10 @@ the stability operator drift like h^2 under the second-order
 discretization, which can exceed TAU_ZERO on coarse meshes; every count
 therefore combines two meshes (n and 2n): the inertia sweeps classify
 everything outside a small zone around the level, and eigenvalues inside
-the zone are located by bisection on both meshes and Richardson
-extrapolated before classification.  Disagreement between the meshes is
-an error, never a guess.
+the zone are located on both meshes (bisection on the count isolates
+each one, count-bracketed secant steps on the determinant refine it) and
+Richardson extrapolated before classification.  Disagreement between the
+meshes is an error, never a guess.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .surface import (fourier_block_system, l0_channel_system, laplace_system,
                       separated_coefficients, full_period_grid)
 
 TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
-ZONE = 2e-3         # smallest half-width of the zone refined by bisection
+ZONE = 2e-3         # smallest half-width of the zone refined by secant steps
 # exact zero modes drift below zero like D h^2 with D <= ~0.03 across the
 # families probed; the refinement zone scales with the mesh (10x margin)
 # so coarse runs still capture them, capped well under the genuine

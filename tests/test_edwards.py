@@ -224,7 +224,6 @@ class TestAggregation:
         assert agg.zero_total in (2, 4)
         sum_ind = agg.neg_total - 2 * q * data.dirichlet.negative
         assert 2 * p - 1 <= sum_ind <= 2 * q - 2
-        assert agg.even_r is None and agg.odd_r is None
 
     def test_family23_mode2(self, traj23):
         data = boundary_form(2, traj23, n_dirichlet=1024)
@@ -235,11 +234,13 @@ class TestAggregation:
         data = boundary_form(1, traj58, n_dirichlet=1024)
         agg = aggregate_roots(1, 8, traj58, data=data)
         p, q = 5, 8
-        odd_neg, odd_zero = agg.odd_r
+        even_neg = sum(t.neg for t in agg.per_omega[::2])
+        odd_neg = sum(t.neg for t in agg.per_omega[1::2])
+        odd_zero = sum(t.zero for t in agg.per_omega[1::2])
         sum_ind_odd = odd_neg - q * data.dirichlet.negative
         assert p - 1 <= sum_ind_odd <= q - 2
         assert odd_zero in (2, 4)
-        assert agg.even_r[0] + agg.odd_r[0] == agg.neg_total
+        assert even_neg + odd_neg == agg.neg_total
 
     def test_zero_twists_hit_conjugate_pair(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)

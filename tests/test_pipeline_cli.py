@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from otsuki import jsonio, pipeline
+from otsuki import cli, jsonio, pipeline
 from otsuki.cli import run_cli
 from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
@@ -172,6 +172,16 @@ class TestCache:
             cache_store(report23, cache_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+    def test_failed_open_raises_original_error(self, report23, tmp_path,
+                                                monkeypatch):
+        def denied(path, mode="r"):
+            raise PermissionError(f"denied: {path}")
+
+        monkeypatch.setattr(pipeline, "open", denied, raising=False)
+        with pytest.raises(PermissionError, match="denied"):
+            cache_store(report23, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
 
 class TestJsonFormat:
     def test_seventeen_digit_floats(self):
@@ -249,6 +259,33 @@ class TestCli:
         second = json.loads(hit)
         assert second["timestamp"] == first["timestamp"]   # served from cache
         assert hit == miss and second["bounds_check"]["nul_ok"] is True
+
+    def test_unusable_cache_dir_exits_1_before_computing(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("computed with an unusable cache dir")
+
+        monkeypatch.setattr(cli, "compute_index", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(["index", "--p", "2", "--q", "3", "--n", "512",
+                        "--cache-dir", str(blocker)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_failed_cache_store_keeps_report(self, capsys, tmp_path,
+                                             monkeypatch, report23):
+        def full(report, cache_dir=None):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "compute_index", lambda *a, **k: report23)
+        monkeypatch.setattr(cli, "cache_store", full)
+        assert run_cli(["index", "--p", "2", "--q", "3", "--n", "512",
+                        "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ind"] == 31
+        assert captured.err == "error: no space left on device\n"
 
     def test_cache_keyed_on_method(self, capsys, tmp_path):
         args = ["index", "--p", "2", "--q", "3", "--n", "512",

@@ -33,3 +33,24 @@ def test_every_parameter_is_read(path):
         unread += [f"{name}({p})" for p in params
                    if p not in read and p not in ("self", "cls")]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_sweep_loops_do_real_arithmetic():
+    # the wrap multipliers enter after the loop, so no loop of an inertia
+    # kernel converts, tests or takes apart a complex number
+    path = next(p for p in SOURCES if p.name == "eigencount.py")
+    kernels, found = [], []
+    for name, fn in _functions(ast.parse(path.read_text())):
+        if not name.startswith("_inertia_"):
+            continue
+        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+            kernels.append(name)
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("complex", "isinstance")):
+                    found.append(f"{name}: {node.func.id}()")
+                elif (isinstance(node, ast.Attribute)
+                        and node.attr in ("conjugate", "real", "imag")):
+                    found.append(f"{name}: .{node.attr}")
+    assert kernels, "no inertia kernel loop found"
+    assert not found, f"complex arithmetic in sweep loops: {found}"
