@@ -14,7 +14,6 @@ which ``boundary_solutions`` checks once per mode before integrating.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +24,7 @@ from scipy.integrate import solve_ivp
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
 from .geodesic import Trajectory, _geodesic_rhs
-from .sl import BoundaryCondition
+from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
 from .eigencount import eigenvalues_in
@@ -38,12 +37,6 @@ ODE_RTOL = 1e-11
 SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
 FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
 ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
-
-
-def roots_of_unity_ladder(q: int) -> list[complex]:
-    """omega = eps^r for r = 0..2q-1 with eps = exp(i pi / q)."""
-    eps = cmath.exp(1j * math.pi / q)
-    return [eps ** r for r in range(2 * q)]
 
 
 @dataclass(frozen=True)

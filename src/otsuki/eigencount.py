@@ -10,6 +10,8 @@ Everything here - counts, individual eigenvalues, inverse iteration for
 eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
 only ever fill the last block row, so the sweep runs in real arithmetic and
 the unit-modulus wrap multipliers enter only the last Schur complement.
+Twisted operators that differ only in those multipliers form a twist
+ladder: one loop, then an O(1) finish per twist, counts them all.
 The scalar band sweep is the scalar cyclic sweep with no wrap.  An
 eigenvalue is bracketed by the count: bisection isolates it, and secant
 steps on the determinant, kept inside the bracket, refine it.
@@ -17,7 +19,7 @@ steps on the determinant, kept inside the bracket, refine it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import exp, isfinite, log
 from typing import Optional
 
@@ -41,7 +43,9 @@ class BandOperator:
     shape (m-1,) - real scalar couplings between neighbours.  A cyclic
     operator additionally carries ``wrap_off`` (real scalar) and
     ``wrap_mult`` (per-channel unit-modulus multipliers) so that the
-    (m-1, 0) block equals wrap_off * diag(wrap_mult).
+    (m-1, 0) block equals wrap_off * diag(wrap_mult).  A 2x2 cyclic
+    operator may carry a twist ladder instead: ``wrap_mult`` a tuple of
+    per-twist pairs (w1, w2), which ``inertia`` counts all at once.
     """
 
     dim: int
@@ -59,11 +63,18 @@ class BandOperator:
     def cyclic(self) -> bool:
         return self.wrap_off is not None
 
+    @property
+    def ladder(self) -> bool:
+        return self.cyclic and isinstance(self.wrap_mult[0], tuple)
+
     def is_complex(self) -> bool:
-        return self.cyclic and any(abs(complex(w).imag) > 0 for w in self.wrap_mult)
+        mults = sum(self.wrap_mult, ()) if self.ladder else self.wrap_mult
+        return self.cyclic and any(abs(complex(w).imag) > 0 for w in mults)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix; intended for small sizes and tests."""
+        if self.ladder:
+            raise ValidationError("a twist ladder is one matrix per twist")
         m, d = self.m, self.dim
         dtype = complex if self.is_complex() else float
         A = np.zeros((d * m, d * m), dtype=dtype)
@@ -193,7 +204,7 @@ def _inertia_d2_band(d11, d12, d22, e, sigma):
     return neg + c, ld + l
 
 
-def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
+def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
     m = len(d11)
     neg = 0
     ld = 0.0
@@ -230,23 +241,31 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, w1, w2, sigma):
                          d22[j + 1] - sigma - ee * s11)
     det = s11 * s22 - s12 * s12
     c, l = _block(det, s11)
-    x11, x12, x22 = s22 / det, -s12 / det, s11 / det
-    ej = e[m - 2]
+    return (neg + c, ld + l, s22 / det, -s12 / det, s11 / det,
+            r11, r12, r21, r22, p11, p12, p22, e[m - 2],
+            d11[m - 1] - sigma, d12[m - 1], d22[m - 1] - sigma)
+
+
+def _finish_d2_cyclic(end, w1, w2):
+    """(count, log|det|) of the twist (w1, w2) from the end state of
+    ``_inertia_d2_cyclic``: the multipliers enter the last Schur complement."""
+    (neg, ld, x11, x12, x22, r11, r12, r21, r22, p11, p12, p22,
+     ej, a11, a12, a22) = end
     f11, f12, f21, f22 = w1 * r11 + ej, w1 * r12, w2 * r21, w2 * r22 + ej
     # G = F X; B = D - sigma I - diag(w) P diag(w)^H - G F^H
     g11, g12 = f11 * x11 + f12 * x12, f11 * x12 + f12 * x22
     g21, g22 = f21 * x11 + f22 * x12, f21 * x12 + f22 * x22
-    b11 = (d11[m - 1] - sigma - p11
+    b11 = (a11 - p11
            - (g11 * f11.conjugate() + g12 * f12.conjugate()).real)
-    b22 = (d22[m - 1] - sigma - p22
+    b22 = (a22 - p22
            - (g21 * f21.conjugate() + g22 * f22.conjugate()).real)
-    b12 = (d12[m - 1] - w1 * w2.conjugate() * p12
+    b12 = (a12 - w1 * w2.conjugate() * p12
            - (g11 * f21.conjugate() + g12 * f22.conjugate()))
     cb, lb = _block(b11 * b22 - (b12 * b12.conjugate()).real, b11)
-    return neg + c + cb, ld + l + lb
+    return neg + cb, ld + lb
 
 
-def _inertia_raw(op: BandOperator, sigma: float) -> tuple[int, float]:
+def _inertia_raw(op: BandOperator, sigma: float) -> tuple:
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     e = op.off.tolist()
@@ -256,25 +275,43 @@ def _inertia_raw(op: BandOperator, sigma: float) -> tuple[int, float]:
     d11, d12, d22 = op.diag.T.tolist()
     if not op.cyclic:
         return _inertia_d2_band(d11, d12, d22, e, sigma)
-    w1, w2 = map(complex, op.wrap_mult)
-    return _inertia_d2_cyclic(d11, d12, d22, e, op.wrap_off, w1, w2, sigma)
+    end = _inertia_d2_cyclic(d11, d12, d22, e, op.wrap_off, sigma)
+    if op.ladder:
+        return end
+    return _finish_d2_cyclic(end, *map(complex, op.wrap_mult))
 
 
-def inertia(op: BandOperator, sigma: float) -> tuple[int, float]:
+def inertia(op: BandOperator, sigma: float):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
-    (-1)**count.
+    (-1)**count.  A twist ladder gets a list with one such pair per twist,
+    each equal to the sweep of that twist alone.
     """
     scale = max(1.0, abs(sigma))
     for attempt in range(4):
         try:
-            count, logdet = _inertia_raw(op, sigma + attempt * 1e-13 * scale)
+            out = _inertia_raw(op, sigma + attempt * 1e-13 * scale)
         except _PivotBreakdown:
             continue
-        if isfinite(logdet):
-            return count, logdet
+        # a ladder's loop state is shared, so a breakdown in it retries all
+        if isfinite(out[1]):
+            return _finish_ladder(op, sigma, out) if op.ladder else out
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
+
+
+def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
+    """Each twist's (count, log|det|) from the shared loop's end state; a
+    twist whose last pivot breaks down is swept again alone."""
+    out = []
+    for w in op.wrap_mult:
+        try:
+            res = _finish_d2_cyclic(end, *map(complex, w))
+        except _PivotBreakdown:
+            res = 0, float("nan")
+        out.append(res if isfinite(res[1])
+                   else inertia(replace(op, wrap_mult=w), sigma))
+    return out
 
 
 def eigenvalues_in(op: BandOperator, lo: float, hi: float,

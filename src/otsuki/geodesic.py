@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import cos, sin
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import DomainError, NumericalError, ValidationError
 from .quadrature import adaptive_gauss
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI2 = 4.0 * math.pi ** 2
+EIGHT_PI4 = 8.0 * math.pi ** 4
 
 # Limits of T(b) and Xi(b) as b -> 0- (the Clifford degeneration).
 CLIFFORD_HALF_PERIOD = math.sqrt(2.0) * math.pi ** 2
@@ -37,7 +40,7 @@ def metric_coefficients(phi: float) -> tuple[float, float]:
     if not abs(phi) < math.pi / 2:
         raise DomainError(f"metric degenerates at |phi| >= pi/2 (got {phi!r})")
     c2 = math.cos(phi) ** 2
-    return 4.0 * math.pi ** 2 * c2, 4.0 * math.pi ** 2 * c2 * c2
+    return FOUR_PI2 * c2, FOUR_PI2 * c2 * c2
 
 
 def _check_b(b: float) -> None:
@@ -217,11 +220,11 @@ def solve_parameter(p: int, q: int, tol_root: float = 1e-10) -> GeodesicFamily:
 
 
 def _geodesic_rhs(phi: float, phid: float, c: float):
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
+    cphi = cos(phi)
+    sphi = sin(phi)
     phidd = (sphi / cphi) * phid * phid \
-        - c * c * sphi / (8.0 * math.pi ** 4 * cphi ** 7)
-    thd = c / (4.0 * math.pi ** 2 * cphi ** 4)
+        - c * c * sphi / (EIGHT_PI4 * cphi ** 7)
+    thd = c / (FOUR_PI2 * cphi ** 4)
     return phidd, thd
 
 

@@ -19,14 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .edwards import (AggregatedCounts, aggregate_roots, boundary_form,
-                      roots_of_unity_ladder)
+from .edwards import AggregatedCounts, aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import Trajectory, sample_trajectory, solve_parameter
 from .sl import BoundaryCondition
-from .spectral import (TAU_ZERO, direct_twisted_counts, spectral_index,
-                       spectrum_counts, verify_high_l_positive)
+from .spectral import (LOCATE_ERR, TAU_ZERO, direct_twisted_counts,
+                       spectral_index, spectrum_counts, verify_high_l_positive)
 from .surface import l0_channel_system
 
 REPORT_VERSION = "1"
@@ -111,15 +110,6 @@ def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
     return PerModeRecord(l=0, neg=neg, zero=zero, method="direct")
 
 
-def _direct_mode_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
-    q = traj.family.rotation.q
-    rows = []
-    for r, om in enumerate(roots_of_unity_ladder(q)):
-        neg, zero = direct_twisted_counts(l, om, traj, n)
-        rows.append((r, neg, zero))
-    return rows
-
-
 def _edwards_mode_counts(agg: AggregatedCounts) -> list[tuple]:
     return [(t.omega_index, t.neg, t.zero) for t in agg.per_omega]
 
@@ -177,7 +167,7 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
                 flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
                 flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
         if method in ("direct", "both") or not edwards_ok:
-            direct_rows = _direct_mode_counts(l, traj, n)
+            direct_rows = direct_twisted_counts(l, traj, n)
 
         if edwards_rows is not None and direct_rows is not None:
             diffs = [(l, r, (en, ez), (dn, dz))
@@ -370,7 +360,8 @@ def verify_family(p: int, q: int, n: int = 1024,
 
     lam1, lam2, corr = antiperiodic_check_l0(traj, n=n)
     add("antiperiodic l=0", lam1 < 0 and abs(lam2) <= TAU_ZERO
-        and corr > 0.999, f"lam1={lam1:.4f}, lam2={lam2:.2e}, corr={corr:.5f}")
+        and corr > 0.999, f"lam1={lam1:.4f}, lam2={lam2:.2e} +/- "
+        f"{LOCATE_ERR:.1e}, corr={corr:.5f}")
 
     for l in (1, 2):
         try:
@@ -383,7 +374,7 @@ def verify_family(p: int, q: int, n: int = 1024,
                 val = abs(data.poly(1.0)) / data.poly.scale
                 add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
             agg = aggregate_roots(l, q, traj, data=data)
-            direct_rows = _direct_mode_counts(l, traj, n)
+            direct_rows = direct_twisted_counts(l, traj, n)
             same = all((t.neg, t.zero) == (dn, dz)
                        for t, (_, dn, dz) in zip(agg.per_omega, direct_rows))
             add(f"route agreement l={l}", same,

@@ -12,6 +12,8 @@ reliable.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,6 +65,12 @@ class BoundaryCondition:
         if dim == 1:
             return (self.omega,)
         return (self.omega, -self.omega)
+
+
+def roots_of_unity_ladder(q: int) -> list[complex]:
+    """omega = eps^r for r = 0..2q-1 with eps = exp(i pi / q)."""
+    eps = cmath.exp(1j * math.pi / q)
+    return [eps ** r for r in range(2 * q)]
 
 
 @dataclass(frozen=True)

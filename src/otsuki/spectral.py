@@ -15,7 +15,8 @@ meshes is an error, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,12 +26,16 @@ from .eigencount import (_bisect, eigenvalues_in, inertia,
 from .errors import (AmbiguousClassificationError, NumericalError,
                      ValidationError)
 from .geodesic import Trajectory
-from .sl import BoundaryCondition, SLSystem
+from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from .surface import (fourier_block_system, l0_channel_system, laplace_system,
                       separated_coefficients, full_period_grid)
 
 TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
 ZONE = 2e-3         # smallest half-width of the zone refined by secant steps
+# zone eigenvalues are located to within LOCATE_TOL / 2 on each mesh, so
+# their extrapolation (4 lam_2n - lam_n) / 3 to within LOCATE_ERR
+LOCATE_TOL = TAU_ZERO * 1e-2
+LOCATE_ERR = 5.0 * LOCATE_TOL / 6.0
 # exact zero modes drift below zero like D h^2 with D <= ~0.03 across the
 # families probed; the refinement zone scales with the mesh (10x margin)
 # so coarse runs still capture them, capped well under the genuine
@@ -65,41 +70,48 @@ class SpectrumSummary:
         }
 
 
+def _end_sweeps(operator, length: float, n: int, boundary: float):
+    """The zone half-width, and the sweeps at boundary -+ zone, each on the
+    meshes n and 2n (``operator(k)``), in that order."""
+    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (length / n) ** 2))
+    return zone, [inertia(operator(k), sigma) for sigma in
+                  (boundary - zone, boundary + zone) for k in (n, 2 * n)]
+
+
 def boundary_counts(system: SLSystem, n: int,
                     boundary: float = 0.0) -> tuple[int, int]:
     """(#{lambda < boundary - tau}, #{|lambda - boundary| <= tau}).
 
     Inertia handles everything outside [boundary - zone, boundary + zone];
-    the zone is refined on two meshes and extrapolated.  A zone eigenvalue
-    whose extrapolated value lies within its error bound of +-tau is
-    ambiguous.
+    the zone is refined on two meshes and extrapolated.
     """
-    op1 = system.operator(n)
-    op2 = system.operator(2 * n)
-    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
+    zone, ends = _end_sweeps(system.operator, system.length, n, boundary)
+    return _classify_zone(system.operator, n, boundary, zone, ends)
+
+
+def _classify_zone(operator, n: int, boundary: float, zone: float,
+                   ends: list) -> tuple[int, int]:
+    """``boundary_counts`` from the four ``_end_sweeps``.  A zone eigenvalue
+    whose extrapolated value lies within its error bound of +-tau is
+    ambiguous."""
+    end_lo1, end_lo2, end_hi1, end_hi2 = ends
     lo, hi = boundary - zone, boundary + zone
-    end_lo1, end_lo2 = inertia(op1, lo), inertia(op2, lo)
     below1, below2 = end_lo1[0], end_lo2[0]
     if below1 != below2:
         raise AmbiguousClassificationError(
             f"count below {lo:g} changed under mesh doubling: {below1} vs {below2}")
-    end_hi1, end_hi2 = inertia(op1, hi), inertia(op2, hi)
     k1, k2 = end_hi1[0] - below1, end_hi2[0] - below2
     if k1 != k2:
         raise AmbiguousClassificationError(
             f"zone population changed under mesh doubling: {k1} vs {k2}")
     if k1 == 0:
         return below1, 0
-    tol = min(TAU_ZERO * 1e-2, zone * 1e-3)
-    # each located value is within tol/2, so an extrapolated one within
-    # (4 + 1) / 3 * tol/2
-    err = 5.0 * tol / 6.0
-    lam1 = _bisect(op1, lo, hi, end_lo1, end_hi1, tol)
-    lam2 = _bisect(op2, lo, hi, end_lo2, end_hi2, tol)
+    lam1 = _bisect(operator(n), lo, hi, end_lo1, end_hi1, LOCATE_TOL)
+    lam2 = _bisect(operator(2 * n), lo, hi, end_lo2, end_hi2, LOCATE_TOL)
     lam = (4.0 * lam2 - lam1) / 3.0 - boundary
 
     def classify(vals):
-        near = np.abs(np.abs(vals) - TAU_ZERO) <= err
+        near = np.abs(np.abs(vals) - TAU_ZERO) <= LOCATE_ERR
         if np.any(near):
             raise AmbiguousClassificationError(
                 "eigenvalue(s) within the location error of the classification "
@@ -112,8 +124,7 @@ def boundary_counts(system: SLSystem, n: int,
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
-        op4 = system.operator(4 * n)
-        lam4 = eigenvalues_in(op4, lo, hi, tol=tol)
+        lam4 = eigenvalues_in(operator(4 * n), lo, hi, tol=LOCATE_TOL)
         if len(lam4) != len(lam2):
             raise AmbiguousClassificationError(
                 "zone population changed again at the third mesh")
@@ -285,7 +296,8 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
     problem: the first must be negative, the second a zero mode whose
     eigenfunction matches 2 pi cos^2(phi) phi'.
 
-    Returns (lambda_1, lambda_2, correlation).
+    Returns (lambda_1, lambda_2, correlation), the eigenvalues to within
+    LOCATE_ERR: the decision |lambda_2| <= TAU_ZERO needs no more.
     """
     if traj.family.b == 0.0:
         raise ValidationError("needs a nondegenerate family (b != 0)")
@@ -295,11 +307,11 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
     floor = min(op1.gershgorin_lower(), op2.gershgorin_lower()) - 1.0
     hi = 0.5
     for _ in range(12):
-        lam1 = eigenvalues_in(op1, floor, hi, tol=1e-10)
+        lam1 = eigenvalues_in(op1, floor, hi, tol=LOCATE_TOL)
         if len(lam1) >= 2:
             break
         hi *= 2.0
-    lam2 = eigenvalues_in(op2, floor, hi, tol=1e-10)
+    lam2 = eigenvalues_in(op2, floor, hi, tol=LOCATE_TOL)
     if len(lam1) < 2 or len(lam2) < 2:
         raise NumericalError("failed to locate the two smallest eigenvalues")
     lamR = (4.0 * lam2[:2] - lam1[:2]) / 3.0
@@ -358,8 +370,22 @@ def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024) -> bool:
     return pointwise and neg == 0 and zero == 0
 
 
-def direct_twisted_counts(l: int, omega: complex, traj: Trajectory,
-                          n: int) -> tuple[int, int]:
-    """(negative, zero) counts of the omega-twisted block on [0, T]."""
-    system = fourier_block_system(l, traj, "T", BoundaryCondition.twisted(omega))
-    return spectrum_counts(system, n)
+def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
+    """(r, negative, zero) of the omega-twisted block on [0, T] for each
+    twist omega = exp(i pi r / q), r = 0..2q-1.
+
+    The twisted operators differ only in their wrap multipliers, so each
+    end sweep of ``boundary_counts`` is one sweep of the whole ladder; a
+    twist whose zone holds eigenvalues is refined on its own operator.
+    """
+    ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(2)
+                   for om in roots_of_unity_ladder(traj.family.rotation.q))
+    system = fourier_block_system(l, traj, "T", BoundaryCondition.twisted(1.0))
+
+    def operator(k, mult=ladder):
+        return replace(system.operator(k), wrap_mult=mult)
+
+    zone, ends = _end_sweeps(operator, system.length, n, 0.0)
+    return [(r, *_classify_zone(partial(operator, mult=w), n, 0.0, zone,
+                                [end[r] for end in ends]))
+            for r, w in enumerate(ladder)]

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geodesic import Trajectory
+from .geodesic import FOUR_PI2, TWO_PI, Trajectory
 from .sl import BoundaryCondition, SLSystem
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI2 = 4.0 * math.pi ** 2
 
 
 def _theta_dot(c: float, phi):

@@ -13,6 +13,7 @@ from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, report_document,
                              spectral_index_formula, index_bounds,
                              verify_family)
+from otsuki.spectral import LOCATE_ERR
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +84,12 @@ class TestComputeIndex:
     def test_route_disagreement_fails_loudly(self, monkeypatch):
         import otsuki.pipeline as pipeline
 
-        _orig = pipeline._direct_mode_counts
+        _orig = pipeline.direct_twisted_counts
 
         def wrong(l, traj, n):
             return [(r, neg + 1, zero) for (r, neg, zero) in _orig(l, traj, n)]
 
-        monkeypatch.setattr(pipeline, "_direct_mode_counts", wrong)
+        monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         with pytest.raises(RouteDisagreementError):
             compute_index(2, 3, method="both", n=512, n_traj=1024)
 
@@ -196,12 +197,22 @@ class TestJsonFormat:
         assert doc["v"] == vals
 
 
+@pytest.fixture(scope="module")
+def verify23():
+    return verify_family(2, 3, n=512)
+
+
 class TestVerifyBattery:
-    def test_family23_all_pass(self):
-        rows = verify_family(2, 3, n=512)
+    def test_family23_all_pass(self, verify23):
+        rows = verify23
         assert all(r["ok"] for r in rows), [r for r in rows if not r["ok"]]
         names = {r["check"] for r in rows}
         assert "l=0 counts" in names and "route agreement l=1" in names
+
+    def test_antiperiodic_detail_states_location_error(self, verify23):
+        detail = next(r["detail"] for r in verify23
+                      if r["check"] == "antiperiodic l=0")
+        assert f"+/- {LOCATE_ERR:.1e}," in detail
 
 
 class TestCli:

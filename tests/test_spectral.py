@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from otsuki.eigencount import eigenvalues_in
 from otsuki.errors import AmbiguousClassificationError, ValidationError
-from otsuki.sl import BoundaryCondition, SLSystem, constant_system
-from otsuki.spectral import (TAU_ZERO, antiperiodic_check_l0, check_interlacing,
-                             direct_twisted_counts, oscillation_index,
-                             spectral_index, spectrum_below, spectrum_counts,
-                             verify_high_l_positive, zero_count)
+from otsuki.sl import (BoundaryCondition, SLSystem, constant_system,
+                       roots_of_unity_ladder)
+from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
+                             check_interlacing, direct_twisted_counts,
+                             oscillation_index, spectral_index, spectrum_below,
+                             spectrum_counts, verify_high_l_positive, zero_count)
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             separated_coefficients)
 
@@ -237,6 +238,17 @@ class TestAntiperiodicCheck:
         lam1, lam2, corr = antiperiodic_check_l0(traj58, n=1024)
         assert lam1 < 0 and abs(lam2) <= 1e-5 and corr > 0.999
 
+    def test_eigenvalues_within_stated_error_of_dense(self, traj23):
+        n = 256
+        lam1, lam2, _ = antiperiodic_check_l0(traj23, n=n)
+        system = l0_channel_system(2, traj23, "T",
+                                   BoundaryCondition.antiperiodic())
+        w1, w2 = (np.linalg.eigvalsh(system.discretize(k).to_dense())[:2]
+                  for k in (n, 2 * n))
+        ref = (4.0 * w2 - w1) / 3.0
+        assert abs(lam1 - ref[0]) <= LOCATE_ERR
+        assert abs(lam2 - ref[1]) <= LOCATE_ERR
+
     def test_rejects_degenerate_family(self, clifford_traj):
         with pytest.raises(ValidationError):
             antiperiodic_check_l0(clifford_traj)
@@ -276,10 +288,11 @@ class TestMode2Counts:
         system = fourier_block_system(1, traj58, "t0/2",
                                       BoundaryCondition.antiperiodic())
         direct_class = spectrum_counts(system, 1024)
+        rows = direct_twisted_counts(1, traj58, 256)
+        assert [row[0] for row in rows] == list(range(2 * q))
         total = [0, 0]
         for r in range(1, 2 * q, 2):
-            om = cmath.exp(1j * math.pi * r / q)
-            neg, zero = direct_twisted_counts(1, om, traj58, 256)
+            _, neg, zero = rows[r]
             total[0] += neg
             total[1] += zero
         assert direct_class == tuple(total)
@@ -305,11 +318,28 @@ class TestTwistedConsistency:
 
     def test_conjugate_twists_share_counts(self, traj23):
         q = 3
+        rows = direct_twisted_counts(1, traj23, 512)
         for r in (1, 2):
-            om = cmath.exp(1j * math.pi * r / q)
-            a = direct_twisted_counts(1, om, traj23, 512)
-            b = direct_twisted_counts(1, om.conjugate(), traj23, 512)
-            assert a == b
+            # rows[2q - r] is the twist conj(omega_r)
+            assert rows[r][1:] == rows[2 * q - r][1:]
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_ladder_rows_equal_each_twist_counted_alone(self, traj23, l):
+        rows = direct_twisted_counts(l, traj23, 256)
+        alone = [(r, *spectrum_counts(fourier_block_system(
+                    l, traj23, "T", BoundaryCondition.twisted(om)), 256))
+                 for r, om in enumerate(roots_of_unity_ladder(3))]
+        assert rows == alone
+        assert any(zero for _, _, zero in rows)     # a zone was refined
+
+    def test_empty_zones_cost_four_sweeps(self, traj23, traj58, count_sweeps):
+        # the l = 3 block is positive, so no twist's zone holds eigenvalues
+        for traj in (traj23, traj58):
+            q = traj.family.rotation.q
+            count_sweeps.clear()
+            assert direct_twisted_counts(3, traj, 256) == [
+                (r, 0, 0) for r in range(2 * q)]
+            assert len(count_sweeps) == 4
 
     def test_twisted_eigenvector_embeds_in_closed_problem(self, traj23):
         # extend a twisted eigenvector by the per-period phases and check it
