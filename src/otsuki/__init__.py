@@ -23,8 +23,8 @@ from .sl import BoundaryCondition, SLSystem, constant_system
 from .spectral import (SpectrumSummary, antiperiodic_check_l0, oscillation_index,
                        spectral_index, spectrum_below, spectrum_counts,
                        verify_high_l_positive, zero_count)
-from .edwards import (BoundaryFormData, TwistedCount, aggregate_roots,
-                      boundary_form, boundary_solutions, det_polynomial,
+from .edwards import (BoundaryFormData, aggregate_roots, boundary_form,
+                      boundary_solutions, det_polynomial,
                       dirichlet_negative_count, gram_matrix, twisted_counts,
                       twisted_form)
 from .pipeline import (IndexReport, bounds_check, cache_load, cache_store,

@@ -156,12 +156,11 @@ def _cmd_edwards(args) -> int:
     data = boundary_form(args.l, traj, n_dirichlet=args.n)
     doc = data.to_json_dict()
     if family.rotation is not None:
-        agg = aggregate_roots(args.l, family.rotation.q, traj, data=data)
-        doc["per_omega"] = [
-            {"r": t.omega_index, "neg": t.neg, "zero": t.zero}
-            for t in agg.per_omega]
-        doc["neg_total"] = agg.neg_total
-        doc["zero_total"] = agg.zero_total
+        rows = aggregate_roots(data, family.rotation.q)
+        doc["per_omega"] = [{"r": r, "neg": neg, "zero": zero}
+                            for r, neg, zero in rows]
+        doc["neg_total"] = sum(neg for _, neg, _ in rows)
+        doc["zero_total"] = sum(zero for _, _, zero in rows)
     _emit(doc, args)
     return 0
 

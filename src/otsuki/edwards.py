@@ -147,15 +147,12 @@ def boundary_solutions(l: int, traj: Trajectory,
                              _sol=sol.sol)
 
 
-def gram_matrix(l: int, traj: Trajectory,
-                sols: Optional[BoundarySolutions] = None) -> np.ndarray:
+def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
     """The 4x4 boundary-form matrix a_ij = <e_i boundary, p psi_j'> |_0^T.
 
     Symmetry (real coefficients) and the ends-swap symmetry (coefficients
     even about the midpoint) are verified, then enforced by averaging.
     """
-    if sols is None:
-        sols = boundary_solutions(l, traj)
     p0, pT = sols.p_ends
     a = np.vstack((-p0 * sols.psi_prime_0, pT * sols.psi_prime_T))
     scale = np.abs(a).max()
@@ -249,9 +246,6 @@ class BoundaryFormData:
     poly: DeterminantPolynomial
     condition: float
 
-    def form(self, omega: complex) -> np.ndarray:
-        return twisted_form(self.a, omega)
-
     def to_json_dict(self) -> dict:
         return {
             "l": self.l,
@@ -271,32 +265,22 @@ def boundary_form(l: int, traj: Trajectory,
     problem is degenerate; see :func:`dirichlet_negative_count`.
     """
     sols = boundary_solutions(l, traj, n_dirichlet=n_dirichlet)
-    a = gram_matrix(l, traj, sols=sols)
+    a = gram_matrix(sols)
     poly = det_polynomial(a)
     return BoundaryFormData(l=l, b=traj.family.b, a=a,
                             dirichlet=sols.dirichlet, poly=poly,
                             condition=sols.condition)
 
 
-@dataclass(frozen=True)
-class TwistedCount:
-    l: int
-    omega_index: Optional[int]
-    omega: complex
-    neg: int
-    zero: int
-
-
-def twisted_counts(data: BoundaryFormData, omega: complex,
-                   omega_index: Optional[int] = None) -> TwistedCount:
-    """Counts of the omega-twisted problem from the boundary form.
+def twisted_counts(data: BoundaryFormData, omega: complex) -> tuple[int, int]:
+    """(negative, zero) of the omega-twisted problem from the boundary form.
 
     neg = Dirichlet negatives + index of the restricted form; zero is the
     form's nullity.  A near-zero form eigenvalue is only accepted when
     Re(omega) sits at a root of the determinant polynomial, since the
     zero modes are exact there; anything else is reported as ambiguous.
     """
-    A = data.form(omega)
+    A = twisted_form(data.a, omega)
     tr = float(A[0, 0].real + A[1, 1].real)
     det = float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]).real)
     disc = max(tr * tr - 4.0 * det, 0.0)
@@ -312,29 +296,16 @@ def twisted_counts(data: BoundaryFormData, omega: complex,
             raise AmbiguousClassificationError(
                 f"restricted form nearly singular at Re(omega)={s:.6f} "
                 f"which is no root of the determinant polynomial")
-    return TwistedCount(l=data.l, omega_index=omega_index, omega=omega,
-                        neg=data.dirichlet.negative + ind, zero=nul)
+    return data.dirichlet.negative + ind, nul
 
 
-@dataclass(frozen=True)
-class AggregatedCounts:
-    l: int
-    neg_total: int
-    zero_total: int
-    per_omega: tuple
+def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
+    """(r, negative, zero) of the twisted problem at each 2q-th root of
+    unity omega = exp(i pi r / q), the rows ``direct_twisted_counts``
+    returns.
 
-
-def aggregate_roots(l: int, q: int, traj: Trajectory,
-                    data: Optional[BoundaryFormData] = None) -> AggregatedCounts:
-    """Sum the twisted counts over all 2q-th roots of unity.
-
-    For even q, the even-r and odd-r rows of ``per_omega`` are the
-    half-length periodic and antiperiodic classes respectively.
+    For even q, the even-r and odd-r rows are the half-length periodic and
+    antiperiodic classes respectively.
     """
-    if data is None:
-        data = boundary_form(l, traj)
-    per = [twisted_counts(data, om, omega_index=r)
-           for r, om in enumerate(roots_of_unity_ladder(q))]
-    return AggregatedCounts(l=l, neg_total=sum(t.neg for t in per),
-                            zero_total=sum(t.zero for t in per),
-                            per_omega=tuple(per))
+    return [(r, *twisted_counts(data, om))
+            for r, om in enumerate(roots_of_unity_ladder(q))]

@@ -33,6 +33,9 @@ ROTATION_HI = math.sqrt(2.0) / 2.0
 
 # RK4 steps per half period, for the endpoint polish and the sampled grid
 _RK4_STEPS = 32768
+_FLOW_MISS_TOL = 1e-10  # largest flow miss of p pi / q that one step corrects
+_SLOPE_STEP = 1e-6      # central-difference half-width in b, relative to |b|
+DRIFT_TOL = 1e-8        # largest energy drift of a sampled trajectory
 
 
 def metric_coefficients(phi: float) -> tuple[float, float]:
@@ -60,7 +63,7 @@ def _singular_factors(u: np.ndarray, b: float):
     return phi, jac / np.sqrt(prod * quart)
 
 
-def half_period(b: float, tol: float = 1e-13) -> float:
+def half_period(b: float) -> float:
     """Half period T(b) of the latitude oscillation, in arc-length units."""
     _check_b(b)
 
@@ -68,10 +71,10 @@ def half_period(b: float, tol: float = 1e-13) -> float:
         phi, kernel = _singular_factors(u, b)
         return TWO_PI * np.cos(phi) ** 3 * kernel
 
-    return adaptive_gauss(f, -math.pi / 2, math.pi / 2, tol=tol)
+    return adaptive_gauss(f, -math.pi / 2, math.pi / 2)
 
 
-def rotation_angle(b: float, tol: float = 1e-13) -> float:
+def rotation_angle(b: float) -> float:
     """Rotation angle Xi(b) = theta(T(b)); strictly increasing in b."""
     _check_b(b)
     cb2 = math.cos(b) ** 2
@@ -80,7 +83,7 @@ def rotation_angle(b: float, tol: float = 1e-13) -> float:
         phi, kernel = _singular_factors(u, b)
         return cb2 * kernel / np.cos(phi)
 
-    return adaptive_gauss(f, -math.pi / 2, math.pi / 2, tol=tol)
+    return adaptive_gauss(f, -math.pi / 2, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,15 @@ class GeodesicFamily:
         return self.rotation.t0
 
 
-def solve_parameter(p: int, q: int, tol_root: float = 1e-10) -> GeodesicFamily:
+def solve_parameter(p: int, q: int) -> GeodesicFamily:
     """Find the family with Xi(b) = (p/q) pi.
 
-    Monotonicity of Xi guarantees a unique root; bracketing bisection is
-    polished with a few secant steps.
+    Xi is strictly increasing, so bisection finds the quadrature root to
+    the float resolution of b.  One flow integration there gives the
+    integrator's own turning time T and its miss theta(T) - p pi / q; one
+    linear step along the quadrature slopes dXi/db and dT/db removes the
+    miss, as the sampled trajectory is only junction-smooth when theta(T)
+    equals p pi / q at the integrator's own accuracy.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError("p and q must be integers")
@@ -166,52 +173,29 @@ def solve_parameter(p: int, q: int, tol_root: float = 1e-10) -> GeodesicFamily:
         flo = rotation_angle(lo) - target
     if fhi < 0:
         raise NumericalError("failed to bracket the rotation-angle root")
-    fm = None
-    for _ in range(200):
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         fm = rotation_angle(mid) - target
-        if abs(fm) < tol_root or hi - lo < 1e-13:
-            break
         if fm < 0:
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    b0, f0 = mid, fm
-    b1 = mid + (1e-9 if fm < 0 else -1e-9)
-    f1 = rotation_angle(b1) - target
-    for _ in range(4):
-        if f1 == f0:
-            break
-        b2 = b1 - f1 * (b1 - b0) / (f1 - f0)
-        if not (-math.pi / 2 < b2 < 0):
-            break
-        b0, f0, b1, f1 = b1, f1, b2, rotation_angle(b2) - target
-        if abs(f1) < 1e-13:
-            break
-    b = b1 if abs(f1) < abs(f0) else b0
+    b = lo if abs(flo) <= abs(fhi) else hi
 
-    # final secant steps against the integrated flow: the sampled-trajectory
-    # extension is only junction-smooth when theta(T) equals p pi / q at the
-    # integrator's own accuracy, which the quadrature root cannot provide
-    def flow_residual(bb):
-        cc = TWO_PI * math.cos(bb) ** 2
-        TT, theta_T = _polish_endpoint(bb, cc, half_period(bb))
-        return TT, theta_T - target
+    c = TWO_PI * math.cos(b) ** 2
+    T, theta_T = _polish_endpoint(b, c, half_period(b))
+    miss = theta_T - target
+    if abs(miss) > _FLOW_MISS_TOL:
+        raise NumericalError(
+            f"integrated flow misses p pi / q by {miss:.3e} at the quadrature "
+            "root", residual=abs(miss))
 
-    T_a, f_a = flow_residual(b)
-    b_alt = b + 1e-9
-    T_b, f_b = flow_residual(b_alt)
-    for _ in range(3):
-        if f_b == f_a or abs(f_b) < 1e-15:
-            break
-        b_new = b_alt - f_b * (b_alt - b) / (f_b - f_a)
-        b, f_a, T_a = b_alt, f_b, T_b
-        b_alt = b_new
-        T_b, f_b = flow_residual(b_alt)
-    if abs(f_b) <= abs(f_a):
-        b, T = b_alt, T_b
-    else:
-        T = T_a
+    def slope(f):
+        h = _SLOPE_STEP * abs(b)
+        return (f(b + h) - f(b - h)) / (2.0 * h)
+
+    step = -miss / slope(rotation_angle)
+    b, T = b + step, T + slope(half_period) * step
     c = TWO_PI * math.cos(b) ** 2
     return GeodesicFamily(
         b=b, c=c, T=T, Xi=rotation_angle(b),
@@ -364,8 +348,7 @@ class Trajectory:
         }
 
 
-def sample_trajectory(family: GeodesicFamily, n: int,
-                      drift_tol: float = 1e-8) -> Trajectory:
+def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """Integrate the geodesic over one half period on an (n+1)-node grid.
 
     The second-order equation for phi is integrated (sign-unambiguous at
@@ -395,7 +378,7 @@ def sample_trajectory(family: GeodesicFamily, n: int,
     traj = Trajectory(family=family, grid=grid, phi=phi_out,
                       phidot=phid_out, theta=th_out)
     drift = traj.conservation_drift()
-    if drift > drift_tol:
+    if drift > DRIFT_TOL:
         raise NumericalError(
             f"energy conservation drifted to {drift:.3e}", residual=drift)
     return traj

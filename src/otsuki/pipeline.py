@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .edwards import AggregatedCounts, aggregate_roots, boundary_form
+from .edwards import aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import Trajectory, sample_trajectory, solve_parameter
@@ -110,8 +110,15 @@ def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
     return PerModeRecord(l=0, neg=neg, zero=zero, method="direct")
 
 
-def _edwards_mode_counts(agg: AggregatedCounts) -> list[tuple]:
-    return [(t.omega_index, t.neg, t.zero) for t in agg.per_omega]
+def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
+    """Raise RouteDisagreementError unless the routes agree twist by twist."""
+    diffs = [(l, r, (en, ez), (dn, dz))
+             for (r, en, ez), (_, dn, dz) in zip(edwards_rows, direct_rows)
+             if (en, ez) != (dn, dz)]
+    if diffs:
+        raise RouteDisagreementError(
+            f"boundary-form and direct counts disagree at l={l}: {diffs}",
+            diffs=diffs)
 
 
 def _sum_rows(rows, parity: Optional[int] = None) -> tuple[int, int]:
@@ -140,17 +147,13 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
                    "s1": None, "s2": None, "s1_below_minus_one": None,
                    "abs_s1_gt_s2": None}
 
-    want_parity = {1: 1, 2: 0}      # even q: odd r at l=1, even r at l=2
     for l in (1, 2):
-        edwards_rows = None
-        direct_rows = None
-        data = None
+        edwards_rows = direct_rows = data = None
         edwards_ok = None       # None: not attempted
         if method in ("edwards", "both"):
             try:
                 data = boundary_form(l, traj, n_dirichlet=n)
-                agg = aggregate_roots(l, q, traj, data=data)
-                edwards_rows = _edwards_mode_counts(agg)
+                edwards_rows = aggregate_roots(data, q)
                 edwards_ok = True
             except EdwardsInapplicableError:
                 edwards_ok = False
@@ -161,30 +164,23 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
         flags["edwards_applicable"][str(l)] = edwards_ok
         if l == 1 and data is not None:
             poly = data.poly
-            flags["s1"] = poly.s1
-            flags["s2"] = poly.s2
+            flags["s1"], flags["s2"] = poly.s1, poly.s2
             if poly.s1 is not None:
                 flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
                 flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
         if method in ("direct", "both") or not edwards_ok:
             direct_rows = direct_twisted_counts(l, traj, n)
 
-        if edwards_rows is not None and direct_rows is not None:
-            diffs = [(l, r, (en, ez), (dn, dz))
-                     for (r, en, ez), (_, dn, dz) in zip(edwards_rows, direct_rows)
-                     if (en, ez) != (dn, dz)]
-            if diffs:
-                raise RouteDisagreementError(
-                    f"boundary-form and direct counts disagree at l={l}: {diffs}",
-                    diffs=diffs)
-
         rows = edwards_rows if edwards_rows is not None else direct_rows
-        used = ("both" if edwards_rows is not None and direct_rows is not None
-                else "edwards" if edwards_rows is not None else "direct")
+        used = ("direct" if edwards_rows is None
+                else "edwards" if direct_rows is None else "both")
+        if used == "both":
+            _check_routes_agree(l, edwards_rows, direct_rows)
         if q_even:
-            neg, zero = _sum_rows(rows, parity=want_parity[l])
-            other = _sum_rows(rows, parity=1 - want_parity[l])
-            split = {"used_parity": "odd_r" if want_parity[l] else "even_r",
+            # odd r at l = 1, even r at l = 2
+            neg, zero = _sum_rows(rows, parity=l % 2)
+            other = _sum_rows(rows, parity=1 - l % 2)
+            split = {"used_parity": "odd_r" if l % 2 else "even_r",
                      "other_class_neg": other[0], "other_class_zero": other[1]}
         else:
             neg, zero = _sum_rows(rows)
@@ -290,6 +286,9 @@ def cache_store(report: IndexReport, cache_dir: Optional[str] = None) -> str:
 def cache_load(p: int, q: int, n: int, method: str = "both",
                cache_dir: Optional[str] = None,
                version: str = REPORT_VERSION) -> Optional[dict]:
+    """The cached document for the key, or None.  An entry that cannot be
+    parsed, is no report, or names other parameters than its key is
+    ignored with a warning, so the caller recomputes it."""
     import json
     import warnings
 
@@ -300,12 +299,17 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
     try:
         with open(fname) as fh:
             doc = json.load(fh)
-        if doc.get("version") != version:
-            return None
-        return doc
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:      # JSON or UTF-8 errors
         warnings.warn(f"ignoring corrupt cache entry {fname}: {exc}")
         return None
+    want = {"p": p, "q": q, "n": n, "method": method, "version": version}
+    got = ({k: doc.get(k) for k in want} if isinstance(doc, dict)
+           else f"a JSON {type(doc).__name__}")
+    if got != want:
+        warnings.warn(f"ignoring cache entry {fname}: it holds {got}, "
+                      f"not a report for {want}")
+        return None
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +377,12 @@ def verify_family(p: int, q: int, n: int = 1024,
             else:
                 val = abs(data.poly(1.0)) / data.poly.scale
                 add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
-            agg = aggregate_roots(l, q, traj, data=data)
-            direct_rows = direct_twisted_counts(l, traj, n)
-            same = all((t.neg, t.zero) == (dn, dz)
-                       for t, (_, dn, dz) in zip(agg.per_omega, direct_rows))
-            add(f"route agreement l={l}", same,
-                "boundary-form counts equal direct counts" if same
-                else "MISMATCH")
+            _check_routes_agree(l, aggregate_roots(data, q),
+                                direct_twisted_counts(l, traj, n))
+            add(f"route agreement l={l}", True,
+                "boundary-form counts equal direct counts")
+        except RouteDisagreementError as exc:
+            add(f"route agreement l={l}", False, f"MISMATCH: {exc}")
         except EdwardsInapplicableError as exc:
             add(f"route agreement l={l}", True, f"edwards inapplicable: {exc}")
 

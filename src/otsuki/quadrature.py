@@ -12,6 +12,8 @@ import numpy as np
 from .errors import NumericalError
 
 _GL_ORDER = 48
+TOL = 1e-13             # absolute, on successive panel-doubling estimates
+MAX_DOUBLINGS = 14
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
@@ -25,20 +27,19 @@ def _composite_gauss(f, a: float, b: float, panels: int) -> float:
     return float(np.sum(vals @ _gl_weights * half[:, 0]))
 
 
-def adaptive_gauss(f, a: float, b: float, tol: float = 1e-13,
-                   max_doublings: int = 14) -> float:
+def adaptive_gauss(f, a: float, b: float) -> float:
     """Integrate a vectorized callable on [a, b], doubling panels until the
-    estimate stabilizes below ``tol`` (absolute, on successive differences).
+    estimate stabilizes below ``TOL``.
     """
     prev = _composite_gauss(f, a, b, 1)
     panels = 2
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         cur = _composite_gauss(f, a, b, panels)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < TOL:
             return cur
         prev = cur
         panels *= 2
     raise NumericalError(
-        f"quadrature did not converge to {tol:g} on [{a:g}, {b:g}]",
+        f"quadrature did not converge to {TOL:g} on [{a:g}, {b:g}]",
         residual=abs(cur - prev),
     )

@@ -12,7 +12,6 @@ reliable.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -68,9 +67,13 @@ class BoundaryCondition:
 
 
 def roots_of_unity_ladder(q: int) -> list[complex]:
-    """omega = eps^r for r = 0..2q-1 with eps = exp(i pi / q)."""
-    eps = cmath.exp(1j * math.pi / q)
-    return [eps ** r for r in range(2 * q)]
+    """omega_r = exp(i pi r / q) for r = 0..2q-1, each to within an ulp:
+    both parts are sines of angles in [-pi/2, pi/2], so 1, i, -1 and -i
+    are exact, and omega_{2q-r} = conj(omega_r)."""
+    upper = [complex(math.sin(math.pi * (q - 2 * r) / (2 * q)),
+                     math.sin(math.pi * min(r, q - r) / q))
+             for r in range(q + 1)]
+    return upper + [w.conjugate() for w in upper[q - 1:0:-1]]
 
 
 @dataclass(frozen=True)

@@ -92,20 +92,20 @@ class TestGramMatrix:
         assert np.abs(raw - swap).max() / scale < 1e-8
 
     def test_enforced_exactly(self, traj23):
-        a = gram_matrix(2, traj23)
+        a = gram_matrix(boundary_solutions(2, traj23))
         assert np.array_equal(a, a.T)
         swap = a[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
         assert np.array_equal(a, swap)
 
     def test_clifford_channels_decoupled(self, clifford_traj):
-        a = gram_matrix(1, clifford_traj)
+        a = gram_matrix(boundary_solutions(1, clifford_traj))
         assert abs(a[0, 3]) < 1e-9
         assert abs(a[0, 1]) < 1e-9
 
 
 class TestTwistedForm:
     def test_real_twist_is_diagonal(self, traj23):
-        a = gram_matrix(1, traj23)
+        a = gram_matrix(boundary_solutions(1, traj23))
         A1 = twisted_form(a, 1.0 + 0j)
         assert A1[0, 1] == 0 and A1[1, 0] == 0
         Am = twisted_form(a, -1.0 + 0j)
@@ -113,14 +113,14 @@ class TestTwistedForm:
         assert Am[1, 1] == pytest.approx(2 * a[1, 1] + 2 * a[1, 3], rel=1e-14)
 
     def test_hermitian_for_complex_twists(self, traj23):
-        a = gram_matrix(1, traj23)
+        a = gram_matrix(boundary_solutions(1, traj23))
         for k in range(8):
             om = cmath.exp(1j * (0.3 + k))
             A = twisted_form(a, om)
             assert np.abs(A - A.conj().T).max() < 1e-13
 
     def test_determinant_matches_polynomial(self, traj23):
-        a = gram_matrix(1, traj23)
+        a = gram_matrix(boundary_solutions(1, traj23))
         poly = det_polynomial(a)
         for k in range(12):
             om = cmath.exp(1j * 0.5 * k)
@@ -129,7 +129,7 @@ class TestTwistedForm:
             assert det == pytest.approx(poly(om.real), rel=1e-10, abs=1e-8)
 
     def test_modulus_validated(self, traj23):
-        a = gram_matrix(1, traj23)
+        a = gram_matrix(boundary_solutions(1, traj23))
         with pytest.raises(ValidationError):
             twisted_form(a, 1.2)
 
@@ -139,14 +139,14 @@ class TestCliffordForms:
         data = boundary_form(1, clifford_traj, n_dirichlet=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
-            A = data.form(om)
+            A = twisted_form(data.a, om)
             assert np.abs(A - _clifford_A1(om.real)).max() < 1e-6
 
     def test_mode2_matches_closed_form(self, clifford_traj):
         data = boundary_form(2, clifford_traj, n_dirichlet=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
-            A = data.form(om)
+            A = twisted_form(data.a, om)
             assert np.abs(A - _clifford_A2(om.real)).max() < 1e-6
 
     def test_mode1_roots(self, clifford_traj):
@@ -180,8 +180,7 @@ class TestRootIdentities:
 class TestTwistedCounts:
     def test_clifford_mode2_unit_twist(self, clifford_traj):
         data = boundary_form(2, clifford_traj, n_dirichlet=1024)
-        t = twisted_counts(data, 1.0 + 0j)
-        assert (t.neg, t.zero) == (0, 1)
+        assert twisted_counts(data, 1.0 + 0j) == (0, 1)
 
     def test_clifford_mode1_index_ladder(self, clifford_traj):
         # index of the restricted form steps 2 -> 1 -> 0 as Re(omega)
@@ -191,24 +190,23 @@ class TestTwistedCounts:
         below_s1 = twisted_counts(data, -1.0 + 0j)          # Re < s1
         between = twisted_counts(data, 1j)                  # s1 <= Re < s2
         above_s2 = twisted_counts(data, 1.0 + 0j)           # Re >= s2
-        assert below_s1.neg == dirich + 2
-        assert between.neg == dirich + 1
-        assert above_s2.neg == dirich
-        assert (below_s1.zero, between.zero, above_s2.zero) == (0, 0, 0)
+        assert below_s1[0] == dirich + 2
+        assert between[0] == dirich + 1
+        assert above_s2[0] == dirich
+        assert (below_s1[1], between[1], above_s2[1]) == (0, 0, 0)
 
     def test_oracle_equivalence_spot(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)
         rows = direct_twisted_counts(1, traj23, 1024)
         for r in (0, 1, 3):
             om = roots_of_unity_ladder(3)[r]
-            t = twisted_counts(data, om, omega_index=r)
-            assert (r, t.neg, t.zero) == rows[r]
+            assert (r, *twisted_counts(data, om)) == rows[r]
 
     def test_zero_without_root_is_ambiguous(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=512)
         p, q = 2, 3
         om = roots_of_unity_ladder(q)[q - p]      # a genuine zero twist
-        assert twisted_counts(data, om).zero == 1
+        assert twisted_counts(data, om)[1] == 1
         # without the polynomial roots nothing vouches for the singular
         # form, which must surface as an error rather than a count
         rootless = dataclasses.replace(
@@ -220,33 +218,32 @@ class TestTwistedCounts:
 class TestAggregation:
     def test_family23_mode1(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)
-        agg = aggregate_roots(1, 3, traj23, data=data)
+        rows = aggregate_roots(data, 3)
         p, q = 2, 3
-        assert agg.zero_total in (2, 4)
-        sum_ind = agg.neg_total - 2 * q * data.dirichlet.negative
+        assert sum(z for _, _, z in rows) in (2, 4)
+        sum_ind = sum(n for _, n, _ in rows) - 2 * q * data.dirichlet.negative
         assert 2 * p - 1 <= sum_ind <= 2 * q - 2
 
     def test_family23_mode2(self, traj23):
         data = boundary_form(2, traj23, n_dirichlet=1024)
-        agg = aggregate_roots(2, 3, traj23, data=data)
-        assert (agg.neg_total, agg.zero_total) == (0, 1)
+        rows = aggregate_roots(data, 3)
+        assert (sum(n for _, n, _ in rows), sum(z for _, _, z in rows)) == (0, 1)
 
     def test_family58_even_split(self, traj58):
         data = boundary_form(1, traj58, n_dirichlet=1024)
-        agg = aggregate_roots(1, 8, traj58, data=data)
+        rows = aggregate_roots(data, 8)
         p, q = 5, 8
-        even_neg = sum(t.neg for t in agg.per_omega[::2])
-        odd_neg = sum(t.neg for t in agg.per_omega[1::2])
-        odd_zero = sum(t.zero for t in agg.per_omega[1::2])
+        even_neg = sum(n for _, n, _ in rows[::2])
+        odd_neg = sum(n for _, n, _ in rows[1::2])
+        odd_zero = sum(z for _, _, z in rows[1::2])
         sum_ind_odd = odd_neg - q * data.dirichlet.negative
         assert p - 1 <= sum_ind_odd <= q - 2
         assert odd_zero in (2, 4)
-        assert even_neg + odd_neg == agg.neg_total
+        assert even_neg + odd_neg == sum(n for _, n, _ in rows)
 
     def test_zero_twists_hit_conjugate_pair(self, traj23):
         data = boundary_form(1, traj23, n_dirichlet=1024)
-        agg = aggregate_roots(1, 3, traj23, data=data)
-        carriers = [t.omega_index for t in agg.per_omega if t.zero > 0]
+        carriers = [r for r, _, z in aggregate_roots(data, 3) if z > 0]
         assert carriers == [3 - 2, 3 + 2]     # r = q -+ p
 
 
@@ -275,6 +272,4 @@ class TestApplicabilityGate:
         data = boundary_form(2, traj23, n_dirichlet=512)
         for r in (1, 2):
             om = roots_of_unity_ladder(3)[r]
-            t1 = twisted_counts(data, om)
-            t2 = twisted_counts(data, om.conjugate())
-            assert (t1.neg, t1.zero) == (t2.neg, t2.zero)
+            assert twisted_counts(data, om) == twisted_counts(data, om.conjugate())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otsuki import geodesic
 from otsuki.errors import DomainError, NumericalError, ValidationError
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              GeodesicFamily, RotationNumber, half_period,
@@ -110,6 +111,38 @@ class TestSolveParameter:
     def test_rotation_number_invariants(self, fam58):
         assert fam58.rotation.p == 5 and fam58.rotation.q == 8
         assert 0.5 < 5 / 8 < math.sqrt(2) / 2
+
+    def test_flow_integrated_once(self, monkeypatch):
+        calls = []
+        original = geodesic._polish_endpoint
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geodesic, "_polish_endpoint", counted)
+        solve_parameter(4, 7)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (7, 10), (70, 99)])
+    def test_flow_closes_at_returned_family(self, p, q):
+        # a fresh integration at the returned b turns at the returned T
+        # and has rotated by p pi / q there
+        fam = solve_parameter(p, q)
+        T, theta = geodesic._polish_endpoint(fam.b, fam.c, half_period(fam.b))
+        assert abs(theta - p * math.pi / q) <= 5e-14
+        assert abs(T - fam.T) <= 5e-13
+
+    def test_flow_miss_beyond_tolerance_raises(self, monkeypatch):
+        original = geodesic._polish_endpoint
+
+        def missing(b, c, T):
+            T_flow, theta = original(b, c, T)
+            return T_flow, theta + 1e-9
+
+        monkeypatch.setattr(geodesic, "_polish_endpoint", missing)
+        with pytest.raises(NumericalError):
+            solve_parameter(2, 3)
 
 
 class TestTrajectory:

@@ -142,6 +142,34 @@ class TestCache:
         with pytest.warns(UserWarning):
             assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
 
+    def test_undecodable_entry_warns_and_misses(self, report23, tmp_path):
+        path = cache_store(report23, cache_dir=str(tmp_path))
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe{}")
+        with pytest.warns(UserWarning):
+            assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+    def test_non_report_entry_warns_and_misses(self, report23, tmp_path, text):
+        path = cache_store(report23, cache_dir=str(tmp_path))
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.warns(UserWarning):
+            assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
+
+    @pytest.mark.parametrize("field,value", [("p", 3), ("q", 5), ("n", 1024),
+                                             ("method", "direct"),
+                                             ("version", "0")])
+    def test_entry_for_other_parameters_warns_and_misses(
+            self, report23, tmp_path, field, value):
+        path = cache_store(report23, cache_dir=str(tmp_path))
+        doc = report_document(report23)
+        doc[field] = value
+        with open(path, "w") as fh:
+            fh.write(jsonio.dumps(doc))
+        with pytest.warns(UserWarning):
+            assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
+
     def test_directory_created_on_demand(self, report23, tmp_path):
         target = tmp_path / "fresh" / "cache"
         cache_store(report23, cache_dir=str(target))
@@ -213,6 +241,19 @@ class TestVerifyBattery:
         detail = next(r["detail"] for r in verify23
                       if r["check"] == "antiperiodic l=0")
         assert f"+/- {LOCATE_ERR:.1e}," in detail
+
+    def test_route_disagreement_is_a_failed_row(self, monkeypatch):
+        original = pipeline.direct_twisted_counts
+
+        def wrong(l, traj, n):
+            return [(r, neg + (l == 2), zero)
+                    for r, neg, zero in original(l, traj, n)]
+
+        monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
+        rows = {r["check"]: r for r in verify_family(2, 3, n=512)}
+        assert rows["route agreement l=1"]["ok"]
+        assert not rows["route agreement l=2"]["ok"]
+        assert rows["route agreement l=2"]["detail"].startswith("MISMATCH")
 
 
 class TestCli:

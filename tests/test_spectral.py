@@ -362,6 +362,18 @@ class TestTwistedConsistency:
         assert resid < 1e-10
 
 
+@pytest.mark.parametrize("q", [3, 8, 17, 99])
+def test_roots_of_unity_ladder_exact(q):
+    ladder = roots_of_unity_ladder(q)
+    assert len(ladder) == 2 * q
+    assert ladder[0] == 1 and ladder[q] == -1
+    if q % 2 == 0:
+        assert ladder[q // 2] == 1j and ladder[3 * q // 2] == -1j
+    for r in range(1, 2 * q):
+        assert ladder[2 * q - r] == ladder[r].conjugate()
+        assert abs(ladder[r] - cmath.exp(1j * math.pi * r / q)) <= 2e-15
+
+
 @settings(max_examples=10, deadline=None)
 @given(shift=st.floats(min_value=-2.0, max_value=2.0))
 @example(shift=-1e-5)
