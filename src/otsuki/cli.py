@@ -20,7 +20,8 @@ from .errors import NumericalError, ValidationError
 from .geodesic import (GeodesicFamily, RotationNumber, sample_trajectory,
                        solve_parameter)
 from .pipeline import (cache_dir_path, cache_load, cache_store, compute_index,
-                       iter_reports, report_document, verify_family)
+                       family_trajectory, iter_reports, report_document,
+                       verify_family)
 from .sl import BoundaryCondition
 from .edwards import (aggregate_roots, boundary_form, roots_of_unity_ladder)
 from .spectral import spectrum_below
@@ -123,8 +124,7 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     family = _resolve_family(args)
-    n_traj = max(1024, min(args.n, 8192))
-    traj = sample_trajectory(family, n_traj)
+    traj = family_trajectory(family, args.n)
     if args.bc == "twisted":
         if args.omega_index is None or family.rotation is None:
             raise ValidationError("twisted problems need --p/--q and --omega-index")
@@ -152,7 +152,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_edwards(args) -> int:
     family = _resolve_family(args)
-    traj = sample_trajectory(family, max(1024, min(args.n, 8192)))
+    traj = family_trajectory(family, args.n)
     data = boundary_form(args.l, traj, n_dirichlet=args.n)
     doc = data.to_json_dict()
     if family.rotation is not None:
@@ -203,7 +203,7 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
                 continue
             try:
                 p, q = map(int, line.split())
-                RotationNumber(p, q, t0=1.0)
+                RotationNumber(p, q)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{lineno}: bad family {raw.strip()!r}: {exc}")

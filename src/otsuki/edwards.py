@@ -25,7 +25,7 @@ from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
 from .geodesic import Trajectory, _geodesic_rhs
 from .sl import BoundaryCondition, roots_of_unity_ladder
-from .spectral import TAU_ZERO, spectrum_counts
+from .spectral import LOCATE_TOL, TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
 from .eigencount import eigenvalues_in
 
@@ -59,7 +59,7 @@ def dirichlet_negative_count(l: int, traj: Trajectory,
     neg, zero = spectrum_counts(system, n)
     # the margin is the distance from zero to the nearest eigenvalue, capped
     lam = eigenvalues_in(system.operator(n), -_MARGIN_CAP, _MARGIN_CAP,
-                         tol=1e-10, near=0.0)
+                         tol=LOCATE_TOL, near=0.0)
     margin = float(np.abs(lam).min()) if len(lam) else _MARGIN_CAP
     if zero > 0 or margin <= DIRICHLET_MARGIN:
         raise EdwardsInapplicableError(

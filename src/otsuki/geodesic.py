@@ -88,11 +88,10 @@ def rotation_angle(b: float) -> float:
 
 @dataclass(frozen=True)
 class RotationNumber:
-    """Reduced fraction p/q in (1/2, sqrt(2)/2) plus the closed length t0 = 2qT."""
+    """Reduced fraction p/q in (1/2, sqrt(2)/2)."""
 
     p: int
     q: int
-    t0: float
 
     def __post_init__(self):
         if self.p <= 0 or self.q <= 0:
@@ -136,9 +135,10 @@ class GeodesicFamily:
 
     @property
     def t0(self) -> float:
+        """The closed length 2 q T."""
         if self.rotation is None:
             raise ValidationError("full geodesic length needs a rotation number")
-        return self.rotation.t0
+        return 2 * self.rotation.q * self.T
 
 
 def solve_parameter(p: int, q: int) -> GeodesicFamily:
@@ -154,7 +154,7 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError("p and q must be integers")
     # validates gcd and the admissible interval before any quadrature
-    RotationNumber(p, q, t0=1.0)
+    RotationNumber(p, q)
     target = p * math.pi / q
 
     # the rotation angle approaches its polar limit only as b -> -pi/2, so
@@ -199,7 +199,7 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
     c = TWO_PI * math.cos(b) ** 2
     return GeodesicFamily(
         b=b, c=c, T=T, Xi=rotation_angle(b),
-        rotation=RotationNumber(p, q, t0=2 * q * T),
+        rotation=RotationNumber(p, q),
     )
 
 

@@ -22,10 +22,11 @@ from . import jsonio
 from .edwards import aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
-from .geodesic import Trajectory, sample_trajectory, solve_parameter
-from .sl import BoundaryCondition
+from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
+                       solve_parameter)
 from .spectral import (LOCATE_ERR, TAU_ZERO, direct_twisted_counts,
-                       spectral_index, spectrum_counts, verify_high_l_positive)
+                       spectral_index, spectrum_counts, symmetry_class,
+                       verify_high_l_positive)
 from .surface import l0_channel_system
 
 REPORT_VERSION = "1"
@@ -97,13 +98,17 @@ def spectral_index_formula(p: int, q: int) -> int:
     return 2 * q + 4 * p - 2 if q % 2 == 1 else q + 2 * p - 2
 
 
+def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
+    """The family's trajectory for a run at mesh n: 2n nodes, at least 1024
+    and at most 4096."""
+    return sample_trajectory(family, min(4096, max(1024, 2 * n)))
+
+
 def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
-    q = traj.family.rotation.q
-    interval = "t0/2" if q % 2 == 0 else "t0"
+    interval, bc = symmetry_class(0, traj.family.rotation.q)
     neg = zero = 0
     for chan in (1, 2):
-        system = l0_channel_system(chan, traj, interval,
-                                   BoundaryCondition.periodic())
+        system = l0_channel_system(chan, traj, interval, bc)
         c_neg, c_zero = spectrum_counts(system, n)
         neg += c_neg
         zero += c_zero
@@ -126,8 +131,8 @@ def _sum_rows(rows, parity: Optional[int] = None) -> tuple[int, int]:
     return sum(n for n, _ in keep), sum(z for _, z in keep)
 
 
-def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
-                  n_traj: int = 4096) -> IndexReport:
+def compute_index(p: int, q: int, method: str = "both",
+                  n: int = 4096) -> IndexReport:
     """Full Morse index / nullity report for the closed family p/q.
 
     method 'direct' discretizes every twisted problem, 'edwards' counts
@@ -139,7 +144,7 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
     family = solve_parameter(p, q)
-    traj = sample_trajectory(family, n_traj)
+    traj = family_trajectory(family, n)
     q_even = (q % 2 == 0)
 
     records = [_mode0_counts(traj, n)]
@@ -188,7 +193,7 @@ def compute_index(p: int, q: int, method: str = "both", n: int = 4096,
         records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
                                      split=split, per_omega=tuple(rows)))
 
-    if not verify_high_l_positive(3, traj, n=max(512, n // 4)):
+    if not verify_high_l_positive(3, traj, n=n):
         raise NumericalError("mode l=3 failed the positivity check; "
                              "higher modes cannot be dismissed")
     flags["l3_positive"] = True
@@ -315,11 +320,8 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
 # ---------------------------------------------------------------------------
 # per-family verification battery (CLI `verify`)
 
-def verify_family(p: int, q: int, n: int = 1024,
-                  n_traj: Optional[int] = None) -> list[dict]:
+def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     """Fast invariant battery for one family; returns pass/fail rows."""
-    if n_traj is None:
-        n_traj = max(1024, 2 * n)
     from .spectral import antiperiodic_check_l0
     from .surface import (frame, kernel_fields, kernel_residual,
                           separated_coefficients)
@@ -330,7 +332,7 @@ def verify_family(p: int, q: int, n: int = 1024,
         rows.append({"check": name, "ok": bool(ok), "detail": detail})
 
     family = solve_parameter(p, q)
-    traj = sample_trajectory(family, n_traj)
+    traj = family_trajectory(family, n)
     drift = traj.conservation_drift()
     add("conservation", drift < 1e-10, f"max drift {drift:.3e}")
     add("endpoint phi(T)=-b", abs(traj.phi[-1] + family.b) < 1e-8,
@@ -386,5 +388,5 @@ def verify_family(p: int, q: int, n: int = 1024,
         except EdwardsInapplicableError as exc:
             add(f"route agreement l={l}", True, f"edwards inapplicable: {exc}")
 
-    add("l=3 positive", verify_high_l_positive(3, traj, n=max(512, n // 2)), "")
+    add("l=3 positive", verify_high_l_positive(3, traj, n=n), "")
     return rows

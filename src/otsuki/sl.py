@@ -90,7 +90,6 @@ class SLSystem:
     bc: BoundaryCondition
     sampler: Callable[[np.ndarray], tuple]
     l: Optional[int] = None
-    label: str = ""
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -116,35 +115,17 @@ class SLSystem:
         return nodes, np.asarray(p_nodes), np.asarray(p_half), np.asarray(q_nodes)
 
     def discretize(self, n: int) -> BandOperator:
-        """Second-order divergence-form discretization on n subintervals."""
+        """Second-order divergence-form discretization on n subintervals;
+        a Dirichlet problem keeps the interior rows 1..n-1 and no wrap."""
         if n < 128:
             raise ValidationError(f"mesh too coarse: n = {n} < 128")
         h = self.length / n
         _, _, p_half, q_nodes = self.sample(n)
         if np.any(p_half <= 0.0):
             raise ValidationError("weight must be strictly positive")
-        mult = self.bc.channel_multipliers(self.dim)
-
-        if self.bc.kind == "dirichlet":
-            # unknowns at the interior nodes 1..n-1
-            h2 = h * h
-            q_int = q_nodes[1:]
-            dsum = (p_half[1:] + p_half[:-1]) / h2
-            off = -p_half[1:-1] / h2
-            if self.dim == 1:
-                diag = dsum + q_int
-            else:
-                diag = np.empty((n - 1, 3))
-                diag[:, 0] = dsum + q_int[:, 0]
-                diag[:, 1] = q_int[:, 1]
-                diag[:, 2] = dsum + q_int[:, 2]
-            return BandOperator(dim=self.dim, diag=diag, off=off,
-                                meta={"h": h, "n": n, "label": self.label})
-
         h2 = h * h
         dsum = (p_half + np.roll(p_half, 1)) / h2
         off = -p_half[:-1] / h2
-        wrap_off = float(-p_half[-1] / h2)
         if self.dim == 1:
             diag = dsum + q_nodes
         else:
@@ -152,13 +133,17 @@ class SLSystem:
             diag[:, 0] = dsum + q_nodes[:, 0]
             diag[:, 1] = q_nodes[:, 1]
             diag[:, 2] = dsum + q_nodes[:, 2]
+        if self.bc.kind == "dirichlet":
+            return BandOperator(dim=self.dim, diag=diag[1:], off=off[1:],
+                                meta={"n": n})
         return BandOperator(dim=self.dim, diag=diag, off=off,
-                            wrap_off=wrap_off, wrap_mult=mult,
-                            meta={"h": h, "n": n, "label": self.label})
+                            wrap_off=float(-p_half[-1] / h2),
+                            wrap_mult=self.bc.channel_multipliers(self.dim),
+                            meta={"n": n})
 
 
 def constant_system(dim: int, length: float, weight: float, potential,
-                    bc: BoundaryCondition, label: str = "") -> SLSystem:
+                    bc: BoundaryCondition) -> SLSystem:
     """Constant-coefficient system; the calibration cases live here."""
     potential = np.asarray(potential, dtype=float)
 
@@ -171,4 +156,4 @@ def constant_system(dim: int, length: float, weight: float, potential,
             q = np.tile(potential, (len(t), 1))
         return p, q
 
-    return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler, label=label)
+    return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)

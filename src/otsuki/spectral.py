@@ -73,9 +73,28 @@ class SpectrumSummary:
 def _end_sweeps(operator, length: float, n: int, boundary: float):
     """The zone half-width, and the sweeps at boundary -+ zone, each on the
     meshes n and 2n (``operator(k)``), in that order."""
+    ops = operator(n), operator(2 * n)
     zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (length / n) ** 2))
-    return zone, [inertia(operator(k), sigma) for sigma in
-                  (boundary - zone, boundary + zone) for k in (n, 2 * n)]
+    return zone, [inertia(op, sigma) for sigma in
+                  (boundary - zone, boundary + zone) for op in ops]
+
+
+def _extrapolated(operator, n: int, lo: float, hi: float, tol: float):
+    """The eigenvalues in (lo, hi] on the meshes n and 2n (``operator(k)``),
+    Richardson extrapolated, (4 lam_2n - lam_n) / 3, and lam_n itself.
+    Meshes that hold different numbers of eigenvalues are ambiguous."""
+    lam1 = eigenvalues_in(operator(n), lo, hi, tol=tol)
+    lam2 = eigenvalues_in(operator(2 * n), lo, hi, tol=tol)
+    if len(lam1) != len(lam2):
+        raise AmbiguousClassificationError(
+            f"({lo:g}, {hi:g}] holds {len(lam1)} eigenvalues at mesh {n} "
+            f"but {len(lam2)} at the doubled mesh")
+    return (4.0 * lam2 - lam1) / 3.0, lam1
+
+
+def _floor(system: SLSystem, n: int) -> float:
+    """A lower bound, less one, for every eigenvalue on the meshes n and 2n."""
+    return min(system.operator(k).gershgorin_lower() for k in (n, 2 * n)) - 1.0
 
 
 def boundary_counts(system: SLSystem, n: int,
@@ -124,12 +143,8 @@ def _classify_zone(operator, n: int, boundary: float, zone: float,
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
-        lam4 = eigenvalues_in(operator(4 * n), lo, hi, tol=LOCATE_TOL)
-        if len(lam4) != len(lam2):
-            raise AmbiguousClassificationError(
-                "zone population changed again at the third mesh")
-        lam_fine = (4.0 * lam4 - lam2) / 3.0 - boundary
-        cls_fine = classify(lam_fine)
+        lam_fine, _ = _extrapolated(operator, 2 * n, lo, hi, LOCATE_TOL)
+        cls_fine = classify(lam_fine - boundary)
         if np.any(cls_fine[borderline] != cls[borderline]):
             raise AmbiguousClassificationError(
                 "eigenvalue(s) too close to the classification boundary and "
@@ -166,16 +181,8 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     ambiguous.
     """
     neg, zero = spectrum_counts(system, n)
-    op1 = system.operator(n)
-    op2 = system.operator(2 * n)
-    floor = min(op1.gershgorin_lower(), op2.gershgorin_lower()) - 1.0
-    lam1 = eigenvalues_in(op1, floor, cutoff + ZONE, tol=1e-9)
-    lam2 = eigenvalues_in(op2, floor, cutoff + ZONE, tol=1e-9)
-    if len(lam1) != len(lam2):
-        raise AmbiguousClassificationError(
-            f"({floor:g}, {cutoff + ZONE:g}] holds {len(lam1)} eigenvalues at "
-            f"one mesh but {len(lam2)} at the doubled mesh")
-    lam = (4.0 * lam2 - lam1) / 3.0
+    lam, lam1 = _extrapolated(system.operator, n, _floor(system, n),
+                              cutoff + ZONE, 1e-9)
     keep = lam < cutoff
     listed = (int(np.sum(lam[keep] < -TAU_ZERO)),
               int(np.sum(np.abs(lam[keep]) <= TAU_ZERO)))
@@ -192,6 +199,7 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     if want_eigenfunctions:
         if system.dim != 1:
             raise ValidationError("eigenfunctions are provided for scalar systems")
+        op1 = system.operator(n)
         grid = np.arange(op1.m) * (system.length / n)
         eigenfunctions = []
         scale = max(1.0, float(np.abs(lam1).max())) if len(lam1) else 1.0
@@ -302,22 +310,14 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
     if traj.family.b == 0.0:
         raise ValidationError("needs a nondegenerate family (b != 0)")
     system = l0_channel_system(2, traj, "T", BoundaryCondition.antiperiodic())
-    op1 = system.discretize(n)
-    op2 = system.discretize(2 * n)
-    floor = min(op1.gershgorin_lower(), op2.gershgorin_lower()) - 1.0
-    hi = 0.5
-    for _ in range(12):
-        lam1 = eigenvalues_in(op1, floor, hi, tol=LOCATE_TOL)
-        if len(lam1) >= 2:
-            break
-        hi *= 2.0
-    lam2 = eigenvalues_in(op2, floor, hi, tol=LOCATE_TOL)
-    if len(lam1) < 2 or len(lam2) < 2:
+    lamR, lam1 = _extrapolated(system.operator, n, _floor(system, n), 0.5,
+                               LOCATE_TOL)
+    if len(lamR) < 2:
         raise NumericalError("failed to locate the two smallest eigenvalues")
-    lamR = (4.0 * lam2[:2] - lam1[:2]) / 3.0
     if not (lamR[0] < -TAU_ZERO and abs(lamR[1]) <= TAU_ZERO):
         raise NumericalError(
             f"antiperiodic check failed: got {lamR[0]:.3e}, {lamR[1]:.3e}")
+    op1 = system.operator(n)
     vec = scalar_eigenfunctions(op1, float(lam1[1]))[0]
     grid = np.arange(op1.m) * (system.length / n)
     phi, phid, _ = traj.at(grid)
@@ -329,6 +329,16 @@ def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
 # ---------------------------------------------------------------------------
 # spectral index and high-l positivity
 
+def symmetry_class(l: int, q: int) -> tuple[str, BoundaryCondition]:
+    """The (interval, boundary condition) of the mode-l problem that counts:
+    the full-length periodic problem for odd q; for even q the half-length
+    periodic class at even l and the antiperiodic class at odd l."""
+    if q % 2 == 1:
+        return "t0", BoundaryCondition.periodic()
+    return "t0/2", (BoundaryCondition.periodic() if l % 2 == 0
+                    else BoundaryCondition.antiperiodic())
+
+
 def spectral_index(q: int, traj: Trajectory, n: int = 4096) -> int:
     """Number of Laplace eigenvalues below 2, restricted to the symmetry
     class of the surface when q is even; mode l = 0 counts once, higher
@@ -336,28 +346,22 @@ def spectral_index(q: int, traj: Trajectory, n: int = 4096) -> int:
     functions) are excluded by extrapolation.
     """
     cutoff = 2.0
-    even_q = (q % 2 == 0)
     total = 0
     l = 0
     while l * l < cutoff:
         # potential l^2/cos^2 >= l^2 and the derivative term is nonnegative,
         # so blocks with l^2 >= cutoff cannot contribute
-        if even_q:
-            bc = (BoundaryCondition.periodic() if l % 2 == 0
-                  else BoundaryCondition.antiperiodic())
-            system = laplace_system(l, traj, "t0/2", bc)
-        else:
-            system = laplace_system(l, traj, "t0")
+        system = laplace_system(l, traj, *symmetry_class(l, q))
         below, _at = boundary_counts(system, n, cutoff)
         total += below if l == 0 else 2 * below
         l += 1
     return total
 
 
-def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024) -> bool:
+def verify_high_l_positive(l: int, traj: Trajectory, n: int = 4096) -> bool:
     """True when the mode-l block is strictly positive: the potential is
-    pointwise positive definite and the discretized block has no
-    eigenvalue at or below zero."""
+    pointwise positive definite and, for a run at mesh n, the block on a
+    quarter of that mesh (at least 512) has no eigenvalue at or below zero."""
     if l < 3:
         raise ValidationError("positivity is only claimed for l >= 3")
     grid = full_period_grid(traj) if traj.family.rotation else traj.grid
@@ -366,7 +370,7 @@ def verify_high_l_positive(l: int, traj: Trajectory, n: int = 1024) -> bool:
     det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
     pointwise = bool(np.all(Q[:, 0, 0] > 0) and np.all(det > 0))
     system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
-    neg, zero = spectrum_counts(system, n)
+    neg, zero = spectrum_counts(system, max(512, n // 4))
     return pointwise and neg == 0 and zero == 0
 
 

@@ -241,11 +241,11 @@ def _interval_length(traj: Trajectory, interval: str) -> float:
     if rot is None:
         raise ValidationError(f"interval {interval!r} needs a closed geodesic")
     if interval == "t0":
-        return rot.t0
+        return traj.family.t0
     if interval == "t0/2":
         if rot.q % 2 != 0:
             raise ValidationError("the half-length symmetry class needs even q")
-        return 0.5 * rot.t0
+        return 0.5 * traj.family.t0
     raise ValidationError(f"unknown interval {interval!r}")
 
 
@@ -262,8 +262,7 @@ def fourier_block_system(l: int, traj: Trajectory, interval: str,
         p, q11, q12, q22 = _q_entries(l, c, phi, phid)
         return p, np.stack([q11, q12, q22], axis=1)
 
-    return SLSystem(dim=2, length=L, bc=bc, sampler=sampler, l=l,
-                    label=f"l={l} block on {interval}")
+    return SLSystem(dim=2, length=L, bc=bc, sampler=sampler, l=l)
 
 
 def l0_channel_system(channel: int, traj: Trajectory, interval: str,
@@ -279,8 +278,7 @@ def l0_channel_system(channel: int, traj: Trajectory, interval: str,
         p, q11, _, q22 = _q_entries(0, c, phi, phid)
         return p, (q11 if channel == 1 else q22)
 
-    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=0,
-                    label=f"l=0 channel {channel} on {interval}")
+    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=0)
 
 
 def laplace_system(l: int, traj: Trajectory, interval: str = "t0",
@@ -296,8 +294,7 @@ def laplace_system(l: int, traj: Trajectory, interval: str = "t0",
         phi, _, _ = traj.at(np.asarray(t))
         return _weight(phi), l * l / np.cos(phi) ** 2
 
-    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=l,
-                    label=f"laplace l={l} on {interval}")
+    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=l)
 
 
 def export_immersion_csv(traj: Trajectory, path: str,

@@ -190,7 +190,7 @@ def test_criterion_09_spectral_index(traj23, traj58, headline_report):
         assert spectral_index(3, traj23, n=4096) == 2 * 3 + 4 * 2 - 2
         assert spectral_index(8, traj58, n=4096) == 8 + 2 * 5 - 2
         assert headline_report.ind <= 5 * headline_report.spectral_index + 2
-        other = compute_index(5, 8, method="direct", n=1024, n_traj=2048)
+        other = compute_index(5, 8, method="direct", n=1024)
         assert other.ind <= 5 * other.spectral_index + 2
 
 

@@ -44,6 +44,16 @@ def _bc_id(bc):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_dirichlet_rows_are_the_periodic_interior_rows(dim):
+    # one stencil serves every boundary condition
+    cyc = _wavy_system(dim, BoundaryCondition.periodic()).discretize(256)
+    op = _wavy_system(dim, BoundaryCondition.dirichlet()).discretize(256)
+    assert not op.cyclic and op.m == 255
+    assert op.diag.tobytes() == cyc.diag[1:].tobytes()
+    assert op.off.tobytes() == cyc.off[1:].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("bc", BCS, ids=_bc_id)
 def test_inertia_matches_dense(dim, bc):
     op = _wavy_system(dim, bc).discretize(256)

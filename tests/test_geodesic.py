@@ -84,7 +84,7 @@ class TestSolveParameter:
         assert abs(fam23.Xi - 2 * math.pi / 3) < 1e-10
         assert fam23.c == pytest.approx(2 * math.pi * math.cos(fam23.b) ** 2,
                                         rel=1e-15)
-        assert fam23.rotation.t0 == pytest.approx(6 * fam23.T, rel=1e-15)
+        assert fam23.t0 == pytest.approx(6 * fam23.T, rel=1e-15)
 
     def test_parameters_are_plain_floats(self, fam23):
         # the RK4 stepper runs on Python floats; numpy scalars would slow it
@@ -253,6 +253,6 @@ def test_metric_positive_property(phi):
 
 def test_rotation_number_validation():
     with pytest.raises(ValidationError):
-        RotationNumber(4, 6, t0=1.0)
-    rot = RotationNumber(7, 10, t0=5.0)
+        RotationNumber(4, 6)
+    rot = RotationNumber(7, 10)
     assert rot.parity == "even"

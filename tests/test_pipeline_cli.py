@@ -10,7 +10,7 @@ from otsuki import cli, jsonio, pipeline
 from otsuki.cli import run_cli
 from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
-                             compute_index, report_document,
+                             compute_index, family_trajectory, report_document,
                              spectral_index_formula, index_bounds,
                              verify_family)
 from otsuki.spectral import LOCATE_ERR
@@ -18,7 +18,7 @@ from otsuki.spectral import LOCATE_ERR
 
 @pytest.fixture(scope="module")
 def report23():
-    return compute_index(2, 3, method="both", n=512, n_traj=1024)
+    return compute_index(2, 3, method="both", n=512)
 
 
 class TestFormulas:
@@ -36,6 +36,12 @@ class TestFormulas:
     @pytest.mark.parametrize("p,q,expect", [(2, 3, 12), (5, 8, 16), (7, 10, 22)])
     def test_spectral_index_formula(self, p, q, expect):
         assert spectral_index_formula(p, q) == expect
+
+
+@pytest.mark.parametrize("n,nodes", [(512, 1024), (1024, 2048), (2048, 4096),
+                                     (4096, 4096), (32768, 4096)])
+def test_family_trajectory_nodes(fam23, n, nodes):
+    assert family_trajectory(fam23, n).n == nodes
 
 
 class TestComputeIndex:
@@ -69,7 +75,7 @@ class TestComputeIndex:
         assert report23.flags["edwards_applicable"] == {"1": True, "2": True}
 
     def test_determinism_modulo_timestamp(self, report23):
-        second = compute_index(2, 3, method="both", n=512, n_traj=1024)
+        second = compute_index(2, 3, method="both", n=512)
         d1 = report23.to_json_dict()
         d2 = second.to_json_dict()
         d1.pop("timestamp")
@@ -91,7 +97,7 @@ class TestComputeIndex:
 
         monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         with pytest.raises(RouteDisagreementError):
-            compute_index(2, 3, method="both", n=512, n_traj=1024)
+            compute_index(2, 3, method="both", n=512)
 
     def test_edwards_fallback_flagged(self, monkeypatch):
         import otsuki.pipeline as pipeline
@@ -101,7 +107,7 @@ class TestComputeIndex:
             raise EdwardsInapplicableError("forced")
 
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
-        report = compute_index(2, 3, method="both", n=512, n_traj=1024)
+        report = compute_index(2, 3, method="both", n=512)
         assert report.flags["edwards_applicable"] == {"1": False, "2": False}
         assert report.ind == 31 and report.nul == 9
         by_l = {r.l: r for r in report.per_mode}
@@ -116,7 +122,7 @@ class TestComputeIndex:
 
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
         with pytest.raises(EdwardsInapplicableError):
-            compute_index(2, 3, method="edwards", n=512, n_traj=1024)
+            compute_index(2, 3, method="edwards", n=512)
 
 
 class TestCache:
@@ -384,6 +390,22 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "mesh too coarse" in err
         assert attempted == [(2, 3)]
+
+    @pytest.mark.parametrize("command", [
+        ["index", "--p", "2", "--q", "3"], ["verify", "--p", "2", "--q", "3"],
+        ["spectrum", "--p", "2", "--q", "3", "--l", "0"],
+        ["edwards", "--p", "2", "--q", "3", "--l", "1"], ["sweep"]],
+        ids=lambda c: c[0])
+    def test_zero_mesh_exits_1(self, capsys, tmp_path, command):
+        if command == ["sweep"]:
+            listing = tmp_path / "families.txt"
+            listing.write_text("2/3\n3/5\n")
+            command = ["sweep", "--input", str(listing)]
+        elif command[0] == "index":
+            command = command + ["--cache-dir", str(tmp_path / "cache")]
+        assert run_cli(command + ["--n", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: mesh too coarse: n = 0 < 128\n"
 
     @pytest.mark.parametrize("line", ["2 3 4", "a b", "2", "1/2"])
     def test_sweep_bad_line_exits_1(self, capsys, tmp_path, line):

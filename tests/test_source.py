@@ -54,3 +54,29 @@ def test_sweep_loops_do_real_arithmetic():
                     found.append(f"{name}: .{node.attr}")
     assert kernels, "no inertia kernel loop found"
     assert not found, f"complex arithmetic in sweep loops: {found}"
+
+
+# public functions that only the tests call, until the verify battery or
+# the tests take them over
+TEST_ONLY = {"metric_coefficients", "weingarten_diag", "export_immersion_csv",
+             "check_interlacing", "oscillation_index", "spectral_index_formula",
+             "constant_system"}
+
+
+def test_every_public_function_has_a_caller():
+    root = pathlib.Path(__file__).parent.parent
+    used = set()
+    for path in SOURCES + sorted((root / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {node.name for path in SOURCES
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")}
+    assert TEST_ONLY <= public - used, \
+        f"no longer test-only: {sorted(TEST_ONLY - (public - used))}"
+    uncalled = sorted(public - used - TEST_ONLY)
+    assert not uncalled, f"public functions nothing in src/ or scripts/ calls: {uncalled}"

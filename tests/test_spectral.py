@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from otsuki import spectral
 from otsuki.eigencount import eigenvalues_in
 from otsuki.errors import AmbiguousClassificationError, ValidationError
 from otsuki.sl import (BoundaryCondition, SLSystem, constant_system,
@@ -13,7 +14,8 @@ from otsuki.sl import (BoundaryCondition, SLSystem, constant_system,
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
                              check_interlacing, direct_twisted_counts,
                              oscillation_index, spectral_index, spectrum_below,
-                             spectrum_counts, verify_high_l_positive, zero_count)
+                             spectrum_counts, symmetry_class,
+                             verify_high_l_positive, zero_count)
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             separated_coefficients)
 
@@ -252,6 +254,26 @@ class TestAntiperiodicCheck:
     def test_rejects_degenerate_family(self, clifford_traj):
         with pytest.raises(ValidationError):
             antiperiodic_check_l0(clifford_traj)
+
+    def test_mesh_disagreement_is_ambiguous(self, traj23, monkeypatch):
+        n = 256
+        original = spectral.eigenvalues_in
+
+        def extra_on_doubled_mesh(op, lo, hi, **kwargs):
+            lam = original(op, lo, hi, **kwargs)
+            return np.append(lam, hi) if op.m == 2 * n else lam
+
+        monkeypatch.setattr(spectral, "eigenvalues_in", extra_on_doubled_mesh)
+        with pytest.raises(AmbiguousClassificationError):
+            antiperiodic_check_l0(traj23, n=n)
+
+
+@pytest.mark.parametrize("l,q,interval,kind", [
+    (0, 3, "t0", "periodic"), (1, 3, "t0", "periodic"),
+    (2, 3, "t0", "periodic"), (0, 8, "t0/2", "periodic"),
+    (1, 8, "t0/2", "antiperiodic"), (2, 8, "t0/2", "periodic")])
+def test_symmetry_class(l, q, interval, kind):
+    assert symmetry_class(l, q) == (interval, BoundaryCondition(kind))
 
 
 class TestSpectralIndex:
