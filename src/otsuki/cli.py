@@ -115,7 +115,7 @@ def _cmd_geodesic(args) -> int:
         doc["p"] = family.rotation.p
         doc["q"] = family.rotation.q
         doc["t0"] = family.t0
-    if args.n:
+    if args.n is not None:
         traj = sample_trajectory(family, args.n)
         doc["trajectory"] = traj.to_json_dict()
     _emit(doc, args)

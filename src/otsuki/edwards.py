@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
@@ -37,6 +36,12 @@ ODE_RTOL = 1e-11
 SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
 FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
 ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
+
+
+def solve_ivp(*args, **kwargs):
+    """Import scipy here: it is most of ``import otsuki``, and only this route integrates."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

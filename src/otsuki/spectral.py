@@ -180,6 +180,8 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     A listing that contradicts the counts, as far as it reaches, is
     ambiguous.
     """
+    if not math.isfinite(cutoff):
+        raise ValidationError(f"cutoff must be finite, got {cutoff}")
     neg, zero = spectrum_counts(system, n)
     lam, lam1 = _extrapolated(system.operator, n, _floor(system, n),
                               cutoff + ZONE, 1e-9)

@@ -274,6 +274,11 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["b"] == -0.3 and "t0" not in doc
 
+    def test_geodesic_zero_intervals_exits_1(self, capsys):
+        assert run_cli(["geodesic", "--p", "2", "--q", "3", "--n", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: need n >= 64 grid intervals, got 0\n"
+
     def test_inadmissible_ratio_exits_1(self, capsys):
         assert run_cli(["index", "--p", "1", "--q", "2"]) == 1
         assert "1/2" in capsys.readouterr().err
@@ -289,6 +294,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["bc"] == "antiperiodic"
         assert doc[0]["neg"] == 1 and doc[0]["zero"] == 1
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    def test_spectrum_non_finite_cutoff_exits_1(self, capsys, cutoff):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "0",
+                        "--n", "256", f"--cutoff={cutoff}"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cutoff must be finite, got {cutoff}\n"
 
     def test_twisted_spectrum_needs_omega(self, capsys):
         code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",

@@ -1,12 +1,16 @@
 """Checks over the package source itself."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "otsuki")
-                 .glob("*.py"))
+SRC = pathlib.Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "otsuki").glob("*.py"))
 
 
 def _functions(tree):
@@ -80,3 +84,62 @@ def test_every_public_function_has_a_caller():
         f"no longer test-only: {sorted(TEST_ONLY - (public - used))}"
     uncalled = sorted(public - used - TEST_ONLY)
     assert not uncalled, f"public functions nothing in src/ or scripts/ calls: {uncalled}"
+
+
+# ``body`` runs in a fresh interpreter, may set ``code``, and may exit;
+# the probe prints that code and the scipy modules loaded by then
+_PROBE = """
+import contextlib, io, json, sys
+code = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        {body}
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({{"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+"""
+
+
+def _probe(setup, body="pass"):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", setup + "\n" + _PROBE.format(body=body)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli(*argv):
+    return _probe("from otsuki.cli import run_cli",
+                  f"code = run_cli({list(argv)!r})")
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _probe("import otsuki") == {"code": 0, "scipy": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["geodesic", "--p", "2", "--q", "3"],
+    ["index", "--p", "2", "--q", "3", "--n", "512", "--method", "direct",
+     "--no-cache"]], ids=lambda a: a[0])
+def test_cli_without_integration_leaves_scipy_unloaded(argv):
+    assert _cli(*argv) == {"code": 0, "scipy": []}
+
+
+def test_index_cache_hit_leaves_scipy_unloaded(tmp_path):
+    argv = ["index", "--p", "2", "--q", "3", "--n", "512",
+            "--cache-dir", str(tmp_path)]
+    miss = _cli(*argv)
+    assert miss["code"] == 0 and "scipy.integrate" in miss["scipy"]
+    assert len(list(tmp_path.iterdir())) == 1
+    assert _cli(*argv) == {"code": 0, "scipy": []}
+
+
+def test_boundary_form_loads_scipy():
+    got = _probe("from otsuki.edwards import boundary_form\n"
+                 "from otsuki.geodesic import sample_trajectory, solve_parameter",
+                 "boundary_form(1, sample_trajectory(solve_parameter(2, 3), 1024))")
+    assert "scipy.integrate" in got["scipy"]
