@@ -16,19 +16,15 @@ from .geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION, GeodesicFamily,
                        metric_coefficients, rotation_angle, sample_trajectory,
                        solve_parameter)
 from .surface import (FramePoint, KernelField, SeparatedCoefficients, frame,
-                      immersion, kernel_fields, kernel_residual,
-                      export_immersion_csv, separated_coefficients,
-                      weingarten_diag)
-from .sl import BoundaryCondition, SLSystem, constant_system
-from .spectral import (SpectrumSummary, antiperiodic_check_l0, oscillation_index,
-                       spectral_index, spectrum_below, spectrum_counts,
-                       verify_high_l_positive, zero_count)
+                      kernel_fields, kernel_residual, separated_coefficients)
+from .sl import BoundaryCondition, SLSystem
+from .spectral import (SpectrumSummary, antiperiodic_check_l0, spectral_index,
+                       spectrum_below, spectrum_counts, verify_high_l_positive)
 from .edwards import (BoundaryFormData, aggregate_roots, boundary_form,
                       boundary_solutions, det_polynomial,
                       dirichlet_negative_count, gram_matrix, twisted_counts,
                       twisted_form)
 from .pipeline import (IndexReport, bounds_check, cache_load, cache_store,
-                       compute_index, spectral_index_formula, index_bounds,
-                       verify_family)
+                       compute_index, index_bounds, verify_family)
 
 __version__ = "0.1.0"

@@ -153,7 +153,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_edwards(args) -> int:
     family = _resolve_family(args)
     traj = family_trajectory(family, args.n)
-    data = boundary_form(args.l, traj, n_dirichlet=args.n)
+    data = boundary_form(args.l, traj, n=args.n)
     doc = data.to_json_dict()
     if family.rotation is not None:
         rows = aggregate_roots(data, family.rotation.q)

@@ -46,14 +46,11 @@ def solve_ivp(*args, **kwargs):
 
 @dataclass(frozen=True)
 class DirichletCounts:
-    l: int
     negative: int
     margin: float
-    mesh: int
 
 
-def dirichlet_negative_count(l: int, traj: Trajectory,
-                             n: int = 2048) -> DirichletCounts:
+def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCounts:
     """Negative count and zero-distance margin of the Dirichlet block on [0, T].
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
@@ -70,7 +67,7 @@ def dirichlet_negative_count(l: int, traj: Trajectory,
         raise EdwardsInapplicableError(
             f"Dirichlet problem at l={l} is degenerate: {zero} zero mode(s), "
             f"margin {margin:.3e} (needs > {DIRICHLET_MARGIN:g})")
-    return DirichletCounts(l=l, negative=neg, margin=margin, mesh=n)
+    return DirichletCounts(negative=neg, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,16 @@ class BoundarySolutions:
         return np.tensordot(self.coeffs[:, i], Y[:, :2], axes=1)
 
 
-def boundary_solutions(l: int, traj: Trajectory,
-                       n_dirichlet: int = 2048) -> BoundarySolutions:
+def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     """Integrate the four fundamental solutions and match boundary values.
 
     The geodesic rides along in the integrated state so the coefficients
     are exact along the way.  Fails when the Dirichlet problem is
     degenerate (the boundary map is then no bijection) or when the 4x4
     matching system is ill conditioned.  The Dirichlet counts of that
-    check ride along in the result.
+    check, on mesh n, ride along in the result.
     """
-    dirichlet = dirichlet_negative_count(l, traj, n=n_dirichlet)
+    dirichlet = dirichlet_negative_count(l, traj, n=n)
 
     fam = traj.family
     c = fam.c
@@ -190,7 +186,6 @@ def twisted_form(a: np.ndarray, omega: complex) -> np.ndarray:
 class DeterminantPolynomial:
     coeffs: tuple                 # (c2, c1, c0) of det A(s)
     roots: tuple                  # real roots, ascending (possibly empty)
-    complex_pair: bool
 
     @property
     def s1(self) -> Optional[float]:
@@ -226,18 +221,15 @@ def det_polynomial(a: np.ndarray) -> DeterminantPolynomial:
     if abs(c2) <= 1e-12 * scale:
         if abs(c1) <= 1e-12 * scale:
             raise NumericalError("degenerate boundary form: degree-0 determinant")
-        return DeterminantPolynomial(coeffs=(c2, c1, c0),
-                                     roots=(-c0 / c1,), complex_pair=False)
+        return DeterminantPolynomial(coeffs=(c2, c1, c0), roots=(-c0 / c1,))
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
-        return DeterminantPolynomial(coeffs=(c2, c1, c0), roots=(),
-                                     complex_pair=True)
+        return DeterminantPolynomial(coeffs=(c2, c1, c0), roots=())
     rt = math.sqrt(disc)
     r1 = (-c1 - rt) / (2.0 * c2)
     r2 = (-c1 + rt) / (2.0 * c2)
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
-    return DeterminantPolynomial(coeffs=(c2, c1, c0), roots=(lo, hi),
-                                 complex_pair=False)
+    return DeterminantPolynomial(coeffs=(c2, c1, c0), roots=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -262,14 +254,14 @@ class BoundaryFormData:
         }
 
 
-def boundary_form(l: int, traj: Trajectory,
-                  n_dirichlet: int = 2048) -> BoundaryFormData:
+def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The route is refused (EdwardsInapplicableError) when the Dirichlet
-    problem is degenerate; see :func:`dirichlet_negative_count`.
+    problem, counted on mesh n, is degenerate; see
+    :func:`dirichlet_negative_count`.
     """
-    sols = boundary_solutions(l, traj, n_dirichlet=n_dirichlet)
+    sols = boundary_solutions(l, traj, n=n)
     a = gram_matrix(sols)
     poly = det_polynomial(a)
     return BoundaryFormData(l=l, b=traj.family.b, a=a,

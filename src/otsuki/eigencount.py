@@ -314,8 +314,8 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
     return out
 
 
-def eigenvalues_in(op: BandOperator, lo: float, hi: float,
-                   tol: float = 1e-9, near: Optional[float] = None) -> np.ndarray:
+def eigenvalues_in(op: BandOperator, lo: float, hi: float, tol: float,
+                   near: Optional[float] = None) -> np.ndarray:
     """All eigenvalues in (lo, hi], each the midpoint of a bracket no wider
     than tol.
 

@@ -38,12 +38,14 @@ _SLOPE_STEP = 1e-6      # central-difference half-width in b, relative to |b|
 DRIFT_TOL = 1e-8        # largest energy drift of a sampled trajectory
 
 
-def metric_coefficients(phi: float) -> tuple[float, float]:
-    """Return (E, G) at latitude phi; the metric degenerates at the poles."""
-    if not abs(phi) < math.pi / 2:
+def metric_coefficients(phi):
+    """Return (E, G) at latitude phi, a float or an array; the metric
+    degenerates at the poles."""
+    if not np.all(np.abs(phi) < math.pi / 2):
         raise DomainError(f"metric degenerates at |phi| >= pi/2 (got {phi!r})")
-    c2 = math.cos(phi) ** 2
-    return FOUR_PI2 * c2, FOUR_PI2 * c2 * c2
+    c2 = np.cos(phi) ** 2
+    E = FOUR_PI2 * c2
+    return E, E * c2
 
 
 def _check_b(b: float) -> None:
@@ -103,10 +105,6 @@ class RotationNumber:
             raise ValidationError(
                 f"p/q must lie in (1/2, sqrt(2)/2), got {self.p}/{self.q} = {ratio:.6f}"
             )
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.q % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,7 @@ class Trajectory:
         return phi, phid, theta
 
     def conservation_drift(self) -> float:
-        E = 4 * np.pi ** 2 * np.cos(self.phi) ** 2
-        G = E * np.cos(self.phi) ** 2
+        E, G = metric_coefficients(self.phi)
         thd = self.family.c / G
         return float(np.abs(E * self.phidot ** 2 + G * thd ** 2 - 1.0).max())
 

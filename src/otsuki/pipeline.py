@@ -94,10 +94,6 @@ def index_bounds(p: int, q: int) -> dict:
     return {"thm_lower": lo, "thm_upper": hi, "nul_lower": 9, "nul_upper": 13}
 
 
-def spectral_index_formula(p: int, q: int) -> int:
-    return 2 * q + 4 * p - 2 if q % 2 == 1 else q + 2 * p - 2
-
-
 def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """The family's trajectory for a run at mesh n: 2n nodes, at least 1024
     and at most 4096."""
@@ -157,7 +153,7 @@ def compute_index(p: int, q: int, method: str = "both",
         edwards_ok = None       # None: not attempted
         if method in ("edwards", "both"):
             try:
-                data = boundary_form(l, traj, n_dirichlet=n)
+                data = boundary_form(l, traj, n=n)
                 edwards_rows = aggregate_roots(data, q)
                 edwards_ok = True
             except EdwardsInapplicableError:
@@ -261,9 +257,8 @@ def cache_dir_path(cache_dir: Optional[str] = None) -> str:
     return cache_dir or os.environ.get("OTSUKI_CACHE", ".cache")
 
 
-def cache_key(p: int, q: int, n: int, method: str = "both",
-              version: str = REPORT_VERSION) -> str:
-    return f"{p}-{q}-{n}-{method}-v{version}"
+def cache_key(p: int, q: int, n: int, method: str = "both") -> str:
+    return f"{p}-{q}-{n}-{method}-v{REPORT_VERSION}"
 
 
 def cache_store(report: IndexReport, cache_dir: Optional[str] = None) -> str:
@@ -289,8 +284,7 @@ def cache_store(report: IndexReport, cache_dir: Optional[str] = None) -> str:
 
 
 def cache_load(p: int, q: int, n: int, method: str = "both",
-               cache_dir: Optional[str] = None,
-               version: str = REPORT_VERSION) -> Optional[dict]:
+               cache_dir: Optional[str] = None) -> Optional[dict]:
     """The cached document for the key, or None.  An entry that cannot be
     parsed, is no report, or names other parameters than its key is
     ignored with a warning, so the caller recomputes it."""
@@ -298,7 +292,7 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
     import warnings
 
     fname = os.path.join(cache_dir_path(cache_dir),
-                         cache_key(p, q, n, method, version) + ".json")
+                         cache_key(p, q, n, method) + ".json")
     if not os.path.exists(fname):
         return None
     try:
@@ -307,7 +301,8 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
     except (ValueError, OSError) as exc:      # JSON or UTF-8 errors
         warnings.warn(f"ignoring corrupt cache entry {fname}: {exc}")
         return None
-    want = {"p": p, "q": q, "n": n, "method": method, "version": version}
+    want = {"p": p, "q": q, "n": n, "method": method,
+            "version": REPORT_VERSION}
     got = ({k: doc.get(k) for k in want} if isinstance(doc, dict)
            else f"a JSON {type(doc).__name__}")
     if got != want:
@@ -353,7 +348,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     worst = 0.0
     for fld in fields:
         coeffs = separated_coefficients(fld.l, traj, fld.grid)
-        worst = max(worst, kernel_residual(fld, coeffs, traj).value)
+        worst = max(worst, kernel_residual(fld, coeffs, traj))
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
     rec0 = _mode0_counts(traj, n)
@@ -371,7 +366,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
 
     for l in (1, 2):
         try:
-            data = boundary_form(l, traj, n_dirichlet=n)
+            data = boundary_form(l, traj, n=n)
             if l == 1:
                 target = -math.cos(p * math.pi / q)
                 add("s2 = -cos(p pi / q)", abs(data.poly.s2 - target) < 1e-6,

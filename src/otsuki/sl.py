@@ -141,19 +141,3 @@ class SLSystem:
                             wrap_mult=self.bc.channel_multipliers(self.dim),
                             meta={"n": n})
 
-
-def constant_system(dim: int, length: float, weight: float, potential,
-                    bc: BoundaryCondition) -> SLSystem:
-    """Constant-coefficient system; the calibration cases live here."""
-    potential = np.asarray(potential, dtype=float)
-
-    def sampler(t):
-        t = np.asarray(t)
-        p = np.full(t.shape, float(weight))
-        if dim == 1:
-            q = np.full(t.shape, float(potential))
-        else:
-            q = np.tile(potential, (len(t), 1))
-        return p, q
-
-    return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)

@@ -1,4 +1,4 @@
-"""Eigenvalue counts, oscillation indexing, and the spectral index.
+"""Eigenvalue counts, spectrum listings, and the spectral index.
 
 Counting convention: an eigenvalue is "zero" when its mesh-extrapolated
 value lies within TAU_ZERO of the target level.  The exact zero modes of
@@ -15,7 +15,7 @@ meshes is an error, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -28,7 +28,7 @@ from .errors import (AmbiguousClassificationError, NumericalError,
 from .geodesic import Trajectory
 from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from .surface import (fourier_block_system, l0_channel_system, laplace_system,
-                      separated_coefficients, full_period_grid)
+                      separated_coefficients)
 
 TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
 ZONE = 2e-3         # smallest half-width of the zone refined by secant steps
@@ -54,8 +54,6 @@ class SpectrumSummary:
     l: Optional[int] = None
     bc: str = ""
     omega_index: Optional[int] = None
-    grid: Optional[np.ndarray] = field(default=None, compare=False)
-    eigenfunctions: Optional[list] = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,18 +160,7 @@ def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
     return boundary_counts(system, n)
 
 
-def _group_degenerate(values, gap):
-    groups = []
-    for v in values:
-        if groups and v - groups[-1][-1] < gap:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
-
-
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
-                   want_eigenfunctions: bool = False,
                    omega_index: Optional[int] = None) -> SpectrumSummary:
     """Everything below the cutoff: extrapolated eigenvalues plus counts.
 
@@ -183,8 +170,8 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     if not math.isfinite(cutoff):
         raise ValidationError(f"cutoff must be finite, got {cutoff}")
     neg, zero = spectrum_counts(system, n)
-    lam, lam1 = _extrapolated(system.operator, n, _floor(system, n),
-                              cutoff + ZONE, 1e-9)
+    lam, _ = _extrapolated(system.operator, n, _floor(system, n),
+                           cutoff + ZONE, 1e-9)
     keep = lam < cutoff
     listed = (int(np.sum(lam[keep] < -TAU_ZERO)),
               int(np.sum(np.abs(lam[keep]) <= TAU_ZERO)))
@@ -194,114 +181,13 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
             raise AmbiguousClassificationError(
                 f"listing (neg, zero) = {listed} contradicts the counts "
                 f"{(neg, zero)}")
-    lam_list = [float(v) for v in lam[keep]]
-
-    eigenfunctions = None
-    grid = None
-    if want_eigenfunctions:
-        if system.dim != 1:
-            raise ValidationError("eigenfunctions are provided for scalar systems")
-        op1 = system.operator(n)
-        grid = np.arange(op1.m) * (system.length / n)
-        eigenfunctions = []
-        scale = max(1.0, float(np.abs(lam1).max())) if len(lam1) else 1.0
-        for group in _group_degenerate([v for v, k in zip(lam1, keep) if k],
-                                       gap=1e-6 * scale):
-            vecs = scalar_eigenfunctions(op1, float(np.mean(group)),
-                                         count=len(group))
-            eigenfunctions.extend(vecs)
     return SpectrumSummary(
-        eigenvalues=lam_list, neg_count=neg, zero_count=zero, mesh=n,
-        cutoff=cutoff, l=system.l, bc=system.bc.kind, omega_index=omega_index,
-        grid=grid, eigenfunctions=eigenfunctions)
+        eigenvalues=[float(v) for v in lam[keep]], neg_count=neg,
+        zero_count=zero, mesh=n, cutoff=cutoff, l=system.l,
+        bc=system.bc.kind, omega_index=omega_index)
 
 
-# ---------------------------------------------------------------------------
-# oscillation utilities
-
-ZERO_FLOOR_REL = 1e-8       # samples below this fraction of the max count as 0
-INTERLACING_SLACK = 1e-8
-
-
-def zero_count(samples, antiperiodic: bool = False) -> int:
-    """Sign changes of a sampled function over one period.
-
-    Nodes that are exactly zero (below the relative floor) are treated as
-    single crossings, not two.  With ``antiperiodic`` the wrap from the
-    last sample back to the first picks up an extra sign flip.
-    """
-    f = np.asarray(samples, dtype=float)
-    if len(f) < 256:
-        raise ValidationError("need at least 256 samples per period")
-    scale = np.abs(f).max()
-    if scale == 0.0 or not np.isfinite(scale):
-        raise ValidationError("function is identically zero (or invalid)")
-    s = np.sign(np.where(np.abs(f) <= ZERO_FLOOR_REL * scale, 0.0, f)).astype(int)
-    signs = s[s != 0]
-    if len(signs) == 0:
-        raise ValidationError("function sits below the noise floor everywhere")
-    flips = int(np.sum(signs[1:] != signs[:-1]))
-    last_to_first = signs[-1] != (-signs[0] if antiperiodic else signs[0])
-    return flips + int(last_to_first)
-
-
-def oscillation_index(summary: SpectrumSummary) -> list[dict]:
-    """Assign Sturm indices to a scalar spectrum from eigenfunction zeros.
-
-    Position k in the sorted periodic spectrum must carry 2*ceil(k/2)
-    zeros (0 for the ground state); the antiperiodic ladder is
-    2*floor(k/2) + 1.  A mismatch signals an under-resolved mesh.
-    """
-    if summary.eigenfunctions is None:
-        raise ValidationError("summary carries no eigenfunctions")
-    if summary.bc not in ("periodic", "antiperiodic"):
-        raise ValidationError("oscillation indexing needs a (anti)periodic problem")
-    anti = summary.bc == "antiperiodic"
-    rows = []
-    for k, (lam, fn) in enumerate(zip(summary.eigenvalues,
-                                      summary.eigenfunctions)):
-        z = zero_count(fn, antiperiodic=anti)
-        expected = (2 * ((k + 1) // 2)) if not anti else (2 * (k // 2) + 1)
-        if z != expected:
-            raise NumericalError(
-                f"eigenfunction {k} has {z} zeros, oscillation ladder expects "
-                f"{expected}; refine the mesh")
-        rows.append({"index": k, "eigenvalue": float(lam), "zeros": z})
-    return rows
-
-
-def check_interlacing(periodic_eigs, antiperiodic_eigs) -> bool:
-    """Pattern lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < mu_3 <= mu_4 < ...
-
-    The ground state opens the periodic ladder, then (anti)periodic pairs
-    alternate; within a pair only <= is required.  Truncated tails of
-    either list are fine - the pattern is checked as far as both reach.
-    """
-    lam = list(periodic_eigs)
-    mu = list(antiperiodic_eigs)
-    seq = [("p", lam[0])]
-    i, j = 1, 0
-    next_pair_antiperiodic = True
-    while True:
-        src, idx = (mu, j) if next_pair_antiperiodic else (lam, i)
-        if idx + 1 >= len(src):
-            break
-        kind = "a" if next_pair_antiperiodic else "p"
-        seq.append((kind, src[idx]))
-        seq.append((kind, src[idx + 1]))
-        if next_pair_antiperiodic:
-            j += 2
-        else:
-            i += 2
-        next_pair_antiperiodic = not next_pair_antiperiodic
-    for (ka, a), (kb, b) in zip(seq, seq[1:]):
-        top = b + INTERLACING_SLACK
-        if not ((a <= top) if ka == kb else (a < top)):
-            return False
-    return True
-
-
-def antiperiodic_check_l0(traj: Trajectory, n: int = 2048):
+def antiperiodic_check_l0(traj: Trajectory, n: int):
     """Two smallest eigenvalues of the half-period antiperiodic channel-2
     problem: the first must be negative, the second a zero mode whose
     eigenfunction matches 2 pi cos^2(phi) phi'.
@@ -341,7 +227,7 @@ def symmetry_class(l: int, q: int) -> tuple[str, BoundaryCondition]:
                     else BoundaryCondition.antiperiodic())
 
 
-def spectral_index(q: int, traj: Trajectory, n: int = 4096) -> int:
+def spectral_index(q: int, traj: Trajectory, n: int) -> int:
     """Number of Laplace eigenvalues below 2, restricted to the symmetry
     class of the surface when q is even; mode l = 0 counts once, higher
     modes twice.  Eigenvalues landing exactly on 2 (the coordinate
@@ -360,15 +246,17 @@ def spectral_index(q: int, traj: Trajectory, n: int = 4096) -> int:
     return total
 
 
-def verify_high_l_positive(l: int, traj: Trajectory, n: int = 4096) -> bool:
+def verify_high_l_positive(l: int, traj: Trajectory, n: int) -> bool:
     """True when the mode-l block is strictly positive: the potential is
     pointwise positive definite and, for a run at mesh n, the block on a
-    quarter of that mesh (at least 512) has no eigenvalue at or below zero."""
+    quarter of that mesh (at least 512) has no eigenvalue at or below zero.
+
+    The pointwise check reads the trajectory nodes on [0, T]: Q11, Q22 and
+    Q12^2 are even in (phi, phi'), which only change sign from one half
+    period to the next, so the rest of the closed length repeats them."""
     if l < 3:
         raise ValidationError("positivity is only claimed for l >= 3")
-    grid = full_period_grid(traj) if traj.family.rotation else traj.grid
-    coeffs = separated_coefficients(l, traj, grid)
-    Q = coeffs.potential
+    Q = separated_coefficients(l, traj).potential
     det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
     pointwise = bool(np.all(Q[:, 0, 0] > 0) and np.all(det > 0))
     system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())

@@ -12,7 +12,6 @@ consumed by the solvers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,16 +36,6 @@ def _weight_prime(phi, phid):
     return -8.0 * math.pi ** 2 * np.cos(phi) * np.sin(phi) * phid
 
 
-def immersion(alpha: float, t: float, traj: Trajectory) -> np.ndarray:
-    """Unit 5-vector of the torus at frame angle alpha and arc time t."""
-    phi, _, theta = traj.at(t)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cphi = np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.array([ca * cphi * st, sa * cphi * st,
-                     ca * cphi * ct, sa * cphi * ct, np.sin(phi)])
-
-
 @dataclass(frozen=True)
 class FramePoint:
     N: np.ndarray
@@ -61,7 +50,8 @@ class FramePoint:
 
 
 def frame(alpha: float, t: float, traj: Trajectory) -> FramePoint:
-    """Adapted orthonormal basis (N, e1, e2, n1, n2) of 5-space."""
+    """Adapted orthonormal basis (N, e1, e2, n1, n2) of 5-space; N is the
+    unit 5-vector of the torus at frame angle alpha and arc time t."""
     phi, phid, theta = traj.at(t)
     thd = _theta_dot(traj.family.c, phi)
     ca, sa = math.cos(alpha), math.sin(alpha)
@@ -80,12 +70,11 @@ def frame(alpha: float, t: float, traj: Trajectory) -> FramePoint:
     return FramePoint(N=N, e1=e1, e2=e2, n1=n1, n2=n2)
 
 
-def weingarten_diag(t: float, traj: Trajectory) -> tuple[float, float]:
-    """Diagonal entries of the squared-shape operator in the normal frame."""
-    phi, _, _ = traj.at(t)
-    thd = _theta_dot(traj.family.c, phi)
-    a11 = 8.0 * math.pi ** 2 * np.cos(phi) ** 2 * thd ** 2
-    return float(a11), float(np.sin(phi) ** 2 * a11)
+def _weingarten(c: float, phi):
+    """Diagonal entries (a11, a22) of the squared-shape operator in the
+    normal frame, at latitude phi on the geodesic of momentum c."""
+    a11 = 8.0 * math.pi ** 2 * np.cos(phi) ** 2 * _theta_dot(c, phi) ** 2
+    return a11, np.sin(phi) ** 2 * a11
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +93,10 @@ class SeparatedCoefficients:
 def _q_entries(l: int, c: float, phi, phid):
     """(p, Q11, Q12, Q22) of mode l at latitude phi and velocity phid."""
     cphi = np.cos(phi)
-    thd = _theta_dot(c, phi)
     base = l * l / cphi ** 2 + FOUR_PI2 * phid ** 2 - 2.0
-    bend = 8.0 * math.pi ** 2 * cphi ** 2 * thd ** 2
-    q11 = base - bend
-    q22 = base - np.sin(phi) ** 2 * bend
+    a11, a22 = _weingarten(c, phi)
+    q11 = base - a11
+    q22 = base - a22
     q12 = -4.0 * math.pi * l * phid / cphi
     return _weight(phi), q11, q12, q22
 
@@ -187,26 +175,18 @@ def kernel_fields(traj: Trajectory) -> list[KernelField]:
             for (i, l, h1, h2, d) in entries]
 
 
-@dataclass(frozen=True)
-class KernelResidual:
-    value: float
-    coarse_grid: bool
-
-
 def kernel_residual(field: KernelField, coeffs: SeparatedCoefficients,
-                    traj: Trajectory) -> KernelResidual:
+                    traj: Trajectory) -> float:
     """Max residual of the separated system at lambda = 0, by 4th-order stencils.
 
     The residual is normalized by the largest coefficient magnitude times
-    the field amplitude, so it is scale free.  Grids shorter than 256
-    nodes are flagged as too coarse to trust.
+    the field amplitude, so it is scale free.
     """
     if field.l != coeffs.l:
         raise ValidationError("field and coefficients disagree on l")
     if len(field.grid) != len(coeffs.grid):
         raise ValidationError("field and coefficients live on different grids")
     grid = field.grid
-    m = len(grid)
     h = grid[1] - grid[0]
     p = coeffs.weight
     phi, phid, _ = traj.at(grid)
@@ -226,8 +206,7 @@ def kernel_residual(field: KernelField, coeffs: SeparatedCoefficients,
     r2 = -p * d2(h2) - pd * d1(h2) + Q[:, 0, 1] * h1 + Q[:, 1, 1] * h2
     amp = max(np.abs(h1).max(), np.abs(h2).max())
     scale = max(p.max(), np.abs(Q).max()) * max(amp, 1e-30)
-    value = float(max(np.abs(r1).max(), np.abs(r2).max()) / scale)
-    return KernelResidual(value=value, coarse_grid=(m < 256))
+    return float(max(np.abs(r1).max(), np.abs(r2).max()) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +274,3 @@ def laplace_system(l: int, traj: Trajectory, interval: str = "t0",
         return _weight(phi), l * l / np.cos(phi) ** 2
 
     return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=l)
-
-
-def export_immersion_csv(traj: Trajectory, path: str,
-                         n_alpha: int = 64, n_t: int = 256) -> None:
-    """Write an (alpha, t) mesh of the immersion as alpha,t,x1..x5 rows."""
-    t_max = traj.family.t0 if traj.family.rotation else traj.family.T
-    alphas = np.linspace(0.0, TWO_PI, n_alpha, endpoint=False)
-    ts = np.linspace(0.0, t_max, n_t, endpoint=False)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "t", "x1", "x2", "x3", "x4", "x5"])
-        for al in alphas:
-            for tt in ts:
-                x = immersion(al, tt, traj)
-                writer.writerow([f"{al:.17g}", f"{tt:.17g}"]
-                                + [f"{xi:.17g}" for xi in x])

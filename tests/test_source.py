@@ -60,14 +60,25 @@ def test_sweep_loops_do_real_arithmetic():
     assert not found, f"complex arithmetic in sweep loops: {found}"
 
 
-# public functions that only the tests call, until the verify battery or
-# the tests take them over
-TEST_ONLY = {"metric_coefficients", "weingarten_diag", "export_immersion_csv",
-             "check_interlacing", "oscillation_index", "spectral_index_formula",
-             "constant_system"}
+def _public_names(tree):
+    """Module-level functions, classes and constants without a leading
+    underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
 
 
 def test_every_public_function_has_a_caller():
+    # functions, classes and constants alike: a public name that only the
+    # tests read belongs in the tests
     root = pathlib.Path(__file__).parent.parent
     used = set()
     for path in SOURCES + sorted((root / "scripts").glob("*.py")):
@@ -76,14 +87,11 @@ def test_every_public_function_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    public = {node.name for path in SOURCES
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not node.name.startswith("_")}
-    assert TEST_ONLY <= public - used, \
-        f"no longer test-only: {sorted(TEST_ONLY - (public - used))}"
-    uncalled = sorted(public - used - TEST_ONLY)
-    assert not uncalled, f"public functions nothing in src/ or scripts/ calls: {uncalled}"
+    public = {name for path in SOURCES
+              for name in _public_names(ast.parse(path.read_text()))}
+    unread = sorted(public - used)
+    assert not unread, \
+        f"public names nothing in src/ or scripts/ reads: {unread}"
 
 
 # ``body`` runs in a fresh interpreter, may set ``code``, and may exit;
@@ -141,5 +149,6 @@ def test_index_cache_hit_leaves_scipy_unloaded(tmp_path):
 def test_boundary_form_loads_scipy():
     got = _probe("from otsuki.edwards import boundary_form\n"
                  "from otsuki.geodesic import sample_trajectory, solve_parameter",
-                 "boundary_form(1, sample_trajectory(solve_parameter(2, 3), 1024))")
+                 "boundary_form(1, sample_trajectory(solve_parameter(2, 3), 1024),"
+                 " n=2048)")
     assert "scipy.integrate" in got["scipy"]

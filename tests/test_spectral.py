@@ -6,18 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import (check_interlacing, constant_system, oscillation_index,
+                     spectrum_with_eigenfunctions, zero_count)
 from otsuki import spectral
-from otsuki.eigencount import eigenvalues_in
 from otsuki.errors import AmbiguousClassificationError, ValidationError
-from otsuki.sl import (BoundaryCondition, SLSystem, constant_system,
-                       roots_of_unity_ladder)
+from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
-                             check_interlacing, direct_twisted_counts,
-                             oscillation_index, spectral_index, spectrum_below,
-                             spectrum_counts, symmetry_class,
-                             verify_high_l_positive, zero_count)
-from otsuki.surface import (fourier_block_system, l0_channel_system,
-                            separated_coefficients)
+                             direct_twisted_counts, spectral_index,
+                             spectrum_below, spectrum_counts, symmetry_class,
+                             verify_high_l_positive)
+from otsuki.surface import (fourier_block_system, full_period_grid,
+                            l0_channel_system, separated_coefficients)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -181,8 +180,7 @@ class TestOscillation:
     def test_mode0_channel1_indices(self, traj23):
         p = 2
         system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
-        s = spectrum_below(system, 0.3, 1024, want_eigenfunctions=True)
-        rows = oscillation_index(s)
+        rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.3, 1024))
         zero_rows = [r for r in rows if abs(r["eigenvalue"]) <= 1e-5]
         assert [r["index"] for r in zero_rows] == [4 * p - 1, 4 * p]
         assert all(r["zeros"] == 4 * p for r in zero_rows)
@@ -190,16 +188,14 @@ class TestOscillation:
     def test_mode0_channel2_index(self, traj23):
         q = 3
         system = l0_channel_system(2, traj23, "t0", BoundaryCondition.periodic())
-        s = spectrum_below(system, 0.3, 1024, want_eigenfunctions=True)
-        rows = oscillation_index(s)
+        rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.3, 1024))
         zero_rows = [r for r in rows if abs(r["eigenvalue"]) <= 1e-5]
         assert [r["index"] for r in zero_rows] == [2 * q]
         assert zero_rows[0]["zeros"] == 2 * q
 
     def test_ground_state_nodeless(self, traj23):
         system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
-        s = spectrum_below(system, 0.0, 512, want_eigenfunctions=True)
-        rows = oscillation_index(s)
+        rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.0, 512))
         assert rows[0]["zeros"] == 0
 
     def test_interlacing_on_half_period(self, traj23):
@@ -215,7 +211,7 @@ class TestOscillation:
         system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
         s = spectrum_below(system, 0.0, 512)
         with pytest.raises(ValidationError):
-            oscillation_index(s)
+            oscillation_index(s, [])
 
     def test_wrong_zero_count_is_diagnosed(self):
         from otsuki.errors import NumericalError
@@ -223,10 +219,9 @@ class TestOscillation:
         t = np.linspace(0, 2 * math.pi, 512, endpoint=False)
         fake = SpectrumSummary(
             eigenvalues=[0.0], neg_count=0, zero_count=1, mesh=512,
-            cutoff=1.0, bc="periodic",
-            grid=t, eigenfunctions=[np.sin(2 * t)])   # 4 zeros, ladder wants 0
-        with pytest.raises(NumericalError):
-            oscillation_index(fake)
+            cutoff=1.0, bc="periodic")
+        with pytest.raises(NumericalError):     # 4 zeros, ladder wants 0
+            oscillation_index(fake, [np.sin(2 * t)])
 
 
 class TestAntiperiodicCheck:
@@ -253,7 +248,7 @@ class TestAntiperiodicCheck:
 
     def test_rejects_degenerate_family(self, clifford_traj):
         with pytest.raises(ValidationError):
-            antiperiodic_check_l0(clifford_traj)
+            antiperiodic_check_l0(clifford_traj, n=2048)
 
     def test_mesh_disagreement_is_ambiguous(self, traj23, monkeypatch):
         n = 256
@@ -278,10 +273,12 @@ def test_symmetry_class(l, q, interval, kind):
 
 class TestSpectralIndex:
     def test_family23(self, traj23):
-        assert spectral_index(3, traj23, n=1024) == 12
+        p, q = 2, 3
+        assert spectral_index(q, traj23, n=1024) == 2 * q + 4 * p - 2 == 12
 
     def test_family58(self, traj58):
-        assert spectral_index(8, traj58, n=1024) == 16
+        p, q = 5, 8
+        assert spectral_index(q, traj58, n=1024) == q + 2 * p - 2 == 16
 
 
 class TestHighModes:
@@ -293,7 +290,20 @@ class TestHighModes:
 
     def test_low_l_rejected(self, traj23):
         with pytest.raises(ValidationError):
-            verify_high_l_positive(1, traj23)
+            verify_high_l_positive(1, traj23, n=4096)
+
+    @pytest.mark.parametrize("traj", ["traj23", "traj58"])
+    def test_half_period_nodes_hold_the_closed_length_minima(self, traj, request):
+        # the pointwise check reads [0, T] only; over the closed length the
+        # potential repeats those values (up to the rounding of the folded
+        # times), so the minima of Q11 and det Q must not move
+        traj = request.getfixturevalue(traj)
+        minima = []
+        for grid in (traj.grid, full_period_grid(traj)):
+            Q = separated_coefficients(3, traj, grid).potential
+            minima.append((Q[:, 0, 0].min(),
+                           (Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2).min()))
+        assert minima[0] == pytest.approx(minima[1], rel=1e-14)
 
 
 class TestMode2Counts:
