@@ -135,18 +135,14 @@ def _cmd_spectrum(args) -> int:
     else:
         bc = BoundaryCondition(args.bc)
         interval = "t0" if args.bc == "periodic" else "T"
-    summaries = []
     if args.l == 0:
-        channels = [args.channel] if args.channel else [1, 2]
-        for chan in channels:
-            system = l0_channel_system(chan, traj, interval, bc)
-            summaries.append(spectrum_below(system, args.cutoff, args.n,
-                                            omega_index=args.omega_index))
+        systems = [l0_channel_system(chan, traj, interval, bc)
+                   for chan in ([args.channel] if args.channel else [1, 2])]
     else:
-        system = fourier_block_system(args.l, traj, interval, bc)
-        summaries.append(spectrum_below(system, args.cutoff, args.n,
-                                        omega_index=args.omega_index))
-    _emit([s.to_json_dict() for s in summaries], args)
+        systems = [fourier_block_system(args.l, traj, interval, bc)]
+    _emit([spectrum_below(system, args.cutoff, args.n,
+                          omega_index=args.omega_index).to_json_dict()
+           for system in systems], args)
     return 0
 
 

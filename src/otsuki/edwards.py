@@ -299,10 +299,6 @@ def twisted_counts(data: BoundaryFormData, omega: complex) -> tuple[int, int]:
 def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
     """(r, negative, zero) of the twisted problem at each 2q-th root of
     unity omega = exp(i pi r / q), the rows ``direct_twisted_counts``
-    returns.
-
-    For even q, the even-r and odd-r rows are the half-length periodic and
-    antiperiodic classes respectively.
-    """
+    returns; ``spectral.class_counts`` sums them for a mode."""
     return [(r, *twisted_counts(data, om))
             for r, om in enumerate(roots_of_unity_ladder(q))]

@@ -10,11 +10,11 @@ Everything here - counts, individual eigenvalues, inverse iteration for
 eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
 only ever fill the last block row, so the sweep runs in real arithmetic and
 the unit-modulus wrap multipliers enter only the last Schur complement.
-Twisted operators that differ only in those multipliers form a twist
-ladder: one loop, then an O(1) finish per twist, counts them all.
-The scalar band sweep is the scalar cyclic sweep with no wrap.  An
-eigenvalue is bracketed by the count: bisection isolates it, and secant
-steps on the determinant, kept inside the bracket, refine it.
+Twisted operators, scalar or 2x2, that differ only in those multipliers
+form a twist ladder: one loop, then an O(1) finish per twist, counts
+them all.  The scalar band sweep is the scalar cyclic sweep with no
+wrap.  An eigenvalue is bracketed by the count: bisection isolates it,
+and secant steps on the determinant, kept inside the bracket, refine it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class BandOperator:
     shape (m-1,) - real scalar couplings between neighbours.  A cyclic
     operator additionally carries ``wrap_off`` (real scalar) and
     ``wrap_mult`` (per-channel unit-modulus multipliers) so that the
-    (m-1, 0) block equals wrap_off * diag(wrap_mult).  A 2x2 cyclic
-    operator may carry a twist ladder instead: ``wrap_mult`` a tuple of
-    per-twist pairs (w1, w2), which ``inertia`` counts all at once.
+    (m-1, 0) block equals wrap_off * diag(wrap_mult).  A cyclic operator
+    may carry a twist ladder instead: ``wrap_mult`` a tuple of per-twist
+    multipliers, (w,) or (w1, w2), which ``inertia`` counts all at once.
     """
 
     dim: int
@@ -119,9 +119,11 @@ class BandOperator:
 # ---------------------------------------------------------------------------
 # inertia sweeps
 #
-# Each sweep returns (count, log|det(A - sigma I)|).  The determinant is
-# the product of the pivot determinants, so its log is one accumulation
-# per pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
+# Each sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its
+# end state before the last Schur complement, which ``_finish_d1`` or
+# ``_finish_d2_cyclic`` completes for one twist.  The determinant is the
+# product of the pivot determinants, so its log is one accumulation per
+# pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
 # treats like a zero pivot.  The hot loops inline ``_pivot``/``_block``
 # and do real arithmetic only.
 #
@@ -155,7 +157,7 @@ def _block(det, s11):
     raise _PivotBreakdown
 
 
-def _inertia_d1(d, e, w_off, w, sigma):
+def _inertia_d1(d, e, w_off, sigma):
     m = len(d)
     neg = 0
     ld = 0.0
@@ -175,9 +177,16 @@ def _inertia_d1(d, e, w_off, w, sigma):
         r = -ej * r / s
         s = d[j + 1] - sigma - ej * ej / s
     c, l = _pivot(s)
-    f = w * r + e[m - 2]
+    return neg + c, ld + l, s, r, b, e[m - 2]
+
+
+def _finish_d1(end, w):
+    """(count, log|det|) of the multiplier w from the end state of
+    ``_inertia_d1``: w enters the last Schur complement only."""
+    neg, ld, s, r, b, ej = end
+    f = w * r + ej
     cb, lb = _pivot(b - (f * f.conjugate()).real / s)
-    return neg + c + cb, ld + l + lb
+    return neg + cb, ld + lb
 
 
 def _inertia_d2_band(d11, d12, d22, e, sigma):
@@ -270,15 +279,21 @@ def _inertia_raw(op: BandOperator, sigma: float) -> tuple:
         raise NumericalError("operator too small for the elimination sweep")
     e = op.off.tolist()
     if op.dim == 1:
-        w_off, w = (op.wrap_off, op.wrap_mult[0]) if op.cyclic else (0.0, 0.0)
-        return _inertia_d1(op.diag.tolist(), e, w_off, complex(w), sigma)
-    d11, d12, d22 = op.diag.T.tolist()
-    if not op.cyclic:
-        return _inertia_d2_band(d11, d12, d22, e, sigma)
-    end = _inertia_d2_cyclic(d11, d12, d22, e, op.wrap_off, sigma)
+        end = _inertia_d1(op.diag.tolist(), e,
+                          op.wrap_off if op.cyclic else 0.0, sigma)
+    elif not op.cyclic:
+        return _inertia_d2_band(*op.diag.T.tolist(), e, sigma)
+    else:
+        end = _inertia_d2_cyclic(*op.diag.T.tolist(), e, op.wrap_off, sigma)
     if op.ladder:
         return end
-    return _finish_d2_cyclic(end, *map(complex, op.wrap_mult))
+    return _finish(op, end, op.wrap_mult if op.cyclic else (0.0,))
+
+
+def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
+    """One twist's (count, log|det|): w holds its per-channel multipliers."""
+    finish = _finish_d1 if op.dim == 1 else _finish_d2_cyclic
+    return finish(end, *map(complex, w))
 
 
 def inertia(op: BandOperator, sigma: float):
@@ -306,7 +321,7 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
     out = []
     for w in op.wrap_mult:
         try:
-            res = _finish_d2_cyclic(end, *map(complex, w))
+            res = _finish(op, end, w)
         except _PivotBreakdown:
             res = 0, float("nan")
         out.append(res if isfinite(res[1])

@@ -1,11 +1,10 @@
 """End-to-end index/nullity computation, bound checks, and the result cache.
 
-For odd q every (anti)periodic eigenvalue over the full length counts;
-modes l = 1, 2 enter with weight two.  For even q the surface is
-invariant under the half-shift combined with the antipodal frame turn,
-so only the half-length periodic classes contribute at even l and the
-antiperiodic classes at odd l.  Modes l >= 3 are dismissed once the
-mode-3 block is verified positive.
+Mode 0, modes l = 1, 2 and the spectral index are counted on twist
+ladders over the half period [0, T] at mesh n; ``spectral.class_counts``
+sums the twists of each mode.  Modes l = 1, 2 enter with weight two.
+Modes l >= 3 are dismissed once the mode-3 block over the closed length
+is verified positive.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import datetime
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,9 +24,10 @@ from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
-from .spectral import (LOCATE_ERR, TAU_ZERO, direct_twisted_counts,
-                       spectral_index, spectrum_counts, symmetry_class,
-                       verify_high_l_positive)
+# spectrum_counts is bound only for perfbench, which traces every binding
+from .spectral import (LOCATE_ERR, TAU_ZERO, class_counts,  # noqa: F401
+                       direct_twisted_counts, ladder_counts, spectral_index,
+                       spectrum_counts, verify_high_l_positive)
 from .surface import l0_channel_system
 
 REPORT_VERSION = "1"
@@ -101,13 +102,10 @@ def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
 
 
 def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
-    interval, bc = symmetry_class(0, traj.family.rotation.q)
-    neg = zero = 0
-    for chan in (1, 2):
-        system = l0_channel_system(chan, traj, interval, bc)
-        c_neg, c_zero = spectrum_counts(system, n)
-        neg += c_neg
-        zero += c_zero
+    # the rows of both channels, which the class rule sums alike
+    rows = [row for chan in (1, 2) for row in
+            ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)]
+    neg, zero = class_counts(0, traj.family.rotation.q, rows)
     return PerModeRecord(l=0, neg=neg, zero=zero, method="direct")
 
 
@@ -120,11 +118,6 @@ def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
         raise RouteDisagreementError(
             f"boundary-form and direct counts disagree at l={l}: {diffs}",
             diffs=diffs)
-
-
-def _sum_rows(rows, parity: Optional[int] = None) -> tuple[int, int]:
-    keep = [(n, z) for (r, n, z) in rows if parity is None or r % 2 == parity]
-    return sum(n for n, _ in keep), sum(z for _, z in keep)
 
 
 def compute_index(p: int, q: int, method: str = "both",
@@ -141,7 +134,6 @@ def compute_index(p: int, q: int, method: str = "both",
         raise ValidationError(f"unknown method {method!r}")
     family = solve_parameter(p, q)
     traj = family_trajectory(family, n)
-    q_even = (q % 2 == 0)
 
     records = [_mode0_counts(traj, n)]
     flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
@@ -177,15 +169,12 @@ def compute_index(p: int, q: int, method: str = "both",
                 else "edwards" if direct_rows is None else "both")
         if used == "both":
             _check_routes_agree(l, edwards_rows, direct_rows)
-        if q_even:
-            # odd r at l = 1, even r at l = 2
-            neg, zero = _sum_rows(rows, parity=l % 2)
-            other = _sum_rows(rows, parity=1 - l % 2)
-            split = {"used_parity": "odd_r" if l % 2 else "even_r",
-                     "other_class_neg": other[0], "other_class_zero": other[1]}
-        else:
-            neg, zero = _sum_rows(rows)
-            split = None
+        neg, zero = class_counts(l, q, rows)
+        # for even q, mode l + 1 counts the twists of the other parity
+        other = class_counts(l + 1, q, rows)
+        split = None if q % 2 else {
+            "used_parity": "odd_r" if l % 2 else "even_r",
+            "other_class_neg": other[0], "other_class_zero": other[1]}
         records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
                                      split=split, per_omega=tuple(rows)))
 
@@ -352,10 +341,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
     rec0 = _mode0_counts(traj, n)
-    if q % 2 == 1:
-        exp_neg = 2 * q + 4 * p - 1
-    else:
-        exp_neg = q + 2 * p - 1
+    exp_neg = 2 * q + 4 * p - 1 if q % 2 else q + 2 * p - 1
     add("l=0 counts", (rec0.neg, rec0.zero) == (exp_neg, 3),
         f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")
 

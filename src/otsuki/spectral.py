@@ -10,6 +10,12 @@ the zone are located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it) and
 Richardson extrapolated before classification.  Disagreement between the
 meshes is an error, never a guess.
+
+The coefficients repeat every half period T, so a problem over the closed
+length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
+also for the discrete operators when the t0 mesh is 2q times as fine.
+Every count below l = 3 is therefore a twist ladder on [0, T] at mesh n,
+and one class rule (``class_counts``) sums the twists of a mode.
 """
 
 from __future__ import annotations
@@ -215,35 +221,59 @@ def antiperiodic_check_l0(traj: Trajectory, n: int):
 
 
 # ---------------------------------------------------------------------------
-# spectral index and high-l positivity
+# twist ladders on [0, T], the class rule, spectral index, l >= 3 positivity
 
-def symmetry_class(l: int, q: int) -> tuple[str, BoundaryCondition]:
-    """The (interval, boundary condition) of the mode-l problem that counts:
-    the full-length periodic problem for odd q; for even q the half-length
-    periodic class at even l and the antiperiodic class at odd l."""
-    if q % 2 == 1:
-        return "t0", BoundaryCondition.periodic()
-    return "t0/2", (BoundaryCondition.periodic() if l % 2 == 0
-                    else BoundaryCondition.antiperiodic())
+def ladder_counts(build, traj: Trajectory, n: int,
+                  level: float) -> list[tuple]:
+    """(r, below, at), the ``boundary_counts`` at the level, of each twist
+    omega_r = exp(i pi r / q), r = 0..2q-1, of ``build(traj, "T", bc)``.
+
+    The twisted operators on [0, T] differ only in their wrap multipliers,
+    so each end sweep is one sweep of the whole ladder; a twist whose zone
+    holds eigenvalues is refined on its own operator.
+    """
+    system = build(traj, "T", BoundaryCondition.twisted(1.0))
+    ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
+                   for om in roots_of_unity_ladder(traj.family.rotation.q))
+
+    def operator(k, mult=ladder):
+        return replace(system.operator(k), wrap_mult=mult)
+
+    zone, ends = _end_sweeps(operator, system.length, n, level)
+    return [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
+                                [end[r] for end in ends]))
+            for r, w in enumerate(ladder)]
+
+
+def class_counts(l: int, q: int, rows) -> tuple[int, int]:
+    """(below, at) of mode l: the ``ladder_counts`` rows summed over every
+    twist for odd q, and for even q over the twists r = l (mod 2).  For
+    even q the surface is invariant under the half-shift combined with the
+    antipodal frame turn, which multiplies mode l by (-1)^l, so it keeps
+    the twists with omega_r^q = (-1)^l."""
+    keep = [(below, at) for r, below, at in rows
+            if q % 2 == 1 or (r - l) % 2 == 0]
+    return sum(b for b, _ in keep), sum(a for _, a in keep)
+
+
+def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
+    """(r, negative, zero) of the omega-twisted mode-l block on [0, T] for
+    each twist omega = exp(i pi r / q), r = 0..2q-1."""
+    return ladder_counts(partial(fourier_block_system, l), traj, n, 0.0)
 
 
 def spectral_index(q: int, traj: Trajectory, n: int) -> int:
-    """Number of Laplace eigenvalues below 2, restricted to the symmetry
-    class of the surface when q is even; mode l = 0 counts once, higher
-    modes twice.  Eigenvalues landing exactly on 2 (the coordinate
-    functions) are excluded by extrapolation.
+    """Number of Laplace eigenvalues below 2 in the class of the surface;
+    mode l = 0 counts once, mode l = 1 twice.  Eigenvalues landing exactly
+    on 2 (the coordinate functions) are excluded by extrapolation.
+
+    The potential l^2/cos^2 is at least l^2 and the derivative term is
+    nonnegative, so the modes l >= 2 hold no eigenvalue below 2.
     """
-    cutoff = 2.0
-    total = 0
-    l = 0
-    while l * l < cutoff:
-        # potential l^2/cos^2 >= l^2 and the derivative term is nonnegative,
-        # so blocks with l^2 >= cutoff cannot contribute
-        system = laplace_system(l, traj, *symmetry_class(l, q))
-        below, _at = boundary_counts(system, n, cutoff)
-        total += below if l == 0 else 2 * below
-        l += 1
-    return total
+    below = [class_counts(l, q, ladder_counts(partial(laplace_system, l),
+                                              traj, n, 2.0))[0]
+             for l in (0, 1)]
+    return below[0] + 2 * below[1]
 
 
 def verify_high_l_positive(l: int, traj: Trajectory, n: int) -> bool:
@@ -262,24 +292,3 @@ def verify_high_l_positive(l: int, traj: Trajectory, n: int) -> bool:
     system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
     neg, zero = spectrum_counts(system, max(512, n // 4))
     return pointwise and neg == 0 and zero == 0
-
-
-def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
-    """(r, negative, zero) of the omega-twisted block on [0, T] for each
-    twist omega = exp(i pi r / q), r = 0..2q-1.
-
-    The twisted operators differ only in their wrap multipliers, so each
-    end sweep of ``boundary_counts`` is one sweep of the whole ladder; a
-    twist whose zone holds eigenvalues is refined on its own operator.
-    """
-    ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(2)
-                   for om in roots_of_unity_ladder(traj.family.rotation.q))
-    system = fourier_block_system(l, traj, "T", BoundaryCondition.twisted(1.0))
-
-    def operator(k, mult=ladder):
-        return replace(system.operator(k), wrap_mult=mult)
-
-    zone, ends = _end_sweeps(operator, system.length, n, 0.0)
-    return [(r, *_classify_zone(partial(operator, mult=w), n, 0.0, zone,
-                                [end[r] for end in ends]))
-            for r, w in enumerate(ladder)]

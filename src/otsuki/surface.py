@@ -260,13 +260,11 @@ def l0_channel_system(channel: int, traj: Trajectory, interval: str,
     return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=0)
 
 
-def laplace_system(l: int, traj: Trajectory, interval: str = "t0",
-                   bc: BoundaryCondition | None = None) -> SLSystem:
+def laplace_system(l: int, traj: Trajectory, interval: str,
+                   bc: BoundaryCondition) -> SLSystem:
     """Scalar problem of the Laplace operator at Fourier mode l."""
     if l < 0:
         raise ValidationError("Fourier index l must be nonnegative")
-    if bc is None:
-        bc = BoundaryCondition.periodic()
     L = _interval_length(traj, interval)
 
     def sampler(t):

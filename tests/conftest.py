@@ -25,6 +25,16 @@ def traj58(fam58):
 
 
 @pytest.fixture(scope="session")
+def fam710():
+    return solve_parameter(7, 10)
+
+
+@pytest.fixture(scope="session")
+def traj710(fam710):
+    return sample_trajectory(fam710, 1024)
+
+
+@pytest.fixture(scope="session")
 def clifford_traj():
     return sample_trajectory(GeodesicFamily.clifford(), 1024)
 

@@ -41,16 +41,6 @@ def criterion(num, title):
 
 
 @pytest.fixture(scope="module")
-def fam710():
-    return solve_parameter(7, 10)
-
-
-@pytest.fixture(scope="module")
-def traj710(fam710):
-    return sample_trajectory(fam710, 1024)
-
-
-@pytest.fixture(scope="module")
 def headline_report():
     return compute_index(2, 3, method="both", n=4096)
 

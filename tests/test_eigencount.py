@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from otsuki import eigencount
 from otsuki.eigencount import eigenvalues_in, inertia, scalar_eigenfunctions
 from otsuki.errors import ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from otsuki.surface import fourier_block_system
+from otsuki.surface import (fourier_block_system, l0_channel_system,
+                            laplace_system)
 
 
 def _wavy_system(dim, bc, L=7.0):
@@ -217,28 +219,46 @@ def test_small_operator_rejected():
         inertia(tiny, 0.0)
 
 
-def _twisted_operators(l, traj, m):
+def _twisted_operators(build, traj, m):
     """The operator of each twist of the ladder, discretized one by one."""
-    return [fourier_block_system(l, traj, "T", BoundaryCondition.twisted(om))
-            .discretize(m) for om in roots_of_unity_ladder(traj.family.rotation.q)]
+    return [build(traj, "T", BoundaryCondition.twisted(om)).discretize(m)
+            for om in roots_of_unity_ladder(traj.family.rotation.q)]
 
 
 def _ladder(ops):
     return replace(ops[0], wrap_mult=tuple(op.wrap_mult for op in ops))
 
 
+SCALAR_SYSTEMS = {"channel1": partial(l0_channel_system, 1),
+                  "channel2": partial(l0_channel_system, 2),
+                  "laplace0": partial(laplace_system, 0),
+                  "laplace1": partial(laplace_system, 1)}
+
+
 @pytest.mark.parametrize("l", [1, 2])
 @pytest.mark.parametrize("family", ["traj23", "traj58"])
 def test_ladder_inertia_equals_each_twist(family, l, request):
-    ops = _twisted_operators(l, request.getfixturevalue(family), 256)
+    ops = _twisted_operators(partial(fourier_block_system, l),
+                             request.getfixturevalue(family), 256)
     ladder = _ladder(ops)
     for sigma in (-0.5, -2e-3, 0.0, 2e-3, 0.7):
         # counts and log|det| bit for bit
         assert inertia(ladder, sigma) == [inertia(op, sigma) for op in ops]
 
 
+@pytest.mark.parametrize("build", SCALAR_SYSTEMS)
+@pytest.mark.parametrize("family", ["traj23", "traj58"])
+def test_scalar_ladder_inertia_equals_each_twist(family, build, request):
+    ops = _twisted_operators(SCALAR_SYSTEMS[build],
+                             request.getfixturevalue(family), 256)
+    ladder = _ladder(ops)
+    assert ladder.dim == 1 and ladder.ladder
+    for sigma in (-0.5, -2e-3, 0.0, 0.7, 2.0):
+        assert inertia(ladder, sigma) == [inertia(op, sigma) for op in ops]
+
+
 def test_ladder_is_complex_and_has_no_dense_matrix(traj23):
-    ops = _twisted_operators(1, traj23, 128)
+    ops = _twisted_operators(partial(fourier_block_system, 1), traj23, 128)
     ladder = _ladder(ops)
     assert ladder.ladder and ladder.is_complex()
     real = _ladder(ops[:1])                 # omega = 1 exactly
@@ -248,32 +268,40 @@ def test_ladder_is_complex_and_has_no_dense_matrix(traj23):
         ladder.to_dense()
 
 
-@pytest.mark.parametrize("failure", ["breakdown", "nan"])
-def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, failure):
-    ops = _twisted_operators(1, traj58, 256)
+@pytest.mark.parametrize("dim,failure", [
+    pytest.param(2, "breakdown", id="breakdown"),
+    pytest.param(2, "nan", id="nan"),
+    pytest.param(1, "breakdown", id="scalar-breakdown"),
+    pytest.param(1, "nan", id="scalar-nan")])
+def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
+                                                  failure):
+    build = (partial(l0_channel_system, 1) if dim == 1
+             else partial(fourier_block_system, 1))
+    ops = _twisted_operators(build, traj58, 256)
     ladder = _ladder(ops)
     sigma = -0.5
     want = [inertia(op, sigma) for op in ops]
     target = ladder.wrap_mult[3]
-    original = eigencount._finish_d2_cyclic
+    finish = "_finish_d1" if dim == 1 else "_finish_d2_cyclic"
+    original = getattr(eigencount, finish)
     finished, swept = [], []
 
-    def flaky(end, w1, w2):
-        finished.append(w1)
-        if w1 == target[0] and finished.count(w1) == 1:
+    def flaky(end, *w):
+        finished.append(w[0])
+        if w[0] == target[0] and finished.count(w[0]) == 1:
             if failure == "nan":
                 return 0, float("nan")
             raise eigencount._PivotBreakdown
-        return original(end, w1, w2)
+        return original(end, *w)
 
     def recorded(op, s):
         swept.append(op.wrap_mult)
         return inertia(op, s)
 
-    monkeypatch.setattr(eigencount, "_finish_d2_cyclic", flaky)
+    monkeypatch.setattr(eigencount, finish, flaky)
     monkeypatch.setattr(eigencount, "inertia", recorded)
     assert eigencount.inertia(ladder, sigma) == want
     assert swept == [ladder.wrap_mult, target]
     # every other twist is finished once, from the shared loop
-    first = [w1 for w1, _ in ladder.wrap_mult]
+    first = [w[0] for w in ladder.wrap_mult]
     assert finished == first[:4] + [target[0]] + first[4:]

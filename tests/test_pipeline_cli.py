@@ -12,6 +12,7 @@ from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
                              index_bounds, verify_family)
+from otsuki.sl import SLSystem
 from otsuki.spectral import LOCATE_ERR
 
 
@@ -118,6 +119,43 @@ class TestComputeIndex:
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
         with pytest.raises(EdwardsInapplicableError):
             compute_index(2, 3, method="edwards", n=512)
+
+
+class TestHalfPeriodCounts:
+    """Every count below l = 3 is a twist ladder on [0, T] at mesh n, so
+    the mesh does not coarsen as q grows."""
+
+    def test_coarse_mesh_keeps_the_mode0_zero_modes(self):
+        # mode 0 = (2q + 4p - 1, 3) and ind_S = 2q + 4p - 2 at 5/9
+        report = compute_index(5, 9, method="direct", n=512)
+        mode0 = report.per_mode[0]
+        assert (mode0.neg, mode0.zero) == (37, 3)
+        assert (report.nul, report.spectral_index) == (9, 36)
+
+    def test_coarse_mesh_is_counted(self):
+        report = compute_index(4, 7, method="direct", n=512)
+        assert (report.ind, report.nul, report.spectral_index) == (71, 9, 28)
+
+    def test_near_sqrt2_over_2(self):
+        report = compute_index(12, 17, method="both", n=512)
+        assert (report.ind, report.nul, report.spectral_index) == (209, 9, 80)
+        check = bounds_check(report)
+        assert all(check[k] for k in check if k.endswith("_ok"))
+
+    def test_only_the_l3_check_discretizes_beyond_half_period(self,
+                                                              monkeypatch):
+        seen = set()
+        original = SLSystem.discretize
+
+        def recorded(system, n):
+            seen.add((system.l, system.length))
+            return original(system, n)
+
+        monkeypatch.setattr(SLSystem, "discretize", recorded)
+        report = compute_index(5, 8, method="both", n=512)
+        assert {l for l, _ in seen} == {0, 1, 2, 3}
+        assert {(l, length) for l, length in seen
+                if length > report.T} == {(3, report.t0)}
 
 
 class TestCache:

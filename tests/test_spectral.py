@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from otsuki import spectral
 from otsuki.errors import AmbiguousClassificationError, ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
-                             direct_twisted_counts, spectral_index,
-                             spectrum_below, spectrum_counts, symmetry_class,
+                             boundary_counts, class_counts,
+                             direct_twisted_counts, ladder_counts,
+                             spectral_index, spectrum_below, spectrum_counts,
                              verify_high_l_positive)
 from otsuki.surface import (fourier_block_system, full_period_grid,
-                            l0_channel_system, separated_coefficients)
+                            l0_channel_system, laplace_system,
+                            separated_coefficients)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -263,12 +266,29 @@ class TestAntiperiodicCheck:
             antiperiodic_check_l0(traj23, n=n)
 
 
-@pytest.mark.parametrize("l,q,interval,kind", [
-    (0, 3, "t0", "periodic"), (1, 3, "t0", "periodic"),
-    (2, 3, "t0", "periodic"), (0, 8, "t0/2", "periodic"),
-    (1, 8, "t0/2", "antiperiodic"), (2, 8, "t0/2", "periodic")])
-def test_symmetry_class(l, q, interval, kind):
-    assert symmetry_class(l, q) == (interval, BoundaryCondition(kind))
+@pytest.mark.parametrize("build,l,level", [
+    (partial(l0_channel_system, 1), 0, 0.0),
+    (partial(l0_channel_system, 2), 0, 0.0),
+    (partial(laplace_system, 0), 0, 2.0),
+    (partial(laplace_system, 1), 1, 2.0)],
+    ids=["channel1", "channel2", "laplace0", "laplace1"])
+@pytest.mark.parametrize("family", ["traj23", "traj58", "traj710"])
+def test_class_rule_sums_the_ladder_to_the_closed_length_count(
+        family, build, l, level, request):
+    # Bloch: the closed-length problem on a mesh 2q times as fine is the
+    # direct sum of the twisted problems on [0, T].  For even q the class
+    # is the half length, periodic at even l and antiperiodic at odd l.
+    traj = request.getfixturevalue(family)
+    q, m = traj.family.rotation.q, 256
+    if q % 2 == 1:
+        closed = build(traj, "t0", BoundaryCondition.periodic())
+        mesh = 2 * q * m
+    else:
+        closed = build(traj, "t0/2", BoundaryCondition.antiperiodic() if l % 2
+                       else BoundaryCondition.periodic())
+        mesh = q * m
+    rows = ladder_counts(build, traj, m, level)
+    assert class_counts(l, q, rows) == boundary_counts(closed, mesh, level)
 
 
 class TestSpectralIndex:

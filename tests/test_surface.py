@@ -6,6 +6,7 @@ import pytest
 from helpers import zero_count
 from otsuki.errors import ValidationError
 from otsuki.geodesic import sample_trajectory
+from otsuki.sl import BoundaryCondition
 from otsuki.spectral import spectrum_below
 from otsuki.surface import (_weingarten, frame, kernel_fields, kernel_residual,
                             laplace_system, separated_coefficients)
@@ -176,17 +177,19 @@ class TestKernelFields:
 
 class TestLaplaceSystem:
     def test_clifford_constant(self, clifford_traj):
-        sys0 = laplace_system(0, clifford_traj, "T")
+        sys0 = laplace_system(0, clifford_traj, "T",
+                              BoundaryCondition.periodic())
         _, p, ph, q = sys0.sample(256)
         assert np.abs(p - 4 * math.pi ** 2).max() < 1e-14
         assert np.abs(q).max() < 1e-14
 
     def test_potential_dominates_l_squared(self, traj23):
-        sys2 = laplace_system(2, traj23, "t0")
+        sys2 = laplace_system(2, traj23, "t0", BoundaryCondition.periodic())
         _, _, _, q = sys2.sample(512)
         assert np.all(q >= 4.0 - 1e-12)
 
     def test_clifford_l1_ground_state(self, clifford_traj):
-        sys1 = laplace_system(1, clifford_traj, "T")
+        sys1 = laplace_system(1, clifford_traj, "T",
+                              BoundaryCondition.periodic())
         summary = spectrum_below(sys1, 1.5, 256)
         assert summary.eigenvalues[0] == pytest.approx(1.0, abs=1e-8)
