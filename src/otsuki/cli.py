@@ -123,18 +123,26 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.channel is not None and args.l != 0:
+        raise ValidationError("--channel selects an l = 0 channel; "
+                              f"l = {args.l} has none")
+    if args.omega_index is not None and args.bc != "twisted":
+        raise ValidationError("--omega-index applies only to --bc twisted")
     family = _resolve_family(args)
-    traj = family_trajectory(family, args.n)
     if args.bc == "twisted":
         if args.omega_index is None or family.rotation is None:
             raise ValidationError("twisted problems need --p/--q and --omega-index")
-        omega = roots_of_unity_ladder(family.rotation.q)[
-            args.omega_index % (2 * family.rotation.q)]
-        bc = BoundaryCondition.twisted(omega)
+        ladder = roots_of_unity_ladder(family.rotation.q)
+        if not 0 <= args.omega_index < len(ladder):
+            raise ValidationError(
+                f"--omega-index must lie in [0, {len(ladder)}), "
+                f"got {args.omega_index}")
+        bc = BoundaryCondition.twisted(ladder[args.omega_index])
         interval = "T"
     else:
         bc = BoundaryCondition(args.bc)
         interval = "t0" if args.bc == "periodic" else "T"
+    traj = family_trajectory(family, args.n)
     if args.l == 0:
         systems = [l0_channel_system(chan, traj, interval, bc)
                    for chan in ([args.channel] if args.channel else [1, 2])]

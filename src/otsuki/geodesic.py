@@ -31,11 +31,20 @@ CLIFFORD_ROTATION = math.sqrt(2.0) * math.pi / 2.0
 ROTATION_LO = 0.5
 ROTATION_HI = math.sqrt(2.0) / 2.0
 
-# RK4 steps per half period, for the endpoint polish and the sampled grid
+# RK4 steps per half period of the endpoint polish, which fixes T and the
+# flow's miss of p pi / q; the samples come from the quadrature time map
 _RK4_STEPS = 32768
 _FLOW_MISS_TOL = 1e-10  # largest flow miss of p pi / q that one step corrects
 _SLOPE_STEP = 1e-6      # central-difference half-width in b, relative to |b|
 DRIFT_TOL = 1e-8        # largest energy drift of a sampled trajectory
+
+# The sampler's table of the time map t(u) on [-pi/2, pi/2]: panels, and the
+# Gauss-Legendre order on each whole or partial panel
+_MAP_PANELS = 128
+_MAP_ORDER = 6
+_NEWTON_TOL = 1e-12     # |du| at which the inversion of t(u) stops
+_NEWTON_STEPS = 6
+_map_nodes, _map_weights = np.polynomial.legendre.leggauss(_MAP_ORDER)
 
 
 def metric_coefficients(phi):
@@ -65,27 +74,43 @@ def _singular_factors(u: np.ndarray, b: float):
     return phi, jac / np.sqrt(prod * quart)
 
 
+def _regular_factors(u: np.ndarray, b: float):
+    # The kernel of _singular_factors with jac / sqrt(prod) cancelled in
+    # closed form: 1 +- sin u = 2 sin^2 w, 2 cos^2 w with w = pi/4 + u/2, so
+    # the kernel is 1 / sqrt(sinc(2b sin^2 w) sinc(2b cos^2 w) quart).  It
+    # stays finite at u = +-pi/2 and runs on smoothly past them, where the
+    # sampler evaluates it; the quadratures keep the form above, which never
+    # meets the endpoints, so that T and Xi keep their values.
+    w = 0.25 * math.pi + 0.5 * u
+    phi = -b * np.sin(u)
+    quart = np.cos(phi) ** 2 + math.cos(b) ** 2
+    x = 2.0 * b / math.pi  # np.sinc(y) is sin(pi y) / (pi y)
+    sincs = np.sinc(x * np.sin(w) ** 2) * np.sinc(x * np.cos(w) ** 2)
+    return phi, 1.0 / np.sqrt(sincs * quart)
+
+
+def _time_rate(phi, kernel):
+    """dt/du along phi = -b sin u."""
+    return TWO_PI * np.cos(phi) ** 3 * kernel
+
+
+def _angle_rate(phi, kernel, b: float):
+    """dtheta/du along phi = -b sin u."""
+    return math.cos(b) ** 2 * kernel / np.cos(phi)
+
+
 def half_period(b: float) -> float:
     """Half period T(b) of the latitude oscillation, in arc-length units."""
     _check_b(b)
-
-    def f(u):
-        phi, kernel = _singular_factors(u, b)
-        return TWO_PI * np.cos(phi) ** 3 * kernel
-
-    return adaptive_gauss(f, -math.pi / 2, math.pi / 2)
+    return adaptive_gauss(lambda u: _time_rate(*_singular_factors(u, b)),
+                          -math.pi / 2, math.pi / 2)
 
 
 def rotation_angle(b: float) -> float:
     """Rotation angle Xi(b) = theta(T(b)); strictly increasing in b."""
     _check_b(b)
-    cb2 = math.cos(b) ** 2
-
-    def f(u):
-        phi, kernel = _singular_factors(u, b)
-        return cb2 * kernel / np.cos(phi)
-
-    return adaptive_gauss(f, -math.pi / 2, math.pi / 2)
+    return adaptive_gauss(lambda u: _angle_rate(*_singular_factors(u, b), b),
+                          -math.pi / 2, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -143,11 +168,13 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
     """Find the family with Xi(b) = (p/q) pi.
 
     Xi is strictly increasing, so bisection finds the quadrature root to
-    the float resolution of b.  One flow integration there gives the
-    integrator's own turning time T and its miss theta(T) - p pi / q; one
-    linear step along the quadrature slopes dXi/db and dT/db removes the
-    miss, as the sampled trajectory is only junction-smooth when theta(T)
-    equals p pi / q at the integrator's own accuracy.
+    the float resolution of b.  One RK4 flow integration there gives the
+    flow's turning time T and its miss theta(T) - p pi / q; one linear
+    step along the quadrature slopes dXi/db and dT/db removes the miss.
+    This polish of T and the miss is the only time stepping: the samples
+    invert the quadrature time map (``sample_trajectory``), which agrees
+    with the polished flow to ~1e-13, so theta(T) = p pi / q holds for
+    them too and the reflected trajectory is junction-smooth.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError("p and q must be integers")
@@ -210,42 +237,40 @@ def _geodesic_rhs(phi: float, phid: float, c: float):
     return phidd, thd
 
 
-def _rk4(y0: float, y1: float, y2: float, c: float, h: float,
-         n_out: int, stride: int):
+def _rk4(y0: float, y1: float, y2: float, c: float, h: float, steps: int):
     """Fixed-step RK4 for (phi, phidot, theta) with step h.
 
-    Yields the state and its derivatives (phi, phidot, theta, phidotdot,
-    thetadot) after every ``stride`` steps, ``n_out`` times.  Plain floats in
-    and out: this is the hot loop of the geodesic solve.
+    Returns the state and its derivatives (phi, phidot, theta, phidotdot,
+    thetadot) after ``steps`` steps.  Plain floats in and out: this is the
+    hot loop of the geodesic solve.
     """
     h2, h6 = h / 2.0, h / 6.0
     a1, t1 = _geodesic_rhs(y0, y1, c)
-    for _ in range(n_out):
-        for _ in range(stride):
-            v2 = y1 + h2 * a1
-            a2, t2 = _geodesic_rhs(y0 + h2 * y1, v2, c)
-            v3 = y1 + h2 * a2
-            a3, t3 = _geodesic_rhs(y0 + h2 * v2, v3, c)
-            v4 = y1 + h * a3
-            a4, t4 = _geodesic_rhs(y0 + h * v3, v4, c)
-            y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
-            y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
-            a1, t1 = _geodesic_rhs(y0, y1, c)
-        yield y0, y1, y2, a1, t1
+    for _ in range(steps):
+        v2 = y1 + h2 * a1
+        a2, t2 = _geodesic_rhs(y0 + h2 * y1, v2, c)
+        v3 = y1 + h2 * a2
+        a3, t3 = _geodesic_rhs(y0 + h2 * v2, v3, c)
+        v4 = y1 + h * a3
+        a4, t4 = _geodesic_rhs(y0 + h * v3, v4, c)
+        y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
+        y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
+        a1, t1 = _geodesic_rhs(y0, y1, c)
+    return y0, y1, y2, a1, t1
 
 
 def _polish_endpoint(b: float, c: float, T: float):
     """Newton-correct T so phidot(T) = 0 against the integrated flow, and
     return the flow's rotation angle at the corrected turning time.
 
-    The quadrature T is accurate to ~1e-13, but reflected trajectory
-    samples kink at the half-period junctions unless the stored T is the
-    integrator's own turning time; theta at the corrected time follows to
-    second order in the (tiny) shift.
+    The quadrature T is accurate to ~1e-13; the flow's own turning time
+    and its miss of p pi / q there fix the stored T and the final step in
+    b.  theta at the corrected time follows to second order in the (tiny)
+    shift.
     """
-    _, phid, theta, phidd, thd = next(_rk4(b, 0.0, 0.0, c, T / _RK4_STEPS,
-                                           1, _RK4_STEPS))
+    _, phid, theta, phidd, thd = _rk4(b, 0.0, 0.0, c, T / _RK4_STEPS,
+                                      _RK4_STEPS)
     if phidd == 0.0:
         return T, theta
     dT = -phid / phidd
@@ -345,12 +370,26 @@ class Trajectory:
         }
 
 
-def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
-    """Integrate the geodesic over one half period on an (n+1)-node grid.
+def _time_map(b: float, lo: np.ndarray, u: np.ndarray):
+    """t(u) - t(lo) and theta(u) - theta(lo) along phi = -b sin u, by one
+    Gauss-Legendre rule on each [lo, u]."""
+    half = 0.5 * (u - lo)
+    x = (lo + half)[:, None] + half[:, None] * _map_nodes
+    phi, kernel = _regular_factors(x, b)
+    return (_time_rate(phi, kernel) @ _map_weights * half,
+            _angle_rate(phi, kernel, b) @ _map_weights * half)
 
-    The second-order equation for phi is integrated (sign-unambiguous at
-    the turning points) by fixed-step RK4, substepped so the global error
-    sits near machine precision; theta rides along through theta' = c/G.
+
+def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
+    """Sample the geodesic over one half period on an (n+1)-node grid.
+
+    No time stepping: phi = -b sin u, and each grid time t_i is mapped to
+    its u_i by inverting the quadrature time map t(u) (the integrand of
+    T(b)).  A table of panel integrals gives a cubic Hermite first guess,
+    Newton steps on the partial-panel integral finish it; theta comes from
+    the same partial sums.  The samples agree with the flow whose turning
+    time the solver stored as T to ~1e-13, so the reflected trajectory
+    stays smooth at the half-period junctions.
     """
     if n < 64:
         raise ValidationError(f"need n >= 64 grid intervals, got {n}")
@@ -362,18 +401,40 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
         return Trajectory(family=family, grid=grid, phi=phi,
                           phidot=phid, theta=theta)
 
-    m_sub = max(1, -(-_RK4_STEPS // n))
-    h = family.T / (n * m_sub)
-    phi_out = np.empty(n + 1)
-    phid_out = np.empty(n + 1)
-    th_out = np.empty(n + 1)
-    phi_out[0], phid_out[0], th_out[0] = family.b, 0.0, 0.0
-    states = _rk4(family.b, 0.0, 0.0, family.c, h, n, m_sub)
-    for i, (phi, phid, theta, _, _) in enumerate(states, 1):
-        phi_out[i], phid_out[i], th_out[i] = phi, phid, theta
+    b = family.b
+    edges = np.linspace(-math.pi / 2, math.pi / 2, _MAP_PANELS + 1)
+    dt, dth = _time_map(b, edges[:-1], edges[1:])
+    t_edge = np.concatenate(([0.0], np.cumsum(dt)))
+    th_edge = np.concatenate(([0.0], np.cumsum(dth)))
+    slope = 1.0 / _time_rate(*_regular_factors(edges, b))  # du/dt
 
-    traj = Trajectory(family=family, grid=grid, phi=phi_out,
-                      phidot=phid_out, theta=th_out)
+    # first guess: the cubic Hermite inverse of t(u) on each node's panel
+    k = np.clip(np.searchsorted(t_edge, grid, side="right") - 1,
+                0, _MAP_PANELS - 1)
+    lo, t_lo = edges[k], t_edge[k]
+    span = t_edge[k + 1] - t_lo
+    z = (grid - t_lo) / span
+    u = (lo * (1.0 + 2.0 * z) * (1.0 - z) ** 2
+         + edges[k + 1] * z * z * (3.0 - 2.0 * z)
+         + span * z * (1.0 - z) * (slope[k] * (1.0 - z) - slope[k + 1] * z))
+    for _ in range(_NEWTON_STEPS):
+        t_part, th_part = _time_map(b, lo, u)
+        phi, kernel = _regular_factors(u, b)
+        du = (grid - t_lo - t_part) / _time_rate(phi, kernel)
+        u = u + du
+        if np.abs(du).max() < _NEWTON_TOL:
+            break
+    else:
+        miss = float(np.abs(du).max())
+        raise NumericalError(
+            f"time-map inversion stalled at |du| = {miss:.3e}", residual=miss)
+    theta = th_edge[k] + th_part + _angle_rate(phi, kernel, b) * du
+    phi, kernel = _regular_factors(u, b)
+    phid = -b * np.cos(u) / _time_rate(phi, kernel)
+    phi[0], phid[0], theta[0] = b, 0.0, 0.0
+
+    traj = Trajectory(family=family, grid=grid, phi=phi,
+                      phidot=phid, theta=theta)
     drift = traj.conservation_drift()
     if drift > DRIFT_TOL:
         raise NumericalError(

@@ -1,10 +1,10 @@
 """Oracles the tests share and the package does not run: constant-coefficient
-systems, sign-change counts, the Sturm oscillation ladder and the
-periodic/antiperiodic interlacing pattern."""
+systems, a fine fixed-step RK4 trajectory, sign-change counts, the Sturm
+oscillation ladder and the periodic/antiperiodic interlacing pattern."""
 
 import numpy as np
 
-from otsuki import spectral
+from otsuki import geodesic, spectral
 from otsuki.eigencount import eigenvalues_in, scalar_eigenfunctions
 from otsuki.errors import NumericalError, ValidationError
 from otsuki.sl import SLSystem
@@ -27,6 +27,28 @@ def constant_system(dim, length, weight, potential, bc):
         return p, q
 
     return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)
+
+
+def rk4_samples(family, n, steps):
+    """(phi, phidot, theta) on sample_trajectory's (n+1)-node grid by
+    fixed-step RK4 of the geodesic equation, with at least ``steps`` steps
+    over the half period.
+
+    theta does not feed back into the flow, so it restarts from 0 on each
+    grid interval and the increments are summed afterwards: one long
+    accumulation of theta would carry rounding of ~1e-12 at 2^17 steps.
+    """
+    per_node = -(-steps // n)
+    h = family.T / (n * per_node)
+    out = np.empty((3, n + 1))
+    out[:, 0] = family.b, 0.0, 0.0
+    phi, phidot = family.b, 0.0
+    for i in range(1, n + 1):
+        phi, phidot, dtheta, _, _ = geodesic._rk4(phi, phidot, 0.0, family.c,
+                                                  h, per_node)
+        out[:, i] = phi, phidot, dtheta
+    out[2] = np.cumsum(out[2])
+    return out
 
 
 def zero_count(samples, antiperiodic=False):

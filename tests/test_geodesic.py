@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rk4_samples
 from otsuki import geodesic
 from otsuki.errors import DomainError, NumericalError, ValidationError
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
@@ -87,7 +88,8 @@ class TestSolveParameter:
         assert fam23.t0 == pytest.approx(6 * fam23.T, rel=1e-15)
 
     def test_parameters_are_plain_floats(self, fam23):
-        # the RK4 stepper runs on Python floats; numpy scalars would slow it
+        # the RK4 polish of T and its miss runs on Python floats; numpy
+        # scalars would slow it
         for value in (fam23.b, fam23.c, fam23.T, fam23.Xi):
             assert type(value) is float
 
@@ -165,7 +167,8 @@ class TestTrajectory:
         assert np.all(traj23.phi <= -fam23.b + 1e-12)
 
     def test_theta_matches_quadrature(self, traj23, fam23):
-        # integrated rotation angle against the independent quadrature route
+        # the sampled angle at the flow's turning time against the adaptive
+        # quadrature of Xi
         assert abs(traj23.theta[-1] - rotation_angle(fam23.b)) < 1e-8
 
     def test_at_reproduces_nodes(self, traj23):
@@ -186,6 +189,46 @@ class TestTrajectory:
         assert clifford_traj.conservation_drift() < 1e-14
         assert clifford_traj.theta[-1] == pytest.approx(CLIFFORD_ROTATION,
                                                         rel=1e-15)
+
+
+def _max_errors(traj, ref):
+    return [float(np.abs(got - want).max())
+            for got, want in zip((traj.phi, traj.phidot, traj.theta), ref)]
+
+
+class TestQuadratureSampler:
+    """The samples invert the quadrature time map; a finer fixed-step RK4
+    of the geodesic equation is the independent reference."""
+
+    @pytest.mark.parametrize("family,n", [
+        ((2, 3), 1024), ((5, 9), 1024), ((7, 10), 1024), ((70, 99), 1024),
+        ((5, 9), 171), (-0.05, 1024), (-1e-6, 1024)])
+    def test_matches_fine_flow(self, family, n):
+        fam = (GeodesicFamily.from_b(family) if isinstance(family, float)
+               else solve_parameter(*family))
+        errors = _max_errors(sample_trajectory(fam, n),
+                             rk4_samples(fam, n, 2 ** 16))
+        assert max(errors) <= 1e-12
+
+    def test_matches_fine_flow_near_pole(self):
+        # the 32768-step flow itself is off by 2e-10 here
+        fam = GeodesicFamily.from_b(-1.4)
+        errors = _max_errors(sample_trajectory(fam, 1024),
+                             rk4_samples(fam, 1024, 2 ** 19))
+        assert max(errors) <= 1e-9
+
+    def test_never_integrates(self, monkeypatch, fam23):
+        def refuse(*args):
+            raise AssertionError("sample_trajectory stepped the flow")
+
+        monkeypatch.setattr(geodesic, "_rk4", refuse)
+        traj = sample_trajectory(fam23, 1024)
+        assert traj.conservation_drift() < 1e-14
+
+    def test_stalled_inversion_raises(self, monkeypatch, fam23):
+        monkeypatch.setattr(geodesic, "_NEWTON_TOL", 0.0)
+        with pytest.raises(NumericalError):
+            sample_trajectory(fam23, 256)
 
 
 class TestExtendedEvaluation:

@@ -342,6 +342,42 @@ class TestCli:
                         "--bc", "twisted", "--n", "512"])
         assert code == 1
 
+    @pytest.mark.parametrize("index", ["99", "6", "-1"])
+    def test_omega_index_outside_ladder_exits_1(self, capsys, index):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
+                        "--bc", "twisted", f"--omega-index={index}",
+                        "--n", "512"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: --omega-index must lie in [0, 6), got {index}\n")
+
+    def test_omega_index_without_twist_exits_1(self, capsys):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
+                        "--bc", "periodic", "--omega-index", "1",
+                        "--n", "512"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: --omega-index applies only to --bc twisted\n")
+
+    def test_channel_beyond_l0_exits_1(self, capsys):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
+                        "--bc", "antiperiodic", "--channel", "1",
+                        "--n", "512"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: --channel selects an l = 0 channel; l = 1 has none\n")
+
+    def test_twisted_spectrum_echoes_its_index(self, capsys):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
+                        "--bc", "twisted", "--omega-index", "5",
+                        "--n", "256"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [d["omega_index"] for d in doc] == [5]
+
     def test_edwards_subcommand(self, capsys, tmp_path):
         out = tmp_path / "edwards.json"
         code = run_cli(["edwards", "--p", "2", "--q", "3", "--l", "2",
