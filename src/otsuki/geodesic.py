@@ -11,7 +11,7 @@ of pi, which pins b for each admissible rotation number p/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import cos, sin
 from typing import Optional
 
@@ -31,11 +31,6 @@ CLIFFORD_ROTATION = math.sqrt(2.0) * math.pi / 2.0
 ROTATION_LO = 0.5
 ROTATION_HI = math.sqrt(2.0) / 2.0
 
-# RK4 steps per half period of the endpoint polish, which fixes T and the
-# flow's miss of p pi / q; the samples come from the quadrature time map
-_RK4_STEPS = 32768
-_FLOW_MISS_TOL = 1e-10  # largest flow miss of p pi / q that one step corrects
-_SLOPE_STEP = 1e-6      # central-difference half-width in b, relative to |b|
 DRIFT_TOL = 1e-8        # largest energy drift of a sampled trajectory
 
 # The sampler's table of the time map t(u) on [-pi/2, pi/2]: panels, and the
@@ -62,25 +57,14 @@ def _check_b(b: float) -> None:
         raise DomainError(f"geodesic parameter must lie in (-pi/2, 0), got {b!r}")
 
 
-def _singular_factors(u: np.ndarray, b: float):
-    # Substitution phi = -b sin u removes the inverse-square-root endpoint
-    # singularity: cos^2(phi) - cos^2(b) = sin(b(1+sin u)) sin(b(1-sin u))
-    # is exact in floating point, while the quartic difference cancels badly.
-    su = np.sin(u)
-    phi = -b * su
-    prod = np.sin(b * (1.0 + su)) * np.sin(b * (1.0 - su))
-    quart = np.cos(phi) ** 2 + math.cos(b) ** 2
-    jac = -b * np.cos(u)
-    return phi, jac / np.sqrt(prod * quart)
-
-
 def _regular_factors(u: np.ndarray, b: float):
-    # The kernel of _singular_factors with jac / sqrt(prod) cancelled in
-    # closed form: 1 +- sin u = 2 sin^2 w, 2 cos^2 w with w = pi/4 + u/2, so
-    # the kernel is 1 / sqrt(sinc(2b sin^2 w) sinc(2b cos^2 w) quart).  It
-    # stays finite at u = +-pi/2 and runs on smoothly past them, where the
-    # sampler evaluates it; the quadratures keep the form above, which never
-    # meets the endpoints, so that T and Xi keep their values.
+    # Substitution phi = -b sin u removes the inverse-square-root endpoint
+    # singularity of the period integrals.  With w = pi/4 + u/2,
+    # cos^2(phi) - cos^2(b) = sin(2b sin^2 w) sin(2b cos^2 w), and its root
+    # cancels the Jacobian -b cos u in closed form: the kernel is
+    # 1 / sqrt(sinc(2b sin^2 w) sinc(2b cos^2 w) quart), with no 1 - sin u
+    # to lose digits near u = +-pi/2.  It stays finite there and runs on
+    # smoothly past them, where the sampler evaluates it.
     w = 0.25 * math.pi + 0.5 * u
     phi = -b * np.sin(u)
     quart = np.cos(phi) ** 2 + math.cos(b) ** 2
@@ -102,14 +86,14 @@ def _angle_rate(phi, kernel, b: float):
 def half_period(b: float) -> float:
     """Half period T(b) of the latitude oscillation, in arc-length units."""
     _check_b(b)
-    return adaptive_gauss(lambda u: _time_rate(*_singular_factors(u, b)),
+    return adaptive_gauss(lambda u: _time_rate(*_regular_factors(u, b)),
                           -math.pi / 2, math.pi / 2)
 
 
 def rotation_angle(b: float) -> float:
     """Rotation angle Xi(b) = theta(T(b)); strictly increasing in b."""
     _check_b(b)
-    return adaptive_gauss(lambda u: _angle_rate(*_singular_factors(u, b), b),
+    return adaptive_gauss(lambda u: _angle_rate(*_regular_factors(u, b), b),
                           -math.pi / 2, math.pi / 2)
 
 
@@ -147,9 +131,8 @@ class GeodesicFamily:
         if b == 0.0:
             return cls.clifford()
         _check_b(b)
-        c = TWO_PI * math.cos(b) ** 2
-        T, _ = _polish_endpoint(b, c, half_period(b))
-        return cls(b=b, c=c, T=T, Xi=rotation_angle(b))
+        return cls(b=b, c=TWO_PI * math.cos(b) ** 2, T=half_period(b),
+                   Xi=rotation_angle(b))
 
     @classmethod
     def clifford(cls) -> "GeodesicFamily":
@@ -167,19 +150,16 @@ class GeodesicFamily:
 def solve_parameter(p: int, q: int) -> GeodesicFamily:
     """Find the family with Xi(b) = (p/q) pi.
 
-    Xi is strictly increasing, so bisection finds the quadrature root to
-    the float resolution of b.  One RK4 flow integration there gives the
-    flow's turning time T and its miss theta(T) - p pi / q; one linear
-    step along the quadrature slopes dXi/db and dT/db removes the miss.
-    This polish of T and the miss is the only time stepping: the samples
-    invert the quadrature time map (``sample_trajectory``), which agrees
-    with the polished flow to ~1e-13, so theta(T) = p pi / q holds for
-    them too and the reflected trajectory is junction-smooth.
+    Xi is strictly increasing, so bisection finds the root to the float
+    resolution of b; T and Xi are the quadratures there.  T, Xi and the
+    samples (``sample_trajectory``) integrate one kernel, so the samples
+    turn at T and theta(T) = p pi / q holds for them too: the reflected
+    trajectory is junction-smooth.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError("p and q must be integers")
     # validates gcd and the admissible interval before any quadrature
-    RotationNumber(p, q)
+    rotation = RotationNumber(p, q)
     target = p * math.pi / q
 
     # the rotation angle approaches its polar limit only as b -> -pi/2, so
@@ -206,26 +186,7 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
         else:
             hi, fhi = mid, fm
     b = lo if abs(flo) <= abs(fhi) else hi
-
-    c = TWO_PI * math.cos(b) ** 2
-    T, theta_T = _polish_endpoint(b, c, half_period(b))
-    miss = theta_T - target
-    if abs(miss) > _FLOW_MISS_TOL:
-        raise NumericalError(
-            f"integrated flow misses p pi / q by {miss:.3e} at the quadrature "
-            "root", residual=abs(miss))
-
-    def slope(f):
-        h = _SLOPE_STEP * abs(b)
-        return (f(b + h) - f(b - h)) / (2.0 * h)
-
-    step = -miss / slope(rotation_angle)
-    b, T = b + step, T + slope(half_period) * step
-    c = TWO_PI * math.cos(b) ** 2
-    return GeodesicFamily(
-        b=b, c=c, T=T, Xi=rotation_angle(b),
-        rotation=RotationNumber(p, q),
-    )
+    return replace(GeodesicFamily.from_b(b), rotation=rotation)
 
 
 def _geodesic_rhs(phi: float, phid: float, c: float):
@@ -235,46 +196,6 @@ def _geodesic_rhs(phi: float, phid: float, c: float):
         - c * c * sphi / (EIGHT_PI4 * cphi ** 7)
     thd = c / (FOUR_PI2 * cphi ** 4)
     return phidd, thd
-
-
-def _rk4(y0: float, y1: float, y2: float, c: float, h: float, steps: int):
-    """Fixed-step RK4 for (phi, phidot, theta) with step h.
-
-    Returns the state and its derivatives (phi, phidot, theta, phidotdot,
-    thetadot) after ``steps`` steps.  Plain floats in and out: this is the
-    hot loop of the geodesic solve.
-    """
-    h2, h6 = h / 2.0, h / 6.0
-    a1, t1 = _geodesic_rhs(y0, y1, c)
-    for _ in range(steps):
-        v2 = y1 + h2 * a1
-        a2, t2 = _geodesic_rhs(y0 + h2 * y1, v2, c)
-        v3 = y1 + h2 * a2
-        a3, t3 = _geodesic_rhs(y0 + h2 * v2, v3, c)
-        v4 = y1 + h * a3
-        a4, t4 = _geodesic_rhs(y0 + h * v3, v4, c)
-        y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
-        y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
-        a1, t1 = _geodesic_rhs(y0, y1, c)
-    return y0, y1, y2, a1, t1
-
-
-def _polish_endpoint(b: float, c: float, T: float):
-    """Newton-correct T so phidot(T) = 0 against the integrated flow, and
-    return the flow's rotation angle at the corrected turning time.
-
-    The quadrature T is accurate to ~1e-13; the flow's own turning time
-    and its miss of p pi / q there fix the stored T and the final step in
-    b.  theta at the corrected time follows to second order in the (tiny)
-    shift.
-    """
-    _, phid, theta, phidd, thd = _rk4(b, 0.0, 0.0, c, T / _RK4_STEPS,
-                                      _RK4_STEPS)
-    if phidd == 0.0:
-        return T, theta
-    dT = -phid / phidd
-    return T + dT, theta + thd * dT
 
 
 @dataclass(frozen=True)
@@ -296,8 +217,8 @@ class Trajectory:
         n = self.n
         h = self.family.T / n
         # the half-period shift of theta: p pi / q makes the full-length
-        # wrap exact for closed families (the solver pins theta(T) to it);
-        # otherwise the integrated value keeps the junctions smooth
+        # wrap exact for closed families (the solver's root has Xi equal
+        # to it); otherwise the sampled theta(T) keeps the junctions smooth
         rot = self.family.rotation
         shift = (math.pi * rot.p / rot.q) if rot is not None \
             else float(self.theta[-1])
@@ -387,9 +308,10 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     its u_i by inverting the quadrature time map t(u) (the integrand of
     T(b)).  A table of panel integrals gives a cubic Hermite first guess,
     Newton steps on the partial-panel integral finish it; theta comes from
-    the same partial sums.  The samples agree with the flow whose turning
-    time the solver stored as T to ~1e-13, so the reflected trajectory
-    stays smooth at the half-period junctions.
+    the same partial sums.  The kernel is the one T(b) and Xi(b)
+    integrate, so the last node lands on u = pi/2, where phidot = 0 and
+    theta = Xi, and the reflected trajectory stays smooth at the
+    half-period junctions.
     """
     if n < 64:
         raise ValidationError(f"need n >= 64 grid intervals, got {n}")

@@ -1,6 +1,7 @@
 """Oracles the tests share and the package does not run: constant-coefficient
-systems, a fine fixed-step RK4 trajectory, sign-change counts, the Sturm
-oscillation ladder and the periodic/antiperiodic interlacing pattern."""
+systems, a fine fixed-step RK4 flow (its samples and its turning time),
+sign-change counts, the Sturm oscillation ladder and the
+periodic/antiperiodic interlacing pattern."""
 
 import numpy as np
 
@@ -29,6 +30,43 @@ def constant_system(dim, length, weight, potential, bc):
     return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)
 
 
+def rk4(y0, y1, y2, c, h, steps):
+    """Fixed-step RK4 for (phi, phidot, theta) with step h.
+
+    Returns the state and its derivatives (phi, phidot, theta, phidotdot,
+    thetadot) after ``steps`` steps.  Plain floats in and out: this is the
+    hot loop of every flow oracle.
+    """
+    rhs = geodesic._geodesic_rhs
+    h2, h6 = h / 2.0, h / 6.0
+    a1, t1 = rhs(y0, y1, c)
+    for _ in range(steps):
+        v2 = y1 + h2 * a1
+        a2, t2 = rhs(y0 + h2 * y1, v2, c)
+        v3 = y1 + h2 * a2
+        a3, t3 = rhs(y0 + h2 * v2, v3, c)
+        v4 = y1 + h * a3
+        a4, t4 = rhs(y0 + h * v3, v4, c)
+        y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
+        y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
+        a1, t1 = rhs(y0, y1, c)
+    return y0, y1, y2, a1, t1
+
+
+def flow_turning(family, steps):
+    """The flow's turning time next to ``family.T`` and its theta there.
+
+    ``steps`` RK4 steps of the geodesic equation from (b, 0, 0) over
+    [0, T], then one Newton step on phidot = 0; theta at the corrected time
+    follows to second order in the (tiny) shift.
+    """
+    _, phid, theta, phidd, thd = rk4(family.b, 0.0, 0.0, family.c,
+                                     family.T / steps, steps)
+    dT = -phid / phidd
+    return family.T + dT, theta + thd * dT
+
+
 def rk4_samples(family, n, steps):
     """(phi, phidot, theta) on sample_trajectory's (n+1)-node grid by
     fixed-step RK4 of the geodesic equation, with at least ``steps`` steps
@@ -44,8 +82,8 @@ def rk4_samples(family, n, steps):
     out[:, 0] = family.b, 0.0, 0.0
     phi, phidot = family.b, 0.0
     for i in range(1, n + 1):
-        phi, phidot, dtheta, _, _ = geodesic._rk4(phi, phidot, 0.0, family.c,
-                                                  h, per_node)
+        phi, phidot, dtheta, _, _ = rk4(phi, phidot, 0.0, family.c, h,
+                                        per_node)
         out[:, i] = phi, phidot, dtheta
     out[2] = np.cumsum(out[2])
     return out

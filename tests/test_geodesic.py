@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rk4_samples
+from helpers import flow_turning, rk4_samples
 from otsuki import geodesic
 from otsuki.errors import DomainError, NumericalError, ValidationError
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
@@ -88,8 +88,7 @@ class TestSolveParameter:
         assert fam23.t0 == pytest.approx(6 * fam23.T, rel=1e-15)
 
     def test_parameters_are_plain_floats(self, fam23):
-        # the RK4 polish of T and its miss runs on Python floats; numpy
-        # scalars would slow it
+        # the flow oracle runs on Python floats; numpy scalars would slow it
         for value in (fam23.b, fam23.c, fam23.T, fam23.Xi):
             assert type(value) is float
 
@@ -110,37 +109,39 @@ class TestSolveParameter:
         assert fam58.rotation.p == 5 and fam58.rotation.q == 8
         assert 0.5 < 5 / 8 < math.sqrt(2) / 2
 
-    def test_flow_integrated_once(self, monkeypatch):
-        calls = []
-        original = geodesic._polish_endpoint
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(geodesic, "_polish_endpoint", counted)
-        solve_parameter(4, 7)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (7, 10), (70, 99),
+                                     (408, 577)])
+    def test_closing_condition_exact(self, p, q):
+        target = p * math.pi / q
+        assert abs(solve_parameter(p, q).Xi - target) <= 2 * math.ulp(target)
 
     @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (7, 10), (70, 99)])
     def test_flow_closes_at_returned_family(self, p, q):
         # a fresh integration at the returned b turns at the returned T
         # and has rotated by p pi / q there
         fam = solve_parameter(p, q)
-        T, theta = geodesic._polish_endpoint(fam.b, fam.c, half_period(fam.b))
+        T, theta = flow_turning(fam, 2 ** 15)
         assert abs(theta - p * math.pi / q) <= 5e-14
         assert abs(T - fam.T) <= 5e-13
 
-    def test_flow_miss_beyond_tolerance_raises(self, monkeypatch):
-        original = geodesic._polish_endpoint
+    @pytest.mark.parametrize("p,q", [(26, 51), (51, 101)])
+    def test_near_pole_families_close(self, p, q):
+        # this close to the pole 2^15 RK4 steps miss p pi / q by 1e-10 and
+        # 3e-9; 2^19 resolve the family, up to the rounding of that many steps
+        fam = solve_parameter(p, q)
+        T, theta = flow_turning(fam, 2 ** 19)
+        assert abs(theta - p * math.pi / q) <= 2e-13
+        assert abs(T - fam.T) <= 1e-12
 
-        def missing(b, c, T):
-            T_flow, theta = original(b, c, T)
-            return T_flow, theta + 1e-9
+    def test_no_time_stepping(self, monkeypatch):
+        # T, Xi and the samples all come from quadratures
+        def refuse(*args):
+            raise AssertionError("the geodesic flow was stepped")
 
-        monkeypatch.setattr(geodesic, "_polish_endpoint", missing)
-        with pytest.raises(NumericalError):
-            solve_parameter(2, 3)
+        monkeypatch.setattr(geodesic, "_geodesic_rhs", refuse)
+        solve_parameter(4, 7)
+        fam = GeodesicFamily.from_b(-0.3)
+        assert sample_trajectory(fam, 256).conservation_drift() < 1e-14
 
 
 class TestTrajectory:
@@ -167,8 +168,7 @@ class TestTrajectory:
         assert np.all(traj23.phi <= -fam23.b + 1e-12)
 
     def test_theta_matches_quadrature(self, traj23, fam23):
-        # the sampled angle at the flow's turning time against the adaptive
-        # quadrature of Xi
+        # the sampled angle at T against the adaptive quadrature of Xi
         assert abs(traj23.theta[-1] - rotation_angle(fam23.b)) < 1e-8
 
     def test_at_reproduces_nodes(self, traj23):
@@ -211,19 +211,11 @@ class TestQuadratureSampler:
         assert max(errors) <= 1e-12
 
     def test_matches_fine_flow_near_pole(self):
-        # the 32768-step flow itself is off by 2e-10 here
+        # this close to the pole 2^15 RK4 steps are themselves off by 2e-10
         fam = GeodesicFamily.from_b(-1.4)
         errors = _max_errors(sample_trajectory(fam, 1024),
                              rk4_samples(fam, 1024, 2 ** 19))
         assert max(errors) <= 1e-9
-
-    def test_never_integrates(self, monkeypatch, fam23):
-        def refuse(*args):
-            raise AssertionError("sample_trajectory stepped the flow")
-
-        monkeypatch.setattr(geodesic, "_rk4", refuse)
-        traj = sample_trajectory(fam23, 1024)
-        assert traj.conservation_drift() < 1e-14
 
     def test_stalled_inversion_raises(self, monkeypatch, fam23):
         monkeypatch.setattr(geodesic, "_NEWTON_TOL", 0.0)

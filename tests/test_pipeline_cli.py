@@ -308,6 +308,12 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["b"] == -0.3 and "t0" not in doc
 
+    @pytest.mark.parametrize("b", ["-1.57", "-1e-300"])
+    def test_geodesic_b_near_either_end(self, capsys, b):
+        assert run_cli(["geodesic", f"--b={b}", "--n", "64"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["b"] == float(b) and len(doc["trajectory"]["phi"]) == 65
+
     def test_geodesic_zero_intervals_exits_1(self, capsys):
         assert run_cli(["geodesic", "--p", "2", "--q", "3", "--n", "0"]) == 1
         out, err = capsys.readouterr()
