@@ -4,9 +4,9 @@ Subcommands mirror the computation stages: ``geodesic`` (solve for the
 family), ``spectrum`` (one discretized problem), ``edwards`` (boundary
 form data), ``index`` (the full report), ``verify`` (invariant battery),
 ``sweep`` (batch of families).  JSON goes to stdout unless --json-out is
-given.  Exit codes: 0 success, 1 validation problem or a file (the cache
-included) that cannot be read or written, 2 numerical or consistency
-failure (for ``sweep``: any family failed).
+given.  Exit codes: 0 success, 1 validation problem, a file (the cache
+included) that cannot be read or written, or a mesh too large for memory,
+2 numerical or consistency failure (for ``sweep``: any family failed).
 """
 
 from __future__ import annotations
@@ -250,6 +250,10 @@ def run_cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc or 'allocation failed'}); "
+              "use a smaller --n", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ which ``boundary_solutions`` checks once per mode before integrating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .geodesic import Trajectory, _geodesic_rhs
 from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import LOCATE_TOL, TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
-from .eigencount import eigenvalues_in
+from .eigencount import BandOperator, eigenvalues_in, inertia
 
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
 # the route is refused unless the Dirichlet margin from zero exceeds this
@@ -46,28 +47,46 @@ def solve_ivp(*args, **kwargs):
 
 @dataclass(frozen=True)
 class DirichletCounts:
+    """The Dirichlet negative count of one mode, and its zero-distance margin.
+
+    ``margin`` is the distance from zero to the nearest eigenvalue of the
+    mesh-n operator, capped at _MARGIN_CAP.  Accepting the route needs no
+    margin (see :func:`dirichlet_negative_count`), so it is located, to
+    LOCATE_TOL, only when first read.
+    """
+
     negative: int
-    margin: float
+    operator: BandOperator = field(compare=False, repr=False)
+
+    @cached_property
+    def margin(self) -> float:
+        lam = eigenvalues_in(self.operator, -_MARGIN_CAP, _MARGIN_CAP,
+                             tol=LOCATE_TOL, near=0.0)
+        return float(np.abs(lam).min()) if len(lam) else _MARGIN_CAP
 
 
 def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCounts:
-    """Negative count and zero-distance margin of the Dirichlet block on [0, T].
+    """Negative count of the Dirichlet block on [0, T], on meshes n and 2n.
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
     at most DIRICHLET_MARGIN: the boundary-form route needs a
-    nondegenerate Dirichlet problem.
+    nondegenerate Dirichlet problem.  Two sweeps of the mesh-n operator at
+    +-(DIRICHLET_MARGIN + LOCATE_TOL) settle the margin when no eigenvalue
+    lies between them: the located margin then exceeds DIRICHLET_MARGIN.
+    Otherwise the margin is located and compared, so the decision is
+    always "located margin > DIRICHLET_MARGIN".
     """
     system = fourier_block_system(l, traj, "T", BoundaryCondition.dirichlet())
     neg, zero = spectrum_counts(system, n)
-    # the margin is the distance from zero to the nearest eigenvalue, capped
-    lam = eigenvalues_in(system.operator(n), -_MARGIN_CAP, _MARGIN_CAP,
-                         tol=LOCATE_TOL, near=0.0)
-    margin = float(np.abs(lam).min()) if len(lam) else _MARGIN_CAP
-    if zero > 0 or margin <= DIRICHLET_MARGIN:
-        raise EdwardsInapplicableError(
-            f"Dirichlet problem at l={l} is degenerate: {zero} zero mode(s), "
-            f"margin {margin:.3e} (needs > {DIRICHLET_MARGIN:g})")
-    return DirichletCounts(negative=neg, margin=margin)
+    counts = DirichletCounts(negative=neg, operator=system.operator(n))
+    # a located eigenvalue lies within LOCATE_TOL / 2 of the true one
+    reach = DIRICHLET_MARGIN + LOCATE_TOL
+    clear = inertia(counts.operator, -reach)[0] == inertia(counts.operator, reach)[0]
+    if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
+        return counts
+    raise EdwardsInapplicableError(
+        f"Dirichlet problem at l={l} is degenerate: {zero} zero mode(s), "
+        f"margin {counts.margin:.3e} (needs > {DIRICHLET_MARGIN:g})")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,24 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from otsuki import edwards
+from otsuki import edwards, eigencount
+from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
                             dirichlet_negative_count, gram_matrix,
                             roots_of_unity_ladder, twisted_counts, twisted_form)
 from otsuki.errors import (AmbiguousClassificationError,
                            EdwardsInapplicableError, ValidationError)
-from otsuki.spectral import direct_twisted_counts
+from otsuki.eigencount import eigenvalues_in
+from otsuki.pipeline import compute_index
+from otsuki.sl import BoundaryCondition
+from otsuki.spectral import LOCATE_TOL, direct_twisted_counts
+from otsuki.surface import fourier_block_system
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -253,6 +259,55 @@ class TestApplicabilityGate:
         monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", 1e2)
         with pytest.raises(EdwardsInapplicableError):
             boundary_form(1, traj23, n=512)
+
+    @pytest.mark.parametrize("factor, accepted",
+                             [(1 - 1e-6, True), (1.0, False), (1 + 1e-6, False)])
+    def test_decision_is_located_margin_above_bound(self, traj23, monkeypatch,
+                                                    factor, accepted):
+        margin = dirichlet_negative_count(1, traj23, n=512).margin
+        monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", margin * factor)
+        if accepted:
+            assert dirichlet_negative_count(1, traj23, n=512).negative == 1
+        else:
+            with pytest.raises(EdwardsInapplicableError):
+                dirichlet_negative_count(1, traj23, n=512)
+
+    def test_margin_located_only_when_read(self, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("margin located though nothing reads it")
+
+        monkeypatch.setattr(edwards, "eigenvalues_in", unwanted)
+        report = compute_index(2, 3, "edwards", n=512)
+        assert report.flags["edwards_applicable"] == {"1": True, "2": True}
+
+    def test_margin_is_the_located_nearest_eigenvalue(self, traj23):
+        dirichlet = boundary_form(1, traj23, n=512).dirichlet
+        system = fourier_block_system(1, traj23, "T",
+                                      BoundaryCondition.dirichlet())
+        op = system.operator(512)
+        assert np.array_equal(dirichlet.operator.diag, op.diag)
+        assert np.array_equal(dirichlet.operator.off, op.off)
+        lam = eigenvalues_in(op, -4.0, 4.0, tol=LOCATE_TOL, near=0.0)
+        assert dirichlet.margin == float(np.abs(lam).min())
+
+    def test_margin_pinned_59(self, capsys):
+        assert run_cli(["edwards", "--p", "5", "--q", "9", "--l", "1",
+                        "--n", "512"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["applicability_margin"] == 1.3714980259270724
+
+    def test_dirichlet_check_sweeps(self, traj23, monkeypatch):
+        # four sweeps count (meshes n and 2n at both zone ends), two gate
+        sweeps = []
+        original = eigencount._inertia_raw
+
+        def counted(op, sigma):
+            sweeps.append(sigma)
+            return original(op, sigma)
+
+        monkeypatch.setattr(eigencount, "_inertia_raw", counted)
+        dirichlet_negative_count(1, traj23, n=512)
+        assert len(sweeps) == 6
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

@@ -319,6 +319,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: need n >= 64 grid intervals, got 0\n"
 
+    def test_mesh_too_large_for_memory_exits_1(self, capsys, monkeypatch):
+        def exhausted(family, n):
+            raise MemoryError(f"Unable to allocate an array with shape ({n + 1},)")
+
+        monkeypatch.setattr(cli, "sample_trajectory", exhausted)
+        code = run_cli(["geodesic", "--p", "2", "--q", "3",
+                        "--n", "100000000000"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: out of memory (Unable to allocate")
+        assert err.endswith("use a smaller --n\n")
+
     def test_inadmissible_ratio_exits_1(self, capsys):
         assert run_cli(["index", "--p", "1", "--q", "2"]) == 1
         assert "1/2" in capsys.readouterr().err
