@@ -101,12 +101,25 @@ class BoundarySolutions:
     psi_prime_0: np.ndarray       # (2, 4)
     psi_prime_T: np.ndarray       # (2, 4)
     p_ends: tuple
-    _sol: object
 
-    def psi(self, i: int, t) -> np.ndarray:
-        """Values of psi_i (boundary data e_i) at times t; shape (2, len(t))."""
-        Y = self._sol(np.atleast_1d(t))[2:].reshape(4, 4, -1)
-        return np.tensordot(self.coeffs[:, i], Y[:, :2], axes=1)
+
+def _fundamental_rhs(y, l, c):
+    """The derivative of the geodesic (phi, phi') and of the four
+    solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
+    gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]].  The system is
+    autonomous, since the geodesic rides along in the state."""
+    phi, phid = y[0], y[1]
+    phidd, _ = _geodesic_rhs(phi, phid, c)
+    p, q11, q12, q22 = _q_entries(l, c, phi, phid)
+    damp = -_weight_prime(phi, phid) / p
+    A = np.array([[0.0, 0.0, q11 / p, q12 / p],
+                  [0.0, 0.0, q12 / p, q22 / p],
+                  [1.0, 0.0, damp, 0.0],
+                  [0.0, 1.0, 0.0, damp]])
+    out = np.empty(18)
+    out[0], out[1] = phid, phidd
+    out[2:] = (y[2:].reshape(4, 4) @ A).ravel()
+    return out
 
 
 def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
@@ -121,27 +134,9 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     dirichlet = dirichlet_negative_count(l, traj, n=n)
 
     fam = traj.family
-    c = fam.c
-
-    def rhs(t, y):
-        # the four solutions are the rows of Y = [H | H'], and
-        # (p H')' = H Q_l gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]]
-        phi, phid = y[0], y[1]
-        phidd, _ = _geodesic_rhs(phi, phid, c)
-        p, q11, q12, q22 = _q_entries(l, c, phi, phid)
-        damp = -_weight_prime(phi, phid) / p
-        A = np.array([[0.0, 0.0, q11 / p, q12 / p],
-                      [0.0, 0.0, q12 / p, q22 / p],
-                      [1.0, 0.0, damp, 0.0],
-                      [0.0, 1.0, 0.0, damp]])
-        out = np.empty(18)
-        out[0], out[1] = phid, phidd
-        out[2:] = (y[2:].reshape(4, 4) @ A).ravel()
-        return out
-
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-    sol = solve_ivp(rhs, (0.0, fam.T), y0, method="DOP853",
-                    rtol=ODE_RTOL, atol=1e-12, dense_output=True)
+    sol = solve_ivp(lambda t, y: _fundamental_rhs(y, l, fam.c), (0.0, fam.T),
+                    y0, method="DOP853", rtol=ODE_RTOL, atol=1e-12)
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
     yT = sol.y[:, -1]
@@ -163,8 +158,7 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
                              dirichlet=dirichlet,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
-                             p_ends=(_weight(fam.b), _weight(yT[0])),
-                             _sol=sol.sol)
+                             p_ends=(_weight(fam.b), _weight(yT[0])))
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
@@ -318,6 +312,9 @@ def twisted_counts(data: BoundaryFormData, omega: complex) -> tuple[int, int]:
 def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
     """(r, negative, zero) of the twisted problem at each 2q-th root of
     unity omega = exp(i pi r / q), the rows ``direct_twisted_counts``
-    returns; ``spectral.class_counts`` sums them for a mode."""
+    returns; ``spectral.class_counts`` sums them for a mode.  Each of the
+    2q twists is evaluated here, also the r > q that the direct route
+    copies from the conjugate twist 2q - r, so ``both`` checks those
+    copies against an independent count."""
     return [(r, *twisted_counts(data, om))
             for r, om in enumerate(roots_of_unity_ladder(q))]

@@ -12,9 +12,13 @@ only ever fill the last block row, so the sweep runs in real arithmetic and
 the unit-modulus wrap multipliers enter only the last Schur complement.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, then an O(1) finish per twist, counts
-them all.  The scalar band sweep is the scalar cyclic sweep with no
-wrap.  An eigenvalue is bracketed by the count: bisection isolates it,
-and secant steps on the determinant, kept inside the bracket, refine it.
+them all.  The finish takes only real parts of products of conjugates,
+and |b12|^2, so conjugate multipliers give the same count and log|det|
+bit for bit; ``spectral.ladder_counts`` therefore sweeps one twist of
+each conjugate pair.  The scalar band sweep is the scalar cyclic sweep
+with no wrap.  An eigenvalue is bracketed by the count: bisection
+isolates it, and secant steps on the determinant, kept inside the
+bracket, refine it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
 also for the discrete operators when the t0 mesh is 2q times as fine.
 Every count below l = 3 is therefore a twist ladder on [0, T] at mesh n,
-and one class rule (``class_counts``) sums the twists of a mode.
+and one class rule (``class_counts``) sums the twists of a mode.  Twists
+r and 2q - r are complex conjugates, which the sweeps count bit for bit
+alike, so a ladder holds the q + 1 twists r = 0..q and the rows r > q are
+copies; the boundary-form route still counts all 2q twists on its own.
 """
 
 from __future__ import annotations
@@ -229,20 +232,25 @@ def ladder_counts(build, traj: Trajectory, n: int,
     omega_r = exp(i pi r / q), r = 0..2q-1, of ``build(traj, "T", bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
-    so each end sweep is one sweep of the whole ladder; a twist whose zone
-    holds eigenvalues is refined on its own operator.
+    so each end sweep is one sweep of the ladder r = 0..q; a twist whose
+    zone holds eigenvalues is refined on its own operator.  The rows
+    r > q are copied from r' = 2q - r: omega_r is exactly conj(omega_r'),
+    and the sweeps take only real parts of products of conjugates, so the
+    two twists count bit for bit alike.
     """
+    q = traj.family.rotation.q
     system = build(traj, "T", BoundaryCondition.twisted(1.0))
     ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
-                   for om in roots_of_unity_ladder(traj.family.rotation.q))
+                   for om in roots_of_unity_ladder(q)[:q + 1])
 
     def operator(k, mult=ladder):
         return replace(system.operator(k), wrap_mult=mult)
 
     zone, ends = _end_sweeps(operator, system.length, n, level)
-    return [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
+    rows = [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
                                 [end[r] for end in ends]))
             for r, w in enumerate(ladder)]
+    return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]
 
 
 def class_counts(l: int, q: int, rows) -> tuple[int, int]:

@@ -1,11 +1,11 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
-sign-change counts, the Sturm oscillation ladder and the
-periodic/antiperiodic interlacing pattern."""
+the boundary solutions as functions of t, sign-change counts, the Sturm
+oscillation ladder and the periodic/antiperiodic interlacing pattern."""
 
 import numpy as np
 
-from otsuki import geodesic, spectral
+from otsuki import edwards, geodesic, spectral
 from otsuki.eigencount import eigenvalues_in, scalar_eigenfunctions
 from otsuki.errors import NumericalError, ValidationError
 from otsuki.sl import SLSystem
@@ -87,6 +87,24 @@ def rk4_samples(family, n, steps):
         out[:, i] = phi, phidot, dtheta
     out[2] = np.cumsum(out[2])
     return out
+
+
+def boundary_psi(sols, traj):
+    """psi(i, t), the values of psi_i (boundary data e_i) of
+    ``edwards.boundary_solutions`` at times t, shape (2, len(t)): the same
+    DOP853 integration again, with its dense interpolant."""
+    fam = traj.family
+    y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
+    sol = edwards.solve_ivp(
+        lambda t, y: edwards._fundamental_rhs(y, sols.l, fam.c), (0.0, fam.T),
+        y0, method="DOP853", rtol=edwards.ODE_RTOL, atol=1e-12,
+        dense_output=True)
+
+    def psi(i, t):
+        Y = sol.sol(np.atleast_1d(t))[2:].reshape(4, 4, -1)
+        return np.tensordot(sols.coeffs[:, i], Y[:, :2], axes=1)
+
+    return psi
 
 
 def zero_count(samples, antiperiodic=False):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import boundary_psi
 from otsuki import edwards, eigencount
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
@@ -56,22 +57,24 @@ class TestDirichlet:
 class TestFundamentalSolutions:
     def test_boundary_values_reproduced(self, traj23):
         sols = boundary_solutions(1, traj23, n=2048)
+        psi = boundary_psi(sols, traj23)
         eye = np.eye(4)
         for i in range(4):
-            at0 = sols.psi(i, 0.0)[:, 0]
-            atT = sols.psi(i, sols.T)[:, 0]
+            at0 = psi(i, 0.0)[:, 0]
+            atT = psi(i, sols.T)[:, 0]
             assert np.abs(np.concatenate([at0, atT]) - eye[i]).max() < 1e-10
 
     def test_clifford_closed_forms(self, clifford_traj):
         sols = boundary_solutions(1, clifford_traj, n=2048)
+        psi = boundary_psi(sols, clifford_traj)
         T = clifford_traj.family.T
         ts = np.linspace(0, T, 23)
-        psi1 = sols.psi(0, ts)
+        psi1 = psi(0, ts)
         expect1 = np.sin(SQRT3 * (T - ts) / (2 * math.pi)) \
             / math.sin(SQRT6 / 2 * math.pi)
         assert np.abs(psi1[0] - expect1).max() < 1e-8
         assert np.abs(psi1[1]).max() < 1e-12
-        psi4 = sols.psi(3, ts)
+        psi4 = psi(3, ts)
         expect4 = np.sin(ts / (2 * math.pi)) / math.sin(SQRT2 / 2 * math.pi)
         assert np.abs(psi4[1] - expect4).max() < 1e-8
         assert np.abs(psi4[0]).max() < 1e-12

@@ -241,9 +241,13 @@ def test_ladder_inertia_equals_each_twist(family, l, request):
     ops = _twisted_operators(partial(fourier_block_system, l),
                              request.getfixturevalue(family), 256)
     ladder = _ladder(ops)
+    q = len(ops) // 2
     for sigma in (-0.5, -2e-3, 0.0, 2e-3, 0.7):
         # counts and log|det| bit for bit
-        assert inertia(ladder, sigma) == [inertia(op, sigma) for op in ops]
+        out = inertia(ladder, sigma)
+        assert out == [inertia(op, sigma) for op in ops]
+        # conjugate twists count alike, which ladder_counts relies on
+        assert all(out[r] == out[2 * q - r] for r in range(1, q))
 
 
 @pytest.mark.parametrize("build", SCALAR_SYSTEMS)
@@ -253,8 +257,11 @@ def test_scalar_ladder_inertia_equals_each_twist(family, build, request):
                              request.getfixturevalue(family), 256)
     ladder = _ladder(ops)
     assert ladder.dim == 1 and ladder.ladder
+    q = len(ops) // 2
     for sigma in (-0.5, -2e-3, 0.0, 0.7, 2.0):
-        assert inertia(ladder, sigma) == [inertia(op, sigma) for op in ops]
+        out = inertia(ladder, sigma)
+        assert out == [inertia(op, sigma) for op in ops]
+        assert all(out[r] == out[2 * q - r] for r in range(1, q))
 
 
 def test_ladder_is_complex_and_has_no_dense_matrix(traj23):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (check_interlacing, constant_system, oscillation_index,
                      spectrum_with_eigenfunctions, zero_count)
-from otsuki import spectral
+from otsuki import eigencount, spectral
 from otsuki.errors import AmbiguousClassificationError, ValidationError
+from otsuki.pipeline import compute_index
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
                              boundary_counts, class_counts,
@@ -22,6 +23,12 @@ from otsuki.surface import (fourier_block_system, full_period_grid,
                             separated_coefficients)
 
 SQRT2 = math.sqrt(2.0)
+
+# (build, level) of the twist ladders that ``ladder_counts`` serves
+LADDER_BUILDS = {1: (partial(fourier_block_system, 1), 0.0),
+                 2: (partial(fourier_block_system, 2), 0.0),
+                 "channel1": (partial(l0_channel_system, 1), 0.0),
+                 "laplace1": (partial(laplace_system, 1), 2.0)}
 
 
 class TestCalibration:
@@ -368,21 +375,39 @@ class TestTwistedConsistency:
         assert len(union) == len(s_full.eigenvalues)
         assert np.abs(np.array(union) - np.array(s_full.eigenvalues)).max() < 1e-6
 
-    def test_conjugate_twists_share_counts(self, traj23):
+    def test_ladder_sweeps_each_conjugate_pair_once(self, monkeypatch):
+        # the twists r > q are the conjugates of 2q - r: no ladder carries
+        # them, and no twist of negative imaginary part is refined alone
         q = 3
-        rows = direct_twisted_counts(1, traj23, 512)
-        for r in (1, 2):
-            # rows[2q - r] is the twist conj(omega_r)
-            assert rows[r][1:] == rows[2 * q - r][1:]
+        original = eigencount.inertia
+        swept = []
 
-    @pytest.mark.parametrize("l", [1, 2])
-    def test_ladder_rows_equal_each_twist_counted_alone(self, traj23, l):
-        rows = direct_twisted_counts(l, traj23, 256)
-        alone = [(r, *spectrum_counts(fourier_block_system(
-                    l, traj23, "T", BoundaryCondition.twisted(om)), 256))
-                 for r, om in enumerate(roots_of_unity_ladder(3))]
-        assert rows == alone
-        assert any(zero for _, _, zero in rows)     # a zone was refined
+        def recorded(op, sigma):
+            swept.append(op)
+            return original(op, sigma)
+
+        monkeypatch.setattr(eigencount, "inertia", recorded)
+        monkeypatch.setattr(spectral, "inertia", recorded)
+        compute_index(2, q, "direct", n=512)
+        ladders = [op.wrap_mult for op in swept if op.ladder]
+        alone = [op.wrap_mult for op in swept if op.cyclic and not op.ladder]
+        assert ladders and alone
+        assert all(len(w) == q + 1 for w in ladders)
+        assert all(complex(w[0]).imag >= 0.0 for w in alone)
+
+    @pytest.mark.parametrize("block", [1, 2, "channel1", "laplace1"])
+    def test_ladder_rows_equal_each_twist_counted_alone(self, traj23, traj58,
+                                                        block):
+        build, level = LADDER_BUILDS[block]
+        for traj in (traj23, traj58):
+            q = traj.family.rotation.q
+            rows = ladder_counts(build, traj, 256, level)
+            alone = [(r, *boundary_counts(
+                        build(traj, "T", BoundaryCondition.twisted(om)), 256,
+                        level))
+                     for r, om in enumerate(roots_of_unity_ladder(q))]
+            assert rows == alone
+            assert any(zero for _, _, zero in rows)     # a zone was refined
 
     def test_empty_zones_cost_four_sweeps(self, traj23, traj58, count_sweeps):
         # the l = 3 block is positive, so no twist's zone holds eigenvalues
