@@ -5,6 +5,7 @@ For each reduced fraction in (1/2, sqrt(2)/2) the full report is computed
 and one JSON line emitted; a closing table summarizes how the measured
 index and nullity sit against the bounds as p/q approaches sqrt(2)/2.
 A family that fails gets an error line and row; the exit code is then 2.
+Bad input exits 1 with a message.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from otsuki import jsonio
+from otsuki.cli import exit_code
 from otsuki.pipeline import iter_reports
 
 
@@ -62,4 +64,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

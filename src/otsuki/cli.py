@@ -243,11 +243,13 @@ _COMMANDS = {
 }
 
 
-def run_cli(argv=None) -> int:
-    parser = build_parser()
+def exit_code(run) -> int:
+    """``run()``'s exit code, or the code of the failure it raises, with the
+    message on stderr: 1 for a validation problem, a file that cannot be
+    read or written, or a mesh too large for memory, 2 for a numerical
+    failure.  ``run_cli`` and the scripts under ``scripts/`` share it."""
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return run()
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -258,6 +260,13 @@ def run_cli(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+
+
+def run_cli(argv=None) -> int:
+    def run():
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    return exit_code(run)
 
 
 def main() -> None:

@@ -6,10 +6,19 @@ the stability operator drift like h^2 under the second-order
 discretization, which can exceed TAU_ZERO on coarse meshes; every count
 therefore combines two meshes (n and 2n): the inertia sweeps classify
 everything outside a small zone around the level, and eigenvalues inside
-the zone are located on both meshes (bisection on the count isolates
-each one, count-bracketed secant steps on the determinant refine it) and
-Richardson extrapolated before classification.  Disagreement between the
-meshes is an error, never a guess.
+the zone are Richardson extrapolated before classification.  Disagreement
+between the meshes is an error, never a guess.
+
+Most zone eigenvalues are exact zero modes, and those need no location:
+four window sweeps, shared by every twist of a ladder, certify that all k
+of a twist's zone eigenvalues lie in [-4w, w) on mesh n and in [-w, w/4)
+on mesh 2n, with w = (TAU_ZERO - 3 LOCATE_ERR) / 5.  Located, each would
+lie within LOCATE_TOL / 2 of its eigenvalue, so its extrapolation within
+5w/3 + LOCATE_ERR = TAU_ZERO / 3 of the level: class zero, and too far
+from +-TAU_ZERO for the ambiguity and third-mesh rules to fire.  So a
+certified twist counts exactly as if located.  Every other zone
+eigenvalue is located on both meshes (bisection on the count isolates
+each one, count-bracketed secant steps on the determinant refine it).
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -51,6 +60,12 @@ LOCATE_ERR = 5.0 * LOCATE_TOL / 6.0
 # eigenvalue spacing
 _DRIFT_SCALE = 0.3
 _ZONE_CAP = 0.02
+# the certificate window: a zone eigenvalue in [-4w, w) on mesh n and in
+# [-w, w/4) on mesh 2n extrapolates to within TAU_ZERO / 3 of the level
+_WINDOW = (TAU_ZERO - 3.0 * LOCATE_ERR) / 5.0
+# (mesh factor, shift in units of _WINDOW) of the window sweeps, in sweep
+# order; the counts there must read below, below + k, below, below + k
+_WINDOW_SHIFTS = ((1, -4.0), (1, 1.0), (2, -1.0), (2, 0.25))
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,16 @@ def _end_sweeps(operator, length: float, n: int, boundary: float):
                   (boundary - zone, boundary + zone) for op in ops]
 
 
+def _window_sweeps(operator, n: int, level: float):
+    """The sweep at window shift i of the meshes n and 2n (``operator(k)``),
+    made on first need and then shared by every twist of the operator."""
+    @cache
+    def sweep(i: int):
+        k, shift = _WINDOW_SHIFTS[i]
+        return inertia(operator(k * n), level + shift * _WINDOW)
+    return sweep
+
+
 def _extrapolated(operator, n: int, lo: float, hi: float, tol: float):
     """The eigenvalues in (lo, hi] on the meshes n and 2n (``operator(k)``),
     Richardson extrapolated, (4 lam_2n - lam_n) / 3, and lam_n itself.
@@ -108,18 +133,27 @@ def boundary_counts(system: SLSystem, n: int,
                     boundary: float = 0.0) -> tuple[int, int]:
     """(#{lambda < boundary - tau}, #{|lambda - boundary| <= tau}).
 
-    Inertia handles everything outside [boundary - zone, boundary + zone];
-    the zone is refined on two meshes and extrapolated.
+    Inertia handles everything outside [boundary - zone, boundary + zone].
+    Zone eigenvalues that the window sweeps certify as zero are counted as
+    such; the others are located on two meshes and extrapolated.
     """
     zone, ends = _end_sweeps(system.operator, system.length, n, boundary)
-    return _classify_zone(system.operator, n, boundary, zone, ends)
+    return _classify_zone(system.operator, n, boundary, zone, ends,
+                          _window_sweeps(system.operator, n, boundary))
 
 
 def _classify_zone(operator, n: int, boundary: float, zone: float,
-                   ends: list) -> tuple[int, int]:
-    """``boundary_counts`` from the four ``_end_sweeps``.  A zone eigenvalue
-    whose extrapolated value lies within its error bound of +-tau is
-    ambiguous."""
+                   ends: list, window) -> tuple[int, int]:
+    """``boundary_counts`` from the four ``_end_sweeps`` and the twist's
+    sweep at window shift i, ``window(i)``.
+
+    The k zone eigenvalues are all zero, unlocated, when the window counts
+    read below, below + k, below and below + k: then they lie in
+    boundary + [-4w, w) on mesh n and in boundary + [-w, w/4) on mesh 2n,
+    where located values would classify as zero too (see the module
+    docstring).  Otherwise they are located on both meshes, and a located
+    value within its error bound of +-tau is ambiguous.
+    """
     end_lo1, end_lo2, end_hi1, end_hi2 = ends
     lo, hi = boundary - zone, boundary + zone
     below1, below2 = end_lo1[0], end_lo2[0]
@@ -132,6 +166,8 @@ def _classify_zone(operator, n: int, boundary: float, zone: float,
             f"zone population changed under mesh doubling: {k1} vs {k2}")
     if k1 == 0:
         return below1, 0
+    if all(window(i)[0] == below1 + k1 * (i % 2) for i in range(4)):
+        return below1, k1
     lam1 = _bisect(operator(n), lo, hi, end_lo1, end_hi1, LOCATE_TOL)
     lam2 = _bisect(operator(2 * n), lo, hi, end_lo2, end_hi2, LOCATE_TOL)
     lam = (4.0 * lam2 - lam1) / 3.0 - boundary
@@ -232,8 +268,9 @@ def ladder_counts(build, traj: Trajectory, n: int,
     omega_r = exp(i pi r / q), r = 0..2q-1, of ``build(traj, "T", bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
-    so each end sweep is one sweep of the ladder r = 0..q; a twist whose
-    zone holds eigenvalues is refined on its own operator.  The rows
+    so each end sweep and each window sweep is one sweep of the ladder
+    r = 0..q; a twist whose zone holds eigenvalues that the windows do not
+    certify is refined on its own operator.  The rows
     r > q are copied from r' = 2q - r: omega_r is exactly conj(omega_r'),
     and the sweeps take only real parts of products of conjugates, so the
     two twists count bit for bit alike.
@@ -247,8 +284,10 @@ def ladder_counts(build, traj: Trajectory, n: int,
         return replace(system.operator(k), wrap_mult=mult)
 
     zone, ends = _end_sweeps(operator, system.length, n, level)
+    windows = _window_sweeps(operator, n, level)
     rows = [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
-                                [end[r] for end in ends]))
+                                [end[r] for end in ends],
+                                lambda i, r=r: windows(i)[r]))
             for r, w in enumerate(ladder)]
     return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]
 

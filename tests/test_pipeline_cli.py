@@ -539,3 +539,21 @@ def test_module_entry_point_runs_without_warnings():
          "--help"], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: otsuki" in proc.stdout
+
+
+@pytest.mark.parametrize("script,args", [
+    ("headline_family.py", ["--n", "100"]),
+    ("headline_family.py", ["--p", "3", "--q", "4"]),
+    ("sweep_near_clifford.py", ["--n", "100"]),
+])
+def test_scripts_reject_bad_input_without_traceback(script, args):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

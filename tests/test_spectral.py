@@ -11,7 +11,7 @@ from helpers import (check_interlacing, constant_system, oscillation_index,
                      spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import AmbiguousClassificationError, ValidationError
-from otsuki.pipeline import compute_index
+from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
                              boundary_counts, class_counts,
@@ -28,7 +28,52 @@ SQRT2 = math.sqrt(2.0)
 LADDER_BUILDS = {1: (partial(fourier_block_system, 1), 0.0),
                  2: (partial(fourier_block_system, 2), 0.0),
                  "channel1": (partial(l0_channel_system, 1), 0.0),
+                 "channel2": (partial(l0_channel_system, 2), 0.0),
+                 "laplace0": (partial(laplace_system, 0), 2.0),
                  "laplace1": (partial(laplace_system, 1), 2.0)}
+
+# the certificate window and its four edges on (mesh n, mesh 2n)
+W = spectral._WINDOW
+WINDOW_EDGES = [(-4.0 * W, 0.0), (W, 0.0), (0.0, -W), (0.0, 0.25 * W)]
+
+
+def _record_sweeps(monkeypatch):
+    """The operators of every inertia sweep, at both bindings."""
+    original = eigencount.inertia
+    swept = []
+
+    def recorded(op, sigma):
+        swept.append(op)
+        return original(op, sigma)
+
+    monkeypatch.setattr(eigencount, "inertia", recorded)
+    monkeypatch.setattr(spectral, "inertia", recorded)
+    return swept
+
+
+def _record_locations(monkeypatch):
+    """One entry per zone location (``_bisect`` on one mesh)."""
+    original = spectral._bisect
+    located = []
+
+    def recorded(*args, **kwargs):
+        located.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_bisect", recorded)
+    return located
+
+
+def _mesh_constant_system(values):
+    """The periodic problem -h'' + V h on [0, 2 pi] whose constant potential
+    takes the value values[n] on mesh n: its ground state is exactly that
+    constant, so each mesh's zone eigenvalue is placed on its own."""
+    def sampler(t):
+        n = len(t)
+        return np.ones(n), np.full(n, values[n])
+
+    return SLSystem(dim=1, length=2 * math.pi,
+                    bc=BoundaryCondition.periodic(), sampler=sampler)
 
 
 class TestCalibration:
@@ -107,6 +152,28 @@ class TestCalibration:
                           bc=BoundaryCondition.periodic(), sampler=sampler)
         with pytest.raises(AmbiguousClassificationError):
             spectrum_counts(system, 256)
+
+    @pytest.mark.parametrize("edge", range(4))
+    def test_window_edges_certify_inside_and_locate_outside(self, edge,
+                                                            monkeypatch):
+        # the zero mode sits just inside, then just outside, one window
+        # edge; the other mesh keeps it at 0.  Both sides count one zero,
+        # but only inside is it certified, by the 4 end and 4 window sweeps
+        swept = _record_sweeps(monkeypatch)
+        located = _record_locations(monkeypatch)
+        n = 256
+        lam = np.array(WINDOW_EDGES[edge])
+        outward = 1e-3 * lam        # away from 0, on the edge's mesh only
+        for side, value in (("inside", lam - outward),
+                            ("outside", lam + outward)):
+            swept.clear()
+            located.clear()
+            system = _mesh_constant_system({n: value[0], 2 * n: value[1]})
+            assert spectrum_counts(system, n) == (0, 1), side
+            if side == "inside":
+                assert len(swept) == 8 and not located
+            else:
+                assert len(swept) > 8 and len(located) == 2
 
 
 class TestMode0Counts:
@@ -379,15 +446,7 @@ class TestTwistedConsistency:
         # the twists r > q are the conjugates of 2q - r: no ladder carries
         # them, and no twist of negative imaginary part is refined alone
         q = 3
-        original = eigencount.inertia
-        swept = []
-
-        def recorded(op, sigma):
-            swept.append(op)
-            return original(op, sigma)
-
-        monkeypatch.setattr(eigencount, "inertia", recorded)
-        monkeypatch.setattr(spectral, "inertia", recorded)
+        swept = _record_sweeps(monkeypatch)
         compute_index(2, q, "direct", n=512)
         ladders = [op.wrap_mult for op in swept if op.ladder]
         alone = [op.wrap_mult for op in swept if op.cyclic and not op.ladder]
@@ -408,6 +467,43 @@ class TestTwistedConsistency:
                      for r, om in enumerate(roots_of_unity_ladder(q))]
             assert rows == alone
             assert any(zero for _, _, zero in rows)     # a zone was refined
+
+    @pytest.mark.parametrize("block", list(LADDER_BUILDS))
+    def test_zero_modes_certified_by_eight_ladder_sweeps(
+            self, traj23, traj58, traj710, block, monkeypatch):
+        # every build's zone holds exact zero modes, which the four end and
+        # four window sweeps of its q + 1 twist ladder settle, unlocated
+        build, level = LADDER_BUILDS[block]
+        swept = _record_sweeps(monkeypatch)
+        for traj in (traj23, traj58, traj710):
+            q = traj.family.rotation.q
+            swept.clear()
+            rows = ladder_counts(build, traj, 1024, level)
+            assert any(zero for _, _, zero in rows)
+            assert len(swept) == 8
+            assert all(op.ladder and len(op.wrap_mult) == q + 1
+                       for op in swept)
+
+    def test_certified_counts_equal_located_counts(self, traj23, traj58,
+                                                   traj710, monkeypatch):
+        # a zero window certifies nothing, so every zone is located
+        def run():
+            rows = [ladder_counts(build, traj, 1024, level)
+                    for build, level in LADDER_BUILDS.values()
+                    for traj in (traj23, traj58, traj710)]
+            docs = []
+            for p, q in ((2, 3), (5, 8)):
+                doc = report_document(compute_index(p, q, "both", n=1024))
+                doc.pop("timestamp")
+                docs.append(doc)
+            return rows, docs
+
+        located = _record_locations(monkeypatch)
+        certified = run()
+        assert not located
+        monkeypatch.setattr(spectral, "_WINDOW", 0.0)
+        assert run() == certified
+        assert located
 
     def test_empty_zones_cost_four_sweeps(self, traj23, traj58, count_sweeps):
         # the l = 3 block is positive, so no twist's zone holds eigenvalues
