@@ -6,17 +6,16 @@ and checks every bound.  Takes under a second single threaded.  Bad input
 exits 1 with a message.
 """
 
-import argparse
 import sys
 import time
 
 from otsuki import jsonio
-from otsuki.cli import exit_code
+from otsuki.cli import Parser, exit_code
 from otsuki.pipeline import bounds_check, compute_index
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--p", type=int, default=2)
     ap.add_argument("--q", type=int, default=3)
     ap.add_argument("--n", type=int, default=4096)

@@ -8,13 +8,12 @@ A family that fails gets an error line and row; the exit code is then 2.
 Bad input exits 1 with a message.
 """
 
-import argparse
 import math
 import sys
 from fractions import Fraction
 
 from otsuki import jsonio
-from otsuki.cli import exit_code
+from otsuki.cli import Parser, exit_code
 from otsuki.pipeline import iter_reports
 
 
@@ -31,7 +30,7 @@ def admissible(max_q):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--max-q", type=int, default=8)
     ap.add_argument("--n", type=int, default=1024)
     ap.add_argument("--method", default="both",

@@ -22,13 +22,15 @@ from .geodesic import (GeodesicFamily, RotationNumber, sample_trajectory,
 from .pipeline import (cache_dir_path, cache_load, cache_store, compute_index,
                        family_trajectory, iter_reports, report_document,
                        verify_family)
-from .sl import BoundaryCondition
-from .edwards import (aggregate_roots, boundary_form, roots_of_unity_ladder)
+from .edwards import aggregate_roots, boundary_form
+from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import spectrum_below
 from .surface import fourier_block_system, l0_channel_system
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
+    """Parse errors raise ValidationError, which ``exit_code`` maps to 1."""
+
     def error(self, message):
         raise ValidationError(message)
 
@@ -57,8 +59,8 @@ def _resolve_family(args):
     return solve_parameter(args.p, args.q)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="otsuki")
+def build_parser() -> Parser:
+    parser = Parser(prog="otsuki")
     subs = parser.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("geodesic", help="solve the closed-geodesic family")

@@ -3,8 +3,9 @@
 Mode 0, modes l = 1, 2 and the spectral index are counted on twist
 ladders over the half period [0, T] at mesh n; ``spectral.class_counts``
 sums the twists of each mode.  Modes l = 1, 2 enter with weight two.
-Modes l >= 3 are dismissed once the mode-3 block over the closed length
-is verified positive.
+Modes l >= 3 are dismissed once the mode-3 potential is verified
+positive definite at the trajectory nodes on [0, T]; every operator that
+``compute_index`` builds lives on [0, T].
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def compute_index(p: int, q: int, method: str = "both",
         records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
                                      split=split, per_omega=tuple(rows)))
 
-    if not verify_high_l_positive(3, traj, n=n):
+    if not verify_high_l_positive(3, traj):
         raise NumericalError("mode l=3 failed the positivity check; "
                              "higher modes cannot be dismissed")
     flags["l3_positive"] = True
@@ -369,5 +370,5 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         except EdwardsInapplicableError as exc:
             add(f"route agreement l={l}", True, f"edwards inapplicable: {exc}")
 
-    add("l=3 positive", verify_high_l_positive(3, traj, n=n), "")
+    add("l=3 positive", verify_high_l_positive(3, traj), "")
     return rows

@@ -323,19 +323,28 @@ def spectral_index(q: int, traj: Trajectory, n: int) -> int:
     return below[0] + 2 * below[1]
 
 
-def verify_high_l_positive(l: int, traj: Trajectory, n: int) -> bool:
-    """True when the mode-l block is strictly positive: the potential is
-    pointwise positive definite and, for a run at mesh n, the block on a
-    quarter of that mesh (at least 512) has no eigenvalue at or below zero.
+def verify_high_l_positive(l: int, traj: Trajectory) -> bool:
+    """True when the potential Q_l is positive definite over the closed
+    length, read at the trajectory nodes t_j on [0, T]: every node has
+    lambda_min(Q_l) > 0, and on each interval [t_j, t_j+1] the smaller
+    endpoint lambda_min exceeds ||Q_j+1 - Q_j||_2.
 
-    The pointwise check reads the trajectory nodes on [0, T]: Q11, Q22 and
-    Q12^2 are even in (phi, phi'), which only change sign from one half
-    period to the next, so the rest of the closed length repeats them."""
+    That dismisses the whole mode-l block, and for l = 3 every l >= 3:
+    - -(p h')' is positive semidefinite, so the block is at least
+      min lambda_min(Q_l), for the discrete and the continuous operator
+      alike;
+    - Q11, Q22 and Q12^2 are even in (phi, phi'), which only change sign
+      from one half period to the next, so [0, T] covers t0;
+    - Q_l - Q_3 = (l - 3)/cos(phi) [((l + 3)/cos(phi)) I - 4 pi phi' sigma_x],
+      and unit speed, E phi'^2 + G theta'^2 = 1, gives
+      4 pi |phi'| cos(phi) <= 2 < l + 3, so Q_l > Q_3 for l >= 4.
+    The 2x2 eigenvalues and norms are taken in closed form."""
     if l < 3:
         raise ValidationError("positivity is only claimed for l >= 3")
     Q = separated_coefficients(l, traj).potential
-    det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
-    pointwise = bool(np.all(Q[:, 0, 0] > 0) and np.all(det > 0))
-    system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
-    neg, zero = spectrum_counts(system, max(512, n // 4))
-    return pointwise and neg == 0 and zero == 0
+    a, b, c = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
+    lam_min = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    da, db, dc = np.diff(a), np.diff(b), np.diff(c)
+    jump = np.abs(0.5 * (da + dc)) + np.hypot(0.5 * (da - dc), db)
+    # jump >= 0, so this also asks lambda_min > 0 at every node
+    return bool(np.all(np.minimum(lam_min[:-1], lam_min[1:]) > jump))

@@ -1,14 +1,16 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
-the boundary solutions as functions of t, sign-change counts, the Sturm
-oscillation ladder and the periodic/antiperiodic interlacing pattern."""
+the boundary solutions as functions of t, the closed-length positivity
+sweep of a mode-l block, sign-change counts, the Sturm oscillation ladder
+and the periodic/antiperiodic interlacing pattern."""
 
 import numpy as np
 
 from otsuki import edwards, geodesic, spectral
 from otsuki.eigencount import eigenvalues_in, scalar_eigenfunctions
 from otsuki.errors import NumericalError, ValidationError
-from otsuki.sl import SLSystem
+from otsuki.sl import BoundaryCondition, SLSystem
+from otsuki.surface import fourier_block_system
 
 ZERO_FLOOR_REL = 1e-8       # samples below this fraction of the max count as 0
 INTERLACING_SLACK = 1e-8
@@ -105,6 +107,15 @@ def boundary_psi(sols, traj):
         return np.tensordot(sols.coeffs[:, i], Y[:, :2], axes=1)
 
     return psi
+
+
+def closed_length_positive(l, traj, mesh):
+    """True when the periodic mode-l block over the closed length t0 = 2qT
+    has no eigenvalue at or below zero, counted on the meshes ``mesh`` and
+    2 ``mesh``: the sweep that the pointwise bound of
+    ``spectral.verify_high_l_positive`` replaces."""
+    system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
+    return spectral.spectrum_counts(system, mesh) == (0, 0)
 
 
 def zero_count(samples, antiperiodic=False):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from otsuki import cli, jsonio, pipeline
+from otsuki import cli, edwards, eigencount, jsonio, pipeline, spectral
 from otsuki.cli import run_cli
 from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
@@ -142,20 +142,30 @@ class TestHalfPeriodCounts:
         check = bounds_check(report)
         assert all(check[k] for k in check if k.endswith("_ok"))
 
-    def test_only_the_l3_check_discretizes_beyond_half_period(self,
-                                                              monkeypatch):
-        seen = set()
+    def test_nothing_discretizes_beyond_half_period(self, monkeypatch):
+        # every operator lives on [0, T], and the l = 3 check sweeps none:
+        # no 2x2 cyclic sweep with real wrap multipliers is left
+        seen, real_2x2 = set(), []
         original = SLSystem.discretize
+        original_inertia = eigencount.inertia
 
         def recorded(system, n):
             seen.add((system.l, system.length))
             return original(system, n)
 
+        def recorded_inertia(op, sigma):
+            if op.cyclic and op.dim == 2 and not op.is_complex():
+                real_2x2.append((op.m, sigma))
+            return original_inertia(op, sigma)
+
         monkeypatch.setattr(SLSystem, "discretize", recorded)
+        monkeypatch.setattr(eigencount, "inertia", recorded_inertia)
+        monkeypatch.setattr(spectral, "inertia", recorded_inertia)
+        monkeypatch.setattr(edwards, "inertia", recorded_inertia)
         report = compute_index(5, 8, method="both", n=512)
-        assert {l for l, _ in seen} == {0, 1, 2, 3}
-        assert {(l, length) for l, length in seen
-                if length > report.T} == {(3, report.t0)}
+        assert {l for l, _ in seen} == {0, 1, 2}
+        assert max(length for _, length in seen) == report.T
+        assert real_2x2 == []
 
 
 class TestCache:
@@ -545,6 +555,8 @@ def test_module_entry_point_runs_without_warnings():
     ("headline_family.py", ["--n", "100"]),
     ("headline_family.py", ["--p", "3", "--q", "4"]),
     ("sweep_near_clifford.py", ["--n", "100"]),
+    ("headline_family.py", ["--n", "abc"]),
+    ("sweep_near_clifford.py", ["--max-q", "x"]),
 ])
 def test_scripts_reject_bad_input_without_traceback(script, args):
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)

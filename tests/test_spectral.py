@@ -1,16 +1,20 @@
 import cmath
 import math
-from functools import partial
+from dataclasses import replace
+from functools import cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (check_interlacing, constant_system, oscillation_index,
+from helpers import (check_interlacing, closed_length_positive,
+                     constant_system, oscillation_index,
                      spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
-from otsuki.errors import AmbiguousClassificationError, ValidationError
+from otsuki.errors import (AmbiguousClassificationError, NumericalError,
+                           ValidationError)
+from otsuki.geodesic import sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
@@ -35,6 +39,14 @@ LADDER_BUILDS = {1: (partial(fourier_block_system, 1), 0.0),
 # the certificate window and its four edges on (mesh n, mesh 2n)
 W = spectral._WINDOW
 WINDOW_EDGES = [(-4.0 * W, 0.0), (W, 0.0), (0.0, -W), (0.0, 0.25 * W)]
+
+README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
+
+
+@cache
+def _trajectory(p, q):
+    """The family's trajectory on 1024 intervals of [0, T]."""
+    return sample_trajectory(solve_parameter(p, q), 1024)
 
 
 def _record_sweeps(monkeypatch):
@@ -375,16 +387,80 @@ class TestSpectralIndex:
         assert spectral_index(q, traj58, n=1024) == q + 2 * p - 2 == 16
 
 
+def _patch_potential(monkeypatch, edit):
+    """Make ``spectral`` see the potential that ``edit`` (in place) makes of
+    the true one."""
+    original = spectral.separated_coefficients
+
+    def patched(l, traj, grid=None):
+        coeffs = original(l, traj, grid)
+        Q = coeffs.potential.copy()
+        edit(Q)
+        return replace(coeffs, potential=Q)
+
+    monkeypatch.setattr(spectral, "separated_coefficients", patched)
+
+
+def _lam_min(Q):
+    return np.linalg.eigvalsh(Q)[:, 0]
+
+
 class TestHighModes:
     def test_l3_positive(self, traj23):
-        assert verify_high_l_positive(3, traj23, n=512)
+        assert verify_high_l_positive(3, traj23)
 
     def test_l10_positive(self, traj23):
-        assert verify_high_l_positive(10, traj23, n=512)
+        assert verify_high_l_positive(10, traj23)
 
     def test_low_l_rejected(self, traj23):
         with pytest.raises(ValidationError):
-            verify_high_l_positive(1, traj23, n=4096)
+            verify_high_l_positive(1, traj23)
+
+    @pytest.mark.parametrize("p,q", README_FAMILIES + [(70, 99)])
+    def test_agrees_with_the_closed_length_sweep(self, p, q):
+        # 64 mesh nodes per half period, so the sweep samples the potential
+        # as finely at 70/99 as at 2/3
+        traj = _trajectory(p, q)
+        assert verify_high_l_positive(3, traj)
+        assert closed_length_positive(3, traj, max(512, 128 * q))
+
+    def test_a_negative_node_fails(self, traj23, monkeypatch):
+        def edit(Q):
+            Q[300] = [[-1e-3, 0.0], [0.0, 5.0]]
+
+        _patch_potential(monkeypatch, edit)
+        assert not verify_high_l_positive(3, traj23)
+        with pytest.raises(NumericalError, match="positivity"):
+            compute_index(2, 3, method="direct", n=512)
+
+    def test_a_jump_above_both_ends_fails(self, traj23, monkeypatch):
+        # every node stays positive definite, but between nodes 300 and
+        # 301 the potential moves by more than either end's lambda_min
+        def edit(Q):
+            Q[301:, 1, 1] += 100.0
+
+        _patch_potential(monkeypatch, edit)
+        Q = spectral.separated_coefficients(3, traj23).potential
+        lam = _lam_min(Q)
+        assert lam.min() > 0
+        assert np.linalg.norm(Q[301] - Q[300], ord=2) > max(lam[300], lam[301])
+        assert not verify_high_l_positive(3, traj23)
+
+    @pytest.mark.parametrize("p,q", README_FAMILIES + [(10, 19), (30, 59)])
+    def test_l3_bounds_every_higher_mode(self, p, q):
+        # Q_l - Q_3 = (l - 3)/cos(phi) [((l + 3)/cos(phi)) I - 4 pi phi'
+        # sigma_x] is positive definite because unit speed bounds
+        # 4 pi |phi'| cos(phi) by 2
+        traj = _trajectory(p, q)
+        phi, phid, _ = traj.at(traj.grid)
+        assert np.max(4.0 * math.pi * np.abs(phid) * np.cos(phi)) <= 2.0 + 1e-12
+        Q3 = separated_coefficients(3, traj).potential
+        for l in range(4, 13):
+            lam = _lam_min(separated_coefficients(l, traj).potential - Q3)
+            want = (l - 3) / np.cos(phi) * ((l + 3) / np.cos(phi)
+                                            - 4.0 * math.pi * np.abs(phid))
+            assert lam == pytest.approx(want, rel=1e-9)
+            assert lam.min() > 0
 
     @pytest.mark.parametrize("traj", ["traj23", "traj58"])
     def test_half_period_nodes_hold_the_closed_length_minima(self, traj, request):
