@@ -162,7 +162,7 @@ def compute_index(p: int, q: int, method: str = "both",
             if poly.s1 is not None:
                 flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
                 flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
-        if method in ("direct", "both") or not edwards_ok:
+        if method != "edwards":
             direct_rows = direct_twisted_counts(l, traj, n)
 
         rows = edwards_rows if edwards_rows is not None else direct_rows
@@ -308,8 +308,7 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
 def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     """Fast invariant battery for one family; returns pass/fail rows."""
     from .spectral import antiperiodic_check_l0
-    from .surface import (frame, kernel_fields, kernel_residual,
-                          separated_coefficients)
+    from .surface import frame, kernel_fields, kernel_residual
 
     rows = []
 
@@ -334,11 +333,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         worst = max(worst, float(np.abs(G - np.eye(5)).max()))
     add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
 
-    fields = kernel_fields(traj)
-    worst = 0.0
-    for fld in fields:
-        coeffs = separated_coefficients(fld.l, traj, fld.grid)
-        worst = max(worst, kernel_residual(fld, coeffs, traj))
+    worst = max(kernel_residual(fld, traj) for fld in kernel_fields(traj))
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
     rec0 = _mode0_counts(traj, n)

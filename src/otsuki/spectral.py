@@ -341,8 +341,7 @@ def verify_high_l_positive(l: int, traj: Trajectory) -> bool:
     The 2x2 eigenvalues and norms are taken in closed form."""
     if l < 3:
         raise ValidationError("positivity is only claimed for l >= 3")
-    Q = separated_coefficients(l, traj).potential
-    a, b, c = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
+    a, b, c = separated_coefficients(l, traj).potential.T
     lam_min = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
     da, db, dc = np.diff(a), np.diff(b), np.diff(c)
     jump = np.abs(0.5 * (da + dc)) + np.hypot(0.5 * (da - dc), db)

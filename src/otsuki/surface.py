@@ -8,6 +8,13 @@ alpha.  This module evaluates the immersion and frame, the separated
 coefficient data p(t), Q_l(t), the nine normal projections of ambient
 rotation generators (exact zero modes), and builds the spectral systems
 consumed by the solvers.
+
+``_q_entries`` is the one formula for p and Q_l.  On a grid they are
+sampled by ``separated_coefficients``, whose (m, 3) potential rows
+(Q11, Q12, Q22) are the layout of ``SLSystem`` samplers: the builders of
+the mode-l and mode-0 systems sample through it.  Only ``kernel_residual``,
+which needs p' from the same sample of (phi, phi'), calls ``_q_entries``
+on a grid itself.
 """
 
 from __future__ import annotations
@@ -82,12 +89,13 @@ def _weingarten(c: float, phi):
 
 @dataclass(frozen=True)
 class SeparatedCoefficients:
-    """Samples of the weight p(t) and the symmetric potential Q_l(t)."""
+    """Samples of the weight p(t) and the symmetric potential Q_l(t) on a
+    grid, Q_l stored once per node as the row (Q11, Q12, Q22)."""
 
     l: int
     grid: np.ndarray
     weight: np.ndarray          # (m,)
-    potential: np.ndarray       # (m, 2, 2), symmetric at every node
+    potential: np.ndarray       # (m, 3): Q11, Q12, Q22
 
 
 def _q_entries(l: int, c: float, phi, phid):
@@ -103,19 +111,15 @@ def _q_entries(l: int, c: float, phi, phid):
 
 def separated_coefficients(l: int, traj: Trajectory,
                            grid: np.ndarray | None = None) -> SeparatedCoefficients:
+    """p and Q_l of mode l at ``grid`` (default: the trajectory nodes)."""
     if l < 0:
         raise ValidationError("Fourier index l must be nonnegative")
     if grid is None:
         grid = traj.grid
     phi, phid, _ = traj.at(grid)
     p, q11, q12, q22 = _q_entries(l, traj.family.c, phi, phid)
-    m = len(grid)
-    Q = np.empty((m, 2, 2))
-    Q[:, 0, 0] = q11
-    Q[:, 0, 1] = q12
-    Q[:, 1, 0] = q12
-    Q[:, 1, 1] = q22
-    return SeparatedCoefficients(l=l, grid=np.asarray(grid), weight=p, potential=Q)
+    return SeparatedCoefficients(l=l, grid=np.asarray(grid), weight=p,
+                                 potential=np.stack([q11, q12, q22], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +179,19 @@ def kernel_fields(traj: Trajectory) -> list[KernelField]:
             for (i, l, h1, h2, d) in entries]
 
 
-def kernel_residual(field: KernelField, coeffs: SeparatedCoefficients,
-                    traj: Trajectory) -> float:
-    """Max residual of the separated system at lambda = 0, by 4th-order stencils.
+def kernel_residual(field: KernelField, traj: Trajectory) -> float:
+    """Max residual of the field's separated system at lambda = 0, by
+    4th-order periodic stencils on ``field.grid``.
 
-    The residual is normalized by the largest coefficient magnitude times
-    the field amplitude, so it is scale free.
+    One sample of (phi, phi') on the grid gives p and Q_l (``_q_entries``)
+    and p' (``_weight_prime``).  The residual is normalized by the largest
+    coefficient magnitude times the field amplitude, so it is scale free.
     """
-    if field.l != coeffs.l:
-        raise ValidationError("field and coefficients disagree on l")
-    if len(field.grid) != len(coeffs.grid):
-        raise ValidationError("field and coefficients live on different grids")
     grid = field.grid
     h = grid[1] - grid[0]
-    p = coeffs.weight
     phi, phid, _ = traj.at(grid)
+    p, q11, q12, q22 = _q_entries(field.l, traj.family.c, phi, phid)
     pd = _weight_prime(phi, phid)
-    Q = coeffs.potential
 
     def d1(f):
         return (-np.roll(f, -2) + 8 * np.roll(f, -1)
@@ -202,10 +202,10 @@ def kernel_residual(field: KernelField, coeffs: SeparatedCoefficients,
                 + 16 * np.roll(f, 1) - np.roll(f, 2)) / (12 * h * h)
 
     h1, h2 = field.h1, field.h2
-    r1 = -p * d2(h1) - pd * d1(h1) + Q[:, 0, 0] * h1 + Q[:, 0, 1] * h2
-    r2 = -p * d2(h2) - pd * d1(h2) + Q[:, 0, 1] * h1 + Q[:, 1, 1] * h2
+    r1 = -p * d2(h1) - pd * d1(h1) + q11 * h1 + q12 * h2
+    r2 = -p * d2(h2) - pd * d1(h2) + q12 * h1 + q22 * h2
     amp = max(np.abs(h1).max(), np.abs(h2).max())
-    scale = max(p.max(), np.abs(Q).max()) * max(amp, 1e-30)
+    scale = max(p.max(), np.abs((q11, q12, q22)).max()) * max(amp, 1e-30)
     return float(max(np.abs(r1).max(), np.abs(r2).max()) / scale)
 
 
@@ -216,15 +216,10 @@ def _interval_length(traj: Trajectory, interval: str) -> float:
     T = traj.family.T
     if interval == "T":
         return T
-    rot = traj.family.rotation
-    if rot is None:
+    if traj.family.rotation is None:
         raise ValidationError(f"interval {interval!r} needs a closed geodesic")
     if interval == "t0":
         return traj.family.t0
-    if interval == "t0/2":
-        if rot.q % 2 != 0:
-            raise ValidationError("the half-length symmetry class needs even q")
-        return 0.5 * traj.family.t0
     raise ValidationError(f"unknown interval {interval!r}")
 
 
@@ -233,13 +228,11 @@ def fourier_block_system(l: int, traj: Trajectory, interval: str,
     """The coupled 2x2 system of Fourier mode l on the requested interval."""
     if l < 1:
         raise ValidationError("the coupled block needs l >= 1; l = 0 decouples")
-    c = traj.family.c
     L = _interval_length(traj, interval)
 
     def sampler(t):
-        phi, phid, _ = traj.at(np.asarray(t))
-        p, q11, q12, q22 = _q_entries(l, c, phi, phid)
-        return p, np.stack([q11, q12, q22], axis=1)
+        coeffs = separated_coefficients(l, traj, t)
+        return coeffs.weight, coeffs.potential
 
     return SLSystem(dim=2, length=L, bc=bc, sampler=sampler, l=l)
 
@@ -249,13 +242,11 @@ def l0_channel_system(channel: int, traj: Trajectory, interval: str,
     """One of the two decoupled scalar problems at l = 0."""
     if channel not in (1, 2):
         raise ValidationError("channel must be 1 or 2")
-    c = traj.family.c
     L = _interval_length(traj, interval)
 
     def sampler(t):
-        phi, phid, _ = traj.at(np.asarray(t))
-        p, q11, _, q22 = _q_entries(0, c, phi, phid)
-        return p, (q11 if channel == 1 else q22)
+        coeffs = separated_coefficients(0, traj, t)
+        return coeffs.weight, coeffs.potential[:, 2 * channel - 2]
 
     return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=0)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from otsuki import eigencount, spectral
+from otsuki import edwards, eigencount, spectral
 from otsuki.geodesic import GeodesicFamily, sample_trajectory, solve_parameter
 
 
@@ -41,7 +41,9 @@ def clifford_traj():
 
 @pytest.fixture
 def count_sweeps(monkeypatch):
-    """Records (id(op), sigma) of every inertia sweep, at both bindings."""
+    """Records (id(op), sigma) of every inertia sweep, at every binding:
+    ``eigencount`` itself, ``spectral`` and the Dirichlet reach sweeps of
+    ``edwards``."""
     original = eigencount.inertia
     seen = []
 
@@ -51,4 +53,5 @@ def count_sweeps(monkeypatch):
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)
+    monkeypatch.setattr(edwards, "inertia", recorded)
     return seen

@@ -1,8 +1,11 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary solutions as functions of t, the closed-length positivity
-sweep of a mode-l block, sign-change counts, the Sturm oscillation ladder
-and the periodic/antiperiodic interlacing pattern."""
+sweep of a mode-l block, the half closed length of an even-q family,
+sign-change counts, the Sturm oscillation ladder and the
+periodic/antiperiodic interlacing pattern."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,6 +119,12 @@ def closed_length_positive(l, traj, mesh):
     ``spectral.verify_high_l_positive`` replaces."""
     system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
     return spectral.spectrum_counts(system, mesh) == (0, 0)
+
+
+def half_length_system(build, traj, bc):
+    """``build(traj, "t0", bc)`` cut to the half closed length t0/2, on
+    which the symmetry classes of an even-q family are counted."""
+    return replace(build(traj, "t0", bc), length=0.5 * traj.family.t0)
 
 
 def zero_count(samples, antiperiodic=False):

@@ -9,11 +9,12 @@ import cmath
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import (check_interlacing, oscillation_index,
+from helpers import (check_interlacing, half_length_system, oscillation_index,
                      spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
                             dirichlet_negative_count, twisted_form)
@@ -24,8 +25,7 @@ from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import (antiperiodic_check_l0, direct_twisted_counts,
                              spectral_index, spectrum_below, spectrum_counts)
-from otsuki.surface import (kernel_fields, kernel_residual,
-                            l0_channel_system, separated_coefficients)
+from otsuki.surface import kernel_fields, kernel_residual, l0_channel_system
 
 TAU_ZERO = 1e-5
 
@@ -45,11 +45,13 @@ def headline_report():
     return compute_index(2, 3, method="both", n=4096)
 
 
-def _l0_counts(traj, interval, n):
+def _l0_counts(traj, n, half=False):
     neg = zero = 0
     for chan in (1, 2):
-        system = l0_channel_system(chan, traj, interval,
-                                   BoundaryCondition.periodic())
+        build = partial(l0_channel_system, chan)
+        bc = BoundaryCondition.periodic()
+        system = (half_length_system(build, traj, bc) if half
+                  else build(traj, "t0", bc))
         c_neg, c_zero = spectrum_counts(system, n)
         neg += c_neg
         zero += c_zero
@@ -106,14 +108,14 @@ def test_criterion_04_mode0_counts(p, q, traj23, traj58, traj710):
     with criterion(4, f"mode-0 counts for {p}/{q}"):
         traj = {(2, 3): traj23, (5, 8): traj58, (7, 10): traj710}[(p, q)]
         start = time.monotonic()
-        full = _l0_counts(traj, "t0", 4096)
+        full = _l0_counts(traj, 4096)
         assert full == (2 * q + 4 * p - 1, 3)
         if q % 2 == 0:
-            half = _l0_counts(traj, "t0/2", 4096)
+            half = _l0_counts(traj, 4096, half=True)
             assert half == (q + 2 * p - 1, 3)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
-        assert _l0_counts(traj, "t0", 8192) == full     # doubling invariance
+        assert _l0_counts(traj, 8192) == full     # doubling invariance
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (5, 8), (7, 10)])
@@ -166,11 +168,8 @@ def test_criterion_08_kernel_residuals():
         values = {}
         for scale in (1, 2):
             traj = sample_trajectory(fam, per_period * scale)
-            res = []
-            for fld in kernel_fields(traj):
-                coeffs = separated_coefficients(fld.l, traj, fld.grid)
-                res.append(kernel_residual(fld, coeffs, traj))
-            values[scale] = np.array(res)
+            values[scale] = np.array([kernel_residual(fld, traj)
+                                      for fld in kernel_fields(traj)])
         assert values[1].max() < 1e-6
         ratios = values[1] / values[2]
         assert np.all(ratios >= 8.0) and np.all(ratios <= 32.0)

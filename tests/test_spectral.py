@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (check_interlacing, closed_length_positive,
-                     constant_system, oscillation_index,
+                     constant_system, half_length_system, oscillation_index,
                      spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
@@ -211,8 +211,8 @@ class TestMode0Counts:
         p, q = 5, 8
         neg = zero = 0
         for chan in (1, 2):
-            system = l0_channel_system(chan, traj58, "t0/2",
-                                       BoundaryCondition.periodic())
+            system = half_length_system(partial(l0_channel_system, chan),
+                                        traj58, BoundaryCondition.periodic())
             c_neg, c_zero = spectrum_counts(system, 1024)
             neg += c_neg
             zero += c_zero
@@ -222,11 +222,9 @@ class TestMode0Counts:
         system = fourier_block_system(1, traj23, "T",
                                       BoundaryCondition.twisted(-1.0 + 0j))
         s = spectrum_below(system, 1.0, 512)
-        coeffs = separated_coefficients(1, traj23)
-        q = coeffs.potential
-        lam_min = np.min(0.5 * (q[:, 0, 0] + q[:, 1, 1])
-                         - np.sqrt(0.25 * (q[:, 0, 0] - q[:, 1, 1]) ** 2
-                                   + q[:, 0, 1] ** 2))
+        q11, q12, q22 = separated_coefficients(1, traj23).potential.T
+        lam_min = np.min(0.5 * (q11 + q22)
+                         - np.sqrt(0.25 * (q11 - q22) ** 2 + q12 ** 2))
         assert all(v >= lam_min - 1e-8 for v in s.eigenvalues)
 
 
@@ -370,8 +368,9 @@ def test_class_rule_sums_the_ladder_to_the_closed_length_count(
         closed = build(traj, "t0", BoundaryCondition.periodic())
         mesh = 2 * q * m
     else:
-        closed = build(traj, "t0/2", BoundaryCondition.antiperiodic() if l % 2
-                       else BoundaryCondition.periodic())
+        closed = half_length_system(
+            build, traj, BoundaryCondition.antiperiodic() if l % 2
+            else BoundaryCondition.periodic())
         mesh = q * m
     rows = ladder_counts(build, traj, m, level)
     assert class_counts(l, q, rows) == boundary_counts(closed, mesh, level)
@@ -388,8 +387,8 @@ class TestSpectralIndex:
 
 
 def _patch_potential(monkeypatch, edit):
-    """Make ``spectral`` see the potential that ``edit`` (in place) makes of
-    the true one."""
+    """Make ``spectral`` see the potential rows (Q11, Q12, Q22) that
+    ``edit`` (in place) makes of the true ones."""
     original = spectral.separated_coefficients
 
     def patched(l, traj, grid=None):
@@ -401,8 +400,13 @@ def _patch_potential(monkeypatch, edit):
     monkeypatch.setattr(spectral, "separated_coefficients", patched)
 
 
-def _lam_min(Q):
-    return np.linalg.eigvalsh(Q)[:, 0]
+def _matrices(rows):
+    """The symmetric 2x2 matrices of (Q11, Q12, Q22) rows."""
+    return rows[:, [[0, 1], [1, 2]]]
+
+
+def _lam_min(rows):
+    return np.linalg.eigvalsh(_matrices(rows))[:, 0]
 
 
 class TestHighModes:
@@ -426,7 +430,7 @@ class TestHighModes:
 
     def test_a_negative_node_fails(self, traj23, monkeypatch):
         def edit(Q):
-            Q[300] = [[-1e-3, 0.0], [0.0, 5.0]]
+            Q[300] = [-1e-3, 0.0, 5.0]
 
         _patch_potential(monkeypatch, edit)
         assert not verify_high_l_positive(3, traj23)
@@ -437,13 +441,14 @@ class TestHighModes:
         # every node stays positive definite, but between nodes 300 and
         # 301 the potential moves by more than either end's lambda_min
         def edit(Q):
-            Q[301:, 1, 1] += 100.0
+            Q[301:, 2] += 100.0
 
         _patch_potential(monkeypatch, edit)
         Q = spectral.separated_coefficients(3, traj23).potential
         lam = _lam_min(Q)
         assert lam.min() > 0
-        assert np.linalg.norm(Q[301] - Q[300], ord=2) > max(lam[300], lam[301])
+        M = _matrices(Q)
+        assert np.linalg.norm(M[301] - M[300], ord=2) > max(lam[300], lam[301])
         assert not verify_high_l_positive(3, traj23)
 
     @pytest.mark.parametrize("p,q", README_FAMILIES + [(10, 19), (30, 59)])
@@ -471,8 +476,8 @@ class TestHighModes:
         minima = []
         for grid in (traj.grid, full_period_grid(traj)):
             Q = separated_coefficients(3, traj, grid).potential
-            minima.append((Q[:, 0, 0].min(),
-                           (Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2).min()))
+            minima.append((Q[:, 0].min(),
+                           (Q[:, 0] * Q[:, 2] - Q[:, 1] ** 2).min()))
         assert minima[0] == pytest.approx(minima[1], rel=1e-14)
 
 
@@ -487,8 +492,8 @@ class TestMode2Counts:
         # the half-length antiperiodic class must reproduce the odd-power
         # twisted sums that assemble it
         q = 8
-        system = fourier_block_system(1, traj58, "t0/2",
-                                      BoundaryCondition.antiperiodic())
+        system = half_length_system(partial(fourier_block_system, 1), traj58,
+                                    BoundaryCondition.antiperiodic())
         direct_class = spectrum_counts(system, 1024)
         rows = direct_twisted_counts(1, traj58, 256)
         assert [row[0] for row in rows] == list(range(2 * q))

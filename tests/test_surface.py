@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +9,30 @@ from otsuki.errors import ValidationError
 from otsuki.geodesic import sample_trajectory, solve_parameter
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import spectrum_below
-from otsuki.surface import (_weingarten, frame, kernel_fields, kernel_residual,
+from otsuki.surface import (_weingarten, fourier_block_system, frame,
+                            kernel_fields, kernel_residual, l0_channel_system,
                             laplace_system, separated_coefficients)
 
 TWO_PI = 2 * math.pi
+
+# kernel_residual of the nine kernel fields, in kernel_fields order
+PINNED_RESIDUALS = {
+    (2, 3, 171): ["8.293825033526859e-08", "8.132473370767181e-08",
+                  "3.812880903864739e-08", "5.5478093110767487e-08",
+                  "5.5478093110767487e-08", "4.818746863565726e-08",
+                  "4.818746863565726e-08", "2.9749292760543526e-08",
+                  "2.9749292760543526e-08"],
+    (2, 3, 1024): ["8.982383568255627e-11", "8.950131080924031e-11",
+                   "5.4702115105579506e-11", "5.545511438629278e-11",
+                   "5.545511438629278e-11", "4.790698069006186e-11",
+                   "4.790698069006186e-11", "4.2680947511850534e-11",
+                   "4.2680947511850534e-11"],
+    (5, 8, 128): ["5.182446703842769e-06", "5.182446710470435e-06",
+                  "3.0949799214542954e-06", "4.720470072768073e-06",
+                  "4.720470072768073e-06", "4.720470126796593e-06",
+                  "4.720470126796593e-06", "2.880104526195084e-06",
+                  "2.880104526195084e-06"],
+}
 
 
 class TestImmersion:
@@ -105,22 +126,46 @@ class TestSeparatedCoefficients:
         for l in (0, 1, 2, 3):
             sc = separated_coefficients(l, clifford_traj)
             expect = np.array([[l * l - 4.0, 0.0], [0.0, l * l - 2.0]])
-            assert np.abs(sc.potential - expect).max() < 1e-12
+            Q = sc.potential[:, [[0, 1], [1, 2]]]
+            assert np.abs(Q - expect).max() < 1e-12
             assert np.abs(sc.weight - 4 * math.pi ** 2).max() < 1e-12
 
     def test_decoupled_at_l0(self, traj23):
         sc = separated_coefficients(0, traj23)
-        assert np.all(sc.potential[:, 0, 1] == 0.0)
+        assert np.all(sc.potential[:, 1] == 0.0)
 
-    def test_symmetric_everywhere(self, traj23):
-        sc = separated_coefficients(2, traj23)
-        assert np.array_equal(sc.potential[:, 0, 1], sc.potential[:, 1, 0])
+    @pytest.mark.parametrize("build,l,column", [
+        (partial(fourier_block_system, 1), 1, None),
+        (partial(fourier_block_system, 2), 2, None),
+        (partial(l0_channel_system, 1), 0, 0),
+        (partial(l0_channel_system, 2), 0, 2)],
+        ids=["1", "2", "channel1", "channel2"])
+    @pytest.mark.parametrize("interval", ["T", "t0"])
+    def test_samplers_read_separated_coefficients(self, traj58, build, l,
+                                                  column, interval):
+        # the systems sample p and Q_l through separated_coefficients, bit
+        # for bit, at the nodes and half nodes of the discretization
+        system = build(traj58, interval, BoundaryCondition.periodic())
+        n = 256
+        nodes, p_nodes, p_half, q_nodes = system.sample(n)
+        half = nodes + 0.5 * (system.length / n)
+        at_nodes = separated_coefficients(l, traj58, nodes)
+        at_half = separated_coefficients(l, traj58, half)
+        if column is None:
+            want_nodes, want_half = at_nodes.potential, at_half.potential
+        else:
+            want_nodes = at_nodes.potential[:, column]
+            want_half = at_half.potential[:, column]
+        assert np.array_equal(p_nodes, at_nodes.weight)
+        assert np.array_equal(p_half, at_half.weight)
+        assert np.array_equal(q_nodes, want_nodes)
+        assert np.array_equal(system.sampler(half)[1], want_half)
 
     def test_positive_definite_at_l3(self, traj23):
         sc = separated_coefficients(3, traj23)
-        q = sc.potential
-        det = q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] ** 2
-        assert np.all(q[:, 0, 0] > 0) and np.all(det > 0)
+        q11, q12, q22 = sc.potential.T
+        det = q11 * q22 - q12 ** 2
+        assert np.all(q11 > 0) and np.all(det > 0)
 
     def test_negative_l_rejected(self, traj23):
         with pytest.raises(ValidationError):
@@ -144,8 +189,7 @@ class TestKernelFields:
     def test_residuals_small(self, fam23):
         traj = sample_trajectory(fam23, 171)              # ~1026-node full grid
         for f in kernel_fields(traj):
-            coeffs = separated_coefficients(f.l, traj, f.grid)
-            assert kernel_residual(f, coeffs, traj) < 1e-6
+            assert kernel_residual(f, traj) < 1e-6
 
     @pytest.mark.parametrize("p,q", [(5, 8), (5, 9), (7, 10)])
     def test_junctions_refine_at_second_order(self, p, q):
@@ -157,28 +201,27 @@ class TestKernelFields:
         values = []
         for n in (per_period, 2 * per_period):
             traj = sample_trajectory(fam, n)
-            values.append([kernel_residual(
-                f, separated_coefficients(f.l, traj, f.grid), traj)
-                for f in kernel_fields(traj)])
+            values.append([kernel_residual(f, traj)
+                           for f in kernel_fields(traj)])
         ratios = np.array(values[0]) / np.array(values[1])
         assert np.all(ratios >= 8.0) and np.all(ratios <= 32.0)
 
     def test_perturbed_field_rejected(self, fam23):
         traj = sample_trajectory(fam23, 171)
         f = kernel_fields(traj)[1]
-        coeffs = separated_coefficients(f.l, traj, f.grid)
         phi = traj.at(f.grid)[0]
         bad = type(f)(id=f.id, l=f.l, grid=f.grid,
                       h1=f.h1 + 0.01 * np.cos(phi), h2=f.h2,
                       description="perturbed")
-        assert kernel_residual(bad, coeffs, traj) > 1e-3
+        assert kernel_residual(bad, traj) > 1e-3
 
-    def test_mode_mismatch_rejected(self, fam23):
-        traj = sample_trajectory(fam23, 171)
-        f = kernel_fields(traj)[0]
-        coeffs = separated_coefficients(2, traj, f.grid)
-        with pytest.raises(ValidationError):
-            kernel_residual(f, coeffs, traj)
+    @pytest.mark.parametrize("p,q,n", [(2, 3, 171), (2, 3, 1024), (5, 8, 128)])
+    def test_residual_values_pinned(self, p, q, n):
+        # the nine residuals to the bit: how kernel_residual samples p, p'
+        # and Q_l must not move them
+        traj = sample_trajectory(solve_parameter(p, q), n)
+        got = [repr(kernel_residual(f, traj)) for f in kernel_fields(traj)]
+        assert got == PINNED_RESIDUALS[(p, q, n)]
 
     def test_l2_field_satisfies_unit_twist(self, fam23):
         # the mode-2 projection is invariant under the half-period shift in
