@@ -81,7 +81,8 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
     counts = DirichletCounts(negative=neg, operator=system.operator(n))
     # a located eigenvalue lies within LOCATE_TOL / 2 of the true one
     reach = DIRICHLET_MARGIN + LOCATE_TOL
-    clear = inertia(counts.operator, -reach)[0] == inertia(counts.operator, reach)[0]
+    below, above = inertia(counts.operator, -reach, reach)
+    clear = below[0] == above[0]
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
         return counts
     raise EdwardsInapplicableError(

@@ -16,9 +16,12 @@ them all.  The finish takes only real parts of products of conjugates,
 and |b12|^2, so conjugate multipliers give the same count and log|det|
 bit for bit; ``spectral.ladder_counts`` therefore sweeps one twist of
 each conjugate pair.  The scalar band sweep is the scalar cyclic sweep
-with no wrap.  An eigenvalue is bracketed by the count: bisection
-isolates it, and secant steps on the determinant, kept inside the
-bracket, refine it.
+with no wrap.  Callers that need one operator at several shifts ask
+``inertia`` for all of them at once: the coefficient lists are converted
+once, and the scalar and 2x2 band sweeps carry two shifts through one
+node loop.  An eigenvalue is bracketed by the count: bisection isolates
+it, and secant steps on the determinant, kept inside the bracket, refine
+it.
 """
 
 from __future__ import annotations
@@ -142,6 +145,13 @@ class BandOperator:
 # terms nearly cancel next to an eigenvalue).  With no wrap R stays 0, so
 # the scalar band sweep is the scalar cyclic sweep with w_off = 0.  The
 # 2x2 band sweep stays separate: it costs about half as much per node.
+#
+# Each loop zips its coefficient lists, which ``_kernel`` converts once per
+# ``inertia`` call.  ``_inertia_d1_pair`` and ``_inertia_d2_band_pair``
+# carry the states of two shifts through one loop, with each shift's
+# arithmetic exactly that of the single sweep; the 2x2 cyclic sweep, whose
+# loop body dwarfs the loop itself, runs once per shift on the shared
+# lists.
 
 def _pivot(s):
     """(1 if the scalar pivot is negative else 0, log|s|)."""
@@ -168,7 +178,7 @@ def _inertia_d1(d, e, w_off, sigma):
     s = d[0] - sigma
     r = w_off
     b = d[m - 1] - sigma
-    for j in range(m - 2):
+    for ej, dj in zip(e, d[1:m - 1]):
         if s > 0.0:
             ld += log(s)
         elif s < 0.0:
@@ -176,12 +186,47 @@ def _inertia_d1(d, e, w_off, sigma):
             ld += log(-s)
         else:
             raise _PivotBreakdown
-        ej = e[j]
         b -= r * r / s
         r = -ej * r / s
-        s = d[j + 1] - sigma - ej * ej / s
+        s = dj - sigma - ej * ej / s
     c, l = _pivot(s)
     return neg + c, ld + l, s, r, b, e[m - 2]
+
+
+def _inertia_d1_pair(d, e, w_off, sigma, tau):
+    """``_inertia_d1`` at sigma and at tau, in one loop."""
+    m = len(d)
+    neg = neg2 = 0
+    ld = ld2 = 0.0
+    s, s2 = d[0] - sigma, d[0] - tau
+    r = r2 = w_off
+    b, b2 = d[m - 1] - sigma, d[m - 1] - tau
+    for ej, dj in zip(e, d[1:m - 1]):
+        if s > 0.0:
+            ld += log(s)
+        elif s < 0.0:
+            neg += 1
+            ld += log(-s)
+        else:
+            raise _PivotBreakdown
+        if s2 > 0.0:
+            ld2 += log(s2)
+        elif s2 < 0.0:
+            neg2 += 1
+            ld2 += log(-s2)
+        else:
+            raise _PivotBreakdown
+        nej, ee = -ej, ej * ej
+        b -= r * r / s
+        r = nej * r / s
+        s = dj - sigma - ee / s
+        b2 -= r2 * r2 / s2
+        r2 = nej * r2 / s2
+        s2 = dj - tau - ee / s2
+    c, l = _pivot(s)
+    c2, l2 = _pivot(s2)
+    return ((neg + c, ld + l, s, r, b, e[m - 2]),
+            (neg2 + c2, ld2 + l2, s2, r2, b2, e[m - 2]))
 
 
 def _finish_d1(end, w):
@@ -194,11 +239,10 @@ def _finish_d1(end, w):
 
 
 def _inertia_d2_band(d11, d12, d22, e, sigma):
-    m = len(d11)
     neg = 0
     ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
-    for j in range(1, m):
+    for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
             ld += log(det)
@@ -209,12 +253,53 @@ def _inertia_d2_band(d11, d12, d22, e, sigma):
             ld += log(-det)
         else:
             raise _PivotBreakdown
-        ee = e[j - 1] * e[j - 1] / det
-        s11, s12, s22 = (d11[j] - sigma - ee * s22,
-                         d12[j] + ee * s12,
-                         d22[j] - sigma - ee * s11)
+        ee = ej * ej / det
+        s11, s12, s22 = (a11 - sigma - ee * s22,
+                         a12 + ee * s12,
+                         a22 - sigma - ee * s11)
     c, l = _block(s11 * s22 - s12 * s12, s11)
     return neg + c, ld + l
+
+
+def _inertia_d2_band_pair(d11, d12, d22, e, sigma, tau):
+    """``_inertia_d2_band`` at sigma and at tau, in one loop."""
+    neg = neg2 = 0
+    ld = ld2 = 0.0
+    s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
+    t11, t12, t22 = d11[0] - tau, d12[0], d22[0] - tau
+    for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
+        det = s11 * s22 - s12 * s12
+        if det > 0.0:
+            ld += log(det)
+            if s11 < 0.0:
+                neg += 2
+        elif det < 0.0:
+            neg += 1
+            ld += log(-det)
+        else:
+            raise _PivotBreakdown
+        det2 = t11 * t22 - t12 * t12
+        if det2 > 0.0:
+            ld2 += log(det2)
+            if t11 < 0.0:
+                neg2 += 2
+        elif det2 < 0.0:
+            neg2 += 1
+            ld2 += log(-det2)
+        else:
+            raise _PivotBreakdown
+        e2 = ej * ej
+        ee = e2 / det
+        s11, s12, s22 = (a11 - sigma - ee * s22,
+                         a12 + ee * s12,
+                         a22 - sigma - ee * s11)
+        ee = e2 / det2
+        t11, t12, t22 = (a11 - tau - ee * t22,
+                         a12 + ee * t12,
+                         a22 - tau - ee * t11)
+    c, l = _block(s11 * s22 - s12 * s12, s11)
+    c2, l2 = _block(t11 * t22 - t12 * t12, t11)
+    return (neg + c, ld + l), (neg2 + c2, ld2 + l2)
 
 
 def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
@@ -224,7 +309,8 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
     r11, r12, r21, r22 = w_off, 0.0, 0.0, w_off
     p11 = p12 = p22 = 0.0
-    for j in range(m - 2):
+    for ej, a11, a12, a22 in zip(e, d11[1:m - 1], d12[1:m - 1],
+                                 d22[1:m - 1]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
             ld += log(det)
@@ -246,12 +332,15 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
         p11 += g11 * r11 + g12 * r12
         p12 += g11 * r21 + g12 * r22
         p22 += g21 * r21 + g22 * r22
-        ej = e[j]
-        r11, r12, r21, r22 = -ej * g11, -ej * g12, -ej * g21, -ej * g22
+        nej = -ej
+        r11 = nej * g11
+        r12 = nej * g12
+        r21 = nej * g21
+        r22 = nej * g22
         ee = ej * ej / det
-        s11, s12, s22 = (d11[j + 1] - sigma - ee * s22,
-                         d12[j + 1] + ee * s12,
-                         d22[j + 1] - sigma - ee * s11)
+        s11, s12, s22 = (a11 - sigma - ee * s22,
+                         a12 + ee * s12,
+                         a22 - sigma - ee * s11)
     det = s11 * s22 - s12 * s12
     c, l = _block(det, s11)
     return (neg + c, ld + l, s22 / det, -s12 / det, s11 / det,
@@ -278,18 +367,23 @@ def _finish_d2_cyclic(end, w1, w2):
     return neg + cb, ld + lb
 
 
-def _inertia_raw(op: BandOperator, sigma: float) -> tuple:
+def _kernel(op: BandOperator):
+    """(single-shift kernel, pair kernel or None, its coefficient lists)."""
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     e = op.off.tolist()
     if op.dim == 1:
-        end = _inertia_d1(op.diag.tolist(), e,
-                          op.wrap_off if op.cyclic else 0.0, sigma)
-    elif not op.cyclic:
-        return _inertia_d2_band(*op.diag.T.tolist(), e, sigma)
-    else:
-        end = _inertia_d2_cyclic(*op.diag.T.tolist(), e, op.wrap_off, sigma)
-    if op.ladder:
+        return (_inertia_d1, _inertia_d1_pair,
+                (op.diag.tolist(), e, op.wrap_off if op.cyclic else 0.0))
+    if not op.cyclic:
+        return _inertia_d2_band, _inertia_d2_band_pair, (*op.diag.T.tolist(), e)
+    return _inertia_d2_cyclic, None, (*op.diag.T.tolist(), e, op.wrap_off)
+
+
+def _complete(op: BandOperator, end: tuple) -> tuple:
+    """A kernel's (count, log|det|), finished for the operator's multipliers;
+    a ladder's end state is left for ``_finish_ladder``."""
+    if op.ladder or (op.dim == 2 and not op.cyclic):
         return end
     return _finish(op, end, op.wrap_mult if op.cyclic else (0.0,))
 
@@ -300,23 +394,53 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
     return finish(end, *map(complex, w))
 
 
-def inertia(op: BandOperator, sigma: float):
+def inertia(op: BandOperator, sigma: float, *more: float):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
     (-1)**count.  A twist ladder gets a list with one such pair per twist,
-    each equal to the sweep of that twist alone.
+    each equal to the sweep of that twist alone.  With more shifts the
+    result is a list with one result per shift, in order, each equal to
+    ``inertia(op, shift)`` bit for bit.
     """
+    if more:
+        return _inertia_shifts(op, (sigma, *more))
+    single, _, lists = _kernel(op)
     scale = max(1.0, abs(sigma))
     for attempt in range(4):
         try:
-            out = _inertia_raw(op, sigma + attempt * 1e-13 * scale)
+            out = _complete(op, single(*lists, sigma + attempt * 1e-13 * scale))
         except _PivotBreakdown:
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all
         if isfinite(out[1]):
             return _finish_ladder(op, sigma, out) if op.ladder else out
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
+
+
+def _inertia_shifts(op: BandOperator, shifts: tuple) -> list:
+    """``inertia`` at each shift, from coefficient lists converted once.
+
+    The shifts go in pairs through the pair kernel, where there is one,
+    and otherwise through the single kernel one by one.  A pass that breaks
+    down or leaves a non-finite log|det| sweeps its shifts again through
+    ``inertia`` alone, so they get its retries.
+    """
+    single, pair, lists = _kernel(op)
+    out = []
+    for i in range(0, len(shifts), 2):
+        two = shifts[i:i + 2]
+        try:
+            ends = (pair(*lists, *two) if pair is not None and len(two) == 2
+                    else [single(*lists, s) for s in two])
+            done = [_complete(op, end) for end in ends]
+            ok = all(isfinite(end[1]) for end in done)
+        except _PivotBreakdown:
+            ok = False
+        out += ([_finish_ladder(op, s, end) if op.ladder else end
+                 for s, end in zip(two, done)] if ok
+                else [inertia(op, s) for s in two])
+    return out
 
 
 def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
@@ -341,12 +465,12 @@ def eigenvalues_in(op: BandOperator, lo: float, hi: float, tol: float,
     With ``near`` (inside the window) only the eigenvalues next to it are
     located: the largest below it and the smallest at or above it.
     """
-    end_lo, end_hi = inertia(op, lo), inertia(op, hi)
     if near is None:
+        end_lo, end_hi = inertia(op, lo, hi)
         return _bisect(op, lo, hi, end_lo, end_hi, tol)
     if not lo < near < hi:
         raise ValidationError(f"near={near!r} lies outside ({lo!r}, {hi!r})")
-    end_near = inertia(op, near)
+    end_lo, end_near, end_hi = inertia(op, lo, near, hi)
     want = (end_near[0] - 1, end_near[0] + 1)
     return np.concatenate((_bisect(op, lo, near, end_lo, end_near, tol, want),
                            _bisect(op, near, hi, end_near, end_hi, tol, want)))

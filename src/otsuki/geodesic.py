@@ -208,6 +208,9 @@ class Trajectory:
     phidot: np.ndarray
     theta: np.ndarray
     _padded: tuple = field(default=None, repr=False, compare=False)
+    # the samples of each time array already evaluated, by its bytes
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def n(self) -> int:
@@ -240,9 +243,14 @@ class Trajectory:
         Times are folded into [0, T] through phi(t+T) = -phi(t) and
         theta(t+T) = theta(t) + Xi; between nodes a centered cubic
         interpolant is used.  Families without a rotation number accept
-        any real t.
+        any real t.  The samples of an array are kept on the trajectory and
+        returned read-only, so a repeated array costs a lookup.
         """
+        scalar = np.isscalar(t) or np.ndim(t) == 0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        key = t_arr.shape, t_arr.tobytes()
+        if not scalar and key in self._samples:
+            return self._samples[key]
         if self.family.rotation is not None:
             t0 = self.family.t0
             if np.any(t_arr < -1e-9 * t0) or np.any(t_arr >= t0 * (1 + 1e-12) + 1e-9):
@@ -272,8 +280,11 @@ class Trajectory:
         phi = sgn * interp(phi_p)
         phid = sgn * interp(phid_p)
         theta = interp(th_p) + k * shift
-        if np.isscalar(t) or np.ndim(t) == 0:
+        if scalar:
             return float(phi[0]), float(phid[0]), float(theta[0])
+        for arr in (phi, phid, theta):
+            arr.flags.writeable = False
+        self._samples[key] = phi, phid, theta
         return phi, phid, theta
 
     def conservation_drift(self) -> float:

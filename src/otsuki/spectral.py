@@ -97,18 +97,21 @@ def _end_sweeps(operator, length: float, n: int, boundary: float):
     meshes n and 2n (``operator(k)``), in that order."""
     ops = operator(n), operator(2 * n)
     zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (length / n) ** 2))
-    return zone, [inertia(op, sigma) for sigma in
-                  (boundary - zone, boundary + zone) for op in ops]
+    (lo1, hi1), (lo2, hi2) = (inertia(op, boundary - zone, boundary + zone)
+                              for op in ops)
+    return zone, [lo1, lo2, hi1, hi2]
 
 
 def _window_sweeps(operator, n: int, level: float):
     """The sweep at window shift i of the meshes n and 2n (``operator(k)``),
-    made on first need and then shared by every twist of the operator."""
+    made on first need and then shared by every twist of the operator.
+    Shifts 0, 1 (mesh n) and 2, 3 (mesh 2n) are swept in pairs."""
     @cache
-    def sweep(i: int):
-        k, shift = _WINDOW_SHIFTS[i]
-        return inertia(operator(k * n), level + shift * _WINDOW)
-    return sweep
+    def pair(i: int):
+        (k, lo), (_, hi) = _WINDOW_SHIFTS[i:i + 2]
+        return inertia(operator(k * n), level + lo * _WINDOW,
+                       level + hi * _WINDOW)
+    return lambda i: pair(i - i % 2)[i % 2]
 
 
 def _extrapolated(operator, n: int, lo: float, hi: float, tol: float):

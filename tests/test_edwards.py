@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import boundary_psi
-from otsuki import edwards, eigencount
+from otsuki import edwards
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
@@ -299,18 +299,10 @@ class TestApplicabilityGate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["applicability_margin"] == 1.3714980259270724
 
-    def test_dirichlet_check_sweeps(self, traj23, monkeypatch):
-        # four sweeps count (meshes n and 2n at both zone ends), two gate
-        sweeps = []
-        original = eigencount._inertia_raw
-
-        def counted(op, sigma):
-            sweeps.append(sigma)
-            return original(op, sigma)
-
-        monkeypatch.setattr(eigencount, "_inertia_raw", counted)
+    def test_dirichlet_check_sweeps(self, traj23, count_sweeps):
+        # four shifts count (meshes n and 2n at both zone ends), two gate
         dirichlet_negative_count(1, traj23, n=512)
-        assert len(sweeps) == 6
+        assert len(count_sweeps) == 6
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

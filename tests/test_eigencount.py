@@ -62,8 +62,12 @@ def test_inertia_matches_dense(dim, bc):
     A = op.to_dense()
     assert np.array_equal(A, A.conj().T)  # exactly self adjoint
     w = np.linalg.eigvalsh(A)
-    for sigma in (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0):
+    shifts = (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0)
+    for sigma in shifts:
         assert inertia(op, sigma)[0] == int((w < sigma).sum())
+    # several shifts in one call, paired or not, sweep each bit for bit
+    for some in (shifts, shifts[1:]):
+        assert inertia(op, *some) == [inertia(op, s) for s in some]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -219,6 +223,29 @@ def test_small_operator_rejected():
         inertia(tiny, 0.0)
 
 
+@pytest.mark.parametrize("dim,bc", [
+    (1, BoundaryCondition.dirichlet()), (1, BoundaryCondition.periodic()),
+    (2, BoundaryCondition.dirichlet()), (2, BoundaryCondition.periodic())],
+    ids=["d1-band", "d1-cyclic", "d2-band", "d2-cyclic"])
+def test_shifts_whose_pass_breaks_down_are_swept_alone(dim, bc, monkeypatch):
+    # at sigma = Q11(0) the first pivot is exactly 0 (Q12 = 0 in the split
+    # system); its pass is swept again shift by shift, with the retries
+    op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
+          ).discretize(256)
+    bad = float(op.diag[0] if dim == 1 else op.diag[0, 0])
+    shifts = (0.17, bad, -0.42)
+    want = [inertia(op, s) for s in shifts]
+    swept = []
+
+    def recorded(op, *some):
+        swept.append(some)
+        return inertia(op, *some)
+
+    monkeypatch.setattr(eigencount, "inertia", recorded)
+    assert eigencount.inertia(op, *shifts) == want
+    assert swept == [shifts, (0.17,), (bad,)]
+
+
 def _twisted_operators(build, traj, m):
     """The operator of each twist of the ladder, discretized one by one."""
     return [build(traj, "T", BoundaryCondition.twisted(om)).discretize(m)
@@ -242,12 +269,14 @@ def test_ladder_inertia_equals_each_twist(family, l, request):
                              request.getfixturevalue(family), 256)
     ladder = _ladder(ops)
     q = len(ops) // 2
-    for sigma in (-0.5, -2e-3, 0.0, 2e-3, 0.7):
+    shifts = (-0.5, -2e-3, 0.0, 2e-3, 0.7)
+    for sigma in shifts:
         # counts and log|det| bit for bit
         out = inertia(ladder, sigma)
         assert out == [inertia(op, sigma) for op in ops]
         # conjugate twists count alike, which ladder_counts relies on
         assert all(out[r] == out[2 * q - r] for r in range(1, q))
+    assert inertia(ladder, *shifts) == [inertia(ladder, s) for s in shifts]
 
 
 @pytest.mark.parametrize("build", SCALAR_SYSTEMS)
@@ -258,10 +287,12 @@ def test_scalar_ladder_inertia_equals_each_twist(family, build, request):
     ladder = _ladder(ops)
     assert ladder.dim == 1 and ladder.ladder
     q = len(ops) // 2
-    for sigma in (-0.5, -2e-3, 0.0, 0.7, 2.0):
+    shifts = (-0.5, -2e-3, 0.0, 0.7, 2.0)
+    for sigma in shifts:
         out = inertia(ladder, sigma)
         assert out == [inertia(op, sigma) for op in ops]
         assert all(out[r] == out[2 * q - r] for r in range(1, q))
+    assert inertia(ladder, *shifts) == [inertia(ladder, s) for s in shifts]
 
 
 def test_ladder_is_complex_and_has_no_dense_matrix(traj23):

@@ -257,6 +257,20 @@ class TestExtendedEvaluation:
         with pytest.raises(DomainError):
             traj23.at(-1.0)
 
+    def test_repeated_array_is_served_read_only(self, traj23, fam23):
+        t = np.linspace(0.0, fam23.t0 - 0.01, 301)
+        first = traj23.at(t)
+        again = traj23.at(t.copy())
+        # a fresh trajectory of the family samples the same values itself
+        fresh = sample_trajectory(fam23, traj23.n).at(t)
+        for a, b, c in zip(first, again, fresh):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert b is not c and not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+        # scalar calls are evaluated, not served
+        assert traj23.at(float(t[7])) == tuple(float(a[7]) for a in first)
+
     def test_interpolation_between_nodes(self, traj23, fam23):
         # compare the cubic interpolant against a finer trajectory
         fine = sample_trajectory(fam23, 4096)

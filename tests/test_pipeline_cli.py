@@ -153,10 +153,10 @@ class TestHalfPeriodCounts:
             seen.add((system.l, system.length))
             return original(system, n)
 
-        def recorded_inertia(op, sigma):
+        def recorded_inertia(op, *shifts):
             if op.cyclic and op.dim == 2 and not op.is_complex():
-                real_2x2.append((op.m, sigma))
-            return original_inertia(op, sigma)
+                real_2x2.extend((op.m, sigma) for sigma in shifts)
+            return original_inertia(op, *shifts)
 
         monkeypatch.setattr(SLSystem, "discretize", recorded)
         monkeypatch.setattr(eigencount, "inertia", recorded_inertia)

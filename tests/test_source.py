@@ -60,6 +60,24 @@ def test_sweep_loops_do_real_arithmetic():
     assert not found, f"complex arithmetic in sweep loops: {found}"
 
 
+def test_every_sweep_goes_through_inertia():
+    # the benchmark's tracer counts sweeps at ``eigencount.inertia``, so no
+    # other module may reach a kernel or a raw sweep
+    root = pathlib.Path(__file__).parent.parent
+    found = []
+    for path in SOURCES + sorted((root / "scripts").glob("*.py")):
+        if path.name == "eigencount.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {name}" for name in names
+                      if name.startswith("_inertia")]
+    assert not found, f"sweeps that bypass eigencount.inertia: {found}"
+
+
 def _public_names(tree):
     """Module-level functions, classes and constants without a leading
     underscore."""

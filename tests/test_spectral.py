@@ -50,13 +50,14 @@ def _trajectory(p, q):
 
 
 def _record_sweeps(monkeypatch):
-    """The operators of every inertia sweep, at both bindings."""
+    """The operator of every shift of every inertia sweep, at both
+    bindings."""
     original = eigencount.inertia
     swept = []
 
-    def recorded(op, sigma):
-        swept.append(op)
-        return original(op, sigma)
+    def recorded(op, *shifts):
+        swept.extend([op] * len(shifts))
+        return original(op, *shifts)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)
