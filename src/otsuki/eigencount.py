@@ -17,11 +17,10 @@ and |b12|^2, so conjugate multipliers give the same count and log|det|
 bit for bit; ``spectral.ladder_counts`` therefore sweeps one twist of
 each conjugate pair.  The scalar band sweep is the scalar cyclic sweep
 with no wrap.  Callers that need one operator at several shifts ask
-``inertia`` for all of them at once: the coefficient lists are converted
-once, and the scalar and 2x2 band sweeps carry two shifts through one
-node loop.  An eigenvalue is bracketed by the count: bisection isolates
-it, and secant steps on the determinant, kept inside the bracket, refine
-it.
+``inertia`` for all of them at once, so the coefficient lists are
+converted once.  An eigenvalue is bracketed by the count: bisection
+isolates it, and secant steps on the determinant, kept inside the
+bracket, refine it.
 """
 
 from __future__ import annotations
@@ -147,11 +146,8 @@ class BandOperator:
 # 2x2 band sweep stays separate: it costs about half as much per node.
 #
 # Each loop zips its coefficient lists, which ``_kernel`` converts once per
-# ``inertia`` call.  ``_inertia_d1_pair`` and ``_inertia_d2_band_pair``
-# carry the states of two shifts through one loop, with each shift's
-# arithmetic exactly that of the single sweep; the 2x2 cyclic sweep, whose
-# loop body dwarfs the loop itself, runs once per shift on the shared
-# lists.
+# ``inertia`` call; a call with several shifts runs the kernel once per
+# shift on the shared lists.
 
 def _pivot(s):
     """(1 if the scalar pivot is negative else 0, log|s|)."""
@@ -193,42 +189,6 @@ def _inertia_d1(d, e, w_off, sigma):
     return neg + c, ld + l, s, r, b, e[m - 2]
 
 
-def _inertia_d1_pair(d, e, w_off, sigma, tau):
-    """``_inertia_d1`` at sigma and at tau, in one loop."""
-    m = len(d)
-    neg = neg2 = 0
-    ld = ld2 = 0.0
-    s, s2 = d[0] - sigma, d[0] - tau
-    r = r2 = w_off
-    b, b2 = d[m - 1] - sigma, d[m - 1] - tau
-    for ej, dj in zip(e, d[1:m - 1]):
-        if s > 0.0:
-            ld += log(s)
-        elif s < 0.0:
-            neg += 1
-            ld += log(-s)
-        else:
-            raise _PivotBreakdown
-        if s2 > 0.0:
-            ld2 += log(s2)
-        elif s2 < 0.0:
-            neg2 += 1
-            ld2 += log(-s2)
-        else:
-            raise _PivotBreakdown
-        nej, ee = -ej, ej * ej
-        b -= r * r / s
-        r = nej * r / s
-        s = dj - sigma - ee / s
-        b2 -= r2 * r2 / s2
-        r2 = nej * r2 / s2
-        s2 = dj - tau - ee / s2
-    c, l = _pivot(s)
-    c2, l2 = _pivot(s2)
-    return ((neg + c, ld + l, s, r, b, e[m - 2]),
-            (neg2 + c2, ld2 + l2, s2, r2, b2, e[m - 2]))
-
-
 def _finish_d1(end, w):
     """(count, log|det|) of the multiplier w from the end state of
     ``_inertia_d1``: w enters the last Schur complement only."""
@@ -259,47 +219,6 @@ def _inertia_d2_band(d11, d12, d22, e, sigma):
                          a22 - sigma - ee * s11)
     c, l = _block(s11 * s22 - s12 * s12, s11)
     return neg + c, ld + l
-
-
-def _inertia_d2_band_pair(d11, d12, d22, e, sigma, tau):
-    """``_inertia_d2_band`` at sigma and at tau, in one loop."""
-    neg = neg2 = 0
-    ld = ld2 = 0.0
-    s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
-    t11, t12, t22 = d11[0] - tau, d12[0], d22[0] - tau
-    for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
-        det = s11 * s22 - s12 * s12
-        if det > 0.0:
-            ld += log(det)
-            if s11 < 0.0:
-                neg += 2
-        elif det < 0.0:
-            neg += 1
-            ld += log(-det)
-        else:
-            raise _PivotBreakdown
-        det2 = t11 * t22 - t12 * t12
-        if det2 > 0.0:
-            ld2 += log(det2)
-            if t11 < 0.0:
-                neg2 += 2
-        elif det2 < 0.0:
-            neg2 += 1
-            ld2 += log(-det2)
-        else:
-            raise _PivotBreakdown
-        e2 = ej * ej
-        ee = e2 / det
-        s11, s12, s22 = (a11 - sigma - ee * s22,
-                         a12 + ee * s12,
-                         a22 - sigma - ee * s11)
-        ee = e2 / det2
-        t11, t12, t22 = (a11 - tau - ee * t22,
-                         a12 + ee * t12,
-                         a22 - tau - ee * t11)
-    c, l = _block(s11 * s22 - s12 * s12, s11)
-    c2, l2 = _block(t11 * t22 - t12 * t12, t11)
-    return (neg + c, ld + l), (neg2 + c2, ld2 + l2)
 
 
 def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
@@ -368,24 +287,16 @@ def _finish_d2_cyclic(end, w1, w2):
 
 
 def _kernel(op: BandOperator):
-    """(single-shift kernel, pair kernel or None, its coefficient lists)."""
+    """(the operator's sweep kernel, its coefficient lists)."""
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     e = op.off.tolist()
     if op.dim == 1:
-        return (_inertia_d1, _inertia_d1_pair,
-                (op.diag.tolist(), e, op.wrap_off if op.cyclic else 0.0))
+        return _inertia_d1, (op.diag.tolist(), e,
+                             op.wrap_off if op.cyclic else 0.0)
     if not op.cyclic:
-        return _inertia_d2_band, _inertia_d2_band_pair, (*op.diag.T.tolist(), e)
-    return _inertia_d2_cyclic, None, (*op.diag.T.tolist(), e, op.wrap_off)
-
-
-def _complete(op: BandOperator, end: tuple) -> tuple:
-    """A kernel's (count, log|det|), finished for the operator's multipliers;
-    a ladder's end state is left for ``_finish_ladder``."""
-    if op.ladder or (op.dim == 2 and not op.cyclic):
-        return end
-    return _finish(op, end, op.wrap_mult if op.cyclic else (0.0,))
+        return _inertia_d2_band, (*op.diag.T.tolist(), e)
+    return _inertia_d2_cyclic, (*op.diag.T.tolist(), e, op.wrap_off)
 
 
 def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
@@ -401,46 +312,29 @@ def inertia(op: BandOperator, sigma: float, *more: float):
     (-1)**count.  A twist ladder gets a list with one such pair per twist,
     each equal to the sweep of that twist alone.  With more shifts the
     result is a list with one result per shift, in order, each equal to
-    ``inertia(op, shift)`` bit for bit.
+    ``inertia(op, shift)`` bit for bit: the coefficient lists are converted
+    once and each shift is swept as it would be alone.
     """
-    if more:
-        return _inertia_shifts(op, (sigma, *more))
-    single, _, lists = _kernel(op)
+    kernel, lists = _kernel(op)
+    out = [_sweep(op, kernel, lists, s) for s in (sigma, *more)]
+    return out if more else out[0]
+
+
+def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
+    """``inertia`` at one shift; a pivot breakdown or a non-finite log|det|
+    moves the shift by 1e-13 of its scale and sweeps again."""
     scale = max(1.0, abs(sigma))
     for attempt in range(4):
         try:
-            out = _complete(op, single(*lists, sigma + attempt * 1e-13 * scale))
+            out = kernel(*lists, sigma + attempt * 1e-13 * scale)
+            if not op.ladder and (op.dim == 1 or op.cyclic):
+                out = _finish(op, out, op.wrap_mult if op.cyclic else (0.0,))
         except _PivotBreakdown:
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all
         if isfinite(out[1]):
             return _finish_ladder(op, sigma, out) if op.ladder else out
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
-
-
-def _inertia_shifts(op: BandOperator, shifts: tuple) -> list:
-    """``inertia`` at each shift, from coefficient lists converted once.
-
-    The shifts go in pairs through the pair kernel, where there is one,
-    and otherwise through the single kernel one by one.  A pass that breaks
-    down or leaves a non-finite log|det| sweeps its shifts again through
-    ``inertia`` alone, so they get its retries.
-    """
-    single, pair, lists = _kernel(op)
-    out = []
-    for i in range(0, len(shifts), 2):
-        two = shifts[i:i + 2]
-        try:
-            ends = (pair(*lists, *two) if pair is not None and len(two) == 2
-                    else [single(*lists, s) for s in two])
-            done = [_complete(op, end) for end in ends]
-            ok = all(isfinite(end[1]) for end in done)
-        except _PivotBreakdown:
-            ok = False
-        out += ([_finish_ladder(op, s, end) if op.ladder else end
-                 for s, end in zip(two, done)] if ok
-                else [inertia(op, s) for s in two])
-    return out
 
 
 def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:

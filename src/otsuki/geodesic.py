@@ -243,8 +243,10 @@ class Trajectory:
         Times are folded into [0, T] through phi(t+T) = -phi(t) and
         theta(t+T) = theta(t) + Xi; between nodes a centered cubic
         interpolant is used.  Families without a rotation number accept
-        any real t.  The samples of an array are kept on the trajectory and
-        returned read-only, so a repeated array costs a lookup.
+        any real t.  For an array t the three arrays returned are read-only,
+        on the first call too: they are kept on the trajectory, keyed on
+        the bytes of t, so a repeated array costs a lookup.  Copy them to
+        modify them.
         """
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
