@@ -70,9 +70,10 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
     at most DIRICHLET_MARGIN: the boundary-form route needs a
-    nondegenerate Dirichlet problem.  Two sweeps of the mesh-n operator at
-    +-(DIRICHLET_MARGIN + LOCATE_TOL) settle the margin when no eigenvalue
-    lies between them: the located margin then exceeds DIRICHLET_MARGIN.
+    nondegenerate Dirichlet problem.  Two count-only sweeps of the mesh-n
+    operator at +-(DIRICHLET_MARGIN + LOCATE_TOL) settle the margin when
+    no eigenvalue lies between them: the located margin then exceeds
+    DIRICHLET_MARGIN.
     Otherwise the margin is located and compared, so the decision is
     always "located margin > DIRICHLET_MARGIN".
     """
@@ -81,7 +82,7 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
     counts = DirichletCounts(negative=neg, operator=system.operator(n))
     # a located eigenvalue lies within LOCATE_TOL / 2 of the true one
     reach = DIRICHLET_MARGIN + LOCATE_TOL
-    below, above = inertia(counts.operator, -reach, reach)
+    below, above = inertia(counts.operator, -reach, reach, logdet=False)
     clear = below[0] == above[0]
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
         return counts

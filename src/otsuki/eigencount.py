@@ -6,6 +6,8 @@ wrap-around block for periodic-type boundary conditions.  Symmetric
 block elimination of A - sigma*I is a congruence transform, so the signs
 of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
+A count needs only the signs; log|det| costs a logarithm per pivot, and
+only locating an eigenvalue reads it, so ``inertia`` takes it on request.
 Everything here - counts, individual eigenvalues, inverse iteration for
 eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
 only ever fill the last block row, so the sweep runs in real arithmetic and
@@ -130,8 +132,12 @@ class BandOperator:
 # ``_finish_d2_cyclic`` completes for one twist.  The determinant is the
 # product of the pivot determinants, so its log is one accumulation per
 # pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
-# treats like a zero pivot.  The hot loops inline ``_pivot``/``_block``
-# and do real arithmetic only.
+# treats like a zero pivot.  A count takes no logarithm: without
+# ``logdet`` the loop sums the raw pivot determinants instead, and that
+# sum, finite unless a pivot is infinite or the pivots add up past the
+# float range, gets the same check.  Only the last pivot, outside the
+# loop, takes its log in both modes.  The hot loops inline
+# ``_pivot``/``_block`` and do real arithmetic only.
 #
 # A cyclic sweep eliminates the rows in order, as a band sweep does, and
 # also tracks the last row.  Eliminating row j < m-2 leaves diag(w) R on
@@ -167,7 +173,7 @@ def _block(det, s11):
     raise _PivotBreakdown
 
 
-def _inertia_d1(d, e, w_off, sigma):
+def _inertia_d1(d, e, w_off, sigma, logdet):
     m = len(d)
     neg = 0
     ld = 0.0
@@ -176,10 +182,10 @@ def _inertia_d1(d, e, w_off, sigma):
     b = d[m - 1] - sigma
     for ej, dj in zip(e, d[1:m - 1]):
         if s > 0.0:
-            ld += log(s)
+            ld += log(s) if logdet else s
         elif s < 0.0:
             neg += 1
-            ld += log(-s)
+            ld += log(-s) if logdet else s
         else:
             raise _PivotBreakdown
         b -= r * r / s
@@ -198,19 +204,19 @@ def _finish_d1(end, w):
     return neg + cb, ld + lb
 
 
-def _inertia_d2_band(d11, d12, d22, e, sigma):
+def _inertia_d2_band(d11, d12, d22, e, sigma, logdet):
     neg = 0
     ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
     for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
-            ld += log(det)
+            ld += log(det) if logdet else det
             if s11 < 0.0:
                 neg += 2
         elif det < 0.0:
             neg += 1
-            ld += log(-det)
+            ld += log(-det) if logdet else det
         else:
             raise _PivotBreakdown
         ee = ej * ej / det
@@ -221,7 +227,7 @@ def _inertia_d2_band(d11, d12, d22, e, sigma):
     return neg + c, ld + l
 
 
-def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
+def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma, logdet):
     m = len(d11)
     neg = 0
     ld = 0.0
@@ -232,12 +238,12 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
                                  d22[1:m - 1]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
-            ld += log(det)
+            ld += log(det) if logdet else det
             if s11 < 0.0:
                 neg += 2
         elif det < 0.0:
             neg += 1
-            ld += log(-det)
+            ld += log(-det) if logdet else det
         else:
             raise _PivotBreakdown
         x11 = s22 / det
@@ -305,7 +311,8 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
     return finish(end, *map(complex, w))
 
 
-def inertia(op: BandOperator, sigma: float, *more: float):
+def inertia(op: BandOperator, sigma: float, *more: float,
+            logdet: bool = True):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
@@ -313,32 +320,40 @@ def inertia(op: BandOperator, sigma: float, *more: float):
     each equal to the sweep of that twist alone.  With more shifts the
     result is a list with one result per shift, in order, each equal to
     ``inertia(op, shift)`` bit for bit: the coefficient lists are converted
-    once and each shift is swept as it would be alone.
+    once and each shift is swept as it would be alone.  Only locating an
+    eigenvalue reads log|det|: with ``logdet=False`` each pair is
+    (count, None), the same count from the same sweep, which takes no
+    logarithm per pivot.
     """
     kernel, lists = _kernel(op)
-    out = [_sweep(op, kernel, lists, s) for s in (sigma, *more)]
+    out = [_sweep(op, kernel, lists, s, logdet) for s in (sigma, *more)]
     return out if more else out[0]
 
 
-def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
+def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
+           logdet: bool):
     """``inertia`` at one shift; a pivot breakdown or a non-finite log|det|
-    moves the shift by 1e-13 of its scale and sweeps again."""
+    (pivot sum, without ``logdet``) moves the shift by 1e-13 of its scale
+    and sweeps again."""
     scale = max(1.0, abs(sigma))
     for attempt in range(4):
         try:
-            out = kernel(*lists, sigma + attempt * 1e-13 * scale)
+            out = kernel(*lists, sigma + attempt * 1e-13 * scale, logdet)
             if not op.ladder and (op.dim == 1 or op.cyclic):
                 out = _finish(op, out, op.wrap_mult if op.cyclic else (0.0,))
         except _PivotBreakdown:
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all
         if isfinite(out[1]):
-            return _finish_ladder(op, sigma, out) if op.ladder else out
+            if op.ladder:
+                return _finish_ladder(op, sigma, out, logdet)
+            return out if logdet else (out[0], None)
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
 
 
-def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
-    """Each twist's (count, log|det|) from the shared loop's end state; a
+def _finish_ladder(op: BandOperator, sigma: float, end: tuple,
+                   logdet: bool) -> list:
+    """Each twist's ``inertia`` result from the shared loop's end state; a
     twist whose last pivot breaks down is swept again alone."""
     out = []
     for w in op.wrap_mult:
@@ -346,8 +361,9 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
             res = _finish(op, end, w)
         except _PivotBreakdown:
             res = 0, float("nan")
-        out.append(res if isfinite(res[1])
-                   else inertia(replace(op, wrap_mult=w), sigma))
+        if not isfinite(res[1]):
+            res = inertia(replace(op, wrap_mult=w), sigma, logdet=logdet)
+        out.append(res if logdet else (res[0], None))
     return out
 
 

@@ -19,6 +19,9 @@ from +-TAU_ZERO for the ambiguity and third-mesh rules to fire.  So a
 certified twist counts exactly as if located.  Every other zone
 eigenvalue is located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it).
+Counting reads no determinant, so the zone ends and the windows are
+swept for counts alone; the first location sweeps the four zone ends
+again with log|det|, once for every twist of the operator.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -93,13 +96,20 @@ class SpectrumSummary:
 
 
 def _end_sweeps(operator, length: float, n: int, boundary: float):
-    """The zone half-width, and the sweeps at boundary -+ zone, each on the
-    meshes n and 2n (``operator(k)``), in that order."""
+    """The zone half-width; the counts at boundary -+ zone, each on the
+    meshes n and 2n (``operator(k)``), in that order; and ``located()``,
+    the same four sweeps with log|det|, made on first need and then shared
+    by every twist of the operator."""
     ops = operator(n), operator(2 * n)
     zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (length / n) ** 2))
-    (lo1, hi1), (lo2, hi2) = (inertia(op, boundary - zone, boundary + zone)
-                              for op in ops)
-    return zone, [lo1, lo2, hi1, hi2]
+
+    def sweeps(logdet: bool) -> list:
+        (lo1, hi1), (lo2, hi2) = (inertia(op, boundary - zone,
+                                          boundary + zone, logdet=logdet)
+                                  for op in ops)
+        return [lo1, lo2, hi1, hi2]
+
+    return zone, sweeps(False), cache(partial(sweeps, True))
 
 
 def _window_sweeps(operator, n: int, level: float):
@@ -110,7 +120,7 @@ def _window_sweeps(operator, n: int, level: float):
     def pair(i: int):
         (k, lo), (_, hi) = _WINDOW_SHIFTS[i:i + 2]
         return inertia(operator(k * n), level + lo * _WINDOW,
-                       level + hi * _WINDOW)
+                       level + hi * _WINDOW, logdet=False)
     return lambda i: pair(i - i % 2)[i % 2]
 
 
@@ -140,22 +150,25 @@ def boundary_counts(system: SLSystem, n: int,
     Zone eigenvalues that the window sweeps certify as zero are counted as
     such; the others are located on two meshes and extrapolated.
     """
-    zone, ends = _end_sweeps(system.operator, system.length, n, boundary)
-    return _classify_zone(system.operator, n, boundary, zone, ends,
+    zone, ends, located = _end_sweeps(system.operator, system.length, n,
+                                      boundary)
+    return _classify_zone(system.operator, n, boundary, zone, ends, located,
                           _window_sweeps(system.operator, n, boundary))
 
 
 def _classify_zone(operator, n: int, boundary: float, zone: float,
-                   ends: list, window) -> tuple[int, int]:
-    """``boundary_counts`` from the four ``_end_sweeps`` and the twist's
-    sweep at window shift i, ``window(i)``.
+                   ends: list, located, window) -> tuple[int, int]:
+    """``boundary_counts`` from the twist's four ``_end_sweeps`` counts,
+    its end sweeps with log|det|, ``located()``, and its sweep at window
+    shift i, ``window(i)``.
 
     The k zone eigenvalues are all zero, unlocated, when the window counts
     read below, below + k, below and below + k: then they lie in
     boundary + [-4w, w) on mesh n and in boundary + [-w, w/4) on mesh 2n,
     where located values would classify as zero too (see the module
-    docstring).  Otherwise they are located on both meshes, and a located
-    value within its error bound of +-tau is ambiguous.
+    docstring).  Otherwise they are located on both meshes, from the ends
+    of ``located()``, which is called only then, and a located value
+    within its error bound of +-tau is ambiguous.
     """
     end_lo1, end_lo2, end_hi1, end_hi2 = ends
     lo, hi = boundary - zone, boundary + zone
@@ -171,6 +184,7 @@ def _classify_zone(operator, n: int, boundary: float, zone: float,
         return below1, 0
     if all(window(i)[0] == below1 + k1 * (i % 2) for i in range(4)):
         return below1, k1
+    end_lo1, end_lo2, end_hi1, end_hi2 = located()
     lam1 = _bisect(operator(n), lo, hi, end_lo1, end_hi1, LOCATE_TOL)
     lam2 = _bisect(operator(2 * n), lo, hi, end_lo2, end_hi2, LOCATE_TOL)
     lam = (4.0 * lam2 - lam1) / 3.0 - boundary
@@ -286,10 +300,11 @@ def ladder_counts(build, traj: Trajectory, n: int,
     def operator(k, mult=ladder):
         return replace(system.operator(k), wrap_mult=mult)
 
-    zone, ends = _end_sweeps(operator, system.length, n, level)
+    zone, ends, located = _end_sweeps(operator, system.length, n, level)
     windows = _window_sweeps(operator, n, level)
     rows = [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
                                 [end[r] for end in ends],
+                                lambda r=r: [end[r] for end in located()],
                                 lambda i, r=r: windows(i)[r]))
             for r, w in enumerate(ladder)]
     return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]

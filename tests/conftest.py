@@ -41,15 +41,15 @@ def clifford_traj():
 
 @pytest.fixture
 def count_sweeps(monkeypatch):
-    """Records (id(op), sigma) of every shift of every inertia sweep, at
-    every binding: ``eigencount`` itself, ``spectral`` and the Dirichlet
-    reach sweeps of ``edwards``."""
+    """Records (id(op), sigma, logdet) of every shift of every inertia
+    sweep, at every binding: ``eigencount`` itself, ``spectral`` and the
+    Dirichlet reach sweeps of ``edwards``."""
     original = eigencount.inertia
     seen = []
 
-    def recorded(op, *shifts):
-        seen.extend((id(op), sigma) for sigma in shifts)
-        return original(op, *shifts)
+    def recorded(op, *shifts, logdet=True):
+        seen.extend((id(op), sigma, logdet) for sigma in shifts)
+        return original(op, *shifts, logdet=logdet)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)

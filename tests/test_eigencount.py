@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import constant_system
 from otsuki import eigencount
-from otsuki.eigencount import eigenvalues_in, inertia, scalar_eigenfunctions
+from otsuki.eigencount import (BandOperator, eigenvalues_in, inertia,
+                                scalar_eigenfunctions)
 from otsuki.errors import ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.surface import (fourier_block_system, l0_channel_system,
@@ -65,9 +66,12 @@ def test_inertia_matches_dense(dim, bc):
     shifts = (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0)
     for sigma in shifts:
         assert inertia(op, sigma)[0] == int((w < sigma).sum())
+        assert inertia(op, sigma, logdet=False) == (inertia(op, sigma)[0], None)
     # several shifts in one call, an even or odd number, sweep each bit for bit
     for some in (shifts, shifts[1:]):
         assert inertia(op, *some) == [inertia(op, s) for s in some]
+        assert inertia(op, *some, logdet=False) == [
+            inertia(op, s, logdet=False) for s in some]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -230,22 +234,48 @@ def test_small_operator_rejected():
 def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
     # at sigma = Q11(0) the first pivot is exactly 0 (Q12 = 0 in the split
     # system); in a call with other shifts it is nudged and swept again,
-    # as alone, and the other shifts are swept once each
+    # as alone, and the other shifts are swept once each, with log|det| or
+    # for counts alone
     op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
           ).discretize(256)
     bad = float(op.diag[0] if dim == 1 else op.diag[0, 0])
     shifts = (0.17, bad, -0.42)
     want = [inertia(op, s) for s in shifts]
+    swept = _record_kernel(op, monkeypatch)
+    for logdet in (True, False):
+        swept.clear()
+        got = inertia(op, *shifts, logdet=logdet)
+        assert got == (want if logdet else [(c, None) for c, _ in want])
+        assert swept == [(s, logdet) for s in (
+            0.17, bad, bad + 1e-13 * max(1.0, abs(bad)), -0.42)]
+
+
+def _record_kernel(op, monkeypatch):
+    """(sigma, logdet) of every run of the operator's sweep kernel."""
     kernel, _ = eigencount._kernel(op)
     swept = []
 
     def recorded(*args):
-        swept.append(args[-1])
+        swept.append(args[-2:])
         return kernel(*args)
 
     monkeypatch.setattr(eigencount, kernel.__name__, recorded)
-    assert inertia(op, *shifts) == want
-    assert swept == [0.17, bad, bad + 1e-13 * max(1.0, abs(bad)), -0.42]
+    return swept
+
+
+def test_a_count_retries_where_log_det_does(monkeypatch):
+    # the first pivot 1e-300 makes the second -1e10 / 1e-300, which
+    # overflows: log|det| is inf, and the raw pivot sum too
+    op = BandOperator(dim=1, diag=np.array([1e-300] + [1.0] * 9),
+                      off=np.array([1e5] * 9))
+    count = int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum())
+    assert count == 5
+    swept = _record_kernel(op, monkeypatch)
+    for logdet in (True, False):
+        swept.clear()
+        got, ld = inertia(op, 0.0, logdet=logdet)
+        assert got == count and (ld is None) == (not logdet)
+        assert swept == [(0.0, logdet), (1e-13, logdet)]
 
 
 def _twisted_operators(build, traj, m):
@@ -256,6 +286,17 @@ def _twisted_operators(build, traj, m):
 
 def _ladder(ops):
     return replace(ops[0], wrap_mult=tuple(op.wrap_mult for op in ops))
+
+
+def _assert_counts_alone_match(ladder, ops, shifts):
+    """The multi-shift ladder call sweeps each shift as alone, and its
+    count-only results are (count, None) of each twist's own sweep."""
+    want = [inertia(ladder, s) for s in shifts]
+    assert inertia(ladder, *shifts) == want
+    counts = [[(c, None) for c, _ in out] for out in want]
+    assert inertia(ladder, *shifts, logdet=False) == counts
+    for sigma, got in zip(shifts, counts):
+        assert [inertia(op, sigma, logdet=False) for op in ops] == got
 
 
 SCALAR_SYSTEMS = {"channel1": partial(l0_channel_system, 1),
@@ -278,7 +319,7 @@ def test_ladder_inertia_equals_each_twist(family, l, request):
         assert out == [inertia(op, sigma) for op in ops]
         # conjugate twists count alike, which ladder_counts relies on
         assert all(out[r] == out[2 * q - r] for r in range(1, q))
-    assert inertia(ladder, *shifts) == [inertia(ladder, s) for s in shifts]
+    _assert_counts_alone_match(ladder, ops, shifts)
 
 
 @pytest.mark.parametrize("build", SCALAR_SYSTEMS)
@@ -294,7 +335,7 @@ def test_scalar_ladder_inertia_equals_each_twist(family, build, request):
         out = inertia(ladder, sigma)
         assert out == [inertia(op, sigma) for op in ops]
         assert all(out[r] == out[2 * q - r] for r in range(1, q))
-    assert inertia(ladder, *shifts) == [inertia(ladder, s) for s in shifts]
+    _assert_counts_alone_match(ladder, ops, shifts)
 
 
 def test_ladder_is_complex_and_has_no_dense_matrix(traj23):
@@ -334,14 +375,18 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
             raise eigencount._PivotBreakdown
         return original(end, *w)
 
-    def recorded(op, s):
-        swept.append(op.wrap_mult)
-        return inertia(op, s)
+    def recorded(op, s, logdet=True):
+        swept.append((op.wrap_mult, logdet))
+        return inertia(op, s, logdet=logdet)
 
     monkeypatch.setattr(eigencount, finish, flaky)
     monkeypatch.setattr(eigencount, "inertia", recorded)
-    assert eigencount.inertia(ladder, sigma) == want
-    assert swept == [ladder.wrap_mult, target]
-    # every other twist is finished once, from the shared loop
     first = [w[0] for w in ladder.wrap_mult]
-    assert finished == first[:4] + [target[0]] + first[4:]
+    for logdet in (True, False):
+        finished.clear()
+        swept.clear()
+        got = eigencount.inertia(ladder, sigma, logdet=logdet)
+        assert got == (want if logdet else [(c, None) for c, _ in want])
+        assert swept == [(ladder.wrap_mult, logdet), (target, logdet)]
+        # every other twist is finished once, from the shared loop
+        assert finished == first[:4] + [target[0]] + first[4:]

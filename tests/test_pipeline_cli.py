@@ -153,10 +153,10 @@ class TestHalfPeriodCounts:
             seen.add((system.l, system.length))
             return original(system, n)
 
-        def recorded_inertia(op, *shifts):
+        def recorded_inertia(op, *shifts, logdet=True):
             if op.cyclic and op.dim == 2 and not op.is_complex():
-                real_2x2.extend((op.m, sigma) for sigma in shifts)
-            return original_inertia(op, *shifts)
+                real_2x2.extend((op.m, sigma, logdet) for sigma in shifts)
+            return original_inertia(op, *shifts, logdet=logdet)
 
         monkeypatch.setattr(SLSystem, "discretize", recorded)
         monkeypatch.setattr(eigencount, "inertia", recorded_inertia)

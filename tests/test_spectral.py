@@ -50,14 +50,14 @@ def _trajectory(p, q):
 
 
 def _record_sweeps(monkeypatch):
-    """The operator of every shift of every inertia sweep, at both
+    """(op, sigma, logdet) of every shift of every inertia sweep, at both
     bindings."""
     original = eigencount.inertia
     swept = []
 
-    def recorded(op, *shifts):
-        swept.extend([op] * len(shifts))
-        return original(op, *shifts)
+    def recorded(op, *shifts, logdet=True):
+        swept.extend((op, sigma, logdet) for sigma in shifts)
+        return original(op, *shifts, logdet=logdet)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)
@@ -171,7 +171,9 @@ class TestCalibration:
                                                             monkeypatch):
         # the zero mode sits just inside, then just outside, one window
         # edge; the other mesh keeps it at 0.  Both sides count one zero,
-        # but only inside is it certified, by the 4 end and 4 window sweeps
+        # but only inside is it certified, by the 4 end and 4 window
+        # sweeps, none with log|det|; outside, the ends are swept once
+        # more with log|det|, one call of two shifts per mesh
         swept = _record_sweeps(monkeypatch)
         located = _record_locations(monkeypatch)
         n = 256
@@ -185,8 +187,14 @@ class TestCalibration:
             assert spectrum_counts(system, n) == (0, 1), side
             if side == "inside":
                 assert len(swept) == 8 and not located
+                assert not any(logdet for _, _, logdet in swept)
             else:
                 assert len(swept) > 8 and len(located) == 2
+                zone = max(abs(sigma) for _, sigma, _ in swept)
+                ends = [(op.m, sigma) for op, sigma, logdet in swept
+                        if logdet and abs(sigma) == zone]
+                assert ends == [(m, s * zone) for m in (n, 2 * n)
+                                for s in (-1.0, 1.0)]
 
 
 class TestMode0Counts:
@@ -530,8 +538,9 @@ class TestTwistedConsistency:
         q = 3
         swept = _record_sweeps(monkeypatch)
         compute_index(2, q, "direct", n=512)
-        ladders = [op.wrap_mult for op in swept if op.ladder]
-        alone = [op.wrap_mult for op in swept if op.cyclic and not op.ladder]
+        ladders = [op.wrap_mult for op, _, _ in swept if op.ladder]
+        alone = [op.wrap_mult for op, _, _ in swept
+                 if op.cyclic and not op.ladder]
         assert ladders and alone
         assert all(len(w) == q + 1 for w in ladders)
         assert all(complex(w[0]).imag >= 0.0 for w in alone)
@@ -564,7 +573,33 @@ class TestTwistedConsistency:
             assert any(zero for _, _, zero in rows)
             assert len(swept) == 8
             assert all(op.ladder and len(op.wrap_mult) == q + 1
-                       for op in swept)
+                       for op, _, _ in swept)
+
+    def test_located_ends_are_swept_once_per_ladder(self, traj23,
+                                                    monkeypatch):
+        # two uncoupled free channels with multipliers (omega, -omega):
+        # twist 1 in channel 1 and twist 2 in channel 2 share the
+        # eigenvalue near (1/6)^2, so both twists are located (two
+        # meshes each), from one log|det| sweep of the ladder's ends per
+        # mesh; every twist holds one eigenvalue below the level
+        def build(traj, interval, bc):
+            return constant_system(2, 2 * math.pi, 1.0, (0.0, 0.0, 0.0), bc)
+
+        swept = _record_sweeps(monkeypatch)
+        located = _record_locations(monkeypatch)
+        rows = ladder_counts(build, traj23, 256, 1.0 / 36.0 + 1e-3)
+        assert len(located) == 4
+        assert rows == [(r, 1, 0) for r in range(6)]
+        ends = [(op.m, op.ladder) for op, _, logdet in swept
+                if logdet and op.ladder]
+        assert ends == [(256, True)] * 2 + [(512, True)] * 2
+
+    def test_count_path_takes_no_log_det(self, count_sweeps):
+        # at this mesh the windows certify every zone of 2/3, so no sweep
+        # of the full run reads log|det|
+        compute_index(2, 3, "both", n=1024)
+        assert count_sweeps
+        assert not any(logdet for _, _, logdet in count_sweeps)
 
     def test_certified_counts_equal_located_counts(self, traj23, traj58,
                                                    traj710, monkeypatch):
