@@ -3,6 +3,10 @@
 Mode 0, modes l = 1, 2 and the spectral index are counted on twist
 ladders over the half period [0, T] at mesh n; ``spectral.class_counts``
 sums the twists of each mode.  Modes l = 1, 2 enter with weight two.
+The spectral index reads its Laplace l = 0 term off the mode-0 channel-2
+rows, its supersymmetric partner (``spectral.spectral_index``), so a
+family sweeps five ladders: the two mode-0 channels, modes 1 and 2, and
+Laplace l = 1.
 Modes l >= 3 are dismissed once the mode-3 potential is verified
 positive definite at the trajectory nodes on [0, T]; every operator that
 ``compute_index`` builds lives on [0, T].
@@ -102,12 +106,14 @@ def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     return sample_trajectory(family, min(4096, max(1024, 2 * n)))
 
 
-def _mode0_counts(traj: Trajectory, n: int) -> PerModeRecord:
-    # the rows of both channels, which the class rule sums alike
-    rows = [row for chan in (1, 2) for row in
-            ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)]
-    neg, zero = class_counts(0, traj.family.rotation.q, rows)
-    return PerModeRecord(l=0, neg=neg, zero=zero, method="direct")
+def _mode0_counts(traj: Trajectory, n: int) -> tuple[PerModeRecord, list]:
+    """The mode-0 record, and the ladder rows of channel 2 for
+    ``spectral_index``."""
+    chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
+                    for chan in (1, 2))
+    # the class rule sums the rows of both channels alike
+    neg, zero = class_counts(0, traj.family.rotation.q, chan1 + chan2)
+    return PerModeRecord(l=0, neg=neg, zero=zero, method="direct"), chan2
 
 
 def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
@@ -136,7 +142,8 @@ def compute_index(p: int, q: int, method: str = "both",
     family = solve_parameter(p, q)
     traj = family_trajectory(family, n)
 
-    records = [_mode0_counts(traj, n)]
+    mode0, channel2 = _mode0_counts(traj, n)
+    records = [mode0]
     flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
                    "s1": None, "s2": None, "s1_below_minus_one": None,
                    "abs_s1_gt_s2": None}
@@ -186,7 +193,7 @@ def compute_index(p: int, q: int, method: str = "both",
 
     ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
     nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
-    ind_s = spectral_index(q, traj, n=n)
+    ind_s = spectral_index(traj, n, channel2)
 
     bounds = index_bounds(p, q)
     bounds["rough_upper"] = 5 * ind_s + 2
@@ -324,11 +331,15 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     add("endpoint theta(T)=Xi", abs(traj.theta[-1] - family.Xi) < 1e-8,
         f"error {abs(traj.theta[-1] - family.Xi):.3e}")
 
+    # node times k T / n of [0, t0), the values of surface.full_period_grid:
+    # there traj.at returns the samples themselves, not its cubic
+    # interpolant, whose O(h^4) error alone can exceed the bound
     rng = np.random.default_rng(7)
+    step = family.T / traj.n
     worst = 0.0
     for _ in range(24):
         al = rng.uniform(0, 2 * math.pi)
-        tt = rng.uniform(0, family.t0)
+        tt = rng.integers(2 * q * traj.n) * step
         G = frame(al, tt, traj).gram()
         worst = max(worst, float(np.abs(G - np.eye(5)).max()))
     add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
@@ -336,7 +347,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     worst = max(kernel_residual(fld, traj) for fld in kernel_fields(traj))
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
-    rec0 = _mode0_counts(traj, n)
+    rec0, _ = _mode0_counts(traj, n)
     exp_neg = 2 * q + 4 * p - 1 if q % 2 else q + 2 * p - 1
     add("l=0 counts", (rec0.neg, rec0.zero) == (exp_neg, 3),
         f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")

@@ -5,9 +5,9 @@ boundary conditions.  The twisted condition couples the channels with
 opposite phases: h1(t+L) = omega h1(t), h2(t+L) = -omega h2(t) for a
 unit-modulus omega; periodic and antiperiodic apply the same sign to
 every channel.  Discretization is the standard second-order divergence
-form with the weight sampled at half nodes, which keeps the discrete
-operator exactly Hermitian so eigenvalue counts are variationally
-reliable.
+form with the weight sampled at half nodes and the potential at the
+nodes, which keeps the discrete operator exactly Hermitian so eigenvalue
+counts are variationally reliable.
 """
 
 from __future__ import annotations
@@ -80,15 +80,16 @@ def roots_of_unity_ladder(q: int) -> list[complex]:
 class SLSystem:
     """A weight/potential pair on [0, L) with a boundary condition.
 
-    ``sampler(t)`` returns (p, Q) at the requested times: p positive with
-    shape (m,), Q symmetric with shape (m,) for dim 1 or (m, 3) rows
-    (Q11, Q12, Q22) for dim 2.
+    ``weight(t)`` returns p at the requested times, positive with shape
+    (m,); ``potential(t)`` returns Q there, symmetric with shape (m,) for
+    dim 1 or (m, 3) rows (Q11, Q12, Q22) for dim 2.
     """
 
     dim: int
     length: float
     bc: BoundaryCondition
-    sampler: Callable[[np.ndarray], tuple]
+    weight: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], np.ndarray]
     l: Optional[int] = None
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
@@ -106,21 +107,15 @@ class SLSystem:
             op = self._operators[n] = self.discretize(n)
         return op
 
-    def sample(self, n: int):
-        """Node and half-node samples used by ``discretize``."""
-        h = self.length / n
-        nodes = np.arange(n) * h
-        p_nodes, q_nodes = self.sampler(nodes)
-        p_half, _ = self.sampler(nodes + 0.5 * h)
-        return nodes, np.asarray(p_nodes), np.asarray(p_half), np.asarray(q_nodes)
-
     def discretize(self, n: int) -> BandOperator:
         """Second-order divergence-form discretization on n subintervals;
         a Dirichlet problem keeps the interior rows 1..n-1 and no wrap."""
         if n < 128:
             raise ValidationError(f"mesh too coarse: n = {n} < 128")
         h = self.length / n
-        _, _, p_half, q_nodes = self.sample(n)
+        nodes = np.arange(n) * h
+        p_half = np.asarray(self.weight(nodes + 0.5 * h))
+        q_nodes = np.asarray(self.potential(nodes))
         if np.any(p_half <= 0.0):
             raise ValidationError("weight must be strictly positive")
         h2 = h * h

@@ -31,6 +31,11 @@ and one class rule (``class_counts``) sums the twists of a mode.  Twists
 r and 2q - r are complex conjugates, which the sweeps count bit for bit
 alike, so a ladder holds the q + 1 twists r = 0..q and the rows r > q are
 copies; the boundary-form route still counts all 2q twists on its own.
+
+The spectral index needs the Laplace l = 0 spectrum below 2.  That is
+the spectrum of mode-0 channel 2 below 0, shifted by 2, at every twist
+(``spectral_index``), so the rows of the channel-2 ladder stand in for a
+Laplace l = 0 ladder, and only Laplace l = 1 is swept.
 """
 
 from __future__ import annotations
@@ -252,7 +257,10 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 def antiperiodic_check_l0(traj: Trajectory, n: int):
     """Two smallest eigenvalues of the half-period antiperiodic channel-2
     problem: the first must be negative, the second a zero mode whose
-    eigenfunction matches 2 pi cos^2(phi) phi'.
+    eigenfunction matches 2 pi cos^2(phi) phi'.  That zero mode is A sin(phi),
+    with A h = sqrt(p) h' as in ``spectral_index``: sin(phi), the coordinate
+    function at Laplace level 2, is antiperiodic over T, and A carries it
+    to channel 2 at level 2 - 2 = 0.
 
     Returns (lambda_1, lambda_2, correlation), the eigenvalues to within
     LOCATE_ERR: the decision |lambda_2| <= TAU_ZERO needs no more.
@@ -327,18 +335,31 @@ def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
     return ladder_counts(partial(fourier_block_system, l), traj, n, 0.0)
 
 
-def spectral_index(q: int, traj: Trajectory, n: int) -> int:
+def spectral_index(traj: Trajectory, n: int, channel2) -> int:
     """Number of Laplace eigenvalues below 2 in the class of the surface;
     mode l = 0 counts once, mode l = 1 twice.  Eigenvalues landing exactly
     on 2 (the coordinate functions) are excluded by extrapolation.
 
+    Mode l = 0 is read from ``channel2``, the ``ladder_counts`` rows of
+    mode-0 channel 2 at level 0, and only mode l = 1 is swept.  The two
+    are supersymmetric partners.  With A h = sqrt(p) h' and sqrt(p) =
+    2 pi cos(phi), the Laplace l = 0 operator -(p h')' is A*A, and since
+    Q22(l = 0) + 2 = -sqrt(p) sqrt(p)'' along the geodesic, channel 2
+    plus 2 is A A*.  sqrt(p) is T-periodic, so A maps omega-twisted
+    functions to omega-twisted functions, and so does A*: an eigenfunction
+    f of A*A at lambda != 0 gives the eigenfunction A f of A A* at lambda,
+    and back through A*.  The kernels of A and A*, the constants and
+    1/sqrt(p), are twisted only at omega = 1, one each.  So at every twist
+    the channel-2 eigenvalues are the Laplace l = 0 eigenvalues minus 2,
+    with multiplicity, and the twist rows count the same classes.  The
+    Dirichlet spectra differ, because A does not keep Dirichlet data.
+
     The potential l^2/cos^2 is at least l^2 and the derivative term is
     nonnegative, so the modes l >= 2 hold no eigenvalue below 2.
     """
-    below = [class_counts(l, q, ladder_counts(partial(laplace_system, l),
-                                              traj, n, 2.0))[0]
-             for l in (0, 1)]
-    return below[0] + 2 * below[1]
+    q = traj.family.rotation.q
+    l1 = ladder_counts(partial(laplace_system, 1), traj, n, 2.0)
+    return class_counts(0, q, channel2)[0] + 2 * class_counts(1, q, l1)[0]
 
 
 def verify_high_l_positive(l: int, traj: Trajectory) -> bool:

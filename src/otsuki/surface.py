@@ -11,10 +11,11 @@ consumed by the solvers.
 
 ``_q_entries`` is the one formula for p and Q_l.  On a grid they are
 sampled by ``separated_coefficients``, whose (m, 3) potential rows
-(Q11, Q12, Q22) are the layout of ``SLSystem`` samplers: the builders of
-the mode-l and mode-0 systems sample through it.  Only ``kernel_residual``,
-which needs p' from the same sample of (phi, phi'), calls ``_q_entries``
-on a grid itself.
+(Q11, Q12, Q22) are the layout of ``SLSystem`` potentials: the builders
+of the mode-l and mode-0 systems sample Q_l through it, and p, which the
+discretization reads only at the half nodes, through ``_weight`` alone.
+Only ``kernel_residual``, which needs p' from the same sample of
+(phi, phi'), calls ``_q_entries`` on a grid itself.
 """
 
 from __future__ import annotations
@@ -223,18 +224,24 @@ def _interval_length(traj: Trajectory, interval: str) -> float:
     raise ValidationError(f"unknown interval {interval!r}")
 
 
+def _system(dim: int, l: int, traj: Trajectory, interval: str,
+            bc: BoundaryCondition, potential) -> SLSystem:
+    """The system of mode l whose weight is p along the trajectory and
+    whose potential at the times t is ``potential(t)``."""
+    def weight(t):
+        return _weight(traj.at(t)[0])
+
+    return SLSystem(dim=dim, length=_interval_length(traj, interval), bc=bc,
+                    weight=weight, potential=potential, l=l)
+
+
 def fourier_block_system(l: int, traj: Trajectory, interval: str,
                          bc: BoundaryCondition) -> SLSystem:
     """The coupled 2x2 system of Fourier mode l on the requested interval."""
     if l < 1:
         raise ValidationError("the coupled block needs l >= 1; l = 0 decouples")
-    L = _interval_length(traj, interval)
-
-    def sampler(t):
-        coeffs = separated_coefficients(l, traj, t)
-        return coeffs.weight, coeffs.potential
-
-    return SLSystem(dim=2, length=L, bc=bc, sampler=sampler, l=l)
+    return _system(2, l, traj, interval, bc,
+                   lambda t: separated_coefficients(l, traj, t).potential)
 
 
 def l0_channel_system(channel: int, traj: Trajectory, interval: str,
@@ -242,13 +249,9 @@ def l0_channel_system(channel: int, traj: Trajectory, interval: str,
     """One of the two decoupled scalar problems at l = 0."""
     if channel not in (1, 2):
         raise ValidationError("channel must be 1 or 2")
-    L = _interval_length(traj, interval)
-
-    def sampler(t):
-        coeffs = separated_coefficients(0, traj, t)
-        return coeffs.weight, coeffs.potential[:, 2 * channel - 2]
-
-    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=0)
+    column = 2 * channel - 2
+    return _system(1, 0, traj, interval, bc,
+                   lambda t: separated_coefficients(0, traj, t).potential[:, column])
 
 
 def laplace_system(l: int, traj: Trajectory, interval: str,
@@ -256,10 +259,5 @@ def laplace_system(l: int, traj: Trajectory, interval: str,
     """Scalar problem of the Laplace operator at Fourier mode l."""
     if l < 0:
         raise ValidationError("Fourier index l must be nonnegative")
-    L = _interval_length(traj, interval)
-
-    def sampler(t):
-        phi, _, _ = traj.at(np.asarray(t))
-        return _weight(phi), l * l / np.cos(phi) ** 2
-
-    return SLSystem(dim=1, length=L, bc=bc, sampler=sampler, l=l)
+    return _system(1, l, traj, interval, bc,
+                   lambda t: l * l / np.cos(traj.at(t)[0]) ** 2)

@@ -21,18 +21,18 @@ INTERLACING_SLACK = 1e-8
 
 def constant_system(dim, length, weight, potential, bc):
     """Constant-coefficient system; the calibration cases live here."""
-    potential = np.asarray(potential, dtype=float)
+    q = np.asarray(potential, dtype=float)
 
-    def sampler(t):
-        t = np.asarray(t)
-        p = np.full(t.shape, float(weight))
+    def weights(t):
+        return np.full(np.shape(t), float(weight))
+
+    def potentials(t):
         if dim == 1:
-            q = np.full(t.shape, float(potential))
-        else:
-            q = np.tile(potential, (len(t), 1))
-        return p, q
+            return np.full(np.shape(t), float(q))
+        return np.tile(q, (len(t), 1))
 
-    return SLSystem(dim=dim, length=length, bc=bc, sampler=sampler)
+    return SLSystem(dim=dim, length=length, bc=bc, weight=weights,
+                    potential=potentials)
 
 
 def rk4(y0, y1, y2, c, h, steps):

@@ -24,7 +24,8 @@ from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
 from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import (antiperiodic_check_l0, direct_twisted_counts,
-                             spectral_index, spectrum_below, spectrum_counts)
+                             ladder_counts, spectral_index, spectrum_below,
+                             spectrum_counts)
 from otsuki.surface import kernel_fields, kernel_residual, l0_channel_system
 
 TAU_ZERO = 1e-5
@@ -177,8 +178,11 @@ def test_criterion_08_kernel_residuals():
 
 def test_criterion_09_spectral_index(traj23, traj58, headline_report):
     with criterion(9, "spectral index values and the rough upper bound"):
-        assert spectral_index(3, traj23, n=4096) == 2 * 3 + 4 * 2 - 2
-        assert spectral_index(8, traj58, n=4096) == 8 + 2 * 5 - 2
+        for traj, expect in ((traj23, 2 * 3 + 4 * 2 - 2),
+                             (traj58, 8 + 2 * 5 - 2)):
+            channel2 = ladder_counts(partial(l0_channel_system, 2), traj,
+                                     4096, 0.0)
+            assert spectral_index(traj, 4096, channel2) == expect
         assert headline_report.ind <= 5 * headline_report.spectral_index + 2
         other = compute_index(5, 8, method="direct", n=1024)
         assert other.ind <= 5 * other.spectral_index + 2

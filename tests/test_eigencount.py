@@ -21,18 +21,19 @@ from otsuki.surface import (fourier_block_system, l0_channel_system,
 def _wavy_system(dim, bc, L=7.0):
     """Nonconstant coefficients with no special structure."""
 
-    def sampler(t):
-        t = np.asarray(t)
-        p = 2.0 + np.cos(2 * np.pi * t / L)
-        if dim == 1:
-            q = np.sin(4 * np.pi * t / L) - 0.4
-            return p, q
+    def weight(t):
+        return 2.0 + np.cos(2 * np.pi * t / L)
+
+    def potential(t):
         q11 = np.sin(4 * np.pi * t / L) - 0.4
+        if dim == 1:
+            return q11
         q22 = 0.3 * np.cos(2 * np.pi * t / L) + 0.1
         q12 = 0.5 * np.sin(2 * np.pi * t / L)
-        return p, np.stack([q11, q12, q22], axis=1)
+        return np.stack([q11, q12, q22], axis=1)
 
-    return SLSystem(dim=dim, length=L, bc=bc, sampler=sampler)
+    return SLSystem(dim=dim, length=L, bc=bc, weight=weight,
+                    potential=potential)
 
 
 # twist 1j: Re(omega) = 0, and the two channel multipliers (omega, -omega)
@@ -112,13 +113,15 @@ def test_refinement_sweeps_per_eigenvalue(dim, bc, count_sweeps):
 def _split_system(split, bc, L=7.0):
     """Two uncoupled channels whose spectra differ by the shift ``split``."""
 
-    def sampler(t):
-        t = np.asarray(t)
-        p = 2.0 + np.cos(2 * np.pi * t / L)
-        q = np.sin(4 * np.pi * t / L) - 0.4
-        return p, np.stack([q, np.zeros_like(q), q + split], axis=1)
+    def weight(t):
+        return 2.0 + np.cos(2 * np.pi * t / L)
 
-    return SLSystem(dim=2, length=L, bc=bc, sampler=sampler)
+    def potential(t):
+        q = np.sin(4 * np.pi * t / L) - 0.4
+        return np.stack([q, np.zeros_like(q), q + split], axis=1)
+
+    return SLSystem(dim=2, length=L, bc=bc, weight=weight,
+                    potential=potential)
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.periodic(),

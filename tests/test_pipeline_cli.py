@@ -78,6 +78,25 @@ class TestComputeIndex:
         d2.pop("timestamp")
         assert jsonio.dumps(d1) == jsonio.dumps(d2)
 
+    def test_five_ladders_per_family(self, monkeypatch):
+        # the spectral index reads Laplace l = 0 off the mode-0 channel-2
+        # ladder, so it sweeps only Laplace l = 1 itself
+        original = spectral.ladder_counts
+        built = []
+
+        def recorded(build, traj, n, level):
+            built.append((build.func.__name__, build.args, level))
+            return original(build, traj, n, level)
+
+        monkeypatch.setattr(spectral, "ladder_counts", recorded)
+        monkeypatch.setattr(pipeline, "ladder_counts", recorded)
+        compute_index(2, 3, method="direct", n=512)
+        assert built == [("l0_channel_system", (1,), 0.0),
+                         ("l0_channel_system", (2,), 0.0),
+                         ("fourier_block_system", (1,), 0.0),
+                         ("fourier_block_system", (2,), 0.0),
+                         ("laplace_system", (1,), 2.0)]
+
     def test_unknown_method_rejected(self):
         from otsuki.errors import ValidationError
         with pytest.raises(ValidationError):
@@ -291,6 +310,13 @@ class TestVerifyBattery:
         detail = next(r["detail"] for r in verify23
                       if r["check"] == "antiperiodic l=0")
         assert f"+/- {LOCATE_ERR:.1e}," in detail
+
+    def test_frame_orthonormal_on_family59(self):
+        # on 5/9 at n = 1024 the cubic interpolant between trajectory nodes
+        # alone puts max |Gram - I| near 1e-8 at random times, above 1e-10
+        row = next(r for r in verify_family(5, 9, n=1024)
+                   if r["check"] == "frame orthonormal")
+        assert row["ok"], row["detail"]
 
     def test_route_disagreement_is_a_failed_row(self, monkeypatch):
         original = pipeline.direct_twisted_counts

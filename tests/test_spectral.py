@@ -14,7 +14,7 @@ from helpers import (check_interlacing, closed_length_positive,
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
-from otsuki.geodesic import sample_trajectory, solve_parameter
+from otsuki.geodesic import _geodesic_rhs, sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
@@ -81,12 +81,9 @@ def _mesh_constant_system(values):
     """The periodic problem -h'' + V h on [0, 2 pi] whose constant potential
     takes the value values[n] on mesh n: its ground state is exactly that
     constant, so each mesh's zone eigenvalue is placed on its own."""
-    def sampler(t):
-        n = len(t)
-        return np.ones(n), np.full(n, values[n])
-
-    return SLSystem(dim=1, length=2 * math.pi,
-                    bc=BoundaryCondition.periodic(), sampler=sampler)
+    return SLSystem(dim=1, length=2 * math.pi, bc=BoundaryCondition.periodic(),
+                    weight=np.ones_like,
+                    potential=lambda t: np.full(len(t), values[len(t)]))
 
 
 class TestCalibration:
@@ -156,13 +153,10 @@ class TestCalibration:
         A = 0.9e-5
         C = -4.0 * 256.0 ** 4 * 0.6e-5
 
-        def sampler(t):
-            t = np.asarray(t)
-            n = len(t)
-            return np.ones(n), np.full(n, A + C / float(n) ** 4)
-
-        system = SLSystem(dim=1, length=2 * math.pi,
-                          bc=BoundaryCondition.periodic(), sampler=sampler)
+        system = SLSystem(
+            dim=1, length=2 * math.pi, bc=BoundaryCondition.periodic(),
+            weight=np.ones_like,
+            potential=lambda t: np.full(len(t), A + C / float(len(t)) ** 4))
         with pytest.raises(AmbiguousClassificationError):
             spectrum_counts(system, 256)
 
@@ -385,14 +379,42 @@ def test_class_rule_sums_the_ladder_to_the_closed_length_count(
     assert class_counts(l, q, rows) == boundary_counts(closed, mesh, level)
 
 
+def _channel2_rows(traj, n):
+    return ladder_counts(partial(l0_channel_system, 2), traj, n, 0.0)
+
+
 class TestSpectralIndex:
     def test_family23(self, traj23):
         p, q = 2, 3
-        assert spectral_index(q, traj23, n=1024) == 2 * q + 4 * p - 2 == 12
+        assert spectral_index(traj23, 1024, _channel2_rows(traj23, 1024)) \
+            == 2 * q + 4 * p - 2 == 12
 
     def test_family58(self, traj58):
         p, q = 5, 8
-        assert spectral_index(q, traj58, n=1024) == q + 2 * p - 2 == 16
+        assert spectral_index(traj58, 1024, _channel2_rows(traj58, 1024)) \
+            == q + 2 * p - 2 == 16
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (70, 99)])
+    def test_channel2_potential_factors(self, p, q):
+        # Q22(l = 0) + 2 = -sqrt(p) sqrt(p)'' with sqrt(p) = 2 pi cos(phi),
+        # which makes channel 2 plus 2 the partner A A* of the Laplace
+        # l = 0 operator A*A, A h = sqrt(p) h'
+        traj = sample_trajectory(solve_parameter(p, q), 1024)
+        phi, phid, _ = traj.at(traj.grid)
+        phidd = np.array([_geodesic_rhs(a, b, traj.family.c)[0]
+                          for a, b in zip(phi, phid)])
+        root = 2.0 * math.pi * np.cos(phi)
+        root_dd = -2.0 * math.pi * (np.cos(phi) * phid ** 2
+                                    + np.sin(phi) * phidd)
+        q22 = separated_coefficients(0, traj).potential[:, 2]
+        assert np.abs(q22 + 2.0 + root * root_dd).max() < 1e-12
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    def test_channel2_rows_are_laplace0_rows(self, p, q):
+        # the partners share their twisted spectra, shifted by 2
+        traj = sample_trajectory(solve_parameter(p, q), 1024)
+        assert _channel2_rows(traj, 512) == ladder_counts(
+            partial(laplace_system, 0), traj, 512, 2.0)
 
 
 def _patch_potential(monkeypatch, edit):

@@ -143,23 +143,18 @@ class TestSeparatedCoefficients:
     @pytest.mark.parametrize("interval", ["T", "t0"])
     def test_samplers_read_separated_coefficients(self, traj58, build, l,
                                                   column, interval):
-        # the systems sample p and Q_l through separated_coefficients, bit
+        # the systems sample p and Q_l as separated_coefficients does, bit
         # for bit, at the nodes and half nodes of the discretization
         system = build(traj58, interval, BoundaryCondition.periodic())
         n = 256
-        nodes, p_nodes, p_half, q_nodes = system.sample(n)
+        nodes = np.arange(n) * (system.length / n)
         half = nodes + 0.5 * (system.length / n)
-        at_nodes = separated_coefficients(l, traj58, nodes)
-        at_half = separated_coefficients(l, traj58, half)
-        if column is None:
-            want_nodes, want_half = at_nodes.potential, at_half.potential
-        else:
-            want_nodes = at_nodes.potential[:, column]
-            want_half = at_half.potential[:, column]
-        assert np.array_equal(p_nodes, at_nodes.weight)
-        assert np.array_equal(p_half, at_half.weight)
-        assert np.array_equal(q_nodes, want_nodes)
-        assert np.array_equal(system.sampler(half)[1], want_half)
+        for grid in (nodes, half):
+            want = separated_coefficients(l, traj58, grid)
+            rows = (want.potential if column is None
+                    else want.potential[:, column])
+            assert np.array_equal(system.weight(grid), want.weight)
+            assert np.array_equal(system.potential(grid), rows)
 
     def test_positive_definite_at_l3(self, traj23):
         sc = separated_coefficients(3, traj23)
@@ -238,13 +233,13 @@ class TestLaplaceSystem:
     def test_clifford_constant(self, clifford_traj):
         sys0 = laplace_system(0, clifford_traj, "T",
                               BoundaryCondition.periodic())
-        _, p, ph, q = sys0.sample(256)
-        assert np.abs(p - 4 * math.pi ** 2).max() < 1e-14
-        assert np.abs(q).max() < 1e-14
+        nodes = np.arange(256) * (sys0.length / 256)
+        assert np.abs(sys0.weight(nodes) - 4 * math.pi ** 2).max() < 1e-14
+        assert np.abs(sys0.potential(nodes)).max() < 1e-14
 
     def test_potential_dominates_l_squared(self, traj23):
         sys2 = laplace_system(2, traj23, "t0", BoundaryCondition.periodic())
-        _, _, _, q = sys2.sample(512)
+        q = sys2.potential(np.arange(512) * (sys2.length / 512))
         assert np.all(q >= 4.0 - 1e-12)
 
     def test_clifford_l1_ground_state(self, clifford_traj):
