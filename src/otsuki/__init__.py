@@ -15,8 +15,8 @@ from .geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION, GeodesicFamily,
                        RotationNumber, Trajectory, half_period,
                        metric_coefficients, rotation_angle, sample_trajectory,
                        solve_parameter)
-from .surface import (FramePoint, KernelField, SeparatedCoefficients, frame,
-                      kernel_fields, kernel_residual, separated_coefficients)
+from .surface import (FramePoint, KernelField, frame, kernel_fields,
+                      kernel_residual, separated_coefficients)
 from .sl import BoundaryCondition, SLSystem
 from .spectral import (SpectrumSummary, antiperiodic_check_l0, spectral_index,
                        spectrum_below, spectrum_counts, verify_high_l_positive)

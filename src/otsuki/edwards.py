@@ -112,7 +112,8 @@ def _fundamental_rhs(y, l, c):
     autonomous, since the geodesic rides along in the state."""
     phi, phid = y[0], y[1]
     phidd, _ = _geodesic_rhs(phi, phid, c)
-    p, q11, q12, q22 = _q_entries(l, c, phi, phid)
+    p = _weight(phi)
+    q11, q12, q22 = _q_entries(l, c, phi, phid)
     damp = -_weight_prime(phi, phid) / p
     A = np.array([[0.0, 0.0, q11 / p, q12 / p],
                   [0.0, 0.0, q12 / p, q22 / p],
@@ -291,10 +292,15 @@ def twisted_counts(data: BoundaryFormData, omega: complex) -> tuple[int, int]:
     form's nullity.  A near-zero form eigenvalue is only accepted when
     Re(omega) sits at a root of the determinant polynomial, since the
     zero modes are exact there; anything else is reported as ambiguous.
+
+    The form's determinant is P(s) itself, read off ``data.poly`` at
+    s = Re(omega): A00 = 2(a00 + s a02), A11 = 2(a11 - s a13) and
+    |A01|^2 = 4(1 - s^2) a03^2, so det A(s) = A00 A11 - |A01|^2 is
+    ``det_polynomial``'s 4[(a00 + s a02)(a11 - s a13) - (1 - s^2) a03^2].
     """
     A = twisted_form(data.a, omega)
     tr = float(A[0, 0].real + A[1, 1].real)
-    det = float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]).real)
+    det = data.poly(omega.real)
     disc = max(tr * tr - 4.0 * det, 0.0)
     rt = math.sqrt(disc)
     eigs = np.array([(tr - rt) / 2.0, (tr + rt) / 2.0])

@@ -156,12 +156,12 @@ def compute_index(p: int, q: int, method: str = "both",
                 data = boundary_form(l, traj, n=n)
                 edwards_rows = aggregate_roots(data, q)
                 edwards_ok = True
-            except EdwardsInapplicableError:
+            except EdwardsInapplicableError as exc:
                 edwards_ok = False
                 if method == "edwards":
                     raise EdwardsInapplicableError(
-                        f"boundary-form route inapplicable at l={l}; "
-                        "rerun with method='direct'")
+                        f"boundary-form route inapplicable at l={l}: {exc}; "
+                        "rerun with method='direct'") from exc
         flags["edwards_applicable"][str(l)] = edwards_ok
         if l == 1 and data is not None:
             poly = data.poly

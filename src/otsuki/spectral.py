@@ -147,25 +147,23 @@ def _floor(system: SLSystem, n: int) -> float:
     return min(system.operator(k).gershgorin_lower() for k in (n, 2 * n)) - 1.0
 
 
-def boundary_counts(system: SLSystem, n: int,
-                    boundary: float = 0.0) -> tuple[int, int]:
-    """(#{lambda < boundary - tau}, #{|lambda - boundary| <= tau}).
+def boundary_counts(system: SLSystem, n: int) -> tuple[int, int]:
+    """(#{lambda < -tau}, #{|lambda| <= tau}).
 
-    Inertia handles everything outside [boundary - zone, boundary + zone].
-    Zone eigenvalues that the window sweeps certify as zero are counted as
-    such; the others are located on two meshes and extrapolated.
+    Inertia handles everything outside [-zone, zone].  Zone eigenvalues
+    that the window sweeps certify as zero are counted as such; the others
+    are located on two meshes and extrapolated.
     """
-    zone, ends, located = _end_sweeps(system.operator, system.length, n,
-                                      boundary)
-    return _classify_zone(system.operator, n, boundary, zone, ends, located,
-                          _window_sweeps(system.operator, n, boundary))
+    zone, ends, located = _end_sweeps(system.operator, system.length, n, 0.0)
+    return _classify_zone(system.operator, n, 0.0, zone, ends, located,
+                          _window_sweeps(system.operator, n, 0.0))
 
 
 def _classify_zone(operator, n: int, boundary: float, zone: float,
                    ends: list, located, window) -> tuple[int, int]:
-    """``boundary_counts`` from the twist's four ``_end_sweeps`` counts,
-    its end sweeps with log|det|, ``located()``, and its sweep at window
-    shift i, ``window(i)``.
+    """(below, at) at the level ``boundary`` from the twist's four
+    ``_end_sweeps`` counts, its end sweeps with log|det|, ``located()``,
+    and its sweep at window shift i, ``window(i)``.
 
     The k zone eigenvalues are all zero, unlocated, when the window counts
     read below, below + k, below and below + k: then they lie in
@@ -289,8 +287,9 @@ def antiperiodic_check_l0(traj: Trajectory, n: int):
 
 def ladder_counts(build, traj: Trajectory, n: int,
                   level: float) -> list[tuple]:
-    """(r, below, at), the ``boundary_counts`` at the level, of each twist
-    omega_r = exp(i pi r / q), r = 0..2q-1, of ``build(traj, "T", bc)``.
+    """(r, below, at), the counts below and at the level that
+    ``boundary_counts`` makes at 0, of each twist omega_r = exp(i pi r / q),
+    r = 0..2q-1, of ``build(traj, "T", bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
     so each end sweep and each window sweep is one sweep of the ladder
@@ -380,7 +379,7 @@ def verify_high_l_positive(l: int, traj: Trajectory) -> bool:
     The 2x2 eigenvalues and norms are taken in closed form."""
     if l < 3:
         raise ValidationError("positivity is only claimed for l >= 3")
-    a, b, c = separated_coefficients(l, traj).potential.T
+    a, b, c = separated_coefficients(l, traj).T
     lam_min = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
     da, db, dc = np.diff(a), np.diff(b), np.diff(c)
     jump = np.abs(0.5 * (da + dc)) + np.hypot(0.5 * (da - dc), db)

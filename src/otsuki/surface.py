@@ -9,13 +9,14 @@ coefficient data p(t), Q_l(t), the nine normal projections of ambient
 rotation generators (exact zero modes), and builds the spectral systems
 consumed by the solvers.
 
-``_q_entries`` is the one formula for p and Q_l.  On a grid they are
-sampled by ``separated_coefficients``, whose (m, 3) potential rows
-(Q11, Q12, Q22) are the layout of ``SLSystem`` potentials: the builders
-of the mode-l and mode-0 systems sample Q_l through it, and p, which the
-discretization reads only at the half nodes, through ``_weight`` alone.
-Only ``kernel_residual``, which needs p' from the same sample of
-(phi, phi'), calls ``_q_entries`` on a grid itself.
+``_q_entries`` is the one formula for Q_l and ``_weight`` the one formula
+for p; every reader of either calls them.  On a grid Q_l is sampled by
+``separated_coefficients``, whose (m, 3) rows (Q11, Q12, Q22) are the
+layout of ``SLSystem`` potentials: the builders of the mode-l and mode-0
+systems sample Q_l through it, and p, which the discretization reads
+only at the half nodes, through ``_weight``.  Only ``kernel_residual``,
+which needs p' from the same sample of (phi, phi'), calls ``_q_entries``
+on a grid itself.
 """
 
 from __future__ import annotations
@@ -88,39 +89,28 @@ def _weingarten(c: float, phi):
 # ---------------------------------------------------------------------------
 # separated coefficient data
 
-@dataclass(frozen=True)
-class SeparatedCoefficients:
-    """Samples of the weight p(t) and the symmetric potential Q_l(t) on a
-    grid, Q_l stored once per node as the row (Q11, Q12, Q22)."""
-
-    l: int
-    grid: np.ndarray
-    weight: np.ndarray          # (m,)
-    potential: np.ndarray       # (m, 3): Q11, Q12, Q22
-
-
 def _q_entries(l: int, c: float, phi, phid):
-    """(p, Q11, Q12, Q22) of mode l at latitude phi and velocity phid."""
+    """(Q11, Q12, Q22) of mode l at latitude phi and velocity phid: the one
+    formula for the potential Q_l, as ``_weight`` is the one for p."""
     cphi = np.cos(phi)
     base = l * l / cphi ** 2 + FOUR_PI2 * phid ** 2 - 2.0
     a11, a22 = _weingarten(c, phi)
     q11 = base - a11
     q22 = base - a22
     q12 = -4.0 * math.pi * l * phid / cphi
-    return _weight(phi), q11, q12, q22
+    return q11, q12, q22
 
 
 def separated_coefficients(l: int, traj: Trajectory,
-                           grid: np.ndarray | None = None) -> SeparatedCoefficients:
-    """p and Q_l of mode l at ``grid`` (default: the trajectory nodes)."""
+                           grid: np.ndarray | None = None) -> np.ndarray:
+    """The (m, 3) rows (Q11, Q12, Q22) of Q_l of mode l at ``grid``
+    (default: the trajectory nodes)."""
     if l < 0:
         raise ValidationError("Fourier index l must be nonnegative")
     if grid is None:
         grid = traj.grid
     phi, phid, _ = traj.at(grid)
-    p, q11, q12, q22 = _q_entries(l, traj.family.c, phi, phid)
-    return SeparatedCoefficients(l=l, grid=np.asarray(grid), weight=p,
-                                 potential=np.stack([q11, q12, q22], axis=1))
+    return np.stack(_q_entries(l, traj.family.c, phi, phid), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +174,16 @@ def kernel_residual(field: KernelField, traj: Trajectory) -> float:
     """Max residual of the field's separated system at lambda = 0, by
     4th-order periodic stencils on ``field.grid``.
 
-    One sample of (phi, phi') on the grid gives p and Q_l (``_q_entries``)
-    and p' (``_weight_prime``).  The residual is normalized by the largest
-    coefficient magnitude times the field amplitude, so it is scale free.
+    One sample of (phi, phi') on the grid gives p (``_weight``), Q_l
+    (``_q_entries``) and p' (``_weight_prime``).  The residual is
+    normalized by the largest coefficient magnitude times the field
+    amplitude, so it is scale free.
     """
     grid = field.grid
     h = grid[1] - grid[0]
     phi, phid, _ = traj.at(grid)
-    p, q11, q12, q22 = _q_entries(field.l, traj.family.c, phi, phid)
+    p = _weight(phi)
+    q11, q12, q22 = _q_entries(field.l, traj.family.c, phi, phid)
     pd = _weight_prime(phi, phid)
 
     def d1(f):
@@ -241,7 +233,7 @@ def fourier_block_system(l: int, traj: Trajectory, interval: str,
     if l < 1:
         raise ValidationError("the coupled block needs l >= 1; l = 0 decouples")
     return _system(2, l, traj, interval, bc,
-                   lambda t: separated_coefficients(l, traj, t).potential)
+                   lambda t: separated_coefficients(l, traj, t))
 
 
 def l0_channel_system(channel: int, traj: Trajectory, interval: str,
@@ -251,7 +243,7 @@ def l0_channel_system(channel: int, traj: Trajectory, interval: str,
         raise ValidationError("channel must be 1 or 2")
     column = 2 * channel - 2
     return _system(1, 0, traj, interval, bc,
-                   lambda t: separated_coefficients(0, traj, t).potential[:, column])
+                   lambda t: separated_coefficients(0, traj, t)[:, column])
 
 
 def laplace_system(l: int, traj: Trajectory, interval: str,

@@ -263,6 +263,17 @@ class TestApplicabilityGate:
         with pytest.raises(EdwardsInapplicableError):
             boundary_form(1, traj23, n=512)
 
+    def test_index_refusal_carries_the_dirichlet_reason(self, monkeypatch):
+        # compute_index names the zero modes and the margin of the refusal
+        # it re-raises, and chains it
+        monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", 1e2)
+        with pytest.raises(EdwardsInapplicableError, match="margin") as info:
+            compute_index(2, 3, "edwards", n=512)
+        assert "rerun with method='direct'" in str(info.value)
+        cause = info.value.__cause__
+        assert isinstance(cause, EdwardsInapplicableError)
+        assert str(cause).startswith("Dirichlet problem at l=1")
+
     @pytest.mark.parametrize("factor, accepted",
                              [(1 - 1e-6, True), (1.0, False), (1 + 1e-6, False)])
     def test_decision_is_located_margin_above_bound(self, traj23, monkeypatch,

@@ -1,6 +1,8 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -135,6 +137,24 @@ def test_every_public_function_has_a_caller():
     unread = sorted(public - used)
     assert not unread, \
         f"public names nothing in src/ or scripts/ reads: {unread}"
+
+
+def test_benchmark_bindings_exist():
+    # perfbench traces the names in its BINDINGS at every module that binds
+    # them; a refactor that drops one must fail here, not only in the slow
+    # benchmark self-test
+    root = pathlib.Path(__file__).parent.parent
+    tree = ast.parse((root / "perfbench" / "selftest.py").read_text())
+    bindings = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["BINDINGS"])
+    missing = [f"{module}.{name}" for module, names in bindings.items()
+               for name in names
+               if not inspect.isfunction(getattr(
+                   importlib.import_module(f"otsuki.{module}"), name, None))]
+    assert not missing, f"benchmark bindings not found: {missing}"
+    from otsuki.sl import SLSystem
+    assert inspect.isfunction(SLSystem.discretize)
 
 
 # ``body`` runs in a fresh interpreter, may set ``code``, and may exit;

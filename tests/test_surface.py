@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import zero_count
+from otsuki import surface
 from otsuki.errors import ValidationError
 from otsuki.geodesic import sample_trajectory, solve_parameter
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import spectrum_below
-from otsuki.surface import (_weingarten, fourier_block_system, frame,
-                            kernel_fields, kernel_residual, l0_channel_system,
-                            laplace_system, separated_coefficients)
+from otsuki.surface import (_weight, _weingarten, fourier_block_system,
+                            frame, kernel_fields, kernel_residual,
+                            l0_channel_system, laplace_system,
+                            separated_coefficients)
 
 TWO_PI = 2 * math.pi
 
@@ -124,15 +126,24 @@ class TestWeingarten:
 class TestSeparatedCoefficients:
     def test_clifford_constant_potential(self, clifford_traj):
         for l in (0, 1, 2, 3):
-            sc = separated_coefficients(l, clifford_traj)
+            rows = separated_coefficients(l, clifford_traj)
             expect = np.array([[l * l - 4.0, 0.0], [0.0, l * l - 2.0]])
-            Q = sc.potential[:, [[0, 1], [1, 2]]]
+            Q = rows[:, [[0, 1], [1, 2]]]
             assert np.abs(Q - expect).max() < 1e-12
-            assert np.abs(sc.weight - 4 * math.pi ** 2).max() < 1e-12
+        p = _weight(clifford_traj.at(clifford_traj.grid)[0])
+        assert np.abs(p - 4 * math.pi ** 2).max() < 1e-12
 
     def test_decoupled_at_l0(self, traj23):
-        sc = separated_coefficients(0, traj23)
-        assert np.all(sc.potential[:, 1] == 0.0)
+        assert np.all(separated_coefficients(0, traj23)[:, 1] == 0.0)
+
+    def test_rows_read_no_weight(self, traj23, monkeypatch):
+        # p has its one home in _weight, and sampling Q_l never reads it
+        def unwanted(phi):
+            raise AssertionError("separated_coefficients evaluated p")
+
+        want = separated_coefficients(2, traj23)
+        monkeypatch.setattr(surface, "_weight", unwanted)
+        assert np.array_equal(separated_coefficients(2, traj23), want)
 
     @pytest.mark.parametrize("build,l,column", [
         (partial(fourier_block_system, 1), 1, None),
@@ -143,22 +154,22 @@ class TestSeparatedCoefficients:
     @pytest.mark.parametrize("interval", ["T", "t0"])
     def test_samplers_read_separated_coefficients(self, traj58, build, l,
                                                   column, interval):
-        # the systems sample p and Q_l as separated_coefficients does, bit
-        # for bit, at the nodes and half nodes of the discretization
+        # the systems sample p as _weight and Q_l as separated_coefficients
+        # do, bit for bit, at the nodes and half nodes of the discretization
         system = build(traj58, interval, BoundaryCondition.periodic())
         n = 256
         nodes = np.arange(n) * (system.length / n)
         half = nodes + 0.5 * (system.length / n)
         for grid in (nodes, half):
-            want = separated_coefficients(l, traj58, grid)
-            rows = (want.potential if column is None
-                    else want.potential[:, column])
-            assert np.array_equal(system.weight(grid), want.weight)
+            rows = separated_coefficients(l, traj58, grid)
+            if column is not None:
+                rows = rows[:, column]
+            assert np.array_equal(system.weight(grid),
+                                  _weight(traj58.at(grid)[0]))
             assert np.array_equal(system.potential(grid), rows)
 
     def test_positive_definite_at_l3(self, traj23):
-        sc = separated_coefficients(3, traj23)
-        q11, q12, q22 = sc.potential.T
+        q11, q12, q22 = separated_coefficients(3, traj23).T
         det = q11 * q22 - q12 ** 2
         assert np.all(q11 > 0) and np.all(det > 0)
 
