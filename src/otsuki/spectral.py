@@ -21,7 +21,8 @@ eigenvalue is located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it).
 Counting reads no determinant, so the zone ends and the windows are
 swept for counts alone; the first location sweeps the four zone ends
-again with log|det|, once for every twist of the operator.
+again with log|det|.  One classifier (``_zone_rows``) serves a single
+system and a twist ladder alike, each sweep once for every twist.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -71,9 +72,9 @@ _ZONE_CAP = 0.02
 # the certificate window: a zone eigenvalue in [-4w, w) on mesh n and in
 # [-w, w/4) on mesh 2n extrapolates to within TAU_ZERO / 3 of the level
 _WINDOW = (TAU_ZERO - 3.0 * LOCATE_ERR) / 5.0
-# (mesh factor, shift in units of _WINDOW) of the window sweeps, in sweep
-# order; the counts there must read below, below + k, below, below + k
-_WINDOW_SHIFTS = ((1, -4.0), (1, 1.0), (2, -1.0), (2, 0.25))
+# the shifts, in units of _WINDOW, of the window sweeps on the meshes n and
+# 2n; the counts there must read below, below + k on each mesh
+_WINDOW_SHIFTS = ((-4.0, 1.0), (-1.0, 0.25))
 
 
 @dataclass(frozen=True)
@@ -100,41 +101,19 @@ class SpectrumSummary:
         }
 
 
-def _end_sweeps(operator, length: float, n: int, boundary: float):
-    """The zone half-width; the counts at boundary -+ zone, each on the
-    meshes n and 2n (``operator(k)``), in that order; and ``located()``,
-    the same four sweeps with log|det|, made on first need and then shared
-    by every twist of the operator."""
-    ops = operator(n), operator(2 * n)
-    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (length / n) ** 2))
-
-    def sweeps(logdet: bool) -> list:
-        (lo1, hi1), (lo2, hi2) = (inertia(op, boundary - zone,
-                                          boundary + zone, logdet=logdet)
-                                  for op in ops)
-        return [lo1, lo2, hi1, hi2]
-
-    return zone, sweeps(False), cache(partial(sweeps, True))
-
-
-def _window_sweeps(operator, n: int, level: float):
-    """The sweep at window shift i of the meshes n and 2n (``operator(k)``),
-    made on first need and then shared by every twist of the operator.
-    Shifts 0, 1 (mesh n) and 2, 3 (mesh 2n) are swept in pairs."""
-    @cache
-    def pair(i: int):
-        (k, lo), (_, hi) = _WINDOW_SHIFTS[i:i + 2]
-        return inertia(operator(k * n), level + lo * _WINDOW,
-                       level + hi * _WINDOW, logdet=False)
-    return lambda i: pair(i - i % 2)[i % 2]
-
-
-def _extrapolated(operator, n: int, lo: float, hi: float, tol: float):
+def _extrapolated(operator, n: int, lo: float, hi: float, tol: float,
+                  ends: Optional[list] = None):
     """The eigenvalues in (lo, hi] on the meshes n and 2n (``operator(k)``),
     Richardson extrapolated, (4 lam_2n - lam_n) / 3, and lam_n itself.
-    Meshes that hold different numbers of eigenvalues are ambiguous."""
-    lam1 = eigenvalues_in(operator(n), lo, hi, tol=tol)
-    lam2 = eigenvalues_in(operator(2 * n), lo, hi, tol=tol)
+    With ``ends``, the sweeps (count, log|det|) at lo and hi of each mesh,
+    they are bisected from those; else the ends are swept here.  Meshes
+    that hold different numbers of eigenvalues are ambiguous."""
+    if ends is None:
+        lam1, lam2 = (eigenvalues_in(operator(k * n), lo, hi, tol=tol)
+                      for k in (1, 2))
+    else:
+        lam1, lam2 = (_bisect(operator(k * n), lo, hi, *end, tol)
+                      for k, end in zip((1, 2), ends))
     if len(lam1) != len(lam2):
         raise AmbiguousClassificationError(
             f"({lo:g}, {hi:g}] holds {len(lam1)} eigenvalues at mesh {n} "
@@ -148,56 +127,87 @@ def _floor(system: SLSystem, n: int) -> float:
 
 
 def boundary_counts(system: SLSystem, n: int) -> tuple[int, int]:
-    """(#{lambda < -tau}, #{|lambda| <= tau}).
-
-    Inertia handles everything outside [-zone, zone].  Zone eigenvalues
-    that the window sweeps certify as zero are counted as such; the others
-    are located on two meshes and extrapolated.
-    """
-    zone, ends, located = _end_sweeps(system.operator, system.length, n, 0.0)
-    return _classify_zone(system.operator, n, 0.0, zone, ends, located,
-                          _window_sweeps(system.operator, n, 0.0))
+    """(#{lambda < -tau}, #{|lambda| <= tau}), classified by ``_zone_rows``:
+    inertia outside [-zone, zone], certificate or location inside."""
+    return _zone_rows(system, n, 0.0)[0]
 
 
-def _classify_zone(operator, n: int, boundary: float, zone: float,
-                   ends: list, located, window) -> tuple[int, int]:
-    """(below, at) at the level ``boundary`` from the twist's four
-    ``_end_sweeps`` counts, its end sweeps with log|det|, ``located()``,
-    and its sweep at window shift i, ``window(i)``.
+def _zone_rows(system: SLSystem, n: int, level: float,
+               ladder: Optional[tuple] = None) -> list[tuple[int, int]]:
+    """(below, at) at the level for each twist of ``ladder`` (wrap
+    multipliers that replace the system's), or for the system alone.
+    Each sweep serves every twist: the zone ends, the windows of a mesh on
+    first need, the ends with log|det| on the first location.  A twist's
+    k zone eigenvalues are zero if its window counts read below, below + k
+    on both meshes (see the module docstring), else they are located.  An
+    ambiguity in a ladder names the system's l and the twist r."""
+    def operator(k: int, mult=ladder):
+        op = system.operator(k)
+        return op if mult is None else replace(op, wrap_mult=mult)
 
-    The k zone eigenvalues are all zero, unlocated, when the window counts
-    read below, below + k, below and below + k: then they lie in
-    boundary + [-4w, w) on mesh n and in boundary + [-w, w/4) on mesh 2n,
-    where located values would classify as zero too (see the module
-    docstring).  Otherwise they are located on both meshes, from the ends
-    of ``located()``, which is called only then, and a located value
-    within its error bound of +-tau is ambiguous.
-    """
-    end_lo1, end_lo2, end_hi1, end_hi2 = ends
-    lo, hi = boundary - zone, boundary + zone
-    below1, below2 = end_lo1[0], end_lo2[0]
-    if below1 != below2:
-        raise AmbiguousClassificationError(
-            f"count below {lo:g} changed under mesh doubling: {below1} vs {below2}")
-    k1, k2 = end_hi1[0] - below1, end_hi2[0] - below2
-    if k1 != k2:
-        raise AmbiguousClassificationError(
-            f"zone population changed under mesh doubling: {k1} vs {k2}")
-    if k1 == 0:
-        return below1, 0
-    if all(window(i)[0] == below1 + k1 * (i % 2) for i in range(4)):
-        return below1, k1
-    end_lo1, end_lo2, end_hi1, end_hi2 = located()
-    lam1 = _bisect(operator(n), lo, hi, end_lo1, end_hi1, LOCATE_TOL)
-    lam2 = _bisect(operator(2 * n), lo, hi, end_lo2, end_hi2, LOCATE_TOL)
-    lam = (4.0 * lam2 - lam1) / 3.0 - boundary
+    def swept(op, *shifts, logdet=False) -> list:
+        """One tuple of the results at the shifts for each twist."""
+        out = inertia(op, *shifts, logdet=logdet)
+        return list(zip(*out)) if ladder else [out]
+
+    ops = operator(n), operator(2 * n)
+    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
+    lo, hi = level - zone, level + zone
+    ends = [swept(op, lo, hi) for op in ops]
+
+    @cache
+    def window(mesh: int) -> list:
+        return swept(ops[mesh], *(level + s * _WINDOW
+                                  for s in _WINDOW_SHIFTS[mesh]))
+
+    @cache
+    def located() -> list:
+        return [swept(op, lo, hi, logdet=True) for op in ops]
+
+    rows = []
+    for r, mult in enumerate(ladder or (None,)):
+        try:
+            (below, top1), (below2, top2) = ([c for c, _ in end[r]]
+                                             for end in ends)
+            if below != below2:
+                raise AmbiguousClassificationError(
+                    f"count below {lo:g} changed under mesh doubling: "
+                    f"{below} vs {below2}")
+            k1, k2 = top1 - below, top2 - below
+            if k1 != k2:
+                raise AmbiguousClassificationError(
+                    f"zone population changed under mesh doubling: {k1} vs {k2}")
+            if k1 == 0 or all(c[0] == below + k1 * j for mesh in (0, 1)
+                              for j, c in enumerate(window(mesh)[r])):
+                rows.append((below, k1))
+            else:
+                rows.append(_located_counts(
+                    partial(operator, mult=mult), n, level, zone, below,
+                    [end[r] for end in located()]))
+        except AmbiguousClassificationError as exc:
+            if ladder is None:
+                raise
+            raise AmbiguousClassificationError(
+                f"{exc} (l = {system.l}, twist r = {r})") from exc
+    return rows
+
+
+def _located_counts(operator, n: int, level: float, zone: float, below: int,
+                    ends: list) -> tuple[int, int]:
+    """(below, at) of a twist whose zone eigenvalues are located on the
+    meshes n and 2n (``operator(k)``), from ``ends``, the zone end sweeps
+    with log|det| of each mesh; ``below`` counts those under the zone.  A
+    located value within its error bound of +-tau is ambiguous, and one
+    near it is classified again on the meshes 2n and 4n."""
+    lo, hi = level - zone, level + zone
+    lam = _extrapolated(operator, n, lo, hi, LOCATE_TOL, ends)[0] - level
 
     def classify(vals):
         near = np.abs(np.abs(vals) - TAU_ZERO) <= LOCATE_ERR
         if np.any(near):
             raise AmbiguousClassificationError(
                 "eigenvalue(s) within the location error of the classification "
-                "boundary: " + np.array2string(vals[near] + boundary, precision=8))
+                "boundary: " + np.array2string(vals[near] + level, precision=8))
         return np.where(vals < -TAU_ZERO, -1, np.where(vals > TAU_ZERO, 1, 0))
 
     cls = classify(lam)
@@ -207,17 +217,15 @@ def _classify_zone(operator, n: int, boundary: float, zone: float,
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
         lam_fine, _ = _extrapolated(operator, 2 * n, lo, hi, LOCATE_TOL)
-        cls_fine = classify(lam_fine - boundary)
+        cls_fine = classify(lam_fine - level)
         if np.any(cls_fine[borderline] != cls[borderline]):
             raise AmbiguousClassificationError(
                 "eigenvalue(s) too close to the classification boundary and "
                 "unstable under refinement: "
-                + np.array2string(lam[borderline] + boundary, precision=3)
+                + np.array2string(lam[borderline] + level, precision=3)
                 + f"; rerun with a finer mesh (n > {2 * n})")
         cls = cls_fine
-    below = below1 + int(np.sum(cls == -1))
-    at = int(np.sum(cls == 0))
-    return below, at
+    return below + int(np.sum(cls == -1)), int(np.sum(cls == 0))
 
 
 def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
@@ -303,17 +311,8 @@ def ladder_counts(build, traj: Trajectory, n: int,
     system = build(traj, "T", BoundaryCondition.twisted(1.0))
     ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
                    for om in roots_of_unity_ladder(q)[:q + 1])
-
-    def operator(k, mult=ladder):
-        return replace(system.operator(k), wrap_mult=mult)
-
-    zone, ends, located = _end_sweeps(operator, system.length, n, level)
-    windows = _window_sweeps(operator, n, level)
-    rows = [(r, *_classify_zone(partial(operator, mult=w), n, level, zone,
-                                [end[r] for end in ends],
-                                lambda r=r: [end[r] for end in located()],
-                                lambda i, r=r: windows(i)[r]))
-            for r, w in enumerate(ladder)]
+    rows = [(r, below, at) for r, (below, at)
+            in enumerate(_zone_rows(system, n, level, ladder))]
     return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]
 
 

@@ -105,6 +105,23 @@ def test_every_sweep_goes_through_inertia():
     assert not found, f"sweeps that bypass eigencount.inertia: {found}"
 
 
+def test_one_locate_and_extrapolate_path():
+    # every listing or bisection in spectral.py runs through _extrapolated,
+    # so the zone location and the listings share one extrapolation
+    path = next(p for p in SOURCES if p.name == "spectral.py")
+    calls = {}
+    for node in ast.parse(path.read_text()).body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("_bisect", "eigenvalues_in"):
+                    calls.setdefault(owner, []).append(name)
+    assert set(calls.pop("_extrapolated", ())) == {"_bisect", "eigenvalues_in"}
+    assert not calls, f"located outside _extrapolated: {calls}"
+
+
 def _public_names(tree):
     """Module-level functions, classes and constants without a leading
     underscore."""

@@ -169,6 +169,21 @@ class TestCalibration:
         with pytest.raises(AmbiguousClassificationError):
             spectrum_counts(system, 256)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("potential, counts", [
+        (-1.0, (0, 1)), ((-1.0, 0.0, -4.0), (1, 2))], ids=["scalar", "2x2"])
+    def test_dirichlet_zone(self, potential, counts, n, monkeypatch):
+        # -h'' on [0, pi] with Dirichlet ends has the eigenvalues k^2; the
+        # zero of k^2 - 1 (and of k^2 - 4) drifts to -k^4 h^2 / 12 on the
+        # mesh, outside the window at n = 256 and, for k = 1, inside it at
+        # n = 1024, where it is certified unlocated
+        located = _record_locations(monkeypatch)
+        dim = 1 if np.ndim(potential) == 0 else 2
+        system = constant_system(dim, math.pi, 1.0, potential,
+                                 BoundaryCondition.dirichlet())
+        assert boundary_counts(system, n) == counts
+        assert len(located) == (0 if (dim, n) == (1, 1024) else 2)
+
     @pytest.mark.parametrize("edge", range(4))
     def test_window_edges_certify_inside_and_locate_outside(self, edge,
                                                             monkeypatch):
@@ -623,6 +638,49 @@ class TestTwistedConsistency:
         ends = [(op.m, op.ladder) for op, _, logdet in swept
                 if logdet and op.ladder]
         assert ends == [(256, True)] * 2 + [(512, True)] * 2
+
+    def test_ambiguity_names_the_twist(self, traj23):
+        # twist 0's ground state sits at 0 on mesh n and at 0.01, outside
+        # the zone, on mesh 2n; the other twists hold no zone eigenvalue
+        n = 256
+        system = _mesh_constant_system({n: 0.0, 2 * n: 0.01})
+        message = "zone population changed under mesh doubling: 1 vs 0"
+        with pytest.raises(AmbiguousClassificationError,
+                           match=f"^{message}$"):
+            spectrum_counts(system, n)
+
+        def build(traj, interval, bc):
+            return replace(system, bc=bc, l=2)
+
+        with pytest.raises(AmbiguousClassificationError,
+                           match=rf"^{message} \(l = 2, twist r = 0\)$"):
+            ladder_counts(build, traj23, n, 0.0)
+
+    def test_third_mesh_runs_on_the_twist_alone(self, traj23, monkeypatch):
+        # the borderline-stable ground state of twist 0 is classified again
+        # on the meshes 2n and 4n; the 4n operator is built once and swept
+        # for twist 0 alone, not as a ladder
+        n = 256
+
+        def build(traj, interval, bc):
+            return constant_system(1, 2 * math.pi, 1.0, 2e-5, bc)
+
+        meshes = []
+        discretize = SLSystem.discretize
+
+        def recorded(system, k):
+            meshes.append(k)
+            return discretize(system, k)
+
+        monkeypatch.setattr(SLSystem, "discretize", recorded)
+        swept = _record_sweeps(monkeypatch)
+        assert ladder_counts(build, traj23, n, 0.0) == [
+            (r, 0, 0) for r in range(6)]
+        assert meshes.count(4 * n) == 1
+        twist0 = BoundaryCondition.twisted(
+            roots_of_unity_ladder(3)[0]).channel_multipliers(1)
+        fine = [op.wrap_mult for op, _, _ in swept if op.m == 4 * n]
+        assert fine and all(mult == twist0 for mult in fine)
 
     def test_count_path_takes_no_log_det(self, count_sweeps):
         # at this mesh the windows certify every zone of 2/3, so no sweep
