@@ -16,7 +16,8 @@ from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
 from otsuki.errors import (AmbiguousClassificationError,
                            EdwardsInapplicableError, ValidationError)
 from otsuki.eigencount import eigenvalues_in
-from otsuki.pipeline import compute_index
+from otsuki.geodesic import solve_parameter
+from otsuki.pipeline import compute_index, family_trajectory
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import LOCATE_TOL, direct_twisted_counts
 from otsuki.surface import fourier_block_system
@@ -24,6 +25,43 @@ from otsuki.surface import fourier_block_system
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
+
+# repr of the boundary form of mode l at n = 512: every entry of a, then
+# P_coeffs, then roots (s1 and s2 are the l = 1 roots)
+PINNED_FORMS = {
+    (2, 3, 1): [
+        "5.258110024887683", "3.464258530735432", "7.714659356504562",
+        "6.441493770203909", "3.464258530735432", "4.8655959758756975",
+        "6.441493770203909", "2.903297191393264", "7.714659356504562",
+        "6.441493770203909", "5.258110024887683", "3.464258530735432",
+        "6.441493770203909", "2.903297191393264", "3.464258530735432",
+        "4.8655959758756975", "76.37957259712124", "89.08223781186888",
+        "-63.63601205508239", "-1.666309718459531", "0.49999999999920014"],
+    (2, 3, 2): [
+        "3.38318174481976", "-5.041905874406536", "-3.383181744820967",
+        "-2.648503597186493", "-5.041905874406536", "6.932349582232794",
+        "-2.648503597186493", "-2.2415838844886995", "-3.383181744820967",
+        "-2.648503597186493", "3.38318174481976", "-5.041905874406536",
+        "-2.648503597186493", "-2.2415838844886995", "-5.041905874406536",
+        "6.932349582232794", "-2.2764574927089853", "-63.47885151137166",
+        "65.75530900403633", "-28.884927223407235", "0.9999999999993476"],
+    (5, 9, 1): [
+        "1.996158998988034", "-3.350677042282931", "2.354674979631352",
+        "2.3114007027795394", "-3.350677042282931", "2.5392119176304284",
+        "2.3114007027795394", "2.2159283836637753", "2.354674979631352",
+        "2.3114007027795394", "1.996158998988034", "-3.350677042282931",
+        "2.3114007027795394", "2.2159283836637753", "-3.350677042282931",
+        "2.5392119176304284", "0.4991283485668525", "6.2226935450506495",
+        "-1.0956099563764283", "-12.640769235768413", "0.17364817779229733"],
+    (5, 9, 2): [
+        "4.338103402660366", "-7.638257509492064", "-4.338103403003793",
+        "-4.255348135459823", "-7.638257509492064", "4.852080601949769",
+        "-4.255348135459823", "-4.174858117470716", "-4.338103403003793",
+        "-4.255348135459823", "4.338103402660366", "-7.638257509492064",
+        "-4.255348135459823", "-4.174858117470716", "-7.638257509492064",
+        "4.852080601949769", "-0.011913809985344415", "-11.75144466377209",
+        "11.763358461357043", "-987.3716710452322", "0.9999999989469021"],
+}
 
 
 def _clifford_A1(s):
@@ -110,6 +148,18 @@ class TestGramMatrix:
         a = gram_matrix(boundary_solutions(1, clifford_traj, n=2048))
         assert abs(a[0, 3]) < 1e-9
         assert abs(a[0, 1]) < 1e-9
+
+
+class TestPinnedForms:
+    @pytest.mark.parametrize("p,q,l", sorted(PINNED_FORMS))
+    def test_forms_pinned(self, p, q, l):
+        # the form to the bit: how the ODE right-hand side evaluates p, p'
+        # and Q_l must not move it
+        traj = family_trajectory(solve_parameter(p, q), 512)
+        data = boundary_form(l, traj, n=512)
+        got = [repr(float(v)) for v in data.a.ravel()]
+        got += [repr(float(v)) for v in data.poly.coeffs + data.poly.roots]
+        assert got == PINNED_FORMS[(p, q, l)]
 
 
 class TestTwistedForm:
