@@ -16,7 +16,7 @@ from .geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION, GeodesicFamily,
                        metric_coefficients, rotation_angle, sample_trajectory,
                        solve_parameter)
 from .surface import (FramePoint, KernelField, frame, kernel_fields,
-                      kernel_residual, separated_coefficients)
+                      kernel_residuals, separated_coefficients)
 from .sl import BoundaryCondition, SLSystem
 from .spectral import (SpectrumSummary, antiperiodic_check_l0, spectral_index,
                        spectrum_below, spectrum_counts, verify_high_l_positive)

@@ -37,6 +37,8 @@ ODE_RTOL = 1e-11
 SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
 FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
 ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
+# the constant entries of the fundamental system's matrix A: [[0, 0], [I, 0]]
+_A_CONSTANT = np.eye(4, k=-2)
 
 
 def solve_ivp(*args, **kwargs):
@@ -109,19 +111,28 @@ def _fundamental_rhs(y, l, c):
     """The derivative of the geodesic (phi, phi') and of the four
     solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
     gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]].  The system is
-    autonomous, since the geodesic rides along in the state."""
-    phi, phid = y[0], y[1]
+    autonomous, since the geodesic rides along in the state.
+
+    It runs once per integrator stage, so the coefficients are taken on
+    Python floats from one cos/sin pair, and A is filled into a copy of
+    its constant entries.  Y A stays the BLAS product ``np.matmul``: a
+    hand-written 4x4 product rounds differently (OpenBLAS fuses
+    multiply-adds), and the boundary forms would move in the last bit.
+    """
+    phi, phid = y[:2].tolist()
+    cphi, sphi = math.cos(phi), math.sin(phi)
     phidd, _ = _geodesic_rhs(phi, phid, c)
-    p = _weight(phi)
-    q11, q12, q22 = _q_entries(l, c, phi, phid)
-    damp = -_weight_prime(phi, phid) / p
-    A = np.array([[0.0, 0.0, q11 / p, q12 / p],
-                  [0.0, 0.0, q12 / p, q22 / p],
-                  [1.0, 0.0, damp, 0.0],
-                  [0.0, 1.0, 0.0, damp]])
+    p = _weight(cphi)
+    q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
+    damp = -_weight_prime(cphi, sphi, phid) / p
+    A = _A_CONSTANT.copy()
+    A[0, 2] = q11 / p
+    A[0, 3] = A[1, 2] = q12 / p
+    A[1, 3] = q22 / p
+    A[2, 2] = A[3, 3] = damp
     out = np.empty(18)
     out[0], out[1] = phid, phidd
-    out[2:] = (y[2:].reshape(4, 4) @ A).ravel()
+    np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
     return out
 
 
@@ -161,7 +172,8 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
                              dirichlet=dirichlet,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
-                             p_ends=(_weight(fam.b), _weight(yT[0])))
+                             p_ends=(_weight(math.cos(fam.b)),
+                                     _weight(math.cos(yT[0]))))
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:

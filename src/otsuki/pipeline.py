@@ -315,7 +315,7 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
 def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     """Fast invariant battery for one family; returns pass/fail rows."""
     from .spectral import antiperiodic_check_l0
-    from .surface import frame, kernel_fields, kernel_residual
+    from .surface import frame, kernel_fields, kernel_residuals
 
     rows = []
 
@@ -344,7 +344,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         worst = max(worst, float(np.abs(G - np.eye(5)).max()))
     add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
 
-    worst = max(kernel_residual(fld, traj) for fld in kernel_fields(traj))
+    worst = max(kernel_residuals(kernel_fields(traj), traj))
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
     rec0, _ = _mode0_counts(traj, n)

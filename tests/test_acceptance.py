@@ -26,7 +26,7 @@ from otsuki.sl import BoundaryCondition
 from otsuki.spectral import (antiperiodic_check_l0, direct_twisted_counts,
                              ladder_counts, spectral_index, spectrum_below,
                              spectrum_counts)
-from otsuki.surface import kernel_fields, kernel_residual, l0_channel_system
+from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
 
 TAU_ZERO = 1e-5
 
@@ -169,8 +169,8 @@ def test_criterion_08_kernel_residuals():
         values = {}
         for scale in (1, 2):
             traj = sample_trajectory(fam, per_period * scale)
-            values[scale] = np.array([kernel_residual(fld, traj)
-                                      for fld in kernel_fields(traj)])
+            values[scale] = np.array(kernel_residuals(kernel_fields(traj),
+                                                      traj))
         assert values[1].max() < 1e-6
         ratios = values[1] / values[2]
         assert np.all(ratios >= 8.0) and np.all(ratios <= 32.0)

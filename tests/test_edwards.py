@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import boundary_psi
-from otsuki import edwards
+from otsuki import edwards, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
@@ -116,6 +116,26 @@ class TestFundamentalSolutions:
         expect4 = np.sin(ts / (2 * math.pi)) / math.sin(SQRT2 / 2 * math.pi)
         assert np.abs(psi4[1] - expect4).max() < 1e-8
         assert np.abs(psi4[0]).max() < 1e-12
+
+    def test_rhs_reads_the_formula_homes(self, fam23, monkeypatch):
+        # p, p' and Q_l on the state's Python floats come from the formulas
+        # that sample them on grids, each called once per evaluation
+        y = np.concatenate(([0.5 * fam23.b, 0.3],
+                            np.random.default_rng(2).normal(size=16)))
+        want = edwards._fundamental_rhs(y, 2, fam23.c)
+        calls = []
+        for name in ("_weight", "_weight_prime", "_q_entries"):
+            home = getattr(surface, name)
+            assert getattr(edwards, name) is home
+
+            def recorded(*args, name=name, home=home):
+                calls.append(name)
+                return home(*args)
+
+            monkeypatch.setattr(edwards, name, recorded)
+        got = edwards._fundamental_rhs(y, 2, fam23.c)
+        assert sorted(calls) == ["_q_entries", "_weight", "_weight_prime"]
+        assert np.array_equal(got, want)
 
     def test_condition_recorded(self, traj23):
         sols = boundary_solutions(2, traj23, n=2048)

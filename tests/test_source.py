@@ -87,6 +87,33 @@ def test_sweep_loops_take_logs_only_for_log_det():
     assert not found, f"log() in a sweep loop outside a logdet branch: {found}"
 
 
+def test_fundamental_rhs_calls_nothing_traced():
+    # perfbench records a span for every call of a public package function,
+    # and the ODE right-hand side runs once per integrator stage: it calls
+    # only private helpers, math and numpy functions and array methods
+    import math
+
+    import numpy as np
+
+    path = next(p for p in SOURCES if p.name == "edwards.py")
+    fn = dict(_functions(ast.parse(path.read_text())))["_fundamental_rhs"]
+    modules = {"math": math, "np": np}
+    calls, found = 0, []
+    for node in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+        calls += 1
+        func = node.func
+        if isinstance(func, ast.Name):
+            ok = func.id.startswith("_")
+        elif isinstance(func.value, ast.Name) and func.value.id in modules:
+            ok = hasattr(modules[func.value.id], func.attr)
+        else:
+            ok = hasattr(np.ndarray, func.attr)
+        if not ok:
+            found.append(f"line {node.lineno}: {ast.unparse(func)}")
+    assert calls, "no call found in _fundamental_rhs"
+    assert not found, f"calls the tracer may wrap: {found}"
+
+
 def test_every_sweep_goes_through_inertia():
     # the benchmark's tracer counts sweeps at ``eigencount.inertia``, so no
     # other module may reach a kernel or a raw sweep

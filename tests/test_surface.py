@@ -7,17 +7,18 @@ import pytest
 from helpers import zero_count
 from otsuki import surface
 from otsuki.errors import ValidationError
-from otsuki.geodesic import sample_trajectory, solve_parameter
+from otsuki.geodesic import Trajectory, sample_trajectory, solve_parameter
+from otsuki.pipeline import family_trajectory
 from otsuki.sl import BoundaryCondition
 from otsuki.spectral import spectrum_below
 from otsuki.surface import (_weight, _weingarten, fourier_block_system,
-                            frame, kernel_fields, kernel_residual,
+                            frame, kernel_fields, kernel_residuals,
                             l0_channel_system, laplace_system,
                             separated_coefficients)
 
 TWO_PI = 2 * math.pi
 
-# kernel_residual of the nine kernel fields, in kernel_fields order
+# kernel_residuals of the nine kernel fields, in kernel_fields order
 PINNED_RESIDUALS = {
     (2, 3, 171): ["8.293825033526859e-08", "8.132473370767181e-08",
                   "3.812880903864739e-08", "5.5478093110767487e-08",
@@ -108,18 +109,22 @@ class TestFrame:
 
 class TestWeingarten:
     def test_clifford_values(self, clifford_traj):
-        a11, a22 = _weingarten(clifford_traj.family.c, clifford_traj.at(1.0)[0])
+        phi = clifford_traj.at(1.0)[0]
+        a11, a22 = _weingarten(clifford_traj.family.c, math.cos(phi),
+                               math.sin(phi))
         assert a11 == pytest.approx(2.0, rel=1e-12)
         assert a22 == pytest.approx(0.0, abs=1e-14)
 
     def test_ratio_is_sin_squared(self, traj23, fam23):
         for t in np.linspace(0.1, fam23.t0 - 0.1, 17):
             phi = traj23.at(t)[0]
-            a11, a22 = _weingarten(traj23.family.c, phi)
+            a11, a22 = _weingarten(traj23.family.c, math.cos(phi),
+                                   math.sin(phi))
             assert a22 == pytest.approx(math.sin(phi) ** 2 * a11, abs=1e-12)
 
     def test_vanishes_at_equator_crossing(self, traj23, fam23):
-        _, a22 = _weingarten(traj23.family.c, traj23.at(fam23.T / 2)[0])
+        phi = traj23.at(fam23.T / 2)[0]
+        _, a22 = _weingarten(traj23.family.c, math.cos(phi), math.sin(phi))
         assert abs(a22) < 1e-12
 
 
@@ -130,7 +135,7 @@ class TestSeparatedCoefficients:
             expect = np.array([[l * l - 4.0, 0.0], [0.0, l * l - 2.0]])
             Q = rows[:, [[0, 1], [1, 2]]]
             assert np.abs(Q - expect).max() < 1e-12
-        p = _weight(clifford_traj.at(clifford_traj.grid)[0])
+        p = _weight(np.cos(clifford_traj.at(clifford_traj.grid)[0]))
         assert np.abs(p - 4 * math.pi ** 2).max() < 1e-12
 
     def test_decoupled_at_l0(self, traj23):
@@ -165,7 +170,7 @@ class TestSeparatedCoefficients:
             if column is not None:
                 rows = rows[:, column]
             assert np.array_equal(system.weight(grid),
-                                  _weight(traj58.at(grid)[0]))
+                                  _weight(np.cos(traj58.at(grid)[0])))
             assert np.array_equal(system.potential(grid), rows)
 
     def test_positive_definite_at_l3(self, traj23):
@@ -194,8 +199,7 @@ class TestKernelFields:
 
     def test_residuals_small(self, fam23):
         traj = sample_trajectory(fam23, 171)              # ~1026-node full grid
-        for f in kernel_fields(traj):
-            assert kernel_residual(f, traj) < 1e-6
+        assert max(kernel_residuals(kernel_fields(traj), traj)) < 1e-6
 
     @pytest.mark.parametrize("p,q", [(5, 8), (5, 9), (7, 10)])
     def test_junctions_refine_at_second_order(self, p, q):
@@ -207,8 +211,7 @@ class TestKernelFields:
         values = []
         for n in (per_period, 2 * per_period):
             traj = sample_trajectory(fam, n)
-            values.append([kernel_residual(f, traj)
-                           for f in kernel_fields(traj)])
+            values.append(kernel_residuals(kernel_fields(traj), traj))
         ratios = np.array(values[0]) / np.array(values[1])
         assert np.all(ratios >= 8.0) and np.all(ratios <= 32.0)
 
@@ -219,15 +222,47 @@ class TestKernelFields:
         bad = type(f)(id=f.id, l=f.l, grid=f.grid,
                       h1=f.h1 + 0.01 * np.cos(phi), h2=f.h2,
                       description="perturbed")
-        assert kernel_residual(bad, traj) > 1e-3
+        assert kernel_residuals([bad], traj)[0] > 1e-3
 
     @pytest.mark.parametrize("p,q,n", [(2, 3, 171), (2, 3, 1024), (5, 8, 128)])
     def test_residual_values_pinned(self, p, q, n):
-        # the nine residuals to the bit: how kernel_residual samples p, p'
+        # the nine residuals to the bit: how kernel_residuals samples p, p'
         # and Q_l must not move them
         traj = sample_trajectory(solve_parameter(p, q), n)
-        got = [repr(kernel_residual(f, traj)) for f in kernel_fields(traj)]
+        got = [repr(r) for r in kernel_residuals(kernel_fields(traj), traj)]
         assert got == PINNED_RESIDUALS[(p, q, n)]
+
+    def test_row_does_its_work_once(self, fam23, monkeypatch):
+        # verify's row at n = 1024 samples the full-period grid once and
+        # computes one residual per distinct profile (fields 4/5, 6/7 and
+        # 8/9 share theirs); its maximum is that of the nine per-field
+        # residuals, each with its own sample and Q_l
+        traj = family_trajectory(fam23, 1024)
+        fields = kernel_fields(traj)
+        sampled, residuals = [], []
+        at, residual = Trajectory.at, surface._residual
+
+        def recorded_at(self, t):
+            sampled.append(t)
+            return at(self, t)
+
+        def recorded_residual(*args):
+            residuals.append(args[:2])
+            return residual(*args)
+
+        monkeypatch.setattr(Trajectory, "at", recorded_at)
+        monkeypatch.setattr(surface, "_residual", recorded_residual)
+        row = kernel_residuals(fields, traj)
+        assert len(sampled) == 1 and sampled[0] is fields[0].grid
+        assert len(residuals) == 6
+        assert row[3::2] == row[4::2]
+        assert repr(max(row)) == "2.497148315352991e-10"
+
+    def test_row_refuses_mixed_grids(self, fam23):
+        fields = kernel_fields(sample_trajectory(fam23, 171))
+        traj = sample_trajectory(fam23, 172)
+        with pytest.raises(ValidationError):
+            kernel_residuals(fields[:1] + kernel_fields(traj)[1:], traj)
 
     def test_l2_field_satisfies_unit_twist(self, fam23):
         # the mode-2 projection is invariant under the half-period shift in
