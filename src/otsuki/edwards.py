@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
-from .geodesic import Trajectory, _geodesic_rhs
+from .geodesic import Trajectory, _phi_ddot
 from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import LOCATE_TOL, TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
@@ -121,7 +121,6 @@ def _fundamental_rhs(y, l, c):
     """
     phi, phid = y[:2].tolist()
     cphi, sphi = math.cos(phi), math.sin(phi)
-    phidd, _ = _geodesic_rhs(phi, phid, c)
     p = _weight(cphi)
     q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
     damp = -_weight_prime(cphi, sphi, phid) / p
@@ -131,7 +130,7 @@ def _fundamental_rhs(y, l, c):
     A[1, 3] = q22 / p
     A[2, 2] = A[3, 3] = damp
     out = np.empty(18)
-    out[0], out[1] = phid, phidd
+    out[0], out[1] = phid, _phi_ddot(c, cphi, sphi, phid)
     np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
     return out
 

@@ -6,13 +6,16 @@ oscillates between the parallels phi = b and phi = -b; the half period T(b)
 and the rotation angle Xi(b) = theta(T) are singular integrals over
 [b, -b].  The geodesic closes exactly when Xi(b) is a rational multiple
 of pi, which pins b for each admissible rotation number p/q.
+
+phi'' and theta' have one formula each, ``_phi_ddot`` and ``_theta_dot``,
+on cos(phi) and sin(phi); no flow is stepped here, and only the
+boundary-form ODE of ``edwards`` carries (phi, phi') along.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from math import cos, sin
 from typing import Optional
 
 import numpy as np
@@ -189,13 +192,14 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
     return replace(GeodesicFamily.from_b(b), rotation=rotation)
 
 
-def _geodesic_rhs(phi: float, phid: float, c: float):
-    cphi = cos(phi)
-    sphi = sin(phi)
-    phidd = (sphi / cphi) * phid * phid \
+def _phi_ddot(c: float, cphi, sphi, phid):
+    """phi'' on the geodesic of momentum c at (cos phi, sin phi, phi')."""
+    return (sphi / cphi) * phid * phid \
         - c * c * sphi / (EIGHT_PI4 * cphi ** 7)
-    thd = c / (FOUR_PI2 * cphi ** 4)
-    return phidd, thd
+
+
+def _theta_dot(c: float, cphi):
+    return c / (FOUR_PI2 * cphi ** 4)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ from .errors import (EdwardsInapplicableError, NumericalError,
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
-from .spectral import (LOCATE_ERR, TAU_ZERO, class_counts,  # noqa: F401
+from .spectral import (LOCATE_ERR, TAU_ZERO,  # noqa: F401
+                       antiperiodic_check_l0, class_counts,
                        direct_twisted_counts, ladder_counts, spectral_index,
                        spectrum_counts, verify_high_l_positive)
-from .surface import l0_channel_system
+from .surface import frame, kernel_fields, kernel_residuals, l0_channel_system
 
 REPORT_VERSION = "1"
 
@@ -314,9 +315,6 @@ def cache_load(p: int, q: int, n: int, method: str = "both",
 
 def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     """Fast invariant battery for one family; returns pass/fail rows."""
-    from .spectral import antiperiodic_check_l0
-    from .surface import frame, kernel_fields, kernel_residuals
-
     rows = []
 
     def add(name, ok, detail):
@@ -347,15 +345,16 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     worst = max(kernel_residuals(kernel_fields(traj), traj))
     add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
 
-    rec0, _ = _mode0_counts(traj, n)
+    rec0, channel2 = _mode0_counts(traj, n)
     exp_neg = 2 * q + 4 * p - 1 if q % 2 else q + 2 * p - 1
     add("l=0 counts", (rec0.neg, rec0.zero) == (exp_neg, 3),
         f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")
 
+    # the antiperiodic problem is the channel-2 twist r = q (omega = -1)
     lam1, lam2, corr = antiperiodic_check_l0(traj, n=n)
-    add("antiperiodic l=0", lam1 < 0 and abs(lam2) <= TAU_ZERO
-        and corr > 0.999, f"lam1={lam1:.4f}, lam2={lam2:.2e} +/- "
-        f"{LOCATE_ERR:.1e}, corr={corr:.5f}")
+    add("antiperiodic l=0", channel2[q][1:] == (1, 1) and corr > 0.999,
+        f"lam1={lam1:.3e}, lam2={lam2:.2e} +/- {LOCATE_ERR:.1e}, "
+        f"corr={corr:.5f}")
 
     for l in (1, 2):
         try:

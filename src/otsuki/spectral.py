@@ -1,13 +1,14 @@
 """Eigenvalue counts, spectrum listings, and the spectral index.
 
 Counting convention: an eigenvalue is "zero" when its mesh-extrapolated
-value lies within TAU_ZERO of the target level.  The exact zero modes of
-the stability operator drift like h^2 under the second-order
-discretization, which can exceed TAU_ZERO on coarse meshes; every count
-therefore combines two meshes (n and 2n): the inertia sweeps classify
-everything outside a small zone around the level, and eigenvalues inside
-the zone are Richardson extrapolated before classification.  Disagreement
-between the meshes is an error, never a guess.
+value lies within TAU_ZERO of the target level; one rule decides that
+(``_zero_classes``, read by ``_located_counts`` and ``spectrum_below``).
+The exact zero modes of the stability operator drift like h^2 under the
+second-order discretization, which can exceed TAU_ZERO on coarse meshes;
+every count therefore combines two meshes (n and 2n): the inertia sweeps
+classify everything outside a small zone around the level, and the zone's
+eigenvalues are Richardson extrapolated before classification.
+Disagreement between the meshes is an error, never a guess.
 
 Most zone eigenvalues are exact zero modes, and those need no location:
 four window sweeps, shared by every twist of a ladder, certify that all k
@@ -192,6 +193,17 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     return rows
 
 
+def _zero_classes(lam, level: float, err: float) -> np.ndarray:
+    """The class of each eigenvalue level + lam: -1 below -tau, 0 within
+    tau, 1 above; one within its error ``err`` of +-tau is ambiguous."""
+    near = np.abs(np.abs(lam) - TAU_ZERO) <= err
+    if np.any(near):
+        raise AmbiguousClassificationError(
+            "eigenvalue(s) within the location error of the classification "
+            "boundary: " + np.array2string(lam[near] + level, precision=8))
+    return np.where(lam < -TAU_ZERO, -1, np.where(lam > TAU_ZERO, 1, 0))
+
+
 def _located_counts(operator, n: int, level: float, zone: float, below: int,
                     ends: list) -> tuple[int, int]:
     """(below, at) of a twist whose zone eigenvalues are located on the
@@ -201,23 +213,14 @@ def _located_counts(operator, n: int, level: float, zone: float, below: int,
     near it is classified again on the meshes 2n and 4n."""
     lo, hi = level - zone, level + zone
     lam = _extrapolated(operator, n, lo, hi, LOCATE_TOL, ends)[0] - level
-
-    def classify(vals):
-        near = np.abs(np.abs(vals) - TAU_ZERO) <= LOCATE_ERR
-        if np.any(near):
-            raise AmbiguousClassificationError(
-                "eigenvalue(s) within the location error of the classification "
-                "boundary: " + np.array2string(vals[near] + level, precision=8))
-        return np.where(vals < -TAU_ZERO, -1, np.where(vals > TAU_ZERO, 1, 0))
-
-    cls = classify(lam)
+    cls = _zero_classes(lam, level, LOCATE_ERR)
     borderline = (np.abs(np.abs(lam) - TAU_ZERO) < 2.0 * TAU_ZERO) & \
                  (np.abs(lam) > TAU_ZERO / 3.0)
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
         lam_fine, _ = _extrapolated(operator, 2 * n, lo, hi, LOCATE_TOL)
-        cls_fine = classify(lam_fine - level)
+        cls_fine = _zero_classes(lam_fine - level, level, LOCATE_ERR)
         if np.any(cls_fine[borderline] != cls[borderline]):
             raise AmbiguousClassificationError(
                 "eigenvalue(s) too close to the classification boundary and "
@@ -243,11 +246,12 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     if not math.isfinite(cutoff):
         raise ValidationError(f"cutoff must be finite, got {cutoff}")
     neg, zero = spectrum_counts(system, n)
+    tol = 1e-9      # so a listed value is extrapolated to within 5 tol / 6
     lam, _ = _extrapolated(system.operator, n, _floor(system, n),
-                           cutoff + ZONE, 1e-9)
+                           cutoff + ZONE, tol)
     keep = lam < cutoff
-    listed = (int(np.sum(lam[keep] < -TAU_ZERO)),
-              int(np.sum(np.abs(lam[keep]) <= TAU_ZERO)))
+    cls = _zero_classes(lam[keep], 0.0, 5.0 * tol / 6.0)
+    listed = int(np.sum(cls == -1)), int(np.sum(cls == 0))
     # a class is listed in full once the cutoff passes its upper edge
     for got, counted, edge in zip(listed, (neg, zero), (-TAU_ZERO, TAU_ZERO)):
         if got > counted or (cutoff > edge and got != counted):
@@ -261,15 +265,16 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 
 
 def antiperiodic_check_l0(traj: Trajectory, n: int):
-    """Two smallest eigenvalues of the half-period antiperiodic channel-2
-    problem: the first must be negative, the second a zero mode whose
-    eigenfunction matches 2 pi cos^2(phi) phi'.  That zero mode is A sin(phi),
-    with A h = sqrt(p) h' as in ``spectral_index``: sin(phi), the coordinate
-    function at Laplace level 2, is antiperiodic over T, and A carries it
-    to channel 2 at level 2 - 2 = 0.
+    """Evidence on the two smallest eigenvalues of the half-period
+    antiperiodic channel-2 problem: one should be negative, the other a zero
+    mode whose eigenfunction matches 2 pi cos^2(phi) phi'.  That zero mode
+    is A sin(phi), with A h = sqrt(p) h' as in ``spectral_index``: sin(phi),
+    the coordinate function at Laplace level 2, is antiperiodic over T, and
+    A carries it to channel 2 at level 2 - 2 = 0.
 
     Returns (lambda_1, lambda_2, correlation), the eigenvalues to within
-    LOCATE_ERR: the decision |lambda_2| <= TAU_ZERO needs no more.
+    LOCATE_ERR, and decides nothing: the row r = q (omega = -1) of the
+    channel-2 ladder classifies them.
     """
     if traj.family.b == 0.0:
         raise ValidationError("needs a nondegenerate family (b != 0)")
@@ -278,9 +283,6 @@ def antiperiodic_check_l0(traj: Trajectory, n: int):
                                LOCATE_TOL)
     if len(lamR) < 2:
         raise NumericalError("failed to locate the two smallest eigenvalues")
-    if not (lamR[0] < -TAU_ZERO and abs(lamR[1]) <= TAU_ZERO):
-        raise NumericalError(
-            f"antiperiodic check failed: got {lamR[0]:.3e}, {lamR[1]:.3e}")
     op1 = system.operator(n)
     vec = scalar_eigenfunctions(op1, float(lam1[1]))[0]
     grid = np.arange(op1.m) * (system.length / n)

@@ -11,9 +11,9 @@ consumed by the solvers.
 
 ``_q_entries`` is the one formula for Q_l and ``_weight`` the one formula
 for p; every reader of either calls them.  These formula homes, and
-``_weight_prime``, ``_weingarten`` and ``_theta_dot`` beneath them, take
-cos(phi) and sin(phi) rather than phi: the caller takes each once, and
-one formula serves numpy grids and the Python floats of the
+``_weight_prime``, ``_weingarten`` and ``geodesic._theta_dot`` beneath
+them, take cos(phi) and sin(phi) rather than phi: the caller takes each
+once, and one formula serves numpy grids and the Python floats of the
 boundary-form ODE alike.  On a grid Q_l is sampled by
 ``separated_coefficients``, whose (m, 3) rows (Q11, Q12, Q22) are the
 layout of ``SLSystem`` potentials: the builders of the mode-l and mode-0
@@ -33,12 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geodesic import FOUR_PI2, TWO_PI, Trajectory
+from .geodesic import FOUR_PI2, TWO_PI, Trajectory, _theta_dot
 from .sl import BoundaryCondition, SLSystem
-
-
-def _theta_dot(c: float, cphi):
-    return c / (FOUR_PI2 * cphi ** 4)
 
 
 def _weight(cphi):

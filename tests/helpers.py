@@ -5,6 +5,7 @@ sweep of a mode-l block, the half closed length of an even-q family,
 sign-change counts, the Sturm oscillation ladder and the
 periodic/antiperiodic interlacing pattern."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,23 +40,29 @@ def rk4(y0, y1, y2, c, h, steps):
     """Fixed-step RK4 for (phi, phidot, theta) with step h.
 
     Returns the state and its derivatives (phi, phidot, theta, phidotdot,
-    thetadot) after ``steps`` steps.  Plain floats in and out: this is the
-    hot loop of every flow oracle.
+    thetadot) after ``steps`` steps.  The derivatives come from the
+    package's formulas for phi'' and theta'.  Plain floats in and out: this
+    is the hot loop of every flow oracle.
     """
-    rhs = geodesic._geodesic_rhs
+    phi_ddot, theta_dot = geodesic._phi_ddot, geodesic._theta_dot
+
+    def rhs(phi, phid):
+        cphi, sphi = math.cos(phi), math.sin(phi)
+        return phi_ddot(c, cphi, sphi, phid), theta_dot(c, cphi)
+
     h2, h6 = h / 2.0, h / 6.0
-    a1, t1 = rhs(y0, y1, c)
+    a1, t1 = rhs(y0, y1)
     for _ in range(steps):
         v2 = y1 + h2 * a1
-        a2, t2 = rhs(y0 + h2 * y1, v2, c)
+        a2, t2 = rhs(y0 + h2 * y1, v2)
         v3 = y1 + h2 * a2
-        a3, t3 = rhs(y0 + h2 * v2, v3, c)
+        a3, t3 = rhs(y0 + h2 * v2, v3)
         v4 = y1 + h * a3
-        a4, t4 = rhs(y0 + h * v3, v4, c)
+        a4, t4 = rhs(y0 + h * v3, v4)
         y0 += h6 * (y1 + 2 * v2 + 2 * v3 + v4)
         y1 += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
         y2 += h6 * (t1 + 2 * t2 + 2 * t3 + t4)
-        a1, t1 = rhs(y0, y1, c)
+        a1, t1 = rhs(y0, y1)
     return y0, y1, y2, a1, t1
 
 

@@ -23,12 +23,10 @@ from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              sample_trajectory, solve_parameter)
 from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
-from otsuki.spectral import (antiperiodic_check_l0, direct_twisted_counts,
-                             ladder_counts, spectral_index, spectrum_below,
-                             spectrum_counts)
+from otsuki.spectral import (TAU_ZERO, antiperiodic_check_l0,
+                             direct_twisted_counts, ladder_counts,
+                             spectral_index, spectrum_below, spectrum_counts)
 from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
-
-TAU_ZERO = 1e-5
 
 
 @contextmanager

@@ -138,7 +138,7 @@ class TestSolveParameter:
         def refuse(*args):
             raise AssertionError("the geodesic flow was stepped")
 
-        monkeypatch.setattr(geodesic, "_geodesic_rhs", refuse)
+        monkeypatch.setattr(geodesic, "_phi_ddot", refuse)
         solve_parameter(4, 7)
         fam = GeodesicFamily.from_b(-0.3)
         assert sample_trajectory(fam, 256).conservation_drift() < 1e-14

@@ -331,6 +331,40 @@ class TestVerifyBattery:
         assert not rows["route agreement l=2"]["ok"]
         assert rows["route agreement l=2"]["detail"].startswith("MISMATCH")
 
+    def test_antiperiodic_row_fails_instead_of_stopping(self, miscounted):
+        rows = verify_family(2, 3, n=1024)
+        assert [r["check"] for r in rows] == VERIFY_CHECKS
+        assert [r["check"] for r in rows if not r["ok"]] == ["antiperiodic l=0"]
+
+    def test_cli_prints_every_row_of_a_failed_battery(self, miscounted, capsys):
+        assert run_cli(["verify", "--p", "2", "--q", "3"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0].strip() for line in lines] == \
+            VERIFY_CHECKS + ["overall"]
+        failed = [line.split("  ")[0] for line in lines if "  FAIL" in line]
+        assert failed == ["antiperiodic l=0", "overall"]
+
+
+VERIFY_CHECKS = [
+    "conservation", "endpoint phi(T)=-b", "endpoint theta(T)=Xi",
+    "frame orthonormal", "kernel residuals", "l=0 counts", "antiperiodic l=0",
+    "s2 = -cos(p pi / q)", "route agreement l=1", "P2(1) = 0",
+    "route agreement l=2", "l=3 positive"]
+
+
+@pytest.fixture
+def miscounted(monkeypatch):
+    """Channel 2 reads (0, 2) at omega = -1, the mis-count of 2378/3363."""
+    original = pipeline._mode0_counts
+
+    def counts(traj, n):
+        mode0, channel2 = original(traj, n)
+        q = traj.family.rotation.q
+        return mode0, [(r, 0, 2) if r == q else (r, neg, zero)
+                       for r, neg, zero in channel2]
+
+    monkeypatch.setattr(pipeline, "_mode0_counts", counts)
+
 
 class TestCli:
     def test_geodesic_json(self, capsys):

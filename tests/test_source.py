@@ -114,6 +114,61 @@ def test_fundamental_rhs_calls_nothing_traced():
     assert not found, f"calls the tracer may wrap: {found}"
 
 
+def test_fundamental_rhs_takes_one_cos_sin_pair():
+    # per evaluation, counted through every package function it calls: the
+    # formula homes take cos(phi) and sin(phi) and take neither again
+    defs = {name: fn for path in SOURCES
+            for name, fn in _functions(ast.parse(path.read_text()))}
+    seen, todo, calls = set(), ["_fundamental_rhs"], []
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                calls.append(func.rpartition(".")[2])
+                if func in defs and func not in seen:
+                    todo.append(func)
+    assert (calls.count("cos"), calls.count("sin")) == (1, 1)
+    assert "_phi_ddot" in seen and "_q_entries" in seen
+
+
+def _tau_comparisons(tree):
+    """(owner, node) of each comparison that names TAU_ZERO, by the
+    module-level function or class that holds it."""
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for cmp in ast.walk(node):
+            if isinstance(cmp, ast.Compare) and "TAU_ZERO" in {
+                    getattr(n, "id", getattr(n, "attr", None))
+                    for n in ast.walk(cmp)}:
+                yield owner, cmp
+
+
+def test_no_module_but_spectral_decides_the_zero_class():
+    found = [f"{path.name}: {owner}, line {cmp.lineno}" for path in SOURCES
+             if path.name != "spectral.py"
+             for owner, cmp in _tau_comparisons(ast.parse(path.read_text()))]
+    assert not found, f"comparisons against TAU_ZERO: {found}"
+
+
+def test_one_zero_class_rule_in_spectral():
+    # _zero_classes is the rule; the third-mesh band of _located_counts
+    # only picks the values to classify again
+    path = next(p for p in SOURCES if p.name == "spectral.py")
+    tree = ast.parse(path.read_text())
+    located = dict(_functions(tree))["_located_counts"]
+    band = {id(n) for stmt in ast.walk(located)
+            if isinstance(stmt, ast.Assign)
+            and [ast.unparse(t) for t in stmt.targets] == ["borderline"]
+            for n in ast.walk(stmt)}
+    found = list(_tau_comparisons(tree))
+    stray = [f"{owner}, line {cmp.lineno}" for owner, cmp in found
+             if owner != "_zero_classes" and id(cmp) not in band]
+    assert "_zero_classes" in {owner for owner, _ in found}
+    assert not stray, f"zero-class comparisons outside the rule: {stray}"
+
+
 def test_every_sweep_goes_through_inertia():
     # the benchmark's tracer counts sweeps at ``eigencount.inertia``, so no
     # other module may reach a kernel or a raw sweep

@@ -14,7 +14,7 @@ from helpers import (check_interlacing, closed_length_positive,
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
-from otsuki.geodesic import _geodesic_rhs, sample_trajectory, solve_parameter
+from otsuki.geodesic import _phi_ddot, sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (LOCATE_ERR, TAU_ZERO, antiperiodic_check_l0,
@@ -364,6 +364,13 @@ class TestAntiperiodicCheck:
         with pytest.raises(ValidationError):
             antiperiodic_check_l0(clifford_traj, n=2048)
 
+    def test_reports_without_deciding(self):
+        # at 2378/3363 lambda_1 (about -b^2 = -3.6e-7) lies inside the zero
+        # class; the check returns it, and the ladder row r = q classifies
+        traj = sample_trajectory(solve_parameter(2378, 3363), 1024)
+        lam1, _, _ = antiperiodic_check_l0(traj, n=512)
+        assert -TAU_ZERO < lam1 < 0
+
     def test_mesh_disagreement_is_ambiguous(self, traj23, monkeypatch):
         n = 256
         original = spectral.eigenvalues_in
@@ -425,8 +432,7 @@ class TestSpectralIndex:
         # l = 0 operator A*A, A h = sqrt(p) h'
         traj = sample_trajectory(solve_parameter(p, q), 1024)
         phi, phid, _ = traj.at(traj.grid)
-        phidd = np.array([_geodesic_rhs(a, b, traj.family.c)[0]
-                          for a, b in zip(phi, phid)])
+        phidd = _phi_ddot(traj.family.c, np.cos(phi), np.sin(phi), phid)
         root = 2.0 * math.pi * np.cos(phi)
         root_dd = -2.0 * math.pi * (np.cos(phi) * phid ** 2
                                     + np.sin(phi) * phidd)
