@@ -18,8 +18,8 @@ from .geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION, GeodesicFamily,
 from .surface import (FramePoint, KernelField, frame, kernel_fields,
                       kernel_residuals, separated_coefficients)
 from .sl import BoundaryCondition, SLSystem
-from .spectral import (SpectrumSummary, antiperiodic_check_l0, spectral_index,
-                       spectrum_below, spectrum_counts, verify_high_l_positive)
+from .spectral import (SpectrumSummary, spectral_index, spectrum_below,
+                       spectrum_counts, verify_high_l_positive)
 from .edwards import (BoundaryFormData, aggregate_roots, boundary_form,
                       boundary_solutions, det_polynomial,
                       dirichlet_negative_count, gram_matrix, twisted_counts,

@@ -8,10 +8,10 @@ of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
 A count needs only the signs; log|det| costs a logarithm per pivot, and
 only locating an eigenvalue reads it, so ``inertia`` takes it on request.
-Everything here - counts, individual eigenvalues, inverse iteration for
-eigenfunctions - is built on that one O(n) sweep; the wrap-around entries
-only ever fill the last block row, so the sweep runs in real arithmetic and
-the unit-modulus wrap multipliers enter only the last Schur complement.
+Everything here - counts and individual eigenvalues - is built on that
+one O(n) sweep; the wrap-around entries only ever fill the last block row,
+so the sweep runs in real arithmetic and the unit-modulus wrap multipliers
+enter only the last Schur complement.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, then an O(1) finish per twist, counts
 them all.  The finish takes only real parts of products of conjugates,
@@ -462,83 +462,3 @@ def _secant(op: BandOperator, a: float, b: float, end_a: tuple,
         x0, s0, l0, x1, s1, l1 = x1, s1, l1, x, s, logdet
         steps += 1
     return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# linear solves and inverse iteration (scalar operators)
-
-INVERSE_ITERATIONS = 4
-INVERSE_ITERATION_SEED = 1234
-
-
-def _thomas_band(d, e, rhs):
-    m = len(d)
-    c = [0.0] * m
-    x = [0.0] * m
-    beta = d[0]
-    x[0] = rhs[0] / beta
-    for j in range(1, m):
-        c[j] = e[j - 1] / beta
-        beta = d[j] - e[j - 1] * c[j]
-        x[j] = (rhs[j] - e[j - 1] * x[j - 1]) / beta
-    for j in range(m - 2, -1, -1):
-        x[j] -= c[j + 1] * x[j + 1]
-    return x
-
-
-def _solve_scalar(op: BandOperator, sigma: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A - sigma I) x = rhs for a scalar band/cyclic operator."""
-    d = (op.diag - sigma).tolist()
-    e = op.off.tolist()
-    b = rhs.tolist()
-    if not op.cyclic:
-        return np.array(_thomas_band(d, e, b))
-    w = complex(op.wrap_mult[0])
-    if w.imag != 0.0:
-        raise NumericalError("scalar solves support real wrap multipliers only")
-    alpha = op.wrap_off * w.real
-    m = len(d)
-    # rank-one split of the corner entries (Sherman-Morrison)
-    gamma = -d[0] if d[0] != 0.0 else 1.0
-    dmod = list(d)
-    dmod[0] = d[0] - gamma
-    dmod[m - 1] = d[m - 1] - alpha * alpha / gamma
-    y = _thomas_band(dmod, e, b)
-    u = [0.0] * m
-    u[0] = gamma
-    u[m - 1] = alpha
-    z = _thomas_band(dmod, e, u)
-    vy = y[0] + alpha / gamma * y[m - 1]
-    vz = z[0] + alpha / gamma * z[m - 1]
-    fac = vy / (1.0 + vz)
-    return np.array([yj - fac * zj for yj, zj in zip(y, z)])
-
-
-def scalar_eigenfunctions(op: BandOperator, lam: float,
-                          count: int = 1) -> list[np.ndarray]:
-    """Inverse iteration at a converged eigenvalue; returns orthonormal vectors.
-
-    For a (near-)degenerate pair request count=2; the iteration deflates
-    against vectors already found.
-    """
-    if op.dim != 1:
-        raise NumericalError("inverse iteration implemented for scalar operators")
-    rng = np.random.default_rng(INVERSE_ITERATION_SEED)
-    shift = lam + 1e-9 * max(1.0, abs(lam))
-    found: list[np.ndarray] = []
-    for _ in range(count):
-        x = rng.standard_normal(op.m)
-        for v in found:
-            x -= (v @ x) * v
-        for _ in range(INVERSE_ITERATIONS):
-            x = _solve_scalar(op, shift, x)
-            for v in found:
-                x -= (v @ x) * v
-            nrm = np.linalg.norm(x)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                shift += 1e-8 * max(1.0, abs(lam))
-                x = rng.standard_normal(op.m)
-                continue
-            x /= nrm
-        found.append(x)
-    return found

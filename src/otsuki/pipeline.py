@@ -30,8 +30,7 @@ from .errors import (EdwardsInapplicableError, NumericalError,
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
-from .spectral import (LOCATE_ERR, TAU_ZERO,  # noqa: F401
-                       antiperiodic_check_l0, class_counts,
+from .spectral import (TAU_ZERO, class_counts,  # noqa: F401
                        direct_twisted_counts, ladder_counts, spectral_index,
                        spectrum_counts, verify_high_l_positive)
 from .surface import frame, kernel_fields, kernel_residuals, l0_channel_system
@@ -342,19 +341,28 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         worst = max(worst, float(np.abs(G - np.eye(5)).max()))
     add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
 
-    worst = max(kernel_residuals(kernel_fields(traj), traj))
-    add("kernel residuals", worst < 1e-5, f"max residual {worst:.3e}")
+    fields = kernel_fields(traj)
+    residuals = kernel_residuals(fields, traj)
+    kernel_bound = 1e-5
+    add("kernel residuals", max(residuals) < kernel_bound,
+        f"max residual {max(residuals):.3e}")
 
     rec0, channel2 = _mode0_counts(traj, n)
     exp_neg = 2 * q + 4 * p - 1 if q % 2 else q + 2 * p - 1
     add("l=0 counts", (rec0.neg, rec0.zero) == (exp_neg, 3),
         f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")
 
-    # the antiperiodic problem is the channel-2 twist r = q (omega = -1)
-    lam1, lam2, corr = antiperiodic_check_l0(traj, n=n)
-    add("antiperiodic l=0", channel2[q][1:] == (1, 1) and corr > 0.999,
-        f"lam1={lam1:.3e}, lam2={lam2:.2e} +/- {LOCATE_ERR:.1e}, "
-        f"corr={corr:.5f}")
+    # the half-period antiperiodic channel-2 problem is the twist r = q
+    # (omega = -1) of the channel-2 ladder, which classifies its spectrum;
+    # kernel field 3, 2 pi cos^2(phi) phi', is its zero mode: it is
+    # A sin(phi), with A h = sqrt(p) h' as in spectral_index, and sin(phi),
+    # a coordinate function at Laplace level 2, is antiperiodic over T
+    anti = channel2[q][1:]
+    zero_mode = next(res for field, res in zip(fields, residuals)
+                     if field.id == 3)
+    add("antiperiodic l=0", anti == (1, 1) and zero_mode < kernel_bound,
+        f"channel 2 row r={q} (neg, zero)={anti} (expect (1, 1)), "
+        f"field 3 residual {zero_mode:.3e}")
 
     for l in (1, 2):
         try:

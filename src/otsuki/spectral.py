@@ -49,13 +49,11 @@ from typing import Optional
 
 import numpy as np
 
-from .eigencount import (_bisect, eigenvalues_in, inertia,
-                         scalar_eigenfunctions)
-from .errors import (AmbiguousClassificationError, NumericalError,
-                     ValidationError)
+from .eigencount import _bisect, eigenvalues_in, inertia
+from .errors import AmbiguousClassificationError, ValidationError
 from .geodesic import Trajectory
 from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from .surface import (fourier_block_system, l0_channel_system, laplace_system,
+from .surface import (fourier_block_system, laplace_system,
                       separated_coefficients)
 
 TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
@@ -262,34 +260,6 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
         eigenvalues=[float(v) for v in lam[keep]], neg_count=neg,
         zero_count=zero, mesh=n, cutoff=cutoff, l=system.l,
         bc=system.bc.kind, omega_index=omega_index)
-
-
-def antiperiodic_check_l0(traj: Trajectory, n: int):
-    """Evidence on the two smallest eigenvalues of the half-period
-    antiperiodic channel-2 problem: one should be negative, the other a zero
-    mode whose eigenfunction matches 2 pi cos^2(phi) phi'.  That zero mode
-    is A sin(phi), with A h = sqrt(p) h' as in ``spectral_index``: sin(phi),
-    the coordinate function at Laplace level 2, is antiperiodic over T, and
-    A carries it to channel 2 at level 2 - 2 = 0.
-
-    Returns (lambda_1, lambda_2, correlation), the eigenvalues to within
-    LOCATE_ERR, and decides nothing: the row r = q (omega = -1) of the
-    channel-2 ladder classifies them.
-    """
-    if traj.family.b == 0.0:
-        raise ValidationError("needs a nondegenerate family (b != 0)")
-    system = l0_channel_system(2, traj, "T", BoundaryCondition.antiperiodic())
-    lamR, lam1 = _extrapolated(system.operator, n, _floor(system, n), 0.5,
-                               LOCATE_TOL)
-    if len(lamR) < 2:
-        raise NumericalError("failed to locate the two smallest eigenvalues")
-    op1 = system.operator(n)
-    vec = scalar_eigenfunctions(op1, float(lam1[1]))[0]
-    grid = np.arange(op1.m) * (system.length / n)
-    phi, phid, _ = traj.at(grid)
-    ref = 2.0 * math.pi * np.cos(phi) ** 2 * phid
-    corr = abs(float(vec @ ref)) / (np.linalg.norm(vec) * np.linalg.norm(ref))
-    return float(lamR[0]), float(lamR[1]), corr
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary solutions as functions of t, the closed-length positivity
 sweep of a mode-l block, the half closed length of an even-q family,
+inverse iteration for the eigenfunctions of a scalar operator,
 sign-change counts, the Sturm oscillation ladder and the
 periodic/antiperiodic interlacing pattern."""
 
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from otsuki import edwards, geodesic, spectral
-from otsuki.eigencount import eigenvalues_in, scalar_eigenfunctions
+from otsuki.eigencount import BandOperator, eigenvalues_in
 from otsuki.errors import NumericalError, ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem
 from otsuki.surface import fourier_block_system
@@ -154,6 +155,83 @@ def zero_count(samples, antiperiodic=False):
     flips = int(np.sum(signs[1:] != signs[:-1]))
     last_to_first = signs[-1] != (-signs[0] if antiperiodic else signs[0])
     return flips + int(last_to_first)
+
+
+INVERSE_ITERATIONS = 4
+INVERSE_ITERATION_SEED = 1234
+
+
+def _thomas_band(d, e, rhs):
+    m = len(d)
+    c = [0.0] * m
+    x = [0.0] * m
+    beta = d[0]
+    x[0] = rhs[0] / beta
+    for j in range(1, m):
+        c[j] = e[j - 1] / beta
+        beta = d[j] - e[j - 1] * c[j]
+        x[j] = (rhs[j] - e[j - 1] * x[j - 1]) / beta
+    for j in range(m - 2, -1, -1):
+        x[j] -= c[j + 1] * x[j + 1]
+    return x
+
+
+def _solve_scalar(op: BandOperator, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A - sigma I) x = rhs for a scalar band/cyclic operator."""
+    d = (op.diag - sigma).tolist()
+    e = op.off.tolist()
+    b = rhs.tolist()
+    if not op.cyclic:
+        return np.array(_thomas_band(d, e, b))
+    w = complex(op.wrap_mult[0])
+    if w.imag != 0.0:
+        raise NumericalError("scalar solves support real wrap multipliers only")
+    alpha = op.wrap_off * w.real
+    m = len(d)
+    # rank-one split of the corner entries (Sherman-Morrison)
+    gamma = -d[0] if d[0] != 0.0 else 1.0
+    dmod = list(d)
+    dmod[0] = d[0] - gamma
+    dmod[m - 1] = d[m - 1] - alpha * alpha / gamma
+    y = _thomas_band(dmod, e, b)
+    u = [0.0] * m
+    u[0] = gamma
+    u[m - 1] = alpha
+    z = _thomas_band(dmod, e, u)
+    vy = y[0] + alpha / gamma * y[m - 1]
+    vz = z[0] + alpha / gamma * z[m - 1]
+    fac = vy / (1.0 + vz)
+    return np.array([yj - fac * zj for yj, zj in zip(y, z)])
+
+
+def scalar_eigenfunctions(op: BandOperator, lam: float,
+                          count: int = 1) -> list[np.ndarray]:
+    """Inverse iteration at a converged eigenvalue; returns orthonormal vectors.
+
+    For a (near-)degenerate pair request count=2; the iteration deflates
+    against vectors already found.
+    """
+    if op.dim != 1:
+        raise NumericalError("inverse iteration implemented for scalar operators")
+    rng = np.random.default_rng(INVERSE_ITERATION_SEED)
+    shift = lam + 1e-9 * max(1.0, abs(lam))
+    found: list[np.ndarray] = []
+    for _ in range(count):
+        x = rng.standard_normal(op.m)
+        for v in found:
+            x -= (v @ x) * v
+        for _ in range(INVERSE_ITERATIONS):
+            x = _solve_scalar(op, shift, x)
+            for v in found:
+                x -= (v @ x) * v
+            nrm = np.linalg.norm(x)
+            if not np.isfinite(nrm) or nrm == 0.0:
+                shift += 1e-8 * max(1.0, abs(lam))
+                x = rng.standard_normal(op.m)
+                continue
+            x /= nrm
+        found.append(x)
+    return found
 
 
 def spectrum_with_eigenfunctions(system, cutoff, n):

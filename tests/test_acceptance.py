@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (check_interlacing, half_length_system, oscillation_index,
-                     spectrum_with_eigenfunctions)
+                     scalar_eigenfunctions, spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
                             dirichlet_negative_count, twisted_form)
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
@@ -23,8 +23,7 @@ from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              sample_trajectory, solve_parameter)
 from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
-from otsuki.spectral import (TAU_ZERO, antiperiodic_check_l0,
-                             direct_twisted_counts, ladder_counts,
+from otsuki.spectral import (TAU_ZERO, direct_twisted_counts, ladder_counts,
                              spectral_index, spectrum_below, spectrum_counts)
 from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
 
@@ -204,11 +203,17 @@ def test_criterion_10_oscillation_suite(traj23):
         per = spectrum_below(
             l0_channel_system(2, traj23, "T", BoundaryCondition.periodic()),
             2.0, 1024)
-        anti = spectrum_below(
-            l0_channel_system(2, traj23, "T", BoundaryCondition.antiperiodic()),
-            2.0, 1024)
+        anti_system = l0_channel_system(2, traj23, "T",
+                                        BoundaryCondition.antiperiodic())
+        anti = spectrum_below(anti_system, 2.0, 1024)
         assert check_interlacing(per.eigenvalues, anti.eigenvalues)
-        lam1, lam2, corr = antiperiodic_check_l0(traj23, n=2048)
+        # its zero mode is 2 pi cos^2(phi) phi'
+        lam1, lam2 = anti.eigenvalues[:2]
+        op = anti_system.operator(2048)
+        vec = scalar_eigenfunctions(op, lam2)[0]
+        phi, phid, _ = traj23.at(np.arange(op.m) * (anti_system.length / 2048))
+        ref = 2.0 * math.pi * np.cos(phi) ** 2 * phid
+        corr = abs(vec @ ref) / (np.linalg.norm(vec) * np.linalg.norm(ref))
         assert lam1 < 0
         assert abs(lam2) <= TAU_ZERO
         assert corr > 0.999

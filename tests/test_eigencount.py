@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_system
+from helpers import constant_system, scalar_eigenfunctions
 from otsuki import eigencount
-from otsuki.eigencount import (BandOperator, eigenvalues_in, inertia,
-                                scalar_eigenfunctions)
+from otsuki.eigencount import BandOperator, eigenvalues_in, inertia
 from otsuki.errors import ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.surface import (fourier_block_system, l0_channel_system,

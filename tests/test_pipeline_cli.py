@@ -12,8 +12,9 @@ from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
                              index_bounds, verify_family)
-from otsuki.sl import SLSystem
-from otsuki.spectral import LOCATE_ERR
+from otsuki.geodesic import solve_parameter
+from otsuki.sl import BoundaryCondition, SLSystem
+from otsuki.surface import kernel_fields, kernel_residuals
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +307,50 @@ class TestVerifyBattery:
         names = {r["check"] for r in rows}
         assert "l=0 counts" in names and "route agreement l=1" in names
 
-    def test_antiperiodic_detail_states_location_error(self, verify23):
+    def test_antiperiodic_detail_states_ladder_row_and_residual(self, verify23):
+        traj = family_trajectory(solve_parameter(2, 3), 512)
+        fields = kernel_fields(traj)
+        residual = kernel_residuals(fields, traj)[
+            [f.id for f in fields].index(3)]
         detail = next(r["detail"] for r in verify23
                       if r["check"] == "antiperiodic l=0")
-        assert f"+/- {LOCATE_ERR:.1e}," in detail
+        assert detail == ("channel 2 row r=3 (neg, zero)=(1, 1) "
+                          f"(expect (1, 1)), field 3 residual {residual:.3e}")
+
+    def test_antiperiodic_row_needs_the_zero_mode_residual(self, monkeypatch):
+        original = pipeline.kernel_residuals
+
+        def field3_off(fields, traj):
+            return [1e-3 if f.id == 3 else res
+                    for f, res in zip(fields, original(fields, traj))]
+
+        monkeypatch.setattr(pipeline, "kernel_residuals", field3_off)
+        row = next(r for r in verify_family(2, 3, n=512)
+                   if r["check"] == "antiperiodic l=0")
+        assert not row["ok"]
+        assert row["detail"].startswith("channel 2 row r=3 (neg, zero)=(1, 1) ")
+        assert row["detail"].endswith("field 3 residual 1.000e-03")
+
+    def test_no_second_eigen_solve(self, monkeypatch):
+        # the antiperiodic row reads the ladder and the kernel residuals;
+        # neither builds the antiperiodic system nor lists eigenvalues
+        built, listed = [], []
+        original = spectral.eigenvalues_in
+
+        def antiperiodic(cls):
+            built.append(cls)
+            return cls("antiperiodic")
+
+        def recorded(*args, **kwargs):
+            listed.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(BoundaryCondition, "antiperiodic",
+                            classmethod(antiperiodic))
+        monkeypatch.setattr(spectral, "eigenvalues_in", recorded)
+        rows = verify_family(2, 3, n=512)
+        assert all(r["ok"] for r in rows)
+        assert built == [] and listed == []
 
     def test_frame_orthonormal_on_family59(self):
         # on 5/9 at n = 1024 the cubic interpolant between trajectory nodes
