@@ -376,6 +376,13 @@ class TestAntiperiodicCheck:
         row = ladder_counts(partial(l0_channel_system, 2), traj, 512, 0.0)
         assert row[3363] == (3363, 1, 1)
 
+    def test_reports_without_deciding(self):
+        # at 2378/3363 lambda_1 (about -b^2 = -3.6e-7) lies inside the zero
+        # class; the antiperiodic listing returns it instead of raising
+        traj = sample_trajectory(solve_parameter(2378, 3363), 1024)
+        listed = spectrum_below(_antiperiodic_channel2(traj), 0.5, 512)
+        assert -TAU_ZERO < listed.eigenvalues[0] < 0
+
     def test_eigenvalues_within_stated_error_of_dense(self, traj23):
         # acceptance criterion 10 reads lambda_1 and lambda_2 off this listing
         n = 256
