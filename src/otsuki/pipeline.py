@@ -328,8 +328,8 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     add("endpoint theta(T)=Xi", abs(traj.theta[-1] - family.Xi) < 1e-8,
         f"error {abs(traj.theta[-1] - family.Xi):.3e}")
 
-    # node times k T / n of [0, t0), the values of surface.full_period_grid:
-    # there traj.at returns the samples themselves, not its cubic
+    # node times k T / n of [0, t0), which traj.at folds onto trajectory
+    # nodes: there it returns the samples themselves, not its cubic
     # interpolant, whose O(h^4) error alone can exceed the bound
     rng = np.random.default_rng(7)
     step = family.T / traj.n

@@ -19,14 +19,15 @@ boundary-form ODE alike.  On a grid Q_l is sampled by
 layout of ``SLSystem`` potentials: the builders of the mode-l and mode-0
 systems sample Q_l through it, and p, which the discretization reads
 only at the half nodes, through ``_weight``.  Only ``kernel_residuals``,
-which needs p' from the same sample of (phi, phi'), calls ``_q_entries``
-on a grid itself.  It computes the residual row of ``otsuki verify``:
-one sample of the full-period grid, Q_l once per mode, and one residual
-per distinct separated profile, six for the nine kernel fields.
+which needs p' from the same samples of (phi, phi'), calls ``_q_entries``
+on a grid itself.  It computes the residual row of ``otsuki verify`` on
+the nodes of [0, T), whatever q: Q_l once per mode, and one residual per
+twisted profile, four for the nine kernel fields.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -121,109 +122,107 @@ def separated_coefficients(l: int, traj: Trajectory,
 
 @dataclass(frozen=True)
 class KernelField:
+    """A zero mode: the real (or, with ``imag``, imaginary) part of the
+    profile (h1, h2) on the trajectory nodes of [0, T), continued by
+    h_k(t + T) = multiplier[k] h_k(t) in each channel k."""
     id: int
     l: int
-    grid: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
+    multiplier: tuple
+    imag: bool
     description: str
-
-
-def full_period_grid(traj: Trajectory) -> np.ndarray:
-    """Uniform grid over [0, t0) whose nodes fold exactly onto trajectory nodes."""
-    q = traj.family.rotation.q
-    n = traj.n
-    return np.arange(2 * q * n) * (traj.family.T / n)
 
 
 def kernel_fields(traj: Trajectory) -> list[KernelField]:
     """The nine exact zero modes, reduced to separated (h1, h2, l) form.
 
-    Fields that depend on alpha appear twice (cosine and sine phases share
-    one separated profile, the same h1 and h2 arrays), so the list has
-    nine entries spanning l = 0, 1, 2.
+    As phi(t + T) = -phi(t) and theta(t + T) = theta(t) + p pi / q, each is
+    the real or imaginary part of one of four twisted profiles on [0, T);
+    fields that depend on alpha appear twice (cosine and sine phases), so
+    the list has nine entries spanning l = 0, 1, 2.
     """
-    if traj.family.rotation is None:
+    rot = traj.family.rotation
+    if rot is None:
         raise ValidationError("kernel fields need a closed geodesic (p/q known)")
-    grid = full_period_grid(traj)
-    phi, phid, theta = traj.at(grid)
-    c = traj.family.c
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    ctheta, stheta = np.cos(theta), np.sin(theta)
-    thd = _theta_dot(c, cphi)
-    zero = np.zeros_like(phi)
+    n = traj.n
+    phid = traj.phidot[:n]
+    cphi, sphi = np.cos(traj.phi[:n]), np.sin(traj.phi[:n])
+    turn = np.exp(1j * traj.theta[:n])
+    twist = cmath.exp(1j * math.pi * rot.p / rot.q)
+    thd = _theta_dot(traj.family.c, cphi)
 
     w2 = TWO_PI * cphi ** 2 * phid
-    sc, ss = sphi * ctheta, sphi * stheta
-    pair1 = sc, TWO_PI * cphi * (sc * phid + stheta * cphi * thd)
-    pair2 = ss, TWO_PI * cphi * (ss * phid - ctheta * cphi * thd)
+    doubled = cphi * turn ** 2, np.zeros(n), (twist ** 2, twist ** 2)
+    radial = np.zeros(n), w2, (-1.0, -1.0)
+    pair = (sphi * turn, TWO_PI * cphi * turn * (sphi * phid - 1j * cphi * thd),
+            (-twist, twist))
+    cosine = cphi, w2, (1.0, -1.0)
 
     entries = [
-        (1, 0, cphi * np.sin(2 * theta), zero, "cos(phi) sin(2 theta) in channel 1"),
-        (2, 0, cphi * np.cos(2 * theta), zero, "cos(phi) cos(2 theta) in channel 1"),
-        (3, 0, zero, w2, "2 pi cos^2(phi) phi' in channel 2"),
-        (4, 1, *pair1, "sin(phi) cos(theta) pair, sine phase"),
-        (5, 1, *pair1, "sin(phi) cos(theta) pair, cosine phase"),
-        (6, 1, *pair2, "sin(phi) sin(theta) pair, sine phase"),
-        (7, 1, *pair2, "sin(phi) sin(theta) pair, cosine phase"),
-        (8, 2, cphi, w2, "cos(phi) pair, sine phase"),
-        (9, 2, cphi, w2, "cos(phi) pair, cosine phase"),
+        (1, 0, doubled, True, "cos(phi) sin(2 theta) in channel 1"),
+        (2, 0, doubled, False, "cos(phi) cos(2 theta) in channel 1"),
+        (3, 0, radial, False, "2 pi cos^2(phi) phi' in channel 2"),
+        (4, 1, pair, False, "sin(phi) cos(theta) pair, sine phase"),
+        (5, 1, pair, False, "sin(phi) cos(theta) pair, cosine phase"),
+        (6, 1, pair, True, "sin(phi) sin(theta) pair, sine phase"),
+        (7, 1, pair, True, "sin(phi) sin(theta) pair, cosine phase"),
+        (8, 2, cosine, False, "cos(phi) pair, sine phase"),
+        (9, 2, cosine, False, "cos(phi) pair, cosine phase"),
     ]
-    return [KernelField(id=i, l=l, grid=grid, h1=h1, h2=h2, description=d)
-            for (i, l, h1, h2, d) in entries]
+    return [KernelField(id=i, l=l, h1=h1, h2=h2, multiplier=w, imag=imag,
+                        description=d)
+            for (i, l, (h1, h2, w), imag, d) in entries]
 
 
-def _residual(h1, h2, p, pd, q, coeff_max, h) -> float:
+def _residual(h1, h2, multiplier, p, pd, q, coeff_max, h) -> float:
     """Max residual of the profile (h1, h2) in the system of weight p,
     weight derivative pd and potential rows q = (Q11, Q12, Q22) at
-    lambda = 0, by 4th-order periodic stencils of step h, over coeff_max
-    (the largest of p and |Q|) times the profile's amplitude."""
-    def d1(f):
-        return (-np.roll(f, -2) + 8 * np.roll(f, -1)
-                - 8 * np.roll(f, 1) + np.roll(f, 2)) / (12 * h)
-
-    def d2(f):
-        return (-np.roll(f, -2) + 16 * np.roll(f, -1) - 30 * f
-                + 16 * np.roll(f, 1) - np.roll(f, 2)) / (12 * h * h)
-
+    lambda = 0, by 4th-order stencils of step h over coeff_max (the
+    largest of p and |Q|) times the profile's amplitude.  Two ghost nodes
+    at each end carry each channel's multiplier w: w f_0 and w f_1 past
+    the end, conj(w) f_{n-1} and conj(w) f_{n-2} before the start."""
     q11, q12, q22 = q
-    r1 = -p * d2(h1) - pd * d1(h1) + q11 * h1 + q12 * h2
-    r2 = -p * d2(h2) - pd * d1(h2) + q12 * h1 + q22 * h2
+    worst = 0.0
+    for f, w, coupling in ((h1, multiplier[0], q11 * h1 + q12 * h2),
+                           (h2, multiplier[1], q12 * h1 + q22 * h2)):
+        g = np.concatenate((f[-2:] * np.conj(w), f, f[:2] * w))
+        fm2, fm1, f0, f1, f2 = (g[k:k + len(f)] for k in range(5))
+        d1 = (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
+        d2 = (-f2 + 16 * f1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+        worst = max(worst, np.abs(-p * d2 - pd * d1 + coupling).max())
     amp = max(np.abs(h1).max(), np.abs(h2).max())
-    scale = coeff_max * max(amp, 1e-30)
-    return float(max(np.abs(r1).max(), np.abs(r2).max()) / scale)
+    return float(worst / (coeff_max * max(amp, 1e-30)))
 
 
 def kernel_residuals(fields: list[KernelField], traj: Trajectory) -> list[float]:
-    """The max residual of each field's separated system at lambda = 0,
-    by 4th-order periodic stencils on the fields' one grid; the residual
-    is normalized by the largest coefficient magnitude times the field
-    amplitude, so it is scale free.
-
-    One sample of (phi, phi') on the grid gives p (``_weight``) and p'
-    (``_weight_prime``) for every field, and Q_l (``_q_entries``) for
-    every field of mode l, one mode at a time.  Fields of one mode that
-    share their h1 and h2 arrays (the two phases of a pair in
-    ``kernel_fields``) share one residual.
+    """The scale-free max residual (``_residual``) of each field's
+    separated system at lambda = 0.  The samples (phi, phi') at the nodes
+    of [0, T) give p (``_weight``) and p' (``_weight_prime``) for every
+    field, and Q_l (``_q_entries``) for every field of mode l, one mode at
+    a time.  Fields that share a profile (h1, h2, multiplier) share its
+    residual: for a complex profile, that of the complex zero mode whose
+    parts they are, the same on every half period.
     """
-    grid = fields[0].grid
-    if any(f.grid is not grid for f in fields):
-        raise ValidationError("a residual row needs fields on one grid")
-    h = grid[1] - grid[0]
-    phi, phid, _ = traj.at(grid)
-    cphi, sphi = np.cos(phi), np.sin(phi)
+    n = traj.n
+    if any(len(f.h1) != n or len(f.h2) != n for f in fields):
+        raise ValidationError("a residual row needs fields on the trajectory's nodes")
+    h = traj.family.T / n
+    phid = traj.phidot[:n]
+    cphi, sphi = np.cos(traj.phi[:n]), np.sin(traj.phi[:n])
     p = _weight(cphi)
     pd = _weight_prime(cphi, sphi, phid)
     p_max = p.max()
+    keys = [(f.l, id(f.h1), id(f.h2), f.multiplier) for f in fields]
     residuals = {}
     for l in sorted({f.l for f in fields}):
         q = _q_entries(l, traj.family.c, cphi, sphi, phid)
         coeff_max = max(p_max, max(np.abs(v).max() for v in q))
-        for f in fields:
-            key = f.l, id(f.h1), id(f.h2)
+        for f, key in zip(fields, keys):
             if f.l == l and key not in residuals:
-                residuals[key] = _residual(f.h1, f.h2, p, pd, q, coeff_max, h)
-    return [residuals[f.l, id(f.h1), id(f.h2)] for f in fields]
+                residuals[key] = _residual(f.h1, f.h2, f.multiplier, p, pd, q,
+                                           coeff_max, h)
+    return [residuals[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

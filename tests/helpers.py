@@ -1,7 +1,8 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
-the boundary solutions as functions of t, the closed-length positivity
-sweep of a mode-l block, the half closed length of an even-q family,
+the boundary solutions as functions of t, the nine kernel fields by
+their closed-length formulas, the closed-length positivity sweep of a
+mode-l block, the half closed length of an even-q family,
 inverse iteration for the eigenfunctions of a scalar operator,
 sign-change counts, the Sturm oscillation ladder and the
 periodic/antiperiodic interlacing pattern."""
@@ -118,6 +119,29 @@ def boundary_psi(sols, traj):
         return np.tensordot(sols.coeffs[:, i], Y[:, :2], axes=1)
 
     return psi
+
+
+def full_period_grid(traj):
+    """Uniform grid over [0, t0) whose nodes fold onto trajectory nodes."""
+    return np.arange(2 * traj.family.rotation.q * traj.n) * (traj.family.T / traj.n)
+
+
+def closed_length_fields(traj):
+    """(h1, h2) of the nine kernel fields on ``full_period_grid``, in id
+    order, by their closed-length formulas in (phi, phi', theta) from
+    ``Trajectory.at``: the oracle of the [0, T) profiles of
+    ``surface.kernel_fields``."""
+    phi, phid, theta = traj.at(full_period_grid(traj))
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    ctheta, stheta = np.cos(theta), np.sin(theta)
+    thd = geodesic._theta_dot(traj.family.c, cphi)
+    zero = np.zeros_like(phi)
+    w2 = geodesic.TWO_PI * cphi ** 2 * phid
+    sc, ss = sphi * ctheta, sphi * stheta
+    pair1 = sc, geodesic.TWO_PI * cphi * (sc * phid + stheta * cphi * thd)
+    pair2 = ss, geodesic.TWO_PI * cphi * (ss * phid - ctheta * cphi * thd)
+    return [(cphi * np.sin(2 * theta), zero), (cphi * np.cos(2 * theta), zero),
+            (zero, w2), pair1, pair1, pair2, pair2, (cphi, w2), (cphi, w2)]
 
 
 def closed_length_positive(l, traj, mesh):

@@ -307,6 +307,11 @@ class TestVerifyBattery:
         names = {r["check"] for r in rows}
         assert "l=0 counts" in names and "route agreement l=1" in names
 
+    def test_family70_99_all_pass(self):
+        # 198 half periods: the residual rows stay on [0, T) and pass
+        rows = verify_family(70, 99, n=512)
+        assert all(r["ok"] for r in rows), [r for r in rows if not r["ok"]]
+
     def test_antiperiodic_detail_states_ladder_row_and_residual(self, verify23):
         traj = family_trajectory(solve_parameter(2, 3), 512)
         fields = kernel_fields(traj)

@@ -133,6 +133,30 @@ def test_fundamental_rhs_takes_one_cos_sin_pair():
     assert "_phi_ddot" in seen and "_q_entries" in seen
 
 
+def test_kernel_rows_read_the_half_period_nodes():
+    # the kernel fields are twisted profiles on [0, T), whatever q: no
+    # closed-length grid, and no Trajectory.at in the fields or their
+    # residuals, counted through every package function they call
+    named = [path.name for path in SOURCES
+             if "full_period_grid" in path.read_text()]
+    assert not named, f"sources naming full_period_grid: {named}"
+    defs = {name: fn for path in SOURCES
+            for name, fn in _functions(ast.parse(path.read_text()))}
+    seen, todo, found = set(), ["kernel_fields", "kernel_residuals"], []
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func.rpartition(".")[2] == "at":
+                    found.append(f"{name}: {func}")
+                elif func in defs and func not in seen:
+                    todo.append(func)
+    assert "_residual" in seen and "_q_entries" in seen
+    assert not found, f"Trajectory.at calls: {found}"
+
+
 def _tau_comparisons(tree):
     """(owner, node) of each comparison that names TAU_ZERO, by the
     module-level function or class that holds it."""

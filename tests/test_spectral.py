@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (check_interlacing, closed_length_positive,
-                     constant_system, half_length_system, oscillation_index,
-                     spectrum_with_eigenfunctions, zero_count)
+                     constant_system, full_period_grid, half_length_system,
+                     oscillation_index, spectrum_with_eigenfunctions,
+                     zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
@@ -21,9 +22,8 @@ from otsuki.spectral import (TAU_ZERO, boundary_counts, class_counts,
                              direct_twisted_counts, ladder_counts,
                              spectral_index, spectrum_below, spectrum_counts,
                              verify_high_l_positive)
-from otsuki.surface import (fourier_block_system, full_period_grid,
-                            l0_channel_system, laplace_system,
-                            separated_coefficients)
+from otsuki.surface import (fourier_block_system, l0_channel_system,
+                            laplace_system, separated_coefficients)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import zero_count
+from helpers import closed_length_fields, zero_count
 from otsuki import surface
 from otsuki.errors import ValidationError
 from otsuki.geodesic import Trajectory, sample_trajectory, solve_parameter
@@ -20,21 +21,21 @@ TWO_PI = 2 * math.pi
 
 # kernel_residuals of the nine kernel fields, in kernel_fields order
 PINNED_RESIDUALS = {
-    (2, 3, 171): ["8.293825033526859e-08", "8.132473370767181e-08",
-                  "3.812880903864739e-08", "5.5478093110767487e-08",
-                  "5.5478093110767487e-08", "4.818746863565726e-08",
-                  "4.818746863565726e-08", "2.9749292760543526e-08",
-                  "2.9749292760543526e-08"],
-    (2, 3, 1024): ["8.982383568255627e-11", "8.950131080924031e-11",
-                   "5.4702115105579506e-11", "5.545511438629278e-11",
-                   "5.545511438629278e-11", "4.790698069006186e-11",
-                   "4.790698069006186e-11", "4.2680947511850534e-11",
-                   "4.2680947511850534e-11"],
-    (5, 8, 128): ["5.182446703842769e-06", "5.182446710470435e-06",
-                  "3.0949799214542954e-06", "4.720470072768073e-06",
-                  "4.720470072768073e-06", "4.720470126796593e-06",
-                  "4.720470126796593e-06", "2.880104526195084e-06",
-                  "2.880104526195084e-06"],
+    (2, 3, 171): ["8.132227185715863e-08", "8.132227185715863e-08",
+                  "3.812825152689727e-08", "4.868931804329874e-08",
+                  "4.868931804329874e-08", "4.868931804329874e-08",
+                  "4.868931804329874e-08", "2.974885777238911e-08",
+                  "2.974885777238911e-08"],
+    (2, 3, 1024): ["6.695880827022091e-11", "6.695880827022091e-11",
+                   "3.386380041194245e-11", "3.9804399506661845e-11",
+                   "3.9804399506661845e-11", "3.9804399506661845e-11",
+                   "3.9804399506661845e-11", "2.6421996391625387e-11",
+                   "2.6421996391625387e-11"],
+    (5, 8, 128): ["4.9433438842488465e-06", "4.9433438842488465e-06",
+                  "3.0949798380127736e-06", "4.75984125133621e-06",
+                  "4.75984125133621e-06", "4.75984125133621e-06",
+                  "4.75984125133621e-06", "2.8801044485438504e-06",
+                  "2.8801044485438504e-06"],
 }
 
 
@@ -189,16 +190,47 @@ class TestKernelFields:
         assert len(fields) == 9
         assert sorted(f.l for f in fields) == [0, 0, 0, 1, 1, 1, 1, 2, 2]
 
+    @pytest.mark.parametrize("traj", ["traj23", "traj58"])
+    def test_profiles_continue_to_the_closed_length_fields(self, traj, request):
+        # each [0, T) profile, continued over the 2q half periods by its
+        # multipliers, has the closed-length field as its real or
+        # imaginary part
+        traj = request.getfixturevalue(traj)
+        q = traj.family.rotation.q
+        for f, oracle in zip(kernel_fields(traj), closed_length_fields(traj)):
+            for h, w, want in zip((f.h1, f.h2), f.multiplier, oracle):
+                continued = np.concatenate([w ** k * h for k in range(2 * q)])
+                part = continued.imag if f.imag else continued.real
+                assert np.abs(part - want).max() < 1e-12, f.id
+
+    def test_wrong_twist_is_seen(self, traj23):
+        # the wrap carries the twist: with field 1's multiplier conjugated,
+        # or field 3's sign flip dropped, the profile no longer closes
+        fields = kernel_fields(traj23)
+        f1, f3 = fields[0], fields[2]
+        bad = [replace(f1, multiplier=tuple(np.conj(w) for w in f1.multiplier)),
+               replace(f3, multiplier=(f3.multiplier[0], 1.0))]
+        assert min(kernel_residuals(bad, traj23)) > 1e-3
+
     def test_channel1_field_zero_count(self, fam23):
+        # over [0, T) the cos(2 theta) profile turns one way, and its
+        # multiplier closes the turn; over the 2q half periods it winds
+        # 2p times, so its real part has 4p zeros.  The phi' field is
+        # antiperiodic over T, with one zero per half period: 2q in all
         traj = sample_trajectory(fam23, 1024)
+        p, q = fam23.rotation.p, fam23.rotation.q
         fields = kernel_fields(traj)
         cos2theta = next(f for f in fields if "cos(2 theta)" in f.description)
-        assert zero_count(cos2theta.h1) == 4 * 2          # 4p
+        h = cos2theta.h1
+        steps = np.angle(np.append(h[1:], cos2theta.multiplier[0] * h[0]) / h)
+        assert np.all(steps > 0)
+        assert 2 * q * steps.sum() / TWO_PI == pytest.approx(2 * p, abs=1e-9)
         phidot_field = next(f for f in fields if f.l == 0 and "phi'" in f.description)
-        assert zero_count(phidot_field.h2) == 2 * 3       # 2q
+        assert phidot_field.multiplier[1] == -1.0
+        assert zero_count(phidot_field.h2, antiperiodic=True) == 1
 
     def test_residuals_small(self, fam23):
-        traj = sample_trajectory(fam23, 171)              # ~1026-node full grid
+        traj = sample_trajectory(fam23, 171)
         assert max(kernel_residuals(kernel_fields(traj), traj)) < 1e-6
 
     @pytest.mark.parametrize("p,q", [(5, 8), (5, 9), (7, 10)])
@@ -218,9 +250,7 @@ class TestKernelFields:
     def test_perturbed_field_rejected(self, fam23):
         traj = sample_trajectory(fam23, 171)
         f = kernel_fields(traj)[1]
-        phi = traj.at(f.grid)[0]
-        bad = type(f)(id=f.id, l=f.l, grid=f.grid,
-                      h1=f.h1 + 0.01 * np.cos(phi), h2=f.h2,
+        bad = replace(f, h1=f.h1 + 0.01 * np.cos(traj.phi[:-1]),
                       description="perturbed")
         assert kernel_residuals([bad], traj)[0] > 1e-3
 
@@ -233,12 +263,10 @@ class TestKernelFields:
         assert got == PINNED_RESIDUALS[(p, q, n)]
 
     def test_row_does_its_work_once(self, fam23, monkeypatch):
-        # verify's row at n = 1024 samples the full-period grid once and
-        # computes one residual per distinct profile (fields 4/5, 6/7 and
-        # 8/9 share theirs); its maximum is that of the nine per-field
-        # residuals, each with its own sample and Q_l
+        # verify's row at n = 1024 reads the trajectory nodes, never
+        # Trajectory.at, and computes one residual per profile (fields 1/2,
+        # 4-7 and 8/9 share theirs)
         traj = family_trajectory(fam23, 1024)
-        fields = kernel_fields(traj)
         sampled, residuals = [], []
         at, residual = Trajectory.at, surface._residual
 
@@ -247,32 +275,45 @@ class TestKernelFields:
             return at(self, t)
 
         def recorded_residual(*args):
-            residuals.append(args[:2])
+            residuals.append(args[:3])
             return residual(*args)
 
         monkeypatch.setattr(Trajectory, "at", recorded_at)
         monkeypatch.setattr(surface, "_residual", recorded_residual)
-        row = kernel_residuals(fields, traj)
-        assert len(sampled) == 1 and sampled[0] is fields[0].grid
-        assert len(residuals) == 6
-        assert row[3::2] == row[4::2]
-        assert repr(max(row)) == "2.497148315352991e-10"
+        row = kernel_residuals(kernel_fields(traj), traj)
+        assert not sampled
+        assert len(residuals) == 4
+        assert row[1] == row[0] and row[4:7] == [row[3]] * 3 and row[8] == row[7]
+        assert repr(max(row)) == "5.882980117259198e-11"
 
     def test_row_refuses_mixed_grids(self, fam23):
+        # fields sampled on another trajectory's nodes do not fit this one
         fields = kernel_fields(sample_trajectory(fam23, 171))
         traj = sample_trajectory(fam23, 172)
         with pytest.raises(ValidationError):
             kernel_residuals(fields[:1] + kernel_fields(traj)[1:], traj)
 
+    def test_row_stays_on_the_half_period(self):
+        # near sqrt(2)/2 the closed length holds 2q half periods; the row's
+        # arrays hold traj.n entries and it adds no sample to the trajectory
+        traj = family_trajectory(solve_parameter(70, 99), 512)
+        keys = set(traj._samples)
+        fields = kernel_fields(traj)
+        assert all(len(h) == traj.n for f in fields for h in (f.h1, f.h2))
+        kernel_residuals(fields, traj)
+        assert set(traj._samples) == keys
+
     def test_l2_field_satisfies_unit_twist(self, fam23):
         # the mode-2 projection is invariant under the half-period shift in
-        # channel 1 and flips in channel 2
+        # channel 1 and flips in channel 2: its multipliers carry the
+        # profile on [0, T) onto the samples one half period later
         traj = sample_trajectory(fam23, 512)
         f = next(f for f in kernel_fields(traj) if f.l == 2)
-        n = 512
-        h1, h2 = f.h1, f.h2
-        assert np.abs(h1[n:2 * n] - h1[:n]).max() < 1e-10
-        assert np.abs(h2[n:2 * n] + h2[:n]).max() < 1e-10
+        assert f.multiplier == (1.0, -1.0)
+        phi, phid, _ = traj.at(traj.family.T + traj.grid[:-1])
+        w1, w2 = f.multiplier
+        assert np.abs(np.cos(phi) - w1 * f.h1).max() < 1e-10
+        assert np.abs(TWO_PI * np.cos(phi) ** 2 * phid - w2 * f.h2).max() < 1e-10
 
 
 class TestLaplaceSystem:
