@@ -10,6 +10,8 @@ nullity.  The determinant of the restricted form is a quadratic
 polynomial in s = Re(omega) whose roots mark the twists carrying zero
 modes.  The method needs the Dirichlet problem to be nondegenerate,
 which ``boundary_solutions`` checks once per mode before integrating.
+The four solutions are integrated by the package's own DOP853 stepper,
+``ode.solve_ivp``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError, ValidationError)
 from .geodesic import Trajectory, _phi_ddot
+from .ode import solve_ivp
 from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import LOCATE_TOL, TAU_ZERO, spectrum_counts
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
@@ -39,12 +42,6 @@ FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
 ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
 # the constant entries of the fundamental system's matrix A: [[0, 0], [I, 0]]
 _A_CONSTANT = np.eye(4, k=-2)
-
-
-def solve_ivp(*args, **kwargs):
-    """Import scipy here: it is most of ``import otsuki``, and only this route integrates."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,12 @@ def _fundamental_rhs(y, l, c):
     gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]].  The system is
     autonomous, since the geodesic rides along in the state.
 
-    It runs once per integrator stage, so the coefficients are taken on
-    Python floats from one cos/sin pair, and A is filled into a copy of
-    its constant entries.  Y A stays the BLAS product ``np.matmul``: a
-    hand-written 4x4 product rounds differently (OpenBLAS fuses
-    multiply-adds), and the boundary forms would move in the last bit.
+    It runs once per stage of the DOP853 stepper (12 per step), so the
+    coefficients are taken on Python floats from one cos/sin pair, and A
+    is filled into a copy of its constant entries.  Y A stays the BLAS
+    product ``np.matmul``: a hand-written 4x4 product rounds differently
+    (OpenBLAS fuses multiply-adds), and the boundary forms would move in
+    the last bit.
     """
     phi, phid = y[:2].tolist()
     cphi, sphi = math.cos(phi), math.sin(phi)
@@ -149,10 +147,10 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     fam = traj.family
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     sol = solve_ivp(lambda t, y: _fundamental_rhs(y, l, fam.c), (0.0, fam.T),
-                    y0, method="DOP853", rtol=ODE_RTOL, atol=1e-12)
+                    y0, rtol=ODE_RTOL, atol=1e-12)
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
-    yT = sol.y[:, -1]
+    yT = sol.y
     YT = yT[2:].reshape(4, 4)
     U, Ud = YT[:, :2].T, YT[:, 2:].T        # columns u_k(T), u_k'(T)
 

@@ -1,8 +1,9 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
-the boundary solutions as functions of t, the nine kernel fields by
-their closed-length formulas, the closed-length positivity sweep of a
-mode-l block, the half closed length of an even-q family,
+the boundary solutions as functions of t (scipy's DOP853 interpolant),
+the nine kernel fields by their closed-length formulas, the
+closed-length positivity sweep of a mode-l block, the half closed length
+of an even-q family,
 inverse iteration for the eigenfunctions of a scalar operator,
 sign-change counts, the Sturm oscillation ladder and the
 periodic/antiperiodic interlacing pattern."""
@@ -11,6 +12,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from otsuki import edwards, geodesic, spectral
 from otsuki.eigencount import BandOperator, eigenvalues_in
@@ -106,10 +108,12 @@ def rk4_samples(family, n, steps):
 def boundary_psi(sols, traj):
     """psi(i, t), the values of psi_i (boundary data e_i) of
     ``edwards.boundary_solutions`` at times t, shape (2, len(t)): the same
-    DOP853 integration again, with its dense interpolant."""
+    DOP853 integration again, by scipy, whose steps the package's stepper
+    takes bit for bit, for its dense interpolant."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     fam = traj.family
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-    sol = edwards.solve_ivp(
+    sol = solve_ivp(
         lambda t, y: edwards._fundamental_rhs(y, sols.l, fam.c), (0.0, fam.T),
         y0, method="DOP853", rtol=edwards.ODE_RTOL, atol=1e-12,
         dense_output=True)

@@ -14,7 +14,8 @@ from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             dirichlet_negative_count, gram_matrix,
                             roots_of_unity_ladder, twisted_counts, twisted_form)
 from otsuki.errors import (AmbiguousClassificationError,
-                           EdwardsInapplicableError, ValidationError)
+                           EdwardsInapplicableError, NumericalError,
+                           ValidationError)
 from otsuki.eigencount import eigenvalues_in
 from otsuki.geodesic import solve_parameter
 from otsuki.pipeline import compute_index, family_trajectory
@@ -140,6 +141,65 @@ class TestFundamentalSolutions:
     def test_condition_recorded(self, traj23):
         sols = boundary_solutions(2, traj23, n=2048)
         assert 1.0 <= sols.condition < 1e10
+
+
+def _nan_from(t_nan):
+    """y' = -y, until a right-hand side that is NaN from t_nan on."""
+    return lambda t, y: -y if t < t_nan else np.full_like(y, np.nan)
+
+
+class TestStepper:
+    """``edwards.solve_ivp`` against scipy's DOP853, its oracle."""
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("p,q", [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3),
+                                     (7, 10), (12, 17), (70, 99), (10, 19)])
+    def test_steps_match_scipy(self, p, q, l):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        fam = solve_parameter(p, q)
+        y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
+
+        def rhs(t, y):
+            return edwards._fundamental_rhs(y, l, fam.c)
+
+        want = solve_ivp(rhs, (0.0, fam.T), y0, method="DOP853",
+                         rtol=edwards.ODE_RTOL, atol=1e-12)
+        got = edwards.solve_ivp(rhs, (0.0, fam.T), y0, rtol=edwards.ODE_RTOL,
+                                atol=1e-12)
+        assert want.success and got.success
+        assert np.array_equal(got.y, want.y[:, -1])
+        assert got.nfev == want.nfev
+
+    def test_nan_fails_as_scipy_does(self):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        y0 = np.array([1.0, 2.0])
+        want = solve_ivp(_nan_from(0.5), (0.0, 1.0), y0, method="DOP853",
+                         rtol=edwards.ODE_RTOL, atol=1e-12)
+        got = edwards.solve_ivp(_nan_from(0.5), (0.0, 1.0), y0,
+                                rtol=edwards.ODE_RTOL, atol=1e-12)
+        assert not want.success and not got.success
+        assert got.message == want.message
+        assert got.nfev == want.nfev
+        assert np.array_equal(got.y, want.y[:, -1])
+
+    def test_forward_only(self):
+        with pytest.raises(ValidationError, match="forward"):
+            edwards.solve_ivp(_nan_from(0.5), (1.0, 0.0), np.ones(2),
+                              rtol=edwards.ODE_RTOL, atol=1e-12)
+
+    def test_failed_integration_raises(self, traj23, monkeypatch):
+        rhs = edwards._fundamental_rhs
+        calls = []
+
+        def nan_after_40(y, l, c):
+            calls.append(1)
+            out = rhs(y, l, c)
+            return out if len(calls) <= 40 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40)
+        with pytest.raises(NumericalError,
+                           match="integration failed: Required step size"):
+            boundary_solutions(1, traj23, n=512)
 
 
 class TestGramMatrix:

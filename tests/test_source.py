@@ -327,14 +327,44 @@ def test_index_cache_hit_leaves_scipy_unloaded(tmp_path):
     argv = ["index", "--p", "2", "--q", "3", "--n", "512",
             "--cache-dir", str(tmp_path)]
     miss = _cli(*argv)
-    assert miss["code"] == 0 and "scipy.integrate" in miss["scipy"]
+    assert miss == {"code": 0, "scipy": []}
     assert len(list(tmp_path.iterdir())) == 1
     assert _cli(*argv) == {"code": 0, "scipy": []}
 
 
-def test_boundary_form_loads_scipy():
+# the boundary-form route integrates with the package's own DOP853 stepper,
+# so computing an index loads no scipy (the miss above runs --method both)
+def test_index_edwards_leaves_scipy_unloaded():
+    assert _cli("index", "--p", "2", "--q", "3", "--n", "512", "--method",
+                "edwards", "--no-cache") == {"code": 0, "scipy": []}
+
+
+def test_verify_leaves_scipy_unloaded():
+    assert _cli("verify", "--p", "2", "--q", "3", "--n", "512") == \
+        {"code": 0, "scipy": []}
+
+
+def test_boundary_form_leaves_scipy_unloaded():
     got = _probe("from otsuki.edwards import boundary_form\n"
                  "from otsuki.geodesic import sample_trajectory, solve_parameter",
                  "boundary_form(1, sample_trajectory(solve_parameter(2, 3), 1024),"
                  " n=2048)")
-    assert "scipy.integrate" in got["scipy"]
+    assert got == {"code": 0, "scipy": []}
+
+
+def test_no_source_imports_scipy():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call):
+                names = [a.value for a in node.args
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            else:
+                continue
+            found += [f"{path.name}: line {node.lineno}: {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert not found, f"scipy imports under src/otsuki: {found}"
