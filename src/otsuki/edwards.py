@@ -104,33 +104,31 @@ class BoundarySolutions:
     p_ends: tuple
 
 
-def _fundamental_rhs(y, l, c):
-    """The derivative of the geodesic (phi, phi') and of the four
-    solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
+def _fundamental_rhs(y, out, l, c, A):
+    """Write into out the derivative of the geodesic (phi, phi') and of the
+    four solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
     gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]].  The system is
     autonomous, since the geodesic rides along in the state.
 
-    It runs once per stage of the DOP853 stepper (12 per step), so the
-    coefficients are taken on Python floats from one cos/sin pair, and A
-    is filled into a copy of its constant entries.  Y A stays the BLAS
-    product ``np.matmul``: a hand-written 4x4 product rounds differently
-    (OpenBLAS fuses multiply-adds), and the boundary forms would move in
-    the last bit.
+    It runs once per stage of the DOP853 stepper (12 per step), so it
+    allocates no array: the coefficients are taken on Python floats from
+    one cos/sin pair, and fill the variable entries of A, a copy of
+    ``_A_CONSTANT`` kept for one integration.  Y A is ``np.dot`` into the
+    rows of out, the same BLAS dgemm that ``np.matmul`` issues: a
+    hand-written 4x4 product rounds differently (OpenBLAS fuses
+    multiply-adds), and the boundary forms would move in the last bit.
     """
     phi, phid = y[:2].tolist()
     cphi, sphi = math.cos(phi), math.sin(phi)
     p = _weight(cphi)
     q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
     damp = -_weight_prime(cphi, sphi, phid) / p
-    A = _A_CONSTANT.copy()
     A[0, 2] = q11 / p
     A[0, 3] = A[1, 2] = q12 / p
     A[1, 3] = q22 / p
     A[2, 2] = A[3, 3] = damp
-    out = np.empty(18)
     out[0], out[1] = phid, _phi_ddot(c, cphi, sphi, phid)
-    np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
-    return out
+    np.dot(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
 
 
 def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
@@ -146,8 +144,9 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
 
     fam = traj.family
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-    sol = solve_ivp(lambda t, y: _fundamental_rhs(y, l, fam.c), (0.0, fam.T),
-                    y0, rtol=ODE_RTOL, atol=1e-12)
+    c, A = fam.c, _A_CONSTANT.copy()
+    sol = solve_ivp(lambda t, y, out: _fundamental_rhs(y, out, l, c, A),
+                    (0.0, fam.T), y0, rtol=ODE_RTOL, atol=1e-12)
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
     yT = sol.y

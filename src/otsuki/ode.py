@@ -3,10 +3,17 @@ Prince, for the fundamental solutions of the boundary-form route.
 
 It takes the steps of scipy's ``solve_ivp(method="DOP853")`` bit for bit:
 the same tableau, initial step, step-size control and error norm, each
-written as the same numpy expression in the same order.  ``np.dot`` goes
+made of the same IEEE operations in the same order.  ``np.dot`` goes
 through BLAS, and a sum written out by hand would round differently.  It
 supports only what that route asks for: forward in time, a scalar
 ``atol``, and the state at the end of the interval.
+
+The right-hand side is called as ``fun(t, y, out)`` and writes f(t, y)
+into out, which is the stage's row of the stage array K.  A stage sum is
+``np.dot(K[:s].T, a, out=dy); dy *= h; np.add(y, dy, out=ys)``, the same
+gemv, products and sums as scipy's ``y + np.dot(K[:s].T, a) * h``, into
+buffers made once per integration, so no stage allocates an array.  Step
+control runs on Python floats.
 
 The coefficients are those of Hairer, Norsett and Wanner, Solving
 Ordinary Differential Equations I, Sec. II.10, as scipy's
@@ -18,6 +25,7 @@ the dense output.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +40,7 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _REACHED_END = "The solver successfully reached the end of the integration interval."
 
 # the stage times c_s, s = 0..11
-_C = np.array([
+_C = (
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -44,7 +52,7 @@ _C = np.array([
     0.651282051282051282051282051282,
     0.6,
     0.857142857142857142857142857142,
-    1.0])
+    1.0)
 
 # row s - 1 holds a_sj, j = 0..s-1: the weights of the earlier stages in
 # stage s = 1..11
@@ -114,9 +122,10 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol, f1):
     """A first step from one trial Euler step (Hairer, Norsett and Wanner,
-    Sec. II.4), sized for the order-7 error estimator."""
+    Sec. II.4), sized for the order-7 error estimator.  f at the trial
+    point is written into f1."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -127,65 +136,57 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    fun(t0 + h0, y1, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One step of length h from (t, y), where fun(t, y) = f.  The 12
-    stages and f at the new point fill the rows of K."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(_A, _C[1:]), start=1):
-        dy = np.dot(K[:s].T, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
-
-
-def _error_norm(K, h, scale):
+def _error_norm(KT, h, scale, err):
     """The RMS norm, in units of scale, of the step's error estimate: the
-    order-5 error, damped where the order-3 error is much larger."""
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    order-5 error, damped where the order-3 error is much larger.  KT is
+    K.T; err is overwritten."""
+    np.dot(KT, _E5, out=err)
+    err /= scale
+    err5_norm_2 = np.linalg.norm(err) ** 2
+    np.dot(KT, _E3, out=err)
+    err /= scale
+    err3_norm_2 = np.linalg.norm(err) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
-    """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1].
+    """Integrate y' = f(t, y) from t_span[0] forward to t_span[1], where
+    ``fun(t, y, out)`` writes f(t, y) into out.
 
     Keeps each step's error estimate below atol + rtol |y|, like scipy's
-    ``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol)``,
+    ``solve_ivp(f, t_span, y0, method="DOP853", rtol=rtol, atol=atol)``,
     and returns its end state.  A step that would have to be shorter than
-    ten ulps of t ends the integration with ``success`` False.
+    ten ulps of t ends the integration with ``success`` False.  fun must
+    write every entry of out and nothing else.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValidationError(f"integrates forward only, got t_span {t_span}")
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
-    y = np.asarray(y0, dtype=float)
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, t_bound, f, rtol, atol)
+    y = np.array(y0, dtype=float)
+    y_new = np.empty_like(y)
+    # the stage state and its increment, the error scale and estimate
+    ys, dy, scale, err = np.empty((4, y.size))
+    # K[0] is f at (t, y), K[1:12] the stages and K[12] f at (t + h, y_new)
     K = np.empty((len(_C) + 1, y.size))
+    stages = [(K[:s].T, a, c, K[s])
+              for s, (a, c) in enumerate(zip(_A, _C[1:]), start=1)]
+    fun(t, y, K[0])
+    h_abs = _initial_step(fun, t, y, t_bound, K[0], rtol, atol, K[1])
+    nfev = 2
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -194,10 +195,23 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
                 return OdeResult(y, nfev, False, _TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(rhs, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            h_abs = abs(h)
+            for K_s, a, c, k in stages:
+                np.dot(K_s, a, out=dy)
+                dy *= h
+                np.add(y, dy, out=ys)
+                fun(t + c * h, ys, k)
+            np.dot(K[:-1].T, _B, out=dy)
+            dy *= h
+            np.add(y, dy, out=y_new)
+            fun(t + h, y_new, K[-1])
+            nfev += 12
+            np.abs(y, out=err)
+            np.abs(y_new, out=scale)
+            np.maximum(err, scale, out=scale)
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(K.T, h, scale, err)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -208,7 +222,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
+            # a retry starts again from K[0], which no attempt overwrites
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t = t_new
+        y, y_new = y_new, y
+        K[0] = K[-1]
     return OdeResult(y, nfev, True, _REACHED_END)

@@ -37,6 +37,9 @@ from .errors import ValidationError
 from .geodesic import FOUR_PI2, TWO_PI, Trajectory, _theta_dot
 from .sl import BoundaryCondition, SLSystem
 
+_EIGHT_PI2 = 8.0 * math.pi ** 2
+_FOUR_PI = 4.0 * math.pi
+
 
 def _weight(cphi):
     """The weight p = 4 pi^2 cos^2(phi) of the separated systems."""
@@ -45,7 +48,7 @@ def _weight(cphi):
 
 def _weight_prime(cphi, sphi, phid):
     """Exact derivative of the weight, p'(t) = -8 pi^2 cos(phi) sin(phi) phi'."""
-    return -8.0 * math.pi ** 2 * cphi * sphi * phid
+    return -_EIGHT_PI2 * cphi * sphi * phid
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def frame(alpha: float, t: float, traj: Trajectory) -> FramePoint:
 def _weingarten(c: float, cphi, sphi):
     """Diagonal entries (a11, a22) of the squared-shape operator in the
     normal frame, at latitude phi on the geodesic of momentum c."""
-    a11 = 8.0 * math.pi ** 2 * cphi ** 2 * _theta_dot(c, cphi) ** 2
+    a11 = _EIGHT_PI2 * cphi ** 2 * _theta_dot(c, cphi) ** 2
     return a11, sphi ** 2 * a11
 
 
@@ -100,7 +103,7 @@ def _q_entries(l: int, c: float, cphi, sphi, phid):
     a11, a22 = _weingarten(c, cphi, sphi)
     q11 = base - a11
     q22 = base - a22
-    q12 = -4.0 * math.pi * l * phid / cphi
+    q12 = -_FOUR_PI * l * phid / cphi
     return q11, q12, q22
 
 

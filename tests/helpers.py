@@ -1,6 +1,7 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
-the boundary solutions as functions of t (scipy's DOP853 interpolant),
+the boundary-form ODE right-hand side as a function that returns a new
+array, the boundary solutions as functions of t (scipy's DOP853 interpolant),
 the nine kernel fields by their closed-length formulas, the
 closed-length positivity sweep of a mode-l block, the half closed length
 of an even-q family,
@@ -18,7 +19,8 @@ from otsuki import edwards, geodesic, spectral
 from otsuki.eigencount import BandOperator, eigenvalues_in
 from otsuki.errors import NumericalError, ValidationError
 from otsuki.sl import BoundaryCondition, SLSystem
-from otsuki.surface import fourier_block_system
+from otsuki.surface import (_q_entries, _weight, _weight_prime,
+                            fourier_block_system)
 
 ZERO_FLOOR_REL = 1e-8       # samples below this fraction of the max count as 0
 INTERLACING_SLACK = 1e-8
@@ -105,6 +107,43 @@ def rk4_samples(family, n, steps):
     return out
 
 
+def fundamental_rhs_matmul(y, l, c):
+    """``edwards._fundamental_rhs`` as it was before it wrote in place: a
+    new A and a new result per call, and Y A through ``np.matmul``.  The
+    bit oracle of the in-place right-hand side."""
+    phi, phid = y[:2].tolist()
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    p = _weight(cphi)
+    q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
+    damp = -_weight_prime(cphi, sphi, phid) / p
+    A = edwards._A_CONSTANT.copy()
+    A[0, 2] = q11 / p
+    A[0, 3] = A[1, 2] = q12 / p
+    A[1, 3] = q22 / p
+    A[2, 2] = A[3, 3] = damp
+    out = np.empty(18)
+    out[0], out[1] = phid, geodesic._phi_ddot(c, cphi, sphi, phid)
+    np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
+    return out
+
+
+def returning(fun):
+    """fun(t, y, out), which writes f(t, y) into out, as the f(t, y) that
+    returns a new array, which scipy's ``solve_ivp`` calls."""
+    def f(t, y):
+        out = np.empty_like(y)
+        fun(t, y, out)
+        return out
+    return f
+
+
+def fundamental_rhs(l, c):
+    """The right-hand side that ``edwards.boundary_solutions`` integrates
+    for mode l of the family of momentum c, as fun(t, y, out)."""
+    A = edwards._A_CONSTANT.copy()
+    return lambda t, y, out: edwards._fundamental_rhs(y, out, l, c, A)
+
+
 def boundary_psi(sols, traj):
     """psi(i, t), the values of psi_i (boundary data e_i) of
     ``edwards.boundary_solutions`` at times t, shape (2, len(t)): the same
@@ -114,7 +153,7 @@ def boundary_psi(sols, traj):
     fam = traj.family
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     sol = solve_ivp(
-        lambda t, y: edwards._fundamental_rhs(y, sols.l, fam.c), (0.0, fam.T),
+        returning(fundamental_rhs(sols.l, fam.c)), (0.0, fam.T),
         y0, method="DOP853", rtol=edwards.ODE_RTOL, atol=1e-12,
         dense_output=True)
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import boundary_psi
+from helpers import (boundary_psi, fundamental_rhs, fundamental_rhs_matmul,
+                     returning)
 from otsuki import edwards, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
@@ -63,6 +64,11 @@ PINNED_FORMS = {
         "4.852080601949769", "-0.011913809985344415", "-11.75144466377209",
         "11.763358461357043", "-987.3716710452322", "0.9999999989469021"],
 }
+
+# right-hand-side evaluations of the mode-l integration, as scipy's DOP853
+# counts them (TestStepper)
+PINNED_NFEV = {(2, 3, 1): 530, (2, 3, 2): 518, (5, 9, 1): 1070,
+               (5, 9, 2): 1094}
 
 
 def _clifford_A1(s):
@@ -123,7 +129,8 @@ class TestFundamentalSolutions:
         # that sample them on grids, each called once per evaluation
         y = np.concatenate(([0.5 * fam23.b, 0.3],
                             np.random.default_rng(2).normal(size=16)))
-        want = edwards._fundamental_rhs(y, 2, fam23.c)
+        rhs = returning(fundamental_rhs(2, fam23.c))
+        want = rhs(0.0, y)
         calls = []
         for name in ("_weight", "_weight_prime", "_q_entries"):
             home = getattr(surface, name)
@@ -134,9 +141,29 @@ class TestFundamentalSolutions:
                 return home(*args)
 
             monkeypatch.setattr(edwards, name, recorded)
-        got = edwards._fundamental_rhs(y, 2, fam23.c)
+        got = rhs(0.0, y)
         assert sorted(calls) == ["_q_entries", "_weight", "_weight_prime"]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    def test_rhs_writes_the_bits_of_matmul(self, p, q, l):
+        # into its own row of a stage array, and there only, the in-place
+        # right-hand side writes what a new A and np.matmul return, to the
+        # bit, with one A kept across the calls as an integration keeps it
+        fam = solve_parameter(p, q)
+        rng = np.random.default_rng(100 * p + 10 * q + l)
+        A = edwards._A_CONSTANT.copy()
+        for _ in range(200):
+            y = np.concatenate(([rng.uniform(-1.0, 1.0) * fam.b, rng.normal()],
+                                rng.normal(size=16)))
+            K = rng.normal(size=(13, 18))
+            before = K.copy()
+            s = rng.integers(13)
+            edwards._fundamental_rhs(y, K[s], l, fam.c, A)
+            assert np.array_equal(K[s], fundamental_rhs_matmul(y, l, fam.c))
+            others = np.arange(13) != s
+            assert np.array_equal(K[others], before[others])
 
     def test_condition_recorded(self, traj23):
         sols = boundary_solutions(2, traj23, n=2048)
@@ -144,8 +171,14 @@ class TestFundamentalSolutions:
 
 
 def _nan_from(t_nan):
-    """y' = -y, until a right-hand side that is NaN from t_nan on."""
-    return lambda t, y: -y if t < t_nan else np.full_like(y, np.nan)
+    """y' = -y, until a right-hand side that is NaN from t_nan on, as
+    fun(t, y, out)."""
+    def fun(t, y, out):
+        if t < t_nan:
+            np.negative(y, out=out)
+        else:
+            out.fill(np.nan)
+    return fun
 
 
 class TestStepper:
@@ -158,11 +191,8 @@ class TestStepper:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         fam = solve_parameter(p, q)
         y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-
-        def rhs(t, y):
-            return edwards._fundamental_rhs(y, l, fam.c)
-
-        want = solve_ivp(rhs, (0.0, fam.T), y0, method="DOP853",
+        rhs = fundamental_rhs(l, fam.c)
+        want = solve_ivp(returning(rhs), (0.0, fam.T), y0, method="DOP853",
                          rtol=edwards.ODE_RTOL, atol=1e-12)
         got = edwards.solve_ivp(rhs, (0.0, fam.T), y0, rtol=edwards.ODE_RTOL,
                                 atol=1e-12)
@@ -173,8 +203,8 @@ class TestStepper:
     def test_nan_fails_as_scipy_does(self):
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         y0 = np.array([1.0, 2.0])
-        want = solve_ivp(_nan_from(0.5), (0.0, 1.0), y0, method="DOP853",
-                         rtol=edwards.ODE_RTOL, atol=1e-12)
+        want = solve_ivp(returning(_nan_from(0.5)), (0.0, 1.0), y0,
+                         method="DOP853", rtol=edwards.ODE_RTOL, atol=1e-12)
         got = edwards.solve_ivp(_nan_from(0.5), (0.0, 1.0), y0,
                                 rtol=edwards.ODE_RTOL, atol=1e-12)
         assert not want.success and not got.success
@@ -191,10 +221,11 @@ class TestStepper:
         rhs = edwards._fundamental_rhs
         calls = []
 
-        def nan_after_40(y, l, c):
+        def nan_after_40(y, out, l, c, A):
             calls.append(1)
-            out = rhs(y, l, c)
-            return out if len(calls) <= 40 else np.full_like(out, np.nan)
+            rhs(y, out, l, c, A)
+            if len(calls) > 40:
+                out.fill(np.nan)
 
         monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40)
         with pytest.raises(NumericalError,
@@ -240,6 +271,22 @@ class TestPinnedForms:
         got = [repr(float(v)) for v in data.a.ravel()]
         got += [repr(float(v)) for v in data.poly.coeffs + data.poly.roots]
         assert got == PINNED_FORMS[(p, q, l)]
+
+    @pytest.mark.parametrize("p,q,l", sorted(PINNED_NFEV))
+    def test_step_count_pinned(self, p, q, l, monkeypatch):
+        # the step count of TestStepper's scipy oracle, read through the
+        # binding perfbench reads, so that it is checked without scipy
+        solve_ivp, seen = edwards.solve_ivp, []
+
+        def counted(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            seen.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(edwards, "solve_ivp", counted)
+        boundary_solutions(l, family_trajectory(solve_parameter(p, q), 512),
+                           n=512)
+        assert seen == [PINNED_NFEV[(p, q, l)]]
 
 
 class TestTwistedForm:

@@ -1,6 +1,7 @@
 """Checks over the package source itself."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import json
@@ -87,30 +88,52 @@ def test_sweep_loops_take_logs_only_for_log_det():
     assert not found, f"log() in a sweep loop outside a logdet branch: {found}"
 
 
-def test_fundamental_rhs_calls_nothing_traced():
-    # perfbench records a span for every call of a public package function,
-    # and the ODE right-hand side runs once per integrator stage: it calls
-    # only private helpers, math and numpy functions and array methods
+def _calls_the_tracer_may_wrap(tree, allowed=()):
+    """(calls, found): the calls under tree, and those of them that are
+    not to a private name, a name in allowed, a math or numpy function or
+    an array method."""
     import math
 
     import numpy as np
 
-    path = next(p for p in SOURCES if p.name == "edwards.py")
-    fn = dict(_functions(ast.parse(path.read_text())))["_fundamental_rhs"]
     modules = {"math": math, "np": np}
     calls, found = 0, []
-    for node in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+    for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
         calls += 1
         func = node.func
         if isinstance(func, ast.Name):
-            ok = func.id.startswith("_")
+            ok = func.id.startswith("_") or func.id in allowed
         elif isinstance(func.value, ast.Name) and func.value.id in modules:
             ok = hasattr(modules[func.value.id], func.attr)
         else:
             ok = hasattr(np.ndarray, func.attr)
         if not ok:
             found.append(f"line {node.lineno}: {ast.unparse(func)}")
+    return calls, found
+
+
+def test_fundamental_rhs_calls_nothing_traced():
+    # perfbench records a span for every call of a public package function,
+    # and the ODE right-hand side runs once per integrator stage: it calls
+    # only private helpers, math and numpy functions and array methods
+    path = next(p for p in SOURCES if p.name == "edwards.py")
+    fn = dict(_functions(ast.parse(path.read_text())))["_fundamental_rhs"]
+    calls, found = _calls_the_tracer_may_wrap(fn)
     assert calls, "no call found in _fundamental_rhs"
+    assert not found, f"calls the tracer may wrap: {found}"
+    # nor does the stepper's step loop, which holds the stage loop: about
+    # 8800 stages in one pass of the q <= 10 Edwards sweep.  It may also
+    # call builtins, which no tracer wraps, the right-hand side fun, and
+    # OdeResult, a class, on the return after a failed step
+    path = next(p for p in SOURCES if p.name == "ode.py")
+    fn = dict(_functions(ast.parse(path.read_text())))["solve_ivp"]
+    loop = next(n for n in fn.body if isinstance(n, ast.While))
+    stages = [n for n in ast.walk(loop) if isinstance(n, ast.For)]
+    assert stages and any(
+        isinstance(n, ast.Call) and ast.unparse(n.func) == "fun"
+        for n in ast.walk(stages[0])), "no stage loop calling fun found"
+    _, found = _calls_the_tracer_may_wrap(
+        loop, {"fun", "OdeResult", *dir(builtins)})
     assert not found, f"calls the tracer may wrap: {found}"
 
 
