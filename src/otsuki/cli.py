@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands mirror the computation stages: ``geodesic`` (solve for the
-family), ``spectrum`` (one discretized problem), ``edwards`` (boundary
+family), ``spectrum`` (one mode's spectrum), ``edwards`` (boundary
 form data), ``index`` (the full report), ``verify`` (invariant battery),
 ``sweep`` (batch of families).  JSON goes to stdout unless --json-out is
 given.  Exit codes: 0 success, 1 validation problem, a file (the cache
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import jsonio
 from .errors import NumericalError, ValidationError
@@ -24,7 +25,7 @@ from .pipeline import (cache_dir_path, cache_load, cache_store, compute_index,
                        verify_family)
 from .edwards import aggregate_roots, boundary_form
 from .sl import BoundaryCondition, roots_of_unity_ladder
-from .spectral import spectrum_below
+from .spectral import SpectrumSummary, spectrum_below
 from .surface import fourier_block_system, l0_channel_system
 
 
@@ -69,14 +70,14 @@ def build_parser() -> Parser:
                    help="also sample the trajectory on n intervals")
     g.add_argument("--json-out", default=None)
 
-    s = subs.add_parser("spectrum", help="solve one Sturm-Liouville problem")
+    s = subs.add_parser("spectrum", help="one mode's spectrum below a cutoff")
     _family_args(s)
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--bc", default="periodic",
                    choices=["periodic", "antiperiodic", "dirichlet", "twisted"])
     s.add_argument("--omega-index", type=int, default=None)
     s.add_argument("--channel", type=int, default=None, choices=[1, 2])
-    s.add_argument("--n", type=int, default=2048)
+    s.add_argument("--n", type=int, default=2048, help="intervals of [0, T]")
     s.add_argument("--cutoff", type=float, default=1.0)
     s.add_argument("--json-out", default=None)
 
@@ -124,6 +125,18 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
+def _periodic_listing(build, traj, cutoff: float, n: int) -> SpectrumSummary:
+    """The periodic listing over 2qT: the union of the twisted ones on [0, T]."""
+    q = traj.family.rotation.q
+    parts = [spectrum_below(build(traj, BoundaryCondition.twisted(om)), cutoff, n)
+             for om in roots_of_unity_ladder(q)[:q + 1]]
+    parts += parts[1:q]     # r > q: the exact conjugate of 2q - r lists alike
+    return SpectrumSummary(
+        sorted(v for s in parts for v in s.eigenvalues),
+        sum(s.neg_count for s in parts), sum(s.zero_count for s in parts),
+        n, cutoff, parts[0].l, "periodic")
+
+
 def _cmd_spectrum(args) -> int:
     if args.channel is not None and args.l != 0:
         raise ValidationError("--channel selects an l = 0 channel; "
@@ -140,19 +153,19 @@ def _cmd_spectrum(args) -> int:
                 f"--omega-index must lie in [0, {len(ladder)}), "
                 f"got {args.omega_index}")
         bc = BoundaryCondition.twisted(ladder[args.omega_index])
-        interval = "T"
+    elif args.bc == "periodic" and family.rotation is None:
+        raise ValidationError("the periodic spectrum needs --p/--q")
     else:
         bc = BoundaryCondition(args.bc)
-        interval = "t0" if args.bc == "periodic" else "T"
     traj = family_trajectory(family, args.n)
-    if args.l == 0:
-        systems = [l0_channel_system(chan, traj, interval, bc)
-                   for chan in ([args.channel] if args.channel else [1, 2])]
-    else:
-        systems = [fourier_block_system(args.l, traj, interval, bc)]
-    _emit([spectrum_below(system, args.cutoff, args.n,
-                          omega_index=args.omega_index).to_json_dict()
-           for system in systems], args)
+    chans = [args.channel] if args.channel else [1, 2]
+    builds = ([partial(l0_channel_system, chan) for chan in chans] if args.l == 0
+              else [partial(fourier_block_system, args.l)])
+    _emit([(_periodic_listing(build, traj, args.cutoff, args.n)
+            if args.bc == "periodic" else
+            spectrum_below(build(traj, bc), args.cutoff, args.n,
+                           omega_index=args.omega_index)).to_json_dict()
+           for build in builds], args)
     return 0
 
 

@@ -76,7 +76,7 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
     Otherwise the margin is located and compared, so the decision is
     always "located margin > DIRICHLET_MARGIN".
     """
-    system = fourier_block_system(l, traj, "T", BoundaryCondition.dirichlet())
+    system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
     neg, zero = spectrum_counts(system, n)
     counts = DirichletCounts(negative=neg, operator=system.operator(n))
     # a located eigenvalue lies within LOCATE_TOL / 2 of the true one

@@ -148,13 +148,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol, f1):
 def _error_norm(KT, h, scale, err):
     """The RMS norm, in units of scale, of the step's error estimate: the
     order-5 error, damped where the order-3 error is much larger.  KT is
-    K.T; err is overwritten."""
+    K.T; err is overwritten.  A squared norm is sqrt(err . err) ** 2, as
+    ``np.linalg.norm`` takes it, so the bits match scipy's."""
     np.dot(KT, _E5, out=err)
     err /= scale
-    err5_norm_2 = np.linalg.norm(err) ** 2
+    err5_norm_2 = math.sqrt(err.dot(err)) ** 2
     np.dot(KT, _E3, out=err)
     err /= scale
-    err3_norm_2 = np.linalg.norm(err) ** 2
+    err3_norm_2 = math.sqrt(err.dot(err)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2

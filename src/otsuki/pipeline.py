@@ -9,7 +9,7 @@ family sweeps five ladders: the two mode-0 channels, modes 1 and 2, and
 Laplace l = 1.
 Modes l >= 3 are dismissed once the mode-3 potential is verified
 positive definite at the trajectory nodes on [0, T]; every operator that
-``compute_index`` builds lives on [0, T].
+the package builds lives on [0, T].
 """
 
 from __future__ import annotations

@@ -269,7 +269,7 @@ def ladder_counts(build, traj: Trajectory, n: int,
                   level: float) -> list[tuple]:
     """(r, below, at), the counts below and at the level that
     ``boundary_counts`` makes at 0, of each twist omega_r = exp(i pi r / q),
-    r = 0..2q-1, of ``build(traj, "T", bc)``.
+    r = 0..2q-1, of ``build(traj, bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
     so each end sweep and each window sweep is one sweep of the ladder
@@ -280,7 +280,7 @@ def ladder_counts(build, traj: Trajectory, n: int,
     two twists count bit for bit alike.
     """
     q = traj.family.rotation.q
-    system = build(traj, "T", BoundaryCondition.twisted(1.0))
+    system = build(traj, BoundaryCondition.twisted(1.0))
     ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
                    for om in roots_of_unity_ladder(q)[:q + 1])
     rows = [(r, below, at) for r, (below, at)

@@ -7,7 +7,7 @@ Sturm-Liouville systems indexed by the Fourier mode l of the frame angle
 alpha.  This module evaluates the immersion and frame, the separated
 coefficient data p(t), Q_l(t), the nine normal projections of ambient
 rotation generators (exact zero modes), and builds the spectral systems
-consumed by the solvers.
+on the half period [0, T] that the solvers consume.
 
 ``_q_entries`` is the one formula for Q_l and ``_weight`` the one formula
 for p; every reader of either calls them.  These formula homes, and
@@ -231,51 +231,36 @@ def kernel_residuals(fields: list[KernelField], traj: Trajectory) -> list[float]
 # ---------------------------------------------------------------------------
 # spectral system builders
 
-def _interval_length(traj: Trajectory, interval: str) -> float:
-    T = traj.family.T
-    if interval == "T":
-        return T
-    if traj.family.rotation is None:
-        raise ValidationError(f"interval {interval!r} needs a closed geodesic")
-    if interval == "t0":
-        return traj.family.t0
-    raise ValidationError(f"unknown interval {interval!r}")
+def _system(dim: int, l: int, traj: Trajectory, bc: BoundaryCondition,
+            potential) -> SLSystem:
+    """The system of mode l on [0, T] whose weight is p along the
+    trajectory and whose potential at the times t is ``potential(t)``."""
+    return SLSystem(dim=dim, length=traj.family.T, bc=bc, l=l,
+                    weight=lambda t: _weight(np.cos(traj.at(t)[0])),
+                    potential=potential)
 
 
-def _system(dim: int, l: int, traj: Trajectory, interval: str,
-            bc: BoundaryCondition, potential) -> SLSystem:
-    """The system of mode l whose weight is p along the trajectory and
-    whose potential at the times t is ``potential(t)``."""
-    def weight(t):
-        return _weight(np.cos(traj.at(t)[0]))
-
-    return SLSystem(dim=dim, length=_interval_length(traj, interval), bc=bc,
-                    weight=weight, potential=potential, l=l)
-
-
-def fourier_block_system(l: int, traj: Trajectory, interval: str,
+def fourier_block_system(l: int, traj: Trajectory,
                          bc: BoundaryCondition) -> SLSystem:
-    """The coupled 2x2 system of Fourier mode l on the requested interval."""
+    """The coupled 2x2 system of Fourier mode l on [0, T]."""
     if l < 1:
         raise ValidationError("the coupled block needs l >= 1; l = 0 decouples")
-    return _system(2, l, traj, interval, bc,
-                   lambda t: separated_coefficients(l, traj, t))
+    return _system(2, l, traj, bc, lambda t: separated_coefficients(l, traj, t))
 
 
-def l0_channel_system(channel: int, traj: Trajectory, interval: str,
+def l0_channel_system(channel: int, traj: Trajectory,
                       bc: BoundaryCondition) -> SLSystem:
-    """One of the two decoupled scalar problems at l = 0."""
+    """One of the two decoupled scalar problems at l = 0, on [0, T]."""
     if channel not in (1, 2):
         raise ValidationError("channel must be 1 or 2")
     column = 2 * channel - 2
-    return _system(1, 0, traj, interval, bc,
+    return _system(1, 0, traj, bc,
                    lambda t: separated_coefficients(0, traj, t)[:, column])
 
 
-def laplace_system(l: int, traj: Trajectory, interval: str,
+def laplace_system(l: int, traj: Trajectory,
                    bc: BoundaryCondition) -> SLSystem:
-    """Scalar problem of the Laplace operator at Fourier mode l."""
+    """Scalar problem of the Laplace operator at Fourier mode l, on [0, T]."""
     if l < 0:
         raise ValidationError("Fourier index l must be nonnegative")
-    return _system(1, l, traj, interval, bc,
-                   lambda t: l * l / np.cos(traj.at(t)[0]) ** 2)
+    return _system(1, l, traj, bc, lambda t: l * l / np.cos(traj.at(t)[0]) ** 2)

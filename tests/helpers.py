@@ -3,14 +3,15 @@ systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
 array, the boundary solutions as functions of t (scipy's DOP853 interpolant),
 the nine kernel fields by their closed-length formulas, the
-closed-length positivity sweep of a mode-l block, the half closed length
-of an even-q family,
+closed-length system of a builder on [0, T] and its positivity sweep for
+a mode-l block, the half closed length of an even-q family,
 inverse iteration for the eigenfunctions of a scalar operator,
 sign-change counts, the Sturm oscillation ladder and the
 periodic/antiperiodic interlacing pattern."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -187,19 +188,29 @@ def closed_length_fields(traj):
             (zero, w2), pair1, pair1, pair2, pair2, (cphi, w2), (cphi, w2)]
 
 
+def closed_length_system(build, traj, bc):
+    """``build(traj, bc)`` stretched from [0, T] to the closed length
+    t0 = 2qT: the reference problem that the twist ladders on [0, T] split
+    into 2q twisted problems."""
+    return replace(build(traj, bc), length=traj.family.t0)
+
+
 def closed_length_positive(l, traj, mesh):
     """True when the periodic mode-l block over the closed length t0 = 2qT
     has no eigenvalue at or below zero, counted on the meshes ``mesh`` and
     2 ``mesh``: the sweep that the pointwise bound of
     ``spectral.verify_high_l_positive`` replaces."""
-    system = fourier_block_system(l, traj, "t0", BoundaryCondition.periodic())
+    system = closed_length_system(partial(fourier_block_system, l), traj,
+                                  BoundaryCondition.periodic())
     return spectral.spectrum_counts(system, mesh) == (0, 0)
 
 
 def half_length_system(build, traj, bc):
-    """``build(traj, "t0", bc)`` cut to the half closed length t0/2, on
-    which the symmetry classes of an even-q family are counted."""
-    return replace(build(traj, "t0", bc), length=0.5 * traj.family.t0)
+    """``closed_length_system(build, traj, bc)`` cut to the half closed
+    length t0/2, on which the symmetry classes of an even-q family are
+    counted."""
+    return replace(closed_length_system(build, traj, bc),
+                   length=0.5 * traj.family.t0)
 
 
 def zero_count(samples, antiperiodic=False):

@@ -14,7 +14,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import (check_interlacing, half_length_system, oscillation_index,
+from helpers import (check_interlacing, closed_length_system,
+                     half_length_system, oscillation_index,
                      scalar_eigenfunctions, spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
                             dirichlet_negative_count, twisted_form)
@@ -49,7 +50,7 @@ def _l0_counts(traj, n, half=False):
         build = partial(l0_channel_system, chan)
         bc = BoundaryCondition.periodic()
         system = (half_length_system(build, traj, bc) if half
-                  else build(traj, "t0", bc))
+                  else closed_length_system(build, traj, bc))
         c_neg, c_zero = spectrum_counts(system, n)
         neg += c_neg
         zero += c_zero
@@ -189,21 +190,23 @@ def test_criterion_10_oscillation_suite(traj23):
     with criterion(10, "oscillation ladder of the mode-0 problems"):
         p, q = 2, 3
         rows1 = oscillation_index(*spectrum_with_eigenfunctions(
-            l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic()),
+            closed_length_system(partial(l0_channel_system, 1), traj23,
+                                 BoundaryCondition.periodic()),
             0.3, 2048))
         zero_idx1 = [r["index"] for r in rows1
                      if abs(r["eigenvalue"]) <= TAU_ZERO]
         assert zero_idx1 == [4 * p - 1, 4 * p]
         rows2 = oscillation_index(*spectrum_with_eigenfunctions(
-            l0_channel_system(2, traj23, "t0", BoundaryCondition.periodic()),
+            closed_length_system(partial(l0_channel_system, 2), traj23,
+                                 BoundaryCondition.periodic()),
             0.3, 2048))
         zero_idx2 = [r["index"] for r in rows2
                      if abs(r["eigenvalue"]) <= TAU_ZERO]
         assert zero_idx2 == [2 * q]
         per = spectrum_below(
-            l0_channel_system(2, traj23, "T", BoundaryCondition.periodic()),
+            l0_channel_system(2, traj23, BoundaryCondition.periodic()),
             2.0, 1024)
-        anti_system = l0_channel_system(2, traj23, "T",
+        anti_system = l0_channel_system(2, traj23,
                                         BoundaryCondition.antiperiodic())
         anti = spectrum_below(anti_system, 2.0, 1024)
         assert check_interlacing(per.eigenvalues, anti.eigenvalues)

@@ -473,8 +473,7 @@ class TestApplicabilityGate:
 
     def test_margin_is_the_located_nearest_eigenvalue(self, traj23):
         dirichlet = boundary_form(1, traj23, n=512).dirichlet
-        system = fourier_block_system(1, traj23, "T",
-                                      BoundaryCondition.dirichlet())
+        system = fourier_block_system(1, traj23, BoundaryCondition.dirichlet())
         op = system.operator(512)
         assert np.array_equal(dirichlet.operator.diag, op.diag)
         assert np.array_equal(dirichlet.operator.off, op.off)

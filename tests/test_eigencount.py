@@ -282,7 +282,7 @@ def test_a_count_retries_where_log_det_does(monkeypatch):
 
 def _twisted_operators(build, traj, m):
     """The operator of each twist of the ladder, discretized one by one."""
-    return [build(traj, "T", BoundaryCondition.twisted(om)).discretize(m)
+    return [build(traj, BoundaryCondition.twisted(om)).discretize(m)
             for om in roots_of_unity_ladder(traj.family.rotation.q)]
 
 

@@ -512,6 +512,30 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert [d["omega_index"] for d in doc] == [5]
 
+    def test_periodic_spectrum_is_the_union_of_the_twists(self, capsys):
+        # the closed-length periodic listing merges the 2q twisted listings
+        # on [0, T] at the same mesh, bit for bit
+        common = ["spectrum", "--p", "2", "--q", "3", "--l", "1", "--n", "256"]
+        assert run_cli(common + ["--bc", "periodic"]) == 0
+        (periodic,) = json.loads(capsys.readouterr().out)
+        twists = []
+        for r in range(6):
+            assert run_cli(common + ["--bc", "twisted",
+                                     f"--omega-index={r}"]) == 0
+            twists += json.loads(capsys.readouterr().out)
+        assert periodic == {
+            "l": 1, "bc": "periodic", "omega_index": None, "n": 256,
+            "cutoff": 1.0,
+            "eigenvalues": sorted(v for t in twists for v in t["eigenvalues"]),
+            "neg": sum(t["neg"] for t in twists),
+            "zero": sum(t["zero"] for t in twists)}
+
+    def test_periodic_spectrum_needs_a_rotation_number(self, capsys):
+        # --bc periodic is the default; a bare --b has no closed length
+        assert run_cli(["spectrum", "--b", "-0.5", "--l", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--p/--q" in err and "interval" not in err
+
     def test_edwards_subcommand(self, capsys, tmp_path):
         out = tmp_path / "edwards.json"
         code = run_cli(["edwards", "--p", "2", "--q", "3", "--l", "2",

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (check_interlacing, closed_length_positive,
-                     constant_system, full_period_grid, half_length_system,
-                     oscillation_index, spectrum_with_eigenfunctions,
-                     zero_count)
+                     closed_length_system, constant_system, full_period_grid,
+                     half_length_system, oscillation_index,
+                     spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
@@ -219,8 +219,8 @@ class TestMode0Counts:
         p, q = 2, 3
         per_channel = {}
         for chan in (1, 2):
-            system = l0_channel_system(chan, traj23, "t0",
-                                       BoundaryCondition.periodic())
+            system = closed_length_system(partial(l0_channel_system, chan),
+                                          traj23, BoundaryCondition.periodic())
             per_channel[chan] = spectrum_counts(system, 1024)
         assert per_channel[1] == (4 * p - 1, 2)
         assert per_channel[2] == (2 * q, 1)
@@ -230,7 +230,8 @@ class TestMode0Counts:
         assert total_zero == 3
 
     def test_counts_stable_under_doubling(self, traj23):
-        system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
+        system = closed_length_system(partial(l0_channel_system, 1), traj23,
+                                      BoundaryCondition.periodic())
         assert spectrum_counts(system, 512) == spectrum_counts(system, 1024)
 
     def test_even_q_half_length_counts(self, traj58):
@@ -245,7 +246,7 @@ class TestMode0Counts:
         assert (neg, zero) == (q + 2 * p - 1, 3)
 
     def test_rayleigh_floor(self, traj23):
-        system = fourier_block_system(1, traj23, "T",
+        system = fourier_block_system(1, traj23,
                                       BoundaryCondition.twisted(-1.0 + 0j))
         s = spectrum_below(system, 1.0, 512)
         q11, q12, q22 = separated_coefficients(1, traj23).T
@@ -292,7 +293,8 @@ class TestZeroCount:
 class TestOscillation:
     def test_mode0_channel1_indices(self, traj23):
         p = 2
-        system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
+        system = closed_length_system(partial(l0_channel_system, 1), traj23,
+                                      BoundaryCondition.periodic())
         rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.3, 1024))
         zero_rows = [r for r in rows if abs(r["eigenvalue"]) <= 1e-5]
         assert [r["index"] for r in zero_rows] == [4 * p - 1, 4 * p]
@@ -300,28 +302,31 @@ class TestOscillation:
 
     def test_mode0_channel2_index(self, traj23):
         q = 3
-        system = l0_channel_system(2, traj23, "t0", BoundaryCondition.periodic())
+        system = closed_length_system(partial(l0_channel_system, 2), traj23,
+                                      BoundaryCondition.periodic())
         rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.3, 1024))
         zero_rows = [r for r in rows if abs(r["eigenvalue"]) <= 1e-5]
         assert [r["index"] for r in zero_rows] == [2 * q]
         assert zero_rows[0]["zeros"] == 2 * q
 
     def test_ground_state_nodeless(self, traj23):
-        system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
+        system = closed_length_system(partial(l0_channel_system, 1), traj23,
+                                      BoundaryCondition.periodic())
         rows = oscillation_index(*spectrum_with_eigenfunctions(system, 0.0, 512))
         assert rows[0]["zeros"] == 0
 
     def test_interlacing_on_half_period(self, traj23):
-        per = spectrum_below(l0_channel_system(2, traj23, "T",
+        per = spectrum_below(l0_channel_system(2, traj23,
                                                BoundaryCondition.periodic()),
                              2.0, 512)
-        anti = spectrum_below(l0_channel_system(2, traj23, "T",
-                                                BoundaryCondition.antiperiodic()),
-                              2.0, 512)
+        anti = spectrum_below(
+            l0_channel_system(2, traj23, BoundaryCondition.antiperiodic()),
+            2.0, 512)
         assert check_interlacing(per.eigenvalues, anti.eigenvalues)
 
     def test_requires_eigenfunctions(self, traj23):
-        system = l0_channel_system(1, traj23, "t0", BoundaryCondition.periodic())
+        system = closed_length_system(partial(l0_channel_system, 1), traj23,
+                                      BoundaryCondition.periodic())
         s = spectrum_below(system, 0.0, 512)
         with pytest.raises(ValidationError):
             oscillation_index(s, [])
@@ -340,7 +345,7 @@ class TestOscillation:
 def _antiperiodic_channel2(traj):
     """The half-period antiperiodic channel-2 problem: the twist r = q
     (omega = -1) of the channel-2 ladder."""
-    return l0_channel_system(2, traj, "T", BoundaryCondition.antiperiodic())
+    return l0_channel_system(2, traj, BoundaryCondition.antiperiodic())
 
 
 def _dense_extrapolated(system, n):
@@ -421,7 +426,8 @@ def test_class_rule_sums_the_ladder_to_the_closed_length_count(
     traj = request.getfixturevalue(family)
     q, m = traj.family.rotation.q, 256
     if q % 2 == 1:
-        closed = build(traj, "t0", BoundaryCondition.periodic())
+        closed = closed_length_system(build, traj,
+                                      BoundaryCondition.periodic())
         mesh = 2 * q * m
     else:
         closed = half_length_system(
@@ -566,8 +572,8 @@ class TestHighModes:
 class TestMode2Counts:
     def test_closed_length_ground_state_is_zero(self, traj23):
         # the mode-2 block over the full length: one zero mode, no negatives
-        system = fourier_block_system(2, traj23, "t0",
-                                      BoundaryCondition.periodic())
+        system = closed_length_system(partial(fourier_block_system, 2),
+                                      traj23, BoundaryCondition.periodic())
         assert spectrum_counts(system, 1024) == (0, 1)
 
     def test_even_q_antiperiodic_class_matches_twisted_sum(self, traj58):
@@ -593,13 +599,13 @@ class TestTwistedConsistency:
         # half-period twisted spectra, counted with multiplicity
         q = 3
         cutoff = -0.8
-        full = fourier_block_system(1, traj23, "t0", BoundaryCondition.periodic())
+        full = closed_length_system(partial(fourier_block_system, 1), traj23,
+                                    BoundaryCondition.periodic())
         s_full = spectrum_below(full, cutoff, 1024)
         union = []
         for r in range(2 * q):
             om = cmath.exp(1j * math.pi * r / q)
-            tw = fourier_block_system(1, traj23, "T",
-                                      BoundaryCondition.twisted(om))
+            tw = fourier_block_system(1, traj23, BoundaryCondition.twisted(om))
             union.extend(spectrum_below(tw, cutoff, 512).eigenvalues)
         union.sort()
         assert len(union) == len(s_full.eigenvalues)
@@ -626,7 +632,7 @@ class TestTwistedConsistency:
             q = traj.family.rotation.q
             rows = ladder_counts(build, traj, 256, level)
             alone = [(r, *_counts_at(
-                        build(traj, "T", BoundaryCondition.twisted(om)), 256,
+                        build(traj, BoundaryCondition.twisted(om)), 256,
                         level))
                      for r, om in enumerate(roots_of_unity_ladder(q))]
             assert rows == alone
@@ -655,7 +661,7 @@ class TestTwistedConsistency:
         # eigenvalue near (1/6)^2, so both twists are located (two
         # meshes each), from one log|det| sweep of the ladder's ends per
         # mesh; every twist holds one eigenvalue below the level
-        def build(traj, interval, bc):
+        def build(traj, bc):
             return constant_system(2, 2 * math.pi, 1.0, (0.0, 0.0, 0.0), bc)
 
         swept = _record_sweeps(monkeypatch)
@@ -677,7 +683,7 @@ class TestTwistedConsistency:
                            match=f"^{message}$"):
             spectrum_counts(system, n)
 
-        def build(traj, interval, bc):
+        def build(traj, bc):
             return replace(system, bc=bc, l=2)
 
         with pytest.raises(AmbiguousClassificationError,
@@ -690,7 +696,7 @@ class TestTwistedConsistency:
         # for twist 0 alone, not as a ladder
         n = 256
 
-        def build(traj, interval, bc):
+        def build(traj, bc):
             return constant_system(1, 2 * math.pi, 1.0, 2e-5, bc)
 
         meshes = []
@@ -752,7 +758,7 @@ class TestTwistedConsistency:
         # solves the discrete closed-length problem with the same eigenvalue
         q, m = 3, 256
         om = cmath.exp(1j * math.pi / q)
-        tw = fourier_block_system(1, traj23, "T", BoundaryCondition.twisted(om))
+        tw = fourier_block_system(1, traj23, BoundaryCondition.twisted(om))
         op = tw.discretize(m)
         w, V = np.linalg.eigh(op.to_dense())
         lam, vec = w[0], V[:, 0]
@@ -762,7 +768,8 @@ class TestTwistedConsistency:
         for k in range(2 * q):
             blocks.append(np.stack([om ** k * h1, (-om) ** k * h2], axis=1).ravel())
         ext = np.concatenate(blocks)
-        full = fourier_block_system(1, traj23, "t0", BoundaryCondition.periodic())
+        full = closed_length_system(partial(fourier_block_system, 1), traj23,
+                                    BoundaryCondition.periodic())
         A = full.discretize(2 * q * m).to_dense()
         resid = np.linalg.norm(A @ ext - lam * ext) / np.linalg.norm(A @ ext)
         assert resid < 1e-10

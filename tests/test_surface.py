@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import closed_length_fields, zero_count
+from helpers import closed_length_fields, closed_length_system, zero_count
 from otsuki import surface
 from otsuki.errors import ValidationError
 from otsuki.geodesic import Trajectory, sample_trajectory, solve_parameter
@@ -157,12 +157,18 @@ class TestSeparatedCoefficients:
         (partial(l0_channel_system, 1), 0, 0),
         (partial(l0_channel_system, 2), 0, 2)],
         ids=["1", "2", "channel1", "channel2"])
-    @pytest.mark.parametrize("interval", ["T", "t0"])
+    @pytest.mark.parametrize("length", ["T", "t0"])
     def test_samplers_read_separated_coefficients(self, traj58, build, l,
-                                                  column, interval):
-        # the systems sample p as _weight and Q_l as separated_coefficients
-        # do, bit for bit, at the nodes and half nodes of the discretization
-        system = build(traj58, interval, BoundaryCondition.periodic())
+                                                  column, length):
+        # every system lives on [0, T], and it samples p as _weight and Q_l
+        # as separated_coefficients do, bit for bit, at the nodes and half
+        # nodes of the discretization; so does the closed-length oracle of
+        # the tests, stretched to t0 = 2qT
+        bc = BoundaryCondition.periodic()
+        assert build(traj58, bc).length == traj58.family.T
+        system = (build(traj58, bc) if length == "T"
+                  else closed_length_system(build, traj58, bc))
+        assert system.length == getattr(traj58.family, length)
         n = 256
         nodes = np.arange(n) * (system.length / n)
         half = nodes + 0.5 * (system.length / n)
@@ -318,19 +324,18 @@ class TestKernelFields:
 
 class TestLaplaceSystem:
     def test_clifford_constant(self, clifford_traj):
-        sys0 = laplace_system(0, clifford_traj, "T",
-                              BoundaryCondition.periodic())
+        sys0 = laplace_system(0, clifford_traj, BoundaryCondition.periodic())
         nodes = np.arange(256) * (sys0.length / 256)
         assert np.abs(sys0.weight(nodes) - 4 * math.pi ** 2).max() < 1e-14
         assert np.abs(sys0.potential(nodes)).max() < 1e-14
 
     def test_potential_dominates_l_squared(self, traj23):
-        sys2 = laplace_system(2, traj23, "t0", BoundaryCondition.periodic())
+        sys2 = closed_length_system(partial(laplace_system, 2), traj23,
+                                    BoundaryCondition.periodic())
         q = sys2.potential(np.arange(512) * (sys2.length / 512))
         assert np.all(q >= 4.0 - 1e-12)
 
     def test_clifford_l1_ground_state(self, clifford_traj):
-        sys1 = laplace_system(1, clifford_traj, "T",
-                              BoundaryCondition.periodic())
+        sys1 = laplace_system(1, clifford_traj, BoundaryCondition.periodic())
         summary = spectrum_below(sys1, 1.5, 256)
         assert summary.eigenvalues[0] == pytest.approx(1.0, abs=1e-8)
