@@ -8,13 +8,19 @@ of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
 A count needs only the signs; log|det| costs a logarithm per pivot, and
 only locating an eigenvalue reads it, so ``inertia`` takes it on request.
-Everything here - counts and individual eigenvalues - is built on that
-one O(n) sweep; the wrap-around entries only ever fill the last block row,
+log|det|, and the counts of band operators, come from one O(n) sweep in
+node order; the wrap-around entries only ever fill the last block row,
 so the sweep runs in real arithmetic and the unit-modulus wrap multipliers
-enter only the last Schur complement.
+enter only the last Schur complement.  The counts of cyclic operators
+come from odd-even (cyclic) reduction in numpy instead: the same
+congruence eliminated in another order, so Sylvester gives the same
+count.  Its log2(m) levels each eliminate every other node, for all the
+shifts of a call at once, in real arithmetic, and keep the two nodes
+that the wrap joins to the end.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
-form a twist ladder: one loop, then an O(1) finish per twist, counts
-them all.  The finish takes only real parts of products of conjugates,
+form a twist ladder: one loop, or one reduction, then a finish per twist,
+counts them all; the reduction's finish is one array expression over the
+ladder.  The finishes take only real parts of products of conjugates,
 and |b12|^2, so conjugate multipliers give the same count and log|det|
 bit for bit; ``spectral.ladder_counts`` therefore sweeps one twist of
 each conjugate pair.  The scalar band sweep is the scalar cyclic sweep
@@ -127,7 +133,9 @@ class BandOperator:
 # ---------------------------------------------------------------------------
 # inertia sweeps
 #
-# Each sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its
+# These sweeps give every log|det|, and the counts of band operators; the
+# counts of cyclic operators come from the reduction further down.  Each
+# sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its
 # end state before the last Schur complement, which ``_finish_d1`` or
 # ``_finish_d2_cyclic`` completes for one twist.  The determinant is the
 # product of the pivot determinants, so its log is one accumulation per
@@ -294,8 +302,6 @@ def _finish_d2_cyclic(end, w1, w2):
 
 def _kernel(op: BandOperator):
     """(the operator's sweep kernel, its coefficient lists)."""
-    if op.m < 4:
-        raise NumericalError("operator too small for the elimination sweep")
     e = op.off.tolist()
     if op.dim == 1:
         return _inertia_d1, (op.diag.tolist(), e,
@@ -311,6 +317,215 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
     return finish(end, *map(complex, w))
 
 
+# ---------------------------------------------------------------------------
+# odd-even reduction: counts of cyclic operators
+#
+# A count is the inertia of A - sigma I, which every order of elimination
+# gives (Sylvester), so a count-only call on a cyclic operator eliminates
+# the nodes in the order of cyclic reduction.  Each level eliminates the
+# odd positions among 1..k-2 of the k nodes left, at once: they are not
+# neighbours, so their pivots are independent, and eliminating position
+# p (left coupling L, right coupling R, pivot X^-1) adds -L X L^T and
+# -R^T X R to its neighbours' diagonal blocks and couples them by
+# -L X R.  The couplings, scalars at first, become general d x d blocks
+# U (block (p, p+1); block (p+1, p) is U^T).  Nodes 0 and m-1 are kept to
+# the end, so the wrap block, which joins only them, enters after the
+# loop and the loop stays real.  The shifts are the rows of every array,
+# each reduced as alone.  Node 0's pivot X0^-1 is last but one; then the
+# multipliers w of each twist enter the last Schur complement
+#     D_{m-1} - sigma I - C^H X0 C,   C = U + w_off diag(conj w),
+# one array expression over the shifts (rows) and twists (columns), with
+# C formed before it is squared.  It takes real and imaginary parts
+# apart, so conjugate twists count alike bit for bit.  A zero or
+# non-finite pivot anywhere marks its shift, which ``_reduced_counts``
+# moves and reduces again alone, as ``_sweep`` does.  The scalar
+# reduction carries row sums in place of the diagonal, which resolves
+# the constants, the kernel of the scalar Laplacian at w = 1.  log|det|
+# stays with the sweeps above, so every located eigenvalue keeps its bits.
+
+def _inertia_d1_reduction(d, e, w_off, sigma):
+    """(negative pivots, every pivot nonzero and finite, end state) per
+    shift of the scalar chain reduced to nodes 0 and m-1.
+
+    The state is not the diagonal but the row sums rho of A - sigma I at
+    the twist w = 1, and the couplings u; a pivot is its row sum less the
+    sum of its couplings.  Eliminating node p takes u_left rho_p / pivot
+    off its left neighbour's row sum, likewise on the right.  With
+    negative couplings and row sums near zero, as next to the constants
+    that span the kernel of the scalar Laplacian at w = 1, no step
+    cancels, so the count there is as exact as the entries allow; the
+    diagonal form loses ulps of the diagonal at every level."""
+    rho = d - sigma[:, None]
+    rho[:, 1:] += e
+    rho[:, :-1] += e
+    rho[:, [0, -1]] += w_off
+    u = np.broadcast_to(e, (len(sigma), len(e)))
+    neg = np.zeros(len(sigma), dtype=int)
+    ok = np.ones(len(sigma), dtype=bool)
+    while rho.shape[1] > 2:
+        h = (rho.shape[1] - 1) // 2
+        left, right = u[:, 0:2 * h:2], u[:, 1:2 * h:2]
+        rp = rho[:, 1:2 * h:2]
+        p = rp - (left + right)
+        neg += np.count_nonzero(p < 0.0, axis=1)
+        ok &= np.all((p != 0.0) & np.isfinite(p), axis=1)
+        t = rp / p
+        rho = _kept(rho, -(left * t), -(right * t))
+        u = _joined(-(left * right) / p, u)
+    s0 = rho[:, 0] - (w_off + u[:, 0])
+    neg += s0 < 0.0
+    ok &= (s0 != 0.0) & np.isfinite(s0)
+    return neg, ok, (s0, rho[:, 0], rho[:, 1], u[:, 0])
+
+
+def _inertia_d2_reduction(d11, d12, d22, e, sigma):
+    """(negative pivots, every pivot nonzero and finite, end state) per
+    shift of the 2x2 chain reduced to nodes 0 and m-1."""
+    shape = (len(sigma), len(d11))
+    a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
+                     d22 - sigma[:, None])
+    u11 = u22 = np.broadcast_to(e, (len(sigma), len(e)))
+    u12 = u21 = np.zeros_like(u11)
+    neg = np.zeros(len(sigma), dtype=int)
+    ok = np.ones(len(sigma), dtype=bool)
+    while a11.shape[1] > 2:
+        h = (a11.shape[1] - 1) // 2
+        odd, even = slice(1, 2 * h, 2), slice(0, 2 * h, 2)
+        p11, p12, p22 = a11[:, odd], a12[:, odd], a22[:, odd]
+        det = p11 * p22 - p12 * p12
+        count, regular = _negatives(p11, det)
+        neg += count.sum(axis=1)
+        ok &= regular.all(axis=1)
+        # N = -X, the negated inverse pivot
+        r = -1.0 / det
+        n11, n12, n22 = p22 * r, p12 / det, p11 * r
+        l11, l12, l21, l22 = (u[:, even] for u in (u11, u12, u21, u22))
+        r11, r12, r21, r22 = (u[:, odd] for u in (u11, u12, u21, u22))
+        # G = L N adds G L^T to the left neighbour and couples it by G R
+        g11, g12 = l11 * n11 + l12 * n12, l11 * n12 + l12 * n22
+        g21, g22 = l21 * n11 + l22 * n12, l21 * n12 + l22 * n22
+        # H = R^T N adds H R to the right neighbour
+        h11, h12 = r11 * n11 + r21 * n12, r11 * n12 + r21 * n22
+        h21, h22 = r12 * n11 + r22 * n12, r12 * n12 + r22 * n22
+        a11 = _kept(a11, g11 * l11 + g12 * l12, h11 * r11 + h12 * r21)
+        a12 = _kept(a12, g11 * l21 + g12 * l22, h11 * r12 + h12 * r22)
+        a22 = _kept(a22, g21 * l21 + g22 * l22, h21 * r12 + h22 * r22)
+        u11, u12, u21, u22 = (_joined(new, u) for new, u in (
+            (g11 * r11 + g12 * r21, u11), (g11 * r12 + g12 * r22, u12),
+            (g21 * r11 + g22 * r21, u21), (g21 * r12 + g22 * r22, u22)))
+    det = a11[:, 0] * a22[:, 0] - a12[:, 0] * a12[:, 0]
+    count, regular = _negatives(a11[:, 0], det)
+    return neg + count, ok & regular, (
+        a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
+        u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
+        a11[:, 1], a12[:, 1], a22[:, 1])
+
+
+def _kept(a, left, right):
+    """The kept nodes of one level: the even positions, with left added to
+    all but the last and right to all but the first, and for an even
+    number of nodes the last node, as it was."""
+    h = left.shape[1]
+    out = np.empty((a.shape[0], a.shape[1] - h))
+    out[:, :h + 1] = a[:, ::2]
+    out[:, :h] += left
+    out[:, 1:h + 1] += right
+    if a.shape[1] % 2 == 0:
+        out[:, -1] = a[:, -1]
+    return out
+
+
+def _joined(new, u):
+    """The couplings of the kept nodes: new, through each eliminated node,
+    and for an even number of nodes the last of u, which joins the last
+    two kept nodes directly."""
+    return np.concatenate((new, u[:, -1:]), axis=1) if u.shape[1] % 2 else new
+
+
+def _negatives(s11, det):
+    """Elementwise: the negative eigenvalues of the symmetric 2x2 pivots
+    with top-left entry s11 and determinant det, and whether det is
+    nonzero and finite.  A scalar pivot s is s11 = det = s."""
+    return ((det < 0.0) + 2 * ((det > 0.0) & (s11 < 0.0)),
+            (det != 0.0) & np.isfinite(det))
+
+
+def _schur_d1(end, w_off, w):
+    """(b, b), b the last Schur complement per shift (row) and twist
+    (column); w has one row per twist.  With s0 = rho_0 - (w_off + u),
+    dm = rho_{m-1} - (w_off + u) and |w| = 1,
+        b s0 = s0 dm - |u + w_off conj(w)|^2
+             = rho_0 rho_{m-1} - (w_off + u)(rho_0 + rho_{m-1})
+               + 2 u w_off (1 - Re w),
+    whose terms do not cancel where the reduction's do not: negative
+    couplings and row sums near zero."""
+    s0, r0, rm, u = (v[:, None] for v in end)
+    b = (r0 * rm - (w_off + u) * (r0 + rm)
+         + 2.0 * u * w_off * (1.0 - w[:, 0].real)) / s0
+    return b, b
+
+
+def _schur_d2(end, w_off, w):
+    """(B11, det B) of B = D_{m-1} - sigma I - C^H X0 C per shift (row)
+    and twist (column), C = U + w_off diag(conj w); w has one row (w1, w2)
+    per twist.  Real and imaginary parts are carried apart."""
+    (x11, x12, x22, u11, u12, u21, u22,
+     a11, a12, a22) = (v[:, None] for v in end)
+    c11r, c11i = u11 + w_off * w[:, 0].real, -w_off * w[:, 0].imag
+    c22r, c22i = u22 + w_off * w[:, 1].real, -w_off * w[:, 1].imag
+    # G = X0 C
+    g11r, g11i = x11 * c11r + x12 * u21, x11 * c11i
+    g12r, g12i = x11 * u12 + x12 * c22r, x12 * c22i
+    g21r, g21i = x12 * c11r + x22 * u21, x12 * c11i
+    g22r, g22i = x12 * u12 + x22 * c22r, x22 * c22i
+    b11 = a11 - (c11r * g11r + c11i * g11i + u21 * g21r)
+    b22 = a22 - (u12 * g12r + c22r * g22r + c22i * g22i)
+    b12r = a12 - (c11r * g12r + c11i * g12i + u21 * g22r)
+    b12i = c11r * g12i - c11i * g12r + u21 * g22i
+    return b11, b11 * b22 - (b12r * b12r + b12i * b12i)
+
+
+def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
+    """Count-only ``inertia`` of a cyclic operator at the shifts, by odd-even
+    reduction.  A shift whose pivots break down is moved by 1e-13 of its
+    scale and reduced again alone, as ``_sweep`` moves it; a ladder twist
+    whose last Schur complement breaks down is swept again alone."""
+    twists = op.wrap_mult if op.ladder else (op.wrap_mult,)
+    w = np.array(twists, dtype=complex)
+    if op.dim == 1:
+        reduce, schur = _inertia_d1_reduction, _schur_d1
+        lists = op.diag, op.off, op.wrap_off
+    else:
+        reduce, schur = _inertia_d2_reduction, _schur_d2
+        lists = (*op.diag.T, op.off)
+
+    def counts(sigmas):
+        # a pivot that breaks down leaves inf or nan behind it, not a warning
+        with np.errstate(all="ignore"):
+            neg, ok, end = reduce(*lists, np.array(sigmas, dtype=float))
+            count, regular = _negatives(*schur(end, op.wrap_off, w))
+        return neg[:, None] + count, ok, regular
+
+    out = []
+    for sigma, count, ok, regular in zip(shifts, *counts(shifts)):
+        scale = max(1.0, abs(sigma))
+        attempt = 0
+        while not (ok and (op.ladder or regular.all())):
+            attempt += 1
+            if attempt == 4:
+                raise NumericalError("inertia sweep kept hitting singular "
+                                     f"pivots at sigma={sigma!r}")
+            (count,), (ok,), (regular,) = counts(
+                (sigma + attempt * 1e-13 * scale,))
+        if not op.ladder:
+            out.append((int(count[0]), None))
+            continue
+        out.append([(int(c), None) if good else
+                    inertia(replace(op, wrap_mult=t), sigma, logdet=False)
+                    for c, good, t in zip(count, regular, twists)])
+    return out
+
+
 def inertia(op: BandOperator, sigma: float, *more: float,
             logdet: bool = True):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
@@ -322,11 +537,19 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     ``inertia(op, shift)`` bit for bit: the coefficient lists are converted
     once and each shift is swept as it would be alone.  Only locating an
     eigenvalue reads log|det|: with ``logdet=False`` each pair is
-    (count, None), the same count from the same sweep, which takes no
-    logarithm per pivot.
+    (count, None).  The count of a band operator comes from the same
+    sweep, taking no logarithm per pivot; that of a cyclic operator from
+    odd-even reduction, which eliminates in another order and so gives
+    the same inertia.
     """
-    kernel, lists = _kernel(op)
-    out = [_sweep(op, kernel, lists, s, logdet) for s in (sigma, *more)]
+    if op.m < 4:
+        raise NumericalError("operator too small for the elimination sweep")
+    shifts = (sigma, *more)
+    if op.cyclic and not logdet:
+        out = _reduced_counts(op, shifts)
+    else:
+        kernel, lists = _kernel(op)
+        out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
     return out if more else out[0]
 
 

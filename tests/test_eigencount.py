@@ -12,6 +12,7 @@ from helpers import constant_system, scalar_eigenfunctions
 from otsuki import eigencount
 from otsuki.eigencount import BandOperator, eigenvalues_in, inertia
 from otsuki.errors import ValidationError
+from otsuki.geodesic import sample_trajectory, solve_parameter
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             laplace_system)
@@ -234,22 +235,28 @@ def test_small_operator_rejected():
     (2, BoundaryCondition.dirichlet()), (2, BoundaryCondition.periodic())],
     ids=["d1-band", "d1-cyclic", "d2-band", "d2-cyclic"])
 def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
-    # at sigma = Q11(0) the first pivot is exactly 0 (Q12 = 0 in the split
-    # system); in a call with other shifts it is nudged and swept again,
-    # as alone, and the other shifts are swept once each, with log|det| or
-    # for counts alone
+    # a shift that zeroes a pivot is nudged and swept again, as alone, and
+    # the other shifts are swept once each, with log|det| or for counts
+    # alone.  The sweep in node order meets the pivot of node 0 first,
+    # exactly 0 at sigma = Q11(0) (Q12 = 0 in the split system); the
+    # reduction that counts a cyclic operator keeps node 0 to the end, and
+    # its first level meets the pivot of node 1 as it stands
     op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
           ).discretize(256)
-    bad = float(op.diag[0] if dim == 1 else op.diag[0, 0])
-    shifts = (0.17, bad, -0.42)
-    want = [inertia(op, s) for s in shifts]
-    swept = _record_kernel(op, monkeypatch)
     for logdet in (True, False):
-        swept.clear()
+        reduced = op.cyclic and not logdet
+        bad = float(op.diag[int(reduced)] if dim == 1
+                    else op.diag[int(reduced), 0])
+        nudged = bad + 1e-13 * max(1.0, abs(bad))
+        shifts = (0.17, bad, -0.42)
+        want = [inertia(op, s) for s in shifts]
+        swept = (_record_reduction if reduced else _record_kernel)(
+            op, monkeypatch)
         got = inertia(op, *shifts, logdet=logdet)
+        monkeypatch.undo()
         assert got == (want if logdet else [(c, None) for c, _ in want])
-        assert swept == [(s, logdet) for s in (
-            0.17, bad, bad + 1e-13 * max(1.0, abs(bad)), -0.42)]
+        assert swept == ([shifts, (nudged,)] if reduced else
+                         [(s, logdet) for s in (0.17, bad, nudged, -0.42)])
 
 
 def _record_kernel(op, monkeypatch):
@@ -262,6 +269,20 @@ def _record_kernel(op, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(eigencount, kernel.__name__, recorded)
+    return swept
+
+
+def _record_reduction(op, monkeypatch):
+    """The shifts of every run of the operator's odd-even reduction."""
+    name = f"_inertia_d{op.dim}_reduction"
+    reduce = getattr(eigencount, name)
+    swept = []
+
+    def recorded(*args):
+        swept.append(tuple(args[-1].tolist()))
+        return reduce(*args)
+
+    monkeypatch.setattr(eigencount, name, recorded)
     return swept
 
 
@@ -358,6 +379,9 @@ def test_ladder_is_complex_and_has_no_dense_matrix(traj23):
     pytest.param(1, "nan", id="scalar-nan")])
 def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
                                                   failure):
+    # a twist whose last Schur complement breaks down, or is nan, is swept
+    # again alone; log|det| comes from the sweep's per-twist finish, a
+    # count from the reduction's finish, one array expression per ladder
     build = (partial(l0_channel_system, 1) if dim == 1
              else partial(fourier_block_system, 1))
     ops = _twisted_operators(build, traj58, 256)
@@ -365,30 +389,101 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     sigma = -0.5
     want = [inertia(op, sigma) for op in ops]
     target = ladder.wrap_mult[3]
-    finish = "_finish_d1" if dim == 1 else "_finish_d2_cyclic"
-    original = getattr(eigencount, finish)
-    finished, swept = [], []
-
-    def flaky(end, *w):
-        finished.append(w[0])
-        if w[0] == target[0] and finished.count(w[0]) == 1:
-            if failure == "nan":
-                return 0, float("nan")
-            raise eigencount._PivotBreakdown
-        return original(end, *w)
+    first = [w[0] for w in ladder.wrap_mult]
+    swept, finished = [], []
 
     def recorded(op, s, logdet=True):
         swept.append((op.wrap_mult, logdet))
         return inertia(op, s, logdet=logdet)
 
-    monkeypatch.setattr(eigencount, finish, flaky)
+    def fail_once(w0):
+        """Whether this finish of the twist with first multiplier w0 fails."""
+        finished.append(w0)
+        return w0 == target[0] and finished.count(w0) == 1
+
+    finish = "_finish_d1" if dim == 1 else "_finish_d2_cyclic"
+    original_finish = getattr(eigencount, finish)
+
+    def flaky_finish(end, *w):
+        if fail_once(w[0]):
+            if failure == "nan":
+                return 0, float("nan")
+            raise eigencount._PivotBreakdown
+        return original_finish(end, *w)
+
+    schur = f"_schur_d{dim}"
+    original_schur = getattr(eigencount, schur)
+
+    def flaky_schur(end, w_off, w):
+        b11, det = original_schur(end, w_off, w)
+        fails = [fail_once(complex(w0)) for w0 in w[:, 0]]
+        det[:, fails] = float("nan") if failure == "nan" else 0.0
+        return b11, det
+
     monkeypatch.setattr(eigencount, "inertia", recorded)
-    first = [w[0] for w in ladder.wrap_mult]
+    monkeypatch.setattr(eigencount, finish, flaky_finish)
+    monkeypatch.setattr(eigencount, schur, flaky_schur)
     for logdet in (True, False):
         finished.clear()
         swept.clear()
         got = eigencount.inertia(ladder, sigma, logdet=logdet)
         assert got == (want if logdet else [(c, None) for c, _ in want])
         assert swept == [(ladder.wrap_mult, logdet), (target, logdet)]
-        # every other twist is finished once, from the shared loop
-        assert finished == first[:4] + [target[0]] + first[4:]
+        # every twist is finished once from the shared loop or reduction,
+        # and the failed one again alone
+        assert finished == (first[:4] + [target[0]] + first[4:] if logdet
+                            else first + [target[0]])
+
+
+def test_counts_of_cyclic_operators_skip_the_sweep(traj58, monkeypatch):
+    # a count-only call on a cyclic operator, one twist or a ladder, at one
+    # shift or several, runs the odd-even reduction and never the loop
+    def forbidden(*args):
+        raise AssertionError("count-only call ran the sequential sweep")
+
+    ops = [_wavy_system(dim, bc).discretize(256)
+           for dim in (1, 2) for bc in BCS if bc.kind != "dirichlet"]
+    ops += [_ladder(_twisted_operators(build, traj58, 256))
+            for build in (partial(l0_channel_system, 1),
+                          partial(fourier_block_system, 2))]
+    want = [inertia(op, -0.42, 0.0, 2.0) for op in ops]
+    monkeypatch.setattr(eigencount, "_inertia_d1", forbidden)
+    monkeypatch.setattr(eigencount, "_inertia_d2_cyclic", forbidden)
+    for op, end in zip(ops, want):
+        got = inertia(op, -0.42, 0.0, 2.0, logdet=False)
+        assert got == ([[(c, None) for c, _ in out] for out in end]
+                       if op.ladder else [(c, None) for c, _ in end])
+        assert inertia(op, 0.0, logdet=False) == got[1]
+
+
+REDUCTION_SYSTEMS = {**SCALAR_SYSTEMS,
+                     "block1": partial(fourier_block_system, 1),
+                     "block2": partial(fourier_block_system, 2)}
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (5, 8), (10, 19), (30, 59), (70, 99)])
+def test_reduction_counts_equal_the_sequential_sweep(p, q):
+    # the sweep in node order, for counts alone, is the reduction's oracle
+    # on the ladders r = 0..q of every mode below l = 3; shifts far from
+    # and close to the zero modes, but not on them: at an eigenvalue that
+    # is 0 up to rounding (the constants at r = 0 of laplace0) the count is
+    # decided by rounding, and the two orders may round apart
+    traj = sample_trajectory(solve_parameter(p, q), 4096)
+    shifts = (-50.0, -1.0, -1e-6, -1e-7, 1e-7, 1e-6, 1.0, 200.0)
+    for build in REDUCTION_SYSTEMS.values():
+        system = build(traj, BoundaryCondition.twisted(1.0))
+        mults = tuple(BoundaryCondition.twisted(om).channel_multipliers(
+            system.dim) for om in roots_of_unity_ladder(q)[:q + 1])
+        for m in (1024, 4096):
+            ladder = replace(system.discretize(m), wrap_mult=mults)
+            kernel, lists = eigencount._kernel(ladder)
+            want = [eigencount._sweep(ladder, kernel, lists, s, False)
+                    for s in shifts]
+            got = inertia(ladder, *shifts, logdet=False)
+            assert got == want
+            # each shift is reduced as alone, each twist as alone
+            assert [inertia(ladder, s, logdet=False) for s in shifts] == got
+            for r in (0, q // 2, q):
+                alone = replace(ladder, wrap_mult=mults[r])
+                assert [inertia(alone, s, logdet=False) for s in shifts] == [
+                    out[r] for out in got]

@@ -42,15 +42,22 @@ def test_every_parameter_is_read(path):
     assert not unread, f"parameters never read: {unread}"
 
 
+# the node loops of the sweeps and the level loops of the reductions
+SWEEP_LOOPS = {"_inertia_d1", "_inertia_d2_band", "_inertia_d2_cyclic",
+               "_inertia_d1_reduction", "_inertia_d2_reduction"}
+
+
 def test_sweep_loops_do_real_arithmetic():
     # the wrap multipliers enter after the loop, so no loop of an inertia
-    # kernel converts, tests or takes apart a complex number
+    # kernel, a sweep's node loop or a reduction's level loop, converts,
+    # tests or takes apart a complex number
     path = next(p for p in SOURCES if p.name == "eigencount.py")
     kernels, found = [], []
     for name, fn in _functions(ast.parse(path.read_text())):
         if not name.startswith("_inertia_"):
             continue
-        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+        for loop in (n for n in ast.walk(fn)
+                     if isinstance(n, (ast.For, ast.While))):
             kernels.append(name)
             for node in ast.walk(loop):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -59,19 +66,21 @@ def test_sweep_loops_do_real_arithmetic():
                 elif (isinstance(node, ast.Attribute)
                         and node.attr in ("conjugate", "real", "imag")):
                     found.append(f"{name}: .{node.attr}")
-    assert kernels, "no inertia kernel loop found"
+    assert SWEEP_LOOPS <= set(kernels), "an inertia kernel loop is missing"
     assert not found, f"complex arithmetic in sweep loops: {found}"
 
 
 def test_sweep_loops_take_logs_only_for_log_det():
-    # a count reads no determinant, so inside a kernel loop every log()
-    # sits in the branch of a conditional that tests the logdet flag
+    # a count reads no determinant, so inside a kernel loop, a node loop or
+    # a level loop, every log() sits in the branch of a conditional that
+    # tests the logdet flag
     path = next(p for p in SOURCES if p.name == "eigencount.py")
     kernels, found = [], []
     for name, fn in _functions(ast.parse(path.read_text())):
         if not name.startswith("_inertia_"):
             continue
-        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+        for loop in (n for n in ast.walk(fn)
+                     if isinstance(n, (ast.For, ast.While))):
             kernels.append(name)
             guarded = set()
             for node in ast.walk(loop):
@@ -84,7 +93,7 @@ def test_sweep_loops_take_logs_only_for_log_det():
                       if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name)
                       and node.func.id == "log" and id(node) not in guarded]
-    assert kernels, "no inertia kernel loop found"
+    assert SWEEP_LOOPS <= set(kernels), "an inertia kernel loop is missing"
     assert not found, f"log() in a sweep loop outside a logdet branch: {found}"
 
 
