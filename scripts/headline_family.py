@@ -35,8 +35,8 @@ def main():
     print(f"\nindex = {report.ind}   nullity = {report.nul}   "
           f"spectral index = {report.spectral_index}")
     checks = bounds_check(report)
-    for name in ("thm_lower_ok", "thm_upper_ok", "nul_ok", "rough_upper_ok"):
-        print(f"{name:>15}: {'yes' if checks[name] else 'NO'}")
+    for name in (key for key in checks if key.endswith("_ok")):
+        print(f"{name:>17}: {'yes' if checks[name] else 'NO'}")
     print(f"\nelapsed: {elapsed:.1f} s")
     print("\nfull report:")
     print(jsonio.dumps(report.to_json_dict()))

@@ -3,7 +3,8 @@
 
 For each reduced fraction in (1/2, sqrt(2)/2) the full report is computed
 and one JSON line emitted; a closing table summarizes how the measured
-index and nullity sit against the bounds as p/q approaches sqrt(2)/2.
+index and nullity sit against the bounds as p/q approaches sqrt(2)/2, and
+names the checks of ``bounds_check`` that each family fails.
 A family that fails gets an error line and row; the exit code is then 2.
 Bad input exits 1 with a message.
 """
@@ -48,7 +49,8 @@ def main():
     if sink:
         sink.close()
 
-    print(f"\n{'p/q':>6} {'b':>12} {'ind':>5} {'bounds':>10} {'nul':>4} {'s1':>9}")
+    print(f"\n{'p/q':>6} {'b':>12} {'ind':>5} {'bounds':>10} {'nul':>4} "
+          f"{'s1':>9}  failed checks")
     for doc in docs:
         p, q = doc["p"], doc["q"]
         if "error" in doc:
@@ -57,8 +59,10 @@ def main():
         lo, hi = doc["bounds"]["thm_lower"], doc["bounds"]["thm_upper"]
         s1 = doc["flags"]["s1"]
         s1txt = f"{s1:9.4f}" if s1 is not None else "      n/a"
+        failed = [key[:-3] for key, ok in doc["bounds_check"].items()
+                  if key.endswith("_ok") and not ok]
         print(f"{p}/{q:<4} {doc['b']:12.6f} {doc['ind']:5d} [{lo:3d},{hi:3d}] "
-              f"{doc['nul']:4d} {s1txt}")
+              f"{doc['nul']:4d} {s1txt}  {' '.join(failed) or '-'}")
     return 2 if any("error" in doc for doc in docs) else 0
 
 

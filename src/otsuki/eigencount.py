@@ -487,9 +487,9 @@ def _schur_d2(end, w_off, w):
 
 def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
     """Count-only ``inertia`` of a cyclic operator at the shifts, by odd-even
-    reduction.  A shift whose pivots break down is moved by 1e-13 of its
-    scale and reduced again alone, as ``_sweep`` moves it; a ladder twist
-    whose last Schur complement breaks down is swept again alone."""
+    reduction.  A shift whose pivots break down is moved (``_retry_shift``)
+    and reduced again alone, as ``_sweep`` moves it; a ladder twist whose
+    last Schur complement breaks down is swept again alone."""
     twists = op.wrap_mult if op.ladder else (op.wrap_mult,)
     w = np.array(twists, dtype=complex)
     if op.dim == 1:
@@ -508,7 +508,6 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
 
     out = []
     for sigma, count, ok, regular in zip(shifts, *counts(shifts)):
-        scale = max(1.0, abs(sigma))
         attempt = 0
         while not (ok and (op.ladder or regular.all())):
             attempt += 1
@@ -516,7 +515,7 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
                 raise NumericalError("inertia sweep kept hitting singular "
                                      f"pivots at sigma={sigma!r}")
             (count,), (ok,), (regular,) = counts(
-                (sigma + attempt * 1e-13 * scale,))
+                (_retry_shift(op, sigma, attempt),))
         if not op.ladder:
             out.append((int(count[0]), None))
             continue
@@ -556,12 +555,12 @@ def inertia(op: BandOperator, sigma: float, *more: float,
 def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
            logdet: bool):
     """``inertia`` at one shift; a pivot breakdown or a non-finite log|det|
-    (pivot sum, without ``logdet``) moves the shift by 1e-13 of its scale
-    and sweeps again."""
-    scale = max(1.0, abs(sigma))
+    (pivot sum, without ``logdet``) moves the shift (``_retry_shift``) and
+    sweeps again."""
     for attempt in range(4):
+        shift = _retry_shift(op, sigma, attempt) if attempt else sigma
         try:
-            out = kernel(*lists, sigma + attempt * 1e-13 * scale, logdet)
+            out = kernel(*lists, shift, logdet)
             if not op.ladder and (op.dim == 1 or op.cyclic):
                 out = _finish(op, out, op.wrap_mult if op.cyclic else (0.0,))
         except _PivotBreakdown:
@@ -572,6 +571,16 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
                 return _finish_ladder(op, sigma, out, logdet)
             return out if logdet else (out[0], None)
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
+
+
+def _retry_shift(op: BandOperator, sigma: float, attempt: int) -> float:
+    """The shift of retry ``attempt`` after a breakdown at sigma: moved by
+    attempt * 1e-13 of its scale, but by at least attempt ulps of the
+    largest diagonal entry, as a smaller move can round away in every
+    shifted diagonal entry and leave each pivot as it was."""
+    diag = op.diag if op.dim == 1 else op.diag[:, ::2]
+    ulp = float(np.spacing(np.abs(diag).max()))
+    return sigma + max(attempt * 1e-13 * max(1.0, abs(sigma)), attempt * ulp)
 
 
 def _finish_ladder(op: BandOperator, sigma: float, end: tuple,

@@ -10,6 +10,12 @@ Laplace l = 1.
 Modes l >= 3 are dismissed once the mode-3 potential is verified
 positive definite at the trajectory nodes on [0, T]; every operator that
 the package builds lives on [0, T].
+
+One counting pass (``_count_family``) counts mode 0 and runs the routes
+of modes 1 and 2, one mode at a time; ``compute_index`` builds its
+records from it, and ``verify_family`` reads the same rows and boundary
+forms under 'both'.  ``bounds_check`` sets the report beside the bounds
+and the counts known in closed form: mode 0 and the spectral index.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .spectral import (TAU_ZERO, class_counts,  # noqa: F401
                        spectrum_counts, verify_high_l_positive)
 from .surface import frame, kernel_fields, kernel_residuals, l0_channel_system
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -100,31 +106,63 @@ def index_bounds(p: int, q: int) -> dict:
     return {"thm_lower": lo, "thm_upper": hi, "nul_lower": 9, "nul_upper": 13}
 
 
+def _closed_form_counts(p: int, q: int) -> tuple[tuple[int, int], int]:
+    """Mode 0's (neg, zero) and the spectral index in closed form:
+    (2q+4p-1, 3) and 2q+4p-2 for odd q, (q+2p-1, 3) and q+2p-2 for even q.
+
+    Observed identities: they hold on every family probed whose two routes
+    agree (the six README families, 12/17, 41/58, 70/99, 408/577, 10/19).
+    The spectral index is the eigenvalue index at which the bipolar
+    Otsuki metrics are extremal; compare M. Karpukhin, "Spectral
+    properties of bipolar surfaces to Otsuki tori", J. Spectral Theory 4
+    (2014)."""
+    k = 2 * q + 4 * p if q % 2 else q + 2 * p
+    return (k - 1, 3), k - 2
+
+
 def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """The family's trajectory for a run at mesh n: 2n nodes, at least 1024
     and at most 4096."""
     return sample_trajectory(family, min(4096, max(1024, 2 * n)))
 
 
-def _mode0_counts(traj: Trajectory, n: int) -> tuple[PerModeRecord, list]:
-    """The mode-0 record, and the ladder rows of channel 2 for
-    ``spectral_index``."""
-    chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
-                    for chan in (1, 2))
-    # the class rule sums the rows of both channels alike
-    neg, zero = class_counts(0, traj.family.rotation.q, chan1 + chan2)
-    return PerModeRecord(l=0, neg=neg, zero=zero, method="direct"), chan2
-
-
 def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
-    """Raise RouteDisagreementError unless the routes agree twist by twist."""
-    diffs = [(l, r, (en, ez), (dn, dz))
-             for (r, en, ez), (_, dn, dz) in zip(edwards_rows, direct_rows)
+    """Raise RouteDisagreementError unless the routes that ran agree."""
+    diffs = [(l, r, (en, ez), (dn, dz)) for (r, en, ez), (_, dn, dz)
+             in zip(edwards_rows or (), direct_rows or ())
              if (en, ez) != (dn, dz)]
     if diffs:
         raise RouteDisagreementError(
             f"boundary-form and direct counts disagree at l={l}: {diffs}",
             diffs=diffs)
+
+
+def _count_family(traj: Trajectory, n: int, method: str):
+    """Count the family below l = 3 one mode per step, so a caller checks
+    each mode before the next is counted: yield mode 0's (neg, zero) and
+    channel-2 rows, then for l = 1, 2 (l, form, edwards rows, direct rows).
+    ``form`` is the boundary form, the EdwardsInapplicableError that
+    refused it ('edwards' raises it) or None; rows not counted are None."""
+    q = traj.family.rotation.q
+    chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
+                    for chan in (1, 2))
+    # the class rule sums the rows of both channels alike
+    yield class_counts(0, q, chan1 + chan2), chan2
+    for l in (1, 2):
+        form = edwards_rows = direct_rows = None
+        if method != "direct":
+            try:
+                form = boundary_form(l, traj, n=n)
+                edwards_rows = aggregate_roots(form, q)
+            except EdwardsInapplicableError as exc:
+                if method == "edwards":
+                    raise EdwardsInapplicableError(
+                        f"boundary-form route inapplicable at l={l}: {exc}; "
+                        "rerun with method='direct'") from exc
+                form = exc
+        if method != "edwards":
+            direct_rows = direct_twisted_counts(l, traj, n)
+        yield l, form, edwards_rows, direct_rows
 
 
 def compute_index(p: int, q: int, method: str = "both",
@@ -142,41 +180,25 @@ def compute_index(p: int, q: int, method: str = "both",
     family = solve_parameter(p, q)
     traj = family_trajectory(family, n)
 
-    mode0, channel2 = _mode0_counts(traj, n)
-    records = [mode0]
+    counts = _count_family(traj, n, method)
+    (neg, zero), channel2 = next(counts)
+    records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
     flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
                    "s1": None, "s2": None, "s1_below_minus_one": None,
                    "abs_s1_gt_s2": None}
 
-    for l in (1, 2):
-        edwards_rows = direct_rows = data = None
-        edwards_ok = None       # None: not attempted
-        if method in ("edwards", "both"):
-            try:
-                data = boundary_form(l, traj, n=n)
-                edwards_rows = aggregate_roots(data, q)
-                edwards_ok = True
-            except EdwardsInapplicableError as exc:
-                edwards_ok = False
-                if method == "edwards":
-                    raise EdwardsInapplicableError(
-                        f"boundary-form route inapplicable at l={l}: {exc}; "
-                        "rerun with method='direct'") from exc
-        flags["edwards_applicable"][str(l)] = edwards_ok
-        if l == 1 and data is not None:
-            poly = data.poly
+    for l, form, edwards_rows, direct_rows in counts:
+        flags["edwards_applicable"][str(l)] = (   # None: not attempted
+            None if form is None else edwards_rows is not None)
+        if l == 1 and edwards_rows is not None:
+            poly = form.poly
             flags["s1"], flags["s2"] = poly.s1, poly.s2
             if poly.s1 is not None:
                 flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
                 flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
-        if method != "edwards":
-            direct_rows = direct_twisted_counts(l, traj, n)
-
-        rows = edwards_rows if edwards_rows is not None else direct_rows
-        used = ("direct" if edwards_rows is None
-                else "edwards" if direct_rows is None else "both")
-        if used == "both":
-            _check_routes_agree(l, edwards_rows, direct_rows)
+        used = "direct" if edwards_rows is None else method
+        rows = direct_rows if edwards_rows is None else edwards_rows
+        _check_routes_agree(l, edwards_rows, direct_rows)
         neg, zero = class_counts(l, q, rows)
         # for even q, mode l + 1 counts the twists of the other parity
         other = class_counts(l + 1, q, rows)
@@ -197,12 +219,11 @@ def compute_index(p: int, q: int, method: str = "both",
 
     bounds = index_bounds(p, q)
     bounds["rough_upper"] = 5 * ind_s + 2
-    report = IndexReport(
+    return IndexReport(
         p=p, q=q, b=family.b, c=family.c, T=family.T, Xi=family.Xi,
         t0=family.t0, n=n, method=method, per_mode=tuple(records),
         ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    return report
 
 
 def bounds_check(report: IndexReport) -> dict:
@@ -212,14 +233,21 @@ def bounds_check(report: IndexReport) -> dict:
     them; far families are reported as findings, not assertions.
     """
     b = report.bounds
+    mode0 = [report.per_mode[0].neg, report.per_mode[0].zero]
+    want_mode0, want_index = _closed_form_counts(report.p, report.q)
     return {
         "thm_lower_ok": b["thm_lower"] <= report.ind,
         "thm_upper_ok": report.ind <= b["thm_upper"],
         "nul_ok": b["nul_lower"] <= report.nul <= b["nul_upper"],
         "rough_upper_ok": report.ind <= b["rough_upper"],
+        "mode0_ok": mode0 == list(want_mode0),
+        "spectral_index_ok": report.spectral_index == want_index,
         "ind": report.ind,
         "nul": report.nul,
+        "mode0": mode0,
+        "mode0_expected": list(want_mode0),
         "spectral_index": report.spectral_index,
+        "spectral_index_expected": want_index,
         "bounds": dict(b),
     }
 
@@ -347,10 +375,11 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     add("kernel residuals", max(residuals) < kernel_bound,
         f"max residual {max(residuals):.3e}")
 
-    rec0, channel2 = _mode0_counts(traj, n)
-    exp_neg = 2 * q + 4 * p - 1 if q % 2 else q + 2 * p - 1
-    add("l=0 counts", (rec0.neg, rec0.zero) == (exp_neg, 3),
-        f"neg={rec0.neg} (expect {exp_neg}), zero={rec0.zero} (expect 3)")
+    counts = _count_family(traj, n, "both")
+    (neg, zero), channel2 = next(counts)
+    want = _closed_form_counts(p, q)[0]
+    add("l=0 counts", (neg, zero) == want,
+        f"neg={neg} (expect {want[0]}), zero={zero} (expect {want[1]})")
 
     # the half-period antiperiodic channel-2 problem is the twist r = q
     # (omega = -1) of the channel-2 ladder, which classifies its spectrum;
@@ -364,24 +393,22 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         f"channel 2 row r={q} (neg, zero)={anti} (expect (1, 1)), "
         f"field 3 residual {zero_mode:.3e}")
 
-    for l in (1, 2):
+    for l, form, edwards_rows, direct_rows in counts:
+        agreed = "boundary-form counts equal direct counts"
+        if edwards_rows is None:
+            agreed = f"edwards inapplicable: {form}"
+        elif l == 1:
+            target = -math.cos(p * math.pi / q)
+            add("s2 = -cos(p pi / q)", abs(form.poly.s2 - target) < 1e-6,
+                f"s2={form.poly.s2:.9f}, target={target:.9f}")
+        else:
+            val = abs(form.poly(1.0)) / form.poly.scale
+            add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
         try:
-            data = boundary_form(l, traj, n=n)
-            if l == 1:
-                target = -math.cos(p * math.pi / q)
-                add("s2 = -cos(p pi / q)", abs(data.poly.s2 - target) < 1e-6,
-                    f"s2={data.poly.s2:.9f}, target={target:.9f}")
-            else:
-                val = abs(data.poly(1.0)) / data.poly.scale
-                add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
-            _check_routes_agree(l, aggregate_roots(data, q),
-                                direct_twisted_counts(l, traj, n))
-            add(f"route agreement l={l}", True,
-                "boundary-form counts equal direct counts")
+            _check_routes_agree(l, edwards_rows, direct_rows)
+            add(f"route agreement l={l}", True, agreed)
         except RouteDisagreementError as exc:
             add(f"route agreement l={l}", False, f"MISMATCH: {exc}")
-        except EdwardsInapplicableError as exc:
-            add(f"route agreement l={l}", True, f"edwards inapplicable: {exc}")
 
     add("l=3 positive", verify_high_l_positive(3, traj), "")
     return rows

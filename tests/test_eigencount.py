@@ -301,6 +301,21 @@ def test_a_count_retries_where_log_det_does(monkeypatch):
         assert swept == [(0.0, logdet), (1e-13, logdet)]
 
 
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_a_retry_moves_the_pivots_of_large_entries(cyclic):
+    # at sigma = 0 the second pivot is 1e6 - 4e12 / 4e6 = 0 exactly; a move
+    # of 1e-13 is under half an ulp of every diagonal entry, so only a
+    # move of at least one ulp of 5e6 changes the pivots
+    op = BandOperator(dim=1, diag=np.array([4e6, 1e6, 5e6, 5e6, 5e6, 5e6]),
+                      off=np.array([-2e6, 1.0, 1.0, 1.0, 1.0]),
+                      wrap_off=1.0 if cyclic else None,
+                      wrap_mult=(1.0,) if cyclic else None)
+    assert int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum()) == 1
+    assert [inertia(op, s)[0] for s in (-1e-9, 1e-9)] == [1, 1]
+    assert inertia(op, 0.0)[0] == 1
+    assert inertia(op, 0.0, logdet=False) == (1, None)
+
+
 def _twisted_operators(build, traj, m):
     """The operator of each twist of the ladder, discretized one by one."""
     return [build(traj, BoundaryCondition.twisted(om)).discretize(m)

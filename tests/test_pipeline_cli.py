@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              index_bounds, verify_family)
 from otsuki.geodesic import solve_parameter
 from otsuki.sl import BoundaryCondition, SLSystem
-from otsuki.surface import kernel_fields, kernel_residuals
+from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,33 @@ class TestComputeIndex:
         assert result["nul_ok"] and result["rough_upper_ok"]
         assert result["bounds"]["rough_upper"] == 5 * 12 + 2
 
+    @pytest.mark.parametrize("p,q,mode0,index", [(2, 3, (13, 3), 12),
+                                                  (5, 8, (17, 3), 16)])
+    def test_bounds_check_closed_forms(self, report23, p, q, mode0, index):
+        # odd q: (2q + 4p - 1, 3) and 2q + 4p - 2; even q: (q + 2p - 1, 3)
+        # and q + 2p - 2
+        report = report23 if (p, q) == (2, 3) else compute_index(p, q, n=512)
+        check = bounds_check(report)
+        assert check["mode0_ok"] and check["spectral_index_ok"]
+        assert check["mode0"] == check["mode0_expected"] == list(mode0)
+        assert check["spectral_index"] == check["spectral_index_expected"] \
+            == index
+
+    @pytest.mark.parametrize("moved", ["mode0", "spectral_index"])
+    def test_bounds_check_flags_a_count_moved_by_one(self, report23, moved):
+        # the 2378/3363 mis-count: a mode-0 eigenvalue read as a zero mode
+        mode0 = report23.per_mode[0]
+        if moved == "mode0":
+            report = replace(report23, per_mode=(
+                replace(mode0, neg=mode0.neg - 1, zero=mode0.zero + 1),
+                *report23.per_mode[1:]))
+        else:
+            report = replace(report23,
+                             spectral_index=report23.spectral_index - 1)
+        check = bounds_check(report)
+        assert [k for k in check if k.endswith("_ok") and not check[k]] == \
+            [f"{moved}_ok"]
+
     def test_flags_record_root_regime(self, report23):
         assert report23.flags["s2"] == pytest.approx(0.5, abs=1e-6)
         assert report23.flags["s1_below_minus_one"] is True
@@ -81,22 +109,47 @@ class TestComputeIndex:
 
     def test_five_ladders_per_family(self, monkeypatch):
         # the spectral index reads Laplace l = 0 off the mode-0 channel-2
-        # ladder, so it sweeps only Laplace l = 1 itself
-        original = spectral.ladder_counts
-        built = []
+        # ladder, so it sweeps only Laplace l = 1 itself; verify counts the
+        # four mode ladders and one boundary form per mode, once each, and
+        # reads the rows that compute_index reads
+        original, form = spectral.ladder_counts, pipeline.boundary_form
+        built, forms = [], []
 
         def recorded(build, traj, n, level):
-            built.append((build.func.__name__, build.args, level))
-            return original(build, traj, n, level)
+            rows = original(build, traj, n, level)
+            built.append(((build.func.__name__, build.args, level), rows))
+            return rows
+
+        def recorded_form(l, traj, **kwargs):
+            forms.append(l)
+            return form(l, traj, **kwargs)
 
         monkeypatch.setattr(spectral, "ladder_counts", recorded)
         monkeypatch.setattr(pipeline, "ladder_counts", recorded)
+        monkeypatch.setattr(pipeline, "boundary_form", recorded_form)
         compute_index(2, 3, method="direct", n=512)
-        assert built == [("l0_channel_system", (1,), 0.0),
-                         ("l0_channel_system", (2,), 0.0),
-                         ("fourier_block_system", (1,), 0.0),
-                         ("fourier_block_system", (2,), 0.0),
-                         ("laplace_system", (1,), 2.0)]
+        assert [key for key, _ in built] == [
+            ("l0_channel_system", (1,), 0.0), ("l0_channel_system", (2,), 0.0),
+            ("fourier_block_system", (1,), 0.0),
+            ("fourier_block_system", (2,), 0.0),
+            ("laplace_system", (1,), 2.0)]
+        assert forms == []
+
+        built.clear()
+        report = compute_index(2, 3, method="both", n=512)
+        index_ladders = built[:4]
+        assert forms == [1, 2]
+        built.clear()
+        forms.clear()
+        rows = {r["check"]: r for r in verify_family(2, 3, n=512)}
+        assert built == index_ladders and forms == [1, 2]
+        mode0 = report.per_mode[0]
+        assert rows["l=0 counts"]["detail"].startswith(
+            f"neg={mode0.neg} (expect 13), zero={mode0.zero} (expect 3)")
+        assert [rec.per_omega for rec in report.per_mode[1:]] == \
+            [tuple(ladder) for _, ladder in built[2:]]
+        assert rows["route agreement l=1"]["ok"]
+        assert rows["route agreement l=2"]["ok"]
 
     def test_unknown_method_rejected(self):
         from otsuki.errors import ValidationError
@@ -137,8 +190,10 @@ class TestComputeIndex:
             raise EdwardsInapplicableError("forced")
 
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
-        with pytest.raises(EdwardsInapplicableError):
+        with pytest.raises(EdwardsInapplicableError) as info:
             compute_index(2, 3, method="edwards", n=512)
+        assert str(info.value) == ("boundary-form route inapplicable at l=1: "
+                                   "forced; rerun with method='direct'")
 
 
 class TestHalfPeriodCounts:
@@ -198,7 +253,8 @@ class TestCache:
 
     def test_version_bump_misses(self, report23, tmp_path, monkeypatch):
         cache_store(report23, cache_dir=str(tmp_path))
-        monkeypatch.setattr(pipeline, "REPORT_VERSION", "2")
+        monkeypatch.setattr(pipeline, "REPORT_VERSION",
+                            str(int(pipeline.REPORT_VERSION) + 1))
         assert cache_load(2, 3, 512, cache_dir=str(tmp_path)) is None
 
     def test_wrong_mesh_misses(self, report23, tmp_path):
@@ -364,6 +420,32 @@ class TestVerifyBattery:
                    if r["check"] == "frame orthonormal")
         assert row["ok"], row["detail"]
 
+    def test_refused_route_is_a_passed_row(self, monkeypatch):
+        # a refused boundary form leaves no s2 or P2(1) row; the direct
+        # rows are counted all the same, as compute_index counts them
+        from otsuki.errors import EdwardsInapplicableError
+
+        def refuse(l, traj, **kwargs):
+            raise EdwardsInapplicableError("forced")
+
+        counted = []
+        original = pipeline.direct_twisted_counts
+
+        def recorded(l, traj, n):
+            counted.append(l)
+            return original(l, traj, n)
+
+        monkeypatch.setattr(pipeline, "boundary_form", refuse)
+        monkeypatch.setattr(pipeline, "direct_twisted_counts", recorded)
+        rows = verify_family(2, 3, n=512)
+        assert [r["check"] for r in rows] == [
+            c for c in VERIFY_CHECKS if c not in ("s2 = -cos(p pi / q)",
+                                                  "P2(1) = 0")]
+        agreement = [r for r in rows if r["check"].startswith("route")]
+        assert all(r["ok"] and r["detail"] == "edwards inapplicable: forced"
+                   for r in agreement)
+        assert counted == [1, 2]
+
     def test_route_disagreement_is_a_failed_row(self, monkeypatch):
         original = pipeline.direct_twisted_counts
 
@@ -380,7 +462,8 @@ class TestVerifyBattery:
     def test_antiperiodic_row_fails_instead_of_stopping(self, miscounted):
         rows = verify_family(2, 3, n=1024)
         assert [r["check"] for r in rows] == VERIFY_CHECKS
-        assert [r["check"] for r in rows if not r["ok"]] == ["antiperiodic l=0"]
+        assert [r["check"] for r in rows if not r["ok"]] == \
+            ["l=0 counts", "antiperiodic l=0"]
 
     def test_cli_prints_every_row_of_a_failed_battery(self, miscounted, capsys):
         assert run_cli(["verify", "--p", "2", "--q", "3"]) == 2
@@ -388,7 +471,7 @@ class TestVerifyBattery:
         assert [line.split("  ")[0].strip() for line in lines] == \
             VERIFY_CHECKS + ["overall"]
         failed = [line.split("  ")[0] for line in lines if "  FAIL" in line]
-        assert failed == ["antiperiodic l=0", "overall"]
+        assert failed == ["l=0 counts", "antiperiodic l=0", "overall"]
 
 
 VERIFY_CHECKS = [
@@ -400,16 +483,19 @@ VERIFY_CHECKS = [
 
 @pytest.fixture
 def miscounted(monkeypatch):
-    """Channel 2 reads (0, 2) at omega = -1, the mis-count of 2378/3363."""
-    original = pipeline._mode0_counts
+    """Channel 2 reads (0, 2) at omega = -1, the mis-count of 2378/3363,
+    which moves mode 0 from (neg, zero) to (neg - 1, zero + 1)."""
+    original = pipeline.ladder_counts
 
-    def counts(traj, n):
-        mode0, channel2 = original(traj, n)
+    def counts(build, traj, n, level):
+        rows = original(build, traj, n, level)
+        if build.func is not l0_channel_system or build.args != (2,):
+            return rows
         q = traj.family.rotation.q
-        return mode0, [(r, 0, 2) if r == q else (r, neg, zero)
-                       for r, neg, zero in channel2]
+        return [(r, 0, 2) if r == q else (r, neg, zero)
+                for r, neg, zero in rows]
 
-    monkeypatch.setattr(pipeline, "_mode0_counts", counts)
+    monkeypatch.setattr(pipeline, "ladder_counts", counts)
 
 
 class TestCli:
