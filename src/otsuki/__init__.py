@@ -22,8 +22,7 @@ from .spectral import (SpectrumSummary, spectral_index, spectrum_below,
                        spectrum_counts, verify_high_l_positive)
 from .edwards import (BoundaryFormData, aggregate_roots, boundary_form,
                       boundary_solutions, det_polynomial,
-                      dirichlet_negative_count, gram_matrix, twisted_counts,
-                      twisted_form)
+                      dirichlet_negative_count, gram_matrix)
 from .pipeline import (IndexReport, bounds_check, cache_load, cache_store,
                        compute_index, index_bounds, verify_family)
 

@@ -4,7 +4,8 @@ Subcommands mirror the computation stages: ``geodesic`` (solve for the
 family), ``spectrum`` (one mode's spectrum), ``edwards`` (boundary
 form data), ``index`` (the full report), ``verify`` (invariant battery),
 ``sweep`` (batch of families).  JSON goes to stdout unless --json-out is
-given.  Exit codes: 0 success, 1 validation problem, a file (the cache
+given.  Exit codes: 0 success, also when the reader of stdout closes it
+early (``otsuki ... | head``), 1 validation problem, a file (the cache
 included) that cannot be read or written, or a mesh too large for memory,
 2 numerical or consistency failure (for ``sweep``: any family failed).
 """
@@ -262,9 +263,15 @@ def exit_code(run) -> int:
     """``run()``'s exit code, or the code of the failure it raises, with the
     message on stderr: 1 for a validation problem, a file that cannot be
     read or written, or a mesh too large for memory, 2 for a numerical
-    failure.  ``run_cli`` and the scripts under ``scripts/`` share it."""
+    failure.  A closed stdout pipe is the reader stopping early, no
+    failure: 0, with stdout pointed at os.devnull so that the
+    interpreter's final flush stays quiet.  ``run_cli`` and the scripts
+    under ``scripts/`` share it."""
     try:
         return run()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

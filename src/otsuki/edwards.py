@@ -8,8 +8,10 @@ count of the omega-twisted problem is then the Dirichlet negative count
 plus the index of the restricted 2x2 form; its nullity is the form's
 nullity.  The determinant of the restricted form is a quadratic
 polynomial in s = Re(omega) whose roots mark the twists carrying zero
-modes.  The method needs the Dirichlet problem to be nondegenerate,
-which ``boundary_solutions`` checks once per mode before integrating.
+modes, and its trace is linear in s, so ``aggregate_roots`` counts the
+2q twists of a mode in one array pass over s.  The method needs the
+Dirichlet problem to be nondegenerate, which ``boundary_solutions``
+checks once per mode before integrating.
 The four solutions are integrated by the package's own DOP853 stepper,
 ``ode.solve_ivp``.
 """
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
-                     NumericalError, ValidationError)
+                     NumericalError)
 from .geodesic import Trajectory, _phi_ddot
 from .ode import solve_ivp
 from .sl import BoundaryCondition, roots_of_unity_ladder
@@ -193,19 +195,6 @@ def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
     return a
 
 
-def twisted_form(a: np.ndarray, omega: complex) -> np.ndarray:
-    """Restriction of the boundary form to the omega-twist subspace."""
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
-        raise ValidationError("twist parameter must have unit modulus")
-    s2 = omega + omega.conjugate()           # 2 Re(omega)
-    d = omega - omega.conjugate()            # 2i Im(omega)
-    return np.array([
-        [2.0 * a[0, 0] + s2.real * a[0, 2], d * a[0, 3]],
-        [-d * a[0, 3], 2.0 * a[1, 1] - s2.real * a[1, 3]],
-    ], dtype=complex)
-
-
 @dataclass(frozen=True)
 class DeterminantPolynomial:
     coeffs: tuple                 # (c2, c1, c0) of det A(s)
@@ -229,11 +218,8 @@ class DeterminantPolynomial:
 
 
 def det_polynomial(a: np.ndarray) -> DeterminantPolynomial:
-    """det of the restricted form as a quadratic in s = Re(omega).
-
-    The off-diagonal contributes |omega - conj(omega)|^2 = 4 (1 - s^2),
-    so det A = 4 [(a11 + s a13)(a22 - s a24) - (1 - s^2) a14^2].
-    """
+    """det A(s) of the restricted form (see ``aggregate_roots``) as a
+    quadratic in s = Re(omega); here the entries of a are numbered from 1."""
     a11, a13, a14 = a[0, 0], a[0, 2], a[0, 3]
     a22, a24 = a[1, 1], a[1, 3]
     c2 = 4.0 * (a14 * a14 - a13 * a24)
@@ -293,44 +279,43 @@ def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
                             condition=sols.condition)
 
 
-def twisted_counts(data: BoundaryFormData, omega: complex) -> tuple[int, int]:
-    """(negative, zero) of the omega-twisted problem from the boundary form.
-
-    neg = Dirichlet negatives + index of the restricted form; zero is the
-    form's nullity.  A near-zero form eigenvalue is only accepted when
-    Re(omega) sits at a root of the determinant polynomial, since the
-    zero modes are exact there; anything else is reported as ambiguous.
-
-    The form's determinant is P(s) itself, read off ``data.poly`` at
-    s = Re(omega): A00 = 2(a00 + s a02), A11 = 2(a11 - s a13) and
-    |A01|^2 = 4(1 - s^2) a03^2, so det A(s) = A00 A11 - |A01|^2 is
-    ``det_polynomial``'s 4[(a00 + s a02)(a11 - s a13) - (1 - s^2) a03^2].
-    """
-    A = twisted_form(data.a, omega)
-    tr = float(A[0, 0].real + A[1, 1].real)
-    det = data.poly(omega.real)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    rt = math.sqrt(disc)
-    eigs = np.array([(tr - rt) / 2.0, (tr + rt) / 2.0])
-    tau = FORM_TOL_REL * max(np.abs(A).max(), 1e-30)
-    ind = int(np.sum(eigs < -tau))
-    nul = int(np.sum(np.abs(eigs) <= tau))
-    if nul > 0:
-        s = omega.real
-        near_root = any(abs(s - r) <= ROOT_TOL for r in data.poly.roots)
-        if not near_root:
-            raise AmbiguousClassificationError(
-                f"restricted form nearly singular at Re(omega)={s:.6f} "
-                f"which is no root of the determinant polynomial")
-    return data.dirichlet.negative + ind, nul
-
-
 def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
     """(r, negative, zero) of the twisted problem at each 2q-th root of
     unity omega = exp(i pi r / q), the rows ``direct_twisted_counts``
     returns; ``spectral.class_counts`` sums them for a mode.  Each of the
-    2q twists is evaluated here, also the r > q that the direct route
+    2q twists is counted here, also the r > q that the direct route
     copies from the conjugate twist 2q - r, so ``both`` checks those
-    copies against an independent count."""
-    return [(r, *twisted_counts(data, om))
-            for r, om in enumerate(roots_of_unity_ladder(q))]
+    copies against an independent count.
+
+    neg = Dirichlet negatives + index of the boundary form restricted to
+    the omega-twist subspace; zero is that form's nullity.  With
+    s = Re(omega) the form is A00 = 2(a00 + s a02), A11 = 2(a11 - s a13),
+    A01 = conj(A10) = 2i Im(omega) a03, so |A01|^2 = 4(1 - s^2) a03^2 and
+    det A = A00 A11 - |A01|^2 is ``det_polynomial``'s P(s) identically:
+    the two eigenvalues of every twist come from the trace and
+    ``data.poly(s)``, in one array pass over the 2q values of s.  An
+    eigenvalue within FORM_TOL_REL of max|A| counts as zero, which is only
+    accepted where s lies within ROOT_TOL of a root of P, since the zero
+    modes are exact there; at the first other twist the count is
+    ambiguous and AmbiguousClassificationError names its Re(omega).
+    """
+    omega = np.array(roots_of_unity_ladder(q))
+    s, a = omega.real, data.a
+    A00 = 2.0 * a[0, 0] + (2.0 * s) * a[0, 2]
+    A11 = 2.0 * a[1, 1] - (2.0 * s) * a[1, 3]
+    tr = A00 + A11
+    rt = np.sqrt(np.maximum(tr * tr - 4.0 * data.poly(s), 0.0))
+    eigs = np.array(((tr - rt) / 2.0, (tr + rt) / 2.0))
+    scale = np.abs((A00, A11, (2.0 * omega.imag) * a[0, 3])).max(axis=0)
+    tau = FORM_TOL_REL * np.maximum(scale, 1e-30)
+    neg = data.dirichlet.negative + (eigs < -tau).sum(axis=0)
+    zero = (np.abs(eigs) <= tau).sum(axis=0)
+    near_root = (np.abs(s[:, None] - np.array(data.poly.roots))
+                 <= ROOT_TOL).any(axis=1)
+    ambiguous = np.flatnonzero((zero > 0) & ~near_root)
+    if ambiguous.size:
+        raise AmbiguousClassificationError(
+            f"restricted form nearly singular at "
+            f"Re(omega)={s[ambiguous[0]]:.6f} "
+            f"which is no root of the determinant polynomial")
+    return list(zip(range(2 * q), neg.tolist(), zero.tolist()))

@@ -69,7 +69,4 @@ def _emit(obj, out, indent, level):
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
-        try:
-            out.append(_fmt_float(float(obj)))
-        except (TypeError, ValueError):
-            raise TypeError(f"cannot serialize {type(obj)!r}")
+        raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -2,6 +2,7 @@
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
 array, the boundary solutions as functions of t (scipy's DOP853 interpolant),
+the dense restricted boundary form of a twist and its counted row,
 the nine kernel fields by their closed-length formulas, the
 closed-length system of a builder on [0, T] and its positivity sweep for
 a mode-l block, the half closed length of an even-q family,
@@ -18,8 +19,9 @@ import pytest
 
 from otsuki import edwards, geodesic, spectral
 from otsuki.eigencount import BandOperator, eigenvalues_in
-from otsuki.errors import NumericalError, ValidationError
-from otsuki.sl import BoundaryCondition, SLSystem
+from otsuki.errors import (AmbiguousClassificationError, NumericalError,
+                           ValidationError)
+from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.surface import (_q_entries, _weight, _weight_prime,
                             fourier_block_system)
 
@@ -163,6 +165,36 @@ def boundary_psi(sols, traj):
         return np.tensordot(sols.coeffs[:, i], Y[:, :2], axes=1)
 
     return psi
+
+
+def restricted_form(a, omega):
+    """The boundary form ``a`` restricted to the omega-twist subspace, as
+    the dense Hermitian 2x2 matrix whose entries ``edwards.aggregate_roots``
+    reads off s = Re(omega)."""
+    omega = complex(omega)
+    s2 = omega + omega.conjugate()           # 2 Re(omega)
+    d = omega - omega.conjugate()            # 2i Im(omega)
+    return np.array([
+        [2.0 * a[0, 0] + s2.real * a[0, 2], d * a[0, 3]],
+        [-d * a[0, 3], 2.0 * a[1, 1] - s2.real * a[1, 3]],
+    ], dtype=complex)
+
+
+def dense_twisted_row(data, q, r):
+    """(r, negative, zero) of twist omega_r of the 2q-th roots of unity from
+    ``np.linalg.eigvalsh`` of ``restricted_form``, with the zero tolerance
+    and the root rule of ``edwards.aggregate_roots``: the oracle of its
+    rows."""
+    omega = roots_of_unity_ladder(q)[r]
+    A = restricted_form(data.a, omega)
+    eigs = np.linalg.eigvalsh(A)
+    tau = edwards.FORM_TOL_REL * max(np.abs(A).max(), 1e-30)
+    zero = int(np.sum(np.abs(eigs) <= tau))
+    if zero and not any(abs(omega.real - root) <= edwards.ROOT_TOL
+                        for root in data.poly.roots):
+        raise AmbiguousClassificationError(
+            f"dense form singular at Re(omega)={omega.real:.6f}")
+    return r, data.dirichlet.negative + int(np.sum(eigs < -tau)), zero
 
 
 def full_period_grid(traj):

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from helpers import (check_interlacing, closed_length_system,
-                     half_length_system, oscillation_index,
+                     half_length_system, oscillation_index, restricted_form,
                      scalar_eigenfunctions, spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
-                            dirichlet_negative_count, twisted_form)
+                            dirichlet_negative_count)
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              GeodesicFamily, half_period, rotation_angle,
                              sample_trajectory, solve_parameter)
@@ -88,7 +88,7 @@ def test_criterion_02_clifford_boundary_forms(clifford_traj):
             data = boundary_form(l, clifford_traj, n=1024)
             for k in range(16):
                 om = cmath.exp(1j * k * math.pi / 8)
-                assert np.abs(twisted_form(data.a, om)
+                assert np.abs(restricted_form(data.a, om)
                               - closed(om.real)).max() < 1e-6
         assert time.monotonic() - start < 5.0
 

@@ -2,18 +2,19 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import (boundary_psi, fundamental_rhs, fundamental_rhs_matmul,
-                     returning)
+from helpers import (boundary_psi, dense_twisted_row, fundamental_rhs,
+                     fundamental_rhs_matmul, restricted_form, returning)
 from otsuki import edwards, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
                             dirichlet_negative_count, gram_matrix,
-                            roots_of_unity_ladder, twisted_counts, twisted_form)
+                            roots_of_unity_ladder)
 from otsuki.errors import (AmbiguousClassificationError,
                            EdwardsInapplicableError, NumericalError,
                            ValidationError)
@@ -290,11 +291,12 @@ class TestPinnedForms:
 
 
 class TestTwistedForm:
+    # the dense restricted form of the tests' oracle
     def test_real_twist_is_diagonal(self, traj23):
         a = gram_matrix(boundary_solutions(1, traj23, n=2048))
-        A1 = twisted_form(a, 1.0 + 0j)
+        A1 = restricted_form(a, 1.0 + 0j)
         assert A1[0, 1] == 0 and A1[1, 0] == 0
-        Am = twisted_form(a, -1.0 + 0j)
+        Am = restricted_form(a, -1.0 + 0j)
         assert Am[0, 0] == pytest.approx(2 * a[0, 0] - 2 * a[0, 2], rel=1e-14)
         assert Am[1, 1] == pytest.approx(2 * a[1, 1] + 2 * a[1, 3], rel=1e-14)
 
@@ -302,7 +304,7 @@ class TestTwistedForm:
         a = gram_matrix(boundary_solutions(1, traj23, n=2048))
         for k in range(8):
             om = cmath.exp(1j * (0.3 + k))
-            A = twisted_form(a, om)
+            A = restricted_form(a, om)
             assert np.abs(A - A.conj().T).max() < 1e-13
 
     def test_determinant_matches_polynomial(self, traj23):
@@ -310,14 +312,9 @@ class TestTwistedForm:
         poly = det_polynomial(a)
         for k in range(12):
             om = cmath.exp(1j * 0.5 * k)
-            A = twisted_form(a, om)
+            A = restricted_form(a, om)
             det = float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]).real)
             assert det == pytest.approx(poly(om.real), rel=1e-10, abs=1e-8)
-
-    def test_modulus_validated(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
-        with pytest.raises(ValidationError):
-            twisted_form(a, 1.2)
 
 
 class TestCliffordForms:
@@ -325,14 +322,14 @@ class TestCliffordForms:
         data = boundary_form(1, clifford_traj, n=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
-            A = twisted_form(data.a, om)
+            A = restricted_form(data.a, om)
             assert np.abs(A - _clifford_A1(om.real)).max() < 1e-6
 
     def test_mode2_matches_closed_form(self, clifford_traj):
         data = boundary_form(2, clifford_traj, n=1024)
         for k in range(16):
             om = cmath.exp(1j * k * math.pi / 8)
-            A = twisted_form(data.a, om)
+            A = restricted_form(data.a, om)
             assert np.abs(A - _clifford_A2(om.real)).max() < 1e-6
 
     def test_mode1_roots(self, clifford_traj):
@@ -364,41 +361,42 @@ class TestRootIdentities:
 
 
 class TestTwistedCounts:
+    # q = 2 twists by omega = 1, i, -1, -i (r = 0..3)
     def test_clifford_mode2_unit_twist(self, clifford_traj):
         data = boundary_form(2, clifford_traj, n=1024)
-        assert twisted_counts(data, 1.0 + 0j) == (0, 1)
+        assert aggregate_roots(data, 2)[0] == (0, 0, 1)
 
     def test_clifford_mode1_index_ladder(self, clifford_traj):
         # index of the restricted form steps 2 -> 1 -> 0 as Re(omega)
         # crosses the polynomial roots, shifting the count accordingly
         data = boundary_form(1, clifford_traj, n=1024)
         dirich = data.dirichlet.negative
-        below_s1 = twisted_counts(data, -1.0 + 0j)          # Re < s1
-        between = twisted_counts(data, 1j)                  # s1 <= Re < s2
-        above_s2 = twisted_counts(data, 1.0 + 0j)           # Re >= s2
-        assert below_s1[0] == dirich + 2
-        assert between[0] == dirich + 1
-        assert above_s2[0] == dirich
-        assert (below_s1[1], between[1], above_s2[1]) == (0, 0, 0)
+        above_s2, between, below_s1, _ = aggregate_roots(data, 2)
+        assert below_s1[1] == dirich + 2           # omega = -1: Re < s1
+        assert between[1] == dirich + 1            # omega = i: s1 <= Re < s2
+        assert above_s2[1] == dirich               # omega = 1: Re >= s2
+        assert (below_s1[2], between[2], above_s2[2]) == (0, 0, 0)
 
     def test_oracle_equivalence_spot(self, traj23):
         data = boundary_form(1, traj23, n=1024)
         rows = direct_twisted_counts(1, traj23, 1024)
+        edwards_rows = aggregate_roots(data, 3)
         for r in (0, 1, 3):
-            om = roots_of_unity_ladder(3)[r]
-            assert (r, *twisted_counts(data, om)) == rows[r]
+            assert edwards_rows[r] == rows[r]
 
     def test_zero_without_root_is_ambiguous(self, traj23):
         data = boundary_form(1, traj23, n=512)
         p, q = 2, 3
-        om = roots_of_unity_ladder(q)[q - p]      # a genuine zero twist
-        assert twisted_counts(data, om)[1] == 1
+        assert aggregate_roots(data, q)[q - p][2] == 1    # a genuine zero twist
         # without the polynomial roots nothing vouches for the singular
-        # form, which must surface as an error rather than a count
+        # form, which must surface as an error rather than a count, naming
+        # the first such twist: r = q - p
         rootless = dataclasses.replace(
             data, poly=dataclasses.replace(data.poly, roots=()))
-        with pytest.raises(AmbiguousClassificationError):
-            twisted_counts(rootless, om)
+        s = roots_of_unity_ladder(q)[q - p].real
+        with pytest.raises(AmbiguousClassificationError,
+                           match=re.escape(f"Re(omega)={s:.6f} ")):
+            aggregate_roots(rootless, q)
 
 
 class TestAggregation:
@@ -431,6 +429,34 @@ class TestAggregation:
         data = boundary_form(1, traj23, n=1024)
         carriers = [r for r, _, z in aggregate_roots(data, 3) if z > 0]
         assert carriers == [3 - 2, 3 + 2]     # r = q -+ p
+
+    @pytest.mark.parametrize("pq", [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3),
+                                    (7, 10), (12, 17), (70, 99), None],
+                             ids=lambda pq: "%d-%d" % pq if pq else "clifford")
+    def test_rows_equal_the_dense_form(self, pq, clifford_traj):
+        # the Clifford trajectory is twisted by the 16th roots of unity
+        if pq is None:
+            traj, q = clifford_traj, 8
+        else:
+            traj, q = family_trajectory(solve_parameter(*pq), 1024), pq[1]
+        for l in (1, 2):
+            data = boundary_form(l, traj, n=1024)
+            assert aggregate_roots(data, q) == [
+                dense_twisted_row(data, q, r) for r in range(2 * q)]
+
+    def test_paper_scale_rows(self):
+        # 2378/3363, a convergent of sqrt(2)/2: every mode-1 zero sits at
+        # r = q -+ p and mode 2's at the unit twist alone
+        p, q = 2378, 3363
+        traj = family_trajectory(solve_parameter(p, q), 512)
+        for l, carriers in ((1, [q - p, q + p]), (2, [0])):
+            data = boundary_form(l, traj, n=512)
+            rows = aggregate_roots(data, q)
+            assert len(rows) == 2 * q
+            assert all(type(v) is int for row in rows for v in row)
+            assert [r for r, _, z in rows if z] == carriers
+            for r in (0, 1, q - p, q, q + p, 2 * q - 1):
+                assert rows[r] == dense_twisted_row(data, q, r)
 
 
 class TestApplicabilityGate:
@@ -506,6 +532,6 @@ class TestApplicabilityGate:
     def test_group_action_pairs_conjugate_spectra(self, traj23):
         # complex conjugation intertwines the omega and conj(omega) problems
         data = boundary_form(2, traj23, n=512)
-        for r in (1, 2):
-            om = roots_of_unity_ladder(3)[r]
-            assert twisted_counts(data, om) == twisted_counts(data, om.conjugate())
+        rows = aggregate_roots(data, 3)
+        for r in (1, 2):     # omega_{2q - r} = conj(omega_r)
+            assert rows[r][1:] == rows[6 - r][1:]

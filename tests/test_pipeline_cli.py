@@ -350,6 +350,12 @@ class TestJsonFormat:
         doc = json.loads(jsonio.dumps({"v": vals}))
         assert doc["v"] == vals
 
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)])
+    def test_numpy_scalars_other_than_float_are_refused(self, value):
+        # np.float64 is a float; an np.int64 would print as "3.0"
+        with pytest.raises(TypeError, match="cannot serialize"):
+            jsonio.dumps([value])
+
 
 @pytest.fixture(scope="module")
 def verify23():
@@ -754,17 +760,48 @@ class TestCli:
         assert (doc["p"], doc["q"], doc["ind"]) == (2, 3, 31)
 
 
-def test_module_entry_point_runs_without_warnings():
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                       "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _package_env():
+    """The environment with the package's source first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "otsuki.cli",
-         "--help"], env=env, capture_output=True, text=True, timeout=120)
+         "--help"], env=_package_env(), capture_output=True, text=True,
+        timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: otsuki" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_0(tmp_path):
+    # the reader stops after one line of a trajectory far larger than the
+    # pipe's buffer; a --json-out that cannot be written still exits 1.
+    # stdout is buffered, as by default: unbuffered (PYTHONUNBUFFERED), a
+    # write cut short by the closed pipe returns its partial count and
+    # raises nothing
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-m", "otsuki.cli", "geodesic", "--p", "2",
+           "--q", "3", "--n", "20000"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
+    unwritable = str(tmp_path / "missing" / "out.json")
+    proc = subprocess.run(cmd + ["--json-out", unwritable], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("script,args", [
@@ -775,13 +812,9 @@ def test_module_entry_point_runs_without_warnings():
     ("sweep_near_clifford.py", ["--max-q", "x"]),
 ])
 def test_scripts_reject_bad_input_without_traceback(script, args):
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", script), *args],
-        env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
