@@ -30,7 +30,9 @@ from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
 from .geodesic import Trajectory, _phi_ddot
 from .ode import solve_ivp
 from .sl import BoundaryCondition, roots_of_unity_ladder
-from .spectral import LOCATE_TOL, TAU_ZERO, spectrum_counts
+# spectrum_counts is bound only for perfbench, which traces every binding
+from .spectral import (LOCATE_TOL, TAU_ZERO, _zone, _zone_rows,  # noqa: F401
+                       spectrum_counts)
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
 from .eigencount import BandOperator, eigenvalues_in, inertia
 
@@ -71,20 +73,24 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
     at most DIRICHLET_MARGIN: the boundary-form route needs a
-    nondegenerate Dirichlet problem.  Two count-only sweeps of the mesh-n
-    operator at +-(DIRICHLET_MARGIN + LOCATE_TOL) settle the margin when
-    no eigenvalue lies between them: the located margin then exceeds
-    DIRICHLET_MARGIN.
-    Otherwise the margin is located and compared, so the decision is
-    always "located margin > DIRICHLET_MARGIN".
+    nondegenerate Dirichlet problem.  No eigenvalue within
+    reach = DIRICHLET_MARGIN + LOCATE_TOL of zero settles the margin: the
+    located margin then exceeds DIRICHLET_MARGIN.  The count's zone sweeps
+    show that already when the mesh-n zone holds no eigenvalue and covers
+    [-reach, reach]; otherwise two count-only sweeps of the mesh-n
+    operator at +-reach look.  If they find an eigenvalue the margin is
+    located and compared, so the decision is always "located margin >
+    DIRICHLET_MARGIN".
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
-    neg, zero = spectrum_counts(system, n)
+    (neg, zero, k), = _zone_rows(system, n, 0.0)
     counts = DirichletCounts(negative=neg, operator=system.operator(n))
     # a located eigenvalue lies within LOCATE_TOL / 2 of the true one
     reach = DIRICHLET_MARGIN + LOCATE_TOL
-    below, above = inertia(counts.operator, -reach, reach, logdet=False)
-    clear = below[0] == above[0]
+    clear = k == 0 and reach <= _zone(system, n)
+    if not clear:
+        below, above = inertia(counts.operator, -reach, reach, logdet=False)
+        clear = below[0] == above[0]
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
         return counts
     raise EdwardsInapplicableError(
@@ -106,6 +112,24 @@ class BoundarySolutions:
     p_ends: tuple
 
 
+# id(buffer) -> (buffer, the 4x4 view of its solutions); the buffer is
+# held, so its id names no other array while its entry lives
+_BLOCKS: dict = {}
+
+
+def _block(buf):
+    """The 4x4 view of the solutions Y in the state buffer ``buf``, kept in
+    ``_BLOCKS``: the stepper passes a fixed set of buffers on every step
+    of an integration.  A caller that passes new buffers each time, as
+    scipy's ``solve_ivp`` does, empties it every 64 of them."""
+    entry = _BLOCKS.get(id(buf))
+    if entry is None:
+        if len(_BLOCKS) >= 64:
+            _BLOCKS.clear()
+        entry = _BLOCKS[id(buf)] = buf, buf[2:].reshape(4, 4)
+    return entry[1]
+
+
 def _fundamental_rhs(y, out, l, c, A):
     """Write into out the derivative of the geodesic (phi, phi') and of the
     four solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
@@ -115,7 +139,8 @@ def _fundamental_rhs(y, out, l, c, A):
     It runs once per stage of the DOP853 stepper (12 per step), so it
     allocates no array: the coefficients are taken on Python floats from
     one cos/sin pair, and fill the variable entries of A, a copy of
-    ``_A_CONSTANT`` kept for one integration.  Y A is ``np.dot`` into the
+    ``_A_CONSTANT`` kept for one integration, and the 4x4 views of y and
+    out are made once per buffer (``_block``).  Y A is ``np.dot`` into the
     rows of out, the same BLAS dgemm that ``np.matmul`` issues: a
     hand-written 4x4 product rounds differently (OpenBLAS fuses
     multiply-adds), and the boundary forms would move in the last bit.
@@ -130,7 +155,7 @@ def _fundamental_rhs(y, out, l, c, A):
     A[1, 3] = q22 / p
     A[2, 2] = A[3, 3] = damp
     out[0], out[1] = phid, _phi_ddot(c, cphi, sphi, phid)
-    np.dot(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
+    np.dot(_block(y), A, out=_block(out))
 
 
 def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:

@@ -328,7 +328,11 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # p (left coupling L, right coupling R, pivot X^-1) adds -L X L^T and
 # -R^T X R to its neighbours' diagonal blocks and couples them by
 # -L X R.  The couplings, scalars at first, become general d x d blocks
-# U (block (p, p+1); block (p+1, p) is U^T).  Nodes 0 and m-1 are kept to
+# U (block (p, p+1); block (p+1, p) is U^T).  The 2x2 reduction writes
+# its first level for the couplings e I apart: it makes the products of
+# the general level less those by the zero entries, which the general
+# level only adds to them, so the level changes no count and no bit but
+# the sign of a zero.  Nodes 0 and m-1 are kept to
 # the end, so the wrap block, which joins only them, enters after the
 # loop and the loop stays real.  The shifts are the rows of every array,
 # each reduced as alone.  Node 0's pivot X0^-1 is last but one; then the
@@ -384,21 +388,28 @@ def _inertia_d2_reduction(d11, d12, d22, e, sigma):
     shape = (len(sigma), len(d11))
     a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
                      d22 - sigma[:, None])
-    u11 = u22 = np.broadcast_to(e, (len(sigma), len(e)))
-    u12 = u21 = np.zeros_like(u11)
-    neg = np.zeros(len(sigma), dtype=int)
-    ok = np.ones(len(sigma), dtype=bool)
+    # the first level: the couplings are e I, so L = l I, R = r I, G = l N
+    # and H = r N, and the general level's products by their zero entries
+    # are left out
+    h = (len(d11) - 1) // 2
+    neg, ok, (n11, n12, n22) = _inverse_pivots(
+        a11, a12, a22, slice(1, 2 * h, 2), 0, True)
+    l, r = e[0:2 * h:2], e[1:2 * h:2]
+    g11, g12, g22 = l * n11, l * n12, l * n22
+    h11, h12, h22 = r * n11, r * n12, r * n22
+    a11 = _kept(a11, g11 * l, h11 * r)
+    a12 = _kept(a12, g12 * l, h12 * r)
+    a22 = _kept(a22, g22 * l, h22 * r)
+    u = np.broadcast_to(e, (len(sigma), len(e)))
+    zero = np.broadcast_to(0.0, u.shape)
+    u11, u12, u22 = (_joined(new, u) for new, u in (
+        (g11 * r, u), (g12 * r, zero), (g22 * r, u)))
+    u21 = u12
     while a11.shape[1] > 2:
         h = (a11.shape[1] - 1) // 2
         odd, even = slice(1, 2 * h, 2), slice(0, 2 * h, 2)
-        p11, p12, p22 = a11[:, odd], a12[:, odd], a22[:, odd]
-        det = p11 * p22 - p12 * p12
-        count, regular = _negatives(p11, det)
-        neg += count.sum(axis=1)
-        ok &= regular.all(axis=1)
-        # N = -X, the negated inverse pivot
-        r = -1.0 / det
-        n11, n12, n22 = p22 * r, p12 / det, p11 * r
+        neg, ok, (n11, n12, n22) = _inverse_pivots(a11, a12, a22, odd,
+                                                   neg, ok)
         l11, l12, l21, l22 = (u[:, even] for u in (u11, u12, u21, u22))
         r11, r12, r21, r22 = (u[:, odd] for u in (u11, u12, u21, u22))
         # G = L N adds G L^T to the left neighbour and couples it by G R
@@ -419,6 +430,18 @@ def _inertia_d2_reduction(d11, d12, d22, e, sigma):
         a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
         u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
         a11[:, 1], a12[:, 1], a22[:, 1])
+
+
+def _inverse_pivots(a11, a12, a22, odd, neg, ok):
+    """(neg, ok, N) after the 2x2 pivots at the positions ``odd``: their
+    negative eigenvalues added to neg per shift, whether all are regular
+    anded into ok, and N = -X, their negated inverses."""
+    p11, p12, p22 = a11[:, odd], a12[:, odd], a22[:, odd]
+    det = p11 * p22 - p12 * p12
+    count, regular = _negatives(p11, det)
+    r = -1.0 / det
+    return (neg + count.sum(axis=1), ok & regular.all(axis=1),
+            (p22 * r, p12 / det, p11 * r))
 
 
 def _kept(a, left, right):

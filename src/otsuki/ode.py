@@ -182,12 +182,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
     # the stage state and its increment, the error scale and estimate
     ys, dy, scale, err = np.empty((4, y.size))
     step = np.empty(())
-    # K[0] is f at (t, y), K[1:12] the stages and K[12] f at (t + h, y_new)
+    # K[0] is f at (t, y), K[1:12] the stages and K[12] f at (t + h, y_new);
+    # fun writes into rows made once, so it sees the same buffers each step
     K = np.empty((len(_C) + 1, y.size))
-    stages = [(K[:s].T, a, c, K[s])
+    rows = list(K)
+    stages = [(K[:s].T, a, c, rows[s])
               for s, (a, c) in enumerate(zip(_A, _C[1:]), start=1)]
-    fun(t, y, K[0])
-    h_abs = _initial_step(fun, t, y, t_bound, K[0], rtol, atol, K[1])
+    fun(t, y, rows[0])
+    h_abs = _initial_step(fun, t, y, t_bound, rows[0], rtol, atol, rows[1])
     nfev = 2
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -209,7 +211,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
             np.dot(K[:-1].T, _B, out=dy)
             dy *= step
             np.add(y, dy, out=y_new)
-            fun(t + h, y_new, K[-1])
+            fun(t + h, y_new, rows[-1])
             nfev += 12
             np.abs(y, out=err)
             np.abs(y_new, out=scale)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,14 +67,17 @@ class BoundaryCondition:
         return (self.omega, -self.omega)
 
 
-def roots_of_unity_ladder(q: int) -> list[complex]:
+@lru_cache(maxsize=1)
+def roots_of_unity_ladder(q: int) -> tuple[complex, ...]:
     """omega_r = exp(i pi r / q) for r = 0..2q-1, each to within an ulp:
     both parts are sines of angles in [-pi/2, pi/2], so 1, i, -1 and -i
-    are exact, and omega_{2q-r} = conj(omega_r)."""
-    upper = [complex(math.sin(math.pi * (q - 2 * r) / (2 * q)),
-                     math.sin(math.pi * min(r, q - r) / q))
-             for r in range(q + 1)]
-    return upper + [w.conjugate() for w in upper[q - 1:0:-1]]
+    are exact, and omega_{2q-r} = conj(omega_r).  Every ladder and every
+    boundary-form count of a family asks for the same q, so the last
+    ladder is kept."""
+    upper = tuple(complex(math.sin(math.pi * (q - 2 * r) / (2 * q)),
+                          math.sin(math.pi * min(r, q - r) / q))
+                  for r in range(q + 1))
+    return upper + tuple(w.conjugate() for w in upper[q - 1:0:-1])
 
 
 @dataclass(frozen=True)

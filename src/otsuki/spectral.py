@@ -11,7 +11,7 @@ eigenvalues are Richardson extrapolated before classification.
 Disagreement between the meshes is an error, never a guess.
 
 Most zone eigenvalues are exact zero modes, and those need no location:
-four window sweeps, shared by every twist of a ladder, certify that all k
+four window shifts, shared by every twist of a ladder, certify that all k
 of a twist's zone eigenvalues lie in [-4w, w) on mesh n and in [-w, w/4)
 on mesh 2n, with w = (TAU_ZERO - 3 LOCATE_ERR) / 5.  Located, each would
 lie within LOCATE_TOL / 2 of its eigenvalue, so its extrapolation within
@@ -21,7 +21,10 @@ certified twist counts exactly as if located.  Every other zone
 eigenvalue is located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it).
 Counting reads no determinant, so the zone ends and the windows are
-swept for counts alone; the first location sweeps the four zone ends
+swept for counts alone: a ladder, whose kernel twists always need the
+windows, sweeps each mesh's zone ends and windows in one call, and a
+single system, whose sweeps cost per shift, its windows only once its
+zone holds eigenvalues.  The first location sweeps the four zone ends
 again with log|det|.  One classifier (``_zone_rows``) serves a single
 system and a twist ladder alike, each sweep once for every twist.
 
@@ -128,18 +131,28 @@ def _floor(system: SLSystem, n: int) -> float:
 def boundary_counts(system: SLSystem, n: int) -> tuple[int, int]:
     """(#{lambda < -tau}, #{|lambda| <= tau}), classified by ``_zone_rows``:
     inertia outside [-zone, zone], certificate or location inside."""
-    return _zone_rows(system, n, 0.0)[0]
+    return _zone_rows(system, n, 0.0)[0][:2]
+
+
+def _zone(system: SLSystem, n: int) -> float:
+    """The half-width of the zone around the level on the meshes n and 2n:
+    ZONE, or ten times the drift of an exact zero mode on mesh n, capped."""
+    return max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
-               ladder: Optional[tuple] = None) -> list[tuple[int, int]]:
-    """(below, at) at the level for each twist of ``ladder`` (wrap
-    multipliers that replace the system's), or for the system alone.
-    Each sweep serves every twist: the zone ends, the windows of a mesh on
-    first need, the ends with log|det| on the first location.  A twist's
-    k zone eigenvalues are zero if its window counts read below, below + k
-    on both meshes (see the module docstring), else they are located.  An
-    ambiguity in a ladder names the system's l and the twist r."""
+               ladder: Optional[tuple] = None) -> list[tuple[int, int, int]]:
+    """(below, at, k) at the level for each twist of ``ladder`` (wrap
+    multipliers that replace the system's), or for the system alone; k
+    counts the eigenvalues in the mesh-n zone (level - zone, level + zone].
+    Each sweep serves every twist: the zone ends, the windows of a mesh,
+    the ends with log|det| on the first location.  A ladder sweeps each
+    mesh's windows in the call that sweeps its zone ends, since its kernel
+    twists need them; a single system sweeps them on first need.  A
+    twist's k zone eigenvalues are zero if its window counts read below,
+    below + k on both meshes (see the module docstring), else they are
+    located.  An ambiguity in a ladder names the system's l and the
+    twist r."""
     def operator(k: int, mult=ladder):
         op = system.operator(k)
         return op if mult is None else replace(op, wrap_mult=mult)
@@ -150,14 +163,18 @@ def _zone_rows(system: SLSystem, n: int, level: float,
         return list(zip(*out)) if ladder else [out]
 
     ops = operator(n), operator(2 * n)
-    zone = max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
+    zone = _zone(system, n)
     lo, hi = level - zone, level + zone
-    ends = [swept(op, lo, hi) for op in ops]
+    windows = [[level + s * _WINDOW for s in shifts]
+               for shifts in _WINDOW_SHIFTS]
+    ends = [swept(op, lo, hi, *(windows[mesh] if ladder else ()))
+            for mesh, op in enumerate(ops)]
 
     @cache
     def window(mesh: int) -> list:
-        return swept(ops[mesh], *(level + s * _WINDOW
-                                  for s in _WINDOW_SHIFTS[mesh]))
+        if ladder:
+            return [end[2:] for end in ends[mesh]]
+        return swept(ops[mesh], *windows[mesh])
 
     @cache
     def located() -> list:
@@ -166,7 +183,7 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     rows = []
     for r, mult in enumerate(ladder or (None,)):
         try:
-            (below, top1), (below2, top2) = ([c for c, _ in end[r]]
+            (below, top1), (below2, top2) = ([c for c, _ in end[r][:2]]
                                              for end in ends)
             if below != below2:
                 raise AmbiguousClassificationError(
@@ -178,11 +195,11 @@ def _zone_rows(system: SLSystem, n: int, level: float,
                     f"zone population changed under mesh doubling: {k1} vs {k2}")
             if k1 == 0 or all(c[0] == below + k1 * j for mesh in (0, 1)
                               for j, c in enumerate(window(mesh)[r])):
-                rows.append((below, k1))
+                rows.append((below, k1, k1))
             else:
-                rows.append(_located_counts(
+                rows.append((*_located_counts(
                     partial(operator, mult=mult), n, level, zone, below,
-                    [end[r] for end in located()]))
+                    [end[r] for end in located()]), k1))
         except AmbiguousClassificationError as exc:
             if ladder is None:
                 raise
@@ -272,7 +289,7 @@ def ladder_counts(build, traj: Trajectory, n: int,
     r = 0..2q-1, of ``build(traj, bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
-    so each end sweep and each window sweep is one sweep of the ladder
+    so the zone ends and windows of a mesh are one sweep of the ladder
     r = 0..q; a twist whose zone holds eigenvalues that the windows do not
     certify is refined on its own operator.  The rows
     r > q are copied from r' = 2q - r: omega_r is exactly conj(omega_r'),
@@ -283,7 +300,7 @@ def ladder_counts(build, traj: Trajectory, n: int,
     system = build(traj, BoundaryCondition.twisted(1.0))
     ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
                    for om in roots_of_unity_ladder(q)[:q + 1])
-    rows = [(r, below, at) for r, (below, at)
+    rows = [(r, below, at) for r, (below, at, _)
             in enumerate(_zone_rows(system, n, level, ladder))]
     return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]
 

@@ -39,16 +39,30 @@ def clifford_traj():
     return sample_trajectory(GeodesicFamily.clifford(), 1024)
 
 
+class SweepLog(list):
+    """(id(op), sigma, logdet) of every shift swept, in order; ``calls``
+    holds the number of shifts of each ``inertia`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def clear(self):
+        super().clear()
+        self.calls.clear()
+
+
 @pytest.fixture
 def count_sweeps(monkeypatch):
-    """Records (id(op), sigma, logdet) of every shift of every inertia
-    sweep, at every binding: ``eigencount`` itself, ``spectral`` and the
-    Dirichlet reach sweeps of ``edwards``."""
+    """Records every shift of every inertia call, and the call, at every
+    binding: ``eigencount`` itself, ``spectral`` and the Dirichlet reach
+    sweeps of ``edwards``."""
     original = eigencount.inertia
-    seen = []
+    seen = SweepLog()
 
     def recorded(op, *shifts, logdet=True):
         seen.extend((id(op), sigma, logdet) for sigma in shifts)
+        seen.calls.append(len(shifts))
         return original(op, *shifts, logdet=logdet)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)

@@ -1,7 +1,7 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
-array, the boundary solutions as functions of t (scipy's DOP853 interpolant),
+array, the 2x2 odd-even reduction with a general first level, the boundary solutions as functions of t (scipy's DOP853 interpolant),
 the dense restricted boundary form of a twist and its counted row,
 the nine kernel fields by their closed-length formulas, the
 closed-length system of a builder on [0, T] and its positivity sweep for
@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from otsuki import edwards, geodesic, spectral
+from otsuki import edwards, eigencount, geodesic, spectral
 from otsuki.eigencount import BandOperator, eigenvalues_in
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
@@ -128,6 +128,50 @@ def fundamental_rhs_matmul(y, l, c):
     out[0], out[1] = phid, geodesic._phi_ddot(c, cphi, sphi, phid)
     np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
     return out
+
+
+def inertia_d2_reduction_general(d11, d12, d22, e, sigma):
+    """``eigencount._inertia_d2_reduction`` as it was before its first
+    level was written for the couplings e I: every level, the first too,
+    is the general one, which multiplies by the zero couplings u12 = u21 =
+    0 there.  The bit oracle of the first level."""
+    _kept, _joined = eigencount._kept, eigencount._joined
+    _negatives = eigencount._negatives
+    shape = (len(sigma), len(d11))
+    a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
+                     d22 - sigma[:, None])
+    u11 = u22 = np.broadcast_to(e, (len(sigma), len(e)))
+    u12 = u21 = np.zeros_like(u11)
+    neg = np.zeros(len(sigma), dtype=int)
+    ok = np.ones(len(sigma), dtype=bool)
+    while a11.shape[1] > 2:
+        h = (a11.shape[1] - 1) // 2
+        odd, even = slice(1, 2 * h, 2), slice(0, 2 * h, 2)
+        p11, p12, p22 = a11[:, odd], a12[:, odd], a22[:, odd]
+        det = p11 * p22 - p12 * p12
+        count, regular = _negatives(p11, det)
+        neg += count.sum(axis=1)
+        ok &= regular.all(axis=1)
+        r = -1.0 / det
+        n11, n12, n22 = p22 * r, p12 / det, p11 * r
+        l11, l12, l21, l22 = (u[:, even] for u in (u11, u12, u21, u22))
+        r11, r12, r21, r22 = (u[:, odd] for u in (u11, u12, u21, u22))
+        g11, g12 = l11 * n11 + l12 * n12, l11 * n12 + l12 * n22
+        g21, g22 = l21 * n11 + l22 * n12, l21 * n12 + l22 * n22
+        h11, h12 = r11 * n11 + r21 * n12, r11 * n12 + r21 * n22
+        h21, h22 = r12 * n11 + r22 * n12, r12 * n12 + r22 * n22
+        a11 = _kept(a11, g11 * l11 + g12 * l12, h11 * r11 + h12 * r21)
+        a12 = _kept(a12, g11 * l21 + g12 * l22, h11 * r12 + h12 * r22)
+        a22 = _kept(a22, g21 * l21 + g22 * l22, h21 * r12 + h22 * r22)
+        u11, u12, u21, u22 = (_joined(new, u) for new, u in (
+            (g11 * r11 + g12 * r21, u11), (g11 * r12 + g12 * r22, u12),
+            (g21 * r11 + g22 * r21, u21), (g21 * r12 + g22 * r22, u22)))
+    det = a11[:, 0] * a22[:, 0] - a12[:, 0] * a12[:, 0]
+    count, regular = _negatives(a11[:, 0], det)
+    return neg + count, ok & regular, (
+        a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
+        u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
+        a11[:, 1], a12[:, 1], a22[:, 1])
 
 
 def returning(fun):

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (boundary_psi, dense_twisted_row, fundamental_rhs,
                      fundamental_rhs_matmul, restricted_form, returning)
-from otsuki import edwards, surface
+from otsuki import edwards, spectral, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
@@ -513,9 +513,27 @@ class TestApplicabilityGate:
         assert doc["applicability_margin"] == 1.3714980259270724
 
     def test_dirichlet_check_sweeps(self, traj23, count_sweeps):
-        # four shifts count (meshes n and 2n at both zone ends), two gate
+        # four shifts count (meshes n and 2n at both zone ends); the mesh-n
+        # zone is empty and covers +-reach, so the gate sweeps nothing more
         dirichlet_negative_count(1, traj23, n=512)
-        assert len(count_sweeps) == 6
+        assert len(count_sweeps) == 4
+
+    def test_dirichlet_gate_sweeps_when_the_zone_holds_eigenvalues(
+            self, traj23, count_sweeps, monkeypatch):
+        # the eigenvalue nearest zero lies 1.0016 from it at n = 512, so a
+        # zone of half-width 1.1 holds it and says nothing about +-reach:
+        # the two reach sweeps of the mesh-n operator run, and the count
+        # stays
+        want = dirichlet_negative_count(1, traj23, n=512)
+        monkeypatch.setattr(spectral, "ZONE", 1.1)
+        count_sweeps.clear()
+        got = dirichlet_negative_count(1, traj23, n=512)
+        assert got.negative == want.negative == 1
+        reach = edwards.DIRICHLET_MARGIN + LOCATE_TOL
+        assert [(sigma, logdet) for op, sigma, logdet in count_sweeps
+                if op == id(got.operator)][-2:] == [(-reach, False),
+                                                    (reach, False)]
+        assert count_sweeps.calls[-1] == 2
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_system, scalar_eigenfunctions
+from helpers import (constant_system, inertia_d2_reduction_general,
+                     scalar_eigenfunctions)
 from otsuki import eigencount
 from otsuki.eigencount import BandOperator, eigenvalues_in, inertia
 from otsuki.errors import ValidationError
@@ -502,3 +503,23 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
                 alone = replace(ladder, wrap_mult=mults[r])
                 assert [inertia(alone, s, logdet=False) for s in shifts] == [
                     out[r] for out in got]
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_first_reduction_level_keeps_the_bits(l, traj23, traj58):
+    # the first level, written for the couplings e I, leaves out only
+    # products by zero: the counts, the flags and the end state of the
+    # general first level, to the bit
+    sigma = np.array([-1.0, -2e-3, -1e-6, 0.0, 1e-6, 2e-3])
+    for traj in (traj23, traj58):
+        system = fourier_block_system(l, traj, BoundaryCondition.twisted(1.0))
+        for m in (1024, 4096):
+            op = system.discretize(m)
+            lists = (*op.diag.T, op.off, sigma)
+            neg, ok, end = eigencount._inertia_d2_reduction(*lists)
+            want_neg, want_ok, want_end = inertia_d2_reduction_general(*lists)
+            assert np.array_equal(neg, want_neg)
+            assert np.array_equal(ok, want_ok) and ok.all()
+            assert len(end) == len(want_end) == 10
+            for got, want in zip(end, want_end):
+                assert np.array_equal(got, want)

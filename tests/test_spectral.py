@@ -745,13 +745,14 @@ class TestTwistedConsistency:
         assert located
 
     def test_empty_zones_cost_four_sweeps(self, traj23, traj58, count_sweeps):
-        # the l = 3 block is positive, so no twist's zone holds eigenvalues
+        # the l = 3 block is positive, so no twist's zone holds eigenvalues;
+        # each mesh is swept in one call, at its zone ends and its windows
         for traj in (traj23, traj58):
             q = traj.family.rotation.q
             count_sweeps.clear()
             assert direct_twisted_counts(3, traj, 256) == [
                 (r, 0, 0) for r in range(2 * q)]
-            assert len(count_sweeps) == 4
+            assert count_sweeps.calls == [4, 4]
 
     def test_twisted_eigenvector_embeds_in_closed_problem(self, traj23):
         # extend a twisted eigenvector by the per-period phases and check it
@@ -785,6 +786,18 @@ def test_roots_of_unity_ladder_exact(q):
     for r in range(1, 2 * q):
         assert ladder[2 * q - r] == ladder[r].conjugate()
         assert abs(ladder[r] - cmath.exp(1j * math.pi * r / q)) <= 2e-15
+
+
+@pytest.mark.parametrize("q", [3, 99, 577])
+def test_roots_of_unity_ladder_kept(q):
+    # the kept ladder is the one a fresh build returns, to the bit, and a
+    # second call for the same q returns it again rather than a new one
+    ladder = roots_of_unity_ladder(q)
+    fresh = roots_of_unity_ladder.__wrapped__(q)
+    assert isinstance(ladder, tuple)
+    assert [(w.real.hex(), w.imag.hex()) for w in ladder] == [
+        (w.real.hex(), w.imag.hex()) for w in fresh]
+    assert roots_of_unity_ladder(q) is ladder
 
 
 @settings(max_examples=10, deadline=None)
