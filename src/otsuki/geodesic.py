@@ -67,37 +67,41 @@ def _regular_factors(u: np.ndarray, b: float):
     # cancels the Jacobian -b cos u in closed form: the kernel is
     # 1 / sqrt(sinc(2b sin^2 w) sinc(2b cos^2 w) quart), with no 1 - sin u
     # to lose digits near u = +-pi/2.  It stays finite there and runs on
-    # smoothly past them, where the sampler evaluates it.
+    # smoothly past them, where the sampler evaluates it.  Returns (phi,
+    # cos phi, kernel): the rates below take cos phi as computed here.  The
+    # sincs come first, so their temporaries meet fewer live arrays.
     w = 0.25 * math.pi + 0.5 * u
-    phi = -b * np.sin(u)
-    quart = np.cos(phi) ** 2 + math.cos(b) ** 2
     x = 2.0 * b / math.pi  # np.sinc(y) is sin(pi y) / (pi y)
     sincs = np.sinc(x * np.sin(w) ** 2) * np.sinc(x * np.cos(w) ** 2)
-    return phi, 1.0 / np.sqrt(sincs * quart)
+    phi = -b * np.sin(u)
+    cphi = np.cos(phi)
+    quart = cphi ** 2 + math.cos(b) ** 2
+    return phi, cphi, 1.0 / np.sqrt(sincs * quart)
 
 
-def _time_rate(phi, kernel):
-    """dt/du along phi = -b sin u."""
-    return TWO_PI * np.cos(phi) ** 3 * kernel
+def _time_rate(cphi, kernel):
+    """dt/du along phi = -b sin u, at cos phi."""
+    return TWO_PI * cphi ** 3 * kernel
 
 
-def _angle_rate(phi, kernel, b: float):
-    """dtheta/du along phi = -b sin u."""
-    return math.cos(b) ** 2 * kernel / np.cos(phi)
+def _angle_rate(cphi, kernel, b: float):
+    """dtheta/du along phi = -b sin u, at cos phi."""
+    return math.cos(b) ** 2 * kernel / cphi
 
 
 def half_period(b: float) -> float:
     """Half period T(b) of the latitude oscillation, in arc-length units."""
     _check_b(b)
-    return adaptive_gauss(lambda u: _time_rate(*_regular_factors(u, b)),
+    return adaptive_gauss(lambda u: _time_rate(*_regular_factors(u, b)[1:]),
                           -math.pi / 2, math.pi / 2)
 
 
 def rotation_angle(b: float) -> float:
     """Rotation angle Xi(b) = theta(T(b)); strictly increasing in b."""
     _check_b(b)
-    return adaptive_gauss(lambda u: _angle_rate(*_regular_factors(u, b), b),
-                          -math.pi / 2, math.pi / 2)
+    return adaptive_gauss(
+        lambda u: _angle_rate(*_regular_factors(u, b)[1:], b),
+        -math.pi / 2, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -313,9 +317,9 @@ def _time_map(b: float, lo: np.ndarray, u: np.ndarray):
     Gauss-Legendre rule on each [lo, u]."""
     half = 0.5 * (u - lo)
     x = (lo + half)[:, None] + half[:, None] * _map_nodes
-    phi, kernel = _regular_factors(x, b)
-    return (_time_rate(phi, kernel) @ _map_weights * half,
-            _angle_rate(phi, kernel, b) @ _map_weights * half)
+    cphi, kernel = _regular_factors(x, b)[1:]
+    return (_time_rate(cphi, kernel) @ _map_weights * half,
+            _angle_rate(cphi, kernel, b) @ _map_weights * half)
 
 
 def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
@@ -345,7 +349,7 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     dt, dth = _time_map(b, edges[:-1], edges[1:])
     t_edge = np.concatenate(([0.0], np.cumsum(dt)))
     th_edge = np.concatenate(([0.0], np.cumsum(dth)))
-    slope = 1.0 / _time_rate(*_regular_factors(edges, b))  # du/dt
+    slope = 1.0 / _time_rate(*_regular_factors(edges, b)[1:])  # du/dt
 
     # first guess: the cubic Hermite inverse of t(u) on each node's panel
     k = np.clip(np.searchsorted(t_edge, grid, side="right") - 1,
@@ -358,8 +362,8 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
          + span * z * (1.0 - z) * (slope[k] * (1.0 - z) - slope[k + 1] * z))
     for _ in range(_NEWTON_STEPS):
         t_part, th_part = _time_map(b, lo, u)
-        phi, kernel = _regular_factors(u, b)
-        du = (grid - t_lo - t_part) / _time_rate(phi, kernel)
+        cphi, kernel = _regular_factors(u, b)[1:]
+        du = (grid - t_lo - t_part) / _time_rate(cphi, kernel)
         u = u + du
         if np.abs(du).max() < _NEWTON_TOL:
             break
@@ -367,9 +371,9 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
         miss = float(np.abs(du).max())
         raise NumericalError(
             f"time-map inversion stalled at |du| = {miss:.3e}", residual=miss)
-    theta = th_edge[k] + th_part + _angle_rate(phi, kernel, b) * du
-    phi, kernel = _regular_factors(u, b)
-    phid = -b * np.cos(u) / _time_rate(phi, kernel)
+    theta = th_edge[k] + th_part + _angle_rate(cphi, kernel, b) * du
+    phi, cphi, kernel = _regular_factors(u, b)
+    phid = -b * np.cos(u) / _time_rate(cphi, kernel)
     phi[0], phid[0], theta[0] = b, 0.0, 0.0
 
     traj = Trajectory(family=family, grid=grid, phi=phi,

@@ -1,7 +1,9 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
-array, the 2x2 odd-even reduction with a general first level, the boundary solutions as functions of t (scipy's DOP853 interpolant),
+array, the 2x2 odd-even reduction with a general first level, the
+geodesic quadratures and samples with one integrand call per level and
+rates that take phi, the boundary solutions as functions of t (scipy's DOP853 interpolant),
 the dense restricted boundary form of a twist and its counted row,
 the nine kernel fields by their closed-length formulas, the
 closed-length system of a builder on [0, T] and its positivity sweep for
@@ -172,6 +174,108 @@ def inertia_d2_reduction_general(d11, d12, d22, e, sigma):
         a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
         u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
         a11[:, 1], a12[:, 1], a22[:, 1])
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def composite_gauss_per_level(f, a, b, panels):
+    """``quadrature._composite_gauss`` as it was when every level of
+    ``adaptive_gauss`` made its own integrand call."""
+    edges = np.linspace(a, b, panels + 1)
+    lo = edges[:-1, None]
+    hi = edges[1:, None]
+    half = 0.5 * (hi - lo)
+    x = lo + half * (_GL_NODES[None, :] + 1.0)
+    vals = f(x.ravel()).reshape(panels, 48)
+    return float(np.sum(vals @ _GL_WEIGHTS * half[:, 0]))
+
+
+def adaptive_gauss_per_level(f, a, b):
+    """``quadrature.adaptive_gauss`` with one integrand call per level, the
+    first two too, on nodes built afresh each call: the bit oracle of the
+    shared first call."""
+    prev = composite_gauss_per_level(f, a, b, 1)
+    panels = 2
+    for _ in range(14):
+        cur = composite_gauss_per_level(f, a, b, panels)
+        if abs(cur - prev) < 1e-13:
+            return cur
+        prev = cur
+        panels *= 2
+    raise NumericalError("quadrature did not converge")
+
+
+def regular_factors_phi(u, b):
+    """(phi, kernel) of ``geodesic._regular_factors``, with cos phi left
+    for the rates to take again."""
+    w = 0.25 * math.pi + 0.5 * u
+    phi = -b * np.sin(u)
+    quart = np.cos(phi) ** 2 + math.cos(b) ** 2
+    x = 2.0 * b / math.pi
+    sincs = np.sinc(x * np.sin(w) ** 2) * np.sinc(x * np.cos(w) ** 2)
+    return phi, 1.0 / np.sqrt(sincs * quart)
+
+
+def time_rate_phi(phi, kernel):
+    return geodesic.TWO_PI * np.cos(phi) ** 3 * kernel
+
+
+def angle_rate_phi(phi, kernel, b):
+    return math.cos(b) ** 2 * kernel / np.cos(phi)
+
+
+def half_period_per_level(b):
+    return adaptive_gauss_per_level(
+        lambda u: time_rate_phi(*regular_factors_phi(u, b)),
+        -math.pi / 2, math.pi / 2)
+
+
+def rotation_angle_per_level(b):
+    return adaptive_gauss_per_level(
+        lambda u: angle_rate_phi(*regular_factors_phi(u, b), b),
+        -math.pi / 2, math.pi / 2)
+
+
+def _time_map_phi(b, lo, u):
+    half = 0.5 * (u - lo)
+    x = (lo + half)[:, None] + half[:, None] * geodesic._map_nodes
+    phi, kernel = regular_factors_phi(x, b)
+    weights = geodesic._map_weights
+    return (time_rate_phi(phi, kernel) @ weights * half,
+            angle_rate_phi(phi, kernel, b) @ weights * half)
+
+
+def sample_trajectory_phi(family, n):
+    """(phi, phidot, theta) of ``geodesic.sample_trajectory`` for b < 0,
+    every rate taking cos phi again from phi."""
+    b, panels = family.b, geodesic._MAP_PANELS
+    grid = np.linspace(0.0, family.T, n + 1)
+    edges = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
+    dt, dth = _time_map_phi(b, edges[:-1], edges[1:])
+    t_edge = np.concatenate(([0.0], np.cumsum(dt)))
+    th_edge = np.concatenate(([0.0], np.cumsum(dth)))
+    slope = 1.0 / time_rate_phi(*regular_factors_phi(edges, b))
+    k = np.clip(np.searchsorted(t_edge, grid, side="right") - 1,
+                0, panels - 1)
+    lo, t_lo = edges[k], t_edge[k]
+    span = t_edge[k + 1] - t_lo
+    z = (grid - t_lo) / span
+    u = (lo * (1.0 + 2.0 * z) * (1.0 - z) ** 2
+         + edges[k + 1] * z * z * (3.0 - 2.0 * z)
+         + span * z * (1.0 - z) * (slope[k] * (1.0 - z) - slope[k + 1] * z))
+    for _ in range(geodesic._NEWTON_STEPS):
+        t_part, th_part = _time_map_phi(b, lo, u)
+        phi, kernel = regular_factors_phi(u, b)
+        du = (grid - t_lo - t_part) / time_rate_phi(phi, kernel)
+        u = u + du
+        if np.abs(du).max() < geodesic._NEWTON_TOL:
+            break
+    theta = th_edge[k] + th_part + angle_rate_phi(phi, kernel, b) * du
+    phi, kernel = regular_factors_phi(u, b)
+    phid = -b * np.cos(u) / time_rate_phi(phi, kernel)
+    phi[0], phid[0], theta[0] = b, 0.0, 0.0
+    return phi, phid, theta
 
 
 def returning(fun):

@@ -317,6 +317,26 @@ def test_a_retry_moves_the_pivots_of_large_entries(cyclic):
     assert inertia(op, 0.0, logdet=False) == (1, None)
 
 
+@pytest.mark.parametrize("dim,bc", [
+    (1, BoundaryCondition.dirichlet()), (1, BoundaryCondition.periodic()),
+    (2, BoundaryCondition.dirichlet()), (2, BoundaryCondition.periodic())],
+    ids=["d1-band", "d1-cyclic", "d2-band", "d2-cyclic"])
+def test_a_numpy_shift_reaches_the_kernel_as_a_float(dim, bc, monkeypatch):
+    # the same bits either way, but a numpy scalar shift would carry its
+    # type through every node of the loop
+    op = _wavy_system(dim, bc).discretize(256)
+    shifts = (0.25, -0.5)
+    for logdet in (True, False):
+        want = inertia(op, *shifts, logdet=logdet)
+        swept = _record_kernel(op, monkeypatch)
+        got = inertia(op, *map(np.float64, shifts), logdet=logdet)
+        monkeypatch.undo()
+        assert got == want
+        if not (op.cyclic and not logdet):
+            assert [type(s) for s, _ in swept] == [float, float]
+        assert inertia(op, np.float64(shifts[0]), logdet=logdet) == want[0]
+
+
 def _twisted_operators(build, traj, m):
     """The operator of each twist of the ladder, discretized one by one."""
     return [build(traj, BoundaryCondition.twisted(om)).discretize(m)

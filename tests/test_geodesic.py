@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import flow_turning, rk4_samples
+from helpers import (flow_turning, half_period_per_level, rk4_samples,
+                     rotation_angle_per_level, sample_trajectory_phi)
 from otsuki import geodesic
 from otsuki.errors import DomainError, NumericalError, ValidationError
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
@@ -221,6 +222,36 @@ class TestQuadratureSampler:
         monkeypatch.setattr(geodesic, "_NEWTON_TOL", 0.0)
         with pytest.raises(NumericalError):
             sample_trajectory(fam23, 256)
+
+
+class TestFrozenBits:
+    """The quadratures share one integrand call between their first two
+    levels, and the rates take cos phi as the kernel computed it; the bits
+    are those of one call per level and of rates that take phi."""
+
+    @pytest.mark.parametrize("b", [-1e-8, -0.3, -1.0, -1.5, -1.565, -1.5707])
+    def test_quadratures(self, b):
+        assert half_period(b) == half_period_per_level(b)
+        assert rotation_angle(b) == rotation_angle_per_level(b)
+
+    @pytest.mark.parametrize("p,q", [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3),
+                                     (7, 10), (12, 17), (50, 99)])
+    def test_solve_parameter(self, p, q, monkeypatch):
+        got = solve_parameter(p, q)
+        monkeypatch.setattr(geodesic, "half_period", half_period_per_level)
+        monkeypatch.setattr(geodesic, "rotation_angle",
+                            rotation_angle_per_level)
+        want = solve_parameter(p, q)
+        assert (got.b, got.c, got.T, got.Xi) == (want.b, want.c, want.T,
+                                                 want.Xi)
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_samples(self, p, q, n):
+        traj = sample_trajectory(solve_parameter(p, q), n)
+        want = sample_trajectory_phi(traj.family, n)
+        for got, ref in zip((traj.phi, traj.phidot, traj.theta), want):
+            assert np.array_equal(got, ref)
 
 
 class TestExtendedEvaluation:
