@@ -7,6 +7,13 @@ and the rotation angle Xi(b) = theta(T) are singular integrals over
 [b, -b].  The geodesic closes exactly when Xi(b) is a rational multiple
 of pi, which pins b for each admissible rotation number p/q.
 
+``solve_parameter`` bisects on Xi(b) to the float resolution of b, but
+integrates only the midpoints close to the root: a few secant steps find
+points where the sign of Xi - p pi / q is certain, and monotonicity gives
+every midpoint beyond them its sign.  ``sample_trajectory`` inverts the
+quadrature time map t(u) by Newton steps; the first integrates each
+node's partial panel, and each later one only its own increment.
+
 phi'' and theta' have one formula each, ``_phi_ddot`` and ``_theta_dot``,
 on cos(phi) and sin(phi); no flow is stepped here, and only the
 boundary-form ODE of ``edwards`` carries (phi, phi') along.
@@ -21,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .quadrature import adaptive_gauss
+from .quadrature import TOL, adaptive_gauss
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = 4.0 * math.pi ** 2
@@ -36,12 +43,18 @@ ROTATION_HI = math.sqrt(2.0) / 2.0
 
 DRIFT_TOL = 1e-8        # largest energy drift of a sampled trajectory
 
+# |Xi - p pi / q| beyond which a quadrature's sign is certain, and the most
+# secant steps that look for such points
+_SIGN_MARGIN = 10.0 * TOL
+_SECANT_STEPS = 8
+
 # The sampler's table of the time map t(u) on [-pi/2, pi/2]: panels, and the
 # Gauss-Legendre order on each whole or partial panel
 _MAP_PANELS = 128
 _MAP_ORDER = 6
 _NEWTON_TOL = 1e-12     # |du| at which the inversion of t(u) stops
 _NEWTON_STEPS = 6
+_INCREMENT_STEP = 1e-4  # largest |du| whose increment Simpson's rule takes
 _map_nodes, _map_weights = np.polynomial.legendre.leggauss(_MAP_ORDER)
 
 
@@ -134,12 +147,14 @@ class GeodesicFamily:
     rotation: Optional[RotationNumber] = None
 
     @classmethod
-    def from_b(cls, b: float) -> "GeodesicFamily":
+    def from_b(cls, b: float, Xi: Optional[float] = None) -> "GeodesicFamily":
+        """The family launched from b; ``Xi``, when given, is
+        ``rotation_angle(b)`` already integrated."""
         if b == 0.0:
             return cls.clifford()
         _check_b(b)
         return cls(b=b, c=TWO_PI * math.cos(b) ** 2, T=half_period(b),
-                   Xi=rotation_angle(b))
+                   Xi=rotation_angle(b) if Xi is None else Xi)
 
     @classmethod
     def clifford(cls) -> "GeodesicFamily":
@@ -154,46 +169,94 @@ class GeodesicFamily:
         return 2 * self.rotation.q * self.T
 
 
+def _certified_bracket(xi, target: float, lo: float, hi: float):
+    """(below, above) in [lo, hi], with Xi(below) < target < Xi(above)
+    by more than ``_SIGN_MARGIN`` unless they are lo or hi, found by
+    safeguarded secant steps on Xi - target.
+
+    Xi is strictly increasing and each quadrature is good to well below
+    the margin, so Xi < target at every b <= below and Xi > target at
+    every b >= above: the bisection reads those signs off without
+    integrating.  lo and hi, whatever their margin, bound every midpoint
+    anyway.  Each step lands just past the secant root, by twice the
+    margin, on the side whose bound lies farther from it; the steps stop
+    once the bounds are at most eight such offsets apart, where one more
+    step could not halve the bracket, or after ``_SECANT_STEPS``.
+    """
+    # Xi is even in b, so steps in b^2 see it linear near b = 0
+    s0, f0 = lo * lo, xi(lo) - target
+    s1, f1 = hi * hi, xi(hi) - target
+    for _ in range(_SECANT_STEPS):
+        x = 0.5 * (lo + hi)
+        slope = (f1 - f0) / (s1 - s0)       # d(Xi)/d(b^2) < 0
+        root = -math.sqrt(max(s1 - f1 / slope, 0.0)) if slope < 0.0 else hi
+        if lo < root < hi:
+            offset = _SIGN_MARGIN / (slope * root)  # 2 margin / (dXi/db)
+            if hi - lo <= 8.0 * offset:
+                break
+            guess = root - offset if root - lo > hi - root else root + offset
+            if lo < guess < hi:
+                x = guess
+        if x * x == s1:     # a point already integrated tells nothing new
+            break
+        fx = xi(x) - target
+        if fx < -_SIGN_MARGIN:
+            lo = x
+        elif fx > _SIGN_MARGIN:
+            hi = x
+        s0, f0, s1, f1 = s1, f1, x * x, fx
+    return lo, hi
+
+
 def solve_parameter(p: int, q: int) -> GeodesicFamily:
     """Find the family with Xi(b) = (p/q) pi.
 
     Xi is strictly increasing, so bisection finds the root to the float
-    resolution of b; T and Xi are the quadratures there.  T, Xi and the
-    samples (``sample_trajectory``) integrate one kernel, so the samples
-    turn at T and theta(T) = p pi / q holds for them too: the reflected
-    trajectory is junction-smooth.
+    resolution of b.  A few secant steps first bound the root by points
+    where the sign of Xi - p pi / q is certain; the bisection integrates
+    only its midpoints between them and takes the sign of every other one
+    from monotonicity.  It therefore takes the same path, and ends on the
+    same b, as a bisection that integrates every midpoint.  Xi is the
+    bisection's own quadrature at b, and T the quadrature of the half
+    period there.  T, Xi and the samples (``sample_trajectory``)
+    integrate one kernel, so the samples turn at T and theta(T) = p pi / q
+    holds for them too: the reflected trajectory is junction-smooth.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise ValidationError("p and q must be integers")
     # validates gcd and the admissible interval before any quadrature
     rotation = RotationNumber(p, q)
     target = p * math.pi / q
+    known = {}      # Xi at each b integrated so far
+
+    def xi(b: float) -> float:
+        if b not in known:
+            known[b] = rotation_angle(b)
+        return known[b]
 
     # the rotation angle approaches its polar limit only as b -> -pi/2, so
     # walk the lower bracket end toward the pole just as far as needed
     hi = -1e-8
-    fhi = rotation_angle(hi) - target
+    fhi = xi(hi) - target
     delta = math.pi / 2 - 1.0
     lo = -1.0
-    flo = rotation_angle(lo) - target
-    while flo > 0:
+    while xi(lo) - target > 0:
         delta /= 2.0
         if delta < 5e-4:
             raise NumericalError(
                 "failed to bracket the rotation-angle root; p/q too close to 1/2")
         lo = -math.pi / 2 + delta
-        flo = rotation_angle(lo) - target
     if fhi < 0:
         raise NumericalError("failed to bracket the rotation-angle root")
+    below, above = _certified_bracket(xi, target, lo, hi)
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        fm = rotation_angle(mid) - target
-        if fm < 0:
-            lo, flo = mid, fm
+        if mid <= below or (mid < above and xi(mid) - target < 0):
+            lo = mid
         else:
-            hi, fhi = mid, fm
-    b = lo if abs(flo) <= abs(fhi) else hi
-    return replace(GeodesicFamily.from_b(b), rotation=rotation)
+            hi = mid
+    b = lo if abs(xi(lo) - target) <= abs(xi(hi) - target) else hi
+    return replace(GeodesicFamily.from_b(b, Xi=xi(b)), rotation=rotation)
 
 
 def _phi_ddot(c: float, cphi, sphi, phid):
@@ -322,14 +385,24 @@ def _time_map(b: float, lo: np.ndarray, u: np.ndarray):
             _angle_rate(cphi, kernel, b) @ _map_weights * half)
 
 
+def _rates(u: np.ndarray, b: float):
+    """(dt/du, dtheta/du) at u."""
+    cphi, kernel = _regular_factors(u, b)[1:]
+    return _time_rate(cphi, kernel), _angle_rate(cphi, kernel, b)
+
+
 def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """Sample the geodesic over one half period on an (n+1)-node grid.
 
     No time stepping: phi = -b sin u, and each grid time t_i is mapped to
     its u_i by inverting the quadrature time map t(u) (the integrand of
     T(b)).  A table of panel integrals gives a cubic Hermite first guess,
-    Newton steps on the partial-panel integral finish it; theta comes from
-    the same partial sums.  The kernel is the one T(b) and Xi(b)
+    Newton steps on the partial-panel integral finish it: the first
+    integrates the partial panel by the table's rule, each later one,
+    whose move is at most ``_INCREMENT_STEP``, adds Simpson's rule over
+    that move (error O(du^5), below rounding), so a node costs about 10
+    kernel points instead of 15.  theta comes from the same partial sums.
+    The kernel is the one T(b) and Xi(b)
     integrate, so the last node lands on u = pi/2, where phidot = 0 and
     theta = Xi, and the reflected trajectory stays smooth at the
     half-period junctions.
@@ -360,18 +433,31 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     u = (lo * (1.0 + 2.0 * z) * (1.0 - z) ** 2
          + edges[k + 1] * z * z * (3.0 - 2.0 * z)
          + span * z * (1.0 - z) * (slope[k] * (1.0 - z) - slope[k + 1] * z))
+    # the first Newton step integrates each node's partial panel [lo, u];
+    # after a move of at most _INCREMENT_STEP the partial sums take only
+    # the increment, by Simpson's rule on the rates at its ends, which the
+    # Newton steps read anyway, and at its midpoint
+    t_part, th_part = _time_map(b, lo, u)
+    rate, arate = _rates(u, b)
     for _ in range(_NEWTON_STEPS):
-        t_part, th_part = _time_map(b, lo, u)
-        cphi, kernel = _regular_factors(u, b)[1:]
-        du = (grid - t_lo - t_part) / _time_rate(cphi, kernel)
+        du = (grid - t_lo - t_part) / rate
         u = u + du
-        if np.abs(du).max() < _NEWTON_TOL:
+        step = float(np.abs(du).max())
+        if step < _NEWTON_TOL:
             break
+        if step <= _INCREMENT_STEP:
+            mid_rate, mid_arate = _rates(u - 0.5 * du, b)
+            next_rate, next_arate = _rates(u, b)
+            t_part += du / 6.0 * (rate + 4.0 * mid_rate + next_rate)
+            th_part += du / 6.0 * (arate + 4.0 * mid_arate + next_arate)
+            rate, arate = next_rate, next_arate
+        else:
+            t_part, th_part = _time_map(b, lo, u)
+            rate, arate = _rates(u, b)
     else:
-        miss = float(np.abs(du).max())
         raise NumericalError(
-            f"time-map inversion stalled at |du| = {miss:.3e}", residual=miss)
-    theta = th_edge[k] + th_part + _angle_rate(cphi, kernel, b) * du
+            f"time-map inversion stalled at |du| = {step:.3e}", residual=step)
+    theta = th_edge[k] + th_part + arate * du
     phi, cphi, kernel = _regular_factors(u, b)
     phid = -b * np.cos(u) / _time_rate(cphi, kernel)
     phi[0], phid[0], theta[0] = b, 0.0, 0.0

@@ -358,14 +358,17 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
 
     # node times k T / n of [0, t0), which traj.at folds onto trajectory
     # nodes: there it returns the samples themselves, not its cubic
-    # interpolant, whose O(h^4) error alone can exceed the bound
+    # interpolant, whose O(h^4) error alone can exceed the bound; one
+    # traj.at call reads all 24 samples
     rng = np.random.default_rng(7)
     step = family.T / traj.n
+    draws = [(rng.uniform(0, 2 * math.pi), rng.integers(2 * q * traj.n) * step)
+             for _ in range(24)]
+    alphas, times = zip(*draws)
+    samples = zip(*(arr.tolist() for arr in traj.at(np.array(times))))
     worst = 0.0
-    for _ in range(24):
-        al = rng.uniform(0, 2 * math.pi)
-        tt = rng.integers(2 * q * traj.n) * step
-        G = frame(al, tt, traj).gram()
+    for al, tt, sample in zip(alphas, times, samples):
+        G = frame(al, tt, traj, sample).gram()
         worst = max(worst, float(np.abs(G - np.eye(5)).max()))
     add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
 

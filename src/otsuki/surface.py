@@ -64,10 +64,12 @@ class FramePoint:
         return B @ B.T
 
 
-def frame(alpha: float, t: float, traj: Trajectory) -> FramePoint:
+def frame(alpha: float, t: float, traj: Trajectory,
+          sample=None) -> FramePoint:
     """Adapted orthonormal basis (N, e1, e2, n1, n2) of 5-space; N is the
-    unit 5-vector of the torus at frame angle alpha and arc time t."""
-    phi, phid, theta = traj.at(t)
+    unit 5-vector of the torus at frame angle alpha and arc time t.
+    ``sample``, when given, is ``traj.at(t)`` already read."""
+    phi, phid, theta = traj.at(t) if sample is None else sample
     ca, sa = math.cos(alpha), math.sin(alpha)
     cp, sp = math.cos(phi), math.sin(phi)
     thd = _theta_dot(traj.family.c, cp)

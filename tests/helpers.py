@@ -3,9 +3,10 @@ systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
 array, the 2x2 odd-even reduction with a general first level, the
 geodesic quadratures and samples with one integrand call per level and
-rates that take phi, the boundary solutions as functions of t (scipy's DOP853 interpolant),
-the dense restricted boundary form of a twist and its counted row,
-the nine kernel fields by their closed-length formulas, the
+rates that take phi, the root by a bisection that integrates every
+midpoint, the boundary solutions as functions of t (scipy's DOP853
+interpolant), the dense restricted boundary form of a twist and its
+counted row, the nine kernel fields by their closed-length formulas, the
 closed-length system of a builder on [0, T] and its positivity sweep for
 a mode-l block, the half closed length of an even-q family,
 inverse iteration for the eigenfunctions of a scalar operator,
@@ -246,9 +247,11 @@ def _time_map_phi(b, lo, u):
             angle_rate_phi(phi, kernel, b) @ weights * half)
 
 
-def sample_trajectory_phi(family, n):
+def sample_trajectory_phi(family, n, increments=True):
     """(phi, phidot, theta) of ``geodesic.sample_trajectory`` for b < 0,
-    every rate taking cos phi again from phi."""
+    every rate taking cos phi again from phi.  With ``increments`` false
+    every Newton step integrates its whole partial panel again: the
+    sampler as it was before later steps took only their increment."""
     b, panels = family.b, geodesic._MAP_PANELS
     grid = np.linspace(0.0, family.T, n + 1)
     edges = np.linspace(-math.pi / 2, math.pi / 2, panels + 1)
@@ -264,18 +267,60 @@ def sample_trajectory_phi(family, n):
     u = (lo * (1.0 + 2.0 * z) * (1.0 - z) ** 2
          + edges[k + 1] * z * z * (3.0 - 2.0 * z)
          + span * z * (1.0 - z) * (slope[k] * (1.0 - z) - slope[k + 1] * z))
-    for _ in range(geodesic._NEWTON_STEPS):
-        t_part, th_part = _time_map_phi(b, lo, u)
+
+    def rates(u):
         phi, kernel = regular_factors_phi(u, b)
-        du = (grid - t_lo - t_part) / time_rate_phi(phi, kernel)
+        return time_rate_phi(phi, kernel), angle_rate_phi(phi, kernel, b)
+
+    t_part, th_part = _time_map_phi(b, lo, u)
+    rate, arate = rates(u)
+    for _ in range(geodesic._NEWTON_STEPS):
+        du = (grid - t_lo - t_part) / rate
         u = u + du
-        if np.abs(du).max() < geodesic._NEWTON_TOL:
+        step = np.abs(du).max()
+        if step < geodesic._NEWTON_TOL:
             break
-    theta = th_edge[k] + th_part + angle_rate_phi(phi, kernel, b) * du
+        if increments and step <= geodesic._INCREMENT_STEP:
+            mid_rate, mid_arate = rates(u - 0.5 * du)
+            next_rate, next_arate = rates(u)
+            t_part = t_part + du / 6.0 * (rate + 4.0 * mid_rate + next_rate)
+            th_part = th_part + du / 6.0 * (arate + 4.0 * mid_arate
+                                            + next_arate)
+            rate, arate = next_rate, next_arate
+        else:
+            t_part, th_part = _time_map_phi(b, lo, u)
+            rate, arate = rates(u)
+    theta = th_edge[k] + th_part + arate * du
     phi, kernel = regular_factors_phi(u, b)
     phid = -b * np.cos(u) / time_rate_phi(phi, kernel)
     phi[0], phid[0], theta[0] = b, 0.0, 0.0
     return phi, phid, theta
+
+
+def solve_parameter_bisect(p, q):
+    """``geodesic.solve_parameter`` as it was when the bisection integrated
+    every midpoint and ``GeodesicFamily.from_b`` integrated Xi at the root
+    again: the bit and quadrature-count oracle of the replayed bisection."""
+    rotation = geodesic.RotationNumber(p, q)
+    target = p * math.pi / q
+    hi = -1e-8
+    fhi = geodesic.rotation_angle(hi) - target
+    delta = math.pi / 2 - 1.0
+    lo = -1.0
+    flo = geodesic.rotation_angle(lo) - target
+    while flo > 0:
+        delta /= 2.0
+        lo = -math.pi / 2 + delta
+        flo = geodesic.rotation_angle(lo) - target
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        fm = geodesic.rotation_angle(mid) - target
+        if fm < 0:
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    b = lo if abs(flo) <= abs(fhi) else hi
+    return replace(geodesic.GeodesicFamily.from_b(b), rotation=rotation)
 
 
 def returning(fun):

@@ -510,7 +510,7 @@ class TestApplicabilityGate:
         assert run_cli(["edwards", "--p", "5", "--q", "9", "--l", "1",
                         "--n", "512"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["applicability_margin"] == 1.3714980259270724
+        assert doc["applicability_margin"] == 1.3714980259270306
 
     def test_dirichlet_check_sweeps(self, traj23, count_sweeps):
         # four shifts count (meshes n and 2n at both zone ends); the mesh-n

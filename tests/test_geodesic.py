@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (flow_turning, half_period_per_level, rk4_samples,
-                     rotation_angle_per_level, sample_trajectory_phi)
-from otsuki import geodesic
+                     rotation_angle_per_level, sample_trajectory_phi,
+                     solve_parameter_bisect)
+from otsuki import geodesic, quadrature
 from otsuki.errors import DomainError, NumericalError, ValidationError
 from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              GeodesicFamily, RotationNumber, half_period,
@@ -227,7 +228,8 @@ class TestQuadratureSampler:
 class TestFrozenBits:
     """The quadratures share one integrand call between their first two
     levels, and the rates take cos phi as the kernel computed it; the bits
-    are those of one call per level and of rates that take phi."""
+    are those of one call per level and of rates that take phi, under the
+    same Newton steps."""
 
     @pytest.mark.parametrize("b", [-1e-8, -0.3, -1.0, -1.5, -1.565, -1.5707])
     def test_quadratures(self, b):
@@ -250,6 +252,127 @@ class TestFrozenBits:
     def test_samples(self, p, q, n):
         traj = sample_trajectory(solve_parameter(p, q), n)
         want = sample_trajectory_phi(traj.family, n)
+        for got, ref in zip((traj.phi, traj.phidot, traj.theta), want):
+            assert np.array_equal(got, ref)
+
+
+# every admissible p/q with q <= 60, and three convergents of sqrt(2)/2,
+# where Xi is flat in b and the certified bracket wide
+ROOT_FAMILIES = [(p, q) for q in range(3, 61) for p in range(q // 2 + 1, q)
+                 if math.gcd(p, q) == 1 and p / q < math.sqrt(2) / 2] \
+    + [(408, 577), (2378, 3363), (13860, 19601)]
+README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """A list whose length counts the adaptive quadratures run since."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quadrature.adaptive_gauss(*args)
+
+    monkeypatch.setattr(geodesic, "adaptive_gauss", counted)
+    return calls
+
+
+class TestReplayedBisection:
+    """The bisection integrates only its midpoints between two points where
+    the sign of Xi - p pi / q is certain, and reads every other sign off
+    monotonicity: the root is the one of the bisection that integrates
+    every midpoint, from fewer quadratures."""
+
+    def test_same_root_from_no_more_quadratures(self, quadratures):
+        moved, dearer = [], []
+        for p, q in ROOT_FAMILIES:
+            quadratures.clear()
+            got = solve_parameter(p, q)
+            spent = len(quadratures)
+            quadratures.clear()
+            want = solve_parameter_bisect(p, q)
+            if (got.b, got.c, got.T, got.Xi) != (want.b, want.c, want.T,
+                                                 want.Xi):
+                moved.append((p, q))
+            if spent > len(quadratures):
+                dearer.append((p, q, spent, len(quadratures)))
+        assert len(ROOT_FAMILIES) == 230
+        assert not moved and not dearer
+
+    def test_readme_families_take_few_quadratures(self, quadratures):
+        # 345 when every midpoint was integrated, and Xi again at the root
+        for p, q in README_FAMILIES:
+            solve_parameter(p, q)
+        assert len(quadratures) <= 170
+
+    def test_each_quadrature_runs_once(self, monkeypatch):
+        # Xi at the root is the bisection's own quadrature, and T is
+        # integrated there alone
+        seen = []
+        for name in ("rotation_angle", "half_period"):
+            def recorded(b, f=getattr(geodesic, name), name=name):
+                seen.append((name, b))
+                return f(b)
+            monkeypatch.setattr(geodesic, name, recorded)
+        fam = solve_parameter(5, 9)
+        assert len(seen) == len(set(seen))
+        assert [b for name, b in seen if name == "half_period"] == [fam.b]
+        assert ("rotation_angle", fam.b) in seen
+        assert fam.Xi == rotation_angle(fam.b)
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (7, 10), (30, 59), (408, 577)])
+    def test_root_does_not_rest_on_the_secant_steps(self, p, q, monkeypatch):
+        # with no secant step every midpoint is integrated, on the same path
+        want = solve_parameter(p, q)
+        monkeypatch.setattr(geodesic, "_SECANT_STEPS", 0)
+        got = solve_parameter(p, q)
+        assert (got.b, got.T, got.Xi) == (want.b, want.T, want.Xi)
+
+    def test_certified_points_hold_their_sign(self):
+        target = 2 * math.pi / 3
+        lo, hi = geodesic._certified_bracket(
+            rotation_angle, target, -1.0, -1e-8)
+        assert rotation_angle(lo) - target < -geodesic._SIGN_MARGIN
+        assert rotation_angle(hi) - target > geodesic._SIGN_MARGIN
+        # a few offsets 2 margin / (dXi/db) apart
+        slope = (rotation_angle(hi) - rotation_angle(lo)) / (hi - lo)
+        assert hi - lo <= 16.0 * geodesic._SIGN_MARGIN / slope
+
+
+class TestIncrementalNewton:
+    """After the first Newton step of the sampler, which integrates each
+    node's partial panel, the partial sums add only the integral over the
+    step."""
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    def test_kernel_points_per_node(self, p, q, monkeypatch):
+        fam = solve_parameter(p, q)
+        points = []
+        factors = geodesic._regular_factors
+
+        def counted(u, b):
+            points.append(np.size(u))
+            return factors(u, b)
+
+        monkeypatch.setattr(geodesic, "_regular_factors", counted)
+        sample_trajectory(fam, 4096)
+        # 15 when every Newton step integrated its whole partial panel
+        assert sum(points) / 4097 <= 11.0
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_samples_agree_with_whole_panel_steps(self, p, q, n):
+        traj = sample_trajectory(solve_parameter(p, q), n)
+        want = sample_trajectory_phi(traj.family, n, increments=False)
+        for got, ref in zip((traj.phi, traj.phidot, traj.theta), want):
+            assert np.abs(got - ref).max() <= 1e-14
+
+    def test_long_steps_integrate_the_whole_panel(self, fam23, monkeypatch):
+        # no step is short enough for the increment rule: the samples are
+        # those of whole-panel steps, bit for bit
+        monkeypatch.setattr(geodesic, "_INCREMENT_STEP", 0.0)
+        traj = sample_trajectory(fam23, 1024)
+        want = sample_trajectory_phi(fam23, 1024, increments=False)
         for got, ref in zip((traj.phi, traj.phidot, traj.theta), want):
             assert np.array_equal(got, ref)
 

@@ -13,7 +13,7 @@ from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
                              index_bounds, verify_family)
-from otsuki.geodesic import solve_parameter
+from otsuki.geodesic import Trajectory, solve_parameter
 from otsuki.sl import BoundaryCondition, SLSystem
 from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
 
@@ -425,6 +425,18 @@ class TestVerifyBattery:
         row = next(r for r in verify_family(5, 9, n=1024)
                    if r["check"] == "frame orthonormal")
         assert row["ok"], row["detail"]
+
+    def test_frame_row_reads_its_samples_at_once(self, monkeypatch):
+        shapes = []
+        at = Trajectory.at
+
+        def recorded(self, t):
+            shapes.append(np.shape(t))
+            return at(self, t)
+
+        monkeypatch.setattr(Trajectory, "at", recorded)
+        verify_family(2, 3, n=512)
+        assert shapes.count((24,)) == 1 and () not in shapes
 
     def test_refused_route_is_a_passed_row(self, monkeypatch):
         # a refused boundary form leaves no s2 or P2(1) row; the direct
