@@ -10,10 +10,10 @@ nullity.  The determinant of the restricted form is a quadratic
 polynomial in s = Re(omega) whose roots mark the twists carrying zero
 modes, and its trace is linear in s, so ``aggregate_roots`` counts the
 2q twists of a mode in one array pass over s.  The method needs the
-Dirichlet problem to be nondegenerate, which ``boundary_solutions``
-checks once per mode before integrating.
-The four solutions are integrated by the package's own DOP853 stepper,
-``ode.solve_ivp``.
+Dirichlet problem to be nondegenerate, which ``boundary_form`` checks
+once per mode (``dirichlet_negative_count``, on the finite-difference
+mesh n) before ``boundary_solutions`` integrates.  The four solutions are
+integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .sl import BoundaryCondition, roots_of_unity_ladder
 from .spectral import (LOCATE_TOL, TAU_ZERO, _zone, _zone_rows,  # noqa: F401
                        spectrum_counts)
 from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
-from .eigencount import BandOperator, eigenvalues_in, inertia
+from .eigencount import BandOperator, eigenvalues_in
 
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
 # the route is refused unless the Dirichlet margin from zero exceeds this
@@ -53,9 +53,9 @@ class DirichletCounts:
     """The Dirichlet negative count of one mode, and its zero-distance margin.
 
     ``margin`` is the distance from zero to the nearest eigenvalue of the
-    mesh-n operator, capped at _MARGIN_CAP.  Accepting the route needs no
-    margin (see :func:`dirichlet_negative_count`), so it is located, to
-    LOCATE_TOL, only when first read.
+    mesh-n operator, capped at _MARGIN_CAP.  The gate's shortcut accepts
+    most problems without it (see :func:`dirichlet_negative_count`), so
+    it is located, to LOCATE_TOL, only when first read.
     """
 
     negative: int
@@ -73,24 +73,17 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
     at most DIRICHLET_MARGIN: the boundary-form route needs a
-    nondegenerate Dirichlet problem.  No eigenvalue within
-    reach = DIRICHLET_MARGIN + LOCATE_TOL of zero settles the margin: the
-    located margin then exceeds DIRICHLET_MARGIN.  The count's zone sweeps
-    show that already when the mesh-n zone holds no eigenvalue and covers
-    [-reach, reach]; otherwise two count-only sweeps of the mesh-n
-    operator at +-reach look.  If they find an eigenvalue the margin is
-    located and compared, so the decision is always "located margin >
-    DIRICHLET_MARGIN".
+    nondegenerate Dirichlet problem.  The decision is "located margin >
+    DIRICHLET_MARGIN", with one shortcut: when the count's mesh-n zone
+    holds no eigenvalue and covers reach = DIRICHLET_MARGIN + LOCATE_TOL,
+    no eigenvalue lies within reach of zero, so the located margin, within
+    LOCATE_TOL / 2 of the true one, exceeds DIRICHLET_MARGIN, and the
+    margin is not located.
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
     (neg, zero, k), = _zone_rows(system, n, 0.0)
     counts = DirichletCounts(negative=neg, operator=system.operator(n))
-    # a located eigenvalue lies within LOCATE_TOL / 2 of the true one
-    reach = DIRICHLET_MARGIN + LOCATE_TOL
-    clear = k == 0 and reach <= _zone(system, n)
-    if not clear:
-        below, above = inertia(counts.operator, -reach, reach, logdet=False)
-        clear = below[0] == above[0]
+    clear = k == 0 and DIRICHLET_MARGIN + LOCATE_TOL <= _zone(system, n)
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
         return counts
     raise EdwardsInapplicableError(
@@ -106,7 +99,6 @@ class BoundarySolutions:
     T: float
     coeffs: np.ndarray            # (4, 4): psi_i in the initial-value basis
     condition: float
-    dirichlet: DirichletCounts
     psi_prime_0: np.ndarray       # (2, 4)
     psi_prime_T: np.ndarray       # (2, 4)
     p_ends: tuple
@@ -158,17 +150,15 @@ def _fundamental_rhs(y, out, l, c, A):
     np.dot(_block(y), A, out=_block(out))
 
 
-def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
+def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
     """Integrate the four fundamental solutions and match boundary values.
 
     The geodesic rides along in the integrated state so the coefficients
-    are exact along the way.  Fails when the Dirichlet problem is
-    degenerate (the boundary map is then no bijection) or when the 4x4
-    matching system is ill conditioned.  The Dirichlet counts of that
-    check, on mesh n, ride along in the result.
+    are exact along the way.  Fails (NumericalError) when the integration
+    fails or the 4x4 matching system is ill conditioned, as it is when the
+    Dirichlet problem is degenerate (the boundary map is then no
+    bijection); ``boundary_form`` refuses that case before integrating.
     """
-    dirichlet = dirichlet_negative_count(l, traj, n=n)
-
     fam = traj.family
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     c, A = fam.c, _A_CONSTANT.copy()
@@ -193,7 +183,6 @@ def boundary_solutions(l: int, traj: Trajectory, n: int) -> BoundarySolutions:
     psi_prime_0 = C[2:, :].copy()        # u_3'(0), u_4'(0) are the unit vectors
     psi_prime_T = Ud @ C
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
-                             dirichlet=dirichlet,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
                              p_ends=(_weight(math.cos(fam.b)),
                                      _weight(math.cos(yT[0]))))
@@ -276,7 +265,6 @@ class BoundaryFormData:
     a: np.ndarray
     dirichlet: DirichletCounts
     poly: DeterminantPolynomial
-    condition: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -292,16 +280,14 @@ class BoundaryFormData:
 def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
-    The route is refused (EdwardsInapplicableError) when the Dirichlet
-    problem, counted on mesh n, is degenerate; see
-    :func:`dirichlet_negative_count`.
+    The Dirichlet problem is counted on mesh n first, so the route is
+    refused (EdwardsInapplicableError) before any integration when it is
+    degenerate; see :func:`dirichlet_negative_count`.
     """
-    sols = boundary_solutions(l, traj, n=n)
-    a = gram_matrix(sols)
-    poly = det_polynomial(a)
-    return BoundaryFormData(l=l, b=traj.family.b, a=a,
-                            dirichlet=sols.dirichlet, poly=poly,
-                            condition=sols.condition)
+    dirichlet = dirichlet_negative_count(l, traj, n)
+    a = gram_matrix(boundary_solutions(l, traj))
+    return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
+                            poly=det_polynomial(a))
 
 
 def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:

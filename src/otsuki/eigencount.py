@@ -593,7 +593,7 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
         # a ladder's loop state is shared, so a breakdown in it retries all
         if isfinite(out[1]):
             if op.ladder:
-                return _finish_ladder(op, sigma, out, logdet)
+                return _finish_ladder(op, sigma, out)
             return out if logdet else (out[0], None)
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
 
@@ -608,10 +608,11 @@ def _retry_shift(op: BandOperator, sigma: float, attempt: int) -> float:
     return sigma + max(attempt * 1e-13 * max(1.0, abs(sigma)), attempt * ulp)
 
 
-def _finish_ladder(op: BandOperator, sigma: float, end: tuple,
-                   logdet: bool) -> list:
+def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
     """Each twist's ``inertia`` result from the shared loop's end state; a
-    twist whose last pivot breaks down is swept again alone."""
+    twist whose last pivot breaks down is swept again alone.  Only a sweep
+    with log|det| gets here: a count-only ladder is reduced
+    (``_reduced_counts``)."""
     out = []
     for w in op.wrap_mult:
         try:
@@ -619,8 +620,8 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple,
         except _PivotBreakdown:
             res = 0, float("nan")
         if not isfinite(res[1]):
-            res = inertia(replace(op, wrap_mult=w), sigma, logdet=logdet)
-        out.append(res if logdet else (res[0], None))
+            res = inertia(replace(op, wrap_mult=w), sigma)
+        out.append(res)
     return out
 
 

@@ -128,12 +128,6 @@ def _floor(system: SLSystem, n: int) -> float:
     return min(system.operator(k).gershgorin_lower() for k in (n, 2 * n)) - 1.0
 
 
-def boundary_counts(system: SLSystem, n: int) -> tuple[int, int]:
-    """(#{lambda < -tau}, #{|lambda| <= tau}), classified by ``_zone_rows``:
-    inertia outside [-zone, zone], certificate or location inside."""
-    return _zone_rows(system, n, 0.0)[0][:2]
-
-
 def _zone(system: SLSystem, n: int) -> float:
     """The half-width of the zone around the level on the meshes n and 2n:
     ZONE, or ten times the drift of an exact zero mode on mesh n, capped."""
@@ -247,8 +241,10 @@ def _located_counts(operator, n: int, level: float, zone: float, below: int,
 
 
 def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
-    """(negative, zero) eigenvalue counts of the system."""
-    return boundary_counts(system, n)
+    """(#{lambda < -tau}, #{|lambda| <= tau}) of the system, classified by
+    ``_zone_rows``: inertia outside [-zone, zone], certificate or location
+    inside."""
+    return _zone_rows(system, n, 0.0)[0][:2]
 
 
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
@@ -285,7 +281,7 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 def ladder_counts(build, traj: Trajectory, n: int,
                   level: float) -> list[tuple]:
     """(r, below, at), the counts below and at the level that
-    ``boundary_counts`` makes at 0, of each twist omega_r = exp(i pi r / q),
+    ``spectrum_counts`` makes at 0, of each twist omega_r = exp(i pi r / q),
     r = 0..2q-1, of ``build(traj, bc)``.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,

@@ -1,6 +1,6 @@
 import pytest
 
-from otsuki import edwards, eigencount, spectral
+from otsuki import eigencount, spectral
 from otsuki.geodesic import GeodesicFamily, sample_trajectory, solve_parameter
 
 
@@ -55,8 +55,7 @@ class SweepLog(list):
 @pytest.fixture
 def count_sweeps(monkeypatch):
     """Records every shift of every inertia call, and the call, at every
-    binding: ``eigencount`` itself, ``spectral`` and the Dirichlet reach
-    sweeps of ``edwards``."""
+    binding: ``eigencount`` itself and ``spectral``."""
     original = eigencount.inertia
     seen = SweepLog()
 
@@ -67,5 +66,4 @@ def count_sweeps(monkeypatch):
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)
-    monkeypatch.setattr(edwards, "inertia", recorded)
     return seen

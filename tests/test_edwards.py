@@ -102,7 +102,7 @@ class TestDirichlet:
 
 class TestFundamentalSolutions:
     def test_boundary_values_reproduced(self, traj23):
-        sols = boundary_solutions(1, traj23, n=2048)
+        sols = boundary_solutions(1, traj23)
         psi = boundary_psi(sols, traj23)
         eye = np.eye(4)
         for i in range(4):
@@ -111,7 +111,7 @@ class TestFundamentalSolutions:
             assert np.abs(np.concatenate([at0, atT]) - eye[i]).max() < 1e-10
 
     def test_clifford_closed_forms(self, clifford_traj):
-        sols = boundary_solutions(1, clifford_traj, n=2048)
+        sols = boundary_solutions(1, clifford_traj)
         psi = boundary_psi(sols, clifford_traj)
         T = clifford_traj.family.T
         ts = np.linspace(0, T, 23)
@@ -166,8 +166,15 @@ class TestFundamentalSolutions:
             others = np.arange(13) != s
             assert np.array_equal(K[others], before[others])
 
+    def test_no_sweep(self, traj23, count_sweeps):
+        # the solutions are the ODE alone: the Dirichlet count that gates
+        # them is ``boundary_form``'s
+        boundary_solutions(1, traj23)
+        assert count_sweeps == [] and count_sweeps.calls == []
+        assert not hasattr(edwards, "inertia")
+
     def test_condition_recorded(self, traj23):
-        sols = boundary_solutions(2, traj23, n=2048)
+        sols = boundary_solutions(2, traj23)
         assert 1.0 <= sols.condition < 1e10
 
 
@@ -231,13 +238,13 @@ class TestStepper:
         monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40)
         with pytest.raises(NumericalError,
                            match="integration failed: Required step size"):
-            boundary_solutions(1, traj23, n=512)
+            boundary_solutions(1, traj23)
 
 
 class TestGramMatrix:
     def test_symmetries_before_enforcement(self, traj23):
         # raw boundary-term matrix, rebuilt without the averaging step
-        sols = boundary_solutions(1, traj23, n=2048)
+        sols = boundary_solutions(1, traj23)
         p0, pT = sols.p_ends
         raw = np.zeros((4, 4))
         for j in range(4):
@@ -251,13 +258,13 @@ class TestGramMatrix:
         assert np.abs(raw - swap).max() / scale < 1e-8
 
     def test_enforced_exactly(self, traj23):
-        a = gram_matrix(boundary_solutions(2, traj23, n=2048))
+        a = gram_matrix(boundary_solutions(2, traj23))
         assert np.array_equal(a, a.T)
         swap = a[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
         assert np.array_equal(a, swap)
 
     def test_clifford_channels_decoupled(self, clifford_traj):
-        a = gram_matrix(boundary_solutions(1, clifford_traj, n=2048))
+        a = gram_matrix(boundary_solutions(1, clifford_traj))
         assert abs(a[0, 3]) < 1e-9
         assert abs(a[0, 1]) < 1e-9
 
@@ -285,15 +292,14 @@ class TestPinnedForms:
             return sol
 
         monkeypatch.setattr(edwards, "solve_ivp", counted)
-        boundary_solutions(l, family_trajectory(solve_parameter(p, q), 512),
-                           n=512)
+        boundary_solutions(l, family_trajectory(solve_parameter(p, q), 512))
         assert seen == [PINNED_NFEV[(p, q, l)]]
 
 
 class TestTwistedForm:
     # the dense restricted form of the tests' oracle
     def test_real_twist_is_diagonal(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
+        a = gram_matrix(boundary_solutions(1, traj23))
         A1 = restricted_form(a, 1.0 + 0j)
         assert A1[0, 1] == 0 and A1[1, 0] == 0
         Am = restricted_form(a, -1.0 + 0j)
@@ -301,14 +307,14 @@ class TestTwistedForm:
         assert Am[1, 1] == pytest.approx(2 * a[1, 1] + 2 * a[1, 3], rel=1e-14)
 
     def test_hermitian_for_complex_twists(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
+        a = gram_matrix(boundary_solutions(1, traj23))
         for k in range(8):
             om = cmath.exp(1j * (0.3 + k))
             A = restricted_form(a, om)
             assert np.abs(A - A.conj().T).max() < 1e-13
 
     def test_determinant_matches_polynomial(self, traj23):
-        a = gram_matrix(boundary_solutions(1, traj23, n=2048))
+        a = gram_matrix(boundary_solutions(1, traj23))
         poly = det_polynomial(a)
         for k in range(12):
             om = cmath.exp(1j * 0.5 * k)
@@ -477,12 +483,27 @@ class TestApplicabilityGate:
         assert isinstance(cause, EdwardsInapplicableError)
         assert str(cause).startswith("Dirichlet problem at l=1")
 
-    @pytest.mark.parametrize("factor, accepted",
-                             [(1 - 1e-6, True), (1.0, False), (1 + 1e-6, False)])
+    @pytest.mark.parametrize("zone, factor, accepted", [
+        pytest.param(zone, factor, accepted,
+                     id=f"{factor or 'default'}-{accepted}"
+                        + (f"-zone-{zone}" if zone else ""))
+        for zone in (None, 1.1)
+        for factor, accepted in [(None, True), (1 - 1e-6, True),
+                                 (1.0, False), (1 + 1e-6, False)]])
     def test_decision_is_located_margin_above_bound(self, traj23, monkeypatch,
-                                                    factor, accepted):
+                                                    zone, factor, accepted):
+        # the eigenvalue nearest zero lies 1.0016 from it at n = 512: the
+        # default zone holds no eigenvalue (k = 0), one of half-width 1.1
+        # holds it (k = 1), and either way the gate decides as the located
+        # margin does, at the default bound (factor None) and around it
+        if zone is not None:
+            monkeypatch.setattr(spectral, "ZONE", zone)
         margin = dirichlet_negative_count(1, traj23, n=512).margin
-        monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", margin * factor)
+        if factor is not None:
+            monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", margin * factor)
+        assert accepted == (margin > edwards.DIRICHLET_MARGIN)
+        system = fourier_block_system(1, traj23, BoundaryCondition.dirichlet())
+        assert spectral._zone_rows(system, 512, 0.0)[0][2] == (zone is not None)
         if accepted:
             assert dirichlet_negative_count(1, traj23, n=512).negative == 1
         else:
@@ -518,22 +539,23 @@ class TestApplicabilityGate:
         dirichlet_negative_count(1, traj23, n=512)
         assert len(count_sweeps) == 4
 
-    def test_dirichlet_gate_sweeps_when_the_zone_holds_eigenvalues(
-            self, traj23, count_sweeps, monkeypatch):
-        # the eigenvalue nearest zero lies 1.0016 from it at n = 512, so a
-        # zone of half-width 1.1 holds it and says nothing about +-reach:
-        # the two reach sweeps of the mesh-n operator run, and the count
-        # stays
-        want = dirichlet_negative_count(1, traj23, n=512)
+    def test_dirichlet_gate_locates_when_the_zone_holds_eigenvalues(
+            self, traj23, monkeypatch):
+        # a zone of half-width 1.1 holds the eigenvalue nearest zero
+        # (1.0016 at n = 512), so the gate takes no shortcut: it locates
+        # the margin once, on the mesh-n operator, and the count stays
+        original, located = edwards.eigenvalues_in, []
+
+        def recorded(op, *args, **kwargs):
+            located.append(op)
+            return original(op, *args, **kwargs)
+
         monkeypatch.setattr(spectral, "ZONE", 1.1)
-        count_sweeps.clear()
+        monkeypatch.setattr(edwards, "eigenvalues_in", recorded)
         got = dirichlet_negative_count(1, traj23, n=512)
-        assert got.negative == want.negative == 1
-        reach = edwards.DIRICHLET_MARGIN + LOCATE_TOL
-        assert [(sigma, logdet) for op, sigma, logdet in count_sweeps
-                if op == id(got.operator)][-2:] == [(-reach, False),
-                                                    (reach, False)]
-        assert count_sweeps.calls[-1] == 2
+        assert got.negative == 1
+        assert got.margin > edwards.DIRICHLET_MARGIN
+        assert len(located) == 1 and located[0] is got.operator
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

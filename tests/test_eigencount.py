@@ -499,11 +499,12 @@ REDUCTION_SYSTEMS = {**SCALAR_SYSTEMS,
 
 @pytest.mark.parametrize("p,q", [(2, 3), (5, 8), (10, 19), (30, 59), (70, 99)])
 def test_reduction_counts_equal_the_sequential_sweep(p, q):
-    # the sweep in node order, for counts alone, is the reduction's oracle
-    # on the ladders r = 0..q of every mode below l = 3; shifts far from
-    # and close to the zero modes, but not on them: at an eigenvalue that
-    # is 0 up to rounding (the constants at r = 0 of laplace0) the count is
-    # decided by rounding, and the two orders may round apart
+    # the counts of the sweep in node order, which a ladder takes only with
+    # log|det|, are the reduction's oracle on the ladders r = 0..q of every
+    # mode below l = 3; shifts far from and close to the zero modes, but
+    # not on them: at an eigenvalue that is 0 up to rounding (the constants
+    # at r = 0 of laplace0) the count is decided by rounding, and the two
+    # orders may round apart
     traj = sample_trajectory(solve_parameter(p, q), 4096)
     shifts = (-50.0, -1.0, -1e-6, -1e-7, 1e-7, 1e-6, 1.0, 200.0)
     for build in REDUCTION_SYSTEMS.values():
@@ -513,7 +514,8 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
         for m in (1024, 4096):
             ladder = replace(system.discretize(m), wrap_mult=mults)
             kernel, lists = eigencount._kernel(ladder)
-            want = [eigencount._sweep(ladder, kernel, lists, s, False)
+            want = [[(c, None) for c, _ in
+                     eigencount._sweep(ladder, kernel, lists, s, True)]
                     for s in shifts]
             got = inertia(ladder, *shifts, logdet=False)
             assert got == want

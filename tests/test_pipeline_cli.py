@@ -236,7 +236,6 @@ class TestHalfPeriodCounts:
         monkeypatch.setattr(SLSystem, "discretize", recorded)
         monkeypatch.setattr(eigencount, "inertia", recorded_inertia)
         monkeypatch.setattr(spectral, "inertia", recorded_inertia)
-        monkeypatch.setattr(edwards, "inertia", recorded_inertia)
         report = compute_index(5, 8, method="both", n=512)
         assert {l for l, _ in seen} == {0, 1, 2}
         assert max(length for _, length in seen) == report.T

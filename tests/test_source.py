@@ -260,6 +260,21 @@ def test_one_locate_and_extrapolate_path():
     assert not calls, f"located outside _extrapolated: {calls}"
 
 
+def test_edwards_imports_of_the_counting_layers():
+    # the boundary-form route reads the finite-difference counts only for
+    # its Dirichlet gate (and binds spectrum_counts for the benchmark's
+    # tracer), so its interface to them must not grow
+    path = next(p for p in SOURCES if p.name == "edwards.py")
+    imported = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(
+                a.name for a in node.names)
+    assert imported["spectral"] == {"LOCATE_TOL", "TAU_ZERO", "_zone",
+                                    "_zone_rows", "spectrum_counts"}
+    assert imported["eigencount"] == {"BandOperator", "eigenvalues_in"}
+
+
 def _public_names(tree):
     """Module-level functions, classes and constants without a leading
     underscore."""

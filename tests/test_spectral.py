@@ -18,10 +18,9 @@ from otsuki.errors import (AmbiguousClassificationError, NumericalError,
 from otsuki.geodesic import _phi_ddot, sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from otsuki.spectral import (TAU_ZERO, boundary_counts, class_counts,
-                             direct_twisted_counts, ladder_counts,
-                             spectral_index, spectrum_below, spectrum_counts,
-                             verify_high_l_positive)
+from otsuki.spectral import (TAU_ZERO, class_counts, direct_twisted_counts,
+                             ladder_counts, spectral_index, spectrum_below,
+                             spectrum_counts, verify_high_l_positive)
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             laplace_system, separated_coefficients)
 
@@ -43,11 +42,11 @@ README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
 
 
 def _counts_at(system, n, level):
-    """The counts below and at ``level``: ``boundary_counts`` of the system
+    """The counts below and at ``level``: ``spectrum_counts`` of the system
     with its potential lowered by the level.  Only the scalar Laplace
     builds of LADDER_BUILDS count at a level other than 0."""
     assert level == 0.0 or system.dim == 1
-    return boundary_counts(
+    return spectrum_counts(
         replace(system, potential=lambda t: system.potential(t) - level), n)
 
 
@@ -180,7 +179,7 @@ class TestCalibration:
         dim = 1 if np.ndim(potential) == 0 else 2
         system = constant_system(dim, math.pi, 1.0, potential,
                                  BoundaryCondition.dirichlet())
-        assert boundary_counts(system, n) == counts
+        assert spectrum_counts(system, n) == counts
         assert len(located) == (0 if (dim, n) == (1, 1024) else 2)
 
     @pytest.mark.parametrize("edge", range(4))
