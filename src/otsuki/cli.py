@@ -178,9 +178,8 @@ def _cmd_edwards(args) -> int:
     if family.rotation is not None:
         rows = aggregate_roots(data, family.rotation.q)
         doc["per_omega"] = [{"r": r, "neg": neg, "zero": zero}
-                            for r, neg, zero in rows]
-        doc["neg_total"] = sum(neg for _, neg, _ in rows)
-        doc["zero_total"] = sum(zero for _, _, zero in rows)
+                            for r, (neg, zero) in enumerate(rows.tolist())]
+        doc["neg_total"], doc["zero_total"] = rows.sum(axis=0).tolist()
     _emit(doc, args)
     return 0
 
@@ -215,19 +214,23 @@ def _cmd_verify(args) -> int:
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
     """Admissible (p, q) pairs from lines 'p q' or 'p/q' ('#' comments)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file: {exc}") from None
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip().replace("/", " ")
-            if not line:
-                continue
-            try:
-                p, q = map(int, line.split())
-                RotationNumber(p, q)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: bad family {raw.strip()!r}: {exc}")
-            pairs.append((p, q))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip().replace("/", " ")
+        if not line:
+            continue
+        try:
+            p, q = map(int, line.split())
+            RotationNumber(p, q)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: bad family {raw.strip()!r}: {exc}")
+        pairs.append((p, q))
     return pairs
 
 

@@ -290,13 +290,13 @@ def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
                             poly=det_polynomial(a))
 
 
-def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
-    """(r, negative, zero) of the twisted problem at each 2q-th root of
-    unity omega = exp(i pi r / q), the rows ``direct_twisted_counts``
-    returns; ``spectral.class_counts`` sums them for a mode.  Each of the
-    2q twists is counted here, also the r > q that the direct route
-    copies from the conjugate twist 2q - r, so ``both`` checks those
-    copies against an independent count.
+def aggregate_roots(data: BoundaryFormData, q: int) -> np.ndarray:
+    """The (2q, 2) array of (negative, zero) of the twisted problem at
+    each 2q-th root of unity omega = exp(i pi r / q), row r, as
+    ``direct_twisted_counts`` returns it; ``spectral.class_counts`` sums
+    the rows of a mode.  Each of the 2q twists is counted here, also the
+    r > q that the direct route copies from the conjugate twist 2q - r, so
+    ``both`` checks those copies against an independent count.
 
     neg = Dirichlet negatives + index of the boundary form restricted to
     the omega-twist subspace; zero is that form's nullity.  With
@@ -310,7 +310,7 @@ def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
     modes are exact there; at the first other twist the count is
     ambiguous and AmbiguousClassificationError names its Re(omega).
     """
-    omega = np.array(roots_of_unity_ladder(q))
+    omega = roots_of_unity_ladder(q)
     s, a = omega.real, data.a
     A00 = 2.0 * a[0, 0] + (2.0 * s) * a[0, 2]
     A11 = 2.0 * a[1, 1] - (2.0 * s) * a[1, 3]
@@ -329,4 +329,4 @@ def aggregate_roots(data: BoundaryFormData, q: int) -> list[tuple]:
             f"restricted form nearly singular at "
             f"Re(omega)={s[ambiguous[0]]:.6f} "
             f"which is no root of the determinant polynomial")
-    return list(zip(range(2 * q), neg.tolist(), zero.tolist()))
+    return np.stack((neg, zero), axis=1)

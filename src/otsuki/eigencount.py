@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import exp, isfinite, log
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,15 +58,15 @@ class BandOperator:
     operator additionally carries ``wrap_off`` (real scalar) and
     ``wrap_mult`` (per-channel unit-modulus multipliers) so that the
     (m-1, 0) block equals wrap_off * diag(wrap_mult).  A cyclic operator
-    may carry a twist ladder instead: ``wrap_mult`` a tuple of per-twist
-    multipliers, (w,) or (w1, w2), which ``inertia`` counts all at once.
+    may carry a twist ladder instead: ``wrap_mult`` a (twists, dim) array,
+    a row of multipliers per twist, which ``inertia`` counts all at once.
     """
 
     dim: int
     diag: np.ndarray
     off: np.ndarray
     wrap_off: Optional[float] = None
-    wrap_mult: Optional[tuple] = None
+    wrap_mult: Optional[Sequence] = None
     meta: dict = None
 
     @property
@@ -79,11 +79,10 @@ class BandOperator:
 
     @property
     def ladder(self) -> bool:
-        return self.cyclic and isinstance(self.wrap_mult[0], tuple)
+        return np.ndim(self.wrap_mult) == 2
 
     def is_complex(self) -> bool:
-        mults = sum(self.wrap_mult, ()) if self.ladder else self.wrap_mult
-        return self.cyclic and any(abs(complex(w).imag) > 0 for w in mults)
+        return self.cyclic and bool(np.imag(self.wrap_mult).any())
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix; intended for small sizes and tests."""
@@ -513,8 +512,7 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
     reduction.  A shift whose pivots break down is moved (``_retry_shift``)
     and reduced again alone, as ``_sweep`` moves it; a ladder twist whose
     last Schur complement breaks down is swept again alone."""
-    twists = op.wrap_mult if op.ladder else (op.wrap_mult,)
-    w = np.array(twists, dtype=complex)
+    w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     if op.dim == 1:
         reduce, schur = _inertia_d1_reduction, _schur_d1
         lists = op.diag, op.off, op.wrap_off
@@ -539,12 +537,10 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
                                      f"pivots at sigma={sigma!r}")
             (count,), (ok,), (regular,) = counts(
                 (_retry_shift(op, sigma, attempt),))
-        if not op.ladder:
-            out.append((int(count[0]), None))
-            continue
-        out.append([(int(c), None) if good else
-                    inertia(replace(op, wrap_mult=t), sigma, logdet=False)
-                    for c, good, t in zip(count, regular, twists)])
+        twists = [(c, None) if good else inertia(
+            replace(op, wrap_mult=w[t].tolist()), sigma, logdet=False)
+            for t, (c, good) in enumerate(zip(count.tolist(), regular.tolist()))]
+        out.append(twists if op.ladder else twists[0])
     return out
 
 
@@ -614,7 +610,7 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
     with log|det| gets here: a count-only ladder is reduced
     (``_reduced_counts``)."""
     out = []
-    for w in op.wrap_mult:
+    for w in op.wrap_mult.tolist():     # Python complex: finishes run faster
         try:
             res = _finish(op, end, w)
         except _PivotBreakdown:

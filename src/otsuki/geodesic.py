@@ -314,7 +314,7 @@ class Trajectory:
         Times are folded into [0, T] through phi(t+T) = -phi(t) and
         theta(t+T) = theta(t) + Xi; between nodes a centered cubic
         interpolant is used.  Families without a rotation number accept
-        any real t.  For an array t the three arrays returned are read-only,
+        any finite t.  For an array t the three arrays returned are read-only,
         on the first call too: they are kept on the trajectory, keyed on
         the bytes of t, so a repeated array costs a lookup.  Copy them to
         modify them.
@@ -324,10 +324,12 @@ class Trajectory:
         key = t_arr.shape, t_arr.tobytes()
         if not scalar and key in self._samples:
             return self._samples[key]
-        if self.family.rotation is not None:
-            t0 = self.family.t0
-            if np.any(t_arr < -1e-9 * t0) or np.any(t_arr >= t0 * (1 + 1e-12) + 1e-9):
-                raise DomainError("time outside [0, t0)")
+        # NaN fails every comparison; a family without a rotation number
+        # takes every finite time
+        t0 = math.inf if self.family.rotation is None else self.family.t0
+        if not np.all(np.isfinite(t_arr) & (t_arr >= -1e-9 * t0)
+                      & (t_arr < t0 * (1 + 1e-12) + 1e-9)):
+            raise DomainError("time not finite or outside [0, t0)")
         T = self.family.T
         k = np.floor(t_arr / T).astype(int)
         s = t_arr - k * T

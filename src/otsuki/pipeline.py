@@ -51,7 +51,7 @@ class PerModeRecord:
     zero: int
     method: str
     split: Optional[dict] = None        # even q: the unused symmetry class
-    per_omega: Optional[tuple] = None   # (r, neg, zero) rows
+    per_omega: Optional[np.ndarray] = None  # (2q, 2): (neg, zero) of twist r
 
     def to_json_dict(self) -> dict:
         d = {"l": self.l, "neg": self.neg, "zero": self.zero,
@@ -59,7 +59,8 @@ class PerModeRecord:
         if self.split is not None:
             d["split"] = self.split
         if self.per_omega is not None:
-            d["per_omega"] = [list(row) for row in self.per_omega]
+            d["per_omega"] = [[r, *row] for r, row
+                              in enumerate(self.per_omega.tolist())]
         return d
 
 
@@ -128,9 +129,11 @@ def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
 
 def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
     """Raise RouteDisagreementError unless the routes that ran agree."""
-    diffs = [(l, r, (en, ez), (dn, dz)) for (r, en, ez), (_, dn, dz)
-             in zip(edwards_rows or (), direct_rows or ())
-             if (en, ez) != (dn, dz)]
+    if edwards_rows is None or direct_rows is None:
+        return
+    diffs = [(l, r, tuple(e), tuple(d)) for r, (e, d)
+             in enumerate(zip(edwards_rows.tolist(), direct_rows.tolist()))
+             if e != d]
     if diffs:
         raise RouteDisagreementError(
             f"boundary-form and direct counts disagree at l={l}: {diffs}",
@@ -146,7 +149,7 @@ def _count_family(traj: Trajectory, n: int, method: str):
     q = traj.family.rotation.q
     chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
                     for chan in (1, 2))
-    # the class rule sums the rows of both channels alike
+    # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
     for l in (1, 2):
         form = edwards_rows = direct_rows = None
@@ -206,7 +209,7 @@ def compute_index(p: int, q: int, method: str = "both",
             "used_parity": "odd_r" if l % 2 else "even_r",
             "other_class_neg": other[0], "other_class_zero": other[1]}
         records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
-                                     split=split, per_omega=tuple(rows)))
+                                     split=split, per_omega=rows))
 
     if not verify_high_l_positive(3, traj):
         raise NumericalError("mode l=3 failed the positivity check; "
@@ -389,7 +392,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     # kernel field 3, 2 pi cos^2(phi) phi', is its zero mode: it is
     # A sin(phi), with A h = sqrt(p) h' as in spectral_index, and sin(phi),
     # a coordinate function at Laplace level 2, is antiperiodic over T
-    anti = channel2[q][1:]
+    anti = tuple(channel2[q].tolist())
     zero_mode = next(res for field, res in zip(fields, residuals)
                      if field.id == 3)
     add("antiperiodic l=0", anti == (1, 1) and zero_mode < kernel_bound,

@@ -34,7 +34,8 @@ class BoundaryCondition:
         if self.kind not in BC_KINDS:
             raise ValidationError(f"unknown boundary condition {self.kind!r}")
         if self.kind == "twisted":
-            if self.omega is None or abs(abs(self.omega) - 1.0) > 1e-12:
+            # written so that a NaN omega fails it too
+            if self.omega is None or not abs(abs(self.omega) - 1.0) <= 1e-12:
                 raise ValidationError("twisted boundary condition needs |omega| = 1")
         elif self.omega is not None:
             raise ValidationError(f"{self.kind} takes no omega")
@@ -58,26 +59,24 @@ class BoundaryCondition:
     def channel_multipliers(self, dim: int) -> Optional[tuple]:
         if self.kind == "dirichlet":
             return None
-        if self.kind == "periodic":
-            return (1.0 + 0.0j,) * dim
-        if self.kind == "antiperiodic":
-            return (-1.0 + 0.0j,) * dim
-        if dim == 1:
-            return (self.omega,)
-        return (self.omega, -self.omega)
+        if self.kind != "twisted":
+            return ((1.0 if self.kind == "periodic" else -1.0) + 0.0j,) * dim
+        return (self.omega, -self.omega)[:dim]
 
 
 @lru_cache(maxsize=1)
-def roots_of_unity_ladder(q: int) -> tuple[complex, ...]:
-    """omega_r = exp(i pi r / q) for r = 0..2q-1, each to within an ulp:
-    both parts are sines of angles in [-pi/2, pi/2], so 1, i, -1 and -i
-    are exact, and omega_{2q-r} = conj(omega_r).  Every ladder and every
-    boundary-form count of a family asks for the same q, so the last
-    ladder is kept."""
-    upper = tuple(complex(math.sin(math.pi * (q - 2 * r) / (2 * q)),
-                          math.sin(math.pi * min(r, q - r) / q))
-                  for r in range(q + 1))
-    return upper + tuple(w.conjugate() for w in upper[q - 1:0:-1])
+def roots_of_unity_ladder(q: int) -> np.ndarray:
+    """omega_r = exp(i pi r / q) for r = 0..2q-1, a read-only complex
+    array, each to within an ulp: both parts are sines of angles in
+    [-pi/2, pi/2], so 1, i, -1 and -i are exact, and omega_{2q-r} =
+    conj(omega_r).  Every ladder and every boundary-form count of a family
+    asks for the same q, so the last ladder is kept."""
+    upper = [complex(math.sin(math.pi * (q - 2 * r) / (2 * q)),
+                     math.sin(math.pi * min(r, q - r) / q))
+             for r in range(q + 1)]
+    omega = np.array(upper + [w.conjugate() for w in upper[q - 1:0:-1]])
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,10 @@ def _zone(system: SLSystem, n: int) -> float:
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
-               ladder: Optional[tuple] = None) -> list[tuple[int, int, int]]:
-    """(below, at, k) at the level for each twist of ``ladder`` (wrap
-    multipliers that replace the system's), or for the system alone; k
-    counts the eigenvalues in the mesh-n zone (level - zone, level + zone].
+               ladder: Optional[np.ndarray] = None) -> list[tuple[int, int, int]]:
+    """(below, at, k) at the level for each twist of ``ladder`` (rows of
+    wrap multipliers that replace the system's), or for the system alone;
+    k counts the eigenvalues in the mesh-n zone (level - zone, level + zone].
     Each sweep serves every twist: the zone ends, the windows of a mesh,
     the ends with log|det| on the first location.  A ladder sweeps each
     mesh's windows in the call that sweeps its zone ends, since its kernel
@@ -154,28 +154,28 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     def swept(op, *shifts, logdet=False) -> list:
         """One tuple of the results at the shifts for each twist."""
         out = inertia(op, *shifts, logdet=logdet)
-        return list(zip(*out)) if ladder else [out]
+        return [out] if ladder is None else list(zip(*out))
 
     ops = operator(n), operator(2 * n)
     zone = _zone(system, n)
     lo, hi = level - zone, level + zone
     windows = [[level + s * _WINDOW for s in shifts]
                for shifts in _WINDOW_SHIFTS]
-    ends = [swept(op, lo, hi, *(windows[mesh] if ladder else ()))
+    ends = [swept(op, lo, hi, *(() if ladder is None else windows[mesh]))
             for mesh, op in enumerate(ops)]
 
     @cache
     def window(mesh: int) -> list:
-        if ladder:
-            return [end[2:] for end in ends[mesh]]
-        return swept(ops[mesh], *windows[mesh])
+        if ladder is None:
+            return swept(ops[mesh], *windows[mesh])
+        return [end[2:] for end in ends[mesh]]
 
     @cache
     def located() -> list:
         return [swept(op, lo, hi, logdet=True) for op in ops]
 
     rows = []
-    for r, mult in enumerate(ladder or (None,)):
+    for r, mult in enumerate([None] if ladder is None else ladder.tolist()):
         try:
             (below, top1), (below2, top2) = ([c for c, _ in end[r][:2]]
                                              for end in ends)
@@ -279,42 +279,39 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 # twist ladders on [0, T], the class rule, spectral index, l >= 3 positivity
 
 def ladder_counts(build, traj: Trajectory, n: int,
-                  level: float) -> list[tuple]:
-    """(r, below, at), the counts below and at the level that
-    ``spectrum_counts`` makes at 0, of each twist omega_r = exp(i pi r / q),
-    r = 0..2q-1, of ``build(traj, bc)``.
+                  level: float) -> np.ndarray:
+    """The (2q, 2) array of (below, at), the counts below and at the level
+    that ``spectrum_counts`` makes at 0, of each twist omega_r =
+    exp(i pi r / q), r = 0..2q-1, of ``build(traj, bc)``; row r is twist r.
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
-    so the zone ends and windows of a mesh are one sweep of the ladder
-    r = 0..q; a twist whose zone holds eigenvalues that the windows do not
-    certify is refined on its own operator.  The rows
-    r > q are copied from r' = 2q - r: omega_r is exactly conj(omega_r'),
-    and the sweeps take only real parts of products of conjugates, so the
-    two twists count bit for bit alike.
+    (omega_r, -omega_r) or (omega_r,), so the zone ends and windows of a
+    mesh are one sweep of the ladder r = 0..q; a twist whose zone holds
+    eigenvalues that the windows do not certify is refined on its own
+    operator.  The rows r > q are copied from r' = 2q - r: omega_r is
+    exactly conj(omega_r'), and the sweeps take only real parts of
+    products of conjugates, so the two twists count bit for bit alike.
     """
     q = traj.family.rotation.q
     system = build(traj, BoundaryCondition.twisted(1.0))
-    ladder = tuple(BoundaryCondition.twisted(om).channel_multipliers(system.dim)
-                   for om in roots_of_unity_ladder(q)[:q + 1])
-    rows = [(r, below, at) for r, (below, at, _)
-            in enumerate(_zone_rows(system, n, level, ladder))]
-    return rows + [(2 * q - r, below, at) for r, below, at in rows[q - 1:0:-1]]
+    omega = roots_of_unity_ladder(q)[:q + 1, None]
+    ladder = np.hstack((omega, -omega))[:, :system.dim]
+    rows = np.array(_zone_rows(system, n, level, ladder))[:, :2]
+    return np.concatenate((rows, rows[q - 1:0:-1]))
 
 
-def class_counts(l: int, q: int, rows) -> tuple[int, int]:
+def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
     """(below, at) of mode l: the ``ladder_counts`` rows summed over every
     twist for odd q, and for even q over the twists r = l (mod 2).  For
     even q the surface is invariant under the half-shift combined with the
     antipodal frame turn, which multiplies mode l by (-1)^l, so it keeps
     the twists with omega_r^q = (-1)^l."""
-    keep = [(below, at) for r, below, at in rows
-            if q % 2 == 1 or (r - l) % 2 == 0]
-    return sum(b for b, _ in keep), sum(a for _, a in keep)
+    return tuple((rows if q % 2 else rows[l % 2::2]).sum(axis=0).tolist())
 
 
-def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> list[tuple]:
-    """(r, negative, zero) of the omega-twisted mode-l block on [0, T] for
-    each twist omega = exp(i pi r / q), r = 0..2q-1."""
+def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> np.ndarray:
+    """The (2q, 2) array of (negative, zero) of the omega-twisted mode-l
+    block on [0, T], row r for omega = exp(i pi r / q), r = 0..2q-1."""
     return ladder_counts(partial(fourier_block_system, l), traj, n, 0.0)
 
 
@@ -323,7 +320,7 @@ def spectral_index(traj: Trajectory, n: int, channel2) -> int:
     mode l = 0 counts once, mode l = 1 twice.  Eigenvalues landing exactly
     on 2 (the coordinate functions) are excluded by extrapolation.
 
-    Mode l = 0 is read from ``channel2``, the ``ladder_counts`` rows of
+    Mode l = 0 is read from ``channel2``, the ``ladder_counts`` array of
     mode-0 channel 2 at level 0, and only mode l = 1 is swept.  The two
     are supersymmetric partners.  With A h = sqrt(p) h' and sqrt(p) =
     2 pi cos(phi), the Laplace l = 0 operator -(p h')' is A*A, and since

@@ -374,7 +374,7 @@ def restricted_form(a, omega):
 
 
 def dense_twisted_row(data, q, r):
-    """(r, negative, zero) of twist omega_r of the 2q-th roots of unity from
+    """(negative, zero) of twist omega_r of the 2q-th roots of unity from
     ``np.linalg.eigvalsh`` of ``restricted_form``, with the zero tolerance
     and the root rule of ``edwards.aggregate_roots``: the oracle of its
     rows."""
@@ -387,7 +387,7 @@ def dense_twisted_row(data, q, r):
                         for root in data.poly.roots):
         raise AmbiguousClassificationError(
             f"dense form singular at Re(omega)={omega.real:.6f}")
-    return r, data.dirichlet.negative + int(np.sum(eigs < -tau)), zero
+    return data.dirichlet.negative + int(np.sum(eigs < -tau)), zero
 
 
 def full_period_grid(traj):

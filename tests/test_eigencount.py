@@ -150,6 +150,13 @@ def test_eigenvalues_next_to_a_point():
         eigenvalues_in(op, -4.0, 4.0, tol=1e-9, near=5.0)
 
 
+@pytest.mark.parametrize("omega", [math.nan, complex(math.nan, 0.0), 1.5])
+def test_twisted_condition_needs_unit_omega(omega):
+    # NaN fails every comparison, so the check must not read as passed
+    with pytest.raises(ValidationError):
+        BoundaryCondition.twisted(omega)
+
+
 def test_gershgorin_is_lower_bound():
     for dim in (1, 2):
         for bc in BCS:
@@ -344,7 +351,7 @@ def _twisted_operators(build, traj, m):
 
 
 def _ladder(ops):
-    return replace(ops[0], wrap_mult=tuple(op.wrap_mult for op in ops))
+    return replace(ops[0], wrap_mult=np.array([op.wrap_mult for op in ops]))
 
 
 def _assert_counts_alone_match(ladder, ops, shifts):
@@ -424,12 +431,12 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     ladder = _ladder(ops)
     sigma = -0.5
     want = [inertia(op, sigma) for op in ops]
-    target = ladder.wrap_mult[3]
-    first = [w[0] for w in ladder.wrap_mult]
+    target = ladder.wrap_mult[3].tolist()
+    first = [w[0] for w in ladder.wrap_mult.tolist()]
     swept, finished = [], []
 
     def recorded(op, s, logdet=True):
-        swept.append((op.wrap_mult, logdet))
+        swept.append((np.asarray(op.wrap_mult).tolist(), logdet))
         return inertia(op, s, logdet=logdet)
 
     def fail_once(w0):
@@ -464,7 +471,7 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
         swept.clear()
         got = eigencount.inertia(ladder, sigma, logdet=logdet)
         assert got == (want if logdet else [(c, None) for c, _ in want])
-        assert swept == [(ladder.wrap_mult, logdet), (target, logdet)]
+        assert swept == [(ladder.wrap_mult.tolist(), logdet), (target, logdet)]
         # every twist is finished once from the shared loop or reduction,
         # and the failed one again alone
         assert finished == (first[:4] + [target[0]] + first[4:] if logdet
@@ -509,8 +516,8 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
     shifts = (-50.0, -1.0, -1e-6, -1e-7, 1e-7, 1e-6, 1.0, 200.0)
     for build in REDUCTION_SYSTEMS.values():
         system = build(traj, BoundaryCondition.twisted(1.0))
-        mults = tuple(BoundaryCondition.twisted(om).channel_multipliers(
-            system.dim) for om in roots_of_unity_ladder(q)[:q + 1])
+        mults = np.array([BoundaryCondition.twisted(om).channel_multipliers(
+            system.dim) for om in roots_of_unity_ladder(q)[:q + 1]])
         for m in (1024, 4096):
             ladder = replace(system.discretize(m), wrap_mult=mults)
             kernel, lists = eigencount._kernel(ladder)

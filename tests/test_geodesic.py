@@ -179,6 +179,17 @@ class TestTrajectory:
         assert np.allclose(phid, traj23.phidot[:-1], rtol=0, atol=1e-13)
         assert np.allclose(theta, traj23.theta[:-1], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.1, math.nan], math.inf,
+                                   [-math.inf]],
+                             ids=["nan", "nan-in-array", "inf", "-inf-in-array"])
+    @pytest.mark.parametrize("b", [None, -0.5], ids=["2/3", "open"])
+    def test_at_rejects_non_finite_times(self, traj23, b, t):
+        # closed (2/3) and open (b = -0.5) families alike, scalar or array
+        traj = traj23 if b is None else sample_trajectory(
+            GeodesicFamily.from_b(b), 256)
+        with pytest.raises(DomainError):
+            traj.at(t if np.isscalar(t) else np.array(t))
+
     def test_json_dict(self, traj23, fam23):
         doc = traj23.to_json_dict()
         assert set(doc) == {"b", "c", "T", "Xi", "n", "phi", "phidot", "theta"}

@@ -117,7 +117,8 @@ class TestComputeIndex:
 
         def recorded(build, traj, n, level):
             rows = original(build, traj, n, level)
-            built.append(((build.func.__name__, build.args, level), rows))
+            built.append(((build.func.__name__, build.args, level),
+                          rows.tolist()))
             return rows
 
         def recorded_form(l, traj, **kwargs):
@@ -146,8 +147,8 @@ class TestComputeIndex:
         mode0 = report.per_mode[0]
         assert rows["l=0 counts"]["detail"].startswith(
             f"neg={mode0.neg} (expect 13), zero={mode0.zero} (expect 3)")
-        assert [rec.per_omega for rec in report.per_mode[1:]] == \
-            [tuple(ladder) for _, ladder in built[2:]]
+        assert [rec.per_omega.tolist() for rec in report.per_mode[1:]] == \
+            [ladder for _, ladder in built[2:]]
         assert rows["route agreement l=1"]["ok"]
         assert rows["route agreement l=2"]["ok"]
 
@@ -162,7 +163,7 @@ class TestComputeIndex:
         _orig = pipeline.direct_twisted_counts
 
         def wrong(l, traj, n):
-            return [(r, neg + 1, zero) for (r, neg, zero) in _orig(l, traj, n)]
+            return _orig(l, traj, n) + (1, 0)
 
         monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         with pytest.raises(RouteDisagreementError):
@@ -467,8 +468,7 @@ class TestVerifyBattery:
         original = pipeline.direct_twisted_counts
 
         def wrong(l, traj, n):
-            return [(r, neg + (l == 2), zero)
-                    for r, neg, zero in original(l, traj, n)]
+            return original(l, traj, n) + (l == 2, 0)
 
         monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         rows = {r["check"]: r for r in verify_family(2, 3, n=512)}
@@ -508,9 +508,9 @@ def miscounted(monkeypatch):
         rows = original(build, traj, n, level)
         if build.func is not l0_channel_system or build.args != (2,):
             return rows
-        q = traj.family.rotation.q
-        return [(r, 0, 2) if r == q else (r, neg, zero)
-                for r, neg, zero in rows]
+        rows = rows.copy()
+        rows[traj.family.rotation.q] = 0, 2
+        return rows
 
     monkeypatch.setattr(pipeline, "ladder_counts", counts)
 
@@ -758,6 +758,14 @@ class TestCli:
         assert run_cli(["sweep", "--input", str(listing)]) == 1
         err = capsys.readouterr().err
         assert "families.txt:2" in err and repr(line) in err
+
+    def test_sweep_undecodable_input_exits_1(self, capsys, tmp_path):
+        listing = tmp_path / "families.txt"
+        listing.write_bytes(b"2 3\n\xff 5 8\n")
+        assert run_cli(["sweep", "--input", str(listing)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {listing}: ")
 
     def test_sweep_jsonl(self, capsys, tmp_path):
         listing = tmp_path / "families.txt"

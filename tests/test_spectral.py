@@ -365,7 +365,7 @@ class TestAntiperiodicCheck:
         lam = _dense_extrapolated(_antiperiodic_channel2(traj), n)
         dense = (int(np.sum(lam < -TAU_ZERO)),
                  int(np.sum(np.abs(lam) <= TAU_ZERO)))
-        assert row == (q, *dense) == (q, 1, 1)
+        assert tuple(row.tolist()) == dense == (1, 1)
 
     def test_family23(self, traj23):
         self._row_matches_dense(traj23)
@@ -378,7 +378,7 @@ class TestAntiperiodicCheck:
     def test_family_2378_3363(self):
         traj = sample_trajectory(solve_parameter(2378, 3363), 1024)
         row = ladder_counts(partial(l0_channel_system, 2), traj, 512, 0.0)
-        assert row[3363] == (3363, 1, 1)
+        assert row[3363].tolist() == [1, 1]
 
     def test_reports_without_deciding(self):
         # at 2378/3363 lambda_1 (about -b^2 = -3.6e-7) lies inside the zero
@@ -437,6 +437,22 @@ def test_class_rule_sums_the_ladder_to_the_closed_length_count(
     assert class_counts(l, q, rows) == _counts_at(closed, mesh, level)
 
 
+@pytest.mark.parametrize("odd", [0, 1], ids=["even_q", "odd_q"])
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 6), l=st.integers(0, 3), data=st.data())
+def test_class_counts_follow_the_parity_rule(odd, half, l, data):
+    # every twist for odd q, the twists r = l (mod 2) for even q
+    q = 2 * half + odd
+    rows = np.array(data.draw(st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 5)),
+        min_size=2 * q, max_size=2 * q)), dtype=int).reshape(2 * q, 2)
+    keep = [r for r in range(2 * q) if q % 2 == 1 or r % 2 == l % 2]
+    want = (sum(int(rows[r, 0]) for r in keep),
+            sum(int(rows[r, 1]) for r in keep))
+    got = class_counts(l, q, rows)
+    assert got == want and all(type(v) is int for v in got)
+
+
 def _channel2_rows(traj, n):
     return ladder_counts(partial(l0_channel_system, 2), traj, n, 0.0)
 
@@ -470,8 +486,8 @@ class TestSpectralIndex:
     def test_channel2_rows_are_laplace0_rows(self, p, q):
         # the partners share their twisted spectra, shifted by 2
         traj = sample_trajectory(solve_parameter(p, q), 1024)
-        assert _channel2_rows(traj, 512) == ladder_counts(
-            partial(laplace_system, 0), traj, 512, 2.0)
+        assert np.array_equal(_channel2_rows(traj, 512), ladder_counts(
+            partial(laplace_system, 0), traj, 512, 2.0))
 
 
 def _patch_potential(monkeypatch, edit):
@@ -583,10 +599,10 @@ class TestMode2Counts:
                                     BoundaryCondition.antiperiodic())
         direct_class = spectrum_counts(system, 1024)
         rows = direct_twisted_counts(1, traj58, 256)
-        assert [row[0] for row in rows] == list(range(2 * q))
+        assert rows.shape == (2 * q, 2)
         total = [0, 0]
         for r in range(1, 2 * q, 2):
-            _, neg, zero = rows[r]
+            neg, zero = rows[r].tolist()
             total[0] += neg
             total[1] += zero
         assert direct_class == tuple(total)
@@ -630,12 +646,14 @@ class TestTwistedConsistency:
         for traj in (traj23, traj58):
             q = traj.family.rotation.q
             rows = ladder_counts(build, traj, 256, level)
-            alone = [(r, *_counts_at(
+            alone = [list(_counts_at(
                         build(traj, BoundaryCondition.twisted(om)), 256,
                         level))
-                     for r, om in enumerate(roots_of_unity_ladder(q))]
-            assert rows == alone
-            assert any(zero for _, _, zero in rows)     # a zone was refined
+                     for om in roots_of_unity_ladder(q)]
+            assert rows.tolist() == alone
+            assert rows[:, 1].any()                     # a zone was refined
+            # the rows r > q are the copies of the rows 2q - r
+            assert np.array_equal(rows[q + 1:], rows[q - 1:0:-1])
 
     @pytest.mark.parametrize("block", list(LADDER_BUILDS))
     def test_zero_modes_certified_by_eight_ladder_sweeps(
@@ -648,7 +666,7 @@ class TestTwistedConsistency:
             q = traj.family.rotation.q
             swept.clear()
             rows = ladder_counts(build, traj, 1024, level)
-            assert any(zero for _, _, zero in rows)
+            assert rows[:, 1].any()
             assert len(swept) == 8
             assert all(op.ladder and len(op.wrap_mult) == q + 1
                        for op, _, _ in swept)
@@ -667,7 +685,7 @@ class TestTwistedConsistency:
         located = _record_locations(monkeypatch)
         rows = ladder_counts(build, traj23, 256, 1.0 / 36.0 + 1e-3)
         assert len(located) == 4
-        assert rows == [(r, 1, 0) for r in range(6)]
+        assert rows.tolist() == [[1, 0]] * 6
         ends = [(op.m, op.ladder) for op, _, logdet in swept
                 if logdet and op.ladder]
         assert ends == [(256, True)] * 2 + [(512, True)] * 2
@@ -707,13 +725,12 @@ class TestTwistedConsistency:
 
         monkeypatch.setattr(SLSystem, "discretize", recorded)
         swept = _record_sweeps(monkeypatch)
-        assert ladder_counts(build, traj23, n, 0.0) == [
-            (r, 0, 0) for r in range(6)]
+        assert ladder_counts(build, traj23, n, 0.0).tolist() == [[0, 0]] * 6
         assert meshes.count(4 * n) == 1
         twist0 = BoundaryCondition.twisted(
             roots_of_unity_ladder(3)[0]).channel_multipliers(1)
         fine = [op.wrap_mult for op, _, _ in swept if op.m == 4 * n]
-        assert fine and all(mult == twist0 for mult in fine)
+        assert fine and all(tuple(mult) == twist0 for mult in fine)
 
     def test_count_path_takes_no_log_det(self, count_sweeps):
         # at this mesh the windows certify every zone of 2/3, so no sweep
@@ -726,7 +743,7 @@ class TestTwistedConsistency:
                                                    traj710, monkeypatch):
         # a zero window certifies nothing, so every zone is located
         def run():
-            rows = [ladder_counts(build, traj, 1024, level)
+            rows = [ladder_counts(build, traj, 1024, level).tolist()
                     for build, level in LADDER_BUILDS.values()
                     for traj in (traj23, traj58, traj710)]
             docs = []
@@ -749,8 +766,8 @@ class TestTwistedConsistency:
         for traj in (traj23, traj58):
             q = traj.family.rotation.q
             count_sweeps.clear()
-            assert direct_twisted_counts(3, traj, 256) == [
-                (r, 0, 0) for r in range(2 * q)]
+            assert direct_twisted_counts(3, traj, 256).tolist() == [
+                [0, 0]] * (2 * q)
             assert count_sweeps.calls == [4, 4]
 
     def test_twisted_eigenvector_embeds_in_closed_problem(self, traj23):
@@ -793,9 +810,9 @@ def test_roots_of_unity_ladder_kept(q):
     # second call for the same q returns it again rather than a new one
     ladder = roots_of_unity_ladder(q)
     fresh = roots_of_unity_ladder.__wrapped__(q)
-    assert isinstance(ladder, tuple)
-    assert [(w.real.hex(), w.imag.hex()) for w in ladder] == [
-        (w.real.hex(), w.imag.hex()) for w in fresh]
+    assert isinstance(ladder, np.ndarray) and not ladder.flags.writeable
+    assert [(w.real.hex(), w.imag.hex()) for w in ladder.tolist()] == [
+        (w.real.hex(), w.imag.hex()) for w in fresh.tolist()]
     assert roots_of_unity_ladder(q) is ladder
 
 
