@@ -14,6 +14,15 @@ Dirichlet problem to be nondegenerate, which ``boundary_form`` checks
 once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
+
+Under 'both' the gate reads the Dirichlet counts that the direct route's
+ladder reduction made at its zone ends: the Dirichlet operator is the
+twisted one with node 0 deleted.  So the two routes share the pivots of
+the Dirichlet offset of every count, and a defect there would reach both
+alike.  What keeps that offset honest is a tier-1 oracle
+(``test_ladder_reduction_counts_the_dirichlet_block``), which checks the
+reduction's count against the band sweep in node order, the other
+elimination order, which the gate runs when ``edwards`` runs alone.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError)
 from .geodesic import Trajectory, _phi_ddot
 from .ode import solve_ivp
-from .sl import BoundaryCondition, roots_of_unity_ladder
+from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 # spectrum_counts is bound only for perfbench, which traces every binding
 from .spectral import (LOCATE_TOL, TAU_ZERO, _zone, _zone_rows,  # noqa: F401
                        spectrum_counts)
@@ -55,11 +64,17 @@ class DirichletCounts:
     ``margin`` is the distance from zero to the nearest eigenvalue of the
     mesh-n operator, capped at _MARGIN_CAP.  The gate's shortcut accepts
     most problems without it (see :func:`dirichlet_negative_count`), so
-    it is located, to LOCATE_TOL, only when first read.
+    it is located, to LOCATE_TOL, only when first read, and the operator
+    is built then too, unless the gate's sweeps built it.
     """
 
     negative: int
-    operator: BandOperator = field(compare=False, repr=False)
+    system: SLSystem = field(compare=False, repr=False)
+    n: int = field(compare=False, repr=False)
+
+    @property
+    def operator(self) -> BandOperator:
+        return self.system.operator(self.n)
 
     @cached_property
     def margin(self) -> float:
@@ -68,7 +83,8 @@ class DirichletCounts:
         return float(np.abs(lam).min()) if len(lam) else _MARGIN_CAP
 
 
-def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCounts:
+def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
+                             ends: Optional[list] = None) -> DirichletCounts:
     """Negative count of the Dirichlet block on [0, T], on meshes n and 2n.
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
@@ -79,10 +95,22 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int) -> DirichletCount
     no eigenvalue lies within reach of zero, so the located margin, within
     LOCATE_TOL / 2 of the true one, exceeds DIRICHLET_MARGIN, and the
     margin is not located.
+
+    ``ends``, the (below, top) counts at the zone ends on the meshes n and
+    2n that the direct ladder of mode l hands out
+    (``spectral.direct_twisted_counts``), replace the zone sweeps when all
+    four agree, so the zone is empty on both meshes: then the gate sweeps
+    and discretizes nothing.  Any other ``ends`` (a populated zone, a mesh
+    disagreement, a count that broke down) leave the decision, and every
+    message, to the classifier's own sweeps of the Dirichlet system.
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
-    (neg, zero, k), = _zone_rows(system, n, 0.0)
-    counts = DirichletCounts(negative=neg, operator=system.operator(n))
+    values = {c for end in ends or () for c in end}
+    if len(values) == 1 and None not in values:
+        neg, zero, k = values.pop(), 0, 0
+    else:
+        ((neg, zero, k),), _ = _zone_rows(system, n, 0.0)
+    counts = DirichletCounts(negative=neg, system=system, n=n)
     clear = k == 0 and DIRICHLET_MARGIN + LOCATE_TOL <= _zone(system, n)
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):
         return counts
@@ -277,14 +305,16 @@ class BoundaryFormData:
         }
 
 
-def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
+def boundary_form(l: int, traj: Trajectory, n: int,
+                  ends: Optional[list] = None) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The Dirichlet problem is counted on mesh n first, so the route is
     refused (EdwardsInapplicableError) before any integration when it is
-    degenerate; see :func:`dirichlet_negative_count`.
+    degenerate; see :func:`dirichlet_negative_count`, which takes
+    ``ends``.
     """
-    dirichlet = dirichlet_negative_count(l, traj, n)
+    dirichlet = dirichlet_negative_count(l, traj, n, ends)
     a = gram_matrix(boundary_solutions(l, traj))
     return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
                             poly=det_polynomial(a))
@@ -293,7 +323,7 @@ def boundary_form(l: int, traj: Trajectory, n: int) -> BoundaryFormData:
 def aggregate_roots(data: BoundaryFormData, q: int) -> np.ndarray:
     """The (2q, 2) array of (negative, zero) of the twisted problem at
     each 2q-th root of unity omega = exp(i pi r / q), row r, as
-    ``direct_twisted_counts`` returns it; ``spectral.class_counts`` sums
+    the rows of ``direct_twisted_counts``; ``spectral.class_counts`` sums
     the rows of a mode.  Each of the 2q twists is counted here, also the
     r > q that the direct route copies from the conjugate twist 2q - r, so
     ``both`` checks those copies against an independent count.

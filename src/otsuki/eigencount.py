@@ -16,7 +16,10 @@ come from odd-even (cyclic) reduction in numpy instead: the same
 congruence eliminated in another order, so Sylvester gives the same
 count.  Its log2(m) levels each eliminate every other node, for all the
 shifts of a call at once, in real arithmetic, and keep the two nodes
-that the wrap joins to the end.
+that the wrap joins to the end.  Until node 0 enters, the reduction is
+also one of the operator with node 0 deleted, the Dirichlet operator of
+the same mesh, so a count-only call hands out its count as well
+(``inertia(..., dirichlet=True)``).
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -341,14 +344,22 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # C formed before it is squared.  It takes real and imaginary parts
 # apart, so conjugate twists count alike bit for bit.  A zero or
 # non-finite pivot anywhere marks its shift, which ``_reduced_counts``
-# moves and reduces again alone, as ``_sweep`` does.  The scalar
+# moves and reduces again alone, as ``_sweep`` does.
+# Node 0 is never eliminated, so its diagonal and its couplings enter no
+# other pivot: before node 0 and the wrap enter, the pivots of nodes
+# 1..m-2 and node m-1's reduced block D_{m-1} - sigma I (less its
+# coupling to node 0, for the scalar row sums) are an elimination of the
+# operator with node 0 deleted.  That is the Dirichlet operator of the
+# same system and mesh (``SLSystem.discretize`` keeps rows 1..n-1), so
+# its count costs one more pivot test per shift.  The scalar
 # reduction carries row sums in place of the diagonal, which resolves
 # the constants, the kernel of the scalar Laplacian at w = 1.  log|det|
 # stays with the sweeps above, so every located eigenvalue keeps its bits.
 
 def _inertia_d1_reduction(d, e, w_off, sigma):
-    """(negative pivots, every pivot nonzero and finite, end state) per
-    shift of the scalar chain reduced to nodes 0 and m-1.
+    """(negative pivots, every pivot nonzero and finite, end state,
+    Dirichlet count or -1 where a pivot of it breaks down) per shift of
+    the scalar chain reduced to nodes 0 and m-1.
 
     The state is not the diagonal but the row sums rho of A - sigma I at
     the twist w = 1, and the couplings u; a pivot is its row sum less the
@@ -375,15 +386,18 @@ def _inertia_d1_reduction(d, e, w_off, sigma):
         t = rp / p
         rho = _kept(rho, -(left * t), -(right * t))
         u = _joined(-(left * right) / p, u)
+    dm = rho[:, 1] - (w_off + u[:, 0])
+    last, regular = _negatives(dm, dm)
     s0 = rho[:, 0] - (w_off + u[:, 0])
-    neg += s0 < 0.0
-    ok &= (s0 != 0.0) & np.isfinite(s0)
-    return neg, ok, (s0, rho[:, 0], rho[:, 1], u[:, 0])
+    return (neg + (s0 < 0.0), ok & (s0 != 0.0) & np.isfinite(s0),
+            (s0, rho[:, 0], rho[:, 1], u[:, 0]),
+            np.where(ok & regular, neg + last, -1))
 
 
 def _inertia_d2_reduction(d11, d12, d22, e, sigma):
-    """(negative pivots, every pivot nonzero and finite, end state) per
-    shift of the 2x2 chain reduced to nodes 0 and m-1."""
+    """(negative pivots, every pivot nonzero and finite, end state,
+    Dirichlet count or -1 where a pivot of it breaks down) per shift of
+    the 2x2 chain reduced to nodes 0 and m-1."""
     shape = (len(sigma), len(d11))
     a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
                      d22 - sigma[:, None])
@@ -423,12 +437,14 @@ def _inertia_d2_reduction(d11, d12, d22, e, sigma):
         u11, u12, u21, u22 = (_joined(new, u) for new, u in (
             (g11 * r11 + g12 * r21, u11), (g11 * r12 + g12 * r22, u12),
             (g21 * r11 + g22 * r21, u21), (g21 * r12 + g22 * r22, u22)))
+    last, last_ok = _negatives(a11[:, 1],
+                               a11[:, 1] * a22[:, 1] - a12[:, 1] * a12[:, 1])
     det = a11[:, 0] * a22[:, 0] - a12[:, 0] * a12[:, 0]
     count, regular = _negatives(a11[:, 0], det)
     return neg + count, ok & regular, (
         a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
         u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
-        a11[:, 1], a12[:, 1], a22[:, 1])
+        a11[:, 1], a12[:, 1], a22[:, 1]), np.where(ok & last_ok, neg + last, -1)
 
 
 def _inverse_pivots(a11, a12, a22, odd, neg, ok):
@@ -507,11 +523,13 @@ def _schur_d2(end, w_off, w):
     return b11, b11 * b22 - (b12r * b12r + b12i * b12i)
 
 
-def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
+def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple[list, list]:
     """Count-only ``inertia`` of a cyclic operator at the shifts, by odd-even
-    reduction.  A shift whose pivots break down is moved (``_retry_shift``)
-    and reduced again alone, as ``_sweep`` moves it; a ladder twist whose
-    last Schur complement breaks down is swept again alone."""
+    reduction, and the Dirichlet count at each shift (None where its last
+    pivot breaks down).  A shift whose pivots break down is moved
+    (``_retry_shift``) and reduced again alone, as ``_sweep`` moves it, and
+    gives both counts at the moved shift; a ladder twist whose last Schur
+    complement breaks down is swept again alone."""
     w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     if op.dim == 1:
         reduce, schur = _inertia_d1_reduction, _schur_d1
@@ -523,29 +541,31 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> list:
     def counts(sigmas):
         # a pivot that breaks down leaves inf or nan behind it, not a warning
         with np.errstate(all="ignore"):
-            neg, ok, end = reduce(*lists, np.array(sigmas, dtype=float))
+            neg, ok, end, dirichlet = reduce(*lists,
+                                             np.array(sigmas, dtype=float))
             count, regular = _negatives(*schur(end, op.wrap_off, w))
-        return neg[:, None] + count, ok, regular
+        return neg[:, None] + count, ok, regular, dirichlet
 
-    out = []
-    for sigma, count, ok, regular in zip(shifts, *counts(shifts)):
+    out, dirichlet = [], []
+    for sigma, count, ok, regular, last in zip(shifts, *counts(shifts)):
         attempt = 0
         while not (ok and (op.ladder or regular.all())):
             attempt += 1
             if attempt == 4:
                 raise NumericalError("inertia sweep kept hitting singular "
                                      f"pivots at sigma={sigma!r}")
-            (count,), (ok,), (regular,) = counts(
+            (count,), (ok,), (regular,), (last,) = counts(
                 (_retry_shift(op, sigma, attempt),))
         twists = [(c, None) if good else inertia(
             replace(op, wrap_mult=w[t].tolist()), sigma, logdet=False)
             for t, (c, good) in enumerate(zip(count.tolist(), regular.tolist()))]
         out.append(twists if op.ladder else twists[0])
-    return out
+        dirichlet.append(int(last) if last >= 0 else None)
+    return out, dirichlet
 
 
 def inertia(op: BandOperator, sigma: float, *more: float,
-            logdet: bool = True):
+            logdet: bool = True, dirichlet: bool = False):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
@@ -561,15 +581,26 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     the same inertia.  Each shift is taken as a Python float: the node
     loops run on floats, and a numpy scalar gives the same bits at about
     half their speed.
+
+    With ``dirichlet`` a count-only call on a cyclic operator returns
+    (that result, the Dirichlet count), the count below each shift of the
+    operator with node 0 deleted, which is the Dirichlet operator of the
+    same system and mesh; None where its last pivot breaks down.  The
+    reduction holds it for free: node 0 enters no other pivot.
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
     if op.cyclic and not logdet:
-        out = _reduced_counts(op, shifts)
+        out, counts = _reduced_counts(op, shifts)
+    elif dirichlet:
+        raise ValidationError("a Dirichlet count comes only with the "
+                              "count-only reduction of a cyclic operator")
     else:
         kernel, lists = _kernel(op)
         out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
+    if dirichlet:
+        return (out, counts) if more else (out[0], counts[0])
     return out if more else out[0]
 
 

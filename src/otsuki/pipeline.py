@@ -145,17 +145,25 @@ def _count_family(traj: Trajectory, n: int, method: str):
     each mode before the next is counted: yield mode 0's (neg, zero) and
     channel-2 rows, then for l = 1, 2 (l, form, edwards rows, direct rows).
     ``form`` is the boundary form, the EdwardsInapplicableError that
-    refused it ('edwards' raises it) or None; rows not counted are None."""
+    refused it ('edwards' raises it) or None; rows not counted are None.
+
+    Under 'both' the direct ladder of mode l is counted first: its
+    reduction also counts the Dirichlet block at the zone ends, which the
+    boundary form's gate then reads instead of sweeping the Dirichlet
+    operators itself (``edwards.dirichlet_negative_count``).  So where
+    both routes raise at the same l, the direct route's error surfaces."""
     q = traj.family.rotation.q
     chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
                     for chan in (1, 2))
     # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
     for l in (1, 2):
-        form = edwards_rows = direct_rows = None
+        form = edwards_rows = direct_rows = dirichlet = None
+        if method != "edwards":
+            direct_rows, dirichlet = direct_twisted_counts(l, traj, n)
         if method != "direct":
             try:
-                form = boundary_form(l, traj, n=n)
+                form = boundary_form(l, traj, n=n, ends=dirichlet)
                 edwards_rows = aggregate_roots(form, q)
             except EdwardsInapplicableError as exc:
                 if method == "edwards":
@@ -163,8 +171,6 @@ def _count_family(traj: Trajectory, n: int, method: str):
                         f"boundary-form route inapplicable at l={l}: {exc}; "
                         "rerun with method='direct'") from exc
                 form = exc
-        if method != "edwards":
-            direct_rows = direct_twisted_counts(l, traj, n)
         yield l, form, edwards_rows, direct_rows
 
 

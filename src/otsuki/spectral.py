@@ -24,9 +24,13 @@ Counting reads no determinant, so the zone ends and the windows are
 swept for counts alone: a ladder, whose kernel twists always need the
 windows, sweeps each mesh's zone ends and windows in one call, and a
 single system, whose sweeps cost per shift, its windows only once its
-zone holds eigenvalues.  The first location sweeps the four zone ends
-again with log|det|.  One classifier (``_zone_rows``) serves a single
-system and a twist ladder alike, each sweep once for every twist.
+zone holds eigenvalues.  Location sweeps the four zone ends again with
+log|det|, for a ladder on the sub-ladder of the twists it locates.  One
+classifier (``_zone_rows``) serves a single system and a twist ladder
+alike, each sweep once for every twist that reads it.  A ladder's
+reduction also counts the Dirichlet problem of its system at the zone
+ends; the boundary-form route's gate reads those of modes 1 and 2 under
+'both'.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -135,18 +139,25 @@ def _zone(system: SLSystem, n: int) -> float:
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
-               ladder: Optional[np.ndarray] = None) -> list[tuple[int, int, int]]:
-    """(below, at, k) at the level for each twist of ``ladder`` (rows of
-    wrap multipliers that replace the system's), or for the system alone;
-    k counts the eigenvalues in the mesh-n zone (level - zone, level + zone].
+               ladder: Optional[np.ndarray] = None) -> tuple[list, Optional[list]]:
+    """(rows, dirichlet).  rows holds (below, at, k) at the level for each
+    twist of ``ladder`` (rows of wrap multipliers that replace the
+    system's), or for the system alone; k counts the eigenvalues in the
+    mesh-n zone (level - zone, level + zone].  For a ladder, dirichlet
+    holds the (below, top) counts at the zone ends on the meshes n and 2n
+    of the Dirichlet problem of the same system, by-products of the
+    ladder's reduction (``inertia(..., dirichlet=True)``), None where a
+    pivot of it broke down; for a system alone it is None.
+
     Each sweep serves every twist: the zone ends, the windows of a mesh,
-    the ends with log|det| on the first location.  A ladder sweeps each
-    mesh's windows in the call that sweeps its zone ends, since its kernel
+    the ends with log|det| for location.  A ladder sweeps each mesh's
+    windows in the call that sweeps its zone ends, since its kernel
     twists need them; a single system sweeps them on first need.  A
     twist's k zone eigenvalues are zero if its window counts read below,
     below + k on both meshes (see the module docstring), else they are
-    located.  An ambiguity in a ladder names the system's l and the
-    twist r."""
+    located.  The twists to locate are known before any is located, so
+    one log|det| call per mesh sweeps their sub-ladder alone.  An
+    ambiguity in a ladder names the system's l and the twist r."""
     def operator(k: int, mult=ladder):
         op = system.operator(k)
         return op if mult is None else replace(op, wrap_mult=mult)
@@ -161,8 +172,15 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     lo, hi = level - zone, level + zone
     windows = [[level + s * _WINDOW for s in shifts]
                for shifts in _WINDOW_SHIFTS]
-    ends = [swept(op, lo, hi, *(() if ladder is None else windows[mesh]))
-            for mesh, op in enumerate(ops)]
+    if ladder is None:
+        ends, dirichlet = [swept(op, lo, hi) for op in ops], None
+    else:
+        ends, dirichlet = [], []
+        for op, shifts in zip(ops, windows):
+            out, counts = inertia(op, lo, hi, *shifts, logdet=False,
+                                  dirichlet=True)
+            ends.append(list(zip(*out)))
+            dirichlet.append(tuple(counts[:2]))
 
     @cache
     def window(mesh: int) -> list:
@@ -170,36 +188,56 @@ def _zone_rows(system: SLSystem, n: int, level: float,
             return swept(ops[mesh], *windows[mesh])
         return [end[2:] for end in ends[mesh]]
 
-    @cache
-    def located() -> list:
-        return [swept(op, lo, hi, logdet=True) for op in ops]
+    def settled(r: int) -> tuple[int, int, bool]:
+        """(below, k, whether the windows certify the zone) of twist r."""
+        (below, top1), (below2, top2) = ([c for c, _ in end[r][:2]]
+                                         for end in ends)
+        if below != below2:
+            raise AmbiguousClassificationError(
+                f"count below {lo:g} changed under mesh doubling: "
+                f"{below} vs {below2}")
+        k1, k2 = top1 - below, top2 - below
+        if k1 != k2:
+            raise AmbiguousClassificationError(
+                f"zone population changed under mesh doubling: {k1} vs {k2}")
+        return below, k1, k1 == 0 or all(
+            c[0] == below + k1 * j for mesh in (0, 1)
+            for j, c in enumerate(window(mesh)[r]))
+
+    # up to the first ambiguous twist, which raises once the twists
+    # before it are counted
+    staged = []
+    for r in range(len(ends[0])):
+        try:
+            staged.append(settled(r))
+        except AmbiguousClassificationError as exc:
+            staged.append(exc)
+            break
+    need = [r for r, s in enumerate(staged)
+            if isinstance(s, tuple) and not s[2]]
+    located = {}
+    if need:
+        sub = None if ladder is None else ladder[need]
+        sweeps = [swept(operator(k, sub), lo, hi, logdet=True)
+                  for k in (n, 2 * n)]
+        located = dict(zip(need, zip(*sweeps)))
 
     rows = []
-    for r, mult in enumerate([None] if ladder is None else ladder.tolist()):
+    for r, (stage, mult) in enumerate(zip(
+            staged, [None] if ladder is None else ladder.tolist())):
         try:
-            (below, top1), (below2, top2) = ([c for c, _ in end[r][:2]]
-                                             for end in ends)
-            if below != below2:
-                raise AmbiguousClassificationError(
-                    f"count below {lo:g} changed under mesh doubling: "
-                    f"{below} vs {below2}")
-            k1, k2 = top1 - below, top2 - below
-            if k1 != k2:
-                raise AmbiguousClassificationError(
-                    f"zone population changed under mesh doubling: {k1} vs {k2}")
-            if k1 == 0 or all(c[0] == below + k1 * j for mesh in (0, 1)
-                              for j, c in enumerate(window(mesh)[r])):
-                rows.append((below, k1, k1))
-            else:
-                rows.append((*_located_counts(
-                    partial(operator, mult=mult), n, level, zone, below,
-                    [end[r] for end in located()]), k1))
+            if isinstance(stage, Exception):
+                raise stage
+            below, k, certified = stage
+            rows.append((below, k, k) if certified else (*_located_counts(
+                partial(operator, mult=mult), n, level, zone, below,
+                located[r]), k))
         except AmbiguousClassificationError as exc:
             if ladder is None:
                 raise
             raise AmbiguousClassificationError(
                 f"{exc} (l = {system.l}, twist r = {r})") from exc
-    return rows
+    return rows, dirichlet
 
 
 def _zero_classes(lam, level: float, err: float) -> np.ndarray:
@@ -244,7 +282,7 @@ def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
     """(#{lambda < -tau}, #{|lambda| <= tau}) of the system, classified by
     ``_zone_rows``: inertia outside [-zone, zone], certificate or location
     inside."""
-    return _zone_rows(system, n, 0.0)[0][:2]
+    return _zone_rows(system, n, 0.0)[0][0][:2]
 
 
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
@@ -292,12 +330,19 @@ def ladder_counts(build, traj: Trajectory, n: int,
     exactly conj(omega_r'), and the sweeps take only real parts of
     products of conjugates, so the two twists count bit for bit alike.
     """
+    return _ladder(build, traj, n, level)[0]
+
+
+def _ladder(build, traj: Trajectory, n: int, level: float) -> tuple:
+    """(the ``ladder_counts`` rows, the Dirichlet counts that ``_zone_rows``
+    hands out with them)."""
     q = traj.family.rotation.q
     system = build(traj, BoundaryCondition.twisted(1.0))
     omega = roots_of_unity_ladder(q)[:q + 1, None]
     ladder = np.hstack((omega, -omega))[:, :system.dim]
-    rows = np.array(_zone_rows(system, n, level, ladder))[:, :2]
-    return np.concatenate((rows, rows[q - 1:0:-1]))
+    rows, dirichlet = _zone_rows(system, n, level, ladder)
+    rows = np.array(rows)[:, :2]
+    return np.concatenate((rows, rows[q - 1:0:-1])), dirichlet
 
 
 def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
@@ -309,10 +354,19 @@ def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
     return tuple((rows if q % 2 else rows[l % 2::2]).sum(axis=0).tolist())
 
 
-def direct_twisted_counts(l: int, traj: Trajectory, n: int) -> np.ndarray:
-    """The (2q, 2) array of (negative, zero) of the omega-twisted mode-l
-    block on [0, T], row r for omega = exp(i pi r / q), r = 0..2q-1."""
-    return ladder_counts(partial(fourier_block_system, l), traj, n, 0.0)
+def direct_twisted_counts(l: int, traj: Trajectory,
+                          n: int) -> tuple[np.ndarray, list]:
+    """(rows, dirichlet): the (2q, 2) array of (negative, zero) of the
+    omega-twisted mode-l block on [0, T], row r for omega =
+    exp(i pi r / q), r = 0..2q-1, and the (below, top) counts of the
+    Dirichlet mode-l block at the zone ends on the meshes n and 2n.
+
+    The Dirichlet block has the twisted blocks' length T, so the same
+    zone, and its operator is theirs with node 0 deleted: the ladder's
+    reduction counts it at the zone ends for free (``_zone_rows``), and
+    ``edwards.dirichlet_negative_count`` takes these counts as its
+    ``ends``."""
+    return _ladder(partial(fourier_block_system, l), traj, n, 0.0)
 
 
 def spectral_index(traj: Trajectory, n: int, channel2) -> int:

@@ -59,10 +59,10 @@ def count_sweeps(monkeypatch):
     original = eigencount.inertia
     seen = SweepLog()
 
-    def recorded(op, *shifts, logdet=True):
+    def recorded(op, *shifts, logdet=True, **kwargs):
         seen.extend((id(op), sigma, logdet) for sigma in shifts)
         seen.calls.append(len(shifts))
-        return original(op, *shifts, logdet=logdet)
+        return original(op, *shifts, logdet=logdet, **kwargs)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)

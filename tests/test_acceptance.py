@@ -132,7 +132,7 @@ def test_criterion_06_route_equivalence(traj23):
         p, q = 2, 3
         for l in (1, 2):
             data = boundary_form(l, traj23, n=2048)
-            rows = direct_twisted_counts(l, traj23, 2048)
+            rows, _ = direct_twisted_counts(l, traj23, 2048)
             assert aggregate_roots(data, q).tolist() == rows.tolist()
 
 

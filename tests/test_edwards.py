@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (boundary_psi, dense_twisted_row, fundamental_rhs,
                      fundamental_rhs_matmul, restricted_form, returning)
-from otsuki import edwards, spectral, surface
+from otsuki import edwards, eigencount, spectral, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
                             boundary_solutions, det_polynomial,
@@ -20,8 +20,8 @@ from otsuki.errors import (AmbiguousClassificationError,
                            ValidationError)
 from otsuki.eigencount import eigenvalues_in
 from otsuki.geodesic import solve_parameter
-from otsuki.pipeline import compute_index, family_trajectory
-from otsuki.sl import BoundaryCondition
+from otsuki.pipeline import compute_index, family_trajectory, report_document
+from otsuki.sl import BoundaryCondition, SLSystem
 from otsuki.spectral import LOCATE_TOL, direct_twisted_counts
 from otsuki.surface import fourier_block_system
 
@@ -385,7 +385,7 @@ class TestTwistedCounts:
 
     def test_oracle_equivalence_spot(self, traj23):
         data = boundary_form(1, traj23, n=1024)
-        rows = direct_twisted_counts(1, traj23, 1024)
+        rows, _ = direct_twisted_counts(1, traj23, 1024)
         edwards_rows = aggregate_roots(data, 3)
         for r in (0, 1, 3):
             assert edwards_rows[r].tolist() == rows[r].tolist()
@@ -502,7 +502,7 @@ class TestApplicabilityGate:
             monkeypatch.setattr(edwards, "DIRICHLET_MARGIN", margin * factor)
         assert accepted == (margin > edwards.DIRICHLET_MARGIN)
         system = fourier_block_system(1, traj23, BoundaryCondition.dirichlet())
-        assert spectral._zone_rows(system, 512, 0.0)[0][2] == (zone is not None)
+        assert spectral._zone_rows(system, 512, 0.0)[0][0][2] == (zone is not None)
         if accepted:
             assert dirichlet_negative_count(1, traj23, n=512).negative == 1
         else:
@@ -555,6 +555,77 @@ class TestApplicabilityGate:
         assert got.negative == 1
         assert got.margin > edwards.DIRICHLET_MARGIN
         assert len(located) == 1 and located[0] is got.operator
+
+    @staticmethod
+    def _record_dirichlet_work(monkeypatch):
+        """(the Dirichlet systems discretized, as (l, mesh); the 2x2 band
+        operators swept; the operators whose margin is located)."""
+        seen = [], [], []
+        discretize, inertia = SLSystem.discretize, eigencount.inertia
+        located = edwards.eigenvalues_in
+
+        def recorded_discretize(system, n):
+            if system.bc.kind == "dirichlet":
+                seen[0].append((system.l, n))
+            return discretize(system, n)
+
+        def recorded_inertia(op, *shifts, **kwargs):
+            if op.dim == 2 and not op.cyclic:
+                seen[1].append(op)
+            return inertia(op, *shifts, **kwargs)
+
+        def recorded_located(op, *args, **kwargs):
+            seen[2].append(op)
+            return located(op, *args, **kwargs)
+
+        monkeypatch.setattr(SLSystem, "discretize", recorded_discretize)
+        monkeypatch.setattr(eigencount, "inertia", recorded_inertia)
+        monkeypatch.setattr(spectral, "inertia", recorded_inertia)
+        monkeypatch.setattr(edwards, "eigenvalues_in", recorded_located)
+        return seen
+
+    def test_both_gate_reads_the_direct_ladder(self, monkeypatch):
+        # under 'both' the direct ladder of each mode, counted first, holds
+        # the Dirichlet counts at its zone ends; both meshes read an empty
+        # zone, so the gate sweeps and discretizes no Dirichlet operator
+        want = report_document(compute_index(2, 3, "both", n=512))
+        discretized, band, located = self._record_dirichlet_work(monkeypatch)
+        got = report_document(compute_index(2, 3, "both", n=512))
+        assert (discretized, band, located) == ([], [], [])
+        want.pop("timestamp")
+        got.pop("timestamp")
+        assert got == want
+
+    def test_both_gate_falls_back_when_the_zone_holds_eigenvalues(
+            self, monkeypatch):
+        # a zone of half-width 1.1 holds the Dirichlet eigenvalue nearest
+        # zero of both modes (1.0016 at l = 1, n = 512), so the direct
+        # ladder's counts at its ends read a populated zone, and the gate
+        # counts the Dirichlet system itself, as when it is called alone:
+        # both meshes once, and the margin located once, on mesh n
+        monkeypatch.setattr(spectral, "ZONE", 1.1)
+        discretized, band, located = self._record_dirichlet_work(monkeypatch)
+        report = compute_index(2, 3, "both", n=512)
+        assert (report.ind, report.nul) == (31, 9)
+        assert discretized == [(1, 512), (1, 1024), (2, 512), (2, 1024)]
+        assert {op.m for op in band} == {511, 1023}
+        assert [op.m for op in located] == [511, 511]
+
+    @pytest.mark.parametrize("ends", [
+        [(1, 2), (1, 2)], [(1, 1), (0, 0)], [(1, 1), (1, None)]],
+        ids=["populated", "meshes-disagree", "broke-down"])
+    def test_gate_counts_alone_unless_the_ends_agree(self, traj23, ends,
+                                                     count_sweeps):
+        # ends that do not read one empty zone on both meshes leave the
+        # gate to its own four sweeps; agreeing ends leave it none
+        want = dirichlet_negative_count(1, traj23, n=512)
+        count_sweeps.clear()
+        assert dirichlet_negative_count(1, traj23, 512, ends) == want
+        assert len(count_sweeps) == 4
+        count_sweeps.clear()
+        agreed = dirichlet_negative_count(1, traj23, 512, [(1, 1), (1, 1)])
+        assert agreed == want and not count_sweeps
+        assert agreed.margin == want.margin
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import (constant_system, inertia_d2_reduction_general,
                      scalar_eigenfunctions)
-from otsuki import eigencount
+from otsuki import eigencount, spectral
 from otsuki.eigencount import BandOperator, eigenvalues_in, inertia
 from otsuki.errors import ValidationError
 from otsuki.geodesic import sample_trajectory, solve_parameter
+from otsuki.pipeline import family_trajectory
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             laplace_system)
@@ -534,6 +535,88 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
                     out[r] for out in got]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", BCS[:4], ids=_bc_id)
+def test_reduction_counts_the_dirichlet_operator(dim, bc):
+    # a count-only call on a cyclic operator also counts the operator with
+    # node 0 deleted, the Dirichlet operator of the same mesh, at every
+    # shift; the dense spectrum is the oracle.  Just above an eigenvalue
+    # of either operator the count rests on the last pivots: node m-1's
+    # reduced block, and node 0's
+    op = _wavy_system(dim, bc).discretize(256)
+    lam = np.linalg.eigvalsh(_wavy_system(dim, BoundaryCondition.dirichlet())
+                             .discretize(256).to_dense())
+    above = np.concatenate((lam[:4], np.linalg.eigvalsh(op.to_dense())[:4]))
+    shifts = (-3.0, -0.42, 0.0, 0.17, 2.5, 40.0, *(above + 1e-6).tolist())
+    got, counts = inertia(op, *shifts, logdet=False, dirichlet=True)
+    assert got == inertia(op, *shifts, logdet=False)
+    assert counts == [int((lam < s).sum()) for s in shifts]
+    assert inertia(op, 0.17, logdet=False, dirichlet=True) == (
+        got[3], counts[3])
+
+
+def test_dirichlet_count_needs_the_reduction():
+    cyclic = _wavy_system(2, BoundaryCondition.periodic()).discretize(256)
+    band = _wavy_system(2, BoundaryCondition.dirichlet()).discretize(256)
+    for op, logdet in ((cyclic, True), (band, False), (band, True)):
+        with pytest.raises(ValidationError):
+            inertia(op, 0.0, logdet=logdet, dirichlet=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_retried_shift_gives_both_counts(dim, monkeypatch):
+    # the reduction meets the pivot of node 1 first, exactly 0 at sigma =
+    # Q11(1); the shift is moved, and the twist and Dirichlet counts both
+    # come from the moved shift
+    bc = BoundaryCondition.periodic()
+    op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
+          ).discretize(256)
+    bad = float(op.diag[1] if dim == 1 else op.diag[1, 0])
+    nudged = bad + 1e-13 * max(1.0, abs(bad))
+    dirichlet = replace(op, diag=op.diag[1:], off=op.off[1:], wrap_off=None,
+                        wrap_mult=None)
+    swept = _record_reduction(op, monkeypatch)
+    got = inertia(op, 0.17, bad, logdet=False, dirichlet=True)
+    monkeypatch.undo()
+    assert swept == [(0.17, bad), (nudged,)]
+    assert got == (inertia(op, 0.17, nudged, logdet=False),
+                   [inertia(dirichlet, s)[0] for s in (0.17, nudged)])
+
+
+# the six README families, and families near sqrt(2)/2 and 1/2
+DIRICHLET_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10),
+                      (12, 17), (41, 58), (70, 99), (10, 19), (30, 59)]
+
+
+@pytest.mark.parametrize("p,q", DIRICHLET_FAMILIES)
+def test_ladder_reduction_counts_the_dirichlet_block(p, q):
+    # under 'both' the Dirichlet gate reads the counts that the reduction
+    # of the direct ladder makes of the Dirichlet block, in its own
+    # elimination order; the band sweep in node order is their oracle, at
+    # the zone ends, the window shifts and two more, on both meshes
+    for n in (512, 1024):
+        traj = family_trajectory(solve_parameter(p, q), n)
+        for l in (1, 2):
+            twisted = fourier_block_system(l, traj,
+                                           BoundaryCondition.twisted(1.0))
+            dirichlet = fourier_block_system(l, traj,
+                                             BoundaryCondition.dirichlet())
+            zone = spectral._zone(dirichlet, n)
+            assert zone == spectral._zone(twisted, n)
+            shifts = (-zone, zone, *(s * spectral._WINDOW for pair
+                                     in spectral._WINDOW_SHIFTS for s in pair),
+                      -0.3, 0.0)
+            omega = roots_of_unity_ladder(q)[:q + 1, None]
+            mults = np.hstack((omega, -omega))
+            for k in (1, 2):
+                ladder = replace(twisted.operator(k * n), wrap_mult=mults)
+                _, got = inertia(ladder, *shifts, logdet=False,
+                                 dirichlet=True)
+                want = inertia(dirichlet.operator(k * n), *shifts,
+                               logdet=False)
+                assert got == [c for c, _ in want], (n, l, k)
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_first_reduction_level_keeps_the_bits(l, traj23, traj58):
     # the first level, written for the couplings e I, leaves out only
@@ -545,7 +628,7 @@ def test_first_reduction_level_keeps_the_bits(l, traj23, traj58):
         for m in (1024, 4096):
             op = system.discretize(m)
             lists = (*op.diag.T, op.off, sigma)
-            neg, ok, end = eigencount._inertia_d2_reduction(*lists)
+            neg, ok, end, _ = eigencount._inertia_d2_reduction(*lists)
             want_neg, want_ok, want_end = inertia_d2_reduction_general(*lists)
             assert np.array_equal(neg, want_neg)
             assert np.array_equal(ok, want_ok) and ok.all()

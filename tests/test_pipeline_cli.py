@@ -112,21 +112,20 @@ class TestComputeIndex:
         # ladder, so it sweeps only Laplace l = 1 itself; verify counts the
         # four mode ladders and one boundary form per mode, once each, and
         # reads the rows that compute_index reads
-        original, form = spectral.ladder_counts, pipeline.boundary_form
+        original, form = spectral._ladder, pipeline.boundary_form
         built, forms = [], []
 
         def recorded(build, traj, n, level):
-            rows = original(build, traj, n, level)
+            rows, dirichlet = original(build, traj, n, level)
             built.append(((build.func.__name__, build.args, level),
                           rows.tolist()))
-            return rows
+            return rows, dirichlet
 
         def recorded_form(l, traj, **kwargs):
             forms.append(l)
             return form(l, traj, **kwargs)
 
-        monkeypatch.setattr(spectral, "ladder_counts", recorded)
-        monkeypatch.setattr(pipeline, "ladder_counts", recorded)
+        monkeypatch.setattr(spectral, "_ladder", recorded)
         monkeypatch.setattr(pipeline, "boundary_form", recorded_form)
         compute_index(2, 3, method="direct", n=512)
         assert [key for key, _ in built] == [
@@ -163,7 +162,8 @@ class TestComputeIndex:
         _orig = pipeline.direct_twisted_counts
 
         def wrong(l, traj, n):
-            return _orig(l, traj, n) + (1, 0)
+            rows, dirichlet = _orig(l, traj, n)
+            return rows + (1, 0), dirichlet
 
         monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         with pytest.raises(RouteDisagreementError):
@@ -229,10 +229,10 @@ class TestHalfPeriodCounts:
             seen.add((system.l, system.length))
             return original(system, n)
 
-        def recorded_inertia(op, *shifts, logdet=True):
+        def recorded_inertia(op, *shifts, logdet=True, **kwargs):
             if op.cyclic and op.dim == 2 and not op.is_complex():
                 real_2x2.extend((op.m, sigma, logdet) for sigma in shifts)
-            return original_inertia(op, *shifts, logdet=logdet)
+            return original_inertia(op, *shifts, logdet=logdet, **kwargs)
 
         monkeypatch.setattr(SLSystem, "discretize", recorded)
         monkeypatch.setattr(eigencount, "inertia", recorded_inertia)
@@ -468,7 +468,8 @@ class TestVerifyBattery:
         original = pipeline.direct_twisted_counts
 
         def wrong(l, traj, n):
-            return original(l, traj, n) + (l == 2, 0)
+            rows, dirichlet = original(l, traj, n)
+            return rows + (l == 2, 0), dirichlet
 
         monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
         rows = {r["check"]: r for r in verify_family(2, 3, n=512)}

@@ -62,9 +62,9 @@ def _record_sweeps(monkeypatch):
     original = eigencount.inertia
     swept = []
 
-    def recorded(op, *shifts, logdet=True):
+    def recorded(op, *shifts, logdet=True, **kwargs):
         swept.extend((op, sigma, logdet) for sigma in shifts)
-        return original(op, *shifts, logdet=logdet)
+        return original(op, *shifts, logdet=logdet, **kwargs)
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(spectral, "inertia", recorded)
@@ -598,7 +598,7 @@ class TestMode2Counts:
         system = half_length_system(partial(fourier_block_system, 1), traj58,
                                     BoundaryCondition.antiperiodic())
         direct_class = spectrum_counts(system, 1024)
-        rows = direct_twisted_counts(1, traj58, 256)
+        rows, _ = direct_twisted_counts(1, traj58, 256)
         assert rows.shape == (2 * q, 2)
         total = [0, 0]
         for r in range(1, 2 * q, 2):
@@ -628,15 +628,20 @@ class TestTwistedConsistency:
 
     def test_ladder_sweeps_each_conjugate_pair_once(self, monkeypatch):
         # the twists r > q are the conjugates of 2q - r: no ladder carries
-        # them, and no twist of negative imaginary part is refined alone
+        # them, and no twist of negative imaginary part is refined alone;
+        # a location sweeps the sub-ladder of the twists it locates
         q = 3
         swept = _record_sweeps(monkeypatch)
         compute_index(2, q, "direct", n=512)
-        ladders = [op.wrap_mult for op, _, _ in swept if op.ladder]
+        ladders = [(op.wrap_mult, logdet) for op, _, logdet in swept
+                   if op.ladder]
         alone = [op.wrap_mult for op, _, _ in swept
                  if op.cyclic and not op.ladder]
         assert ladders and alone
-        assert all(len(w) == q + 1 for w in ladders)
+        upper = set(roots_of_unity_ladder(q)[:q + 1].tolist())
+        assert all(set(w[:, 0].tolist()) <= upper for w, _ in ladders)
+        assert all(len(w) == q + 1 for w, logdet in ladders if not logdet)
+        assert any(len(w) < q + 1 for w, logdet in ladders if logdet)
         assert all(complex(w[0]).imag >= 0.0 for w in alone)
 
     @pytest.mark.parametrize("block", [1, 2, "channel1", "laplace1"])
@@ -766,7 +771,7 @@ class TestTwistedConsistency:
         for traj in (traj23, traj58):
             q = traj.family.rotation.q
             count_sweeps.clear()
-            assert direct_twisted_counts(3, traj, 256).tolist() == [
+            assert direct_twisted_counts(3, traj, 256)[0].tolist() == [
                 [0, 0]] * (2 * q)
             assert count_sweeps.calls == [4, 4]
 
