@@ -15,14 +15,19 @@ once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
-Under 'both' the gate reads the Dirichlet counts that the direct route's
-ladder reduction made at its zone ends: the Dirichlet operator is the
-twisted one with node 0 deleted.  So the two routes share the pivots of
-the Dirichlet offset of every count, and a defect there would reach both
-alike.  What keeps that offset honest is a tier-1 oracle
-(``test_ladder_reduction_counts_the_dirichlet_block``), which checks the
-reduction's count against the band sweep in node order, the other
-elimination order, which the gate runs when ``edwards`` runs alone.
+The gate reads the Dirichlet counts at its zone ends from an odd-even
+reduction of a twisted operator, which is the Dirichlet operator with
+node 0 added: under 'both' from the direct route's ladder, under
+'edwards' from one reduction per mesh of the stack of the twisted
+operators of modes 1 and 2 at omega = 1 (``pipeline._count_family``).
+Under 'both' the two routes so share the pivots of the Dirichlet offset
+of every count, and a defect there would reach both alike.  What keeps
+that offset honest is a tier-1 oracle
+(``test_ladder_reduction_counts_the_dirichlet_block``), which checks
+both reductions' counts against the band sweep in node order, the other
+elimination order.  The gate runs that sweep itself only when it is
+called alone (``otsuki edwards``) or the reduction's counts do not read
+one empty zone.
 """
 
 from __future__ import annotations
@@ -97,19 +102,21 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
     margin is not located.
 
     ``ends``, the (below, top) counts at the zone ends on the meshes n and
-    2n that the direct ladder of mode l hands out
-    (``spectral.direct_twisted_counts``), replace the zone sweeps when all
-    four agree, so the zone is empty on both meshes: then the gate sweeps
-    and discretizes nothing.  Any other ``ends`` (a populated zone, a mesh
-    disagreement, a count that broke down) leave the decision, and every
-    message, to the classifier's own sweeps of the Dirichlet system.
+    2n that a reduction of the twisted operator of mode l made (the
+    direct ladder, ``spectral.direct_twisted_counts``, under 'both'; the
+    stack of modes 1 and 2, ``spectral._dirichlet_ends``, under
+    'edwards'), replace the zone sweeps when all four agree, so the zone
+    is empty on both meshes: then the gate sweeps and discretizes
+    nothing.  Any other ``ends`` (a populated zone, a mesh disagreement,
+    a count that broke down, -1) leave the decision, and every message,
+    to the classifier's own node-order sweeps of the Dirichlet system.
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
     values = {c for end in ends or () for c in end}
-    if len(values) == 1 and None not in values:
+    if len(values) == 1 and -1 not in values:
         neg, zero, k = values.pop(), 0, 0
     else:
-        ((neg, zero, k),), _ = _zone_rows(system, n, 0.0)
+        (neg, zero, k), = _zone_rows(system, n, 0.0)[0].tolist()
     counts = DirichletCounts(negative=neg, system=system, n=n)
     clear = k == 0 and DIRICHLET_MARGIN + LOCATE_TOL <= _zone(system, n)
     if zero == 0 and (clear or counts.margin > DIRICHLET_MARGIN):

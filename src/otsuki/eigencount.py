@@ -19,7 +19,11 @@ shifts of a call at once, in real arithmetic, and keep the two nodes
 that the wrap joins to the end.  Until node 0 enters, the reduction is
 also one of the operator with node 0 deleted, the Dirichlet operator of
 the same mesh, so a count-only call hands out its count as well
-(``inertia(..., dirichlet=True)``).
+(``inertia(..., dirichlet=True)``).  Cyclic systems on one mesh that
+share the couplings and the wrap reduce as one stack, a row per
+(system, shift), each row bit for bit its system reduced alone: so one
+call counts the Dirichlet blocks of modes 1 and 2 for the boundary-form
+route's gate.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -63,6 +67,10 @@ class BandOperator:
     (m-1, 0) block equals wrap_off * diag(wrap_mult).  A cyclic operator
     may carry a twist ladder instead: ``wrap_mult`` a (twists, dim) array,
     a row of multipliers per twist, which ``inertia`` counts all at once.
+    Cyclic systems on one mesh that share ``off`` and the wrap may form a
+    stack for a count-only ``inertia`` call: ``diag`` then has a systems
+    axis after the nodes, shape (m, systems) or (m, systems, 3), and
+    ``m``, ``dim`` and ``cyclic`` describe each system.
     """
 
     dim: int
@@ -337,14 +345,18 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # the sign of a zero.  Nodes 0 and m-1 are kept to
 # the end, so the wrap block, which joins only them, enters after the
 # loop and the loop stays real.  The shifts are the rows of every array,
-# each reduced as alone.  Node 0's pivot X0^-1 is last but one; then the
-# multipliers w of each twist enter the last Schur complement
+# each reduced as alone; a stack of systems that share the couplings and
+# the wrap has a row per (system, shift), its diagonal a row per row too.
+# Every step is elementwise or reduces along a row, so a row keeps the
+# bits of its system reduced alone.  Node 0's pivot X0^-1 is last but
+# one; then the multipliers w of each twist enter the last Schur
+# complement
 #     D_{m-1} - sigma I - C^H X0 C,   C = U + w_off diag(conj w),
-# one array expression over the shifts (rows) and twists (columns), with
-# C formed before it is squared.  It takes real and imaginary parts
-# apart, so conjugate twists count alike bit for bit.  A zero or
-# non-finite pivot anywhere marks its shift, which ``_reduced_counts``
-# moves and reduces again alone, as ``_sweep`` does.
+# one array expression over the rows and twists (columns), with C formed
+# before it is squared.  It takes real and imaginary parts apart, so
+# conjugate twists count alike bit for bit.  A zero or non-finite pivot
+# anywhere marks its row, which ``_reduced_counts`` moves and reduces
+# again alone, as ``_sweep`` does.
 # Node 0 is never eliminated, so its diagonal and its couplings enter no
 # other pivot: before node 0 and the wrap enter, the pivots of nodes
 # 1..m-2 and node m-1's reduced block D_{m-1} - sigma I (less its
@@ -359,7 +371,8 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 def _inertia_d1_reduction(d, e, w_off, sigma):
     """(negative pivots, every pivot nonzero and finite, end state,
     Dirichlet count or -1 where a pivot of it breaks down) per shift of
-    the scalar chain reduced to nodes 0 and m-1.
+    the scalar chain reduced to nodes 0 and m-1; d holds one diagonal,
+    or one per shift (a stack).
 
     The state is not the diagonal but the row sums rho of A - sigma I at
     the twist w = 1, and the couplings u; a pivot is its row sum less the
@@ -381,8 +394,8 @@ def _inertia_d1_reduction(d, e, w_off, sigma):
         left, right = u[:, 0:2 * h:2], u[:, 1:2 * h:2]
         rp = rho[:, 1:2 * h:2]
         p = rp - (left + right)
-        neg += np.count_nonzero(p < 0.0, axis=1)
-        ok &= np.all((p != 0.0) & np.isfinite(p), axis=1)
+        neg += np.add.reduce(p < 0.0, axis=1)
+        ok &= np.logical_and.reduce((p != 0.0) & np.isfinite(p), axis=1)
         t = rp / p
         rho = _kept(rho, -(left * t), -(right * t))
         u = _joined(-(left * right) / p, u)
@@ -397,14 +410,15 @@ def _inertia_d1_reduction(d, e, w_off, sigma):
 def _inertia_d2_reduction(d11, d12, d22, e, sigma):
     """(negative pivots, every pivot nonzero and finite, end state,
     Dirichlet count or -1 where a pivot of it breaks down) per shift of
-    the 2x2 chain reduced to nodes 0 and m-1."""
-    shape = (len(sigma), len(d11))
+    the 2x2 chain reduced to nodes 0 and m-1; d11, d12 and d22 hold one
+    diagonal, or one per shift (a stack)."""
+    shape = (len(sigma), d11.shape[-1])
     a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
                      d22 - sigma[:, None])
     # the first level: the couplings are e I, so L = l I, R = r I, G = l N
     # and H = r N, and the general level's products by their zero entries
     # are left out
-    h = (len(d11) - 1) // 2
+    h = (shape[1] - 1) // 2
     neg, ok, (n11, n12, n22) = _inverse_pivots(
         a11, a12, a22, slice(1, 2 * h, 2), 0, True)
     l, r = e[0:2 * h:2], e[1:2 * h:2]
@@ -455,7 +469,8 @@ def _inverse_pivots(a11, a12, a22, odd, neg, ok):
     det = p11 * p22 - p12 * p12
     count, regular = _negatives(p11, det)
     r = -1.0 / det
-    return (neg + count.sum(axis=1), ok & regular.all(axis=1),
+    return (neg + np.add.reduce(count, axis=1),
+            ok & np.logical_and.reduce(regular, axis=1),
             (p22 * r, p12 / det, p11 * r))
 
 
@@ -523,22 +538,31 @@ def _schur_d2(end, w_off, w):
     return b11, b11 * b22 - (b12r * b12r + b12i * b12i)
 
 
-def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple[list, list]:
-    """Count-only ``inertia`` of a cyclic operator at the shifts, by odd-even
-    reduction, and the Dirichlet count at each shift (None where its last
-    pivot breaks down).  A shift whose pivots break down is moved
-    (``_retry_shift``) and reduced again alone, as ``_sweep`` moves it, and
-    gives both counts at the moved shift; a ladder twist whose last Schur
-    complement breaks down is swept again alone."""
-    w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
-    if op.dim == 1:
-        reduce, schur = _inertia_d1_reduction, _schur_d1
-        lists = op.diag, op.off, op.wrap_off
-    else:
-        reduce, schur = _inertia_d2_reduction, _schur_d2
-        lists = (*op.diag.T, op.off)
+def _systems(op: BandOperator) -> list:
+    """The systems of a stack, each as its own operator; [op] for one."""
+    if op.diag.ndim == op.dim:
+        return [op]
+    return [replace(op, diag=op.diag[:, j]) for j in range(op.diag.shape[1])]
 
-    def counts(sigmas):
+
+def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
+    """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
+    by odd-even reduction: (the counts, an int array with a row per
+    (system, shift), system by system, and a column per twist; the
+    Dirichlet count of each row, -1 where its last pivot breaks down).
+    A row whose pivots break down is moved (``_retry_shift`` of its system
+    alone) and reduced again alone, as ``_sweep`` moves it, and gives both
+    counts at the moved shift; a ladder twist whose last Schur complement
+    breaks down is swept again alone."""
+    w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
+    reduce, schur = ((_inertia_d1_reduction, _schur_d1) if op.dim == 1
+                     else (_inertia_d2_reduction, _schur_d2))
+    systems = _systems(op)
+
+    def counts(diag, sigmas):
+        """The reduction of the rows: diag (transposed) holds a row per
+        shift, or one row that every shift shares."""
+        lists = (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
         # a pivot that breaks down leaves inf or nan behind it, not a warning
         with np.errstate(all="ignore"):
             neg, ok, end, dirichlet = reduce(*lists,
@@ -546,22 +570,27 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple[list, list]:
             count, regular = _negatives(*schur(end, op.wrap_off, w))
         return neg[:, None] + count, ok, regular, dirichlet
 
-    out, dirichlet = [], []
-    for sigma, count, ok, regular, last in zip(shifts, *counts(shifts)):
+    sigmas = shifts * len(systems)
+    diag = op.diag.T
+    if len(systems) > 1:
+        diag = np.repeat(diag, len(shifts), axis=-2)
+    count, ok, regular, dirichlet = counts(diag, sigmas)
+    for row in np.flatnonzero(~(ok & regular.all(axis=1))).tolist():
+        system, sigma = systems[row // len(shifts)], sigmas[row]
         attempt = 0
-        while not (ok and (op.ladder or regular.all())):
+        while not (ok[row] and (op.ladder or regular[row].all())):
             attempt += 1
             if attempt == 4:
                 raise NumericalError("inertia sweep kept hitting singular "
                                      f"pivots at sigma={sigma!r}")
-            (count,), (ok,), (regular,), (last,) = counts(
-                (_retry_shift(op, sigma, attempt),))
-        twists = [(c, None) if good else inertia(
-            replace(op, wrap_mult=w[t].tolist()), sigma, logdet=False)
-            for t, (c, good) in enumerate(zip(count.tolist(), regular.tolist()))]
-        out.append(twists if op.ladder else twists[0])
-        dirichlet.append(int(last) if last >= 0 else None)
-    return out, dirichlet
+            c, o, r, d = counts(system.diag.T,
+                                (_retry_shift(system, sigma, attempt),))
+            count[row], ok[row] = c[0], o[0]
+            regular[row], dirichlet[row] = r[0], d[0]
+        for t in np.flatnonzero(~regular[row]).tolist():
+            count[row, t] = inertia(replace(system, wrap_mult=w[t].tolist()),
+                                    sigma, logdet=False)[0]
+    return count, dirichlet
 
 
 def inertia(op: BandOperator, sigma: float, *more: float,
@@ -582,26 +611,38 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     loops run on floats, and a numpy scalar gives the same bits at about
     half their speed.
 
-    With ``dirichlet`` a count-only call on a cyclic operator returns
-    (that result, the Dirichlet count), the count below each shift of the
-    operator with node 0 deleted, which is the Dirichlet operator of the
-    same system and mesh; None where its last pivot breaks down.  The
-    reduction holds it for free: node 0 enters no other pivot.
+    With ``dirichlet`` a count-only call on a cyclic operator returns two
+    int arrays with a row per shift: the counts, with a column per twist
+    for a ladder, and the Dirichlet counts, the counts below each shift
+    of the operator with node 0 deleted, which is the Dirichlet operator
+    of the same system and mesh; -1 where its last pivot breaks down.
+    The reduction holds them for free: node 0 enters no other pivot.
+
+    A count-only call also takes a stack of cyclic systems on one mesh
+    that share the couplings and the wrap (``BandOperator``): then the
+    results have a row per (system, shift), system by system, each equal
+    to the system's own call at the shift.
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
+    stack = op.diag.ndim > op.dim
     if op.cyclic and not logdet:
-        out, counts = _reduced_counts(op, shifts)
+        counts, below = _reduced_counts(op, shifts)
+        if dirichlet:
+            return (counts if op.ladder else counts[:, 0]), below
+        out = [[(c, None) for c in row] if op.ladder else (row[0], None)
+               for row in counts.tolist()]
     elif dirichlet:
         raise ValidationError("a Dirichlet count comes only with the "
                               "count-only reduction of a cyclic operator")
+    elif stack:
+        raise ValidationError("only the count-only reduction of cyclic "
+                              "operators takes a stack of systems")
     else:
         kernel, lists = _kernel(op)
         out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
-    if dirichlet:
-        return (out, counts) if more else (out[0], counts[0])
-    return out if more else out[0]
+    return out if more or stack else out[0]
 
 
 def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,

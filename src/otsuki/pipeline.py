@@ -36,7 +36,7 @@ from .errors import (EdwardsInapplicableError, NumericalError,
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
-from .spectral import (TAU_ZERO, class_counts,  # noqa: F401
+from .spectral import (TAU_ZERO, _dirichlet_ends, class_counts,  # noqa: F401
                        direct_twisted_counts, ladder_counts, spectral_index,
                        spectrum_counts, verify_high_l_positive)
 from .surface import frame, kernel_fields, kernel_residuals, l0_channel_system
@@ -147,18 +147,28 @@ def _count_family(traj: Trajectory, n: int, method: str):
     ``form`` is the boundary form, the EdwardsInapplicableError that
     refused it ('edwards' raises it) or None; rows not counted are None.
 
-    Under 'both' the direct ladder of mode l is counted first: its
-    reduction also counts the Dirichlet block at the zone ends, which the
-    boundary form's gate then reads instead of sweeping the Dirichlet
-    operators itself (``edwards.dirichlet_negative_count``).  So where
-    both routes raise at the same l, the direct route's error surfaces."""
+    The boundary form's gate reads the Dirichlet counts at the zone ends
+    from a reduction instead of sweeping the Dirichlet operators itself
+    (``edwards.dirichlet_negative_count``).  Under 'both' the direct
+    ladder of mode l, counted first, holds them, so where both routes
+    raise at the same l, the direct route's error surfaces.  Under
+    'edwards' one reduction per mesh of the stack of both modes' twisted
+    operators at omega = 1 holds them (``spectral._dirichlet_ends``); if
+    it raises, each gate counts alone, and any error surfaces there."""
     q = traj.family.rotation.q
     chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
                     for chan in (1, 2))
     # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
+    stacked = {}
+    if method == "edwards":
+        try:
+            stacked = _dirichlet_ends(traj, n)
+        except (NumericalError, ValidationError):
+            pass
     for l in (1, 2):
-        form = edwards_rows = direct_rows = dirichlet = None
+        form = edwards_rows = direct_rows = None
+        dirichlet = stacked.get(l)
         if method != "edwards":
             direct_rows, dirichlet = direct_twisted_counts(l, traj, n)
         if method != "direct":

@@ -27,10 +27,13 @@ single system, whose sweeps cost per shift, its windows only once its
 zone holds eigenvalues.  Location sweeps the four zone ends again with
 log|det|, for a ladder on the sub-ladder of the twists it locates.  One
 classifier (``_zone_rows``) serves a single system and a twist ladder
-alike, each sweep once for every twist that reads it.  A ladder's
-reduction also counts the Dirichlet problem of its system at the zone
-ends; the boundary-form route's gate reads those of modes 1 and 2 under
-'both'.
+alike, each sweep once for every twist that reads it, and settles a
+ladder's twists as array expressions.  A ladder's reduction also counts
+the Dirichlet problem of its system at the zone ends; the boundary-form
+route's gate reads those of modes 1 and 2 under 'both'.  Under
+'edwards', which sweeps no ladder of modes 1 and 2, one count-only
+reduction per mesh of the stack of their twisted operators at omega = 1
+counts both Dirichlet problems there (``_dirichlet_ends``).
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -139,99 +142,95 @@ def _zone(system: SLSystem, n: int) -> float:
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
-               ladder: Optional[np.ndarray] = None) -> tuple[list, Optional[list]]:
-    """(rows, dirichlet).  rows holds (below, at, k) at the level for each
-    twist of ``ladder`` (rows of wrap multipliers that replace the
-    system's), or for the system alone; k counts the eigenvalues in the
-    mesh-n zone (level - zone, level + zone].  For a ladder, dirichlet
-    holds the (below, top) counts at the zone ends on the meshes n and 2n
-    of the Dirichlet problem of the same system, by-products of the
-    ladder's reduction (``inertia(..., dirichlet=True)``), None where a
-    pivot of it broke down; for a system alone it is None.
+               ladder: Optional[np.ndarray] = None) -> tuple:
+    """(rows, dirichlet).  rows is an int array holding (below, at, k) at
+    the level for each twist of ``ladder`` (rows of wrap multipliers that
+    replace the system's), or one row for the system alone; k counts the
+    eigenvalues in the mesh-n zone (level - zone, level + zone].  For a
+    ladder, dirichlet holds the (below, top) counts at the zone ends on
+    the meshes n and 2n of the Dirichlet problem of the same system,
+    by-products of the ladder's reduction (``inertia(..., dirichlet=True)``),
+    -1 where a pivot of it broke down; for a system alone it is None.
 
     Each sweep serves every twist: the zone ends, the windows of a mesh,
     the ends with log|det| for location.  A ladder sweeps each mesh's
     windows in the call that sweeps its zone ends, since its kernel
-    twists need them; a single system sweeps them on first need.  A
-    twist's k zone eigenvalues are zero if its window counts read below,
-    below + k on both meshes (see the module docstring), else they are
-    located.  The twists to locate are known before any is located, so
-    one log|det| call per mesh sweeps their sub-ladder alone.  An
+    twists need them, and is settled as array expressions over its
+    twists; a single system sweeps its windows on first need.  A twist's
+    k zone eigenvalues are zero if its window counts read below, below + k
+    on both meshes (see the module docstring), else they are located.
+    The twists to locate are known before any is located, so one log|det|
+    call per mesh sweeps their sub-ladder alone.  The first twist whose
+    meshes disagree raises once the twists before it are counted; an
     ambiguity in a ladder names the system's l and the twist r."""
     def operator(k: int, mult=ladder):
         op = system.operator(k)
         return op if mult is None else replace(op, wrap_mult=mult)
 
-    def swept(op, *shifts, logdet=False) -> list:
-        """One tuple of the results at the shifts for each twist."""
-        out = inertia(op, *shifts, logdet=logdet)
-        return [out] if ladder is None else list(zip(*out))
+    def counted(op, *shifts) -> np.ndarray:
+        """The counts of a single system at the shifts, as one row."""
+        return np.array([[c for c, _ in inertia(op, *shifts, logdet=False)]])
 
     ops = operator(n), operator(2 * n)
     zone = _zone(system, n)
     lo, hi = level - zone, level + zone
     windows = [[level + s * _WINDOW for s in shifts]
                for shifts in _WINDOW_SHIFTS]
+    # one row per twist, one column per shift: the zone ends, then for a
+    # ladder the windows
     if ladder is None:
-        ends, dirichlet = [swept(op, lo, hi) for op in ops], None
+        ends, dirichlet = [counted(op, lo, hi) for op in ops], None
     else:
         ends, dirichlet = [], []
         for op, shifts in zip(ops, windows):
-            out, counts = inertia(op, lo, hi, *shifts, logdet=False,
-                                  dirichlet=True)
-            ends.append(list(zip(*out)))
-            dirichlet.append(tuple(counts[:2]))
+            counts, below_top = inertia(op, lo, hi, *shifts, logdet=False,
+                                        dirichlet=True)
+            ends.append(counts.T)
+            dirichlet.append(tuple(below_top[:2].tolist()))
+    (below, top), (below2, top2) = ends[0][:, :2].T, ends[1][:, :2].T
+    k = top - below
+    faults = np.flatnonzero((below != below2) | (top2 - below != k))
+    stop = faults[0] if faults.size else len(k)
 
-    @cache
-    def window(mesh: int) -> list:
-        if ladder is None:
-            return swept(ops[mesh], *windows[mesh])
-        return [end[2:] for end in ends[mesh]]
-
-    def settled(r: int) -> tuple[int, int, bool]:
-        """(below, k, whether the windows certify the zone) of twist r."""
-        (below, top1), (below2, top2) = ([c for c, _ in end[r][:2]]
-                                         for end in ends)
-        if below != below2:
-            raise AmbiguousClassificationError(
-                f"count below {lo:g} changed under mesh doubling: "
-                f"{below} vs {below2}")
-        k1, k2 = top1 - below, top2 - below
-        if k1 != k2:
-            raise AmbiguousClassificationError(
-                f"zone population changed under mesh doubling: {k1} vs {k2}")
-        return below, k1, k1 == 0 or all(
-            c[0] == below + k1 * j for mesh in (0, 1)
-            for j, c in enumerate(window(mesh)[r]))
-
-    # up to the first ambiguous twist, which raises once the twists
-    # before it are counted
-    staged = []
-    for r in range(len(ends[0])):
-        try:
-            staged.append(settled(r))
-        except AmbiguousClassificationError as exc:
-            staged.append(exc)
+    # a twist's windows certify it if they read below, below + k on both
+    # meshes; a single system sweeps a mesh's windows only while they can
+    # still certify it
+    passing = k != 0
+    for mesh in (0, 1):
+        if not passing[:stop].any():
             break
-    need = [r for r, s in enumerate(staged)
-            if isinstance(s, tuple) and not s[2]]
+        window = (ends[mesh][:, 2:] if ladder is not None
+                  else counted(ops[mesh], *windows[mesh]))
+        passing &= (window[:, 0] == below) & (window[:, 1] == below + k)
+    need = np.flatnonzero((k != 0) & ~passing)
+    need = need[need < stop].tolist()
+    rows = np.stack((below, k, k), axis=1)
     located = {}
     if need:
         sub = None if ladder is None else ladder[need]
-        sweeps = [swept(operator(k, sub), lo, hi, logdet=True)
-                  for k in (n, 2 * n)]
-        located = dict(zip(need, zip(*sweeps)))
+        sweeps = [inertia(operator(m, sub), lo, hi, logdet=True)
+                  for m in (n, 2 * n)]
+        # each located twist's (lo, hi) sweeps on mesh n, then on mesh 2n
+        located = dict(zip(need, zip(*([out] if ladder is None else zip(*out)
+                                       for out in sweeps))))
 
-    rows = []
-    for r, (stage, mult) in enumerate(zip(
-            staged, [None] if ladder is None else ladder.tolist())):
+    def disagreement(r: int) -> AmbiguousClassificationError:
+        if below[r] != below2[r]:
+            return AmbiguousClassificationError(
+                f"count below {lo:g} changed under mesh doubling: "
+                f"{below[r]} vs {below2[r]}")
+        return AmbiguousClassificationError(
+            f"zone population changed under mesh doubling: {k[r]} vs "
+            f"{top2[r] - below[r]}")
+
+    for r in need + faults[:1].tolist():
         try:
-            if isinstance(stage, Exception):
-                raise stage
-            below, k, certified = stage
-            rows.append((below, k, k) if certified else (*_located_counts(
-                partial(operator, mult=mult), n, level, zone, below,
-                located[r]), k))
+            if r == stop:
+                raise disagreement(r)
+            rows[r, :2] = _located_counts(
+                partial(operator, mult=None if ladder is None
+                        else ladder[r].tolist()),
+                n, level, zone, int(below[r]), located[r])
         except AmbiguousClassificationError as exc:
             if ladder is None:
                 raise
@@ -282,7 +281,7 @@ def spectrum_counts(system: SLSystem, n: int) -> tuple[int, int]:
     """(#{lambda < -tau}, #{|lambda| <= tau}) of the system, classified by
     ``_zone_rows``: inertia outside [-zone, zone], certificate or location
     inside."""
-    return _zone_rows(system, n, 0.0)[0][0][:2]
+    return tuple(_zone_rows(system, n, 0.0)[0][0, :2].tolist())
 
 
 def spectrum_below(system: SLSystem, cutoff: float, n: int,
@@ -290,10 +289,21 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
     """Everything below the cutoff: extrapolated eigenvalues plus counts.
 
     A listing that contradicts the counts, as far as it reaches, is
-    ambiguous.
+    ambiguous.  A cutoff that leaves no eigenvalue of the mesh-n operator
+    above cutoff + ZONE asks for more than the mesh resolves, and is
+    refused before anything is located: when its Gershgorin upper bound,
+    the lower bound of -A negated, lies there, or its count there is its
+    dimension.
     """
     if not math.isfinite(cutoff):
         raise ValidationError(f"cutoff must be finite, got {cutoff}")
+    op, top = system.operator(n), cutoff + ZONE
+    if (-replace(op, diag=-op.diag).gershgorin_lower() <= top
+            or inertia(op, top, logdet=False)[0] == op.m * op.dim):
+        raise ValidationError(
+            f"cutoff {cutoff:g} leaves no eigenvalue of the mesh-{n} "
+            f"operator above {top:g}; a listing that high needs a finer "
+            "mesh or a lower cutoff")
     neg, zero = spectrum_counts(system, n)
     tol = 1e-9      # so a listed value is extrapolated to within 5 tol / 6
     lam, _ = _extrapolated(system.operator, n, _floor(system, n),
@@ -341,7 +351,7 @@ def _ladder(build, traj: Trajectory, n: int, level: float) -> tuple:
     omega = roots_of_unity_ladder(q)[:q + 1, None]
     ladder = np.hstack((omega, -omega))[:, :system.dim]
     rows, dirichlet = _zone_rows(system, n, level, ladder)
-    rows = np.array(rows)[:, :2]
+    rows = rows[:, :2]
     return np.concatenate((rows, rows[q - 1:0:-1])), dirichlet
 
 
@@ -367,6 +377,29 @@ def direct_twisted_counts(l: int, traj: Trajectory,
     ``edwards.dirichlet_negative_count`` takes these counts as its
     ``ends``."""
     return _ladder(partial(fourier_block_system, l), traj, n, 0.0)
+
+
+def _dirichlet_ends(traj: Trajectory, n: int) -> dict:
+    """{l: the Dirichlet counts of ``direct_twisted_counts``} for l = 1, 2,
+    without their ladders: on each mesh, one count-only reduction of the
+    stack of the two modes' twisted operators at omega = 1, whose
+    Dirichlet counts at the zone ends are those of the Dirichlet blocks.
+    The modes share the mesh, the weight p at the half nodes, so the
+    couplings and the wrap, and the length T, so the zone."""
+    systems = [fourier_block_system(l, traj, BoundaryCondition.twisted(1.0))
+               for l in (1, 2)]
+    zone = _zone(systems[0], n)
+
+    def stack(m: int):
+        """The modes' operators on mesh m as one stack, which no system
+        keeps (``SLSystem.operator`` would, past the reduction)."""
+        ops = [system.discretize(m) for system in systems]
+        return replace(ops[0], diag=np.stack([op.diag for op in ops], axis=1))
+
+    meshes = [inertia(stack(k * n), -zone, zone, logdet=False,
+                      dirichlet=True)[1].reshape(2, 2).tolist()
+              for k in (1, 2)]
+    return {l: [tuple(mesh[j]) for mesh in meshes] for j, l in enumerate((1, 2))}
 
 
 def spectral_index(traj: Trajectory, n: int, channel2) -> int:

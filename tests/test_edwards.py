@@ -611,9 +611,81 @@ class TestApplicabilityGate:
         assert {op.m for op in band} == {511, 1023}
         assert [op.m for op in located] == [511, 511]
 
+    @staticmethod
+    def _record_stacks(monkeypatch, tamper=None):
+        """(mesh, shifts, keywords) of every stacked ``inertia`` call;
+        ``tamper(op, counts, dirichlet)`` may replace its result."""
+        stacks, inertia = [], spectral.inertia
+
+        def recorded(op, *shifts, **kwargs):
+            out = inertia(op, *shifts, **kwargs)
+            if op.diag.ndim == 3:
+                stacks.append((op.m, shifts, kwargs))
+                if tamper is not None:
+                    out = tamper(op, *out)
+            return out
+
+        monkeypatch.setattr(spectral, "inertia", recorded)
+        return stacks
+
+    def test_edwards_gate_reads_one_stacked_reduction_per_mesh(
+            self, monkeypatch):
+        # under 'edwards' one count-only reduction per mesh, of the stack
+        # of the twisted operators of modes 1 and 2 at omega = 1, counts
+        # both Dirichlet blocks at the zone ends; both meshes read an
+        # empty zone, so the gate sweeps and discretizes no Dirichlet
+        # operator
+        want = report_document(compute_index(2, 3, "edwards", n=512))
+        discretized, band, located = self._record_dirichlet_work(monkeypatch)
+        stacks = self._record_stacks(monkeypatch)
+        got = report_document(compute_index(2, 3, "edwards", n=512))
+        assert (discretized, band, located) == ([], [], [])
+        zone = spectral._zone(fourier_block_system(
+            1, family_trajectory(solve_parameter(2, 3), 512),
+            BoundaryCondition.dirichlet()), 512)
+        assert stacks == [(m, (-zone, zone),
+                           {"logdet": False, "dirichlet": True})
+                          for m in (512, 1024)]
+        want.pop("timestamp")
+        got.pop("timestamp")
+        assert got == want
+
+    @pytest.mark.parametrize("case", ["populated", "meshes-disagree",
+                                      "broke-down", "raises"])
+    def test_edwards_gate_counts_alone_unless_the_stack_agrees(
+            self, monkeypatch, case):
+        # a populated zone (half-width 1.1 holds the Dirichlet eigenvalue
+        # nearest zero of both modes), counts that change with the mesh, a
+        # count that broke down, or a stacked call that raises: each gate
+        # counts its Dirichlet system itself, as when it is called alone,
+        # and the report stands
+        def tamper(op, counts, dirichlet):
+            if case == "raises":
+                raise NumericalError("stacked reduction failed")
+            if case == "meshes-disagree" and op.m == 1024:
+                dirichlet = dirichlet + 1
+            if case == "broke-down":
+                dirichlet = np.where(np.arange(4) % 2, dirichlet, -1)
+            return counts, dirichlet
+
+        want = compute_index(2, 3, "edwards", n=512)
+        if case == "populated":
+            monkeypatch.setattr(spectral, "ZONE", 1.1)
+        discretized, band, located = self._record_dirichlet_work(monkeypatch)
+        stacks = self._record_stacks(monkeypatch, tamper)
+        report = compute_index(2, 3, "edwards", n=512)
+        assert (report.ind, report.nul) == (want.ind, want.nul) == (31, 9)
+        assert [m for m, _, _ in stacks] == ([512] if case == "raises"
+                                             else [512, 1024])
+        assert discretized == [(1, 512), (1, 1024), (2, 512), (2, 1024)]
+        assert {op.m for op in band} == {511, 1023}
+        assert [op.m for op in located] == ([511, 511] if case == "populated"
+                                            else [])
+
     @pytest.mark.parametrize("ends", [
-        [(1, 2), (1, 2)], [(1, 1), (0, 0)], [(1, 1), (1, None)]],
-        ids=["populated", "meshes-disagree", "broke-down"])
+        [(1, 2), (1, 2)], [(1, 1), (0, 0)], [(1, 1), (1, -1)],
+        [(-1, -1), (-1, -1)]],
+        ids=["populated", "meshes-disagree", "broke-down", "all-broke-down"])
     def test_gate_counts_alone_unless_the_ends_agree(self, traj23, ends,
                                                      count_sweeps):
         # ends that do not read one empty zone on both meshes leave the

@@ -549,10 +549,11 @@ def test_reduction_counts_the_dirichlet_operator(dim, bc):
     above = np.concatenate((lam[:4], np.linalg.eigvalsh(op.to_dense())[:4]))
     shifts = (-3.0, -0.42, 0.0, 0.17, 2.5, 40.0, *(above + 1e-6).tolist())
     got, counts = inertia(op, *shifts, logdet=False, dirichlet=True)
-    assert got == inertia(op, *shifts, logdet=False)
-    assert counts == [int((lam < s).sum()) for s in shifts]
-    assert inertia(op, 0.17, logdet=False, dirichlet=True) == (
-        got[3], counts[3])
+    assert [(c, None) for c in got.tolist()] == inertia(op, *shifts,
+                                                        logdet=False)
+    assert counts.tolist() == [int((lam < s).sum()) for s in shifts]
+    one = inertia(op, 0.17, logdet=False, dirichlet=True)
+    assert [a.tolist() for a in one] == [[got[3]], [counts[3]]]
 
 
 def test_dirichlet_count_needs_the_reduction():
@@ -576,11 +577,13 @@ def test_a_retried_shift_gives_both_counts(dim, monkeypatch):
     dirichlet = replace(op, diag=op.diag[1:], off=op.off[1:], wrap_off=None,
                         wrap_mult=None)
     swept = _record_reduction(op, monkeypatch)
-    got = inertia(op, 0.17, bad, logdet=False, dirichlet=True)
+    got, counts = inertia(op, 0.17, bad, logdet=False, dirichlet=True)
     monkeypatch.undo()
     assert swept == [(0.17, bad), (nudged,)]
-    assert got == (inertia(op, 0.17, nudged, logdet=False),
-                   [inertia(dirichlet, s)[0] for s in (0.17, nudged)])
+    assert [(c, None) for c in got.tolist()] == inertia(op, 0.17, nudged,
+                                                        logdet=False)
+    assert counts.tolist() == [inertia(dirichlet, s)[0]
+                               for s in (0.17, nudged)]
 
 
 # the six README families, and families near sqrt(2)/2 and 1/2
@@ -588,33 +591,114 @@ DIRICHLET_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10),
                       (12, 17), (41, 58), (70, 99), (10, 19), (30, 59)]
 
 
+def _stack(ops):
+    """The count-only stack of operators that share the couplings and wrap."""
+    return replace(ops[0], diag=np.stack([op.diag for op in ops], axis=1))
+
+
 @pytest.mark.parametrize("p,q", DIRICHLET_FAMILIES)
 def test_ladder_reduction_counts_the_dirichlet_block(p, q):
-    # under 'both' the Dirichlet gate reads the counts that the reduction
-    # of the direct ladder makes of the Dirichlet block, in its own
-    # elimination order; the band sweep in node order is their oracle, at
-    # the zone ends, the window shifts and two more, on both meshes
-    for n in (512, 1024):
+    # the Dirichlet gate reads the counts that a reduction makes of the
+    # Dirichlet block in its own elimination order: under 'both' that of
+    # the direct ladder, under 'edwards' that of the stack of both modes'
+    # twisted operators at omega = 1; the band sweep in node order is
+    # their oracle, at the zone ends, the window shifts and two more, on
+    # both meshes
+    omega = roots_of_unity_ladder(q)[:q + 1, None]
+    mults = np.hstack((omega, -omega))
+    for n in (512, 1024, 2048):
         traj = family_trajectory(solve_parameter(p, q), n)
-        for l in (1, 2):
-            twisted = fourier_block_system(l, traj,
-                                           BoundaryCondition.twisted(1.0))
-            dirichlet = fourier_block_system(l, traj,
-                                             BoundaryCondition.dirichlet())
-            zone = spectral._zone(dirichlet, n)
-            assert zone == spectral._zone(twisted, n)
-            shifts = (-zone, zone, *(s * spectral._WINDOW for pair
-                                     in spectral._WINDOW_SHIFTS for s in pair),
-                      -0.3, 0.0)
-            omega = roots_of_unity_ladder(q)[:q + 1, None]
-            mults = np.hstack((omega, -omega))
-            for k in (1, 2):
-                ladder = replace(twisted.operator(k * n), wrap_mult=mults)
+        twisted, dirichlet = ([fourier_block_system(l, traj, bc) for l in (1, 2)]
+                              for bc in (BoundaryCondition.twisted(1.0),
+                                         BoundaryCondition.dirichlet()))
+        zone = spectral._zone(dirichlet[0], n)
+        assert {spectral._zone(s, n) for s in twisted + dirichlet} == {zone}
+        shifts = (-zone, zone, *(s * spectral._WINDOW for pair
+                                 in spectral._WINDOW_SHIFTS for s in pair),
+                  -0.3, 0.0)
+        ends = []
+        for k in (1, 2):
+            want = [[c for c, _ in inertia(system.operator(k * n), *shifts,
+                                           logdet=False)]
+                    for system in dirichlet]
+            ops = [system.operator(k * n) for system in twisted]
+            for l, op in zip((1, 2), ops):
+                ladder = replace(op, wrap_mult=mults)
                 _, got = inertia(ladder, *shifts, logdet=False,
                                  dirichlet=True)
-                want = inertia(dirichlet.operator(k * n), *shifts,
-                               logdet=False)
-                assert got == [c for c, _ in want], (n, l, k)
+                assert got.tolist() == want[l - 1], (n, l, k)
+            _, got = inertia(_stack(ops), *shifts, logdet=False,
+                             dirichlet=True)
+            assert got.tolist() == want[0] + want[1], (n, k)
+            ends.append([tuple(counts[:2]) for counts in want])
+        assert spectral._dirichlet_ends(traj, n) == {
+            l: [mesh[l - 1] for mesh in ends] for l in (1, 2)}
+
+
+def _reduction_lists(op, diag):
+    """The lists of the operator's reduction with the transposed diag."""
+    return (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_stack_reduces_each_row_as_alone(dim, traj23):
+    # a row per (system, shift), each with its system's diagonal: the
+    # counts, the flags, the end state and the Dirichlet counts are those
+    # of the system reduced alone, to the bit
+    builds = ([partial(l0_channel_system, 1), partial(l0_channel_system, 2),
+               partial(laplace_system, 1)] if dim == 1
+              else [partial(fourier_block_system, l) for l in (1, 2)])
+    reduce = getattr(eigencount, f"_inertia_d{dim}_reduction")
+    sigma = np.array([-1.0, -2e-3, -1e-6, 0.0, 1e-6, 2e-3, 3.0])
+    for m in (1024, 4096):
+        ops = [build(traj23, BoundaryCondition.twisted(1.0)).discretize(m)
+               for build in builds]
+        assert all(op.off.tobytes() == ops[0].off.tobytes()
+                   and op.wrap_off == ops[0].wrap_off for op in ops)
+        alone = [reduce(*_reduction_lists(op, op.diag.T), sigma)
+                 for op in ops]
+        rows = np.repeat(_stack(ops).diag.T, len(sigma), axis=-2)
+        got = reduce(*_reduction_lists(ops[0], rows), np.tile(sigma, len(ops)))
+
+        def flat(out):
+            neg, ok, end, below = out
+            return [neg, ok, *end, below]
+
+        for got_part, *parts in zip(flat(got), *map(flat, alone)):
+            assert got_part.tobytes() == np.concatenate(parts).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_stack_retries_a_row_as_its_system_alone(dim, monkeypatch):
+    # the reduction meets the pivot of node 1 first, exactly 0 at sigma =
+    # Q11(1) of the second system: that row alone is moved, by the retry
+    # shift of its own system, not by the ulps of the first system's far
+    # larger entries, and the counts of every row are those of its system
+    # alone
+    bc = BoundaryCondition.periodic()
+    breaking = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
+                ).discretize(256)
+    other = replace(breaking, diag=1e4 * _wavy_system(dim, bc)
+                    .discretize(256).diag)
+    bad = float(breaking.diag[1] if dim == 1 else breaking.diag[1, 0])
+    nudged = eigencount._retry_shift(breaking, bad, 1)
+    assert nudged != eigencount._retry_shift(other, bad, 1)
+    shifts = (0.17, bad)
+    want = [inertia(op, s, logdet=False, dirichlet=True)
+            for op in (other, breaking) for s in shifts]
+    stack = _stack([other, breaking])
+    swept = _record_reduction(stack, monkeypatch)
+    got, counts = inertia(stack, *shifts, logdet=False, dirichlet=True)
+    monkeypatch.undo()
+    assert swept == [shifts * 2, (nudged,)]
+    assert got.tolist() == [int(c[0]) for c, _ in want]
+    assert counts.tolist() == [int(d[0]) for _, d in want]
+    assert inertia(stack, *shifts, logdet=False) == [
+        (c, None) for c in got.tolist()]
+    assert inertia(stack, bad, logdet=False) == [(got[1], None),
+                                                 (got[3], None)]
+    with pytest.raises(ValidationError):
+        inertia(stack, 0.17)
 
 
 @pytest.mark.parametrize("l", [1, 2])

@@ -575,6 +575,29 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: cutoff must be finite, got {cutoff}\n"
 
+    @pytest.mark.parametrize("cutoff", ["58200", "1e5", "1e160"])
+    def test_spectrum_cutoff_above_the_mesh_exits_1(self, capsys,
+                                                    monkeypatch, cutoff):
+        # the mesh-256 Dirichlet l = 1 operator of 2/3 has its top
+        # eigenvalue at 58150.5 and its Gershgorin upper bound at 58338.1:
+        # above 58200 its count is its dimension, above the bound nothing
+        # needs a sweep; either way nothing is counted on two meshes or
+        # located
+        def unwanted(*args, **kwargs):
+            raise AssertionError("classified or located a refused cutoff")
+
+        monkeypatch.setattr(spectral, "spectrum_counts", unwanted)
+        monkeypatch.setattr(spectral, "_extrapolated", unwanted)
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
+                        "--bc", "dirichlet", "--n", "256",
+                        f"--cutoff={cutoff}"])
+        out, err = capsys.readouterr()
+        top = float(cutoff) + spectral.ZONE
+        assert code == 1 and out == ""
+        assert err == (f"error: cutoff {float(cutoff):g} leaves no eigenvalue "
+                       f"of the mesh-256 operator above {top:g}; a listing "
+                       "that high needs a finer mesh or a lower cutoff\n")
+
     def test_twisted_spectrum_needs_omega(self, capsys):
         code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
                         "--bc", "twisted", "--n", "512"])
