@@ -15,19 +15,20 @@ once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
-The gate reads the Dirichlet counts at its zone ends from an odd-even
+The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with
 node 0 added: under 'both' from the direct route's ladder, under
 'edwards' from one reduction per mesh of the stack of the twisted
 operators of modes 1 and 2 at omega = 1 (``pipeline._count_family``).
-Under 'both' the two routes so share the pivots of the Dirichlet offset
-of every count, and a defect there would reach both alike.  What keeps
-that offset honest is a tier-1 oracle
+``spectral`` settles the reduction's four counts at the zone ends into
+that count, or None unless they read one empty zone.  Under 'both' the
+two routes so share the pivots of the Dirichlet offset of every count,
+and a defect there would reach both alike.  What keeps that offset
+honest is a tier-1 oracle
 (``test_ladder_reduction_counts_the_dirichlet_block``), which checks
 both reductions' counts against the band sweep in node order, the other
 elimination order.  The gate runs that sweep itself only when it is
-called alone (``otsuki edwards``) or the reduction's counts do not read
-one empty zone.
+called alone (``otsuki edwards``) or it knows no count.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class DirichletCounts:
 
 
 def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
-                             ends: Optional[list] = None) -> DirichletCounts:
+                             known: Optional[int] = None) -> DirichletCounts:
     """Negative count of the Dirichlet block on [0, T], on meshes n and 2n.
 
     Refuses (EdwardsInapplicableError) a Dirichlet zero mode or a margin of
@@ -101,20 +102,19 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
     LOCATE_TOL / 2 of the true one, exceeds DIRICHLET_MARGIN, and the
     margin is not located.
 
-    ``ends``, the (below, top) counts at the zone ends on the meshes n and
-    2n that a reduction of the twisted operator of mode l made (the
-    direct ladder, ``spectral.direct_twisted_counts``, under 'both'; the
-    stack of modes 1 and 2, ``spectral._dirichlet_ends``, under
-    'edwards'), replace the zone sweeps when all four agree, so the zone
-    is empty on both meshes: then the gate sweeps and discretizes
-    nothing.  Any other ``ends`` (a populated zone, a mesh disagreement,
-    a count that broke down, -1) leave the decision, and every message,
-    to the classifier's own node-order sweeps of the Dirichlet system.
+    ``known``, the count that a reduction of the twisted operator of mode
+    l settled (the direct ladder, ``spectral.direct_twisted_counts``,
+    under 'both'; the stack of modes 1 and 2, ``spectral._dirichlet_ends``,
+    under 'edwards'), replaces the zone sweeps: it is only settled when
+    the zone is empty on both meshes, so the gate then sweeps and
+    discretizes nothing.  With None (a populated zone, a mesh
+    disagreement, a count that broke down, or no reduction) the decision,
+    and every message, is left to the classifier's own node-order sweeps
+    of the Dirichlet system.
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
-    values = {c for end in ends or () for c in end}
-    if len(values) == 1 and -1 not in values:
-        neg, zero, k = values.pop(), 0, 0
+    if known is not None:
+        neg, zero, k = known, 0, 0
     else:
         (neg, zero, k), = _zone_rows(system, n, 0.0)[0].tolist()
     counts = DirichletCounts(negative=neg, system=system, n=n)
@@ -313,15 +313,15 @@ class BoundaryFormData:
 
 
 def boundary_form(l: int, traj: Trajectory, n: int,
-                  ends: Optional[list] = None) -> BoundaryFormData:
+                  known: Optional[int] = None) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The Dirichlet problem is counted on mesh n first, so the route is
     refused (EdwardsInapplicableError) before any integration when it is
     degenerate; see :func:`dirichlet_negative_count`, which takes
-    ``ends``.
+    ``known``.
     """
-    dirichlet = dirichlet_negative_count(l, traj, n, ends)
+    dirichlet = dirichlet_negative_count(l, traj, n, known)
     a = gram_matrix(boundary_solutions(l, traj))
     return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
                             poly=det_polynomial(a))

@@ -18,12 +18,12 @@ count.  Its log2(m) levels each eliminate every other node, for all the
 shifts of a call at once, in real arithmetic, and keep the two nodes
 that the wrap joins to the end.  Until node 0 enters, the reduction is
 also one of the operator with node 0 deleted, the Dirichlet operator of
-the same mesh, so a count-only call hands out its count as well
-(``inertia(..., dirichlet=True)``).  Cyclic systems on one mesh that
-share the couplings and the wrap reduce as one stack, a row per
-(system, shift), each row bit for bit its system reduced alone: so one
-call counts the Dirichlet blocks of modes 1 and 2 for the boundary-form
-route's gate.
+the same mesh: every count-only call returns (counts, Dirichlet
+counts), the latter None for a band operator.  Cyclic systems on one
+mesh that share the couplings and the wrap reduce as one stack, a row
+per (system, shift), each row bit for bit its system reduced alone: so
+one call counts the Dirichlet blocks of modes 1 and 2 for the
+boundary-form route's gate.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -548,8 +548,9 @@ def _systems(op: BandOperator) -> list:
 def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
     """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
     by odd-even reduction: (the counts, an int array with a row per
-    (system, shift), system by system, and a column per twist; the
-    Dirichlet count of each row, -1 where its last pivot breaks down).
+    (system, shift), system by system, and a column per twist, one for an
+    operator that is no ladder; the Dirichlet count of each row, -1 where
+    its last pivot breaks down).
     A row whose pivots break down is moved (``_retry_shift`` of its system
     alone) and reduced again alone, as ``_sweep`` moves it, and gives both
     counts at the moved shift; a ladder twist whose last Schur complement
@@ -589,12 +590,12 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
             regular[row], dirichlet[row] = r[0], d[0]
         for t in np.flatnonzero(~regular[row]).tolist():
             count[row, t] = inertia(replace(system, wrap_mult=w[t].tolist()),
-                                    sigma, logdet=False)[0]
+                                    sigma, logdet=False)[0][0, 0]
     return count, dirichlet
 
 
 def inertia(op: BandOperator, sigma: float, *more: float,
-            logdet: bool = True, dirichlet: bool = False):
+            logdet: bool = True):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
@@ -602,54 +603,46 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     each equal to the sweep of that twist alone.  With more shifts the
     result is a list with one result per shift, in order, each equal to
     ``inertia(op, shift)`` bit for bit: the coefficient lists are converted
-    once and each shift is swept as it would be alone.  Only locating an
-    eigenvalue reads log|det|: with ``logdet=False`` each pair is
-    (count, None).  The count of a band operator comes from the same
-    sweep, taking no logarithm per pivot; that of a cyclic operator from
+    once and each shift is swept as it would be alone.  Each shift is
+    taken as a Python float: the node loops run on floats, and a numpy
+    scalar gives the same bits at about half their speed.
+
+    Only locating an eigenvalue reads log|det|.  With ``logdet=False``
+    the result is (counts, dirichlet), whatever the operator and however
+    many shifts: counts an int array with a row per shift and a column
+    per twist, one column for an operator that is no ladder.  The counts
+    of a band operator come from the same sweep, taking no logarithm per
+    pivot, and dirichlet is None.  Those of a cyclic operator come from
     odd-even reduction, which eliminates in another order and so gives
-    the same inertia.  Each shift is taken as a Python float: the node
-    loops run on floats, and a numpy scalar gives the same bits at about
-    half their speed.
-
-    With ``dirichlet`` a count-only call on a cyclic operator returns two
-    int arrays with a row per shift: the counts, with a column per twist
-    for a ladder, and the Dirichlet counts, the counts below each shift
-    of the operator with node 0 deleted, which is the Dirichlet operator
-    of the same system and mesh; -1 where its last pivot breaks down.
-    The reduction holds them for free: node 0 enters no other pivot.
-
-    A count-only call also takes a stack of cyclic systems on one mesh
-    that share the couplings and the wrap (``BandOperator``): then the
-    results have a row per (system, shift), system by system, each equal
-    to the system's own call at the shift.
+    the same inertia, and dirichlet is an int array with a row per shift:
+    the counts below it of the operator with node 0 deleted, which is the
+    Dirichlet operator of the same system and mesh, -1 where its last
+    pivot breaks down.  The reduction holds them for free: node 0 enters
+    no other pivot.  A count-only call on cyclic systems on one mesh that
+    share the couplings and the wrap also takes them as a stack
+    (``BandOperator``): then the rows run over (system, shift), system by
+    system, each equal to the system's own call at the shift.
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
-    stack = op.diag.ndim > op.dim
     if op.cyclic and not logdet:
-        counts, below = _reduced_counts(op, shifts)
-        if dirichlet:
-            return (counts if op.ladder else counts[:, 0]), below
-        out = [[(c, None) for c in row] if op.ladder else (row[0], None)
-               for row in counts.tolist()]
-    elif dirichlet:
-        raise ValidationError("a Dirichlet count comes only with the "
-                              "count-only reduction of a cyclic operator")
-    elif stack:
+        return _reduced_counts(op, shifts)
+    if op.diag.ndim > op.dim:
         raise ValidationError("only the count-only reduction of cyclic "
                               "operators takes a stack of systems")
-    else:
-        kernel, lists = _kernel(op)
-        out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
-    return out if more or stack else out[0]
+    kernel, lists = _kernel(op)
+    out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
+    if not logdet:
+        return np.array([[c] for c, _ in out]), None
+    return out if more else out[0]
 
 
 def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
            logdet: bool):
-    """``inertia`` at one shift; a pivot breakdown or a non-finite log|det|
-    (pivot sum, without ``logdet``) moves the shift (``_retry_shift``) and
-    sweeps again."""
+    """``inertia`` at one shift, without ``logdet`` the pivot sum in
+    place of log|det|; a pivot breakdown or a non-finite log|det| (pivot
+    sum) moves the shift (``_retry_shift``) and sweeps again."""
     for attempt in range(4):
         shift = _retry_shift(op, sigma, attempt) if attempt else sigma
         try:
@@ -660,9 +653,7 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all
         if isfinite(out[1]):
-            if op.ladder:
-                return _finish_ladder(op, sigma, out)
-            return out if logdet else (out[0], None)
+            return _finish_ladder(op, sigma, out) if op.ladder else out
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
 
 

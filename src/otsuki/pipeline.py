@@ -147,14 +147,14 @@ def _count_family(traj: Trajectory, n: int, method: str):
     ``form`` is the boundary form, the EdwardsInapplicableError that
     refused it ('edwards' raises it) or None; rows not counted are None.
 
-    The boundary form's gate reads the Dirichlet counts at the zone ends
-    from a reduction instead of sweeping the Dirichlet operators itself
+    The boundary form's gate takes the Dirichlet count that a reduction
+    settled, if any, instead of sweeping the Dirichlet operators itself
     (``edwards.dirichlet_negative_count``).  Under 'both' the direct
-    ladder of mode l, counted first, holds them, so where both routes
+    ladder of mode l, counted first, settles it, so where both routes
     raise at the same l, the direct route's error surfaces.  Under
     'edwards' one reduction per mesh of the stack of both modes' twisted
-    operators at omega = 1 holds them (``spectral._dirichlet_ends``); if
-    it raises, each gate counts alone, and any error surfaces there."""
+    operators at omega = 1 settles it (``spectral._dirichlet_ends``); if
+    that raises, each gate counts alone, and any error surfaces there."""
     q = traj.family.rotation.q
     chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
                     for chan in (1, 2))
@@ -173,7 +173,7 @@ def _count_family(traj: Trajectory, n: int, method: str):
             direct_rows, dirichlet = direct_twisted_counts(l, traj, n)
         if method != "direct":
             try:
-                form = boundary_form(l, traj, n=n, ends=dirichlet)
+                form = boundary_form(l, traj, n=n, known=dirichlet)
                 edwards_rows = aggregate_roots(form, q)
             except EdwardsInapplicableError as exc:
                 if method == "edwards":

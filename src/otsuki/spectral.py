@@ -27,13 +27,15 @@ single system, whose sweeps cost per shift, its windows only once its
 zone holds eigenvalues.  Location sweeps the four zone ends again with
 log|det|, for a ladder on the sub-ladder of the twists it locates.  One
 classifier (``_zone_rows``) serves a single system and a twist ladder
-alike, each sweep once for every twist that reads it, and settles a
+alike, reading the one result of a count-only sweep, (counts, Dirichlet
+counts), each sweep once for every twist that reads it, and settles a
 ladder's twists as array expressions.  A ladder's reduction also counts
-the Dirichlet problem of its system at the zone ends; the boundary-form
-route's gate reads those of modes 1 and 2 under 'both'.  Under
-'edwards', which sweeps no ladder of modes 1 and 2, one count-only
-reduction per mesh of the stack of their twisted operators at omega = 1
-counts both Dirichlet problems there (``_dirichlet_ends``).
+the Dirichlet problem of its system at the zone ends, and ``_settled``
+makes those four counts one, or None unless they agree; the
+boundary-form route's gate reads that count of modes 1 and 2 under
+'both'.  Under 'edwards', which sweeps no ladder of modes 1 and 2, one
+count-only reduction per mesh of the stack of their twisted operators
+at omega = 1 counts both Dirichlet problems there (``_dirichlet_ends``).
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -147,10 +149,10 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     the level for each twist of ``ladder`` (rows of wrap multipliers that
     replace the system's), or one row for the system alone; k counts the
     eigenvalues in the mesh-n zone (level - zone, level + zone].  For a
-    ladder, dirichlet holds the (below, top) counts at the zone ends on
-    the meshes n and 2n of the Dirichlet problem of the same system,
-    by-products of the ladder's reduction (``inertia(..., dirichlet=True)``),
-    -1 where a pivot of it broke down; for a system alone it is None.
+    ladder, dirichlet is the count below the zone of the Dirichlet problem
+    of the same system, read from the by-products of the ladder's
+    reductions (``_settled``), or None where they do not settle it; for a
+    system alone it is None.
 
     Each sweep serves every twist: the zone ends, the windows of a mesh,
     the ends with log|det| for location.  A ladder sweeps each mesh's
@@ -167,10 +169,6 @@ def _zone_rows(system: SLSystem, n: int, level: float,
         op = system.operator(k)
         return op if mult is None else replace(op, wrap_mult=mult)
 
-    def counted(op, *shifts) -> np.ndarray:
-        """The counts of a single system at the shifts, as one row."""
-        return np.array([[c for c, _ in inertia(op, *shifts, logdet=False)]])
-
     ops = operator(n), operator(2 * n)
     zone = _zone(system, n)
     lo, hi = level - zone, level + zone
@@ -178,15 +176,11 @@ def _zone_rows(system: SLSystem, n: int, level: float,
                for shifts in _WINDOW_SHIFTS]
     # one row per twist, one column per shift: the zone ends, then for a
     # ladder the windows
-    if ladder is None:
-        ends, dirichlet = [counted(op, lo, hi) for op in ops], None
-    else:
-        ends, dirichlet = [], []
-        for op, shifts in zip(ops, windows):
-            counts, below_top = inertia(op, lo, hi, *shifts, logdet=False,
-                                        dirichlet=True)
-            ends.append(counts.T)
-            dirichlet.append(tuple(below_top[:2].tolist()))
+    sweeps = [inertia(op, lo, hi, *(() if ladder is None else shifts),
+                      logdet=False) for op, shifts in zip(ops, windows)]
+    ends = [counts.T for counts, _ in sweeps]
+    dirichlet = (None if ladder is None
+                 else _settled([below_top[:2] for _, below_top in sweeps]))
     (below, top), (below2, top2) = ends[0][:, :2].T, ends[1][:, :2].T
     k = top - below
     faults = np.flatnonzero((below != below2) | (top2 - below != k))
@@ -200,7 +194,7 @@ def _zone_rows(system: SLSystem, n: int, level: float,
         if not passing[:stop].any():
             break
         window = (ends[mesh][:, 2:] if ladder is not None
-                  else counted(ops[mesh], *windows[mesh]))
+                  else inertia(ops[mesh], *windows[mesh], logdet=False)[0].T)
         passing &= (window[:, 0] == below) & (window[:, 1] == below + k)
     need = np.flatnonzero((k != 0) & ~passing)
     need = need[need < stop].tolist()
@@ -237,6 +231,14 @@ def _zone_rows(system: SLSystem, n: int, level: float,
             raise AmbiguousClassificationError(
                 f"{exc} (l = {system.l}, twist r = {r})") from exc
     return rows, dirichlet
+
+
+def _settled(ends) -> Optional[int]:
+    """The Dirichlet count below the zone, from ``ends``, its counts at the
+    zone ends on the meshes n and 2n, when all agree, so the zone is empty
+    on both meshes, and none broke down (-1); else None."""
+    values = set(np.ravel(ends).tolist())
+    return values.pop() if len(values) == 1 and -1 not in values else None
 
 
 def _zero_classes(lam, level: float, err: float) -> np.ndarray:
@@ -299,7 +301,7 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
         raise ValidationError(f"cutoff must be finite, got {cutoff}")
     op, top = system.operator(n), cutoff + ZONE
     if (-replace(op, diag=-op.diag).gershgorin_lower() <= top
-            or inertia(op, top, logdet=False)[0] == op.m * op.dim):
+            or inertia(op, top, logdet=False)[0][0, 0] == op.m * op.dim):
         raise ValidationError(
             f"cutoff {cutoff:g} leaves no eigenvalue of the mesh-{n} "
             f"operator above {top:g}; a listing that high needs a finer "
@@ -344,7 +346,7 @@ def ladder_counts(build, traj: Trajectory, n: int,
 
 
 def _ladder(build, traj: Trajectory, n: int, level: float) -> tuple:
-    """(the ``ladder_counts`` rows, the Dirichlet counts that ``_zone_rows``
+    """(the ``ladder_counts`` rows, the Dirichlet count that ``_zone_rows``
     hands out with them)."""
     q = traj.family.rotation.q
     system = build(traj, BoundaryCondition.twisted(1.0))
@@ -365,22 +367,22 @@ def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
 
 
 def direct_twisted_counts(l: int, traj: Trajectory,
-                          n: int) -> tuple[np.ndarray, list]:
+                          n: int) -> tuple[np.ndarray, Optional[int]]:
     """(rows, dirichlet): the (2q, 2) array of (negative, zero) of the
     omega-twisted mode-l block on [0, T], row r for omega =
-    exp(i pi r / q), r = 0..2q-1, and the (below, top) counts of the
-    Dirichlet mode-l block at the zone ends on the meshes n and 2n.
+    exp(i pi r / q), r = 0..2q-1, and the negative count of the Dirichlet
+    mode-l block when the zone is empty on both meshes, else None.
 
     The Dirichlet block has the twisted blocks' length T, so the same
     zone, and its operator is theirs with node 0 deleted: the ladder's
     reduction counts it at the zone ends for free (``_zone_rows``), and
-    ``edwards.dirichlet_negative_count`` takes these counts as its
-    ``ends``."""
+    ``edwards.dirichlet_negative_count`` takes the settled count as
+    ``known``."""
     return _ladder(partial(fourier_block_system, l), traj, n, 0.0)
 
 
 def _dirichlet_ends(traj: Trajectory, n: int) -> dict:
-    """{l: the Dirichlet counts of ``direct_twisted_counts``} for l = 1, 2,
+    """{l: the Dirichlet count of ``direct_twisted_counts``} for l = 1, 2,
     without their ladders: on each mesh, one count-only reduction of the
     stack of the two modes' twisted operators at omega = 1, whose
     Dirichlet counts at the zone ends are those of the Dirichlet blocks.
@@ -396,10 +398,10 @@ def _dirichlet_ends(traj: Trajectory, n: int) -> dict:
         ops = [system.discretize(m) for system in systems]
         return replace(ops[0], diag=np.stack([op.diag for op in ops], axis=1))
 
-    meshes = [inertia(stack(k * n), -zone, zone, logdet=False,
-                      dirichlet=True)[1].reshape(2, 2).tolist()
-              for k in (1, 2)]
-    return {l: [tuple(mesh[j]) for mesh in meshes] for j, l in enumerate((1, 2))}
+    # axes: mesh, mode, zone end
+    ends = np.stack([inertia(stack(k * n), -zone, zone,
+                             logdet=False)[1].reshape(2, 2) for k in (1, 2)])
+    return {l: _settled(ends[:, j]) for j, l in enumerate((1, 2))}
 
 
 def spectral_index(traj: Trajectory, n: int, channel2) -> int:

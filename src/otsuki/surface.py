@@ -246,7 +246,8 @@ def fourier_block_system(l: int, traj: Trajectory,
                          bc: BoundaryCondition) -> SLSystem:
     """The coupled 2x2 system of Fourier mode l on [0, T]."""
     if l < 1:
-        raise ValidationError("the coupled block needs l >= 1; l = 0 decouples")
+        raise ValidationError(f"the coupled block needs l >= 1, got l = {l}; "
+                              "l = 0 decouples")
     return _system(2, l, traj, bc, lambda t: separated_coefficients(l, traj, t))
 
 

@@ -643,8 +643,7 @@ class TestApplicabilityGate:
         zone = spectral._zone(fourier_block_system(
             1, family_trajectory(solve_parameter(2, 3), 512),
             BoundaryCondition.dirichlet()), 512)
-        assert stacks == [(m, (-zone, zone),
-                           {"logdet": False, "dirichlet": True})
+        assert stacks == [(m, (-zone, zone), {"logdet": False})
                           for m in (512, 1024)]
         want.pop("timestamp")
         got.pop("timestamp")
@@ -682,22 +681,48 @@ class TestApplicabilityGate:
         assert [op.m for op in located] == ([511, 511] if case == "populated"
                                             else [])
 
-    @pytest.mark.parametrize("ends", [
-        [(1, 2), (1, 2)], [(1, 1), (0, 0)], [(1, 1), (1, -1)],
-        [(-1, -1), (-1, -1)]],
-        ids=["populated", "meshes-disagree", "broke-down", "all-broke-down"])
-    def test_gate_counts_alone_unless_the_ends_agree(self, traj23, ends,
+    @pytest.mark.parametrize("case", ["settled", "populated",
+                                      "meshes-disagree", "broke-down",
+                                      "all-broke-down"])
+    def test_gate_counts_alone_unless_the_ends_agree(self, traj23, case,
+                                                     monkeypatch,
                                                      count_sweeps):
-        # ends that do not read one empty zone on both meshes leave the
-        # gate to its own four sweeps; agreeing ends leave it none
+        # the direct ladder's reductions settle the Dirichlet count only
+        # when its four counts at the zone ends, both ends on both meshes,
+        # agree and none broke down (-1); a populated zone (half-width 1.1
+        # holds the eigenvalue nearest zero), counts that change with the
+        # mesh, or one or all counts that broke down leave None.  Given
+        # None the gate counts alone, sweeping what the unassisted gate
+        # sweeps; given the settled count it sweeps nothing; the count and
+        # the margin are the unassisted gate's either way
+        inertia = spectral.inertia
+
+        def tampered(op, *shifts, **kwargs):
+            out = inertia(op, *shifts, **kwargs)
+            if not op.ladder or kwargs.get("logdet", True):
+                return out
+            counts, dirichlet = out
+            if case == "meshes-disagree" and op.m == 1024:
+                dirichlet = dirichlet + 1
+            if case == "broke-down" and op.m == 512:
+                dirichlet = np.where(np.arange(len(dirichlet)) == 1, -1,
+                                     dirichlet)
+            if case == "all-broke-down":
+                dirichlet = np.full_like(dirichlet, -1)
+            return counts, dirichlet
+
+        if case == "populated":
+            monkeypatch.setattr(spectral, "ZONE", 1.1)
         want = dirichlet_negative_count(1, traj23, n=512)
+        alone = [(sigma, logdet) for _, sigma, logdet in count_sweeps]
+        monkeypatch.setattr(spectral, "inertia", tampered)
+        known = direct_twisted_counts(1, traj23, 512)[1]
+        assert known == (want.negative if case == "settled" else None)
         count_sweeps.clear()
-        assert dirichlet_negative_count(1, traj23, 512, ends) == want
-        assert len(count_sweeps) == 4
-        count_sweeps.clear()
-        agreed = dirichlet_negative_count(1, traj23, 512, [(1, 1), (1, 1)])
-        assert agreed == want and not count_sweeps
-        assert agreed.margin == want.margin
+        got = dirichlet_negative_count(1, traj23, 512, known)
+        assert [(sigma, logdet) for _, sigma, logdet in count_sweeps] == (
+            [] if case == "settled" else alone)
+        assert got == want and got.margin == want.margin
 
     def test_dirichlet_checked_once(self, traj23, monkeypatch):
         calls = []

@@ -45,6 +45,19 @@ BCS = [BoundaryCondition.periodic(), BoundaryCondition.antiperiodic(),
        BoundaryCondition.twisted(1j), BoundaryCondition.dirichlet()]
 
 
+def _rows(out) -> list:
+    """A count-only ``inertia`` result as one (counts, Dirichlet count)
+    pair per row, the Dirichlet count None for a band operator."""
+    counts, dirichlet = out
+    below = [None] * len(counts) if dirichlet is None else dirichlet.tolist()
+    return list(zip(counts.tolist(), below))
+
+
+def _alone(op, shifts) -> list:
+    """``_rows`` of each shift's own count-only call, in order."""
+    return [row for s in shifts for row in _rows(inertia(op, s, logdet=False))]
+
+
 def _bc_id(bc):
     return "twisted_i" if bc.omega == 1j else bc.kind
 
@@ -69,12 +82,14 @@ def test_inertia_matches_dense(dim, bc):
     shifts = (-3.0, -0.42, 0.0, 0.17, 2.0, 11.0)
     for sigma in shifts:
         assert inertia(op, sigma)[0] == int((w < sigma).sum())
-        assert inertia(op, sigma, logdet=False) == (inertia(op, sigma)[0], None)
+        counts, dirichlet = inertia(op, sigma, logdet=False)
+        assert counts.tolist() == [[inertia(op, sigma)[0]]]
+        # only the reduction of a cyclic operator counts a Dirichlet block
+        assert (dirichlet is None) == (bc.kind == "dirichlet")
     # several shifts in one call, an even or odd number, sweep each bit for bit
     for some in (shifts, shifts[1:]):
         assert inertia(op, *some) == [inertia(op, s) for s in some]
-        assert inertia(op, *some, logdet=False) == [
-            inertia(op, s, logdet=False) for s in some]
+        assert _rows(inertia(op, *some, logdet=False)) == _alone(op, some)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -263,7 +278,8 @@ def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
             op, monkeypatch)
         got = inertia(op, *shifts, logdet=logdet)
         monkeypatch.undo()
-        assert got == (want if logdet else [(c, None) for c, _ in want])
+        assert (got if logdet else got[0].tolist()) == (
+            want if logdet else [[c] for c, _ in want])
         assert swept == ([shifts, (nudged,)] if reduced else
                          [(s, logdet) for s in (0.17, bad, nudged, -0.42)])
 
@@ -322,7 +338,7 @@ def test_a_retry_moves_the_pivots_of_large_entries(cyclic):
     assert int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum()) == 1
     assert [inertia(op, s)[0] for s in (-1e-9, 1e-9)] == [1, 1]
     assert inertia(op, 0.0)[0] == 1
-    assert inertia(op, 0.0, logdet=False) == (1, None)
+    assert inertia(op, 0.0, logdet=False)[0].tolist() == [[1]]
 
 
 @pytest.mark.parametrize("dim,bc", [
@@ -339,10 +355,13 @@ def test_a_numpy_shift_reaches_the_kernel_as_a_float(dim, bc, monkeypatch):
         swept = _record_kernel(op, monkeypatch)
         got = inertia(op, *map(np.float64, shifts), logdet=logdet)
         monkeypatch.undo()
+        if not logdet:
+            want, got = _rows(want), _rows(got)
         assert got == want
         if not (op.cyclic and not logdet):
             assert [type(s) for s, _ in swept] == [float, float]
-        assert inertia(op, np.float64(shifts[0]), logdet=logdet) == want[0]
+        one = inertia(op, np.float64(shifts[0]), logdet=logdet)
+        assert (one if logdet else _rows(one)[0]) == want[0]
 
 
 def _twisted_operators(build, traj, m):
@@ -357,13 +376,13 @@ def _ladder(ops):
 
 def _assert_counts_alone_match(ladder, ops, shifts):
     """The multi-shift ladder call sweeps each shift as alone, and its
-    count-only results are (count, None) of each twist's own sweep."""
+    count-only counts are those of each twist's own sweep."""
     want = [inertia(ladder, s) for s in shifts]
     assert inertia(ladder, *shifts) == want
-    counts = [[(c, None) for c, _ in out] for out in want]
-    assert inertia(ladder, *shifts, logdet=False) == counts
+    counts = [[c for c, _ in out] for out in want]
+    assert inertia(ladder, *shifts, logdet=False)[0].tolist() == counts
     for sigma, got in zip(shifts, counts):
-        assert [inertia(op, sigma, logdet=False) for op in ops] == got
+        assert [inertia(op, sigma, logdet=False)[0].item() for op in ops] == got
 
 
 SCALAR_SYSTEMS = {"channel1": partial(l0_channel_system, 1),
@@ -471,7 +490,8 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
         finished.clear()
         swept.clear()
         got = eigencount.inertia(ladder, sigma, logdet=logdet)
-        assert got == (want if logdet else [(c, None) for c, _ in want])
+        assert (got if logdet else got[0].tolist()) == (
+            want if logdet else [[c for c, _ in want]])
         assert swept == [(ladder.wrap_mult.tolist(), logdet), (target, logdet)]
         # every twist is finished once from the shared loop or reduction,
         # and the failed one again alone
@@ -495,9 +515,9 @@ def test_counts_of_cyclic_operators_skip_the_sweep(traj58, monkeypatch):
     monkeypatch.setattr(eigencount, "_inertia_d2_cyclic", forbidden)
     for op, end in zip(ops, want):
         got = inertia(op, -0.42, 0.0, 2.0, logdet=False)
-        assert got == ([[(c, None) for c, _ in out] for out in end]
-                       if op.ladder else [(c, None) for c, _ in end])
-        assert inertia(op, 0.0, logdet=False) == got[1]
+        assert got[0].tolist() == [[c for c, _ in out] if op.ladder
+                                   else [out[0]] for out in end]
+        assert _rows(inertia(op, 0.0, logdet=False)) == _rows(got)[1:2]
 
 
 REDUCTION_SYSTEMS = {**SCALAR_SYSTEMS,
@@ -522,17 +542,17 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
         for m in (1024, 4096):
             ladder = replace(system.discretize(m), wrap_mult=mults)
             kernel, lists = eigencount._kernel(ladder)
-            want = [[(c, None) for c, _ in
+            want = [[c for c, _ in
                      eigencount._sweep(ladder, kernel, lists, s, True)]
                     for s in shifts]
             got = inertia(ladder, *shifts, logdet=False)
-            assert got == want
+            assert got[0].tolist() == want
             # each shift is reduced as alone, each twist as alone
-            assert [inertia(ladder, s, logdet=False) for s in shifts] == got
+            assert _rows(got) == _alone(ladder, shifts)
             for r in (0, q // 2, q):
                 alone = replace(ladder, wrap_mult=mults[r])
-                assert [inertia(alone, s, logdet=False) for s in shifts] == [
-                    out[r] for out in got]
+                assert _alone(alone, shifts) == [
+                    ([c[r]], d) for c, d in _rows(got)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -548,20 +568,9 @@ def test_reduction_counts_the_dirichlet_operator(dim, bc):
                              .discretize(256).to_dense())
     above = np.concatenate((lam[:4], np.linalg.eigvalsh(op.to_dense())[:4]))
     shifts = (-3.0, -0.42, 0.0, 0.17, 2.5, 40.0, *(above + 1e-6).tolist())
-    got, counts = inertia(op, *shifts, logdet=False, dirichlet=True)
-    assert [(c, None) for c in got.tolist()] == inertia(op, *shifts,
-                                                        logdet=False)
-    assert counts.tolist() == [int((lam < s).sum()) for s in shifts]
-    one = inertia(op, 0.17, logdet=False, dirichlet=True)
-    assert [a.tolist() for a in one] == [[got[3]], [counts[3]]]
-
-
-def test_dirichlet_count_needs_the_reduction():
-    cyclic = _wavy_system(2, BoundaryCondition.periodic()).discretize(256)
-    band = _wavy_system(2, BoundaryCondition.dirichlet()).discretize(256)
-    for op, logdet in ((cyclic, True), (band, False), (band, True)):
-        with pytest.raises(ValidationError):
-            inertia(op, 0.0, logdet=logdet, dirichlet=True)
+    got = inertia(op, *shifts, logdet=False)
+    assert got[1].tolist() == [int((lam < s).sum()) for s in shifts]
+    assert _rows(inertia(op, 0.17, logdet=False)) == _rows(got)[3:4]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -577,11 +586,10 @@ def test_a_retried_shift_gives_both_counts(dim, monkeypatch):
     dirichlet = replace(op, diag=op.diag[1:], off=op.off[1:], wrap_off=None,
                         wrap_mult=None)
     swept = _record_reduction(op, monkeypatch)
-    got, counts = inertia(op, 0.17, bad, logdet=False, dirichlet=True)
+    got, counts = inertia(op, 0.17, bad, logdet=False)
     monkeypatch.undo()
     assert swept == [(0.17, bad), (nudged,)]
-    assert [(c, None) for c in got.tolist()] == inertia(op, 0.17, nudged,
-                                                        logdet=False)
+    assert got.tolist() == inertia(op, 0.17, nudged, logdet=False)[0].tolist()
     assert counts.tolist() == [inertia(dirichlet, s)[0]
                                for s in (0.17, nudged)]
 
@@ -616,23 +624,22 @@ def test_ladder_reduction_counts_the_dirichlet_block(p, q):
         shifts = (-zone, zone, *(s * spectral._WINDOW for pair
                                  in spectral._WINDOW_SHIFTS for s in pair),
                   -0.3, 0.0)
-        ends = []
+        ends = {1: set(), 2: set()}
         for k in (1, 2):
-            want = [[c for c, _ in inertia(system.operator(k * n), *shifts,
-                                           logdet=False)]
+            want = [inertia(system.operator(k * n), *shifts,
+                            logdet=False)[0][:, 0].tolist()
                     for system in dirichlet]
             ops = [system.operator(k * n) for system in twisted]
             for l, op in zip((1, 2), ops):
                 ladder = replace(op, wrap_mult=mults)
-                _, got = inertia(ladder, *shifts, logdet=False,
-                                 dirichlet=True)
+                got = inertia(ladder, *shifts, logdet=False)[1]
                 assert got.tolist() == want[l - 1], (n, l, k)
-            _, got = inertia(_stack(ops), *shifts, logdet=False,
-                             dirichlet=True)
+                ends[l].update(want[l - 1][:2])
+            got = inertia(_stack(ops), *shifts, logdet=False)[1]
             assert got.tolist() == want[0] + want[1], (n, k)
-            ends.append([tuple(counts[:2]) for counts in want])
+        # the gate's count: the one count at both zone ends of both meshes
         assert spectral._dirichlet_ends(traj, n) == {
-            l: [mesh[l - 1] for mesh in ends] for l in (1, 2)}
+            l: ends[l].pop() if len(ends[l]) == 1 else None for l in (1, 2)}
 
 
 def _reduction_lists(op, diag):
@@ -684,19 +691,14 @@ def test_a_stack_retries_a_row_as_its_system_alone(dim, monkeypatch):
     nudged = eigencount._retry_shift(breaking, bad, 1)
     assert nudged != eigencount._retry_shift(other, bad, 1)
     shifts = (0.17, bad)
-    want = [inertia(op, s, logdet=False, dirichlet=True)
-            for op in (other, breaking) for s in shifts]
+    want = [row for op in (other, breaking) for row in _alone(op, shifts)]
     stack = _stack([other, breaking])
     swept = _record_reduction(stack, monkeypatch)
-    got, counts = inertia(stack, *shifts, logdet=False, dirichlet=True)
+    got = inertia(stack, *shifts, logdet=False)
     monkeypatch.undo()
     assert swept == [shifts * 2, (nudged,)]
-    assert got.tolist() == [int(c[0]) for c, _ in want]
-    assert counts.tolist() == [int(d[0]) for _, d in want]
-    assert inertia(stack, *shifts, logdet=False) == [
-        (c, None) for c in got.tolist()]
-    assert inertia(stack, bad, logdet=False) == [(got[1], None),
-                                                 (got[3], None)]
+    assert _rows(got) == want
+    assert _rows(inertia(stack, bad, logdet=False)) == [want[1], want[3]]
     with pytest.raises(ValidationError):
         inertia(stack, 0.17)
 

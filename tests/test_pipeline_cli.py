@@ -631,6 +631,15 @@ class TestCli:
         assert out == "" and err == (
             "error: --channel selects an l = 0 channel; l = 1 has none\n")
 
+    def test_negative_l_exits_1_naming_it(self, capsys):
+        code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "-1",
+                        "--n", "256"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: the coupled block needs l >= 1, got l = -1; "
+            "l = 0 decouples\n")
+
     def test_twisted_spectrum_echoes_its_index(self, capsys):
         code = run_cli(["spectrum", "--p", "2", "--q", "3", "--l", "1",
                         "--bc", "twisted", "--omega-index", "5",
