@@ -26,9 +26,10 @@ two routes so share the pivots of the Dirichlet offset of every count,
 and a defect there would reach both alike.  What keeps that offset
 honest is a tier-1 oracle
 (``test_ladder_reduction_counts_the_dirichlet_block``), which checks
-both reductions' counts against the band sweep in node order, the other
-elimination order.  The gate runs that sweep itself only when it is
-called alone (``otsuki edwards``) or it knows no count.
+both reductions' counts, and those of the Dirichlet operator's own
+reduction, against the band sweep in node order, the other elimination
+order.  When the gate is called alone (``otsuki edwards``) or knows no
+count, it counts the Dirichlet operator by that reduction of its own.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
     the zone is empty on both meshes, so the gate then sweeps and
     discretizes nothing.  With None (a populated zone, a mesh
     disagreement, a count that broke down, or no reduction) the decision,
-    and every message, is left to the classifier's own node-order sweeps
-    of the Dirichlet system.
+    and every message, is left to the classifier's own count-only
+    reductions of the Dirichlet system.
     """
     system = fourier_block_system(l, traj, BoundaryCondition.dirichlet())
     if known is not None:

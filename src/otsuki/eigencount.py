@@ -6,24 +6,23 @@ wrap-around block for periodic-type boundary conditions.  Symmetric
 block elimination of A - sigma*I is a congruence transform, so the signs
 of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
-A count needs only the signs; log|det| costs a logarithm per pivot, and
-only locating an eigenvalue reads it, so ``inertia`` takes it on request.
-log|det|, and the counts of band operators, come from one O(n) sweep in
-node order; the wrap-around entries only ever fill the last block row,
-so the sweep runs in real arithmetic and the unit-modulus wrap multipliers
-enter only the last Schur complement.  The counts of cyclic operators
-come from odd-even (cyclic) reduction in numpy instead: the same
-congruence eliminated in another order, so Sylvester gives the same
-count.  Its log2(m) levels each eliminate every other node, for all the
-shifts of a call at once, in real arithmetic, and keep the two nodes
-that the wrap joins to the end.  Until node 0 enters, the reduction is
-also one of the operator with node 0 deleted, the Dirichlet operator of
-the same mesh: every count-only call returns (counts, Dirichlet
-counts), the latter None for a band operator.  Cyclic systems on one
-mesh that share the couplings and the wrap reduce as one stack, a row
-per (system, shift), each row bit for bit its system reduced alone: so
-one call counts the Dirichlet blocks of modes 1 and 2 for the
-boundary-form route's gate.
+Every count comes from odd-even (cyclic) reduction in numpy: its
+log2(m) levels each eliminate every other node, for all the shifts of a
+call at once, in real arithmetic, and keep the two nodes that the wrap
+joins to the end; a band operator is reduced as a cyclic one with no
+wrap.  Until node 0 enters, the reduction is also one of the operator
+with node 0 deleted, the Dirichlet operator of the same mesh: every
+count-only call returns (counts, Dirichlet counts), the latter None for
+a band operator.  Systems on one mesh that share the couplings and the
+wrap reduce as one stack, a row per (system, shift), each row bit for
+bit its system reduced alone: so one call counts the Dirichlet blocks
+of modes 1 and 2 for the boundary-form route's gate.  Only locating an
+eigenvalue reads log|det|, which ``inertia`` takes on request from one
+O(n) sweep in node order: the same congruence eliminated in another
+order, so Sylvester gives it the same count.  The wrap-around entries
+only ever fill the last block row, so the sweep runs in real arithmetic
+and the unit-modulus wrap multipliers enter only the last Schur
+complement.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -67,8 +66,8 @@ class BandOperator:
     (m-1, 0) block equals wrap_off * diag(wrap_mult).  A cyclic operator
     may carry a twist ladder instead: ``wrap_mult`` a (twists, dim) array,
     a row of multipliers per twist, which ``inertia`` counts all at once.
-    Cyclic systems on one mesh that share ``off`` and the wrap may form a
-    stack for a count-only ``inertia`` call: ``diag`` then has a systems
+    Systems on one mesh that share ``off`` and the wrap, if any, may form
+    a stack for a count-only ``inertia`` call: ``diag`` then has a systems
     axis after the nodes, shape (m, systems) or (m, systems, 3), and
     ``m``, ``dim`` and ``cyclic`` describe each system.
     """
@@ -143,18 +142,13 @@ class BandOperator:
 # ---------------------------------------------------------------------------
 # inertia sweeps
 #
-# These sweeps give every log|det|, and the counts of band operators; the
-# counts of cyclic operators come from the reduction further down.  Each
-# sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its
-# end state before the last Schur complement, which ``_finish_d1`` or
-# ``_finish_d2_cyclic`` completes for one twist.  The determinant is the
-# product of the pivot determinants, so its log is one accumulation per
-# pivot; a non-finite pivot leaves a non-finite sum, which ``inertia``
-# treats like a zero pivot.  A count takes no logarithm: without
-# ``logdet`` the loop sums the raw pivot determinants instead, and that
-# sum, finite unless a pivot is infinite or the pivots add up past the
-# float range, gets the same check.  Only the last pivot, outside the
-# loop, takes its log in both modes.  The hot loops inline
+# These sweeps give every log|det|; every count comes from the reduction
+# further down.  Each sweep returns (count, log|det(A - sigma I)|), a
+# cyclic kernel its end state before the last Schur complement, which
+# ``_finish_d1`` or ``_finish_d2_cyclic`` completes for one twist.  The
+# determinant is the product of the pivot determinants, so its log is one
+# accumulation per pivot; a non-finite pivot leaves a non-finite sum,
+# which ``inertia`` treats like a zero pivot.  The hot loops inline
 # ``_pivot``/``_block`` and do real arithmetic only.
 #
 # A cyclic sweep eliminates the rows in order, as a band sweep does, and
@@ -191,7 +185,7 @@ def _block(det, s11):
     raise _PivotBreakdown
 
 
-def _inertia_d1(d, e, w_off, sigma, logdet):
+def _inertia_d1(d, e, w_off, sigma):
     m = len(d)
     neg = 0
     ld = 0.0
@@ -200,10 +194,10 @@ def _inertia_d1(d, e, w_off, sigma, logdet):
     b = d[m - 1] - sigma
     for ej, dj in zip(e, d[1:m - 1]):
         if s > 0.0:
-            ld += log(s) if logdet else s
+            ld += log(s)
         elif s < 0.0:
             neg += 1
-            ld += log(-s) if logdet else s
+            ld += log(-s)
         else:
             raise _PivotBreakdown
         b -= r * r / s
@@ -222,19 +216,19 @@ def _finish_d1(end, w):
     return neg + cb, ld + lb
 
 
-def _inertia_d2_band(d11, d12, d22, e, sigma, logdet):
+def _inertia_d2_band(d11, d12, d22, e, sigma):
     neg = 0
     ld = 0.0
     s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
     for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
-            ld += log(det) if logdet else det
+            ld += log(det)
             if s11 < 0.0:
                 neg += 2
         elif det < 0.0:
             neg += 1
-            ld += log(-det) if logdet else det
+            ld += log(-det)
         else:
             raise _PivotBreakdown
         ee = ej * ej / det
@@ -245,7 +239,7 @@ def _inertia_d2_band(d11, d12, d22, e, sigma, logdet):
     return neg + c, ld + l
 
 
-def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma, logdet):
+def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
     m = len(d11)
     neg = 0
     ld = 0.0
@@ -256,12 +250,12 @@ def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma, logdet):
                                  d22[1:m - 1]):
         det = s11 * s22 - s12 * s12
         if det > 0.0:
-            ld += log(det) if logdet else det
+            ld += log(det)
             if s11 < 0.0:
                 neg += 2
         elif det < 0.0:
             neg += 1
-            ld += log(-det) if logdet else det
+            ld += log(-det)
         else:
             raise _PivotBreakdown
         x11 = s22 / det
@@ -328,11 +322,12 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# odd-even reduction: counts of cyclic operators
+# odd-even reduction: every count
 #
 # A count is the inertia of A - sigma I, which every order of elimination
-# gives (Sylvester), so a count-only call on a cyclic operator eliminates
-# the nodes in the order of cyclic reduction.  Each level eliminates the
+# gives (Sylvester), so a count-only call eliminates the nodes in the
+# order of cyclic reduction; a band operator is a cyclic one with w_off =
+# 0 and unit multipliers.  Each level eliminates the
 # odd positions among 1..k-2 of the k nodes left, at once: they are not
 # neighbours, so their pivots are independent, and eliminating position
 # p (left coupling L, right coupling R, pivot X^-1) adds -L X L^T and
@@ -547,7 +542,8 @@ def _systems(op: BandOperator) -> list:
 
 def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
     """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
-    by odd-even reduction: (the counts, an int array with a row per
+    by odd-even reduction (a band operator comes with no wrap, w_off = 0
+    and unit multipliers): (the counts, an int array with a row per
     (system, shift), system by system, and a column per twist, one for an
     operator that is no ladder; the Dirichlet count of each row, -1 where
     its last pivot breaks down).
@@ -609,44 +605,43 @@ def inertia(op: BandOperator, sigma: float, *more: float,
 
     Only locating an eigenvalue reads log|det|.  With ``logdet=False``
     the result is (counts, dirichlet), whatever the operator and however
-    many shifts: counts an int array with a row per shift and a column
-    per twist, one column for an operator that is no ladder.  The counts
-    of a band operator come from the same sweep, taking no logarithm per
-    pivot, and dirichlet is None.  Those of a cyclic operator come from
-    odd-even reduction, which eliminates in another order and so gives
-    the same inertia, and dirichlet is an int array with a row per shift:
-    the counts below it of the operator with node 0 deleted, which is the
-    Dirichlet operator of the same system and mesh, -1 where its last
-    pivot breaks down.  The reduction holds them for free: node 0 enters
-    no other pivot.  A count-only call on cyclic systems on one mesh that
-    share the couplings and the wrap also takes them as a stack
-    (``BandOperator``): then the rows run over (system, shift), system by
-    system, each equal to the system's own call at the shift.
+    many shifts, from odd-even reduction, which eliminates in another
+    order and so gives the same inertia: counts an int array with a row
+    per shift and a column per twist, one column for an operator that is
+    no ladder.  For a band operator dirichlet is None; for a cyclic one
+    it is an int array with a row per shift: the counts below it of the
+    operator with node 0 deleted, which is the Dirichlet operator of the
+    same system and mesh, -1 where its last pivot breaks down.  The
+    reduction holds them for free: node 0 enters no other pivot.  A
+    count-only call on systems on one mesh that share the couplings and
+    the wrap also takes them as a stack (``BandOperator``): then the rows
+    run over (system, shift), system by system, each equal to the
+    system's own call at the shift.
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
-    if op.cyclic and not logdet:
-        return _reduced_counts(op, shifts)
-    if op.diag.ndim > op.dim:
-        raise ValidationError("only the count-only reduction of cyclic "
-                              "operators takes a stack of systems")
-    kernel, lists = _kernel(op)
-    out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
     if not logdet:
-        return np.array([[c] for c, _ in out]), None
+        if op.cyclic:
+            return _reduced_counts(op, shifts)
+        no_wrap = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
+        return _reduced_counts(no_wrap, shifts)[0], None
+    if op.diag.ndim > op.dim:
+        raise ValidationError("only a count-only call takes a stack of "
+                              "systems")
+    kernel, lists = _kernel(op)
+    out = [_sweep(op, kernel, lists, s) for s in shifts]
     return out if more else out[0]
 
 
-def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
-           logdet: bool):
-    """``inertia`` at one shift, without ``logdet`` the pivot sum in
-    place of log|det|; a pivot breakdown or a non-finite log|det| (pivot
-    sum) moves the shift (``_retry_shift``) and sweeps again."""
+def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
+    """``inertia`` with log|det| at one shift; a pivot breakdown or a
+    non-finite log|det| moves the shift (``_retry_shift``) and sweeps
+    again."""
     for attempt in range(4):
         shift = _retry_shift(op, sigma, attempt) if attempt else sigma
         try:
-            out = kernel(*lists, shift, logdet)
+            out = kernel(*lists, shift)
             if not op.ladder and (op.dim == 1 or op.cyclic):
                 out = _finish(op, out, op.wrap_mult if op.cyclic else (0.0,))
         except _PivotBreakdown:
@@ -669,9 +664,7 @@ def _retry_shift(op: BandOperator, sigma: float, attempt: int) -> float:
 
 def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
     """Each twist's ``inertia`` result from the shared loop's end state; a
-    twist whose last pivot breaks down is swept again alone.  Only a sweep
-    with log|det| gets here: a count-only ladder is reduced
-    (``_reduced_counts``)."""
+    twist whose last pivot breaks down is swept again alone."""
     out = []
     for w in op.wrap_mult.tolist():     # Python complex: finishes run faster
         try:
@@ -771,11 +764,11 @@ def _secant(op: BandOperator, a: float, b: float, end_a: tuple,
         if steps == 2:
             checkpoint, steps = b - a, 0
         x = min(max(x, a + half), b - half)
-        count, logdet = inertia(op, x)
+        count, ld = inertia(op, x)
         if count <= c:
-            a, la, s = x, logdet, 1.0
+            a, la, s = x, ld, 1.0
         else:
-            b, lb, s = x, logdet, -1.0
-        x0, s0, l0, x1, s1, l1 = x1, s1, l1, x, s, logdet
+            b, lb, s = x, ld, -1.0
+        x0, s0, l0, x1, s1, l1 = x1, s1, l1, x, s, ld
         steps += 1
     return 0.5 * (a + b)

@@ -123,7 +123,10 @@ def _closed_form_counts(p: int, q: int) -> tuple[tuple[int, int], int]:
 
 def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """The family's trajectory for a run at mesh n: 2n nodes, at least 1024
-    and at most 4096."""
+    and at most 4096.  A mesh too large for memory, n > 2**20, is refused
+    here, before any run at it allocates its nodes."""
+    if n > 2**20:
+        raise ValidationError(f"mesh too large: n = {n} > 2**20")
     return sample_trajectory(family, min(4096, max(1024, 2 * n)))
 
 
@@ -148,7 +151,7 @@ def _count_family(traj: Trajectory, n: int, method: str):
     refused it ('edwards' raises it) or None; rows not counted are None.
 
     The boundary form's gate takes the Dirichlet count that a reduction
-    settled, if any, instead of sweeping the Dirichlet operators itself
+    settled, if any, instead of reducing the Dirichlet operators itself
     (``edwards.dirichlet_negative_count``).  Under 'both' the direct
     ladder of mode l, counted first, settles it, so where both routes
     raise at the same l, the direct route's error surfaces.  Under

@@ -20,16 +20,13 @@ from +-TAU_ZERO for the ambiguity and third-mesh rules to fire.  So a
 certified twist counts exactly as if located.  Every other zone
 eigenvalue is located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it).
-Counting reads no determinant, so the zone ends and the windows are
-swept for counts alone: a ladder, whose kernel twists always need the
-windows, sweeps each mesh's zone ends and windows in one call, and a
-single system, whose sweeps cost per shift, its windows only once its
-zone holds eigenvalues.  Location sweeps the four zone ends again with
-log|det|, for a ladder on the sub-ladder of the twists it locates.  One
-classifier (``_zone_rows``) serves a single system and a twist ladder
-alike, reading the one result of a count-only sweep, (counts, Dirichlet
-counts), each sweep once for every twist that reads it, and settles a
-ladder's twists as array expressions.  A ladder's reduction also counts
+Counting reads no determinant, so one classifier (``_zone_rows``)
+counts each mesh's zone ends and windows in one count-only call, one
+reduction for a single system and a twist ladder alike, reads its one
+result, (counts, Dirichlet counts), once for every twist, and settles a
+ladder's twists as array expressions.  Location sweeps the four zone
+ends again with log|det|, for a ladder on the sub-ladder of the twists
+it locates.  A ladder's reduction also counts
 the Dirichlet problem of its system at the zone ends, and ``_settled``
 makes those four counts one, or None unless they agree; the
 boundary-form route's gate reads that count of modes 1 and 2 under
@@ -154,11 +151,9 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     reductions (``_settled``), or None where they do not settle it; for a
     system alone it is None.
 
-    Each sweep serves every twist: the zone ends, the windows of a mesh,
-    the ends with log|det| for location.  A ladder sweeps each mesh's
-    windows in the call that sweeps its zone ends, since its kernel
-    twists need them, and is settled as array expressions over its
-    twists; a single system sweeps its windows on first need.  A twist's
+    Each sweep serves every twist: the zone ends and windows of a mesh,
+    counted in one call, and the ends with log|det| for location; a
+    ladder is settled as array expressions over its twists.  A twist's
     k zone eigenvalues are zero if its window counts read below, below + k
     on both meshes (see the module docstring), else they are located.
     The twists to locate are known before any is located, so one log|det|
@@ -174,10 +169,9 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     lo, hi = level - zone, level + zone
     windows = [[level + s * _WINDOW for s in shifts]
                for shifts in _WINDOW_SHIFTS]
-    # one row per twist, one column per shift: the zone ends, then for a
-    # ladder the windows
-    sweeps = [inertia(op, lo, hi, *(() if ladder is None else shifts),
-                      logdet=False) for op, shifts in zip(ops, windows)]
+    # one row per twist, one column per shift: the zone ends, the windows
+    sweeps = [inertia(op, lo, hi, *shifts, logdet=False)
+              for op, shifts in zip(ops, windows)]
     ends = [counts.T for counts, _ in sweeps]
     dirichlet = (None if ladder is None
                  else _settled([below_top[:2] for _, below_top in sweeps]))
@@ -187,15 +181,9 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     stop = faults[0] if faults.size else len(k)
 
     # a twist's windows certify it if they read below, below + k on both
-    # meshes; a single system sweeps a mesh's windows only while they can
-    # still certify it
-    passing = k != 0
-    for mesh in (0, 1):
-        if not passing[:stop].any():
-            break
-        window = (ends[mesh][:, 2:] if ladder is not None
-                  else inertia(ops[mesh], *windows[mesh], logdet=False)[0].T)
-        passing &= (window[:, 0] == below) & (window[:, 1] == below + k)
+    # meshes
+    passing = np.logical_and.reduce(
+        [(end[:, 2] == below) & (end[:, 3] == below + k) for end in ends])
     need = np.flatnonzero((k != 0) & ~passing)
     need = need[need < stop].tolist()
     rows = np.stack((below, k, k), axis=1)

@@ -533,10 +533,12 @@ class TestApplicabilityGate:
         assert doc["applicability_margin"] == 1.3714980259270306
 
     def test_dirichlet_check_sweeps(self, traj23, count_sweeps):
-        # four shifts count (meshes n and 2n at both zone ends); the mesh-n
-        # zone is empty and covers +-reach, so the gate sweeps nothing more
+        # one count-only call per mesh, n and 2n, at the zone ends and the
+        # two window shifts; the mesh-n zone is empty and covers +-reach,
+        # so the gate sweeps nothing more
         dirichlet_negative_count(1, traj23, n=512)
-        assert len(count_sweeps) == 4
+        assert count_sweeps.calls == [4, 4]
+        assert {logdet for _, _, logdet in count_sweeps} == {False}
 
     def test_dirichlet_gate_locates_when_the_zone_holds_eigenvalues(
             self, traj23, monkeypatch):

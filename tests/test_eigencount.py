@@ -263,34 +263,33 @@ def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
     # the other shifts are swept once each, with log|det| or for counts
     # alone.  The sweep in node order meets the pivot of node 0 first,
     # exactly 0 at sigma = Q11(0) (Q12 = 0 in the split system); the
-    # reduction that counts a cyclic operator keeps node 0 to the end, and
-    # its first level meets the pivot of node 1 as it stands
+    # reduction that counts keeps node 0 to the end, and its first level
+    # meets the pivot of node 1 as it stands
     op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
           ).discretize(256)
     for logdet in (True, False):
-        reduced = op.cyclic and not logdet
-        bad = float(op.diag[int(reduced)] if dim == 1
-                    else op.diag[int(reduced), 0])
+        bad = float(op.diag[int(not logdet)] if dim == 1
+                    else op.diag[int(not logdet), 0])
         nudged = bad + 1e-13 * max(1.0, abs(bad))
         shifts = (0.17, bad, -0.42)
         want = [inertia(op, s) for s in shifts]
-        swept = (_record_reduction if reduced else _record_kernel)(
+        swept = (_record_kernel if logdet else _record_reduction)(
             op, monkeypatch)
         got = inertia(op, *shifts, logdet=logdet)
         monkeypatch.undo()
         assert (got if logdet else got[0].tolist()) == (
             want if logdet else [[c] for c, _ in want])
-        assert swept == ([shifts, (nudged,)] if reduced else
-                         [(s, logdet) for s in (0.17, bad, nudged, -0.42)])
+        assert swept == ([0.17, bad, nudged, -0.42] if logdet
+                         else [shifts, (nudged,)])
 
 
 def _record_kernel(op, monkeypatch):
-    """(sigma, logdet) of every run of the operator's sweep kernel."""
+    """The shift of every run of the operator's sweep kernel."""
     kernel, _ = eigencount._kernel(op)
     swept = []
 
     def recorded(*args):
-        swept.append(args[-2:])
+        swept.append(args[-1])
         return kernel(*args)
 
     monkeypatch.setattr(eigencount, kernel.__name__, recorded)
@@ -311,19 +310,24 @@ def _record_reduction(op, monkeypatch):
     return swept
 
 
-def test_a_count_retries_where_log_det_does(monkeypatch):
-    # the first pivot 1e-300 makes the second -1e10 / 1e-300, which
-    # overflows: log|det| is inf, and the raw pivot sum too
+def test_log_det_retries_where_the_count_needs_none(monkeypatch):
+    # in node order the first pivot 1e-300 makes the second -1e10 / 1e-300,
+    # which overflows: log|det| is inf, and the sweep moves the shift.  The
+    # reduction that counts eliminates node 0 last, so it meets no such
+    # pivot and counts at the shift itself
     op = BandOperator(dim=1, diag=np.array([1e-300] + [1.0] * 9),
                       off=np.array([1e5] * 9))
     count = int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum())
     assert count == 5
     swept = _record_kernel(op, monkeypatch)
-    for logdet in (True, False):
-        swept.clear()
-        got, ld = inertia(op, 0.0, logdet=logdet)
-        assert got == count and (ld is None) == (not logdet)
-        assert swept == [(0.0, logdet), (1e-13, logdet)]
+    got, ld = inertia(op, 0.0)
+    assert got == count and math.isfinite(ld)
+    assert swept == [0.0, 1e-13]
+    monkeypatch.undo()
+    swept = _record_reduction(op, monkeypatch)
+    got, dirichlet = inertia(op, 0.0, logdet=False)
+    assert got.tolist() == [[count]] and dirichlet is None
+    assert swept == [(0.0,)]
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
@@ -352,14 +356,15 @@ def test_a_numpy_shift_reaches_the_kernel_as_a_float(dim, bc, monkeypatch):
     shifts = (0.25, -0.5)
     for logdet in (True, False):
         want = inertia(op, *shifts, logdet=logdet)
-        swept = _record_kernel(op, monkeypatch)
+        swept = (_record_kernel if logdet else _record_reduction)(
+            op, monkeypatch)
         got = inertia(op, *map(np.float64, shifts), logdet=logdet)
         monkeypatch.undo()
         if not logdet:
             want, got = _rows(want), _rows(got)
         assert got == want
-        if not (op.cyclic and not logdet):
-            assert [type(s) for s, _ in swept] == [float, float]
+        assert ([type(s) for s in swept] == [float, float] if logdet
+                else swept == [shifts])
         one = inertia(op, np.float64(shifts[0]), logdet=logdet)
         assert (one if logdet else _rows(one)[0]) == want[0]
 
@@ -500,24 +505,33 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
 
 
 def test_counts_of_cyclic_operators_skip_the_sweep(traj58, monkeypatch):
-    # a count-only call on a cyclic operator, one twist or a ladder, at one
-    # shift or several, runs the odd-even reduction and never the loop
+    # a count-only call on any operator, band or cyclic, one twist, a
+    # ladder or a stack, at one shift or several, runs the odd-even
+    # reduction and never a node loop
     def forbidden(*args):
         raise AssertionError("count-only call ran the sequential sweep")
 
+    shifts = (-0.42, 0.0, 2.0)
     ops = [_wavy_system(dim, bc).discretize(256)
-           for dim in (1, 2) for bc in BCS if bc.kind != "dirichlet"]
+           for dim in (1, 2) for bc in BCS]
     ops += [_ladder(_twisted_operators(build, traj58, 256))
             for build in (partial(l0_channel_system, 1),
                           partial(fourier_block_system, 2))]
-    want = [inertia(op, -0.42, 0.0, 2.0) for op in ops]
-    monkeypatch.setattr(eigencount, "_inertia_d1", forbidden)
-    monkeypatch.setattr(eigencount, "_inertia_d2_cyclic", forbidden)
+    stacks = [[fourier_block_system(l, traj58, bc).discretize(256)
+               for l in (1, 2)] for bc in (BoundaryCondition.twisted(1.0),
+                                           BoundaryCondition.dirichlet())]
+    want = [inertia(op, *shifts) for op in ops]
+    want_stacks = [[[c] for op in stack for c, _ in inertia(op, *shifts)]
+                   for stack in stacks]
+    for kernel in ("_inertia_d1", "_inertia_d2_band", "_inertia_d2_cyclic"):
+        monkeypatch.setattr(eigencount, kernel, forbidden)
     for op, end in zip(ops, want):
-        got = inertia(op, -0.42, 0.0, 2.0, logdet=False)
+        got = inertia(op, *shifts, logdet=False)
         assert got[0].tolist() == [[c for c, _ in out] if op.ladder
                                    else [out[0]] for out in end]
         assert _rows(inertia(op, 0.0, logdet=False)) == _rows(got)[1:2]
+    for stack, end in zip(stacks, want_stacks):
+        assert inertia(_stack(stack), *shifts, logdet=False)[0].tolist() == end
 
 
 REDUCTION_SYSTEMS = {**SCALAR_SYSTEMS,
@@ -542,8 +556,7 @@ def test_reduction_counts_equal_the_sequential_sweep(p, q):
         for m in (1024, 4096):
             ladder = replace(system.discretize(m), wrap_mult=mults)
             kernel, lists = eigencount._kernel(ladder)
-            want = [[c for c, _ in
-                     eigencount._sweep(ladder, kernel, lists, s, True)]
+            want = [[c for c, _ in eigencount._sweep(ladder, kernel, lists, s)]
                     for s in shifts]
             got = inertia(ladder, *shifts, logdet=False)
             assert got[0].tolist() == want
@@ -609,9 +622,10 @@ def test_ladder_reduction_counts_the_dirichlet_block(p, q):
     # the Dirichlet gate reads the counts that a reduction makes of the
     # Dirichlet block in its own elimination order: under 'both' that of
     # the direct ladder, under 'edwards' that of the stack of both modes'
-    # twisted operators at omega = 1; the band sweep in node order is
-    # their oracle, at the zone ends, the window shifts and two more, on
-    # both meshes
+    # twisted operators at omega = 1, in its fallback that of the
+    # Dirichlet operator itself; the band sweep in node order is their
+    # oracle, at the zone ends, the window shifts and two more, on both
+    # meshes
     omega = roots_of_unity_ladder(q)[:q + 1, None]
     mults = np.hstack((omega, -omega))
     for n in (512, 1024, 2048):
@@ -626,9 +640,13 @@ def test_ladder_reduction_counts_the_dirichlet_block(p, q):
                   -0.3, 0.0)
         ends = {1: set(), 2: set()}
         for k in (1, 2):
-            want = [inertia(system.operator(k * n), *shifts,
-                            logdet=False)[0][:, 0].tolist()
+            # the node-order sweep's counts; the band operators' own
+            # count-only reductions, which the gate's fallback reads, too
+            want = [[c for c, _ in inertia(system.operator(k * n), *shifts)]
                     for system in dirichlet]
+            for system, counts in zip(dirichlet, want):
+                got = inertia(system.operator(k * n), *shifts, logdet=False)
+                assert got[0][:, 0].tolist() == counts, (n, system.l, k)
             ops = [system.operator(k * n) for system in twisted]
             for l, op in zip((1, 2), ops):
                 ladder = replace(op, wrap_mult=mults)

@@ -37,7 +37,8 @@ class TestFormulas:
 
 
 @pytest.mark.parametrize("n,nodes", [(512, 1024), (1024, 2048), (2048, 4096),
-                                     (4096, 4096), (32768, 4096)])
+                                     (4096, 4096), (32768, 4096),
+                                     (2**20, 4096)])
 def test_family_trajectory_nodes(fam23, n, nodes):
     assert family_trajectory(fam23, n).n == nodes
 
@@ -783,6 +784,21 @@ class TestCli:
         assert run_cli(command + ["--n", "0"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: mesh too coarse: n = 0 < 128\n"
+
+    @pytest.mark.parametrize("command", [
+        ["index", "--p", "2", "--q", "3", "--no-cache"],
+        ["verify", "--p", "2", "--q", "3"],
+        ["spectrum", "--p", "2", "--q", "3", "--l", "0"],
+        ["edwards", "--p", "2", "--q", "3", "--l", "1"]],
+        ids=lambda c: c[0])
+    def test_mesh_beyond_the_bound_exits_1(self, capsys, command):
+        # refused before the nodes of mesh n are allocated, where a mesh
+        # this fine would exhaust memory; n = 2**20 itself still runs
+        # (test_family_trajectory_nodes)
+        assert run_cli(command + ["--n", "1048577"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: mesh too large: n = 1048577 > 2**20\n"
 
     @pytest.mark.parametrize("line", ["2 3 4", "a b", "2", "1/2"])
     def test_sweep_bad_line_exits_1(self, capsys, tmp_path, line):

@@ -70,33 +70,6 @@ def test_sweep_loops_do_real_arithmetic():
     assert not found, f"complex arithmetic in sweep loops: {found}"
 
 
-def test_sweep_loops_take_logs_only_for_log_det():
-    # a count reads no determinant, so inside a kernel loop, a node loop or
-    # a level loop, every log() sits in the branch of a conditional that
-    # tests the logdet flag
-    path = next(p for p in SOURCES if p.name == "eigencount.py")
-    kernels, found = [], []
-    for name, fn in _functions(ast.parse(path.read_text())):
-        if not name.startswith("_inertia_"):
-            continue
-        for loop in (n for n in ast.walk(fn)
-                     if isinstance(n, (ast.For, ast.While))):
-            kernels.append(name)
-            guarded = set()
-            for node in ast.walk(loop):
-                if (isinstance(node, (ast.If, ast.IfExp)) and "logdet" in {
-                        n.id for n in ast.walk(node.test)
-                        if isinstance(n, ast.Name)}):
-                    body = node.body if isinstance(node, ast.If) else [node.body]
-                    guarded |= {id(n) for b in body for n in ast.walk(b)}
-            found += [f"{name}: line {node.lineno}" for node in ast.walk(loop)
-                      if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name)
-                      and node.func.id == "log" and id(node) not in guarded]
-    assert SWEEP_LOOPS <= set(kernels), "an inertia kernel loop is missing"
-    assert not found, f"log() in a sweep loop outside a logdet branch: {found}"
-
-
 def _calls_the_tracer_may_wrap(tree, allowed=()):
     """(calls, found): the calls under tree, and those of them that are
     not to a private name, a name in allowed, a math or numpy function or
