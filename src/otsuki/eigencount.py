@@ -19,10 +19,13 @@ bit its system reduced alone: so one call counts the Dirichlet blocks
 of modes 1 and 2 for the boundary-form route's gate.  Only locating an
 eigenvalue reads log|det|, which ``inertia`` takes on request from one
 O(n) sweep in node order: the same congruence eliminated in another
-order, so Sylvester gives it the same count.  The wrap-around entries
-only ever fill the last block row, so the sweep runs in real arithmetic
-and the unit-modulus wrap multipliers enter only the last Schur
-complement.
+order, so Sylvester gives it the same count.  That sweep also counts a
+row whose pivots the reduction cannot take, its system alone, and moves
+its shift past a breakdown of its own; the row keeps the reduction's
+Dirichlet count, none (-1) where a pivot of that broke down.  The
+wrap-around entries only ever fill the last block row, so the sweep runs
+in real arithmetic and the unit-modulus wrap multipliers enter only the
+last Schur complement.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -142,10 +145,11 @@ class BandOperator:
 # ---------------------------------------------------------------------------
 # inertia sweeps
 #
-# These sweeps give every log|det|; every count comes from the reduction
-# further down.  Each sweep returns (count, log|det(A - sigma I)|), a
-# cyclic kernel its end state before the last Schur complement, which
-# ``_finish_d1`` or ``_finish_d2_cyclic`` completes for one twist.  The
+# These sweeps give every log|det|, and the counts of a row that the
+# reduction further down cannot pivot; it gives every other count.  Each
+# sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its end
+# state before the last Schur complement, which ``_finish_d1`` or
+# ``_finish_d2_cyclic`` completes for one twist.  The
 # determinant is the product of the pivot determinants, so its log is one
 # accumulation per pivot; a non-finite pivot leaves a non-finite sum,
 # which ``inertia`` treats like a zero pivot.  The hot loops inline
@@ -350,8 +354,8 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # one array expression over the rows and twists (columns), with C formed
 # before it is squared.  It takes real and imaginary parts apart, so
 # conjugate twists count alike bit for bit.  A zero or non-finite pivot
-# anywhere marks its row, which ``_reduced_counts`` moves and reduces
-# again alone, as ``_sweep`` does.
+# anywhere marks its row, which ``_reduced_counts`` counts by the sweep
+# in node order instead, its system alone.
 # Node 0 is never eliminated, so its diagonal and its couplings enter no
 # other pivot: before node 0 and the wrap enter, the pivots of nodes
 # 1..m-2 and node m-1's reduced block D_{m-1} - sigma I (less its
@@ -541,52 +545,35 @@ def _systems(op: BandOperator) -> list:
 
 
 def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
-    """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
-    by odd-even reduction (a band operator comes with no wrap, w_off = 0
+    """Count-only ``inertia`` of an operator, or of a stack of them, by
+    odd-even reduction (a band operator is reduced with no wrap, w_off = 0
     and unit multipliers): (the counts, an int array with a row per
     (system, shift), system by system, and a column per twist, one for an
     operator that is no ladder; the Dirichlet count of each row, -1 where
-    its last pivot breaks down).
-    A row whose pivots break down is moved (``_retry_shift`` of its system
-    alone) and reduced again alone, as ``_sweep`` moves it, and gives both
-    counts at the moved shift; a ladder twist whose last Schur complement
-    breaks down is swept again alone."""
+    its pivots break down).
+    A row whose pivots break down anywhere, the last Schur complement of
+    any twist included, takes its counts from the node-order sweep of its
+    system alone, ``inertia(system, sigma)``, which moves the shift past a
+    breakdown itself; its Dirichlet count stays the reduction's."""
+    systems = _systems(op)      # a band row falls back to the band sweep
+    if not op.cyclic:
+        op = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
     w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     reduce, schur = ((_inertia_d1_reduction, _schur_d1) if op.dim == 1
                      else (_inertia_d2_reduction, _schur_d2))
-    systems = _systems(op)
-
-    def counts(diag, sigmas):
-        """The reduction of the rows: diag (transposed) holds a row per
-        shift, or one row that every shift shares."""
-        lists = (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
-        # a pivot that breaks down leaves inf or nan behind it, not a warning
-        with np.errstate(all="ignore"):
-            neg, ok, end, dirichlet = reduce(*lists,
-                                             np.array(sigmas, dtype=float))
-            count, regular = _negatives(*schur(end, op.wrap_off, w))
-        return neg[:, None] + count, ok, regular, dirichlet
-
     sigmas = shifts * len(systems)
     diag = op.diag.T
     if len(systems) > 1:
         diag = np.repeat(diag, len(shifts), axis=-2)
-    count, ok, regular, dirichlet = counts(diag, sigmas)
+    lists = (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
+    # a pivot that breaks down leaves inf or nan behind it, not a warning
+    with np.errstate(all="ignore"):
+        neg, ok, end, dirichlet = reduce(*lists, np.array(sigmas, dtype=float))
+        count, regular = _negatives(*schur(end, op.wrap_off, w))
+    count = neg[:, None] + count
     for row in np.flatnonzero(~(ok & regular.all(axis=1))).tolist():
-        system, sigma = systems[row // len(shifts)], sigmas[row]
-        attempt = 0
-        while not (ok[row] and (op.ladder or regular[row].all())):
-            attempt += 1
-            if attempt == 4:
-                raise NumericalError("inertia sweep kept hitting singular "
-                                     f"pivots at sigma={sigma!r}")
-            c, o, r, d = counts(system.diag.T,
-                                (_retry_shift(system, sigma, attempt),))
-            count[row], ok[row] = c[0], o[0]
-            regular[row], dirichlet[row] = r[0], d[0]
-        for t in np.flatnonzero(~regular[row]).tolist():
-            count[row, t] = inertia(replace(system, wrap_mult=w[t].tolist()),
-                                    sigma, logdet=False)[0][0, 0]
+        swept = inertia(systems[row // len(shifts)], sigmas[row])
+        count[row] = [c for c, _ in swept] if op.ladder else swept[0]
     return count, dirichlet
 
 
@@ -611,21 +598,22 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     no ladder.  For a band operator dirichlet is None; for a cyclic one
     it is an int array with a row per shift: the counts below it of the
     operator with node 0 deleted, which is the Dirichlet operator of the
-    same system and mesh, -1 where its last pivot breaks down.  The
-    reduction holds them for free: node 0 enters no other pivot.  A
-    count-only call on systems on one mesh that share the couplings and
-    the wrap also takes them as a stack (``BandOperator``): then the rows
-    run over (system, shift), system by system, each equal to the
-    system's own call at the shift.
+    same system and mesh, -1 where a pivot of it breaks down.  The
+    reduction holds them for free: node 0 enters no other pivot.  A row
+    whose pivots break down, in the reduction or in the last Schur
+    complement of a twist, takes its counts from the sweep in node order
+    of its system alone, which moves the shift past a breakdown of its
+    own.  A count-only call on systems on one mesh that share the
+    couplings and the wrap also takes them as a stack (``BandOperator``):
+    then the rows run over (system, shift), system by system, each equal
+    to the system's own call at the shift.
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
     if not logdet:
-        if op.cyclic:
-            return _reduced_counts(op, shifts)
-        no_wrap = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
-        return _reduced_counts(no_wrap, shifts)[0], None
+        counts, dirichlet = _reduced_counts(op, shifts)
+        return counts, dirichlet if op.cyclic else None
     if op.diag.ndim > op.dim:
         raise ValidationError("only a count-only call takes a stack of "
                               "systems")
@@ -653,10 +641,12 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
 
 
 def _retry_shift(op: BandOperator, sigma: float, attempt: int) -> float:
-    """The shift of retry ``attempt`` after a breakdown at sigma: moved by
-    attempt * 1e-13 of its scale, but by at least attempt ulps of the
-    largest diagonal entry, as a smaller move can round away in every
-    shifted diagonal entry and leave each pivot as it was."""
+    """The shift of ``_sweep``'s retry ``attempt`` after a breakdown at
+    sigma: moved by attempt * 1e-13 of its scale, but by at least attempt
+    ulps of the largest diagonal entry, as a smaller move can round away
+    in every shifted diagonal entry and leave each pivot as it was.  A
+    count-only call meets it only through a row that the reduction could
+    not pivot."""
     diag = op.diag if op.dim == 1 else op.diag[:, ::2]
     ulp = float(np.spacing(np.abs(diag).max()))
     return sigma + max(attempt * 1e-13 * max(1.0, abs(sigma)), attempt * ulp)

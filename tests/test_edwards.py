@@ -323,6 +323,53 @@ class TestTwistedForm:
             assert det == pytest.approx(poly(om.real), rel=1e-10, abs=1e-8)
 
 
+def _form(a11, a13, a14, a22, a24):
+    """A symmetric 4x4 form with the entries that ``det_polynomial`` reads
+    (numbered from 1), and 0 elsewhere."""
+    a = np.zeros((4, 4))
+    for (i, j), v in {(0, 0): a11, (0, 2): a13, (0, 3): a14, (1, 1): a22,
+                      (1, 3): a24}.items():
+        a[i, j] = a[j, i] = v
+    return a
+
+
+class TestDegenerateDeterminant:
+    # P(s) = c2 s^2 + c1 s + c0 with c2 = 4(a14^2 - a13 a24), c1 = 4(a13
+    # a22 - a11 a24), c0 = 4(a11 a22 - a14^2); P_1's leading coefficient
+    # crosses zero near b = -pi/2, so the linear case is reachable
+    def test_linear_determinant_has_one_root(self):
+        poly = det_polynomial(_form(a11=2.0, a13=1.0, a14=1.0, a22=0.0,
+                                    a24=1.0))
+        assert poly.coeffs == (0.0, -8.0, -4.0)
+        assert poly.s1 is None and poly.s2 == -0.5
+
+    def test_negative_discriminant_has_no_root(self):
+        poly = det_polynomial(_form(a11=2.0, a13=0.0, a14=1.0, a22=2.0,
+                                    a24=0.0))
+        assert poly.coeffs == (4.0, 0.0, 12.0)
+        assert poly.roots == () and poly.s1 is None and poly.s2 is None
+
+    @pytest.mark.parametrize("a11,message", [
+        (1.0, "degree-0 determinant"), (0.0, "det polynomial vanishes")])
+    def test_constant_determinant_is_refused(self, a11, message):
+        # c1 = c2 = 0: P is a constant, or vanishes
+        with pytest.raises(NumericalError, match=message):
+            det_polynomial(_form(a11=a11, a13=0.0, a14=0.0, a22=1.0,
+                                 a24=0.0))
+
+    @pytest.mark.parametrize("q", [2, 3, 8])
+    def test_rootless_form_has_no_zero_twist(self, q, traj23):
+        # A00 = A11 = 4 and |A01|^2 = 4(1 - s^2): every twist's eigenvalues
+        # lie in [2, 6], far from zero, and P(s) = 4 s^2 + 12 has no root
+        a = _form(a11=2.0, a13=0.0, a14=1.0, a22=2.0, a24=0.0)
+        data = dataclasses.replace(boundary_form(1, traj23, n=512), a=a,
+                                   poly=det_polynomial(a))
+        rows = aggregate_roots(data, q)
+        assert rows.shape == (2 * q, 2)
+        assert rows[:, 1].tolist() == [0] * (2 * q)
+        assert rows[:, 0].tolist() == [data.dirichlet.negative] * (2 * q)
+
+
 class TestCliffordForms:
     def test_mode1_matches_closed_form(self, clifford_traj):
         data = boundary_form(1, clifford_traj, n=1024)

@@ -259,12 +259,14 @@ def test_small_operator_rejected():
     (2, BoundaryCondition.dirichlet()), (2, BoundaryCondition.periodic())],
     ids=["d1-band", "d1-cyclic", "d2-band", "d2-cyclic"])
 def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
-    # a shift that zeroes a pivot is nudged and swept again, as alone, and
-    # the other shifts are swept once each, with log|det| or for counts
-    # alone.  The sweep in node order meets the pivot of node 0 first,
-    # exactly 0 at sigma = Q11(0) (Q12 = 0 in the split system); the
-    # reduction that counts keeps node 0 to the end, and its first level
-    # meets the pivot of node 1 as it stands
+    # a shift that zeroes a pivot of the sweep in node order is nudged and
+    # swept again, as alone, and the other shifts are swept once each; the
+    # sweep meets the pivot of node 0 first, exactly 0 at sigma = Q11(0)
+    # (Q12 = 0 in the split system).  The reduction that counts keeps node
+    # 0 to the end, and its first level meets the pivot of node 1 as it
+    # stands: it reduces all the shifts once, and that row alone takes its
+    # count from the sweep in node order, whose pivots do not break down
+    # there
     op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
           ).discretize(256)
     for logdet in (True, False):
@@ -273,14 +275,14 @@ def test_a_shift_that_breaks_down_gets_its_retries(dim, bc, monkeypatch):
         nudged = bad + 1e-13 * max(1.0, abs(bad))
         shifts = (0.17, bad, -0.42)
         want = [inertia(op, s) for s in shifts]
-        swept = (_record_kernel if logdet else _record_reduction)(
-            op, monkeypatch)
+        swept = _record_kernel(op, monkeypatch)
+        reduced = _record_reduction(op, monkeypatch)
         got = inertia(op, *shifts, logdet=logdet)
         monkeypatch.undo()
         assert (got if logdet else got[0].tolist()) == (
             want if logdet else [[c] for c, _ in want])
-        assert swept == ([0.17, bad, nudged, -0.42] if logdet
-                         else [shifts, (nudged,)])
+        assert swept == ([0.17, bad, nudged, -0.42] if logdet else [bad])
+        assert reduced == ([] if logdet else [shifts])
 
 
 def _record_kernel(op, monkeypatch):
@@ -458,22 +460,23 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     want = [inertia(op, sigma) for op in ops]
     target = ladder.wrap_mult[3].tolist()
     first = [w[0] for w in ladder.wrap_mult.tolist()]
-    swept, finished = [], []
+    swept, finished, reduced = [], [], []
 
     def recorded(op, s, logdet=True):
         swept.append((np.asarray(op.wrap_mult).tolist(), logdet))
         return inertia(op, s, logdet=logdet)
 
-    def fail_once(w0):
-        """Whether this finish of the twist with first multiplier w0 fails."""
-        finished.append(w0)
-        return w0 == target[0] and finished.count(w0) == 1
+    def fail_once(w0, tried):
+        """Whether this finish of the twist with first multiplier w0 fails:
+        the first of the sweep's finishes, or of the reduction's."""
+        tried.append(w0)
+        return w0 == target[0] and tried.count(w0) == 1
 
     finish = "_finish_d1" if dim == 1 else "_finish_d2_cyclic"
     original_finish = getattr(eigencount, finish)
 
     def flaky_finish(end, *w):
-        if fail_once(w[0]):
+        if fail_once(w[0], finished):
             if failure == "nan":
                 return 0, float("nan")
             raise eigencount._PivotBreakdown
@@ -484,24 +487,30 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
 
     def flaky_schur(end, w_off, w):
         b11, det = original_schur(end, w_off, w)
-        fails = [fail_once(complex(w0)) for w0 in w[:, 0]]
+        fails = [fail_once(complex(w0), reduced) for w0 in w[:, 0]]
         det[:, fails] = float("nan") if failure == "nan" else 0.0
         return b11, det
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
     monkeypatch.setattr(eigencount, finish, flaky_finish)
     monkeypatch.setattr(eigencount, schur, flaky_schur)
+    whole = (ladder.wrap_mult.tolist(), True)
     for logdet in (True, False):
         finished.clear()
+        reduced.clear()
         swept.clear()
         got = eigencount.inertia(ladder, sigma, logdet=logdet)
         assert (got if logdet else got[0].tolist()) == (
             want if logdet else [[c for c, _ in want]])
-        assert swept == [(ladder.wrap_mult.tolist(), logdet), (target, logdet)]
-        # every twist is finished once from the shared loop or reduction,
-        # and the failed one again alone
-        assert finished == (first[:4] + [target[0]] + first[4:] if logdet
-                            else first + [target[0]])
+        # a count-only call reduces the ladder, and its row, with the failed
+        # twist, is swept again in node order with log|det|
+        assert swept == ([] if logdet else [(whole[0], False)]) + [
+            whole, (target, True)]
+        # every twist is finished once from the shared loop, and the failed
+        # one again alone; a count-only call finishes every twist once
+        # from the reduction first
+        assert finished == first[:4] + [target[0]] + first[4:]
+        assert reduced == ([] if logdet else first)
 
 
 def test_counts_of_cyclic_operators_skip_the_sweep(traj58, monkeypatch):
@@ -587,24 +596,47 @@ def test_reduction_counts_the_dirichlet_operator(dim, bc):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_a_retried_shift_gives_both_counts(dim, monkeypatch):
+def test_a_broken_down_row_takes_node_order_counts_and_no_dirichlet_count(
+        dim, monkeypatch):
     # the reduction meets the pivot of node 1 first, exactly 0 at sigma =
-    # Q11(1); the shift is moved, and the twist and Dirichlet counts both
-    # come from the moved shift
+    # Q11(1); the twist count of that row comes from the sweep in node
+    # order at the shift itself.  Node 1's pivot is one of the Dirichlet
+    # operator's too, so the row has no Dirichlet count (-1)
     bc = BoundaryCondition.periodic()
     op = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
           ).discretize(256)
     bad = float(op.diag[1] if dim == 1 else op.diag[1, 0])
-    nudged = bad + 1e-13 * max(1.0, abs(bad))
     dirichlet = replace(op, diag=op.diag[1:], off=op.off[1:], wrap_off=None,
                         wrap_mult=None)
-    swept = _record_reduction(op, monkeypatch)
+    reduced = _record_reduction(op, monkeypatch)
+    swept = _record_kernel(op, monkeypatch)
     got, counts = inertia(op, 0.17, bad, logdet=False)
     monkeypatch.undo()
-    assert swept == [(0.17, bad), (nudged,)]
-    assert got.tolist() == inertia(op, 0.17, nudged, logdet=False)[0].tolist()
-    assert counts.tolist() == [inertia(dirichlet, s)[0]
-                               for s in (0.17, nudged)]
+    assert reduced == [(0.17, bad)] and swept == [bad]
+    assert got.tolist() == [[inertia(op, s)[0]] for s in (0.17, bad)]
+    assert counts.tolist() == [inertia(dirichlet, 0.17)[0], -1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["band", "cyclic"])
+def test_counts_where_the_reduction_breaks_down(dim, cyclic):
+    # a diagonal far below the couplings: the scalar reduction's row sums
+    # hold node 1's pivot, 0 at sigma = 0, only to an ulp of 2e5, and no
+    # shift a few ulps of the diagonal away resolves it; the sweep in node
+    # order counts there, and the count-only call takes its count.  Node
+    # 1's pivot is one of the Dirichlet operator's too, which has no count
+    diag = np.ones(10) if dim == 1 else np.tile([1.0, 0.0, 1.0], (10, 1))
+    diag[1] = 0.0
+    wrap = dict(wrap_off=1e5, wrap_mult=(1.0,) * dim) if cyclic else {}
+    op = BandOperator(dim=dim, diag=diag, off=np.full(9, 1e5), **wrap)
+    want = int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum())
+    assert want == 5 * dim and inertia(op, 0.0)[0] == want
+    counts, dirichlet = inertia(op, 0.0, logdet=False)
+    assert counts.tolist() == [[want]]
+    if cyclic:
+        assert dirichlet.tolist() == [-1]
+    else:
+        assert dirichlet is None
 
 
 # the six README families, and families near sqrt(2)/2 and 1/2
@@ -696,25 +728,23 @@ def test_a_stack_reduces_each_row_as_alone(dim, traj23):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_stack_retries_a_row_as_its_system_alone(dim, monkeypatch):
     # the reduction meets the pivot of node 1 first, exactly 0 at sigma =
-    # Q11(1) of the second system: that row alone is moved, by the retry
-    # shift of its own system, not by the ulps of the first system's far
-    # larger entries, and the counts of every row are those of its system
-    # alone
+    # Q11(1) of the second system: that row alone is swept in node order,
+    # as its system alone, and the counts of every row are those of its
+    # system alone
     bc = BoundaryCondition.periodic()
     breaking = (_split_system(0.3, bc) if dim == 2 else _wavy_system(1, bc)
                 ).discretize(256)
     other = replace(breaking, diag=1e4 * _wavy_system(dim, bc)
                     .discretize(256).diag)
     bad = float(breaking.diag[1] if dim == 1 else breaking.diag[1, 0])
-    nudged = eigencount._retry_shift(breaking, bad, 1)
-    assert nudged != eigencount._retry_shift(other, bad, 1)
     shifts = (0.17, bad)
     want = [row for op in (other, breaking) for row in _alone(op, shifts)]
     stack = _stack([other, breaking])
-    swept = _record_reduction(stack, monkeypatch)
+    reduced = _record_reduction(stack, monkeypatch)
+    swept = _record_kernel(breaking, monkeypatch)
     got = inertia(stack, *shifts, logdet=False)
     monkeypatch.undo()
-    assert swept == [shifts * 2, (nudged,)]
+    assert reduced == [shifts * 2] and swept == [bad]
     assert _rows(got) == want
     assert _rows(inertia(stack, bad, logdet=False)) == [want[1], want[3]]
     with pytest.raises(ValidationError):

@@ -858,12 +858,12 @@ def test_closed_stdout_pipe_exits_0(tmp_path):
     env.pop("PYTHONUNBUFFERED", None)
     cmd = [sys.executable, "-m", "otsuki.cli", "geodesic", "--p", "2",
            "--q", "3", "--n", "20000"]
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert proc.stdout.readline().strip() == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0, err
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
     assert err == b""
     unwritable = str(tmp_path / "missing" / "out.json")
     proc = subprocess.run(cmd + ["--json-out", unwritable], env=env,

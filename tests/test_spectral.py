@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 from functools import cache, partial
 
@@ -18,9 +19,10 @@ from otsuki.errors import (AmbiguousClassificationError, NumericalError,
 from otsuki.geodesic import _phi_ddot, sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from otsuki.spectral import (TAU_ZERO, class_counts, direct_twisted_counts,
-                             ladder_counts, spectral_index, spectrum_below,
-                             spectrum_counts, verify_high_l_positive)
+from otsuki.spectral import (TAU_ZERO, ZONE, class_counts,
+                             direct_twisted_counts, ladder_counts,
+                             spectral_index, spectrum_below, spectrum_counts,
+                             verify_high_l_positive)
 from otsuki.surface import (fourier_block_system, l0_channel_system,
                             laplace_system, separated_coefficients)
 
@@ -166,6 +168,21 @@ class TestCalibration:
             potential=lambda t: np.full(len(t), A + C / float(len(t)) ** 4))
         with pytest.raises(AmbiguousClassificationError):
             spectrum_counts(system, 256)
+
+    def test_count_below_the_zone_that_moves_is_ambiguous(self):
+        # -h'' + c on a circle of length 2 pi: the k = +-1 pair lies at c +
+        # lam(m), lam(m) = (m / pi)^2 sin^2(pi / m) on m intervals, and c
+        # puts it below -ZONE on mesh 128 and above it on mesh 256, so the
+        # count below the zone changes under mesh doubling
+        def lam(m):
+            return (m / math.pi) ** 2 * math.sin(math.pi / m) ** 2
+
+        c = -lam(128) - ZONE - (lam(256) - lam(128)) / 2
+        system = constant_system(1, 2 * math.pi, 1.0, c,
+                                 BoundaryCondition.periodic())
+        with pytest.raises(AmbiguousClassificationError, match=re.escape(
+                "count below -0.002 changed under mesh doubling: 3 vs 1")):
+            spectrum_counts(system, 128)
 
     @pytest.mark.parametrize("n", [256, 1024])
     @pytest.mark.parametrize("potential, counts", [
