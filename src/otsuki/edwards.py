@@ -27,9 +27,10 @@ and a defect there would reach both alike.  What keeps that offset
 honest is a tier-1 oracle
 (``test_ladder_reduction_counts_the_dirichlet_block``), which checks
 both reductions' counts, and those of the Dirichlet operator's own
-reduction, against the band sweep in node order, the other elimination
-order.  When the gate is called alone (``otsuki edwards``) or knows no
-count, it counts the Dirichlet operator by that reduction of its own.
+reduction, against the sweep in node order, the other elimination
+order, which takes the band operator as the cyclic one with no wrap.
+When the gate is called alone (``otsuki edwards``) or knows no count,
+it counts the Dirichlet operator by that reduction of its own.
 """
 
 from __future__ import annotations

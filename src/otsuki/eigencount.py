@@ -6,11 +6,10 @@ wrap-around block for periodic-type boundary conditions.  Symmetric
 block elimination of A - sigma*I is a congruence transform, so the signs
 of the pivot blocks give the number of eigenvalues below sigma (Sylvester
 inertia), and the product of their determinants is det(A - sigma*I).
-Every count comes from odd-even (cyclic) reduction in numpy: its
-log2(m) levels each eliminate every other node, for all the shifts of a
-call at once, in real arithmetic, and keep the two nodes that the wrap
-joins to the end; a band operator is reduced as a cyclic one with no
-wrap.  Until node 0 enters, the reduction is also one of the operator
+Every count comes from odd-even (cyclic) reduction in numpy: its log2(m)
+levels each eliminate every other node, for all the shifts of a call at
+once, in real arithmetic, and keep the two nodes that the wrap joins to
+the end.  Until node 0 enters, the reduction is also one of the operator
 with node 0 deleted, the Dirichlet operator of the same mesh: every
 count-only call returns (counts, Dirichlet counts), the latter None for
 a band operator.  Systems on one mesh that share the couplings and the
@@ -32,9 +31,8 @@ counts them all; the reduction's finish is one array expression over the
 ladder.  The finishes take only real parts of products of conjugates,
 and |b12|^2, so conjugate multipliers give the same count and log|det|
 bit for bit; ``spectral.ladder_counts`` therefore sweeps one twist of
-each conjugate pair.  The scalar band sweep is the scalar cyclic sweep
-with no wrap.  Callers that need one operator at several shifts ask
-``inertia`` for all of them at once, so the coefficient lists are
+each conjugate pair.  Callers that need one operator at several shifts
+ask ``inertia`` for all of them at once, so the coefficient lists are
 converted once.  An eigenvalue is bracketed by the count: bisection
 isolates it, and secant steps on the determinant, kept inside the
 bracket, refine it.
@@ -147,25 +145,23 @@ class BandOperator:
 #
 # These sweeps give every log|det|, and the counts of a row that the
 # reduction further down cannot pivot; it gives every other count.  Each
-# sweep returns (count, log|det(A - sigma I)|), a cyclic kernel its end
-# state before the last Schur complement, which ``_finish_d1`` or
-# ``_finish_d2_cyclic`` completes for one twist.  The
-# determinant is the product of the pivot determinants, so its log is one
-# accumulation per pivot; a non-finite pivot leaves a non-finite sum,
-# which ``inertia`` treats like a zero pivot.  The hot loops inline
-# ``_pivot``/``_block`` and do real arithmetic only.
+# sweep returns its end state before the last Schur complement, which
+# ``_finish_d1`` or ``_finish_d2_cyclic`` completes for one twist into
+# (count, log|det(A - sigma I)|).  The determinant is the product of the
+# pivot determinants, so its log is one accumulation per pivot; a
+# non-finite pivot leaves a non-finite sum, which ``inertia`` treats like
+# a zero pivot.  The hot loops inline ``_pivot``/``_block`` and do real
+# arithmetic only.
 #
-# A cyclic sweep eliminates the rows in order, as a band sweep does, and
-# also tracks the last row.  Eliminating row j < m-2 leaves diag(w) R on
-# block (m-1, j+1), with R real (R <- -e_j R X_j, X_j the inverse pivot),
-# and takes diag(w) R X_j R^T diag(w)^H off block (m-1, m-1); the loop
-# sums R X_j R^T into P.  So the unit-modulus multipliers w enter only the
+# A sweep eliminates the rows in order and also tracks the last row.
+# Eliminating row j < m-2 leaves diag(w) R on block (m-1, j+1), with R
+# real (R <- -e_j R X_j, X_j the inverse pivot), and takes
+# diag(w) R X_j R^T diag(w)^H off block (m-1, m-1); the loop sums
+# R X_j R^T into P.  So the unit-modulus multipliers w enter only the
 # last Schur complement,
 #     D_{m-1} - sigma I - diag(w) P diag(w)^H - F X_{m-2} F^H,
 # with F = diag(w) R + e_{m-2} I formed before it is squared (its two
-# terms nearly cancel next to an eigenvalue).  With no wrap R stays 0, so
-# the scalar band sweep is the scalar cyclic sweep with w_off = 0.  The
-# 2x2 band sweep stays separate: it costs about half as much per node.
+# terms nearly cancel next to an eigenvalue).
 #
 # Each loop zips its coefficient lists, which ``_kernel`` converts once per
 # ``inertia`` call; a call with several shifts runs the kernel once per
@@ -218,29 +214,6 @@ def _finish_d1(end, w):
     f = w * r + ej
     cb, lb = _pivot(b - (f * f.conjugate()).real / s)
     return neg + cb, ld + lb
-
-
-def _inertia_d2_band(d11, d12, d22, e, sigma):
-    neg = 0
-    ld = 0.0
-    s11, s12, s22 = d11[0] - sigma, d12[0], d22[0] - sigma
-    for ej, a11, a12, a22 in zip(e, d11[1:], d12[1:], d22[1:]):
-        det = s11 * s22 - s12 * s12
-        if det > 0.0:
-            ld += log(det)
-            if s11 < 0.0:
-                neg += 2
-        elif det < 0.0:
-            neg += 1
-            ld += log(-det)
-        else:
-            raise _PivotBreakdown
-        ee = ej * ej / det
-        s11, s12, s22 = (a11 - sigma - ee * s22,
-                         a12 + ee * s12,
-                         a22 - sigma - ee * s11)
-    c, l = _block(s11 * s22 - s12 * s12, s11)
-    return neg + c, ld + l
 
 
 def _inertia_d2_cyclic(d11, d12, d22, e, w_off, sigma):
@@ -312,10 +285,7 @@ def _kernel(op: BandOperator):
     """(the operator's sweep kernel, its coefficient lists)."""
     e = op.off.tolist()
     if op.dim == 1:
-        return _inertia_d1, (op.diag.tolist(), e,
-                             op.wrap_off if op.cyclic else 0.0)
-    if not op.cyclic:
-        return _inertia_d2_band, (*op.diag.T.tolist(), e)
+        return _inertia_d1, (op.diag.tolist(), e, op.wrap_off)
     return _inertia_d2_cyclic, (*op.diag.T.tolist(), e, op.wrap_off)
 
 
@@ -330,14 +300,13 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 #
 # A count is the inertia of A - sigma I, which every order of elimination
 # gives (Sylvester), so a count-only call eliminates the nodes in the
-# order of cyclic reduction; a band operator is a cyclic one with w_off =
-# 0 and unit multipliers.  Each level eliminates the
-# odd positions among 1..k-2 of the k nodes left, at once: they are not
-# neighbours, so their pivots are independent, and eliminating position
-# p (left coupling L, right coupling R, pivot X^-1) adds -L X L^T and
-# -R^T X R to its neighbours' diagonal blocks and couples them by
-# -L X R.  The couplings, scalars at first, become general d x d blocks
-# U (block (p, p+1); block (p+1, p) is U^T).  The 2x2 reduction writes
+# order of cyclic reduction.  Each level eliminates the odd positions
+# among 1..k-2 of the k nodes left, at once: they are not neighbours, so
+# their pivots are independent, and eliminating position p (left coupling
+# L, right coupling R, pivot X^-1) adds -L X L^T and -R^T X R to its
+# neighbours' diagonal blocks and couples them by -L X R.  The couplings,
+# scalars at first, become general d x d blocks U (block (p, p+1); block
+# (p+1, p) is U^T).  The 2x2 reduction writes
 # its first level for the couplings e I apart: it makes the products of
 # the general level less those by the zero entries, which the general
 # level only adds to them, so the level changes no count and no bit but
@@ -545,9 +514,8 @@ def _systems(op: BandOperator) -> list:
 
 
 def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
-    """Count-only ``inertia`` of an operator, or of a stack of them, by
-    odd-even reduction (a band operator is reduced with no wrap, w_off = 0
-    and unit multipliers): (the counts, an int array with a row per
+    """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
+    by odd-even reduction: (the counts, an int array with a row per
     (system, shift), system by system, and a column per twist, one for an
     operator that is no ladder; the Dirichlet count of each row, -1 where
     its pivots break down).
@@ -555,9 +523,7 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
     any twist included, takes its counts from the node-order sweep of its
     system alone, ``inertia(system, sigma)``, which moves the shift past a
     breakdown itself; its Dirichlet count stays the reduction's."""
-    systems = _systems(op)      # a band row falls back to the band sweep
-    if not op.cyclic:
-        op = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
+    systems = _systems(op)
     w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     reduce, schur = ((_inertia_d1_reduction, _schur_d1) if op.dim == 1
                      else (_inertia_d2_reduction, _schur_d2))
@@ -590,6 +556,8 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     taken as a Python float: the node loops run on floats, and a numpy
     scalar gives the same bits at about half their speed.
 
+    A band operator is taken, once at entry, as the cyclic one with no
+    wrap, w_off = 0 and unit multipliers, in both orders of elimination.
     Only locating an eigenvalue reads log|det|.  With ``logdet=False``
     the result is (counts, dirichlet), whatever the operator and however
     many shifts, from odd-even reduction, which eliminates in another
@@ -611,9 +579,12 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
+    band = not op.cyclic
+    if band:
+        op = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
     if not logdet:
         counts, dirichlet = _reduced_counts(op, shifts)
-        return counts, dirichlet if op.cyclic else None
+        return counts, None if band else dirichlet
     if op.diag.ndim > op.dim:
         raise ValidationError("only a count-only call takes a stack of "
                               "systems")
@@ -630,8 +601,8 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
         shift = _retry_shift(op, sigma, attempt) if attempt else sigma
         try:
             out = kernel(*lists, shift)
-            if not op.ladder and (op.dim == 1 or op.cyclic):
-                out = _finish(op, out, op.wrap_mult if op.cyclic else (0.0,))
+            if not op.ladder:
+                out = _finish(op, out, op.wrap_mult)
         except _PivotBreakdown:
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all

@@ -394,7 +394,8 @@ def _rates(u: np.ndarray, b: float):
 
 
 def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
-    """Sample the geodesic over one half period on an (n+1)-node grid.
+    """Sample the geodesic over one half period on an (n+1)-node grid,
+    64 <= n <= 2**20: a finer grid would exhaust memory.
 
     No time stepping: phi = -b sin u, and each grid time t_i is mapped to
     its u_i by inverting the quadrature time map t(u) (the integrand of
@@ -411,6 +412,8 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """
     if n < 64:
         raise ValidationError(f"need n >= 64 grid intervals, got {n}")
+    if n > 2**20:
+        raise ValidationError(f"mesh too large: n = {n} > 2**20")
     grid = np.linspace(0.0, family.T, n + 1)
     if family.b == 0.0:
         phi = np.zeros(n + 1)

@@ -112,7 +112,7 @@ class SpectrumSummary:
 def _extrapolated(operator, n: int, lo: float, hi: float, tol: float,
                   ends: Optional[list] = None):
     """The eigenvalues in (lo, hi] on the meshes n and 2n (``operator(k)``),
-    Richardson extrapolated, (4 lam_2n - lam_n) / 3, and lam_n itself.
+    Richardson extrapolated, (4 lam_2n - lam_n) / 3.
     With ``ends``, the sweeps (count, log|det|) at lo and hi of each mesh,
     they are bisected from those; else the ends are swept here.  Meshes
     that hold different numbers of eigenvalues are ambiguous."""
@@ -126,7 +126,7 @@ def _extrapolated(operator, n: int, lo: float, hi: float, tol: float,
         raise AmbiguousClassificationError(
             f"({lo:g}, {hi:g}] holds {len(lam1)} eigenvalues at mesh {n} "
             f"but {len(lam2)} at the doubled mesh")
-    return (4.0 * lam2 - lam1) / 3.0, lam1
+    return (4.0 * lam2 - lam1) / 3.0
 
 
 def _floor(system: SLSystem, n: int) -> float:
@@ -248,14 +248,14 @@ def _located_counts(operator, n: int, level: float, zone: float, below: int,
     located value within its error bound of +-tau is ambiguous, and one
     near it is classified again on the meshes 2n and 4n."""
     lo, hi = level - zone, level + zone
-    lam = _extrapolated(operator, n, lo, hi, LOCATE_TOL, ends)[0] - level
+    lam = _extrapolated(operator, n, lo, hi, LOCATE_TOL, ends) - level
     cls = _zero_classes(lam, level, LOCATE_ERR)
     borderline = (np.abs(np.abs(lam) - TAU_ZERO) < 2.0 * TAU_ZERO) & \
                  (np.abs(lam) > TAU_ZERO / 3.0)
     if np.any(borderline):
         # near the boundary the h^4 extrapolation remainder can decide the
         # class; resolve with a third mesh and insist the class is stable
-        lam_fine, _ = _extrapolated(operator, 2 * n, lo, hi, LOCATE_TOL)
+        lam_fine = _extrapolated(operator, 2 * n, lo, hi, LOCATE_TOL)
         cls_fine = _zero_classes(lam_fine - level, level, LOCATE_ERR)
         if np.any(cls_fine[borderline] != cls[borderline]):
             raise AmbiguousClassificationError(
@@ -296,8 +296,8 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
             "mesh or a lower cutoff")
     neg, zero = spectrum_counts(system, n)
     tol = 1e-9      # so a listed value is extrapolated to within 5 tol / 6
-    lam, _ = _extrapolated(system.operator, n, _floor(system, n),
-                           cutoff + ZONE, tol)
+    lam = _extrapolated(system.operator, n, _floor(system, n),
+                        cutoff + ZONE, tol)
     keep = lam < cutoff
     cls = _zero_classes(lam[keep], 0.0, 5.0 * tol / 6.0)
     listed = int(np.sum(cls == -1)), int(np.sum(cls == 0))

@@ -532,7 +532,7 @@ def test_counts_of_cyclic_operators_skip_the_sweep(traj58, monkeypatch):
     want = [inertia(op, *shifts) for op in ops]
     want_stacks = [[[c] for op in stack for c, _ in inertia(op, *shifts)]
                    for stack in stacks]
-    for kernel in ("_inertia_d1", "_inertia_d2_band", "_inertia_d2_cyclic"):
+    for kernel in ("_inertia_d1", "_inertia_d2_cyclic"):
         monkeypatch.setattr(eigencount, kernel, forbidden)
     for op, end in zip(ops, want):
         got = inertia(op, *shifts, logdet=False)

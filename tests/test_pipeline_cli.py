@@ -789,7 +789,8 @@ class TestCli:
         ["index", "--p", "2", "--q", "3", "--no-cache"],
         ["verify", "--p", "2", "--q", "3"],
         ["spectrum", "--p", "2", "--q", "3", "--l", "0"],
-        ["edwards", "--p", "2", "--q", "3", "--l", "1"]],
+        ["edwards", "--p", "2", "--q", "3", "--l", "1"],
+        ["geodesic", "--p", "2", "--q", "3"]],
         ids=lambda c: c[0])
     def test_mesh_beyond_the_bound_exits_1(self, capsys, command):
         # refused before the nodes of mesh n are allocated, where a mesh

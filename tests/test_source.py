@@ -43,7 +43,7 @@ def test_every_parameter_is_read(path):
 
 
 # the node loops of the sweeps and the level loops of the reductions
-SWEEP_LOOPS = {"_inertia_d1", "_inertia_d2_band", "_inertia_d2_cyclic",
+SWEEP_LOOPS = {"_inertia_d1", "_inertia_d2_cyclic",
                "_inertia_d1_reduction", "_inertia_d2_reduction"}
 
 
@@ -68,6 +68,18 @@ def test_sweep_loops_do_real_arithmetic():
                     found.append(f"{name}: .{node.attr}")
     assert SWEEP_LOOPS <= set(kernels), "an inertia kernel loop is missing"
     assert not found, f"complex arithmetic in sweep loops: {found}"
+
+
+def test_only_inertia_knows_an_operator_is_band():
+    # inertia takes a band operator as the cyclic one with no wrap once, at
+    # its entry, so no kernel, finish or reduction has a band branch
+    path = next(p for p in SOURCES if p.name == "eigencount.py")
+    readers = {name for name, fn in _functions(ast.parse(path.read_text()))
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "cyclic"}
+    others = {name for name in readers - {"inertia"}
+              if not name.startswith("BandOperator.")}
+    assert not others, f".cyclic read outside inertia: {sorted(others)}"
 
 
 def _calls_the_tracer_may_wrap(tree, allowed=()):
