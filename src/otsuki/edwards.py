@@ -105,9 +105,9 @@ def dirichlet_negative_count(l: int, traj: Trajectory, n: int,
     margin is not located.
 
     ``known``, the count that a reduction of the twisted operator of mode
-    l settled (the direct ladder, ``spectral.direct_twisted_counts``,
-    under 'both'; the stack of modes 1 and 2, ``spectral._dirichlet_ends``,
-    under 'edwards'), replaces the zone sweeps: it is only settled when
+    l settled (the direct ladder, ``spectral._ladders``, under 'both';
+    the stack of modes 1 and 2, ``spectral._dirichlet_ends``, under
+    'edwards'), replaces the zone sweeps: it is only settled when
     the zone is empty on both meshes, so the gate then sweeps and
     discretizes nothing.  With None (a populated zone, a mesh
     disagreement, a count that broke down, or no reduction) the decision,
@@ -331,8 +331,8 @@ def boundary_form(l: int, traj: Trajectory, n: int,
 
 def aggregate_roots(data: BoundaryFormData, q: int) -> np.ndarray:
     """The (2q, 2) array of (negative, zero) of the twisted problem at
-    each 2q-th root of unity omega = exp(i pi r / q), row r, as
-    the rows of ``direct_twisted_counts``; ``spectral.class_counts`` sums
+    each 2q-th root of unity omega = exp(i pi r / q), row r, as the
+    direct route's ladder rows; ``spectral.class_counts`` sums
     the rows of a mode.  Each of the 2q twists is counted here, also the
     r > q that the direct route copies from the conjugate twist 2q - r, so
     ``both`` checks those copies against an independent count.

@@ -14,17 +14,21 @@ with node 0 deleted, the Dirichlet operator of the same mesh: every
 count-only call returns (counts, Dirichlet counts), the latter None for
 a band operator.  Systems on one mesh that share the couplings and the
 wrap reduce as one stack, a row per (system, shift), each row bit for
-bit its system reduced alone: so one call counts the Dirichlet blocks
-of modes 1 and 2 for the boundary-form route's gate.  Only locating an
-eigenvalue reads log|det|, which ``inertia`` takes on request from one
-O(n) sweep in node order: the same congruence eliminated in another
-order, so Sylvester gives it the same count.  That sweep also counts a
-row whose pivots the reduction cannot take, its system alone, and moves
-its shift past a breakdown of its own; the row keeps the reduction's
-Dirichlet count, none (-1) where a pivot of that broke down.  The
-wrap-around entries only ever fill the last block row, so the sweep runs
-in real arithmetic and the unit-modulus wrap multipliers enter only the
-last Schur complement.
+bit its system reduced alone: so one call per mesh counts the twist
+ladders of mode 0's two channels, or of modes 1 and 2 with their
+Dirichlet blocks.  The reduction forms each row's shifted diagonal
+once, by broadcasting, and drops each level's intermediate blocks once
+they have served, so a stack's memory grows with its rows alone.  Only
+locating an eigenvalue reads log|det|, which ``inertia`` takes on
+request from one O(n) sweep in node order: the same congruence
+eliminated in another order, so Sylvester gives it the same count.
+That sweep also counts a row whose pivots the reduction cannot take,
+its system as the caller gave it, at the shift itself unless a pivot
+of its own breaks down, which moves the shift; the row keeps the
+reduction's Dirichlet count, none (-1) where a pivot of that broke
+down.  The wrap-around entries only ever fill the last block row, so
+the sweep runs in real arithmetic and the unit-modulus wrap multipliers
+enter only the last Schur complement.
 Twisted operators, scalar or 2x2, that differ only in those multipliers
 form a twist ladder: one loop, or one reduction, then a finish per twist,
 counts them all; the reduction's finish is one array expression over the
@@ -314,9 +318,10 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # the end, so the wrap block, which joins only them, enters after the
 # loop and the loop stays real.  The shifts are the rows of every array,
 # each reduced as alone; a stack of systems that share the couplings and
-# the wrap has a row per (system, shift), its diagonal a row per row too.
-# Every step is elementwise or reduces along a row, so a row keeps the
-# bits of its system reduced alone.  Node 0's pivot X0^-1 is last but
+# the wrap has a row per (system, shift), its shifted diagonal formed
+# once per row from its system's by broadcasting (``_rows``).  Every step
+# is elementwise or reduces along a row, so a row keeps the bits of its
+# system reduced alone.  Node 0's pivot X0^-1 is last but
 # one; then the multipliers w of each twist enter the last Schur
 # complement
 #     D_{m-1} - sigma I - C^H X0 C,   C = U + w_off diag(conj w),
@@ -324,7 +329,9 @@ def _finish(op: BandOperator, end: tuple, w: tuple) -> tuple:
 # before it is squared.  It takes real and imaginary parts apart, so
 # conjugate twists count alike bit for bit.  A zero or non-finite pivot
 # anywhere marks its row, which ``_reduced_counts`` counts by the sweep
-# in node order instead, its system alone.
+# in node order instead, its system alone.  The 2x2 levels form their
+# kept blocks and couplings one entry at a time and drop N, G and H once
+# they have served, so the peak stays under seven arrays of rows x m.
 # Node 0 is never eliminated, so its diagonal and its couplings enter no
 # other pivot: before node 0 and the wrap enter, the pivots of nodes
 # 1..m-2 and node m-1's reduced block D_{m-1} - sigma I (less its
@@ -350,7 +357,7 @@ def _inertia_d1_reduction(d, e, w_off, sigma):
     that span the kernel of the scalar Laplacian at w = 1, no step
     cancels, so the count there is as exact as the entries allow; the
     diagonal form loses ulps of the diagonal at every level."""
-    rho = d - sigma[:, None]
+    rho = _rows(d, sigma)
     rho[:, 1:] += e
     rho[:, :-1] += e
     rho[:, [0, -1]] += w_off
@@ -379,46 +386,11 @@ def _inertia_d2_reduction(d11, d12, d22, e, sigma):
     """(negative pivots, every pivot nonzero and finite, end state,
     Dirichlet count or -1 where a pivot of it breaks down) per shift of
     the 2x2 chain reduced to nodes 0 and m-1; d11, d12 and d22 hold one
-    diagonal, or one per shift (a stack)."""
-    shape = (len(sigma), d11.shape[-1])
-    a11, a12, a22 = (d11 - sigma[:, None], np.broadcast_to(d12, shape),
-                     d22 - sigma[:, None])
-    # the first level: the couplings are e I, so L = l I, R = r I, G = l N
-    # and H = r N, and the general level's products by their zero entries
-    # are left out
-    h = (shape[1] - 1) // 2
-    neg, ok, (n11, n12, n22) = _inverse_pivots(
-        a11, a12, a22, slice(1, 2 * h, 2), 0, True)
-    l, r = e[0:2 * h:2], e[1:2 * h:2]
-    g11, g12, g22 = l * n11, l * n12, l * n22
-    h11, h12, h22 = r * n11, r * n12, r * n22
-    a11 = _kept(a11, g11 * l, h11 * r)
-    a12 = _kept(a12, g12 * l, h12 * r)
-    a22 = _kept(a22, g22 * l, h22 * r)
-    u = np.broadcast_to(e, (len(sigma), len(e)))
-    zero = np.broadcast_to(0.0, u.shape)
-    u11, u12, u22 = (_joined(new, u) for new, u in (
-        (g11 * r, u), (g12 * r, zero), (g22 * r, u)))
-    u21 = u12
-    while a11.shape[1] > 2:
-        h = (a11.shape[1] - 1) // 2
-        odd, even = slice(1, 2 * h, 2), slice(0, 2 * h, 2)
-        neg, ok, (n11, n12, n22) = _inverse_pivots(a11, a12, a22, odd,
-                                                   neg, ok)
-        l11, l12, l21, l22 = (u[:, even] for u in (u11, u12, u21, u22))
-        r11, r12, r21, r22 = (u[:, odd] for u in (u11, u12, u21, u22))
-        # G = L N adds G L^T to the left neighbour and couples it by G R
-        g11, g12 = l11 * n11 + l12 * n12, l11 * n12 + l12 * n22
-        g21, g22 = l21 * n11 + l22 * n12, l21 * n12 + l22 * n22
-        # H = R^T N adds H R to the right neighbour
-        h11, h12 = r11 * n11 + r21 * n12, r11 * n12 + r21 * n22
-        h21, h22 = r12 * n11 + r22 * n12, r12 * n12 + r22 * n22
-        a11 = _kept(a11, g11 * l11 + g12 * l12, h11 * r11 + h12 * r21)
-        a12 = _kept(a12, g11 * l21 + g12 * l22, h11 * r12 + h12 * r22)
-        a22 = _kept(a22, g21 * l21 + g22 * l22, h21 * r12 + h22 * r22)
-        u11, u12, u21, u22 = (_joined(new, u) for new, u in (
-            (g11 * r11 + g12 * r21, u11), (g11 * r12 + g12 * r22, u12),
-            (g21 * r11 + g22 * r21, u21), (g21 * r12 + g22 * r22, u22)))
+    diagonal, or one per system of a stack (``_rows``)."""
+    a, u, neg, ok = _first_level(d11, d12, d22, e, sigma)
+    while a[0].shape[1] > 2:
+        neg, ok = _level(a, u, neg, ok)
+    (a11, a12, a22), (u11, u12, u21, u22) = a, u
     last, last_ok = _negatives(a11[:, 1],
                                a11[:, 1] * a22[:, 1] - a12[:, 1] * a12[:, 1])
     det = a11[:, 0] * a22[:, 0] - a12[:, 0] * a12[:, 0]
@@ -427,6 +399,65 @@ def _inertia_d2_reduction(d11, d12, d22, e, sigma):
         a22[:, 0] / det, -a12[:, 0] / det, a11[:, 0] / det,
         u11[:, 0], u12[:, 0], u21[:, 0], u22[:, 0],
         a11[:, 1], a12[:, 1], a22[:, 1]), np.where(ok & last_ok, neg + last, -1)
+
+
+def _first_level(d11, d12, d22, e, sigma):
+    """(the blocks [A11, A12, A22] and couplings [U11, U12, U21, U22] of
+    the kept nodes, neg, ok) after the first level of the 2x2 reduction.
+    The couplings are e I, so L = l I, R = r I, G = l N and H = r N, and
+    the general level's products by their zero entries are left out.  The
+    entries go one at a time, each N entry dropped once it has served."""
+    a = [_rows(d11, sigma), _rows(d12, sigma, shift=False), _rows(d22, sigma)]
+    h = (a[0].shape[1] - 1) // 2
+    neg, ok, n = _inverse_pivots(*a, slice(1, 2 * h, 2), 0, True)
+    l, r = e[0:2 * h:2], e[1:2 * h:2]
+    u = np.broadcast_to(e, (len(sigma), len(e)))
+    joined = []
+    for i, coupling in enumerate((u, np.broadcast_to(0.0, u.shape), u)):
+        g = l * n[i]
+        a[i] = _kept(a[i], g * l, r * n[i] * r)
+        joined.append(_joined(g * r, coupling))
+        n[i] = None
+    return a, [joined[0], joined[1], joined[1], joined[2]], neg, ok
+
+
+def _level(a, u, neg, ok):
+    """(neg, ok) after one general level of the 2x2 reduction, which
+    replaces the blocks a and the couplings u of ``_first_level`` by those
+    of the kept nodes, each as soon as it is formed; N goes once G and H
+    are formed, and H once the blocks are."""
+    h = (a[0].shape[1] - 1) // 2
+    odd, even = slice(1, 2 * h, 2), slice(0, 2 * h, 2)
+    neg, ok, (n11, n12, n22) = _inverse_pivots(*a, odd, neg, ok)
+    l11, l12, l21, l22 = (c[:, even] for c in u)
+    r11, r12, r21, r22 = (c[:, odd] for c in u)
+    # G = L N adds G L^T to the left neighbour and couples it by G R
+    g11, g12 = l11 * n11 + l12 * n12, l11 * n12 + l12 * n22
+    g21, g22 = l21 * n11 + l22 * n12, l21 * n12 + l22 * n22
+    # H = R^T N adds H R to the right neighbour
+    h11, h12 = r11 * n11 + r21 * n12, r11 * n12 + r21 * n22
+    h21, h22 = r12 * n11 + r22 * n12, r12 * n12 + r22 * n22
+    del n11, n12, n22
+    a[0] = _kept(a[0], g11 * l11 + g12 * l12, h11 * r11 + h12 * r21)
+    a[1] = _kept(a[1], g11 * l21 + g12 * l22, h11 * r12 + h12 * r22)
+    a[2] = _kept(a[2], g21 * l21 + g22 * l22, h21 * r12 + h22 * r22)
+    del h11, h12, h21, h22
+    u[:] = [_joined(new, c) for new, c in (
+        (g11 * r11 + g12 * r21, u[0]), (g11 * r12 + g12 * r22, u[1]),
+        (g21 * r11 + g22 * r21, u[2]), (g21 * r12 + g22 * r22, u[3]))]
+    return neg, ok
+
+
+def _rows(d, sigma, shift=True):
+    """A diagonal per shift, shape (rows, m), less the shift unless
+    ``shift`` is false: d holds one diagonal, (m,), or one per system of a
+    stack, (systems, m), each for an equal run of the shifts.  Each row is
+    formed once, by broadcasting; a system's unshifted rows are a view."""
+    d = d.reshape(-1, 1, d.shape[-1])
+    sigma = sigma.reshape(len(d), -1, 1)
+    rows = d - sigma if shift else np.broadcast_to(
+        d, (len(d), sigma.shape[1], d.shape[2]))
+    return rows.reshape(-1, d.shape[2])
 
 
 def _inverse_pivots(a11, a12, a22, odd, neg, ok):
@@ -439,7 +470,7 @@ def _inverse_pivots(a11, a12, a22, odd, neg, ok):
     r = -1.0 / det
     return (neg + np.add.reduce(count, axis=1),
             ok & np.logical_and.reduce(regular, axis=1),
-            (p22 * r, p12 / det, p11 * r))
+            [p22 * r, p12 / det, p11 * r])
 
 
 def _kept(a, left, right):
@@ -513,24 +544,24 @@ def _systems(op: BandOperator) -> list:
     return [replace(op, diag=op.diag[:, j]) for j in range(op.diag.shape[1])]
 
 
-def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
+def _reduced_counts(op: BandOperator, systems: list, shifts: tuple) -> tuple:
     """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
     by odd-even reduction: (the counts, an int array with a row per
     (system, shift), system by system, and a column per twist, one for an
     operator that is no ladder; the Dirichlet count of each row, -1 where
-    its pivots break down).
+    its pivots break down).  The kernels form each row's shifted diagonal
+    once, by broadcasting.
     A row whose pivots break down anywhere, the last Schur complement of
     any twist included, takes its counts from the node-order sweep of its
-    system alone, ``inertia(system, sigma)``, which moves the shift past a
-    breakdown itself; its Dirichlet count stays the reduction's."""
-    systems = _systems(op)
+    system as the caller gave it, one of ``systems``:
+    ``inertia(system, sigma, logdet=False, swept=True)``, which counts at
+    sigma itself unless a pivot of its own breaks down; its Dirichlet
+    count stays the reduction's."""
     w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     reduce, schur = ((_inertia_d1_reduction, _schur_d1) if op.dim == 1
                      else (_inertia_d2_reduction, _schur_d2))
     sigmas = shifts * len(systems)
     diag = op.diag.T
-    if len(systems) > 1:
-        diag = np.repeat(diag, len(shifts), axis=-2)
     lists = (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
     # a pivot that breaks down leaves inf or nan behind it, not a warning
     with np.errstate(all="ignore"):
@@ -538,13 +569,13 @@ def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
         count, regular = _negatives(*schur(end, op.wrap_off, w))
     count = neg[:, None] + count
     for row in np.flatnonzero(~(ok & regular.all(axis=1))).tolist():
-        swept = inertia(systems[row // len(shifts)], sigmas[row])
-        count[row] = [c for c, _ in swept] if op.ladder else swept[0]
+        count[row] = inertia(systems[row // len(shifts)], sigmas[row],
+                             logdet=False, swept=True)[0][0]
     return count, dirichlet
 
 
 def inertia(op: BandOperator, sigma: float, *more: float,
-            logdet: bool = True):
+            logdet: bool = True, swept: bool = False):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
@@ -570,33 +601,41 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     reduction holds them for free: node 0 enters no other pivot.  A row
     whose pivots break down, in the reduction or in the last Schur
     complement of a twist, takes its counts from the sweep in node order
-    of its system alone, which moves the shift past a breakdown of its
-    own.  A count-only call on systems on one mesh that share the
-    couplings and the wrap also takes them as a stack (``BandOperator``):
-    then the rows run over (system, shift), system by system, each equal
-    to the system's own call at the shift.
+    of its system alone.  A count-only call on systems on one mesh that
+    share the couplings and the wrap also takes them as a stack
+    (``BandOperator``): then the rows run over (system, shift), system by
+    system, each equal to the system's own call at the shift.
+
+    With ``swept`` as well, a count-only call takes its counts from the
+    sweep in node order, that fallback, and dirichlet is None: each count
+    is taken at the shift itself, whatever its log|det|, unless a pivot
+    breaks down, which moves the shift (``_retry_shift``).
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
-    band = not op.cyclic
+    given, band = op, not op.cyclic
     if band:
         op = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
-    if not logdet:
-        counts, dirichlet = _reduced_counts(op, shifts)
+    if not (logdet or swept):
+        counts, dirichlet = _reduced_counts(op, _systems(given), shifts)
         return counts, None if band else dirichlet
     if op.diag.ndim > op.dim:
-        raise ValidationError("only a count-only call takes a stack of "
+        raise ValidationError("only the odd-even reduction takes a stack of "
                               "systems")
     kernel, lists = _kernel(op)
-    out = [_sweep(op, kernel, lists, s) for s in shifts]
+    out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
+    if not logdet:
+        return np.array([[c for c, _ in res] if op.ladder else [res[0]]
+                         for res in out]), None
     return out if more else out[0]
 
 
-def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
-    """``inertia`` with log|det| at one shift; a pivot breakdown or a
-    non-finite log|det| moves the shift (``_retry_shift``) and sweeps
-    again."""
+def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float,
+           logdet: bool = True):
+    """``inertia`` by the node-order sweep at one shift; a pivot breakdown,
+    or with ``logdet`` a non-finite log|det|, moves the shift
+    (``_retry_shift``) and sweeps again."""
     for attempt in range(4):
         shift = _retry_shift(op, sigma, attempt) if attempt else sigma
         try:
@@ -606,8 +645,8 @@ def _sweep(op: BandOperator, kernel, lists: tuple, sigma: float):
         except _PivotBreakdown:
             continue
         # a ladder's loop state is shared, so a breakdown in it retries all
-        if isfinite(out[1]):
-            return _finish_ladder(op, sigma, out) if op.ladder else out
+        if not logdet or isfinite(out[1]):
+            return _finish_ladder(op, sigma, out, logdet) if op.ladder else out
     raise NumericalError(f"inertia sweep kept hitting singular pivots at sigma={sigma!r}")
 
 
@@ -623,17 +662,21 @@ def _retry_shift(op: BandOperator, sigma: float, attempt: int) -> float:
     return sigma + max(attempt * 1e-13 * max(1.0, abs(sigma)), attempt * ulp)
 
 
-def _finish_ladder(op: BandOperator, sigma: float, end: tuple) -> list:
-    """Each twist's ``inertia`` result from the shared loop's end state; a
-    twist whose last pivot breaks down is swept again alone."""
+def _finish_ladder(op: BandOperator, sigma: float, end: tuple,
+                   logdet: bool) -> list:
+    """Each twist's (count, log|det|) from the shared loop's end state; a
+    twist whose last pivot breaks down, or with ``logdet`` whose log|det|
+    is not finite, is swept again alone, as ``_sweep`` sweeps it."""
     out = []
     for w in op.wrap_mult.tolist():     # Python complex: finishes run faster
         try:
             res = _finish(op, end, w)
         except _PivotBreakdown:
-            res = 0, float("nan")
-        if not isfinite(res[1]):
-            res = inertia(replace(op, wrap_mult=w), sigma)
+            res = None
+        if res is None or (logdet and not isfinite(res[1])):
+            alone = replace(op, wrap_mult=w)
+            res = (inertia(alone, sigma) if logdet else (int(inertia(
+                alone, sigma, logdet=False, swept=True)[0][0, 0]), None))
         out.append(res)
     return out
 

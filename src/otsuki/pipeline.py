@@ -36,10 +36,11 @@ from .errors import (EdwardsInapplicableError, NumericalError,
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
-from .spectral import (TAU_ZERO, _dirichlet_ends, class_counts,  # noqa: F401
-                       direct_twisted_counts, ladder_counts, spectral_index,
-                       spectrum_counts, verify_high_l_positive)
-from .surface import frame, kernel_fields, kernel_residuals, l0_channel_system
+from .spectral import (TAU_ZERO, _dirichlet_ends, _ladders,  # noqa: F401
+                       class_counts, spectral_index, spectrum_counts,
+                       verify_high_l_positive)
+from .surface import (fourier_block_system, frame, kernel_fields,
+                      kernel_residuals, l0_channel_system)
 
 REPORT_VERSION = "2"
 
@@ -123,8 +124,12 @@ def _closed_form_counts(p: int, q: int) -> tuple[tuple[int, int], int]:
 
 def family_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
     """The family's trajectory for a run at mesh n: 2n nodes, at least 1024
-    and at most 4096.  A mesh too large for memory, n > 2**20, is refused
-    here, before any run at it allocates its nodes."""
+    and at most 4096.  The mesh bounds of a run are checked here, before
+    anything is sampled or counted: a mesh too coarse for the counts,
+    n < 128 (``SLSystem.discretize`` refuses it too), and one too large
+    for memory, n > 2**20."""
+    if n < 128:
+        raise ValidationError(f"mesh too coarse: n = {n} < 128")
     if n > 2**20:
         raise ValidationError(f"mesh too large: n = {n} > 2**20")
     return sample_trajectory(family, min(4096, max(1024, 2 * n)))
@@ -150,30 +155,38 @@ def _count_family(traj: Trajectory, n: int, method: str):
     ``form`` is the boundary form, the EdwardsInapplicableError that
     refused it ('edwards' raises it) or None; rows not counted are None.
 
-    The boundary form's gate takes the Dirichlet count that a reduction
-    settled, if any, instead of reducing the Dirichlet operators itself
-    (``edwards.dirichlet_negative_count``).  Under 'both' the direct
-    ladder of mode l, counted first, settles it, so where both routes
-    raise at the same l, the direct route's error surfaces.  Under
-    'edwards' one reduction per mesh of the stack of both modes' twisted
-    operators at omega = 1 settles it (``spectral._dirichlet_ends``); if
-    that raises, each gate counts alone, and any error surfaces there."""
+    The ladders that share a mesh, a level and a block size are counted
+    as one stack, one count-only reduction per mesh (``spectral._ladders``):
+    mode 0's channels 1 and 2, and the direct ladders of modes 1 and 2.
+    Each ladder is classified in its turn, so errors surface in the order
+    channel 1, channel 2, then per mode l = 1, 2 the direct ladder and the
+    boundary form.  The boundary form's gate takes the Dirichlet count
+    that a reduction settled, if any, instead of reducing the Dirichlet
+    operators itself (``edwards.dirichlet_negative_count``).  Under 'both'
+    the direct ladder of mode l, classified first, settles it, so where
+    both routes raise at the same l, the direct route's error surfaces.
+    Under 'edwards' one reduction per mesh of the stack of both modes'
+    twisted operators at omega = 1 settles it (``spectral._dirichlet_ends``);
+    if that raises, each gate counts alone, and any error surfaces there."""
     q = traj.family.rotation.q
-    chan1, chan2 = (ladder_counts(partial(l0_channel_system, chan), traj, n, 0.0)
-                    for chan in (1, 2))
+    (chan1, _), (chan2, _) = _ladders(
+        [partial(l0_channel_system, chan) for chan in (1, 2)], traj, n, 0.0)
     # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
-    stacked = {}
+    stacked, direct = {}, None
     if method == "edwards":
         try:
             stacked = _dirichlet_ends(traj, n)
         except (NumericalError, ValidationError):
             pass
+    else:
+        direct = _ladders([partial(fourier_block_system, l) for l in (1, 2)],
+                          traj, n, 0.0)
     for l in (1, 2):
         form = edwards_rows = direct_rows = None
         dirichlet = stacked.get(l)
-        if method != "edwards":
-            direct_rows, dirichlet = direct_twisted_counts(l, traj, n)
+        if direct is not None:
+            direct_rows, dirichlet = next(direct)
         if method != "direct":
             try:
                 form = boundary_form(l, traj, n=n, known=dirichlet)

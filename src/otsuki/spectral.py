@@ -20,19 +20,22 @@ from +-TAU_ZERO for the ambiguity and third-mesh rules to fire.  So a
 certified twist counts exactly as if located.  Every other zone
 eigenvalue is located on both meshes (bisection on the count isolates
 each one, count-bracketed secant steps on the determinant refine it).
-Counting reads no determinant, so one classifier (``_zone_rows``)
-counts each mesh's zone ends and windows in one count-only call, one
-reduction for a single system and a twist ladder alike, reads its one
-result, (counts, Dirichlet counts), once for every twist, and settles a
-ladder's twists as array expressions.  Location sweeps the four zone
+Counting reads no determinant, so each mesh's zone ends and windows
+are one count-only call (``_counted``), one reduction for a single
+system, a twist ladder, or a stack of ladders that share the mesh, the
+level and the block size: mode 0's channels 1 and 2, and modes 1 and 2
+(``_ladders``).  One classifier (``_zone_rows``) reads a ladder's rows
+of that result, (counts, Dirichlet counts), once for every twist, and
+settles its twists as array expressions.  Location sweeps the four zone
 ends again with log|det|, for a ladder on the sub-ladder of the twists
-it locates.  A ladder's reduction also counts
-the Dirichlet problem of its system at the zone ends, and ``_settled``
-makes those four counts one, or None unless they agree; the
-boundary-form route's gate reads that count of modes 1 and 2 under
-'both'.  Under 'edwards', which sweeps no ladder of modes 1 and 2, one
-count-only reduction per mesh of the stack of their twisted operators
-at omega = 1 counts both Dirichlet problems there (``_dirichlet_ends``).
+it locates.  A ladder's reduction also counts the Dirichlet problem of
+its system at the zone ends, and ``_settled`` makes those four counts
+one, or None unless they agree; the boundary-form route's gate reads
+that count of modes 1 and 2 under 'both'.  Under 'edwards', which
+sweeps no ladder of modes 1 and 2, the one-twist, zone-ends case of
+the stack, their twisted operators at omega = 1, counts both Dirichlet
+problems (``_dirichlet_ends``).  Laplace l = 1 is counted at level 2,
+so no other ladder shares its shifts, and it is reduced alone.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -59,7 +62,8 @@ from typing import Optional
 import numpy as np
 
 from .eigencount import _bisect, eigenvalues_in, inertia
-from .errors import AmbiguousClassificationError, ValidationError
+from .errors import (AmbiguousClassificationError, NumericalError,
+                     ValidationError)
 from .geodesic import Trajectory
 from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from .surface import (fourier_block_system, laplace_system,
@@ -140,23 +144,62 @@ def _zone(system: SLSystem, n: int) -> float:
     return max(ZONE, min(_ZONE_CAP, _DRIFT_SCALE * (system.length / n) ** 2))
 
 
+def _stack(systems: list, m: int, ladder: Optional[np.ndarray] = None):
+    """The systems' operators on mesh m as one stack for a count-only
+    ``inertia`` call (one system: its operator), with the wrap multipliers
+    of ``ladder`` if given.  The systems share the weight p at the half
+    nodes, so the couplings and the wrap; each keeps its own operator
+    (``SLSystem.operator``), and no system keeps the stack."""
+    ops = [system.operator(m) for system in systems]
+    op = ops[0] if len(ops) == 1 else replace(
+        ops[0], diag=np.stack([op.diag for op in ops], axis=1))
+    return op if ladder is None else replace(op, wrap_mult=ladder)
+
+
+def _counted(systems: list, n: int, level: float,
+             ladder: Optional[np.ndarray] = None,
+             windows: bool = True) -> list:
+    """Each system's [(counts, dirichlet) on mesh n, the same on mesh 2n]:
+    its rows of one count-only ``inertia`` call per mesh on the systems'
+    stack (``_stack``), at the zone ends and, with ``windows``, the window
+    shifts.  counts has a row per twist and a column per shift; dirichlet
+    an entry per shift, None for a band operator.  The systems share the
+    length, so the zone."""
+    ops = [_stack(systems, k * n, ladder) for k in (1, 2)]
+    zone = _zone(systems[0], n)
+    meshes = []
+    for op, shifts in zip(ops, _WINDOW_SHIFTS):
+        shifts = (level - zone, level + zone,
+                  *([level + s * _WINDOW for s in shifts] if windows else ()))
+        counts, dirichlet = inertia(op, *shifts, logdet=False)
+        # the rows run over (system, shift), system by system
+        counts = counts.reshape(len(systems), len(shifts), -1)
+        meshes.append(zip(counts.transpose(0, 2, 1),
+                          [None] * len(systems) if dirichlet is None
+                          else dirichlet.reshape(len(systems), -1)))
+    return [list(rows) for rows in zip(*meshes)]
+
+
 def _zone_rows(system: SLSystem, n: int, level: float,
-               ladder: Optional[np.ndarray] = None) -> tuple:
+               ladder: Optional[np.ndarray] = None,
+               counted: Optional[list] = None) -> tuple:
     """(rows, dirichlet).  rows is an int array holding (below, at, k) at
     the level for each twist of ``ladder`` (rows of wrap multipliers that
     replace the system's), or one row for the system alone; k counts the
-    eigenvalues in the mesh-n zone (level - zone, level + zone].  For a
-    ladder, dirichlet is the count below the zone of the Dirichlet problem
-    of the same system, read from the by-products of the ladder's
-    reductions (``_settled``), or None where they do not settle it; for a
-    system alone it is None.
+    eigenvalues in the mesh-n zone (level - zone, level + zone].
+    dirichlet is the count below the zone of the Dirichlet problem of the
+    same system, read from the by-products of the reductions
+    (``_settled``), or None where they do not settle it or the system has
+    no wrap.
 
-    Each sweep serves every twist: the zone ends and windows of a mesh,
-    counted in one call, and the ends with log|det| for location; a
-    ladder is settled as array expressions over its twists.  A twist's
-    k zone eigenvalues are zero if its window counts read below, below + k
-    on both meshes (see the module docstring), else they are located.
-    The twists to locate are known before any is located, so one log|det|
+    ``counted`` holds the system's rows of a stack's count-only results
+    (``_counted``); without it the system is counted alone.  Each count
+    serves every twist: the zone ends and windows of a mesh, counted in
+    one call, and the ends with log|det| for location; a ladder is
+    settled as array expressions over its twists.  A twist's k zone
+    eigenvalues are zero if its window counts read below, below + k on
+    both meshes (see the module docstring), else they are located.  The
+    twists to locate are known before any is located, so one log|det|
     call per mesh sweeps their sub-ladder alone.  The first twist whose
     meshes disagree raises once the twists before it are counted; an
     ambiguity in a ladder names the system's l and the twist r."""
@@ -164,17 +207,13 @@ def _zone_rows(system: SLSystem, n: int, level: float,
         op = system.operator(k)
         return op if mult is None else replace(op, wrap_mult=mult)
 
-    ops = operator(n), operator(2 * n)
+    if counted is None:
+        counted = _counted([system], n, level, ladder)[0]
     zone = _zone(system, n)
     lo, hi = level - zone, level + zone
-    windows = [[level + s * _WINDOW for s in shifts]
-               for shifts in _WINDOW_SHIFTS]
     # one row per twist, one column per shift: the zone ends, the windows
-    sweeps = [inertia(op, lo, hi, *shifts, logdet=False)
-              for op, shifts in zip(ops, windows)]
-    ends = [counts.T for counts, _ in sweeps]
-    dirichlet = (None if ladder is None
-                 else _settled([below_top[:2] for _, below_top in sweeps]))
+    ends = [counts for counts, _ in counted]
+    dirichlet = _settled([below for _, below in counted])
     (below, top), (below2, top2) = ends[0][:, :2].T, ends[1][:, :2].T
     k = top - below
     faults = np.flatnonzero((below != below2) | (top2 - below != k))
@@ -221,11 +260,14 @@ def _zone_rows(system: SLSystem, n: int, level: float,
     return rows, dirichlet
 
 
-def _settled(ends) -> Optional[int]:
-    """The Dirichlet count below the zone, from ``ends``, its counts at the
-    zone ends on the meshes n and 2n, when all agree, so the zone is empty
-    on both meshes, and none broke down (-1); else None."""
-    values = set(np.ravel(ends).tolist())
+def _settled(counts) -> Optional[int]:
+    """The Dirichlet count below the zone, from ``counts``, the Dirichlet
+    counts of a reduction on the meshes n and 2n, the zone ends first,
+    when those four agree, so the zone is empty on both meshes, and none
+    broke down (-1); else None, also for a band operator's (None)."""
+    if counts[0] is None:
+        return None
+    values = set(np.ravel([mesh[:2] for mesh in counts]).tolist())
     return values.pop() if len(values) == 1 and -1 not in values else None
 
 
@@ -324,25 +366,49 @@ def ladder_counts(build, traj: Trajectory, n: int,
 
     The twisted operators on [0, T] differ only in their wrap multipliers,
     (omega_r, -omega_r) or (omega_r,), so the zone ends and windows of a
-    mesh are one sweep of the ladder r = 0..q; a twist whose zone holds
-    eigenvalues that the windows do not certify is refined on its own
-    operator.  The rows r > q are copied from r' = 2q - r: omega_r is
+    mesh are one reduction of the ladder r = 0..q; a twist whose zone
+    holds eigenvalues that the windows do not certify is refined on its
+    own operator.  The rows r > q are copied from r' = 2q - r: omega_r is
     exactly conj(omega_r'), and the sweeps take only real parts of
     products of conjugates, so the two twists count bit for bit alike.
     """
-    return _ladder(build, traj, n, level)[0]
+    return next(_ladders([build], traj, n, level))[0]
 
 
-def _ladder(build, traj: Trajectory, n: int, level: float) -> tuple:
-    """(the ``ladder_counts`` rows, the Dirichlet count that ``_zone_rows``
-    hands out with them)."""
+def _ladders(builds: list, traj: Trajectory, n: int, level: float):
+    """Yield, for each build in turn, (its ``ladder_counts`` rows, the
+    Dirichlet count that ``_zone_rows`` hands out with them).
+
+    The builds' twisted systems share the mesh, the weight p at the half
+    nodes, so the couplings and the wrap, and the length T, so the zone;
+    the level and the block size are the caller's to share.  So one
+    count-only reduction per mesh of the stack of their ladders counts
+    every ladder's zone ends and windows (``_counted``), and each ladder
+    is classified from its rows, and its twists located, only when its
+    turn comes: a caller that checks a ladder before it asks for the next
+    sees the errors in the order of the builds.  If the stacked count
+    raises, each ladder is counted alone in its turn, where its error
+    surfaces as it would alone.
+
+    The Dirichlet count is that of the Dirichlet problem of a build's
+    system, with the twisted ladder's length T, so its zone: its operator
+    is the twisted one with node 0 deleted, which the ladder's reductions
+    count at the zone ends for free, and ``edwards.dirichlet_negative_count``
+    takes the settled count of modes 1 and 2 as ``known``."""
     q = traj.family.rotation.q
-    system = build(traj, BoundaryCondition.twisted(1.0))
+    systems = [build(traj, BoundaryCondition.twisted(1.0)) for build in builds]
     omega = roots_of_unity_ladder(q)[:q + 1, None]
-    ladder = np.hstack((omega, -omega))[:, :system.dim]
-    rows, dirichlet = _zone_rows(system, n, level, ladder)
-    rows = rows[:, :2]
-    return np.concatenate((rows, rows[q - 1:0:-1])), dirichlet
+    ladder = np.hstack((omega, -omega))[:, :systems[0].dim]
+    counted = [None] * len(systems)
+    if len(systems) > 1:
+        try:
+            counted = _counted(systems, n, level, ladder)
+        except (NumericalError, ValidationError):
+            pass
+    for system, rows in zip(systems, counted):
+        rows, dirichlet = _zone_rows(system, n, level, ladder, rows)
+        rows = rows[:, :2]
+        yield np.concatenate((rows, rows[q - 1:0:-1])), dirichlet
 
 
 def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
@@ -354,42 +420,16 @@ def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
     return tuple((rows if q % 2 else rows[l % 2::2]).sum(axis=0).tolist())
 
 
-def direct_twisted_counts(l: int, traj: Trajectory,
-                          n: int) -> tuple[np.ndarray, Optional[int]]:
-    """(rows, dirichlet): the (2q, 2) array of (negative, zero) of the
-    omega-twisted mode-l block on [0, T], row r for omega =
-    exp(i pi r / q), r = 0..2q-1, and the negative count of the Dirichlet
-    mode-l block when the zone is empty on both meshes, else None.
-
-    The Dirichlet block has the twisted blocks' length T, so the same
-    zone, and its operator is theirs with node 0 deleted: the ladder's
-    reduction counts it at the zone ends for free (``_zone_rows``), and
-    ``edwards.dirichlet_negative_count`` takes the settled count as
-    ``known``."""
-    return _ladder(partial(fourier_block_system, l), traj, n, 0.0)
-
-
 def _dirichlet_ends(traj: Trajectory, n: int) -> dict:
-    """{l: the Dirichlet count of ``direct_twisted_counts``} for l = 1, 2,
-    without their ladders: on each mesh, one count-only reduction of the
-    stack of the two modes' twisted operators at omega = 1, whose
-    Dirichlet counts at the zone ends are those of the Dirichlet blocks.
-    The modes share the mesh, the weight p at the half nodes, so the
-    couplings and the wrap, and the length T, so the zone."""
+    """{l: the Dirichlet count of mode l's ladder (``_ladders``)} for
+    l = 1, 2, without their ladders: the one-twist, zone-ends case of
+    ``_counted``, one count-only reduction per mesh of the stack of the
+    two modes' twisted operators at omega = 1, whose Dirichlet counts at
+    the zone ends are those of the Dirichlet blocks."""
     systems = [fourier_block_system(l, traj, BoundaryCondition.twisted(1.0))
                for l in (1, 2)]
-    zone = _zone(systems[0], n)
-
-    def stack(m: int):
-        """The modes' operators on mesh m as one stack, which no system
-        keeps (``SLSystem.operator`` would, past the reduction)."""
-        ops = [system.discretize(m) for system in systems]
-        return replace(ops[0], diag=np.stack([op.diag for op in ops], axis=1))
-
-    # axes: mesh, mode, zone end
-    ends = np.stack([inertia(stack(k * n), -zone, zone,
-                             logdet=False)[1].reshape(2, 2) for k in (1, 2)])
-    return {l: _settled(ends[:, j]) for j, l in enumerate((1, 2))}
+    return {l: _settled([below for _, below in rows]) for l, rows in
+            zip((1, 2), _counted(systems, n, 0.0, windows=False))}
 
 
 def spectral_index(traj: Trajectory, n: int, channel2) -> int:

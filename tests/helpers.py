@@ -1,8 +1,9 @@
 """Oracles the tests share and the package does not run: constant-coefficient
 systems, a fine fixed-step RK4 flow (its samples and its turning time),
 the boundary-form ODE right-hand side as a function that returns a new
-array, the 2x2 odd-even reduction with a general first level, the
-geodesic quadratures and samples with one integrand call per level and
+array, the direct route's ladder of one mode alone, the 2x2 odd-even
+reduction with a general first level, the geodesic quadratures and
+samples with one integrand call per level and
 rates that take phi, the root by a bisection that integrates every
 midpoint, the boundary solutions as functions of t (scipy's DOP853
 interpolant), the dense restricted boundary form of a twist and its
@@ -111,6 +112,18 @@ def rk4_samples(family, n, steps):
         out[:, i] = phi, phidot, dtheta
     out[2] = np.cumsum(out[2])
     return out
+
+
+def direct_twisted_counts(l, traj, n):
+    """(rows, dirichlet) of the direct route at mode l, its ladder alone:
+    the (2q, 2) array of (negative, zero) of the omega-twisted mode-l block
+    on [0, T], row r for omega = exp(i pi r / q), and the negative count
+    of the Dirichlet mode-l block when the zone is empty on both meshes,
+    else None.  The Dirichlet block is the twisted operator with node 0
+    deleted, so the ladder's reductions count it for free; the pipeline
+    counts the ladders of modes 1 and 2 as one stack, each row as alone."""
+    return next(spectral._ladders([partial(fourier_block_system, l)], traj,
+                                  n, 0.0))
 
 
 def fundamental_rhs_matmul(y, l, c):

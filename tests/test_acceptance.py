@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (check_interlacing, closed_length_system,
+                     direct_twisted_counts,
                      half_length_system, oscillation_index, restricted_form,
                      scalar_eigenfunctions, spectrum_with_eigenfunctions)
 from otsuki.edwards import (aggregate_roots, boundary_form,
@@ -24,7 +25,7 @@ from otsuki.geodesic import (CLIFFORD_HALF_PERIOD, CLIFFORD_ROTATION,
                              sample_trajectory, solve_parameter)
 from otsuki.pipeline import bounds_check, compute_index, index_bounds
 from otsuki.sl import BoundaryCondition
-from otsuki.spectral import (TAU_ZERO, direct_twisted_counts, ladder_counts,
+from otsuki.spectral import (TAU_ZERO, ladder_counts,
                              spectral_index, spectrum_below, spectrum_counts)
 from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
 

@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (boundary_psi, dense_twisted_row, fundamental_rhs,
-                     fundamental_rhs_matmul, restricted_form, returning)
+from helpers import (boundary_psi, dense_twisted_row, direct_twisted_counts,
+                     fundamental_rhs, fundamental_rhs_matmul, restricted_form,
+                     returning)
 from otsuki import edwards, eigencount, spectral, surface
 from otsuki.cli import run_cli
 from otsuki.edwards import (BoundarySolutions, aggregate_roots, boundary_form,
@@ -22,7 +23,7 @@ from otsuki.eigencount import eigenvalues_in
 from otsuki.geodesic import solve_parameter
 from otsuki.pipeline import compute_index, family_trajectory, report_document
 from otsuki.sl import BoundaryCondition, SLSystem
-from otsuki.spectral import LOCATE_TOL, direct_twisted_counts
+from otsuki.spectral import LOCATE_TOL
 from otsuki.surface import fourier_block_system
 
 SQRT2 = math.sqrt(2.0)

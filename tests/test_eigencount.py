@@ -449,9 +449,11 @@ def test_ladder_is_complex_and_has_no_dense_matrix(traj23):
     pytest.param(1, "nan", id="scalar-nan")])
 def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
                                                   failure):
-    # a twist whose last Schur complement breaks down, or is nan, is swept
-    # again alone; log|det| comes from the sweep's per-twist finish, a
-    # count from the reduction's finish, one array expression per ladder
+    # a twist whose last Schur complement breaks down, or whose log|det|
+    # is nan, is swept again alone; log|det| comes from the sweep's
+    # per-twist finish, a count from the reduction's finish, one array
+    # expression per ladder.  The count-only fallback sweeps a twist again
+    # only where its pivot breaks down: a nan log|det| keeps its count
     build = (partial(l0_channel_system, 1) if dim == 1
              else partial(fourier_block_system, 1))
     ops = _twisted_operators(build, traj58, 256)
@@ -462,9 +464,9 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     first = [w[0] for w in ladder.wrap_mult.tolist()]
     swept, finished, reduced = [], [], []
 
-    def recorded(op, s, logdet=True):
+    def recorded(op, s, logdet=True, **kwargs):
         swept.append((np.asarray(op.wrap_mult).tolist(), logdet))
-        return inertia(op, s, logdet=logdet)
+        return inertia(op, s, logdet=logdet, **kwargs)
 
     def fail_once(w0, tried):
         """Whether this finish of the twist with first multiplier w0 fails:
@@ -478,7 +480,7 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     def flaky_finish(end, *w):
         if fail_once(w[0], finished):
             if failure == "nan":
-                return 0, float("nan")
+                return original_finish(end, *w)[0], float("nan")
             raise eigencount._PivotBreakdown
         return original_finish(end, *w)
 
@@ -503,13 +505,14 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
         assert (got if logdet else got[0].tolist()) == (
             want if logdet else [[c for c, _ in want]])
         # a count-only call reduces the ladder, and its row, with the failed
-        # twist, is swept again in node order with log|det|
+        # twist, is swept again in node order, count-only
+        again = logdet or failure == "breakdown"
         assert swept == ([] if logdet else [(whole[0], False)]) + [
-            whole, (target, True)]
+            (whole[0], logdet)] + [(target, logdet)] * again
         # every twist is finished once from the shared loop, and the failed
         # one again alone; a count-only call finishes every twist once
         # from the reduction first
-        assert finished == first[:4] + [target[0]] + first[4:]
+        assert finished == first[:4] + [target[0]] * again + first[4:]
         assert reduced == ([] if logdet else first)
 
 
@@ -617,6 +620,62 @@ def test_a_broken_down_row_takes_node_order_counts_and_no_dirichlet_count(
     assert counts.tolist() == [inertia(dirichlet, 0.17)[0], -1]
 
 
+@pytest.mark.parametrize("cyclic", [False, True], ids=["band", "cyclic"])
+def test_a_count_only_fallback_counts_at_the_shift_itself(cyclic,
+                                                         monkeypatch):
+    # the reduction breaks down at node 1, 0 at sigma = 0; the node-order
+    # sweep of the operator as the caller gave it counts there: its first
+    # pivot 1e-300 makes the second -1e10 / 1e-300, which overflows, so
+    # log|det| is inf, which a count-only call does not read, and no
+    # pivot breaks down, so the shift stays where it is
+    wrap = dict(wrap_off=0.0, wrap_mult=(1.0,)) if cyclic else {}
+    op = BandOperator(dim=1, diag=np.array([1e-300, 0.0] + [1.0] * 8),
+                      off=np.full(9, 1e5), **wrap)
+    assert int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum()) == 5
+    calls, moved = [], []
+    original, retry = eigencount.inertia, eigencount._retry_shift
+
+    def recorded(op, *shifts, **kwargs):
+        calls.append((op.cyclic, kwargs))
+        return original(op, *shifts, **kwargs)
+
+    def recorded_retry(*args):
+        moved.append(args)
+        return retry(*args)
+
+    monkeypatch.setattr(eigencount, "inertia", recorded)
+    monkeypatch.setattr(eigencount, "_retry_shift", recorded_retry)
+    counts, dirichlet = eigencount.inertia(op, 0.0, logdet=False)
+    assert counts.tolist() == [[5]] and moved == []
+    assert (dirichlet is None) == (not cyclic)
+    # the fallback sweeps the operator the caller gave, band or cyclic
+    assert calls == [(cyclic, {"logdet": False}),
+                     (cyclic, {"logdet": False, "swept": True})]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stack"])
+def test_a_2x2_reduction_peaks_under_seven_arrays(traj23, stacked):
+    # each row's shifted diagonal is formed once, by broadcasting, and
+    # each level drops its N, G and H once its kept blocks and couplings
+    # are formed: the traced peak of one reduction at m = 8192 stays
+    # under 7 arrays of rows x m (9.3 before either)
+    import tracemalloc
+
+    m = 8192
+    ops = [fourier_block_system(l, traj23, BoundaryCondition.twisted(1.0))
+           .discretize(m) for l in (1, 2)][:1 + stacked]
+    sigma = np.tile([-2e-3, 2e-3, -7.8e-6, 1.95e-6], len(ops))
+    lists = (*_stack(ops).diag.T, ops[0].off, sigma)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eigencount._inertia_d2_reduction(*lists)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * len(sigma) * m * 8
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("cyclic", [False, True], ids=["band", "cyclic"])
 def test_counts_where_the_reduction_breaks_down(dim, cyclic):
@@ -714,15 +773,19 @@ def test_a_stack_reduces_each_row_as_alone(dim, traj23):
                    and op.wrap_off == ops[0].wrap_off for op in ops)
         alone = [reduce(*_reduction_lists(op, op.diag.T), sigma)
                  for op in ops]
-        rows = np.repeat(_stack(ops).diag.T, len(sigma), axis=-2)
-        got = reduce(*_reduction_lists(ops[0], rows), np.tile(sigma, len(ops)))
+        # a diagonal per system, each for its run of shifts, as
+        # ``inertia`` hands it over, and one per row
+        diag = _stack(ops).diag.T
+        for rows in (diag, np.repeat(diag, len(sigma), axis=-2)):
+            got = reduce(*_reduction_lists(ops[0], rows),
+                         np.tile(sigma, len(ops)))
 
-        def flat(out):
-            neg, ok, end, below = out
-            return [neg, ok, *end, below]
+            def flat(out):
+                neg, ok, end, below = out
+                return [neg, ok, *end, below]
 
-        for got_part, *parts in zip(flat(got), *map(flat, alone)):
-            assert got_part.tobytes() == np.concatenate(parts).tobytes()
+            for got_part, *parts in zip(flat(got), *map(flat, alone)):
+                assert got_part.tobytes() == np.concatenate(parts).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -3,19 +3,33 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from otsuki import cli, edwards, eigencount, jsonio, pipeline, spectral
 from otsuki.cli import run_cli
-from otsuki.errors import AmbiguousClassificationError, RouteDisagreementError
+from otsuki.errors import (AmbiguousClassificationError, NumericalError,
+                           RouteDisagreementError, ValidationError)
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
                              index_bounds, verify_family)
 from otsuki.geodesic import Trajectory, solve_parameter
 from otsuki.sl import BoundaryCondition, SLSystem
-from otsuki.surface import kernel_fields, kernel_residuals, l0_channel_system
+from otsuki.surface import (fourier_block_system, kernel_fields,
+                            kernel_residuals, l0_channel_system)
+
+
+def _changed_ladders(original, change):
+    """``spectral._ladders`` with each ladder's rows replaced by
+    ``change(build, traj, rows)``."""
+    def ladders(builds, traj, n, level):
+        for build, (rows, dirichlet) in zip(
+                builds, original(builds, traj, n, level)):
+            yield change(build, traj, rows), dirichlet
+
+    return ladders
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +55,15 @@ class TestFormulas:
                                      (2**20, 4096)])
 def test_family_trajectory_nodes(fam23, n, nodes):
     assert family_trajectory(fam23, n).n == nodes
+
+
+@pytest.mark.parametrize("n", [0, 100, 127])
+def test_family_trajectory_refuses_a_coarse_mesh(fam23, n):
+    # checked before anything is sampled, counted or discretized
+    with pytest.raises(ValidationError,
+                       match=f"mesh too coarse: n = {n} < 128"):
+        family_trajectory(fam23, n)
+    assert family_trajectory(fam23, 128).n == 1024
 
 
 class TestComputeIndex:
@@ -112,21 +135,27 @@ class TestComputeIndex:
         # the spectral index reads Laplace l = 0 off the mode-0 channel-2
         # ladder, so it sweeps only Laplace l = 1 itself; verify counts the
         # four mode ladders and one boundary form per mode, once each, and
-        # reads the rows that compute_index reads
-        original, form = spectral._ladder, pipeline.boundary_form
-        built, forms = [], []
+        # reads the rows that compute_index reads.  The ladders that share a
+        # level and a block size, mode 0's channels and the mode-1 and
+        # mode-2 blocks, are counted as one stack each
+        original, form = spectral._ladders, pipeline.boundary_form
+        built, forms, stacks = [], [], []
 
-        def recorded(build, traj, n, level):
-            rows, dirichlet = original(build, traj, n, level)
-            built.append(((build.func.__name__, build.args, level),
-                          rows.tolist()))
-            return rows, dirichlet
+        def recorded(builds, traj, n, level):
+            def record(build, traj, rows):
+                built.append(((build.func.__name__, build.args, level),
+                              rows.tolist()))
+                return rows
+
+            stacks.append((len(builds), level))
+            return _changed_ladders(original, record)(builds, traj, n, level)
 
         def recorded_form(l, traj, **kwargs):
             forms.append(l)
             return form(l, traj, **kwargs)
 
-        monkeypatch.setattr(spectral, "_ladder", recorded)
+        monkeypatch.setattr(spectral, "_ladders", recorded)
+        monkeypatch.setattr(pipeline, "_ladders", recorded)
         monkeypatch.setattr(pipeline, "boundary_form", recorded_form)
         compute_index(2, 3, method="direct", n=512)
         assert [key for key, _ in built] == [
@@ -134,6 +163,7 @@ class TestComputeIndex:
             ("fourier_block_system", (1,), 0.0),
             ("fourier_block_system", (2,), 0.0),
             ("laplace_system", (1,), 2.0)]
+        assert stacks == [(2, 0.0), (2, 0.0), (1, 2.0)]
         assert forms == []
 
         built.clear()
@@ -152,21 +182,77 @@ class TestComputeIndex:
         assert rows["route agreement l=1"]["ok"]
         assert rows["route agreement l=2"]["ok"]
 
+    def test_count_only_reductions_per_family(self, monkeypatch):
+        # one reduction per mesh of each stack: mode 0's channels, modes 1
+        # and 2 (their direct ladders, or under 'edwards' their Dirichlet
+        # ends), and Laplace l = 1 alone; verify counts no spectral index
+        original, calls = eigencount._reduced_counts, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(eigencount, "_reduced_counts", counted)
+        for method in ("both", "edwards", "direct"):
+            calls.clear()
+            compute_index(2, 3, method=method, n=512)
+            assert len(calls) == 6, method
+        calls.clear()
+        verify_family(2, 3, n=512)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("raising,form,want", [
+        ({"channel 1", "channel 2"}, False, "channel 1"),
+        ({"channel 2", "l = 1"}, False, "channel 2"),
+        ({"l = 2"}, True, "form l = 1"),
+        ({"l = 1"}, True, "l = 1"),
+        ({"l = 2"}, False, "l = 2")])
+    def test_errors_surface_in_ladder_order(self, monkeypatch, raising, form,
+                                            want):
+        # a count-only call that raises on a ladder's operator, stacked or
+        # alone; the first error in the order channel 1, channel 2, then
+        # per mode the direct ladder and the boundary form surfaces, as
+        # when each ladder was counted alone
+        traj = family_trajectory(solve_parameter(2, 3), 512)
+        builds = {"channel 1": partial(l0_channel_system, 1),
+                  "channel 2": partial(l0_channel_system, 2),
+                  "l = 1": partial(fourier_block_system, 1),
+                  "l = 2": partial(fourier_block_system, 2)}
+        tags = {build(traj, BoundaryCondition.twisted(1.0)).discretize(m)
+                .diag.tobytes(): tag
+                for tag, build in builds.items() for m in (512, 1024)}
+        original, boundary = spectral.inertia, pipeline.boundary_form
+
+        def failing(op, *shifts, logdet=True):
+            parts = ([op.diag] if op.diag.ndim == op.dim
+                     else [op.diag[:, j] for j in range(op.diag.shape[1])])
+            for part in parts:
+                if not logdet and tags.get(part.tobytes()) in raising:
+                    raise NumericalError(tags[part.tobytes()])
+            return original(op, *shifts, logdet=logdet)
+
+        def failing_form(l, traj, **kwargs):
+            if form and l == 1:
+                raise NumericalError("form l = 1")
+            return boundary(l, traj, **kwargs)
+
+        monkeypatch.setattr(spectral, "inertia", failing)
+        monkeypatch.setattr(pipeline, "boundary_form", failing_form)
+        with pytest.raises(NumericalError) as exc:
+            compute_index(2, 3, method="both", n=512)
+        assert str(exc.value) == want
+
     def test_unknown_method_rejected(self):
         from otsuki.errors import ValidationError
         with pytest.raises(ValidationError):
             compute_index(2, 3, method="fancy")
 
     def test_route_disagreement_fails_loudly(self, monkeypatch):
-        import otsuki.pipeline as pipeline
+        def wrong(build, traj, rows):
+            return rows + (1, 0) if build.func is fourier_block_system else rows
 
-        _orig = pipeline.direct_twisted_counts
-
-        def wrong(l, traj, n):
-            rows, dirichlet = _orig(l, traj, n)
-            return rows + (1, 0), dirichlet
-
-        monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
+        monkeypatch.setattr(pipeline, "_ladders",
+                            _changed_ladders(pipeline._ladders, wrong))
         with pytest.raises(RouteDisagreementError):
             compute_index(2, 3, method="both", n=512)
 
@@ -448,14 +534,15 @@ class TestVerifyBattery:
             raise EdwardsInapplicableError("forced")
 
         counted = []
-        original = pipeline.direct_twisted_counts
 
-        def recorded(l, traj, n):
-            counted.append(l)
-            return original(l, traj, n)
+        def recorded(build, traj, rows):
+            if build.func is fourier_block_system:
+                counted.extend(build.args)
+            return rows
 
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
-        monkeypatch.setattr(pipeline, "direct_twisted_counts", recorded)
+        monkeypatch.setattr(pipeline, "_ladders",
+                            _changed_ladders(pipeline._ladders, recorded))
         rows = verify_family(2, 3, n=512)
         assert [r["check"] for r in rows] == [
             c for c in VERIFY_CHECKS if c not in ("s2 = -cos(p pi / q)",
@@ -466,13 +553,12 @@ class TestVerifyBattery:
         assert counted == [1, 2]
 
     def test_route_disagreement_is_a_failed_row(self, monkeypatch):
-        original = pipeline.direct_twisted_counts
+        def wrong(build, traj, rows):
+            return rows + (build.args == (2,), 0) \
+                if build.func is fourier_block_system else rows
 
-        def wrong(l, traj, n):
-            rows, dirichlet = original(l, traj, n)
-            return rows + (l == 2, 0), dirichlet
-
-        monkeypatch.setattr(pipeline, "direct_twisted_counts", wrong)
+        monkeypatch.setattr(pipeline, "_ladders",
+                            _changed_ladders(pipeline._ladders, wrong))
         rows = {r["check"]: r for r in verify_family(2, 3, n=512)}
         assert rows["route agreement l=1"]["ok"]
         assert not rows["route agreement l=2"]["ok"]
@@ -504,17 +590,15 @@ VERIFY_CHECKS = [
 def miscounted(monkeypatch):
     """Channel 2 reads (0, 2) at omega = -1, the mis-count of 2378/3363,
     which moves mode 0 from (neg, zero) to (neg - 1, zero + 1)."""
-    original = pipeline.ladder_counts
-
-    def counts(build, traj, n, level):
-        rows = original(build, traj, n, level)
+    def counts(build, traj, rows):
         if build.func is not l0_channel_system or build.args != (2,):
             return rows
         rows = rows.copy()
         rows[traj.family.rotation.q] = 0, 2
         return rows
 
-    monkeypatch.setattr(pipeline, "ladder_counts", counts)
+    monkeypatch.setattr(pipeline, "_ladders",
+                        _changed_ladders(pipeline._ladders, counts))
 
 
 class TestCli:

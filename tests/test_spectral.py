@@ -10,17 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (check_interlacing, closed_length_positive,
-                     closed_length_system, constant_system, full_period_grid,
+                     closed_length_system, constant_system,
+                     direct_twisted_counts, full_period_grid,
                      half_length_system, oscillation_index,
                      spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
 from otsuki.geodesic import _phi_ddot, sample_trajectory, solve_parameter
-from otsuki.pipeline import compute_index, report_document
+from otsuki.pipeline import compute_index, family_trajectory, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from otsuki.spectral import (TAU_ZERO, ZONE, class_counts,
-                             direct_twisted_counts, ladder_counts,
+from otsuki.spectral import (TAU_ZERO, ZONE, class_counts, ladder_counts,
                              spectral_index, spectrum_below, spectrum_counts,
                              verify_high_l_positive)
 from otsuki.surface import (fourier_block_system, l0_channel_system,
@@ -642,6 +642,54 @@ class TestTwistedConsistency:
         union.sort()
         assert len(union) == len(s_full.eigenvalues)
         assert np.abs(np.array(union) - np.array(s_full.eigenvalues)).max() < 1e-6
+
+    @pytest.mark.parametrize("p,q", README_FAMILIES + [(12, 17), (70, 99)])
+    def test_stacked_ladders_equal_each_alone(self, p, q, monkeypatch):
+        # the ladders that share a mesh, a level and a block size, mode 0's
+        # channels and the mode-1 and mode-2 blocks, count as one stack,
+        # one count-only call per mesh; each yields the rows and the
+        # Dirichlet count of its ladder counted alone
+        original, calls = spectral.inertia, []
+
+        def recorded(op, *shifts, logdet=True):
+            calls.append((op.diag.ndim - op.dim, logdet))
+            return original(op, *shifts, logdet=logdet)
+
+        for n in (512, 1024):
+            traj = family_trajectory(solve_parameter(p, q), n)
+            for pair in (("channel1", "channel2"), (1, 2)):
+                builds = [LADDER_BUILDS[key][0] for key in pair]
+                alone = [next(spectral._ladders([build], traj, n, 0.0))
+                         for build in builds]
+                monkeypatch.setattr(spectral, "inertia", recorded)
+                calls.clear()
+                stacked = list(spectral._ladders(builds, traj, n, 0.0))
+                monkeypatch.undo()
+                assert [c for c in calls if not c[1]] == [(1, False)] * 2
+                for (rows, dirichlet), (want, want_dirichlet) in zip(
+                        stacked, alone):
+                    assert np.array_equal(rows, want)
+                    assert dirichlet == want_dirichlet
+
+    def test_a_stack_that_raises_counts_each_ladder_alone(self, traj23,
+                                                          monkeypatch):
+        # a stacked count that raises leaves each ladder to count alone in
+        # its turn, where its own error would surface: the same rows
+        original, sizes = spectral._counted, []
+
+        def refused(systems, *args, **kwargs):
+            sizes.append(len(systems))
+            if len(systems) > 1:
+                raise NumericalError("stack refused")
+            return original(systems, *args, **kwargs)
+
+        builds = [LADDER_BUILDS[l][0] for l in (1, 2)]
+        want = list(spectral._ladders(builds, traj23, 512, 0.0))
+        monkeypatch.setattr(spectral, "_counted", refused)
+        got = list(spectral._ladders(builds, traj23, 512, 0.0))
+        assert sizes == [2, 1, 1]
+        assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
+                   for a, b in zip(got, want))
 
     def test_ladder_sweeps_each_conjugate_pair_once(self, monkeypatch):
         # the twists r > q are the conjugates of 2q - r: no ladder carries
