@@ -15,6 +15,18 @@ once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
+``pipeline.compute_index`` and ``pipeline.verify_family`` have those of
+modes 1 and 2 integrated beside their finite-difference counts, on
+another CPU: right after the family is solved, ``_ForkedSolutions`` forks
+a child that runs ``boundary_solutions`` for l = 1, then l = 2, pipes
+each result, or the exception it raised, to the parent, and leaves
+through ``os._exit``.  ``boundary_form`` still runs the gate first, then
+reads the child's result for its l, so every refusal and error surfaces
+where and as it did in process.  The parent integrates in process, as
+``otsuki edwards`` always does, where ``os.fork`` is missing, the process
+may run on one CPU only, another thread runs (fork is unsafe then), or
+the child ended without a result.
+
 The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with
 node 0 added: under 'both' from the direct route's ladder, under
@@ -35,9 +47,14 @@ it counts the Dirichlet operator by that reduction of its own.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -225,6 +242,97 @@ def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
                                      _weight(math.cos(yT[0]))))
 
 
+def _may_fork() -> bool:
+    """Whether a child may integrate beside the parent: ``os.fork`` exists,
+    the process may run on more than one CPU, and no other thread runs,
+    since a child forked from a threaded process may deadlock (Python
+    3.12+ warns)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
+def _integrate_in_child(family, fd: int) -> None:
+    """The forked child's whole run: write to the pipe ``fd`` the pickled
+    boundary solutions of l = 1, then l = 2, each the BoundarySolutions or
+    the exception that ``boundary_solutions`` raised, then leave through
+    ``os._exit``.  It never returns into the parent's stack, so no atexit
+    handler, buffered output or test teardown runs twice."""
+    try:
+        traj = SimpleNamespace(family=family)  # all boundary_solutions reads
+        with os.fdopen(fd, "wb") as pipe:
+            for l in (1, 2):
+                try:
+                    result = boundary_solutions(l, traj)
+                except Exception as exc:
+                    result = exc
+                pipe.write(pickle.dumps(result))
+                pipe.flush()
+    finally:
+        os._exit(0)
+
+
+class _ForkedSolutions:
+    """The boundary solutions of modes 1 and 2 of one family, integrated in
+    a forked child (``_integrate_in_child``) where ``_may_fork`` allows.
+
+    The child is a snapshot of the process at construction: it runs the
+    patches and wrappers installed then, and keeps nothing from one family
+    to the next.  ``close`` kills and reaps it; its caller holds that in a
+    ``finally``, so no child outlives the family, whether or not its
+    results were read.
+    """
+
+    def __init__(self, family):
+        self._results: list = []
+        self._pid = self._pipe = None
+        if not _may_fork():
+            return
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:     # no process to be had: integrate here
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:
+            os.close(read)
+            _integrate_in_child(family, write)
+        os.close(write)
+        self._pid, self._pipe = pid, os.fdopen(read, "rb")
+
+    def solutions(self, l: int, traj: Trajectory) -> BoundarySolutions:
+        """Mode l's boundary solutions as the child computed them: raised
+        if it raised.  Where no child runs, or it ended without a result
+        for l, they are integrated here."""
+        while self._pipe is not None and len(self._results) < l:
+            try:
+                self._results.append(pickle.load(self._pipe))
+            except Exception:       # the child ended without a result
+                self.close()
+        if len(self._results) < l:
+            return boundary_solutions(l, traj)
+        result = self._results[l - 1]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def close(self) -> None:
+        """Kill and reap the child, if one runs; later reads integrate here.
+        Where SIGCHLD is ignored, the system has reaped it already."""
+        if self._pid is not None:
+            import signal       # here, not at ``import otsuki``: 1 ms there
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
+            self._pipe.close()
+            self._pid = self._pipe = None
+
+
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
     """The 4x4 boundary-form matrix a_ij = <e_i boundary, p psi_j'> |_0^T.
 
@@ -315,16 +423,21 @@ class BoundaryFormData:
 
 
 def boundary_form(l: int, traj: Trajectory, n: int,
-                  known: Optional[int] = None) -> BoundaryFormData:
+                  known: Optional[int] = None,
+                  forked: Optional[_ForkedSolutions] = None,
+                  ) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The Dirichlet problem is counted on mesh n first, so the route is
     refused (EdwardsInapplicableError) before any integration when it is
     degenerate; see :func:`dirichlet_negative_count`, which takes
-    ``known``.
+    ``known``.  The boundary solutions are then read from ``forked``, the
+    family's child, if given, or else integrated here.
     """
     dirichlet = dirichlet_negative_count(l, traj, n, known)
-    a = gram_matrix(boundary_solutions(l, traj))
+    sols = (boundary_solutions(l, traj) if forked is None
+            else forked.solutions(l, traj))
+    a = gram_matrix(sols)
     return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
                             poly=det_polynomial(a))
 

@@ -16,6 +16,16 @@ of modes 1 and 2, one mode at a time; ``compute_index`` builds its
 records from it, and ``verify_family`` reads the same rows and boundary
 forms under 'both'.  ``bounds_check`` sets the report beside the bounds
 and the counts known in closed form: mode 0 and the spectral index.
+
+Where the boundary forms are read ('edwards', 'both' and
+``verify_family``), the caller forks one child right after the family is
+solved (``edwards._ForkedSolutions``).  It integrates the boundary
+solutions of modes 1 and 2 on another CPU while this process samples the
+trajectory and counts; each boundary form then reads its l's result.
+Without fork, with one CPU or beside another thread the solutions are
+integrated in process, as they are when the child ends without a
+result.  A ``finally`` kills and reaps the child, so none outlives its
+family, whether it raised or its route was refused.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .edwards import aggregate_roots, boundary_form
+from .edwards import _ForkedSolutions, aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
@@ -148,7 +158,8 @@ def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
             diffs=diffs)
 
 
-def _count_family(traj: Trajectory, n: int, method: str):
+def _count_family(traj: Trajectory, n: int, method: str,
+                  forked: Optional[_ForkedSolutions]):
     """Count the family below l = 3 one mode per step, so a caller checks
     each mode before the next is counted: yield mode 0's (neg, zero) and
     channel-2 rows, then for l = 1, 2 (l, form, edwards rows, direct rows).
@@ -167,7 +178,9 @@ def _count_family(traj: Trajectory, n: int, method: str):
     both routes raise at the same l, the direct route's error surfaces.
     Under 'edwards' one reduction per mesh of the stack of both modes'
     twisted operators at omega = 1 settles it (``spectral._dirichlet_ends``);
-    if that raises, each gate counts alone, and any error surfaces there."""
+    if that raises, each gate counts alone, and any error surfaces there.
+    Each boundary form reads its solutions from ``forked``, the family's
+    child (None under 'direct')."""
     q = traj.family.rotation.q
     (chan1, _), (chan2, _) = _ladders(
         [partial(l0_channel_system, chan) for chan in (1, 2)], traj, n, 0.0)
@@ -189,7 +202,8 @@ def _count_family(traj: Trajectory, n: int, method: str):
             direct_rows, dirichlet = next(direct)
         if method != "direct":
             try:
-                form = boundary_form(l, traj, n=n, known=dirichlet)
+                form = boundary_form(l, traj, n=n, known=dirichlet,
+                                     forked=forked)
                 edwards_rows = aggregate_roots(form, q)
             except EdwardsInapplicableError as exc:
                 if method == "edwards":
@@ -213,52 +227,60 @@ def compute_index(p: int, q: int, method: str = "both",
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
     family = solve_parameter(p, q)
-    traj = family_trajectory(family, n)
+    # modes 1 and 2's boundary solutions are integrated in a child, beside
+    # the trajectory and the counts, unless only the direct route runs
+    forked = None if method == "direct" else _ForkedSolutions(family)
+    try:
+        traj = family_trajectory(family, n)
 
-    counts = _count_family(traj, n, method)
-    (neg, zero), channel2 = next(counts)
-    records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
-    flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
-                   "s1": None, "s2": None, "s1_below_minus_one": None,
-                   "abs_s1_gt_s2": None}
+        counts = _count_family(traj, n, method, forked)
+        (neg, zero), channel2 = next(counts)
+        records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
+        flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
+                       "s1": None, "s2": None, "s1_below_minus_one": None,
+                       "abs_s1_gt_s2": None}
 
-    for l, form, edwards_rows, direct_rows in counts:
-        flags["edwards_applicable"][str(l)] = (   # None: not attempted
-            None if form is None else edwards_rows is not None)
-        if l == 1 and edwards_rows is not None:
-            poly = form.poly
-            flags["s1"], flags["s2"] = poly.s1, poly.s2
-            if poly.s1 is not None:
-                flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
-                flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
-        used = "direct" if edwards_rows is None else method
-        rows = direct_rows if edwards_rows is None else edwards_rows
-        _check_routes_agree(l, edwards_rows, direct_rows)
-        neg, zero = class_counts(l, q, rows)
-        # for even q, mode l + 1 counts the twists of the other parity
-        other = class_counts(l + 1, q, rows)
-        split = None if q % 2 else {
-            "used_parity": "odd_r" if l % 2 else "even_r",
-            "other_class_neg": other[0], "other_class_zero": other[1]}
-        records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
-                                     split=split, per_omega=rows))
+        for l, form, edwards_rows, direct_rows in counts:
+            flags["edwards_applicable"][str(l)] = (   # None: not attempted
+                None if form is None else edwards_rows is not None)
+            if l == 1 and edwards_rows is not None:
+                poly = form.poly
+                flags["s1"], flags["s2"] = poly.s1, poly.s2
+                if poly.s1 is not None:
+                    flags["s1_below_minus_one"] = bool(poly.s1 < -1.0)
+                    flags["abs_s1_gt_s2"] = bool(abs(poly.s1) > poly.s2)
+            used = "direct" if edwards_rows is None else method
+            rows = direct_rows if edwards_rows is None else edwards_rows
+            _check_routes_agree(l, edwards_rows, direct_rows)
+            neg, zero = class_counts(l, q, rows)
+            # for even q, mode l + 1 counts the twists of the other parity
+            other = class_counts(l + 1, q, rows)
+            split = None if q % 2 else {
+                "used_parity": "odd_r" if l % 2 else "even_r",
+                "other_class_neg": other[0], "other_class_zero": other[1]}
+            records.append(PerModeRecord(l=l, neg=neg, zero=zero, method=used,
+                                         split=split, per_omega=rows))
 
-    if not verify_high_l_positive(3, traj):
-        raise NumericalError("mode l=3 failed the positivity check; "
-                             "higher modes cannot be dismissed")
-    flags["l3_positive"] = True
+        if not verify_high_l_positive(3, traj):
+            raise NumericalError("mode l=3 failed the positivity check; "
+                                 "higher modes cannot be dismissed")
+        flags["l3_positive"] = True
 
-    ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
-    nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
-    ind_s = spectral_index(traj, n, channel2)
+        ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
+        nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
+        ind_s = spectral_index(traj, n, channel2)
 
-    bounds = index_bounds(p, q)
-    bounds["rough_upper"] = 5 * ind_s + 2
-    return IndexReport(
-        p=p, q=q, b=family.b, c=family.c, T=family.T, Xi=family.Xi,
-        t0=family.t0, n=n, method=method, per_mode=tuple(records),
-        ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
+        bounds = index_bounds(p, q)
+        bounds["rough_upper"] = 5 * ind_s + 2
+        report = IndexReport(
+            p=p, q=q, b=family.b, c=family.c, T=family.T, Xi=family.Xi,
+            t0=family.t0, n=n, method=method, per_mode=tuple(records),
+            ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
+            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
+    finally:
+        if forked is not None:
+            forked.close()
+    return report
 
 
 def bounds_check(report: IndexReport) -> dict:
@@ -383,70 +405,74 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         rows.append({"check": name, "ok": bool(ok), "detail": detail})
 
     family = solve_parameter(p, q)
-    traj = family_trajectory(family, n)
-    drift = traj.conservation_drift()
-    add("conservation", drift < 1e-10, f"max drift {drift:.3e}")
-    add("endpoint phi(T)=-b", abs(traj.phi[-1] + family.b) < 1e-8,
-        f"error {abs(traj.phi[-1] + family.b):.3e}")
-    add("endpoint theta(T)=Xi", abs(traj.theta[-1] - family.Xi) < 1e-8,
-        f"error {abs(traj.theta[-1] - family.Xi):.3e}")
+    forked = _ForkedSolutions(family)   # see compute_index
+    try:
+        traj = family_trajectory(family, n)
+        drift = traj.conservation_drift()
+        add("conservation", drift < 1e-10, f"max drift {drift:.3e}")
+        add("endpoint phi(T)=-b", abs(traj.phi[-1] + family.b) < 1e-8,
+            f"error {abs(traj.phi[-1] + family.b):.3e}")
+        add("endpoint theta(T)=Xi", abs(traj.theta[-1] - family.Xi) < 1e-8,
+            f"error {abs(traj.theta[-1] - family.Xi):.3e}")
 
-    # node times k T / n of [0, t0), which traj.at folds onto trajectory
-    # nodes: there it returns the samples themselves, not its cubic
-    # interpolant, whose O(h^4) error alone can exceed the bound; one
-    # traj.at call reads all 24 samples
-    rng = np.random.default_rng(7)
-    step = family.T / traj.n
-    draws = [(rng.uniform(0, 2 * math.pi), rng.integers(2 * q * traj.n) * step)
-             for _ in range(24)]
-    alphas, times = zip(*draws)
-    samples = zip(*(arr.tolist() for arr in traj.at(np.array(times))))
-    worst = 0.0
-    for al, tt, sample in zip(alphas, times, samples):
-        G = frame(al, tt, traj, sample).gram()
-        worst = max(worst, float(np.abs(G - np.eye(5)).max()))
-    add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
+        # node times k T / n of [0, t0), which traj.at folds onto trajectory
+        # nodes: there it returns the samples themselves, not its cubic
+        # interpolant, whose O(h^4) error alone can exceed the bound; one
+        # traj.at call reads all 24 samples
+        rng = np.random.default_rng(7)
+        step = family.T / traj.n
+        draws = [(rng.uniform(0, 2 * math.pi),
+                  rng.integers(2 * q * traj.n) * step) for _ in range(24)]
+        alphas, times = zip(*draws)
+        samples = zip(*(arr.tolist() for arr in traj.at(np.array(times))))
+        worst = 0.0
+        for al, tt, sample in zip(alphas, times, samples):
+            G = frame(al, tt, traj, sample).gram()
+            worst = max(worst, float(np.abs(G - np.eye(5)).max()))
+        add("frame orthonormal", worst < 1e-10, f"max |Gram - I| {worst:.3e}")
 
-    fields = kernel_fields(traj)
-    residuals = kernel_residuals(fields, traj)
-    kernel_bound = 1e-5
-    add("kernel residuals", max(residuals) < kernel_bound,
-        f"max residual {max(residuals):.3e}")
+        fields = kernel_fields(traj)
+        residuals = kernel_residuals(fields, traj)
+        kernel_bound = 1e-5
+        add("kernel residuals", max(residuals) < kernel_bound,
+            f"max residual {max(residuals):.3e}")
 
-    counts = _count_family(traj, n, "both")
-    (neg, zero), channel2 = next(counts)
-    want = _closed_form_counts(p, q)[0]
-    add("l=0 counts", (neg, zero) == want,
-        f"neg={neg} (expect {want[0]}), zero={zero} (expect {want[1]})")
+        counts = _count_family(traj, n, "both", forked)
+        (neg, zero), channel2 = next(counts)
+        want = _closed_form_counts(p, q)[0]
+        add("l=0 counts", (neg, zero) == want,
+            f"neg={neg} (expect {want[0]}), zero={zero} (expect {want[1]})")
 
-    # the half-period antiperiodic channel-2 problem is the twist r = q
-    # (omega = -1) of the channel-2 ladder, which classifies its spectrum;
-    # kernel field 3, 2 pi cos^2(phi) phi', is its zero mode: it is
-    # A sin(phi), with A h = sqrt(p) h' as in spectral_index, and sin(phi),
-    # a coordinate function at Laplace level 2, is antiperiodic over T
-    anti = tuple(channel2[q].tolist())
-    zero_mode = next(res for field, res in zip(fields, residuals)
-                     if field.id == 3)
-    add("antiperiodic l=0", anti == (1, 1) and zero_mode < kernel_bound,
-        f"channel 2 row r={q} (neg, zero)={anti} (expect (1, 1)), "
-        f"field 3 residual {zero_mode:.3e}")
+        # the half-period antiperiodic channel-2 problem is the twist r = q
+        # (omega = -1) of the channel-2 ladder, which classifies its spectrum;
+        # kernel field 3, 2 pi cos^2(phi) phi', is its zero mode: it is
+        # A sin(phi), with A h = sqrt(p) h' as in spectral_index, and sin(phi),
+        # a coordinate function at Laplace level 2, is antiperiodic over T
+        anti = tuple(channel2[q].tolist())
+        zero_mode = next(res for field, res in zip(fields, residuals)
+                         if field.id == 3)
+        add("antiperiodic l=0", anti == (1, 1) and zero_mode < kernel_bound,
+            f"channel 2 row r={q} (neg, zero)={anti} (expect (1, 1)), "
+            f"field 3 residual {zero_mode:.3e}")
 
-    for l, form, edwards_rows, direct_rows in counts:
-        agreed = "boundary-form counts equal direct counts"
-        if edwards_rows is None:
-            agreed = f"edwards inapplicable: {form}"
-        elif l == 1:
-            target = -math.cos(p * math.pi / q)
-            add("s2 = -cos(p pi / q)", abs(form.poly.s2 - target) < 1e-6,
-                f"s2={form.poly.s2:.9f}, target={target:.9f}")
-        else:
-            val = abs(form.poly(1.0)) / form.poly.scale
-            add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
-        try:
-            _check_routes_agree(l, edwards_rows, direct_rows)
-            add(f"route agreement l={l}", True, agreed)
-        except RouteDisagreementError as exc:
-            add(f"route agreement l={l}", False, f"MISMATCH: {exc}")
+        for l, form, edwards_rows, direct_rows in counts:
+            agreed = "boundary-form counts equal direct counts"
+            if edwards_rows is None:
+                agreed = f"edwards inapplicable: {form}"
+            elif l == 1:
+                target = -math.cos(p * math.pi / q)
+                add("s2 = -cos(p pi / q)", abs(form.poly.s2 - target) < 1e-6,
+                    f"s2={form.poly.s2:.9f}, target={target:.9f}")
+            else:
+                val = abs(form.poly(1.0)) / form.poly.scale
+                add("P2(1) = 0", val < 1e-8, f"relative value {val:.3e}")
+            try:
+                _check_routes_agree(l, edwards_rows, direct_rows)
+                add(f"route agreement l={l}", True, agreed)
+            except RouteDisagreementError as exc:
+                add(f"route agreement l={l}", False, f"MISMATCH: {exc}")
 
-    add("l=3 positive", verify_high_l_positive(3, traj), "")
+        add("l=3 positive", verify_high_l_positive(3, traj), "")
+    finally:
+        forked.close()
     return rows

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +13,8 @@ import pytest
 
 from otsuki import cli, edwards, eigencount, jsonio, pipeline, spectral
 from otsuki.cli import run_cli
-from otsuki.errors import (AmbiguousClassificationError, NumericalError,
+from otsuki.errors import (AmbiguousClassificationError,
+                           EdwardsInapplicableError, NumericalError,
                            RouteDisagreementError, ValidationError)
 from otsuki.pipeline import (bounds_check, cache_key, cache_load, cache_store,
                              compute_index, family_trajectory, report_document,
@@ -328,6 +332,197 @@ class TestHalfPeriodCounts:
         assert {l for l, _ in seen} == {0, 1, 2}
         assert max(length for _, length in seen) == report.T
         assert real_2x2 == []
+
+
+README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
+
+needs_fork = pytest.mark.skipif(not edwards._may_fork(),
+                                reason="no os.fork, or one CPU only")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The value each ``os.fork`` call returned in this process."""
+    fork, pids = os.fork, []
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second thread runs meanwhile, so no child may be forked."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+def _document(report):
+    return jsonio.dumps(report_document(replace(report, timestamp="")))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+class TestBoundarySolutionsInAChild:
+    """``compute_index`` ('edwards', 'both') and ``verify_family`` have the
+    boundary solutions of modes 1 and 2 integrated in a forked child, one
+    per family, and integrate them in process beside another thread."""
+
+    @pytest.mark.parametrize("method", ["edwards", "both"])
+    def test_reports_equal_the_in_process_ones(self, forks, method):
+        # every byte but the timestamp, s1 and s2 included
+        child = [_document(compute_index(p, q, method, n=512))
+                 for p, q in README_FAMILIES]
+        assert len(forks) == len(README_FAMILIES) and 0 not in forks
+        with another_thread():
+            alone = [_document(compute_index(p, q, method, n=512))
+                     for p, q in README_FAMILIES]
+        assert len(forks) == len(README_FAMILIES)
+        assert child == alone
+        _no_child_left()
+
+    def test_verify_rows_equal_the_in_process_ones(self, forks):
+        families = [(2, 3), (5, 8)]
+        child = [jsonio.dumps(verify_family(p, q, n=512)) for p, q in families]
+        with another_thread():
+            alone = [jsonio.dumps(verify_family(p, q, n=512))
+                     for p, q in families]
+        assert len(forks) == 2 and child == alone
+        _no_child_left()
+
+    def test_direct_forks_no_child(self, forks):
+        compute_index(2, 3, "direct", n=512)
+        assert forks == []
+
+    def test_failure_in_the_child_surfaces_as_in_process(self, monkeypatch,
+                                                         forks, traj23):
+        rhs = edwards._fundamental_rhs
+
+        def nan_after_40(calls):
+            def patched(y, out, l, c, A):
+                calls.append(1)
+                rhs(y, out, l, c, A)
+                if len(calls) > 40:
+                    out.fill(np.nan)
+            return patched
+
+        monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40([]))
+        with pytest.raises(NumericalError) as alone:
+            edwards.boundary_solutions(1, traj23)
+        parent = []
+        monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40(parent))
+        with pytest.raises(NumericalError) as child:
+            compute_index(2, 3, "edwards", n=512)
+        assert type(child.value) is type(alone.value)
+        assert str(child.value) == str(alone.value)
+        assert "integration failed" in str(alone.value)
+        # the right-hand side ran in the child only
+        assert parent == [] and len(forks) == 1
+        _no_child_left()
+
+    def test_child_without_a_result(self, monkeypatch, forks, report23):
+        # a child that ends before it writes: the parent integrates itself
+        monkeypatch.setattr(edwards, "_integrate_in_child",
+                            lambda family, fd: os._exit(1))
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("method", ["edwards", "both"])
+    @pytest.mark.parametrize("where", ["ladders", "refused"])
+    def test_no_child_outlives_a_family_that_reads_no_form(
+            self, monkeypatch, forks, method, where):
+        def failing(*args):
+            raise NumericalError("forced")
+
+        def refuse(l, traj, **kwargs):
+            raise EdwardsInapplicableError("forced")
+
+        if where == "ladders":
+            monkeypatch.setattr(pipeline, "_ladders", failing)
+        else:
+            monkeypatch.setattr(pipeline, "boundary_form", refuse)
+        fails = where == "ladders" or method == "edwards"
+        with pytest.raises(NumericalError) if fails else \
+                contextlib.nullcontext():
+            compute_index(2, 3, method, n=512)
+        with pytest.raises(NumericalError) if where == "ladders" else \
+                contextlib.nullcontext():
+            verify_family(2, 3, n=512)
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_no_child_outlives_a_sweep_with_a_failing_family(
+            self, monkeypatch, forks, tmp_path, capsys):
+        def failing_at_3_5(build, traj, rows):
+            if traj.family.rotation.q == 5:
+                raise AmbiguousClassificationError("forced")
+            return rows
+
+        monkeypatch.setattr(pipeline, "_ladders",
+                            _changed_ladders(pipeline._ladders, failing_at_3_5))
+        listing = tmp_path / "families.txt"
+        listing.write_text("2 3\n3 5\n")
+        assert run_cli(["sweep", "--input", str(listing), "--n", "512"]) == 2
+        docs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert "ind" in docs[0] and docs[1]["error"]["message"] == "forced"
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, report23):
+        def unwanted():
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(os, "fork", unwanted)
+        with another_thread(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_index(2, 3, "both", n=512)
+            verify_family(2, 3, n=512)
+        assert _document(report) == _document(report23)
+
+    def test_failed_fork_integrates_in_process(self, monkeypatch, report23):
+        def exhausted():
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", exhausted)
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+
+    def test_sigchld_ignored(self, monkeypatch, forks, report23):
+        # the system reaps the child itself; closing it raises nothing
+        import signal
+
+        monkeypatch.setattr(edwards, "_integrate_in_child",
+                            lambda family, fd: os._exit(0))
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            report = compute_index(2, 3, "both", n=512)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert _document(report) == _document(report23)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_no_fork_on_one_cpu(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        compute_index(2, 3, "edwards", n=512)
+        assert forks == []
 
 
 class TestCache:
@@ -971,3 +1166,41 @@ def test_scripts_reject_bad_input_without_traceback(script, args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def _sweep_script():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "sweep_near_clifford", os.path.join(ROOT, "scripts",
+                                            "sweep_near_clifford.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_script_summary_line(monkeypatch, capsys):
+    # one closing line: families run, raised by error type, seconds
+    script = _sweep_script()
+    errors = ["RouteDisagreementError", "AmbiguousClassificationError",
+              "RouteDisagreementError"]
+
+    def reports(pairs, method, n):
+        assert (method, n) == ("both", 512)
+        yield report_document(compute_index(2, 3, method, n=n))
+        for (p, q), kind in zip(pairs, errors):
+            yield {"p": p, "q": q, "error": {"type": kind, "message": "x"}}
+
+    monkeypatch.setattr(script, "iter_reports", reports)
+    monkeypatch.setattr(sys, "argv", ["sweep_near_clifford.py", "--n", "512",
+                                      "--summary"])
+    assert script.main() == 2
+    last = capsys.readouterr().out.splitlines()[-1]
+    head, seconds = last.rsplit(", ", 1)
+    assert head == ("summary: 4 families, 3 raised (RouteDisagreementError 2,"
+                    " AmbiguousClassificationError 1)")
+    assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+    errors.clear()
+    assert script.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "summary: 1 families, 0 raised, ")

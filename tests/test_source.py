@@ -260,6 +260,31 @@ def test_edwards_imports_of_the_counting_layers():
     assert imported["eigencount"] == {"BandOperator", "eigenvalues_in"}
 
 
+def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
+    # a forked child that returned into its caller's stack would run the
+    # atexit handlers, flush the buffered output and tear down the tests a
+    # second time, so the child's function ends in os._exit, in a finally
+    forking = sorted({path.name for path in SOURCES
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1]
+                      in ("fork", "forkpty")})
+    assert forking == ["edwards.py"], f"modules that fork: {forking}"
+    path = next(p for p in SOURCES if p.name == "edwards.py")
+    tree = ast.parse(path.read_text())
+    fn = dict(_functions(tree))["_integrate_in_child"]
+    last = fn.body[-1]
+    assert isinstance(last, ast.Try) and last.finalbody, \
+        "the child's function does not end in a try/finally"
+    assert ast.unparse(last.finalbody[-1]).startswith("os._exit("), \
+        "the child's function does not end in os._exit"
+    # the child branch of the fork enters it and nothing else
+    child = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "pid == 0"]
+    assert len(child) == 1
+    assert ast.unparse(child[0].body[-1]).startswith("_integrate_in_child(")
+
+
 def _public_names(tree):
     """Module-level functions, classes and constants without a leading
     underscore."""
