@@ -6,8 +6,8 @@ and one JSON line emitted; a closing table summarizes how the measured
 index and nullity sit against the bounds as p/q approaches sqrt(2)/2, and
 names the checks of ``bounds_check`` that each family fails.
 A family that fails gets an error line and row; the exit code is then 2.
-With --summary one closing line follows: the families run, the number
-that raised each error type, and the seconds taken.
+One closing line follows: the families run, the number that raised each
+error type, and the seconds taken.
 Bad input exits 1 with a message.
 """
 
@@ -41,8 +41,6 @@ def main():
     ap.add_argument("--method", default="both",
                     choices=["both", "direct", "edwards"])
     ap.add_argument("--jsonl-out", default=None)
-    ap.add_argument("--summary", action="store_true",
-                    help="close with one line: families, raised, seconds")
     args = ap.parse_args()
     start = time.perf_counter()
 
@@ -70,12 +68,11 @@ def main():
                   if key.endswith("_ok") and not ok]
         print(f"{p}/{q:<4} {doc['b']:12.6f} {doc['ind']:5d} [{lo:3d},{hi:3d}] "
               f"{doc['nul']:4d} {s1txt}  {' '.join(failed) or '-'}")
-    if args.summary:
-        raised = Counter(doc["error"]["type"] for doc in docs if "error" in doc)
-        by_type = ", ".join(f"{name} {k}" for name, k in raised.most_common())
-        print(f"summary: {len(docs)} families, {sum(raised.values())} raised"
-              f"{f' ({by_type})' if by_type else ''}, "
-              f"{time.perf_counter() - start:.1f} s")
+    raised = Counter(doc["error"]["type"] for doc in docs if "error" in doc)
+    by_type = ", ".join(f"{name} {k}" for name, k in raised.most_common())
+    print(f"summary: {len(docs)} families, {sum(raised.values())} raised"
+          f"{f' ({by_type})' if by_type else ''}, "
+          f"{time.perf_counter() - start:.1f} s")
     return 2 if any("error" in doc for doc in docs) else 0
 
 

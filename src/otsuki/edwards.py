@@ -18,14 +18,16 @@ integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 ``pipeline.compute_index`` and ``pipeline.verify_family`` have those of
 modes 1 and 2 integrated beside their finite-difference counts, on
 another CPU: right after the family is solved, ``_ForkedSolutions`` forks
-a child that runs ``boundary_solutions`` for l = 1, then l = 2, pipes
-each result, or the exception it raised, to the parent, and leaves
-through ``os._exit``.  ``boundary_form`` still runs the gate first, then
-reads the child's result for its l, so every refusal and error surfaces
-where and as it did in process.  The parent integrates in process, as
-``otsuki edwards`` always does, where ``os.fork`` is missing, the process
-may run on one CPU only, another thread runs (fork is unsafe then), or
-the child ended without a result.
+a child that integrates them for l = 1, then l = 2, pipes each result,
+or the exception it raised, to the parent, and leaves through
+``os._exit``.  ``boundary_form`` still runs the gate first, then reads
+the child's result for its l, so every refusal and error surfaces where
+and as it did in process.  The parent integrates in process, as
+``otsuki edwards`` always does, where ``os.fork`` or ``os.pidfd_open``
+(the handle the child is killed by) is missing, the process may run on
+one CPU only, another thread runs (fork is unsafe then; a thread that
+Python does not run is seen after the fork, and the child killed), or the
+child ended without a result.
 
 The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with
@@ -52,9 +54,9 @@ import math
 import os
 import pickle
 import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -213,7 +215,12 @@ def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
     Dirichlet problem is degenerate (the boundary map is then no
     bijection); ``boundary_form`` refuses that case before integrating.
     """
-    fam = traj.family
+    return _boundary_solutions(l, traj.family)
+
+
+def _boundary_solutions(l: int, fam) -> BoundarySolutions:
+    """``boundary_solutions`` of the family ``fam``: its b, c and T are all
+    the integration reads, so a forked child runs it on the family alone."""
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     c, A = fam.c, _A_CONSTANT.copy()
     sol = solve_ivp(lambda t, y, out: _fundamental_rhs(y, out, l, c, A),
@@ -244,10 +251,12 @@ def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
 
 def _may_fork() -> bool:
     """Whether a child may integrate beside the parent: ``os.fork`` exists,
-    the process may run on more than one CPU, and no other thread runs,
-    since a child forked from a threaded process may deadlock (Python
-    3.12+ warns)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    and ``os.pidfd_open`` to hold it by (Linux), the process may run on
+    more than one CPU, and no other Python thread runs, since a child
+    forked from a threaded process may deadlock.  Threads that Python
+    does not run are counted after the fork (``_threads``)."""
+    if not (hasattr(os, "fork") and hasattr(os, "pidfd_open")) \
+            or threading.active_count() > 1:
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -256,18 +265,28 @@ def _may_fork() -> bool:
     return cpus > 1
 
 
+def _threads() -> int:
+    """The threads of this process as the system counts them, where
+    ``/proc/self/stat`` tells (Linux); 1 where it does not.  Python 3.12+
+    reads the same count when it warns of a fork beside threads."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[17])
+    except (OSError, ValueError, IndexError):
+        return 1
+
+
 def _integrate_in_child(family, fd: int) -> None:
     """The forked child's whole run: write to the pipe ``fd`` the pickled
     boundary solutions of l = 1, then l = 2, each the BoundarySolutions or
-    the exception that ``boundary_solutions`` raised, then leave through
+    the exception that ``_boundary_solutions`` raised, then leave through
     ``os._exit``.  It never returns into the parent's stack, so no atexit
     handler, buffered output or test teardown runs twice."""
     try:
-        traj = SimpleNamespace(family=family)  # all boundary_solutions reads
         with os.fdopen(fd, "wb") as pipe:
             for l in (1, 2):
                 try:
-                    result = boundary_solutions(l, traj)
+                    result = _boundary_solutions(l, family)
                 except Exception as exc:
                     result = exc
                 pipe.write(pickle.dumps(result))
@@ -282,19 +301,23 @@ class _ForkedSolutions:
 
     The child is a snapshot of the process at construction: it runs the
     patches and wrappers installed then, and keeps nothing from one family
-    to the next.  ``close`` kills and reaps it; its caller holds that in a
-    ``finally``, so no child outlives the family, whether or not its
-    results were read.
+    to the next.  A child forked beside a thread that Python does not run
+    (``_threads``, or a warning from the fork, which Python 3.12+ gives
+    then) is ended at once.  ``close`` reaps the child; its caller holds
+    that in a ``finally``, so no child outlives the family, whether or not
+    its results were read.
     """
 
     def __init__(self, family):
         self._results: list = []
-        self._pid = self._pipe = None
+        self._pid = self._pipe = self._handle = None
         if not _may_fork():
             return
         read, write = os.pipe()
         try:
-            pid = os.fork()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pid = os.fork()
         except OSError:     # no process to be had: integrate here
             os.close(read)
             os.close(write)
@@ -304,6 +327,17 @@ class _ForkedSolutions:
             _integrate_in_child(family, write)
         os.close(write)
         self._pid, self._pipe = pid, os.fdopen(read, "rb")
+        try:
+            # a handle that outlives the pid: where SIGCHLD is ignored, the
+            # system reaps the child as it ends, and its pid is free again
+            self._handle = os.pidfd_open(pid)
+        except ProcessLookupError:      # it has ended, and been reaped
+            pass
+        except OSError:     # none to be had (Linux before 5.3): end the
+            import signal   # child while its pid is surely its own
+            os.kill(pid, signal.SIGKILL)
+        if self._handle is None or caught or _threads() > 1:
+            self.close()    # caught or more threads: it may deadlock
 
     def solutions(self, l: int, traj: Trajectory) -> BoundarySolutions:
         """Mode l's boundary solutions as the child computed them: raised
@@ -322,15 +356,22 @@ class _ForkedSolutions:
         return result
 
     def close(self) -> None:
-        """Kill and reap the child, if one runs; later reads integrate here.
-        Where SIGCHLD is ignored, the system has reaped it already."""
-        if self._pid is not None:
-            import signal       # here, not at ``import otsuki``: 1 ms there
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self._pid, signal.SIGKILL)
-                os.waitpid(self._pid, 0)
-            self._pipe.close()
-            self._pid = self._pipe = None
+        """Reap the child, if one runs; later reads integrate here.  A child
+        whose results were not all read may integrate still, and is killed
+        through its handle first.  Where SIGCHLD is ignored, the system has
+        reaped it already."""
+        if self._pid is None:
+            return
+        self._pipe.close()
+        if self._handle is not None:
+            if len(self._results) < 2:
+                import signal   # here, not at ``import otsuki``: 1 ms there
+                with contextlib.suppress(ProcessLookupError):
+                    signal.pidfd_send_signal(self._handle, signal.SIGKILL)
+            os.close(self._handle)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self._pid, 0)
+        self._pid = self._pipe = self._handle = None
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:

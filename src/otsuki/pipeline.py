@@ -22,9 +22,10 @@ Where the boundary forms are read ('edwards', 'both' and
 solved (``edwards._ForkedSolutions``).  It integrates the boundary
 solutions of modes 1 and 2 on another CPU while this process samples the
 trajectory and counts; each boundary form then reads its l's result.
-Without fork, with one CPU or beside another thread the solutions are
-integrated in process, as they are when the child ends without a
-result.  A ``finally`` kills and reaps the child, so none outlives its
+Without fork or process handles (Linux's pidfd), with one CPU or beside
+another thread the solutions are integrated in process, as they are
+when the child ends without a result.  A ``finally`` reaps the child,
+and first kills one whose results were not read, so none outlives its
 family, whether it raised or its route was refused.
 """
 

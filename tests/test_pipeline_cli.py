@@ -337,7 +337,8 @@ class TestHalfPeriodCounts:
 README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
 
 needs_fork = pytest.mark.skipif(not edwards._may_fork(),
-                                reason="no os.fork, or one CPU only")
+                                reason="no os.fork or os.pidfd_open, or one "
+                                       "CPU only")
 
 
 @pytest.fixture
@@ -365,6 +366,48 @@ def another_thread():
     finally:
         done.set()
         thread.join()
+
+
+@contextlib.contextmanager
+def a_thread_python_does_not_run():
+    """A second thread that ``threading`` does not know of, as a library's
+    own threads are: the system counts it, ``threading.active_count`` not."""
+    import _thread
+    import time
+
+    held = _thread.allocate_lock()
+    held.acquire()
+    _thread.start_new_thread(held.acquire, ())
+    while edwards._threads() < 2:
+        time.sleep(0.001)
+    assert threading.active_count() == 1
+    try:
+        yield
+    finally:
+        held.release()
+        while edwards._threads() > 1:
+            time.sleep(0.001)
+
+
+@pytest.fixture
+def kills(monkeypatch):
+    """The SIGKILLs sent to a child, through its handle or by its pid."""
+    import signal
+
+    sent = []
+    by_handle, by_pid = signal.pidfd_send_signal, os.kill
+
+    def through_handle(fd, sig, *args):
+        sent.append("handle")
+        by_handle(fd, sig, *args)
+
+    def through_pid(pid, sig):
+        sent.append("pid")
+        by_pid(pid, sig)
+
+    monkeypatch.setattr(signal, "pidfd_send_signal", through_handle)
+    monkeypatch.setattr(os, "kill", through_pid)
+    return sent
 
 
 def _document(report):
@@ -446,7 +489,7 @@ class TestBoundarySolutionsInAChild:
     @pytest.mark.parametrize("method", ["edwards", "both"])
     @pytest.mark.parametrize("where", ["ladders", "refused"])
     def test_no_child_outlives_a_family_that_reads_no_form(
-            self, monkeypatch, forks, method, where):
+            self, monkeypatch, forks, kills, method, where):
         def failing(*args):
             raise NumericalError("forced")
 
@@ -464,7 +507,7 @@ class TestBoundarySolutionsInAChild:
         with pytest.raises(NumericalError) if where == "ladders" else \
                 contextlib.nullcontext():
             verify_family(2, 3, n=512)
-        assert len(forks) == 2
+        assert len(forks) == 2 and kills == ["handle", "handle"]
         _no_child_left()
 
     def test_no_child_outlives_a_sweep_with_a_failing_family(
@@ -494,6 +537,61 @@ class TestBoundarySolutionsInAChild:
             report = compute_index(2, 3, "both", n=512)
             verify_family(2, 3, n=512)
         assert _document(report) == _document(report23)
+
+    def test_child_forked_beside_a_thread_python_does_not_run_is_killed(
+            self, forks, kills, report23):
+        # Python 3.12+ warns of that fork; the child may deadlock
+        with a_thread_python_does_not_run(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_index(2, 3, "both", n=512)
+        assert _document(report) == _document(report23)
+        assert len(forks) == 1 and kills == ["handle"]
+        _no_child_left()
+
+    def test_a_warning_from_the_fork_kills_the_child(self, monkeypatch, forks,
+                                                     kills, report23):
+        # as Python 3.12+ warns where the system counts more threads
+        recorded = os.fork
+
+        def warning():
+            pid = recorded()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork()"
+                              " may lead to deadlocks in the child.",
+                              DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_index(2, 3, "both", n=512)
+        assert _document(report) == _document(report23)
+        assert len(forks) == 1 and kills == ["handle"]
+        _no_child_left()
+
+    def test_a_child_whose_results_were_read_is_not_killed(self, forks, kills):
+        # its pid may be another process's once the system has reaped it
+        compute_index(2, 3, "edwards", n=512)
+        verify_family(2, 3, n=512)
+        assert len(forks) == 2 and kills == []
+        _no_child_left()
+
+    def test_a_child_without_a_handle_is_killed_at_once(self, monkeypatch,
+                                                        forks, kills,
+                                                        report23):
+        def unsupported(pid):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(os, "pidfd_open", unsupported)
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 1 and kills == ["pid"]
+        _no_child_left()
+
+    def test_no_fork_without_process_handles(self, monkeypatch, forks):
+        monkeypatch.delattr(os, "pidfd_open")
+        compute_index(2, 3, "edwards", n=512)
+        assert forks == []
 
     def test_failed_fork_integrates_in_process(self, monkeypatch, report23):
         def exhausted():
@@ -1192,8 +1290,7 @@ def test_sweep_script_summary_line(monkeypatch, capsys):
             yield {"p": p, "q": q, "error": {"type": kind, "message": "x"}}
 
     monkeypatch.setattr(script, "iter_reports", reports)
-    monkeypatch.setattr(sys, "argv", ["sweep_near_clifford.py", "--n", "512",
-                                      "--summary"])
+    monkeypatch.setattr(sys, "argv", ["sweep_near_clifford.py", "--n", "512"])
     assert script.main() == 2
     last = capsys.readouterr().out.splitlines()[-1]
     head, seconds = last.rsplit(", ", 1)
