@@ -12,6 +12,12 @@ least nine tenths of the pairs, and the medians differ by more than the
 distance between the base's quartiles.  The runs are untraced and write
 no bytecode, so nothing is written under perfbench/.
 
+Before the first pair and after the last it prints the host's two-process
+CPU scaling: how much more work two processes do at once than one alone,
+from 1x (they share one CPU) to 2x (each has its own).  The package
+integrates the boundary solutions in a second process, so a gain it
+shows holds for the regime these lines state.
+
 Run from anywhere inside the repository:
 
     python3 scripts/bench_pairs.py --base HEAD --pairs 10 --seconds 5
@@ -26,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_ref_s", "setup_s", "peak_rss_mb")
@@ -61,6 +68,43 @@ def run(side: str, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"error: {workload} (seed {seed}) failed in {side}:\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {name: doc["metrics"][name]["value"] for name in METRICS}
+
+
+# a fixed load of pure Python arithmetic, started at the wall time argv[1]
+# so that the processes of one measurement run at once; prints its seconds
+SPIN = """
+import sys, time
+while time.time() < float(sys.argv[1]):
+    time.sleep(0.001)
+start, total = time.perf_counter(), 0
+for i in range(3_000_000):
+    total += i
+print(time.perf_counter() - start)
+"""
+
+
+def spin(count: int) -> list:
+    """The seconds that each of ``count`` processes, started together,
+    takes for the load ``SPIN``."""
+    start = repr(time.time() + 0.5)
+    procs = [subprocess.Popen([sys.executable, "-c", SPIN, start],
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(count)]
+    return [float(proc.communicate()[0]) for proc in procs]
+
+
+def print_scaling(when: str) -> None:
+    """The work of two processes at once over that of one alone: twice the
+    seconds of one alone over those of the slower of two, each the median
+    of three measurements."""
+    alone, pair = [], []
+    for _ in range(3):
+        alone.append(spin(1)[0])
+        pair.append(max(spin(2)))
+    alone, pair = statistics.median(alone), statistics.median(pair)
+    print(f"two-process CPU scaling {when}: {2.0 * alone / pair:.2f}x "
+          f"(one process {alone:.3f} s, each of two {pair:.3f} s)",
+          flush=True)
 
 
 def quartiles(values: list) -> tuple:
@@ -113,6 +157,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
         unpack(args.base, base)
         sides = {"base": base, "change": ROOT}
+        print_scaling("before the pairs")
         for workload in workloads:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
@@ -125,6 +170,7 @@ def main() -> None:
                                   for side in ("base", "change")),
                       file=sys.stderr, flush=True)
             report(workload, runs)
+        print_scaling("after the pairs")
 
 
 if __name__ == "__main__":

@@ -282,6 +282,9 @@ class Trajectory:
     # the samples of each time array already evaluated, by its bytes
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    # what ``derived`` computed from them, by function and time bytes
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def n(self) -> int:
@@ -361,6 +364,19 @@ class Trajectory:
             arr.flags.writeable = False
         self._samples[key] = phi, phid, theta
         return phi, phid, theta
+
+    def derived(self, fn, t) -> np.ndarray:
+        """``fn(self, t)`` for the time array t, kept on the trajectory as
+        ``at`` keeps its samples: keyed on fn and the bytes of t, and
+        read-only on the first call too.  So the systems of one mesh
+        share what each would compute alike from the same samples."""
+        t = np.asarray(t, dtype=float)
+        key = fn, t.shape, t.tobytes()
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = fn(self, t)
+            value.flags.writeable = False
+        return value
 
     def conservation_drift(self) -> float:
         E, G = metric_coefficients(self.phi)

@@ -171,8 +171,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
     Keeps each step's error estimate below atol + rtol |y|, like scipy's
     ``solve_ivp(f, t_span, y0, method="DOP853", rtol=rtol, atol=atol)``,
     and returns its end state.  A step that would have to be shorter than
-    ten ulps of t ends the integration with ``success`` False.  fun must
-    write every entry of out and nothing else.
+    ten ulps of t, or that a NaN f makes NaN, ends the integration with
+    ``success`` False.  fun must write every entry of out and nothing else.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
@@ -197,7 +197,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol) -> OdeResult:
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            # written so that a NaN step, from a NaN f, fails it too
+            if not h_abs >= min_step:
                 return OdeResult(y, nfev, False, _TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t

@@ -18,15 +18,20 @@ forms under 'both'.  ``bounds_check`` sets the report beside the bounds
 and the counts known in closed form: mode 0 and the spectral index.
 
 Where the boundary forms are read ('edwards', 'both' and
-``verify_family``), the caller forks one child right after the family is
-solved (``edwards._ForkedSolutions``).  It integrates the boundary
-solutions of modes 1 and 2 on another CPU while this process samples the
-trajectory and counts; each boundary form then reads its l's result.
-Without fork or process handles (Linux's pidfd), with one CPU or beside
-another thread the solutions are integrated in process, as they are
-when the child ends without a result.  A ``finally`` reaps the child,
-and first kills one whose results were not read, so none outlives its
-family, whether it raised or its route was refused.
+``verify_family``), the caller sends the family, right after it is
+solved, to the process's helper (``edwards._ForkedSolutions``).  The
+helper is forked once, at the first such family, and serves every later
+one.  It integrates the boundary solutions of modes 1 and 2 on another
+CPU while this process samples the trajectory and counts; each boundary
+form then reads its l's result.  The helper runs the package code as it
+stood at its fork, exits with this process, and is killed and reaped at
+interpreter exit.  Without fork or process handles (Linux's pidfd), with
+one CPU, beside another thread when no helper runs yet, or while a
+family of another thread holds the helper, the solutions are integrated
+in process, as they are when the helper ends without a result.  A
+``finally`` frees the helper for the next family, and first kills and
+reaps it if the family left results unread, whether it raised or its
+route was refused, so no family reads another's results.
 """
 
 from __future__ import annotations
@@ -181,7 +186,7 @@ def _count_family(traj: Trajectory, n: int, method: str,
     twisted operators at omega = 1 settles it (``spectral._dirichlet_ends``);
     if that raises, each gate counts alone, and any error surfaces there.
     Each boundary form reads its solutions from ``forked``, the family's
-    child (None under 'direct')."""
+    handle on the helper (None under 'direct')."""
     q = traj.family.rotation.q
     (chan1, _), (chan2, _) = _ladders(
         [partial(l0_channel_system, chan) for chan in (1, 2)], traj, n, 0.0)
@@ -228,8 +233,8 @@ def compute_index(p: int, q: int, method: str = "both",
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
     family = solve_parameter(p, q)
-    # modes 1 and 2's boundary solutions are integrated in a child, beside
-    # the trajectory and the counts, unless only the direct route runs
+    # modes 1 and 2's boundary solutions are integrated by the helper,
+    # beside the trajectory and the counts, unless only the direct route runs
     forked = None if method == "direct" else _ForkedSolutions(family)
     try:
         traj = family_trajectory(family, n)

@@ -18,7 +18,10 @@ boundary-form ODE alike.  On a grid Q_l is sampled by
 ``separated_coefficients``, whose (m, 3) rows (Q11, Q12, Q22) are the
 layout of ``SLSystem`` potentials: the builders of the mode-l and mode-0
 systems sample Q_l through it, and p, which the discretization reads
-only at the half nodes, through ``_weight``.  Only ``kernel_residuals``,
+only at the half nodes, through ``_weight``.  What several systems of one
+mesh read alike, p at the half nodes and the rows of Q_0 of the two
+mode-0 channels, is computed once per trajectory and mesh
+(``Trajectory.derived``).  Only ``kernel_residuals``,
 which needs p' from the same samples of (phi, phi'), calls ``_q_entries``
 on a grid itself.  It computes the residual row of ``otsuki verify`` on
 the nodes of [0, T), whatever q: Q_l once per mode, and one residual per
@@ -233,12 +236,24 @@ def kernel_residuals(fields: list[KernelField], traj: Trajectory) -> list[float]
 # ---------------------------------------------------------------------------
 # spectral system builders
 
+def _weight_at(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """p along the trajectory at the times t, which every system of a mesh
+    reads at its half nodes (``Trajectory.derived``)."""
+    return _weight(np.cos(traj.at(t)[0]))
+
+
+def _mode0_rows(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """The rows of Q_0 at the times t, whose columns 0 and 2 the two
+    mode-0 channels read (``Trajectory.derived``)."""
+    return separated_coefficients(0, traj, t)
+
+
 def _system(dim: int, l: int, traj: Trajectory, bc: BoundaryCondition,
             potential) -> SLSystem:
     """The system of mode l on [0, T] whose weight is p along the
     trajectory and whose potential at the times t is ``potential(t)``."""
     return SLSystem(dim=dim, length=traj.family.T, bc=bc, l=l,
-                    weight=lambda t: _weight(np.cos(traj.at(t)[0])),
+                    weight=lambda t: traj.derived(_weight_at, t),
                     potential=potential)
 
 
@@ -258,7 +273,7 @@ def l0_channel_system(channel: int, traj: Trajectory,
         raise ValidationError("channel must be 1 or 2")
     column = 2 * channel - 2
     return _system(1, 0, traj, bc,
-                   lambda t: separated_coefficients(0, traj, t)[:, column])
+                   lambda t: traj.derived(_mode0_rows, t)[:, column])
 
 
 def laplace_system(l: int, traj: Trajectory,

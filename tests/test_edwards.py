@@ -1,8 +1,10 @@
 import cmath
+import contextlib
 import dataclasses
 import json
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -239,6 +241,42 @@ class TestStepper:
         monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40)
         with pytest.raises(NumericalError,
                            match="integration failed: Required step size"):
+            boundary_solutions(1, traj23)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, rather than hang, if the block runs longer than ``seconds``."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNanFromTheStart:
+    """A right-hand side that is NaN at its first evaluation makes the
+    first step NaN, which must end the integration, not spin."""
+
+    def test_stepper_fails(self):
+        with _within(10):
+            sol = edwards.solve_ivp(_nan_from(0.0), (0.0, 1.0),
+                                    np.array([1.0, 2.0]),
+                                    rtol=edwards.ODE_RTOL, atol=1e-12)
+        assert not sol.success and sol.nfev == 2
+        assert sol.message == "Required step size is less than spacing " \
+                              "between numbers."
+
+    def test_boundary_solutions_raise(self, traj23, monkeypatch):
+        monkeypatch.setattr(edwards, "_fundamental_rhs",
+                            lambda y, out, l, c, A: out.fill(np.nan))
+        with _within(10), pytest.raises(
+                NumericalError, match="integration failed: Required step size"):
             boundary_solutions(1, traj23)
 
 

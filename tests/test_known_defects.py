@@ -6,7 +6,7 @@ Each is marked ``xfail(strict=True)`` with that item, so a change that
 fixes one fails here until its marker is removed.  A family that raises
 is an expected failure only through a ``NumericalError``; any other
 exception is a failure of its own.  The ``compute_index`` cases run
-through the forked boundary-solution child, the raising ones included.
+through the boundary-solution helper process, the raising ones included.
 """
 
 from functools import partial

@@ -1,6 +1,8 @@
 import contextlib
 import json
 import os
+import pickle
+import select
 import subprocess
 import sys
 import threading
@@ -13,6 +15,7 @@ import pytest
 
 from otsuki import cli, edwards, eigencount, jsonio, pipeline, spectral
 from otsuki.cli import run_cli
+from otsuki.edwards import boundary_form
 from otsuki.errors import (AmbiguousClassificationError,
                            EdwardsInapplicableError, NumericalError,
                            RouteDisagreementError, ValidationError)
@@ -342,7 +345,17 @@ needs_fork = pytest.mark.skipif(not edwards._may_fork(),
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def fresh_helper():
+    """No helper runs when the test starts, so its first family that reads
+    boundary forms forks one, which runs the patches installed then; none
+    runs when it ends, so no later test meets those patches."""
+    edwards._close_helper()
+    yield
+    edwards._close_helper()
+
+
+@pytest.fixture
+def forks(fresh_helper, monkeypatch):
     """The value each ``os.fork`` call returned in this process."""
     fork, pids = os.fork, []
 
@@ -357,7 +370,7 @@ def forks(monkeypatch):
 
 @contextlib.contextmanager
 def another_thread():
-    """A second thread runs meanwhile, so no child may be forked."""
+    """A second thread runs meanwhile, so no helper may be forked."""
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -391,7 +404,7 @@ def a_thread_python_does_not_run():
 
 @pytest.fixture
 def kills(monkeypatch):
-    """The SIGKILLs sent to a child, through its handle or by its pid."""
+    """The SIGKILLs sent to a helper, through its handle or by its pid."""
     import signal
 
     sent = []
@@ -410,6 +423,20 @@ def kills(monkeypatch):
     return sent
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """The modes whose boundary solutions this process integrated itself,
+    as it does where no helper serves the family."""
+    home, modes = edwards.boundary_solutions, []
+
+    def recorded(l, traj):
+        modes.append(l)
+        return home(l, traj)
+
+    monkeypatch.setattr(edwards, "boundary_solutions", recorded)
+    return modes
+
+
 def _document(report):
     return jsonio.dumps(report_document(replace(report, timestamp="")))
 
@@ -419,40 +446,58 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _only_the_idle_helper():
+    """After a family the one child left is the helper: it runs, no family
+    holds it, and it has written no result that was not read.  Once it is
+    closed, no child is left at all."""
+    helper = edwards._HELPER
+    assert helper is not None and not edwards._CLAIM.locked()
+    assert os.waitpid(helper.pid, os.WNOHANG) == (0, 0)
+    assert select.select([helper.results], [], [], 0.05)[0] == []
+    edwards._close_helper()
+    assert edwards._HELPER is None
+    _no_child_left()
+
+
 @needs_fork
 class TestBoundarySolutionsInAChild:
     """``compute_index`` ('edwards', 'both') and ``verify_family`` have the
-    boundary solutions of modes 1 and 2 integrated in a forked child, one
-    per family, and integrate them in process beside another thread."""
+    boundary solutions of modes 1 and 2 integrated by one helper process,
+    forked at the first family and reused, and integrate them in process
+    beside another thread when no helper runs."""
 
     @pytest.mark.parametrize("method", ["edwards", "both"])
     def test_reports_equal_the_in_process_ones(self, forks, method):
         # every byte but the timestamp, s1 and s2 included
-        child = [_document(compute_index(p, q, method, n=512))
-                 for p, q in README_FAMILIES]
-        assert len(forks) == len(README_FAMILIES) and 0 not in forks
+        helped = [_document(compute_index(p, q, method, n=512))
+                  for p, q in README_FAMILIES]
+        assert len(forks) == 1 and 0 not in forks
+        _only_the_idle_helper()
         with another_thread():
             alone = [_document(compute_index(p, q, method, n=512))
                      for p, q in README_FAMILIES]
-        assert len(forks) == len(README_FAMILIES)
-        assert child == alone
+        assert len(forks) == 1
+        assert helped == alone
         _no_child_left()
 
     def test_verify_rows_equal_the_in_process_ones(self, forks):
         families = [(2, 3), (5, 8)]
-        child = [jsonio.dumps(verify_family(p, q, n=512)) for p, q in families]
+        helped = [jsonio.dumps(verify_family(p, q, n=512))
+                  for p, q in families]
+        assert len(forks) == 1
+        _only_the_idle_helper()
         with another_thread():
             alone = [jsonio.dumps(verify_family(p, q, n=512))
                      for p, q in families]
-        assert len(forks) == 2 and child == alone
+        assert len(forks) == 1 and helped == alone
         _no_child_left()
 
     def test_direct_forks_no_child(self, forks):
         compute_index(2, 3, "direct", n=512)
         assert forks == []
 
-    def test_failure_in_the_child_surfaces_as_in_process(self, monkeypatch,
-                                                         forks, traj23):
+    def test_failure_in_the_child_surfaces_as_in_process(
+            self, monkeypatch, forks, traj23):
         rhs = edwards._fundamental_rhs
 
         def nan_after_40(calls):
@@ -468,22 +513,24 @@ class TestBoundarySolutionsInAChild:
             edwards.boundary_solutions(1, traj23)
         parent = []
         monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40(parent))
-        with pytest.raises(NumericalError) as child:
+        with pytest.raises(NumericalError) as helped:
             compute_index(2, 3, "edwards", n=512)
-        assert type(child.value) is type(alone.value)
-        assert str(child.value) == str(alone.value)
+        assert type(helped.value) is type(alone.value)
+        assert str(helped.value) == str(alone.value)
         assert "integration failed" in str(alone.value)
-        # the right-hand side ran in the child only
+        # the right-hand side ran in the helper only, which the family,
+        # raising with the result of l = 2 unread, killed
         assert parent == [] and len(forks) == 1
         _no_child_left()
 
-    def test_child_without_a_result(self, monkeypatch, forks, report23):
-        # a child that ends before it writes: the parent integrates itself
+    def test_child_without_a_result(self, monkeypatch, forks, in_process,
+                                     report23):
+        # a helper that ends before it writes: the parent integrates itself
         monkeypatch.setattr(edwards, "_integrate_in_child",
-                            lambda family, fd: os._exit(1))
+                            lambda requests, results: os._exit(1))
         assert _document(compute_index(2, 3, "both", n=512)) == \
             _document(report23)
-        assert len(forks) == 1
+        assert len(forks) == 1 and in_process == [1, 2]
         _no_child_left()
 
     @pytest.mark.parametrize("method", ["edwards", "both"])
@@ -510,8 +557,24 @@ class TestBoundarySolutionsInAChild:
         assert len(forks) == 2 and kills == ["handle", "handle"]
         _no_child_left()
 
+    def test_the_next_family_reads_no_stale_result(self, monkeypatch, forks,
+                                                   kills, in_process):
+        # 2/3 leaves both its results unread; 5/8 reads its own, from a
+        # fresh helper
+        want = _document(compute_index(5, 8, "edwards", n=512))
+
+        def refuse(l, traj, **kwargs):
+            raise EdwardsInapplicableError("forced")
+
+        monkeypatch.setattr(pipeline, "boundary_form", refuse)
+        compute_index(2, 3, "both", n=512)
+        monkeypatch.setattr(pipeline, "boundary_form", boundary_form)
+        assert _document(compute_index(5, 8, "edwards", n=512)) == want
+        assert len(forks) == 2 and kills == ["handle"] and in_process == []
+        _only_the_idle_helper()
+
     def test_no_child_outlives_a_sweep_with_a_failing_family(
-            self, monkeypatch, forks, tmp_path, capsys):
+            self, monkeypatch, forks, kills, tmp_path, capsys):
         def failing_at_3_5(build, traj, rows):
             if traj.family.rotation.q == 5:
                 raise AmbiguousClassificationError("forced")
@@ -520,14 +583,17 @@ class TestBoundarySolutionsInAChild:
         monkeypatch.setattr(pipeline, "_ladders",
                             _changed_ladders(pipeline._ladders, failing_at_3_5))
         listing = tmp_path / "families.txt"
-        listing.write_text("2 3\n3 5\n")
+        listing.write_text("2 3\n3 5\n5 8\n")
         assert run_cli(["sweep", "--input", str(listing), "--n", "512"]) == 2
         docs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         assert "ind" in docs[0] and docs[1]["error"]["message"] == "forced"
-        assert len(forks) == 2
-        _no_child_left()
+        assert (docs[2]["p"], docs[2]["q"], docs[2]["ind"]) == (5, 8, 41)
+        # 2/3 forks the helper and 3/5 kills it; 5/8 forks a fresh one
+        assert len(forks) == 2 and kills == ["handle"]
+        _only_the_idle_helper()
 
-    def test_no_fork_beside_another_thread(self, monkeypatch, report23):
+    def test_no_fork_beside_another_thread(self, monkeypatch, fresh_helper,
+                                           in_process, report23):
         def unwanted():
             raise AssertionError("forked beside another thread")
 
@@ -537,10 +603,45 @@ class TestBoundarySolutionsInAChild:
             report = compute_index(2, 3, "both", n=512)
             verify_family(2, 3, n=512)
         assert _document(report) == _document(report23)
+        assert in_process == [1, 2, 1, 2]
+        _no_child_left()
+
+    def test_an_idle_helper_serves_a_family_beside_a_thread(
+            self, forks, in_process, report23):
+        # no fork happens then
+        compute_index(5, 8, "edwards", n=512)
+        with another_thread(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_index(2, 3, "both", n=512)
+        assert _document(report) == _document(report23)
+        assert len(forks) == 1 and in_process == []
+        _only_the_idle_helper()
+
+    def test_a_claimed_helper_leaves_the_next_family_in_process(
+            self, forks, in_process, report23, fam58):
+        # one family at a time: that of another thread does not wait
+        held = edwards._ForkedSolutions(fam58)
+        reports = []
+        thread = threading.Thread(target=lambda: reports.append(
+            compute_index(2, 3, "both", n=512)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and in_process == [1, 2]
+        traj = family_trajectory(fam58, 512)
+        want = [edwards.boundary_solutions(l, traj) for l in (1, 2)]
+        in_process.clear()
+        got = [held.solutions(l, traj) for l in (1, 2)]
+        held.close()
+        assert _document(reports[0]) == _document(report23)
+        assert len(forks) == 1 and in_process == []
+        for a, b in zip(got, want):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert np.array_equal(a.psi_prime_T, b.psi_prime_T)
+        _only_the_idle_helper()
 
     def test_child_forked_beside_a_thread_python_does_not_run_is_killed(
             self, forks, kills, report23):
-        # Python 3.12+ warns of that fork; the child may deadlock
+        # Python 3.12+ warns of that fork; the helper may deadlock
         with a_thread_python_does_not_run(), warnings.catch_warnings():
             warnings.simplefilter("error")
             report = compute_index(2, 3, "both", n=512)
@@ -548,8 +649,8 @@ class TestBoundarySolutionsInAChild:
         assert len(forks) == 1 and kills == ["handle"]
         _no_child_left()
 
-    def test_a_warning_from_the_fork_kills_the_child(self, monkeypatch, forks,
-                                                     kills, report23):
+    def test_a_warning_from_the_fork_kills_the_child(self, monkeypatch,
+                                                      forks, kills, report23):
         # as Python 3.12+ warns where the system counts more threads
         recorded = os.fork
 
@@ -570,15 +671,17 @@ class TestBoundarySolutionsInAChild:
         _no_child_left()
 
     def test_a_child_whose_results_were_read_is_not_killed(self, forks, kills):
-        # its pid may be another process's once the system has reaped it
+        # and killed at its close through its handle, never by its pid,
+        # which may be another process's once the system has reaped it
         compute_index(2, 3, "edwards", n=512)
         verify_family(2, 3, n=512)
-        assert len(forks) == 2 and kills == []
-        _no_child_left()
+        assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
+        assert kills == ["handle"]
 
     def test_a_child_without_a_handle_is_killed_at_once(self, monkeypatch,
-                                                        forks, kills,
-                                                        report23):
+                                                         forks, kills,
+                                                         report23):
         def unsupported(pid):
             raise OSError(38, "Function not implemented")
 
@@ -593,20 +696,23 @@ class TestBoundarySolutionsInAChild:
         compute_index(2, 3, "edwards", n=512)
         assert forks == []
 
-    def test_failed_fork_integrates_in_process(self, monkeypatch, report23):
+    def test_failed_fork_integrates_in_process(self, monkeypatch,
+                                               fresh_helper, in_process,
+                                               report23):
         def exhausted():
             raise BlockingIOError("fork: Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", exhausted)
         assert _document(compute_index(2, 3, "both", n=512)) == \
             _document(report23)
+        assert in_process == [1, 2]
 
     def test_sigchld_ignored(self, monkeypatch, forks, report23):
-        # the system reaps the child itself; closing it raises nothing
+        # the system reaps the helper itself; closing it raises nothing
         import signal
 
         monkeypatch.setattr(edwards, "_integrate_in_child",
-                            lambda family, fd: os._exit(0))
+                            lambda requests, results: os._exit(0))
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             report = compute_index(2, 3, "both", n=512)
@@ -621,6 +727,123 @@ class TestBoundarySolutionsInAChild:
                             raising=False)
         compute_index(2, 3, "edwards", n=512)
         assert forks == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd")
+    def test_the_helper_holds_only_its_pipe_ends(self, forks):
+        # 0-2 on /dev/null, and nothing of the parent's but the two pipes
+        compute_index(2, 3, "edwards", n=512)
+        helper = edwards._HELPER
+        held = sorted(int(fd) for fd in os.listdir(f"/proc/{helper.pid}/fd"))
+        assert len(held) == 5 and held[:3] == [0, 1, 2]
+        assert {os.readlink(f"/proc/{helper.pid}/fd/{fd}")
+                for fd in held[:3]} == {os.devnull}
+        assert {os.readlink(f"/proc/{helper.pid}/fd/{fd}")
+                for fd in held[3:]} == \
+            {os.readlink(f"/proc/self/fd/{fd}")
+             for fd in (helper.requests, helper.results)}
+        _only_the_idle_helper()
+
+    def test_the_helper_exits_at_the_end_of_its_requests(self, forks, kills):
+        # as it does when its parent ends without killing it: it holds no
+        # other end of its request pipe
+        import signal
+        import time
+
+        compute_index(2, 3, "edwards", n=512)
+        helper = edwards._HELPER
+        os.close(helper.requests)
+        deadline = time.monotonic() + 10.0
+        while not (reaped := os.waitpid(helper.pid, os.WNOHANG))[0] \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        edwards._HELPER = None
+        if not reaped[0]:
+            signal.pidfd_send_signal(helper.handle, signal.SIGKILL)
+            reaped = os.waitpid(helper.pid, 0)
+        os.close(helper.results)
+        os.close(helper.handle)
+        assert os.WIFEXITED(reaped[1]) and os.WEXITSTATUS(reaped[1]) == 0
+        assert kills == []
+        _no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_the_helper_is_killed_at_interpreter_exit(self):
+        # a process that holds the helper's request pipe open keeps its end
+        # from coming, so only the exit handler ends the helper
+        import signal
+
+        script = (
+            "import subprocess, sys\n"
+            "from otsuki import edwards, pipeline\n"
+            "pipeline.compute_index(2, 3, 'edwards', n=512)\n"
+            "helper = edwards._HELPER\n"
+            "keeper = subprocess.Popen(\n"
+            "    [sys.executable, '-c', 'import time; time.sleep(60)'],\n"
+            "    pass_fds=[helper.requests], stdout=subprocess.DEVNULL,\n"
+            "    stderr=subprocess.DEVNULL)\n"
+            "print(helper.pid, keeper.pid)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=_package_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        helper, keeper = map(int, proc.stdout.split())
+        os.kill(keeper, signal.SIGKILL)
+        left = os.path.exists(f"/proc/{helper}")
+        if left:
+            os.kill(helper, signal.SIGKILL)
+        assert not left
+
+    def test_a_forked_process_neither_uses_nor_signals_the_helper(
+            self, forks, kills):
+        want = _document(compute_index(5, 8, "edwards", n=512))
+        helper = edwards._HELPER
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:    # reports what it saw, then leaves as a helper does
+            try:
+                os.close(read)
+                let_go = edwards._HELPER is None
+                doc = _document(compute_index(5, 8, "edwards", n=512))
+                own = edwards._HELPER.pid
+                edwards._close_helper()
+                os.write(write, pickle.dumps((let_go, doc, own)))
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            let_go, doc, own = pickle.load(pipe)
+        os.waitpid(pid, 0)
+        assert let_go and doc == want and own != helper.pid
+        # this process's helper runs on, unsignalled, and serves it still
+        assert _document(compute_index(5, 8, "edwards", n=512)) == want
+        assert edwards._HELPER is helper
+        assert len(forks) == 2 and kills == []
+        _only_the_idle_helper()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_a_sweep_process_leaves_no_process(self, tmp_path):
+        # the helper is killed and reaped as the interpreter exits; a
+        # helper or orphan left would share the sweep's command line
+        listing = tmp_path / "families.txt"
+        listing.write_text("2 3\n3 5\n")
+        cmd = [sys.executable, "-m", "otsuki.cli", "sweep", "--input",
+               str(listing), "--n", "512", "--method", "edwards"]
+        proc = subprocess.run(cmd, env=_package_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        docs = [json.loads(ln) for ln in proc.stdout.splitlines()]
+        assert [(d["p"], d["q"], d["ind"]) for d in docs] == \
+            [(2, 3, 31), (3, 5, 51)]
+        left = []
+        for entry in os.listdir("/proc"):
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                    if str(listing).encode() in fh.read():
+                        left.append(entry)
+            except OSError:     # no process, or one that has ended
+                pass
+        assert left == []
 
 
 class TestCache:

@@ -261,9 +261,12 @@ def test_edwards_imports_of_the_counting_layers():
 
 
 def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
-    # a forked child that returned into its caller's stack would run the
-    # atexit handlers, flush the buffered output and tear down the tests a
-    # second time, so the child's function ends in os._exit, in a finally
+    # the helper, a forked child, that returned into its caller's stack
+    # would run the atexit handlers, flush the buffered output and tear
+    # down the tests a second time, so its function, which serves every
+    # family of the process, holds no return and ends in os._exit, in a
+    # finally; the first thing it does is to give up the descriptors it
+    # inherited
     forking = sorted({path.name for path in SOURCES
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Call)
@@ -278,6 +281,9 @@ def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
         "the child's function does not end in a try/finally"
     assert ast.unparse(last.finalbody[-1]).startswith("os._exit("), \
         "the child's function does not end in os._exit"
+    assert not [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+    assert ast.unparse(last.body[0]).split(" = ")[-1].startswith(
+        "_only_descriptors("), "the child keeps its inherited descriptors"
     # the child branch of the fork enters it and nothing else
     child = [node for node in ast.walk(tree) if isinstance(node, ast.If)
              and ast.unparse(node.test) == "pid == 0"]
@@ -370,6 +376,14 @@ def _cli(*argv):
 
 def test_import_leaves_scipy_unloaded():
     assert _probe("import otsuki") == {"code": 0, "scipy": []}
+
+
+def test_import_forks_nothing():
+    # the helper is forked at the first family that reads boundary forms
+    setup = ("import os\nforked, fork = [], os.fork\n"
+             "os.fork = lambda: forked.append(1) or fork()\n"
+             "import otsuki, otsuki.cli")
+    assert _probe(setup, "code = len(forked)") == {"code": 0, "scipy": []}
 
 
 @pytest.mark.parametrize("argv", [

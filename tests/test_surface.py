@@ -191,6 +191,56 @@ class TestSeparatedCoefficients:
                                   _weight(np.cos(traj58.at(grid)[0])))
             assert np.array_equal(system.potential(grid), rows)
 
+    def test_systems_of_a_mesh_share_p_and_q0(self, fam58, monkeypatch):
+        # every operator of a mesh is bit for bit the one of a system that
+        # samples p and Q_l alone, while p at the half nodes and Q_0 at the
+        # nodes are computed once per mesh
+        traj = sample_trajectory(fam58, 1024)
+        twisted = BoundaryCondition.twisted(np.exp(0.25j * math.pi))
+        dirichlet = BoundaryCondition.dirichlet()
+
+        def p_alone(t):
+            return _weight(np.cos(traj.at(t)[0]))
+
+        def q_alone(l, column=None):
+            def potential(t):
+                rows = separated_coefficients(l, traj, t)
+                return rows if column is None else rows[:, column]
+            return potential
+
+        systems = [(l0_channel_system(1, traj, twisted), q_alone(0, 0)),
+                   (l0_channel_system(2, traj, twisted), q_alone(0, 2)),
+                   (fourier_block_system(1, traj, twisted), q_alone(1)),
+                   (fourier_block_system(2, traj, twisted), q_alone(2)),
+                   (fourier_block_system(1, traj, dirichlet), q_alone(1)),
+                   (fourier_block_system(2, traj, dirichlet), q_alone(2)),
+                   (laplace_system(1, traj, twisted), None)]
+        meshes = (256, 512)
+        single = [replace(system, weight=p_alone,
+                          potential=potential or system.potential).discretize(n)
+                  for n in meshes for system, potential in systems]
+        weights, rows0 = [], []
+        home_weight, home_rows = _weight, separated_coefficients
+
+        def counted_weight(cphi):
+            weights.append(len(cphi))
+            return home_weight(cphi)
+
+        def counted_rows(l, traj, grid=None):
+            rows0.extend([len(grid)] if l == 0 else [])
+            return home_rows(l, traj, grid)
+
+        monkeypatch.setattr(surface, "_weight", counted_weight)
+        monkeypatch.setattr(surface, "separated_coefficients", counted_rows)
+        shared = [system.discretize(n)
+                  for n in meshes for system, _ in systems]
+        assert weights == list(meshes) and rows0 == list(meshes)
+        for got, want in zip(shared, single, strict=True):
+            assert np.array_equal(got.diag, want.diag)
+            assert np.array_equal(got.off, want.off)
+            assert (got.wrap_off, got.wrap_mult) == \
+                (want.wrap_off, want.wrap_mult)
+
     def test_positive_definite_at_l3(self, traj23):
         q11, q12, q22 = separated_coefficients(3, traj23).T
         det = q11 * q22 - q12 ** 2
