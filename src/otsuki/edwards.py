@@ -17,24 +17,14 @@ integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
 ``pipeline.compute_index`` and ``pipeline.verify_family`` have those of
 modes 1 and 2 integrated beside their finite-difference counts, on
-another CPU, by one helper process per process.  It is forked at the
-first family that reads boundary forms and reused by every later one:
-right after a family is solved, ``_ForkedSolutions`` pickles it onto the
-helper's request pipe, and the helper integrates l = 1, then l = 2, and
-pipes each result, or the exception it raised, back.  ``boundary_form``
+another CPU, by the process's helper (``_helper``): right after a family
+is solved, ``_integrate_beside`` sends it there, and the helper
+integrates l = 1, then l = 2, and then counts the mesh-2n half of the
+family's reductions (``spectral._count_beside``).  ``boundary_form``
 still runs the gate first, then reads the helper's result for its l, so
-every refusal and error surfaces where and as it did in process.  A
-family that leaves results unread kills the helper, and the next family
-forks a fresh one.  The helper runs the package code as it stood at its
-fork, exits with its parent (at the end of its request pipe), and is
-killed and reaped at interpreter exit; it leaves only through
-``os._exit``.  The parent integrates in process, as ``otsuki edwards``
-always does, where ``os.fork`` or ``os.pidfd_open`` (the handle the
-helper is killed by) is missing, the process may run on one CPU only,
-another thread runs when the helper is to be forked (fork is unsafe
-then; a thread that Python does not run is seen after the fork, and the
-helper killed), a family of another thread holds the helper, or the
-helper ended without a result.
+every refusal and error surfaces where and as it did in process; where
+no helper serves the family, or it ended without a result, the
+solutions are integrated in process, as ``otsuki edwards`` always does.
 
 The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with
@@ -56,15 +46,9 @@ it counts the Dirichlet operator by that reduction of its own.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import math
-import os
-import pickle
-import threading
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -257,269 +241,11 @@ def _boundary_solutions(l: int, fam) -> BoundarySolutions:
                                      _weight(math.cos(yT[0]))))
 
 
-def _may_fork() -> bool:
-    """Whether the helper may be forked: ``os.fork`` exists, and
-    ``os.pidfd_open`` to hold it by (Linux), the process may run on more
-    than one CPU, and no other Python thread runs, since a process forked
-    from a threaded one may deadlock.  Threads that Python does not run
-    are counted after the fork (``_threads``)."""
-    if not (hasattr(os, "fork") and hasattr(os, "pidfd_open")) \
-            or threading.active_count() > 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return cpus > 1
-
-
-def _threads() -> int:
-    """The threads of this process as the system counts them, where
-    ``/proc/self/stat`` tells (Linux); 1 where it does not.  Python 3.12+
-    reads the same count when it warns of a fork beside threads."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            return int(stat.read().rsplit(b")", 1)[1].split()[17])
-    except (OSError, ValueError, IndexError):
-        return 1
-
-
-def _only_descriptors(*keep: int) -> list:
-    """In the helper, right after the fork: close every descriptor but
-    ``keep``, each moved above 2 where it is not, with 0-2 on /dev/null,
-    so that the helper holds no file, pipe or socket of its parent open.
-    Returns the descriptors kept, as numbered now."""
-    kept = []
-    for fd in keep:
-        while fd <= 2:      # the copy left below 3 is replaced next
-            fd = os.dup(fd)
-        kept.append(fd)
-    null = os.open(os.devnull, os.O_RDWR)
-    for fd in (0, 1, 2):
-        os.dup2(null, fd)
-    bounds = [2, *sorted(kept), os.sysconf("SC_OPEN_MAX")]
-    for lo, hi in zip(bounds, bounds[1:]):
-        os.closerange(lo + 1, hi)
-    return kept
-
-
-def _integrate_in_child(requests: int, results: int) -> None:
-    """The helper's whole run.  It gives up every descriptor but its pipe
-    ends (``_only_descriptors``).  Then, for each family it unpickles from
-    ``requests``, it writes to ``results`` the pickled boundary solutions
-    of l = 1, then l = 2, each the BoundarySolutions or the exception that
-    ``_boundary_solutions`` raised.  At the end of ``requests``, which
-    comes when its parent has closed it or ended, it leaves through
-    ``os._exit``: it never returns into the parent's stack, so no atexit
-    handler, buffered output or test teardown runs twice."""
-    try:
-        requests, results = _only_descriptors(requests, results)
-        with os.fdopen(requests, "rb") as inbox, \
-                os.fdopen(results, "wb") as outbox:
-            while True:
-                try:
-                    family = pickle.load(inbox)
-                except EOFError:
-                    break
-                for l in (1, 2):
-                    try:
-                        result = _boundary_solutions(l, family)
-                    except Exception as exc:
-                        result = exc
-                    outbox.write(pickle.dumps(result))
-                    outbox.flush()
-    finally:
-        os._exit(0)
-
-
-class _Helper:
-    """A helper process: its pid, the pidfd ``handle`` it is killed
-    through (None where none could be opened: it has ended, or been
-    killed by its pid), and this process's ends of its request and result
-    pipes.  A plain class: a dataclass would add 0.4 ms to the import."""
-
-    def __init__(self, pid: int, handle: Optional[int], requests: int,
-                 results: int):
-        self.pid, self.handle = pid, handle
-        self.requests, self.results = requests, results
-
-    def send(self, family) -> None:
-        """Have it integrate the family's boundary solutions."""
-        data = memoryview(pickle.dumps(family))
-        while data:
-            data = data[os.write(self.requests, data):]
-
-    def end(self) -> None:
-        """Kill it through its handle and reap it.  Its handle outlives its
-        pid: where SIGCHLD is ignored the system reaps the helper as it
-        ends, and its pid is free again."""
-        os.close(self.requests)
-        os.close(self.results)
-        if self.handle is not None:
-            import signal   # here, not at ``import otsuki``: 1 ms there
-            with contextlib.suppress(ProcessLookupError):
-                signal.pidfd_send_signal(self.handle, signal.SIGKILL)
-            os.close(self.handle)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(self.pid, 0)
-
-
-_HELPER: Optional[_Helper] = None   # this process's helper, once forked
-_CLAIM = threading.Lock()           # held by the family that uses it
-
-
-def _fork_helper() -> Optional[_Helper]:
-    """A new helper, where ``_may_fork`` allows and a process is to be
-    had.  One forked beside a thread that Python does not run
-    (``_threads``, or a warning from the fork, which Python 3.12+ gives
-    then) may deadlock, and is ended at once, as is one whose handle
-    cannot be opened."""
-    if not _may_fork():
-        return None
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pid = os.fork()
-    except OSError:     # no descriptor or process to be had: integrate here
-        for fd in fds:
-            os.close(fd)
-        return None
-    inbox, requests, results, outbox = fds
-    if pid == 0:
-        _integrate_in_child(inbox, outbox)
-    os.close(inbox)
-    os.close(outbox)
-    handle = None
-    try:
-        handle = os.pidfd_open(pid)
-    except ProcessLookupError:      # it has ended, and been reaped
-        pass
-    except OSError:     # none to be had (Linux before 5.3): end the
-        import signal   # helper while its pid is surely its own
-        os.kill(pid, signal.SIGKILL)
-    helper = _Helper(pid, handle, requests, results)
-    if handle is None or caught or _threads() > 1:
-        helper.end()
-        return None
-    return helper
-
-
-def _helper() -> Optional[_Helper]:
-    """This process's helper, forked now if it has none; the caller holds
-    the claim."""
-    global _HELPER
-    if _HELPER is None:
-        _HELPER = _fork_helper()
-    return _HELPER
-
-
-def _end_helper() -> None:
-    """Kill and reap this process's helper, if it has one; the next family
-    forks a fresh one."""
-    global _HELPER
-    helper, _HELPER = _HELPER, None
-    if helper is not None:
-        helper.end()
-
-
-def _close_helper() -> None:
-    """``_end_helper``, unless a family uses the helper: at interpreter
-    exit, and where a test must have the next family fork the code of
-    its time."""
-    if _CLAIM.acquire(blocking=False):
-        try:
-            _end_helper()
-        finally:
-            _CLAIM.release()
-
-
-def _let_go() -> None:
-    """In a process forked from this one: close the descriptors of the
-    parent's helper, which it never uses or signals, and make a claim of
-    its own, free even if a family of another thread held the parent's."""
-    global _HELPER, _CLAIM
-    helper, _HELPER, _CLAIM = _HELPER, None, threading.Lock()
-    if helper is not None:
-        for fd in (helper.requests, helper.results, helper.handle):
-            os.close(fd)
-
-
-atexit.register(_close_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_let_go)
-
-
-class _ForkedSolutions:
-    """The boundary solutions of modes 1 and 2 of one family, integrated by
-    the process's helper (``_integrate_in_child``).
-
-    The first family that reads boundary forms forks the helper, where
-    ``_may_fork`` allows; every later family of the process sends it
-    its family and reads its results.  So the helper runs the package
-    code, patches and wrappers included, as they stood at its fork.  A
-    family claims the helper for its lifetime with a lock that it does not
-    wait for: a family of another thread that finds it claimed integrates
-    in process, as every family does where no helper may be had.  An idle
-    helper serves a family beside other threads, as no fork happens then.
-
-    ``close``, which its caller holds in a ``finally``, frees the helper
-    for the next family.  A family that leaves results unread (its route
-    was refused, or it raised) kills it first, since it may integrate
-    still, so that no family reads another's results; the next family
-    forks a fresh one.  The helper exits at the end of its request pipe,
-    so with its parent, and it is killed and reaped at interpreter exit.
-    A process forked later neither uses nor signals its parent's helper
-    (``_let_go``).
-    """
-
-    def __init__(self, family):
-        self._results: list = []
-        self._helper = self._pipe = None
-        if not _CLAIM.acquire(blocking=False):
-            return      # a family of another thread uses it
-        try:
-            helper = _helper()
-            if helper is not None:
-                helper.send(family)
-                self._pipe = os.fdopen(helper.results, "rb", closefd=False)
-                self._helper = helper
-        except OSError:     # it has ended: integrate here
-            _end_helper()
-        finally:
-            if self._helper is None:
-                _CLAIM.release()
-
-    def solutions(self, l: int, traj: Trajectory) -> BoundarySolutions:
-        """Mode l's boundary solutions as the helper computed them: raised
-        if it raised.  Where no helper serves the family, or it ended
-        without a result for l, they are integrated here."""
-        while self._pipe is not None and len(self._results) < l:
-            try:
-                self._results.append(pickle.load(self._pipe))
-            except Exception:       # the helper ended without a result
-                self.close()
-        if len(self._results) < l:
-            return boundary_solutions(l, traj)
-        result = self._results[l - 1]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def close(self) -> None:
-        """Free the helper for the next family, and first kill and reap it
-        if it has results unread; later reads integrate here."""
-        if self._helper is None:
-            return
-        self._pipe.close()
-        try:
-            if len(self._results) < 2:
-                _end_helper()
-        finally:
-            self._helper = self._pipe = None
-            _CLAIM.release()
+def _integrate_beside(helped, family) -> None:
+    """Have the process's helper integrate the family's boundary solutions
+    of modes 1 and 2, through ``helped``, the family's handle on it
+    (``_helper.Handle``); ``boundary_form`` reads them by l."""
+    helped.send(_boundary_solutions, {l: (l, family) for l in (1, 2)})
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
@@ -612,20 +338,20 @@ class BoundaryFormData:
 
 
 def boundary_form(l: int, traj: Trajectory, n: int,
-                  known: Optional[int] = None,
-                  forked: Optional[_ForkedSolutions] = None,
+                  known: Optional[int] = None, helped=None,
                   ) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The Dirichlet problem is counted on mesh n first, so the route is
     refused (EdwardsInapplicableError) before any integration when it is
     degenerate; see :func:`dirichlet_negative_count`, which takes
-    ``known``.  The boundary solutions are then read from ``forked``, the
-    family's handle on the helper, if given, or else integrated here.
+    ``known``.  The boundary solutions are then read from ``helped``, the
+    family's handle on the helper (``_integrate_beside``), if given, or
+    else integrated here.
     """
     dirichlet = dirichlet_negative_count(l, traj, n, known)
-    sols = (boundary_solutions(l, traj) if forked is None
-            else forked.solutions(l, traj))
+    sols = (boundary_solutions(l, traj) if helped is None
+            else helped.take(l, partial(boundary_solutions, l, traj)))
     a = gram_matrix(sols)
     return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
                             poly=det_polynomial(a))

@@ -378,6 +378,12 @@ class Trajectory:
             value.flags.writeable = False
         return value
 
+    def __reduce__(self):
+        # the samples alone, whose grid is that of every trajectory: where
+        # unpickled (the helper process) they are padded again, and what is
+        # derived from them is kept afresh
+        return _sampled, (self.family, self.phi, self.phidot, self.theta)
+
     def conservation_drift(self) -> float:
         E, G = metric_coefficients(self.phi)
         thd = self.family.c / G
@@ -391,6 +397,18 @@ class Trajectory:
             "phidot": self.phidot.tolist(),
             "theta": self.theta.tolist(),
         }
+
+
+def _grid(family: GeodesicFamily, n: int) -> np.ndarray:
+    """The n + 1 evenly spaced nodes of [0, T] that a trajectory samples."""
+    return np.linspace(0.0, family.T, n + 1)
+
+
+def _sampled(family: GeodesicFamily, phi, phidot, theta) -> Trajectory:
+    """The trajectory of the samples phi, phidot and theta at the nodes of
+    ``_grid``."""
+    return Trajectory(family=family, grid=_grid(family, len(phi) - 1),
+                      phi=phi, phidot=phidot, theta=theta)
 
 
 def _time_map(b: float, lo: np.ndarray, u: np.ndarray):
@@ -430,7 +448,7 @@ def sample_trajectory(family: GeodesicFamily, n: int) -> Trajectory:
         raise ValidationError(f"need n >= 64 grid intervals, got {n}")
     if n > 2**20:
         raise ValidationError(f"mesh too large: n = {n} > 2**20")
-    grid = np.linspace(0.0, family.T, n + 1)
+    grid = _grid(family, n)
     if family.b == 0.0:
         phi = np.zeros(n + 1)
         phid = np.zeros(n + 1)

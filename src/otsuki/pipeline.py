@@ -17,21 +17,26 @@ records from it, and ``verify_family`` reads the same rows and boundary
 forms under 'both'.  ``bounds_check`` sets the report beside the bounds
 and the counts known in closed form: mode 0 and the spectral index.
 
-Where the boundary forms are read ('edwards', 'both' and
-``verify_family``), the caller sends the family, right after it is
-solved, to the process's helper (``edwards._ForkedSolutions``).  The
-helper is forked once, at the first such family, and serves every later
-one.  It integrates the boundary solutions of modes 1 and 2 on another
-CPU while this process samples the trajectory and counts; each boundary
-form then reads its l's result.  The helper runs the package code as it
-stood at its fork, exits with this process, and is killed and reaped at
-interpreter exit.  Without fork or process handles (Linux's pidfd), with
-one CPU, beside another thread when no helper runs yet, or while a
-family of another thread holds the helper, the solutions are integrated
-in process, as they are when the helper ends without a result.  A
-``finally`` frees the helper for the next family, and first kills and
-reaps it if the family left results unread, whether it raised or its
-route was refused, so no family reads another's results.
+Each family hands part of its work to the process's helper
+(``_helper.Handle``): right after it is solved, the family itself, whose
+boundary solutions of modes 1 and 2 the helper integrates where the
+boundary forms are read ('edwards', 'both' and ``verify_family``), and
+right after its trajectory is sampled, the samples and the family's
+stacks (``_stacks``), whose mesh-2n count-only reductions the helper
+makes next, unless this process needs one before the helper has begun
+it, and counts it itself.  The helper is forked once, at the first
+family, and serves every later one.  It works on another CPU while this
+process samples the trajectory and counts mesh n; each boundary form and
+each stack's count then reads its result, after doing first what it did
+in process, so every error surfaces where and as it did.  The helper
+runs the package code as it stood at its fork, exits with this process,
+and is killed and reaped at interpreter exit.  Without fork or process
+handles (Linux's pidfd), with one CPU, beside another thread when no
+helper runs yet, or while a family of another thread holds the helper,
+the work is done in process, as it is when the helper ends without a
+result.  A ``finally`` frees the helper for the next family, and first
+kills and reaps it if the family left results unread (but those of
+counts it made itself), so no family reads another's results.
 """
 
 from __future__ import annotations
@@ -40,23 +45,23 @@ import datetime
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import jsonio
-from .edwards import _ForkedSolutions, aggregate_roots, boundary_form
+from ._helper import Handle
+from .edwards import _integrate_beside, aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
-from .spectral import (TAU_ZERO, _dirichlet_ends, _ladders,  # noqa: F401
+from .spectral import (_CHANNELS, _INDEX_STACK, _MODES,  # noqa: F401
+                       TAU_ZERO, _count_beside, _dirichlet_ends, _ladders,
                        class_counts, spectral_index, spectrum_counts,
                        verify_high_l_positive)
-from .surface import (fourier_block_system, frame, kernel_fields,
-                      kernel_residuals, l0_channel_system)
+from .surface import frame, kernel_fields, kernel_residuals
 
 REPORT_VERSION = "2"
 
@@ -164,8 +169,18 @@ def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
             diffs=diffs)
 
 
-def _count_family(traj: Trajectory, n: int, method: str,
-                  forked: Optional[_ForkedSolutions]):
+def _stacks(method: str, index: bool = True) -> list:
+    """The stacks (builds, level, ladders) of the count-only reductions of
+    a family, in the order they are counted: those of ``_count_family``,
+    mode 0's channels, then modes 1 and 2 (their ladders, or under
+    'edwards' their Dirichlet ends, ``spectral._dirichlet_ends``), and,
+    with ``index``, that of ``spectral_index``.  The helper counts their
+    mesh-2n halves (``spectral._count_beside``)."""
+    stacks = [(_CHANNELS, 0.0, True), (_MODES, 0.0, method != "edwards")]
+    return stacks + [_INDEX_STACK] if index else stacks
+
+
+def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
     """Count the family below l = 3 one mode per step, so a caller checks
     each mode before the next is counted: yield mode 0's (neg, zero) and
     channel-2 rows, then for l = 1, 2 (l, form, edwards rows, direct rows).
@@ -185,22 +200,21 @@ def _count_family(traj: Trajectory, n: int, method: str,
     Under 'edwards' one reduction per mesh of the stack of both modes'
     twisted operators at omega = 1 settles it (``spectral._dirichlet_ends``);
     if that raises, each gate counts alone, and any error surfaces there.
-    Each boundary form reads its solutions from ``forked``, the family's
-    handle on the helper (None under 'direct')."""
+    ``helped``, the family's handle on the helper, gives each boundary
+    form its solutions and each stack its mesh-2n count, where it holds
+    them."""
     q = traj.family.rotation.q
-    (chan1, _), (chan2, _) = _ladders(
-        [partial(l0_channel_system, chan) for chan in (1, 2)], traj, n, 0.0)
+    (chan1, _), (chan2, _) = _ladders(_CHANNELS, traj, n, 0.0, helped)
     # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
     stacked, direct = {}, None
     if method == "edwards":
         try:
-            stacked = _dirichlet_ends(traj, n)
+            stacked = _dirichlet_ends(traj, n, helped)
         except (NumericalError, ValidationError):
             pass
     else:
-        direct = _ladders([partial(fourier_block_system, l) for l in (1, 2)],
-                          traj, n, 0.0)
+        direct = _ladders(_MODES, traj, n, 0.0, helped)
     for l in (1, 2):
         form = edwards_rows = direct_rows = None
         dirichlet = stacked.get(l)
@@ -209,7 +223,7 @@ def _count_family(traj: Trajectory, n: int, method: str,
         if method != "direct":
             try:
                 form = boundary_form(l, traj, n=n, known=dirichlet,
-                                     forked=forked)
+                                     helped=helped)
                 edwards_rows = aggregate_roots(form, q)
             except EdwardsInapplicableError as exc:
                 if method == "edwards":
@@ -233,13 +247,17 @@ def compute_index(p: int, q: int, method: str = "both",
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
     family = solve_parameter(p, q)
-    # modes 1 and 2's boundary solutions are integrated by the helper,
-    # beside the trajectory and the counts, unless only the direct route runs
-    forked = None if method == "direct" else _ForkedSolutions(family)
+    # the helper integrates modes 1 and 2's boundary solutions, unless only
+    # the direct route runs, beside the trajectory and the counts, and then
+    # counts the mesh-2n half of the family's reductions
+    helped = Handle()
     try:
+        if method != "direct":
+            _integrate_beside(helped, family)
         traj = family_trajectory(family, n)
+        _count_beside(helped, traj, n, _stacks(method))
 
-        counts = _count_family(traj, n, method, forked)
+        counts = _count_family(traj, n, method, helped)
         (neg, zero), channel2 = next(counts)
         records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
         flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
@@ -274,7 +292,7 @@ def compute_index(p: int, q: int, method: str = "both",
 
         ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
         nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
-        ind_s = spectral_index(traj, n, channel2)
+        ind_s = spectral_index(traj, n, channel2, helped)
 
         bounds = index_bounds(p, q)
         bounds["rough_upper"] = 5 * ind_s + 2
@@ -284,8 +302,7 @@ def compute_index(p: int, q: int, method: str = "both",
             ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
             timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
     finally:
-        if forked is not None:
-            forked.close()
+        helped.close()
     return report
 
 
@@ -411,9 +428,11 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         rows.append({"check": name, "ok": bool(ok), "detail": detail})
 
     family = solve_parameter(p, q)
-    forked = _ForkedSolutions(family)   # see compute_index
+    helped = Handle()   # see compute_index
     try:
+        _integrate_beside(helped, family)
         traj = family_trajectory(family, n)
+        _count_beside(helped, traj, n, _stacks("both", index=False))
         drift = traj.conservation_drift()
         add("conservation", drift < 1e-10, f"max drift {drift:.3e}")
         add("endpoint phi(T)=-b", abs(traj.phi[-1] + family.b) < 1e-8,
@@ -443,7 +462,7 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         add("kernel residuals", max(residuals) < kernel_bound,
             f"max residual {max(residuals):.3e}")
 
-        counts = _count_family(traj, n, "both", forked)
+        counts = _count_family(traj, n, "both", helped)
         (neg, zero), channel2 = next(counts)
         want = _closed_form_counts(p, q)[0]
         add("l=0 counts", (neg, zero) == want,
@@ -480,5 +499,5 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
 
         add("l=3 positive", verify_high_l_positive(3, traj), "")
     finally:
-        forked.close()
+        helped.close()
     return rows

@@ -37,6 +37,17 @@ the stack, their twisted operators at omega = 1, counts both Dirichlet
 problems (``_dirichlet_ends``).  Laplace l = 1 is counted at level 2,
 so no other ladder shares its shifts, and it is reduced alone.
 
+Each count-only call of a stack on one mesh is ``_mesh_counts``.  In
+``pipeline.compute_index`` and ``pipeline.verify_family`` the process's
+helper makes the mesh-2n calls: the family's trajectory samples and its
+stacks are sent to it (``_count_beside``), it rebuilds the stacks'
+systems from the samples and counts them through the same function
+(``_mesh2n``), and ``_counted`` counts mesh n here first, then reads the
+helper's result, or counts mesh 2n here where the family's handle holds
+none or the helper has not begun it (then the helper skips it).  So a
+stack's mesh-2n operators are built in one process only, and the parent
+builds those of the helper's stacks only for the twists it locates.
+
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
 also for the discrete operators when the t0 mesh is 2q times as fine.
@@ -66,8 +77,8 @@ from .errors import (AmbiguousClassificationError, NumericalError,
                      ValidationError)
 from .geodesic import Trajectory
 from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
-from .surface import (fourier_block_system, laplace_system,
-                      separated_coefficients)
+from .surface import (fourier_block_system, l0_channel_system,
+                      laplace_system, separated_coefficients)
 
 TAU_ZERO = 1e-5     # half-width of the "zero" class around the level
 ZONE = 2e-3         # smallest half-width of the zone refined by secant steps
@@ -87,6 +98,13 @@ _WINDOW = (TAU_ZERO - 3.0 * LOCATE_ERR) / 5.0
 # the shifts, in units of _WINDOW, of the window sweeps on the meshes n and
 # 2n; the counts there must read below, below + k on each mesh
 _WINDOW_SHIFTS = ((-4.0, 1.0), (-1.0, 0.25))
+# the builds of the ladders that a family stacks: mode 0's two channels,
+# and the coupled blocks of modes 1 and 2
+_CHANNELS = (partial(l0_channel_system, 1), partial(l0_channel_system, 2))
+_MODES = (partial(fourier_block_system, 1), partial(fourier_block_system, 2))
+# the stack (builds, level, ladders) of ``spectral_index``: Laplace l = 1,
+# whose ladder no other shares, at level 2
+_INDEX_STACK = ((partial(laplace_system, 1),), 2.0, True)
 
 
 @dataclass(frozen=True)
@@ -156,28 +174,87 @@ def _stack(systems: list, m: int, ladder: Optional[np.ndarray] = None):
     return op if ladder is None else replace(op, wrap_mult=ladder)
 
 
-def _counted(systems: list, n: int, level: float,
-             ladder: Optional[np.ndarray] = None,
-             windows: bool = True) -> list:
-    """Each system's [(counts, dirichlet) on mesh n, the same on mesh 2n]:
-    its rows of one count-only ``inertia`` call per mesh on the systems'
-    stack (``_stack``), at the zone ends and, with ``windows``, the window
-    shifts.  counts has a row per twist and a column per shift; dirichlet
-    an entry per shift, None for a band operator.  The systems share the
-    length, so the zone."""
-    ops = [_stack(systems, k * n, ladder) for k in (1, 2)]
+def _mesh_counts(systems: list, n: int, level: float,
+                 ladder: Optional[np.ndarray], windows: bool, k: int):
+    """The count-only ``inertia`` result on mesh k n, k = 1 or 2, of the
+    systems' stack (``_stack``, with the wrap multipliers of ``ladder``
+    if given), at the zone ends and, with ``windows``, the window shifts
+    of that mesh.  The systems share the length, so the zone.  Both
+    processes count through it: ``_counted`` and the helper
+    (``_mesh2n``)."""
     zone = _zone(systems[0], n)
+    shifts = (level - zone, level + zone,
+              *([level + s * _WINDOW for s in _WINDOW_SHIFTS[k - 1]]
+                if windows else ()))
+    return inertia(_stack(systems, k * n, ladder), *shifts, logdet=False)
+
+
+def _counted(systems: list, n: int, level: float,
+             ladder: Optional[np.ndarray] = None, windows: bool = True,
+             mesh2n=None) -> list:
+    """Each system's [(counts, dirichlet) on mesh n, the same on mesh 2n]:
+    its rows of one count-only call per mesh on the systems' stack
+    (``_mesh_counts``), mesh n first.  counts has a row per twist and a
+    column per shift, the zone ends and, with ``windows``, the window
+    shifts; dirichlet an entry per shift, None for a band operator.
+
+    ``mesh2n``, the family's handle on the helper where it holds this
+    stack (``_taken``), gives the mesh-2n result as the helper counted
+    it, or counts it here, through the function it is handed, where the
+    helper gives none or has not begun it.  Mesh n is counted here first
+    either way, so an error on it surfaces before the helper's result is
+    read."""
     meshes = []
-    for op, shifts in zip(ops, _WINDOW_SHIFTS):
-        shifts = (level - zone, level + zone,
-                  *([level + s * _WINDOW for s in shifts] if windows else ()))
-        counts, dirichlet = inertia(op, *shifts, logdet=False)
+    for k in (1, 2):
+        count = partial(_mesh_counts, systems, n, level, ladder, windows, k)
+        counts, dirichlet = (count() if k == 1 or mesh2n is None
+                             else mesh2n(count))
         # the rows run over (system, shift), system by system
-        counts = counts.reshape(len(systems), len(shifts), -1)
+        counts = counts.reshape(len(systems), 4 if windows else 2, -1)
         meshes.append(zip(counts.transpose(0, 2, 1),
                           [None] * len(systems) if dirichlet is None
                           else dirichlet.reshape(len(systems), -1)))
     return [list(rows) for rows in zip(*meshes)]
+
+
+def _twisted(builds, traj: Trajectory) -> list:
+    """The systems of ``builds`` on [0, T] at omega = 1; the twisted
+    operators of a ladder differ from theirs only in the wrap."""
+    return [build(traj, BoundaryCondition.twisted(1.0)) for build in builds]
+
+
+def _ladder(traj: Trajectory, dim: int) -> np.ndarray:
+    """The wrap multipliers of the twists r = 0..q of a ladder of block
+    size dim: (omega_r, -omega_r), or (omega_r,)."""
+    q = traj.family.rotation.q
+    omega = roots_of_unity_ladder(q)[:q + 1, None]
+    return np.hstack((omega, -omega))[:, :dim]
+
+
+def _mesh2n(traj: Trajectory, n: int, builds, level: float, ladders: bool):
+    """In the helper: the mesh-2n result of ``_mesh_counts`` for the stack
+    (builds, level, ladders) of the family's trajectory, as ``_counted``
+    counts it for ``_ladders`` (``ladders``: the twist ladders, with
+    windows) or ``_dirichlet_ends`` (omega = 1, the zone ends alone)."""
+    systems = _twisted(builds, traj)
+    ladder = _ladder(traj, systems[0].dim) if ladders else None
+    return _mesh_counts(systems, n, level, ladder, ladders, 2)
+
+
+def _count_beside(helped, traj: Trajectory, n: int, stacks: list) -> None:
+    """Have the process's helper count the mesh-2n half of each stack
+    (builds, level, ladders) of ``stacks``, in turn (``_mesh2n``), through
+    ``helped``, the family's handle on it (``_helper.Handle``), from the
+    trajectory's samples; ``_counted`` reads each result under its stack,
+    or counts the stack here where the helper has not begun it."""
+    helped.send(_mesh2n, {stack: (traj, n, *stack) for stack in stacks},
+                either=True)
+
+
+def _taken(helped, stack: tuple):
+    """``_counted``'s ``mesh2n`` for the stack (builds, level, ladders):
+    the family's handle's result under it, or None without a handle."""
+    return None if helped is None else partial(helped.take, stack)
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
@@ -358,8 +435,8 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 # ---------------------------------------------------------------------------
 # twist ladders on [0, T], the class rule, spectral index, l >= 3 positivity
 
-def ladder_counts(build, traj: Trajectory, n: int,
-                  level: float) -> np.ndarray:
+def ladder_counts(build, traj: Trajectory, n: int, level: float,
+                  helped=None) -> np.ndarray:
     """The (2q, 2) array of (below, at), the counts below and at the level
     that ``spectrum_counts`` makes at 0, of each twist omega_r =
     exp(i pi r / q), r = 0..2q-1, of ``build(traj, bc)``; row r is twist r.
@@ -371,11 +448,13 @@ def ladder_counts(build, traj: Trajectory, n: int,
     own operator.  The rows r > q are copied from r' = 2q - r: omega_r is
     exactly conj(omega_r'), and the sweeps take only real parts of
     products of conjugates, so the two twists count bit for bit alike.
+    ``helped``, the family's handle on the helper, gives the mesh-2n
+    count where it holds the stack ((build,), level, True).
     """
-    return next(_ladders([build], traj, n, level))[0]
+    return next(_ladders([build], traj, n, level, helped))[0]
 
 
-def _ladders(builds: list, traj: Trajectory, n: int, level: float):
+def _ladders(builds, traj: Trajectory, n: int, level: float, helped=None):
     """Yield, for each build in turn, (its ``ladder_counts`` rows, the
     Dirichlet count that ``_zone_rows`` hands out with them).
 
@@ -386,9 +465,11 @@ def _ladders(builds: list, traj: Trajectory, n: int, level: float):
     every ladder's zone ends and windows (``_counted``), and each ladder
     is classified from its rows, and its twists located, only when its
     turn comes: a caller that checks a ladder before it asks for the next
-    sees the errors in the order of the builds.  If the stacked count
-    raises, each ladder is counted alone in its turn, where its error
-    surfaces as it would alone.
+    sees the errors in the order of the builds.  If the stacked count of
+    several ladders raises, each is counted alone in its turn, where its
+    error surfaces as it would alone.  ``helped``, the family's handle on
+    the helper, gives the mesh-2n result where it holds the stack
+    (builds, level, ladders).
 
     The Dirichlet count is that of the Dirichlet problem of a build's
     system, with the twisted ladder's length T, so its zone: its operator
@@ -396,15 +477,15 @@ def _ladders(builds: list, traj: Trajectory, n: int, level: float):
     count at the zone ends for free, and ``edwards.dirichlet_negative_count``
     takes the settled count of modes 1 and 2 as ``known``."""
     q = traj.family.rotation.q
-    systems = [build(traj, BoundaryCondition.twisted(1.0)) for build in builds]
-    omega = roots_of_unity_ladder(q)[:q + 1, None]
-    ladder = np.hstack((omega, -omega))[:, :systems[0].dim]
-    counted = [None] * len(systems)
-    if len(systems) > 1:
-        try:
-            counted = _counted(systems, n, level, ladder)
-        except (NumericalError, ValidationError):
-            pass
+    systems = _twisted(builds, traj)
+    ladder = _ladder(traj, systems[0].dim)
+    try:
+        counted = _counted(systems, n, level, ladder,
+                           mesh2n=_taken(helped, (tuple(builds), level, True)))
+    except (NumericalError, ValidationError):
+        if len(systems) == 1:
+            raise
+        counted = [None] * len(systems)
     for system, rows in zip(systems, counted):
         rows, dirichlet = _zone_rows(system, n, level, ladder, rows)
         rows = rows[:, :2]
@@ -420,25 +501,29 @@ def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
     return tuple((rows if q % 2 else rows[l % 2::2]).sum(axis=0).tolist())
 
 
-def _dirichlet_ends(traj: Trajectory, n: int) -> dict:
+def _dirichlet_ends(traj: Trajectory, n: int, helped=None) -> dict:
     """{l: the Dirichlet count of mode l's ladder (``_ladders``)} for
     l = 1, 2, without their ladders: the one-twist, zone-ends case of
     ``_counted``, one count-only reduction per mesh of the stack of the
     two modes' twisted operators at omega = 1, whose Dirichlet counts at
-    the zone ends are those of the Dirichlet blocks."""
-    systems = [fourier_block_system(l, traj, BoundaryCondition.twisted(1.0))
-               for l in (1, 2)]
-    return {l: _settled([below for _, below in rows]) for l, rows in
-            zip((1, 2), _counted(systems, n, 0.0, windows=False))}
+    the zone ends are those of the Dirichlet blocks.  ``helped``, the
+    family's handle on the helper, gives the mesh-2n result where it
+    holds the stack (``_MODES``, 0, False)."""
+    counted = _counted(_twisted(_MODES, traj), n, 0.0, windows=False,
+                       mesh2n=_taken(helped, (_MODES, 0.0, False)))
+    return {l: _settled([below for _, below in rows])
+            for l, rows in zip((1, 2), counted)}
 
 
-def spectral_index(traj: Trajectory, n: int, channel2) -> int:
+def spectral_index(traj: Trajectory, n: int, channel2, helped=None) -> int:
     """Number of Laplace eigenvalues below 2 in the class of the surface;
     mode l = 0 counts once, mode l = 1 twice.  Eigenvalues landing exactly
     on 2 (the coordinate functions) are excluded by extrapolation.
 
     Mode l = 0 is read from ``channel2``, the ``ladder_counts`` array of
-    mode-0 channel 2 at level 0, and only mode l = 1 is swept.  The two
+    mode-0 channel 2 at level 0, and only mode l = 1 is swept
+    (``_INDEX_STACK``; ``helped``, the family's handle on the helper,
+    gives its mesh-2n count where it holds it).  The two
     are supersymmetric partners.  With A h = sqrt(p) h' and sqrt(p) =
     2 pi cos(phi), the Laplace l = 0 operator -(p h')' is A*A, and since
     Q22(l = 0) + 2 = -sqrt(p) sqrt(p)'' along the geodesic, channel 2
@@ -455,7 +540,8 @@ def spectral_index(traj: Trajectory, n: int, channel2) -> int:
     nonnegative, so the modes l >= 2 hold no eigenvalue below 2.
     """
     q = traj.family.rotation.q
-    l1 = ladder_counts(partial(laplace_system, 1), traj, n, 2.0)
+    (laplace1,), level, _ = _INDEX_STACK
+    l1 = ladder_counts(laplace1, traj, n, level, helped)
     return class_counts(0, q, channel2)[0] + 2 * class_counts(1, q, l1)[0]
 
 

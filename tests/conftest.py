@@ -1,7 +1,25 @@
 import pytest
 
-from otsuki import eigencount, spectral
+from otsuki import _helper, eigencount, spectral
 from otsuki.geodesic import GeodesicFamily, sample_trajectory, solve_parameter
+
+
+@pytest.fixture(autouse=True)
+def no_helper_of_an_earlier_test():
+    """No helper process runs when a test starts: the helper runs the
+    package code as it stood at its fork, so the first family of each test
+    forks one that runs the code as the test has patched it."""
+    _helper._close_helper()
+
+
+@pytest.fixture
+def counts_in_process(monkeypatch):
+    """No helper serves a family, so this process makes every count, on
+    both meshes, and integrates every boundary solution: a test that
+    records or alters the counting layers sees all of their work, also
+    where it patches them after a family has run."""
+    monkeypatch.setattr(_helper, "_may_fork", lambda: False)
+    _helper._close_helper()
 
 
 @pytest.fixture(scope="session")

@@ -672,7 +672,8 @@ class TestApplicabilityGate:
         monkeypatch.setattr(edwards, "eigenvalues_in", recorded_located)
         return seen
 
-    def test_both_gate_reads_the_direct_ladder(self, monkeypatch):
+    def test_both_gate_reads_the_direct_ladder(self, monkeypatch,
+                                               counts_in_process):
         # under 'both' the direct ladder of each mode, counted first, holds
         # the Dirichlet counts at its zone ends; both meshes read an empty
         # zone, so the gate sweeps and discretizes no Dirichlet operator
@@ -717,7 +718,7 @@ class TestApplicabilityGate:
         return stacks
 
     def test_edwards_gate_reads_one_stacked_reduction_per_mesh(
-            self, monkeypatch):
+            self, monkeypatch, counts_in_process):
         # under 'edwards' one count-only reduction per mesh, of the stack
         # of the twisted operators of modes 1 and 2 at omega = 1, counts
         # both Dirichlet blocks at the zone ends; both meshes read an
@@ -740,7 +741,7 @@ class TestApplicabilityGate:
     @pytest.mark.parametrize("case", ["populated", "meshes-disagree",
                                       "broke-down", "raises"])
     def test_edwards_gate_counts_alone_unless_the_stack_agrees(
-            self, monkeypatch, case):
+            self, monkeypatch, counts_in_process, case):
         # a populated zone (half-width 1.1 holds the Dirichlet eigenvalue
         # nearest zero of both modes), counts that change with the mesh, a
         # count that broke down, or a stacked call that raises: each gate

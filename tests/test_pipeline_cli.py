@@ -13,7 +13,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from otsuki import cli, edwards, eigencount, jsonio, pipeline, spectral
+from otsuki import (_helper, cli, edwards, eigencount, jsonio, pipeline,
+                    spectral)
 from otsuki.cli import run_cli
 from otsuki.edwards import boundary_form
 from otsuki.errors import (AmbiguousClassificationError,
@@ -31,9 +32,9 @@ from otsuki.surface import (fourier_block_system, kernel_fields,
 def _changed_ladders(original, change):
     """``spectral._ladders`` with each ladder's rows replaced by
     ``change(build, traj, rows)``."""
-    def ladders(builds, traj, n, level):
+    def ladders(builds, traj, n, level, helped=None):
         for build, (rows, dirichlet) in zip(
-                builds, original(builds, traj, n, level)):
+                builds, original(builds, traj, n, level, helped)):
             yield change(build, traj, rows), dirichlet
 
     return ladders
@@ -148,14 +149,15 @@ class TestComputeIndex:
         original, form = spectral._ladders, pipeline.boundary_form
         built, forms, stacks = [], [], []
 
-        def recorded(builds, traj, n, level):
+        def recorded(builds, traj, n, level, helped=None):
             def record(build, traj, rows):
                 built.append(((build.func.__name__, build.args, level),
                               rows.tolist()))
                 return rows
 
             stacks.append((len(builds), level))
-            return _changed_ladders(original, record)(builds, traj, n, level)
+            return _changed_ladders(original, record)(builds, traj, n, level,
+                                                      helped)
 
         def recorded_form(l, traj, **kwargs):
             forms.append(l)
@@ -189,24 +191,35 @@ class TestComputeIndex:
         assert rows["route agreement l=1"]["ok"]
         assert rows["route agreement l=2"]["ok"]
 
-    def test_count_only_reductions_per_family(self, monkeypatch):
+    def test_count_only_reductions_per_family(self, monkeypatch,
+                                              fresh_helper,
+                                              helper_counts_all):
         # one reduction per mesh of each stack: mode 0's channels, modes 1
         # and 2 (their direct ladders, or under 'edwards' their Dirichlet
-        # ends), and Laplace l = 1 alone; verify counts no spectral index
-        original, calls = eigencount._reduced_counts, []
+        # ends), and Laplace l = 1 alone; verify counts no spectral index.
+        # The helper, forked under the patch and left every count, reduces
+        # mesh 2n of each, so this process reduces mesh n alone; without a
+        # helper, both
+        original, meshes = eigencount._reduced_counts, []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(op, *args):
+            meshes.append(op.m)
+            return original(op, *args)
 
         monkeypatch.setattr(eigencount, "_reduced_counts", counted)
-        for method in ("both", "edwards", "direct"):
-            calls.clear()
-            compute_index(2, 3, method=method, n=512)
-            assert len(calls) == 6, method
-        calls.clear()
-        verify_family(2, 3, n=512)
-        assert len(calls) == 4
+        for split in ([512], [512, 1024]):
+            if split == [512, 1024]:
+                monkeypatch.setattr(_helper, "_may_fork", lambda: False)
+                _helper._close_helper()
+            elif not _helper._may_fork():
+                continue
+            for method in ("both", "edwards", "direct"):
+                meshes.clear()
+                compute_index(2, 3, method=method, n=512)
+                assert meshes == 3 * split, method
+            meshes.clear()
+            verify_family(2, 3, n=512)
+            assert meshes == 2 * split
 
     @pytest.mark.parametrize("raising,form,want", [
         ({"channel 1", "channel 2"}, False, "channel 1"),
@@ -214,12 +227,13 @@ class TestComputeIndex:
         ({"l = 2"}, True, "form l = 1"),
         ({"l = 1"}, True, "l = 1"),
         ({"l = 2"}, False, "l = 2")])
-    def test_errors_surface_in_ladder_order(self, monkeypatch, raising, form,
-                                            want):
+    def test_errors_surface_in_ladder_order(self, monkeypatch, fresh_helper,
+                                            raising, form, want):
         # a count-only call that raises on a ladder's operator, stacked or
         # alone; the first error in the order channel 1, channel 2, then
         # per mode the direct ladder and the boundary form surfaces, as
-        # when each ladder was counted alone
+        # when each ladder was counted alone, with a helper forked under
+        # the patch, whose mesh-2n counts raise too, and in process
         traj = family_trajectory(solve_parameter(2, 3), 512)
         builds = {"channel 1": partial(l0_channel_system, 1),
                   "channel 2": partial(l0_channel_system, 2),
@@ -245,9 +259,13 @@ class TestComputeIndex:
 
         monkeypatch.setattr(spectral, "inertia", failing)
         monkeypatch.setattr(pipeline, "boundary_form", failing_form)
-        with pytest.raises(NumericalError) as exc:
-            compute_index(2, 3, method="both", n=512)
-        assert str(exc.value) == want
+        for helped in (True, False):
+            if not helped:
+                monkeypatch.setattr(_helper, "_may_fork", lambda: False)
+                _helper._close_helper()
+            with pytest.raises(NumericalError) as exc:
+                compute_index(2, 3, method="both", n=512)
+            assert str(exc.value) == want
 
     def test_unknown_method_rejected(self):
         from otsuki.errors import ValidationError
@@ -312,9 +330,11 @@ class TestHalfPeriodCounts:
         check = bounds_check(report)
         assert all(check[k] for k in check if k.endswith("_ok"))
 
-    def test_nothing_discretizes_beyond_half_period(self, monkeypatch):
+    def test_nothing_discretizes_beyond_half_period(self, monkeypatch,
+                                                    counts_in_process):
         # every operator lives on [0, T], and the l = 3 check sweeps none:
-        # no 2x2 cyclic sweep with real wrap multipliers is left
+        # no 2x2 cyclic sweep with real wrap multipliers is left; in
+        # process, so both meshes are discretized and swept here
         seen, real_2x2 = set(), []
         original = SLSystem.discretize
         original_inertia = eigencount.inertia
@@ -339,7 +359,7 @@ class TestHalfPeriodCounts:
 
 README_FAMILIES = [(5, 9), (4, 7), (3, 5), (5, 8), (2, 3), (7, 10)]
 
-needs_fork = pytest.mark.skipif(not edwards._may_fork(),
+needs_fork = pytest.mark.skipif(not _helper._may_fork(),
                                 reason="no os.fork or os.pidfd_open, or one "
                                        "CPU only")
 
@@ -349,9 +369,9 @@ def fresh_helper():
     """No helper runs when the test starts, so its first family that reads
     boundary forms forks one, which runs the patches installed then; none
     runs when it ends, so no later test meets those patches."""
-    edwards._close_helper()
+    _helper._close_helper()
     yield
-    edwards._close_helper()
+    _helper._close_helper()
 
 
 @pytest.fixture
@@ -391,15 +411,33 @@ def a_thread_python_does_not_run():
     held = _thread.allocate_lock()
     held.acquire()
     _thread.start_new_thread(held.acquire, ())
-    while edwards._threads() < 2:
+    while _helper._threads() < 2:
         time.sleep(0.001)
     assert threading.active_count() == 1
     try:
         yield
     finally:
         held.release()
-        while edwards._threads() > 1:
+        while _helper._threads() > 1:
             time.sleep(0.001)
+
+
+@pytest.fixture
+def helper_counts_all(monkeypatch):
+    """This process takes no count's token, so the helper makes every count
+    sent to it, however far behind it runs: the split is fixed."""
+    take, parent = _helper._take_token, os.getpid()
+    monkeypatch.setattr(_helper, "_take_token",
+                        lambda fd: os.getpid() != parent and take(fd))
+
+
+@pytest.fixture
+def parent_counts_all(monkeypatch, fresh_helper):
+    """A helper, forked under the patch, that takes no count's token, so
+    this process makes every count itself, however early it needs it."""
+    take, parent = _helper._take_token, os.getpid()
+    monkeypatch.setattr(_helper, "_take_token",
+                        lambda fd: os.getpid() == parent and take(fd))
 
 
 @pytest.fixture
@@ -441,6 +479,21 @@ def _document(report):
     return jsonio.dumps(report_document(replace(report, timestamp="")))
 
 
+@pytest.fixture
+def counted_on(monkeypatch):
+    """The meshes of the count-only ``inertia`` calls that this process
+    makes: a helper makes those of mesh 2n of the family's stacks."""
+    meshes, inertia = [], spectral.inertia
+
+    def recorded(op, *shifts, logdet=True):
+        if not logdet:
+            meshes.append(op.m)
+        return inertia(op, *shifts, logdet=logdet)
+
+    monkeypatch.setattr(spectral, "inertia", recorded)
+    return meshes
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -450,51 +503,66 @@ def _only_the_idle_helper():
     """After a family the one child left is the helper: it runs, no family
     holds it, and it has written no result that was not read.  Once it is
     closed, no child is left at all."""
-    helper = edwards._HELPER
-    assert helper is not None and not edwards._CLAIM.locked()
+    helper = _helper._HELPER
+    assert helper is not None and not _helper._CLAIM.locked()
     assert os.waitpid(helper.pid, os.WNOHANG) == (0, 0)
     assert select.select([helper.results], [], [], 0.05)[0] == []
-    edwards._close_helper()
-    assert edwards._HELPER is None
+    _helper._close_helper()
+    assert _helper._HELPER is None
     _no_child_left()
 
 
 @needs_fork
 class TestBoundarySolutionsInAChild:
-    """``compute_index`` ('edwards', 'both') and ``verify_family`` have the
-    boundary solutions of modes 1 and 2 integrated by one helper process,
-    forked at the first family and reused, and integrate them in process
-    beside another thread when no helper runs."""
+    """``compute_index`` and ``verify_family`` have the mesh-2n half of
+    their counts made, and the boundary solutions of modes 1 and 2
+    integrated ('edwards', 'both' and ``verify_family``), by one helper
+    process, forked at the first family and reused, and do that work in
+    process beside another thread when no helper runs."""
 
-    @pytest.mark.parametrize("method", ["edwards", "both"])
-    def test_reports_equal_the_in_process_ones(self, forks, method):
-        # every byte but the timestamp, s1 and s2 included
+    @pytest.mark.parametrize("method", ["edwards", "both", "direct"])
+    def test_reports_equal_the_in_process_ones(self, forks, counted_on,
+                                               helper_counts_all, method):
+        # every byte but the timestamp, s1 and s2 included; with a helper
+        # left every count this process counts no mesh-2n operator, in
+        # process it does
         helped = [_document(compute_index(p, q, method, n=512))
                   for p, q in README_FAMILIES]
         assert len(forks) == 1 and 0 not in forks
+        assert counted_on and set(counted_on) == {512}
         _only_the_idle_helper()
+        counted_on.clear()
         with another_thread():
             alone = [_document(compute_index(p, q, method, n=512))
                      for p, q in README_FAMILIES]
-        assert len(forks) == 1
+        assert len(forks) == 1 and 1024 in counted_on
         assert helped == alone
         _no_child_left()
 
-    def test_verify_rows_equal_the_in_process_ones(self, forks):
+    def test_verify_rows_equal_the_in_process_ones(self, forks, counted_on,
+                                                   helper_counts_all):
         families = [(2, 3), (5, 8)]
         helped = [jsonio.dumps(verify_family(p, q, n=512))
                   for p, q in families]
         assert len(forks) == 1
+        assert counted_on and set(counted_on) == {512}
         _only_the_idle_helper()
+        counted_on.clear()
         with another_thread():
             alone = [jsonio.dumps(verify_family(p, q, n=512))
                      for p, q in families]
-        assert len(forks) == 1 and helped == alone
+        assert len(forks) == 1 and 1024 in counted_on and helped == alone
         _no_child_left()
 
-    def test_direct_forks_no_child(self, forks):
+    def test_direct_forks_a_helper_for_its_counts_alone(self, forks,
+                                                        in_process,
+                                                        counted_on,
+                                                        helper_counts_all):
+        # it integrates no boundary solution, and is asked for none
         compute_index(2, 3, "direct", n=512)
-        assert forks == []
+        assert len(forks) == 1 and in_process == []
+        assert set(counted_on) == {512}
+        _only_the_idle_helper()
 
     def test_failure_in_the_child_surfaces_as_in_process(
             self, monkeypatch, forks, traj23):
@@ -519,24 +587,111 @@ class TestBoundarySolutionsInAChild:
         assert str(helped.value) == str(alone.value)
         assert "integration failed" in str(alone.value)
         # the right-hand side ran in the helper only, which the family,
-        # raising with the result of l = 2 unread, killed
+        # raising with a count result unread, killed
         assert parent == [] and len(forks) == 1
         _no_child_left()
 
     def test_child_without_a_result(self, monkeypatch, forks, in_process,
                                      report23):
         # a helper that ends before it writes: the parent integrates itself
-        monkeypatch.setattr(edwards, "_integrate_in_child",
-                            lambda requests, results: os._exit(1))
+        monkeypatch.setattr(_helper, "_serve",
+                            lambda requests, results, *tokens: os._exit(1))
         assert _document(compute_index(2, 3, "both", n=512)) == \
             _document(report23)
         assert len(forks) == 1 and in_process == [1, 2]
         _no_child_left()
 
     @pytest.mark.parametrize("method", ["edwards", "both"])
+    def test_the_helper_counts_mesh_2n_as_this_process_does(
+            self, monkeypatch, forks, helper_counts_all, method):
+        # each stack's result, as the family takes it from the helper, is
+        # the count-only reduction of that stack on mesh 2n made here
+        taken, take = [], _helper.Handle.take
+
+        def recorded(handle, key, compute):
+            result = take(handle, key, compute)
+            if isinstance(key, tuple):
+                taken.append((key, result))
+            return result
+
+        monkeypatch.setattr(_helper.Handle, "take", recorded)
+        compute_index(2, 3, method, n=512)
+        assert [key for key, _ in taken] == pipeline._stacks(method)
+        traj = family_trajectory(solve_parameter(2, 3), 512)
+        for (builds, level, ladders), got in taken:
+            systems = [build(traj, BoundaryCondition.twisted(1.0))
+                       for build in builds]
+            ladder = spectral._ladder(traj, systems[0].dim) if ladders \
+                else None
+            zone = spectral._zone(systems[0], 512)
+            shifts = [level - zone, level + zone]
+            if ladders:     # the windows of mesh 2n
+                shifts += [level + s * spectral._WINDOW
+                           for s in spectral._WINDOW_SHIFTS[1]]
+            want = spectral.inertia(spectral._stack(systems, 1024, ladder),
+                                    *shifts, logdet=False)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        _only_the_idle_helper()
+
+    @pytest.mark.parametrize("method", ["edwards", "both", "direct"])
+    def test_the_family_counts_what_the_helper_has_not_begun(
+            self, forks, kills, in_process, counted_on, parent_counts_all,
+            method):
+        # every count's token is the family's: it counts both meshes, the
+        # helper skips them, and it serves on, killed by no family
+        with another_thread():
+            alone = [_document(compute_index(p, q, method, n=512))
+                     for p, q in README_FAMILIES[:3]]
+        _no_child_left()
+        want = counted_on.copy()
+        counted_on.clear()
+        in_process.clear()
+        helped = [_document(compute_index(p, q, method, n=512))
+                  for p, q in README_FAMILIES[:3]]
+        assert helped == alone and counted_on == want
+        assert counted_on.count(1024) == 9
+        assert len(forks) == 1 and kills == [] and in_process == []
+        _only_the_idle_helper()
+
+    def test_child_that_ends_before_a_count_result(self, monkeypatch, forks,
+                                                    in_process, counted_on,
+                                                    report23):
+        # a helper that answers its first request, the boundary solutions,
+        # and ends: the parent counts mesh 2n itself, reaps the helper, and
+        # the next family forks a fresh one
+        def solutions_only(requests, results, *tokens):
+            try:
+                requests, results = _helper._only_descriptors(requests,
+                                                              results)
+                with os.fdopen(requests, "rb") as inbox, \
+                        os.fdopen(results, "wb") as outbox:
+                    work, calls, slots = pickle.load(inbox)
+                    for result in _helper._answers(work, calls, slots):
+                        outbox.write(pickle.dumps(result))
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(_helper, "_serve", solutions_only)
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 1 and in_process == []
+        assert counted_on.count(1024) == 3
+        assert _helper._HELPER is None
+        _no_child_left()
+        counted_on.clear()
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 2 and in_process == []
+        assert counted_on.count(1024) == 3
+        _no_child_left()
+
+    @pytest.mark.parametrize("method", ["edwards", "both"])
     @pytest.mark.parametrize("where", ["ladders", "refused"])
     def test_no_child_outlives_a_family_that_reads_no_form(
-            self, monkeypatch, forks, kills, method, where):
+            self, monkeypatch, forks, kills, helper_counts_all, method,
+            where):
+        # the helper makes every count, so a family that takes a count
+        # reads the boundary solutions sent before it
         def failing(*args):
             raise NumericalError("forced")
 
@@ -554,23 +709,59 @@ class TestBoundarySolutionsInAChild:
         with pytest.raises(NumericalError) if where == "ladders" else \
                 contextlib.nullcontext():
             verify_family(2, 3, n=512)
-        assert len(forks) == 2 and kills == ["handle", "handle"]
-        _no_child_left()
+        if where == "ladders":
+            assert len(forks) == 2 and kills == ["handle", "handle"]
+            _no_child_left()
+            return
+        # a refused family reads its solutions on the way to its counts:
+        # only 'edwards', which raises before its spectral index is
+        # counted, leaves a result unread; the helper that read them all
+        # serves the next family
+        if method == "edwards":
+            assert len(forks) == 2 and kills == ["handle"]
+        else:
+            assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
 
     def test_the_next_family_reads_no_stale_result(self, monkeypatch, forks,
                                                    kills, in_process):
-        # 2/3 leaves both its results unread; 5/8 reads its own, from a
-        # fresh helper
+        # 2/3, refused under 'edwards', leaves its spectral index's count
+        # unread; 5/8 reads its own, from a fresh helper
         want = _document(compute_index(5, 8, "edwards", n=512))
 
         def refuse(l, traj, **kwargs):
             raise EdwardsInapplicableError("forced")
 
         monkeypatch.setattr(pipeline, "boundary_form", refuse)
-        compute_index(2, 3, "both", n=512)
+        with pytest.raises(EdwardsInapplicableError):
+            compute_index(2, 3, "edwards", n=512)
         monkeypatch.setattr(pipeline, "boundary_form", boundary_form)
         assert _document(compute_index(5, 8, "edwards", n=512)) == want
         assert len(forks) == 2 and kills == ["handle"] and in_process == []
+        _only_the_idle_helper()
+
+    def test_a_family_whose_mode_0_count_raises_kills_the_helper(
+            self, monkeypatch, forks, kills, report23):
+        # 2/3 raises at mode 0 with its count results unread; no stale
+        # result reaches 5/8, which a fresh helper serves
+        want = _document(compute_index(5, 8, "both", n=512))
+
+        def failing_mode_0(build, traj, rows):
+            if build in spectral._CHANNELS:
+                raise AmbiguousClassificationError("forced")
+            return rows
+
+        ladders = pipeline._ladders
+        monkeypatch.setattr(pipeline, "_ladders",
+                            _changed_ladders(ladders, failing_mode_0))
+        with pytest.raises(AmbiguousClassificationError):
+            compute_index(2, 3, "both", n=512)
+        assert len(forks) == 1 and kills == ["handle"]
+        monkeypatch.setattr(pipeline, "_ladders", ladders)
+        assert _document(compute_index(5, 8, "both", n=512)) == want
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 2 and kills == ["handle"]
         _only_the_idle_helper()
 
     def test_no_child_outlives_a_sweep_with_a_failing_family(
@@ -620,7 +811,8 @@ class TestBoundarySolutionsInAChild:
     def test_a_claimed_helper_leaves_the_next_family_in_process(
             self, forks, in_process, report23, fam58):
         # one family at a time: that of another thread does not wait
-        held = edwards._ForkedSolutions(fam58)
+        held = _helper.Handle()
+        edwards._integrate_beside(held, fam58)
         reports = []
         thread = threading.Thread(target=lambda: reports.append(
             compute_index(2, 3, "both", n=512)))
@@ -630,7 +822,8 @@ class TestBoundarySolutionsInAChild:
         traj = family_trajectory(fam58, 512)
         want = [edwards.boundary_solutions(l, traj) for l in (1, 2)]
         in_process.clear()
-        got = [held.solutions(l, traj) for l in (1, 2)]
+        got = [held.take(l, partial(edwards.boundary_solutions, l, traj))
+               for l in (1, 2)]
         held.close()
         assert _document(reports[0]) == _document(report23)
         assert len(forks) == 1 and in_process == []
@@ -711,8 +904,8 @@ class TestBoundarySolutionsInAChild:
         # the system reaps the helper itself; closing it raises nothing
         import signal
 
-        monkeypatch.setattr(edwards, "_integrate_in_child",
-                            lambda requests, results: os._exit(0))
+        monkeypatch.setattr(_helper, "_serve",
+                            lambda requests, results, *tokens: os._exit(0))
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             report = compute_index(2, 3, "both", n=512)
@@ -732,16 +925,19 @@ class TestBoundarySolutionsInAChild:
                         reason="no /proc/self/fd")
     def test_the_helper_holds_only_its_pipe_ends(self, forks):
         # 0-2 on /dev/null, and nothing of the parent's but the two pipes
+        # and the read ends of the token pipes
         compute_index(2, 3, "edwards", n=512)
-        helper = edwards._HELPER
+        helper = _helper._HELPER
         held = sorted(int(fd) for fd in os.listdir(f"/proc/{helper.pid}/fd"))
-        assert len(held) == 5 and held[:3] == [0, 1, 2]
+        assert len(helper.tokens) == _helper._TOKENS
+        assert len(held) == 5 + _helper._TOKENS and held[:3] == [0, 1, 2]
         assert {os.readlink(f"/proc/{helper.pid}/fd/{fd}")
                 for fd in held[:3]} == {os.devnull}
         assert {os.readlink(f"/proc/{helper.pid}/fd/{fd}")
                 for fd in held[3:]} == \
             {os.readlink(f"/proc/self/fd/{fd}")
-             for fd in (helper.requests, helper.results)}
+             for fd in (helper.requests, helper.results,
+                        *(read for read, _ in helper.tokens))}
         _only_the_idle_helper()
 
     def test_the_helper_exits_at_the_end_of_its_requests(self, forks, kills):
@@ -751,13 +947,13 @@ class TestBoundarySolutionsInAChild:
         import time
 
         compute_index(2, 3, "edwards", n=512)
-        helper = edwards._HELPER
+        helper = _helper._HELPER
         os.close(helper.requests)
         deadline = time.monotonic() + 10.0
         while not (reaped := os.waitpid(helper.pid, os.WNOHANG))[0] \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        edwards._HELPER = None
+        _helper._HELPER = None
         if not reaped[0]:
             signal.pidfd_send_signal(helper.handle, signal.SIGKILL)
             reaped = os.waitpid(helper.pid, 0)
@@ -775,9 +971,9 @@ class TestBoundarySolutionsInAChild:
 
         script = (
             "import subprocess, sys\n"
-            "from otsuki import edwards, pipeline\n"
+            "from otsuki import _helper, pipeline\n"
             "pipeline.compute_index(2, 3, 'edwards', n=512)\n"
-            "helper = edwards._HELPER\n"
+            "helper = _helper._HELPER\n"
             "keeper = subprocess.Popen(\n"
             "    [sys.executable, '-c', 'import time; time.sleep(60)'],\n"
             "    pass_fds=[helper.requests], stdout=subprocess.DEVNULL,\n"
@@ -794,19 +990,48 @@ class TestBoundarySolutionsInAChild:
             os.kill(helper, signal.SIGKILL)
         assert not left
 
+    def test_a_call_is_made_by_the_process_that_takes_its_token(self):
+        # the byte in a call's token pipe goes to one reader: the helper
+        # makes the call only if it takes it, and skips it, answering None,
+        # where the parent took it first
+        made = []
+
+        def work(x):
+            made.append(x)
+            if x == 3:
+                raise NumericalError("three")
+            return x
+
+        pipes = [os.pipe() for _ in range(3)]
+        try:
+            for read, write in pipes:
+                os.set_blocking(read, False)
+                os.write(write, b"t")
+            assert _helper._take_token(pipes[1][0])        # the parent's
+            answers = list(_helper._answers(
+                work, [(1,), (2,), (3,), (4,)],
+                [read for read, _ in pipes] + [None]))
+            assert answers[:2] == [1, None] and answers[3] == 4
+            assert isinstance(answers[2], NumericalError)
+            assert made == [1, 3, 4]
+            assert not any(_helper._take_token(read) for read, _ in pipes)
+        finally:
+            for fd in sum(pipes, ()):
+                os.close(fd)
+
     def test_a_forked_process_neither_uses_nor_signals_the_helper(
             self, forks, kills):
         want = _document(compute_index(5, 8, "edwards", n=512))
-        helper = edwards._HELPER
+        helper = _helper._HELPER
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:    # reports what it saw, then leaves as a helper does
             try:
                 os.close(read)
-                let_go = edwards._HELPER is None
+                let_go = _helper._HELPER is None
                 doc = _document(compute_index(5, 8, "edwards", n=512))
-                own = edwards._HELPER.pid
-                edwards._close_helper()
+                own = _helper._HELPER.pid
+                _helper._close_helper()
                 os.write(write, pickle.dumps((let_go, doc, own)))
             finally:
                 os._exit(0)
@@ -817,7 +1042,7 @@ class TestBoundarySolutionsInAChild:
         assert let_go and doc == want and own != helper.pid
         # this process's helper runs on, unsignalled, and serves it still
         assert _document(compute_index(5, 8, "edwards", n=512)) == want
-        assert edwards._HELPER is helper
+        assert _helper._HELPER is helper
         assert len(forks) == 2 and kills == []
         _only_the_idle_helper()
 

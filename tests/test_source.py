@@ -260,7 +260,7 @@ def test_edwards_imports_of_the_counting_layers():
     assert imported["eigencount"] == {"BandOperator", "eigenvalues_in"}
 
 
-def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
+def test_only_the_helper_module_forks_and_its_child_leaves_by_os_exit():
     # the helper, a forked child, that returned into its caller's stack
     # would run the atexit handlers, flush the buffered output and tear
     # down the tests a second time, so its function, which serves every
@@ -272,10 +272,10 @@ def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func).split(".")[-1]
                       in ("fork", "forkpty")})
-    assert forking == ["edwards.py"], f"modules that fork: {forking}"
-    path = next(p for p in SOURCES if p.name == "edwards.py")
+    assert forking == ["_helper.py"], f"modules that fork: {forking}"
+    path = next(p for p in SOURCES if p.name == "_helper.py")
     tree = ast.parse(path.read_text())
-    fn = dict(_functions(tree))["_integrate_in_child"]
+    fn = dict(_functions(tree))["_serve"]
     last = fn.body[-1]
     assert isinstance(last, ast.Try) and last.finalbody, \
         "the child's function does not end in a try/finally"
@@ -288,7 +288,27 @@ def test_only_edwards_forks_and_its_child_leaves_by_os_exit():
     child = [node for node in ast.walk(tree) if isinstance(node, ast.If)
              and ast.unparse(node.test) == "pid == 0"]
     assert len(child) == 1
-    assert ast.unparse(child[0].body[-1]).startswith("_integrate_in_child(")
+    assert ast.unparse(child[0].body[-1]).startswith("_serve(")
+
+
+def test_one_mesh_count_function_for_both_processes():
+    # the parent's counts (_counted) and the helper's mesh-2n counts
+    # (_mesh2n, the work that _count_beside sends) reduce each stack
+    # through one function, so the two processes count alike
+    defined = [(path.name, name) for path in SOURCES
+               for name, _ in _functions(ast.parse(path.read_text()))
+               if name == "_mesh_counts"]
+    assert defined == [("spectral.py", "_mesh_counts")]
+    path = next(p for p in SOURCES if p.name == "spectral.py")
+    functions = dict(_functions(ast.parse(path.read_text())))
+
+    def names(fn):
+        return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+    callers = sorted(name for name, fn in functions.items()
+                     if "_mesh_counts" in names(fn))
+    assert callers == ["_counted", "_mesh2n"]
+    assert "_mesh2n" in names(functions["_count_beside"])
 
 
 def _public_names(tree):

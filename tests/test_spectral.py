@@ -810,7 +810,8 @@ class TestTwistedConsistency:
         assert not any(logdet for _, _, logdet in count_sweeps)
 
     def test_certified_counts_equal_located_counts(self, traj23, traj58,
-                                                   traj710, monkeypatch):
+                                                   traj710, monkeypatch,
+                                                   counts_in_process):
         # a zero window certifies nothing, so every zone is located
         def run():
             rows = [ladder_counts(build, traj, 1024, level).tolist()
@@ -902,3 +903,27 @@ def test_counts_consistent_with_listing(shift):
     below = [v for v in s.eigenvalues if v < -TAU_ZERO]
     at = [v for v in s.eigenvalues if abs(v) <= TAU_ZERO]
     assert (s.neg_count, s.zero_count) == (len(below), len(at))
+
+
+def test_the_helpers_work_counts_the_stack_on_mesh_2n(traj23):
+    # spectral._mesh2n, the helper's half of _counted, reduces the stack on
+    # mesh 2n at that mesh's shifts; at a level midway between one
+    # eigenvalue of mode-0 channel 1 at omega = 1 on mesh n (110.878 at
+    # n = 512) and the same one on mesh 2n (110.895), the meshes count
+    # below the zone apart
+    n, builds = 512, spectral._CHANNELS[:1]
+    system = spectral._twisted(builds, traj23)[0]
+    ladder = spectral._ladder(traj23, 1)
+    mu = [eigencount.eigenvalues_in(spectral._stack([system], m), 100.0,
+                                    120.0, tol=1e-9)[0] for m in (n, 2 * n)]
+    level, zone = sum(mu) / 2.0, spectral._zone(system, n)
+    assert mu[1] - mu[0] > 4.0 * zone
+    got = spectral._mesh2n(traj23, n, builds, level, True)
+    shifts = [level - zone, level + zone,
+              *(level + s * spectral._WINDOW
+                for s in spectral._WINDOW_SHIFTS[1])]
+    ops = [spectral._stack([system], m, ladder) for m in (n, 2 * n)]
+    want = spectral.inertia(ops[1], *shifts, logdet=False)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    mesh_n = spectral.inertia(ops[0], *shifts, logdet=False)
+    assert got[0][0, 0] < mesh_n[0][0, 0]
