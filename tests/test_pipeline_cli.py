@@ -653,6 +653,35 @@ class TestBoundarySolutionsInAChild:
         assert len(forks) == 1 and kills == [] and in_process == []
         _only_the_idle_helper()
 
+    def test_families_in_a_row_hand_each_count_to_one_process(
+            self, forks, kills, report23):
+        # the tokens go to whichever process comes first, family after
+        # family, with a busy thread in this process shifting the timing:
+        # every report is the in-process one, and every family reads all
+        # its results, so one helper serves them all, never killed
+        want = {method: _document(compute_index(2, 3, method, n=512))
+                for method in ("direct", "edwards")}
+        want["both"] = _document(report23)
+        done = threading.Event()
+
+        def busy():
+            while not done.is_set():
+                sum(range(1000))
+
+        thread = threading.Thread(target=busy)
+        thread.start()
+        try:
+            for k in range(12):
+                method = ("both", "direct", "edwards")[k % 3]
+                assert _document(compute_index(2, 3, method, n=512)) == \
+                    want[method]
+        finally:
+            done.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
+
     def test_child_that_ends_before_a_count_result(self, monkeypatch, forks,
                                                     in_process, counted_on,
                                                     report23):
