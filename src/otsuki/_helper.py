@@ -7,10 +7,11 @@ do the rest themselves: the boundary solutions of modes 1 and 2
 unless only the direct route runs, and the mesh-2n half of the count-only
 reductions of the family's stacks (``spectral._count_beside``), sent
 right after its trajectory is sampled.  The helper is forked at the first
-family and reused by every later one.  A request is a function and the
-argument tuples of its calls; the helper writes, call by call, the pickled
-result or the exception the call raised (``_serve``), and the family's
-``Handle`` reads each by the key it was sent under.  The readers,
+family and reused by every later one.  A request is a function, the
+argument tuples of its calls and their token pipes; the helper writes,
+call by call, the pickled result or the exception the call raised
+(``_serve``), and the family's ``Handle`` reads each by the key it was
+sent under.  The readers,
 ``edwards.boundary_form`` and ``spectral._counted``, still do first what
 they did in process, so every refusal and error surfaces where and as
 it did in process.
@@ -23,8 +24,8 @@ process, and the helper skips the call.  So the family never waits for a
 count that the helper has not begun, which it would while the helper
 integrates, and no count is made twice.
 
-A family that leaves results unread kills the helper, and the next
-family forks a fresh one.  The helper runs the package code as it stood
+A family that leaves results unread, but the skipped calls it made
+itself, kills the helper, and the next family forks a fresh one.  The helper runs the package code as it stood
 at its fork, exits with its parent (at the end of its request pipe), and
 is killed and reaped at interpreter exit; it leaves only through
 ``os._exit``.  The parent does the work in process where ``os.fork`` or
@@ -46,8 +47,8 @@ import threading
 import warnings
 from typing import Optional
 
-# the request pipe holds a trajectory's samples, at most 4097 nodes of
-# four arrays, so a family sends them without waiting for the helper
+# the request pipe holds a trajectory's samples, three arrays of at most
+# 4097 nodes, so a family sends them without waiting for the helper
 _REQUEST_PIPE_BYTES = 1 << 20
 # the calls of a family that either process may make, each through a
 # token pipe of its own: the family's three stacks
