@@ -665,8 +665,10 @@ class TestBoundarySolutionsInAChild:
         done = threading.Event()
 
         def busy():
-            while not done.is_set():
-                sum(range(1000))
+            # short bursts, so that it does not starve the families of the
+            # interpreter lock
+            while not done.wait(0.001):
+                sum(range(2000))
 
         thread = threading.Thread(target=busy)
         thread.start()
