@@ -10,7 +10,13 @@ For each workload and end-to-end metric it prints each side's median and
 quartiles, the pairs the change won (lower is better; ties count for
 neither), and whether a gain would be claimable: the change wins at
 least nine tenths of the pairs, and the medians differ by more than the
-distance between the base's quartiles.  The runs are untraced and write
+distance between the base's quartiles.  It also prints each metric's
+no-regression verdict, with the metric's relative ``bound`` from
+BENCHMARK.json: ``ok`` where the change's median is no worse than the
+base's by more than the bound, ``worse`` where it is, and
+``unresolved`` where the base's quartile spread is wider than the bound
+and not every change run beats every base run; the runs of an
+unresolved metric are printed in full.  The runs are untraced and write
 no bytecode, so nothing is written under perfbench/.
 
 Before each pair it measures the host's two-process CPU scaling, how
@@ -39,7 +45,6 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-METRICS = ("wall_ref_s", "setup_s", "peak_rss_mb")
 
 
 class Parser(argparse.ArgumentParser):
@@ -86,7 +91,7 @@ def run(side: str, workload: str, seed: int, seconds: float) -> dict:
     if doc is None or not doc["correct"] or doc["failed"]:
         sys.exit(f"error: {workload} (seed {seed}) failed in {side}:\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return {name: doc["metrics"][name]["value"] for name in METRICS}
+    return {name: metric["value"] for name, metric in doc["metrics"].items()}
 
 
 # a fixed load of pure Python arithmetic, started at the wall time argv[1]
@@ -129,22 +134,44 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def report(workload: str, runs: dict, scalings: list) -> None:
-    """Each metric's medians and quartiles, its wins over all pairs and
-    over those run at a scaling of at least TWO_CPUS and below it."""
+def verdict(base: list, change: list, bound: float, better: str) -> str:
+    """The no-regression verdict on one metric's runs: ``unresolved``
+    where the base's quartile spread exceeds ``bound`` times its median
+    and not every change run beats every base run, else ``worse`` where
+    the change's median is worse than the base's by more than that, else
+    ``ok``."""
+    sign = 1.0 if better == "lower" else -1.0
+    (b1, bm, b3), cm = quartiles(base), statistics.median(change)
+    beats_all = max(sign * c for c in change) < min(sign * b for b in base)
+    if b3 - b1 > bound * abs(bm) and not beats_all:
+        return "unresolved"
+    return "worse" if sign * (cm - bm) > bound * abs(bm) else "ok"
+
+
+def report(workload: str, runs: dict, scalings: list,
+           end_to_end: list) -> None:
+    """Each end-to-end metric's medians and quartiles, its wins over all
+    pairs and over those run at a scaling of at least TWO_CPUS and below
+    it, and its verdict; the runs of each unresolved metric."""
     two = [x >= TWO_CPUS for x in scalings]
     print(f"\n{workload}  ({len(runs['base'])} pairs, {sum(two)} at "
           f">= {TWO_CPUS}x scaling)")
     print(f"  {'metric':<12} {'base median [q1, q3]':<30} "
           f"{'change median [q1, q3]':<30} {'wins':<6} "
-          f"{f'>={TWO_CPUS}x':<7} {f'<{TWO_CPUS}x':<7} change  claimable")
-    for name in METRICS:
+          f"{f'>={TWO_CPUS}x':<7} {f'<{TWO_CPUS}x':<7} change  claimable  "
+          f"verdict")
+    unresolved = []
+    for metric in end_to_end:
+        name = metric["name"]
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
         won = [c < b for b, c in zip(base, change)]
         wins = sum(won)
         claimable = wins >= 0.9 * len(base) and bm - cm > b3 - b1
+        judged = verdict(base, change, metric["bound"], metric["better"])
+        if judged == "unresolved":
+            unresolved.append((name, base, change))
         split = [f"{sum(w for w, t in zip(won, two) if t == side)}/"
                  f"{two.count(side)}" for side in (True, False)]
         cells = [f"{m:.4g} [{q1:.4g}, {q3:.4g}]"
@@ -152,7 +179,11 @@ def report(workload: str, runs: dict, scalings: list) -> None:
         print(f"  {name:<12} {cells[0]:<30} {cells[1]:<30} "
               f"{f'{wins}/{len(base)}':<6} {split[0]:<7} {split[1]:<7} "
               f"{100.0 * (cm / bm - 1.0):+5.1f} %  "
-              f"{'yes' if claimable else 'no'}")
+              f"{'yes' if claimable else 'no':<9}  {judged}")
+    for name, base, change in unresolved:
+        for side, values in (("base", base), ("change", change)):
+            print(f"  {name} {side} runs: "
+                  + " ".join(f"{v:.4g}" for v in values))
 
 
 def main() -> None:
@@ -197,7 +228,7 @@ def main() -> None:
                       + ", ".join(f"{side} {runs[side][-1]['wall_ref_s']:.4f} s"
                                   for side in ("base", "change")),
                       flush=True)
-            report(workload, runs, scalings)
+            report(workload, runs, scalings, bench["end_to_end"])
 
 
 if __name__ == "__main__":

@@ -1,34 +1,43 @@
 """The helper process: work of a family done on another CPU.
 
-``pipeline.compute_index`` and ``pipeline.verify_family`` hand two kinds
-of work of each family to one helper process per process, while they
-do the rest themselves: the boundary solutions of modes 1 and 2
-(``edwards._integrate_beside``), sent right after the family is solved,
-unless only the direct route runs, and the mesh-2n half of the count-only
-reductions of the family's stacks (``spectral._count_beside``), sent
-right after its trajectory is sampled.  The helper is forked at the first
-family and reused by every later one.  A request is a function, the
-argument tuples of its calls and their token pipes; the helper writes,
-call by call, the pickled result or the exception the call raised
-(``_serve``), and the family's ``Handle`` reads each by the key it was
-sent under.  The readers,
+``pipeline`` hands two kinds of work of each family to one helper process
+per process, while it does the rest itself: the boundary solutions of
+modes 1 and 2 (``edwards._integrate_beside``) and the mesh-2n half of the
+count-only reductions of the family's stacks (``spectral._count_beside``).
+This module holds the protocol they share, and no other module repeats
+it.
+
+One fork per process.  The helper is forked at the first family and
+serves every later one; it runs the package code as it stood at its
+fork.  A family holds it through a ``Handle``, its ``with`` block, which
+claims it with a lock that it does not wait for.
+
+A token on every call.  A request is a function, the argument tuples of
+its calls and the token pipe of each call; the family writes one byte,
+the call's token, into that pipe as it sends the call.  The helper takes
+the token before it starts the call, writes the call's pickled result or
+the exception it raised, and, where the family took the token first,
+skips the call and writes None (``_serve``, ``_answers``).  The family
+reads each result by the key it was sent under (``Handle.take``); when it
+needs one before the helper has begun it, it takes the token and makes
+the call itself.  So the family never waits for work that the helper has
+not begun, and nothing is made twice.  The readers,
 ``edwards.boundary_form`` and ``spectral._counted``, still do first what
-they did in process, so every refusal and error surfaces where and as
-it did in process.
+they did in process, so every refusal and error surfaces where and as it
+did in process.
 
-A count may be done by either process, whichever comes to it first: each
-such call has a token, one byte in a pipe of its own (``_take_token``).
-The helper takes it before it starts the call; the family takes it when
-it needs the result before the helper has started, and then counts in
-process, and the helper skips the call.  So the family never waits for a
-count that the helper has not begun, which it would while the helper
-integrates, and no count is made twice.
+One end rule.  A family that leaves its block, by returning or by
+raising an error, takes the tokens still in their pipes and reads the
+results of the calls the helper began, at most one of them still
+running; the helper then serves the next family.  The helper is killed
+and reaped through its pidfd only where an interrupt (a
+``BaseException`` that is not an ``Exception``) leaves the pipes out of
+step, where it has ended, and at interpreter exit.  It exits with its
+parent, at the end of its request pipe, and leaves only through
+``os._exit``; a process forked later neither uses nor signals it
+(``_let_go``).
 
-A family that leaves results unread, but the skipped calls it made
-itself, kills the helper, and the next family forks a fresh one.  The helper runs the package code as it stood
-at its fork, exits with its parent (at the end of its request pipe), and
-is killed and reaped at interpreter exit; it leaves only through
-``os._exit``.  The parent does the work in process where ``os.fork`` or
+The family does the work in process where ``os.fork`` or
 ``os.pidfd_open`` (the handle the helper is killed by) is missing, the
 process may run on one CPU only, another thread runs when the helper is
 to be forked (fork is unsafe then; a thread that Python does not run is
@@ -50,9 +59,9 @@ from typing import Optional
 # the request pipe holds a trajectory's samples, three arrays of at most
 # 4097 nodes, so a family sends them without waiting for the helper
 _REQUEST_PIPE_BYTES = 1 << 20
-# the calls of a family that either process may make, each through a
-# token pipe of its own: the family's three stacks
-_TOKENS = 3
+# the calls one family sends, each with a token pipe of its own: two
+# boundary solutions and three stacks
+_TOKENS = 5
 
 
 def _may_fork() -> bool:
@@ -114,10 +123,10 @@ def _take_token(fd: int) -> bool:
 def _answers(work, calls: list, tokens: list):
     """For each argument tuple of ``calls``, in turn, ``work(*args)`` or the
     exception it raised; None, without the call, where the call's token
-    pipe (``tokens``, None for a call that has none) holds no token, since
-    the parent has taken it to make the call itself."""
+    pipe (``tokens``) holds no token, since the parent has taken it to
+    make the call itself."""
     for args, token in zip(calls, tokens):
-        if token is not None and not _take_token(token):
+        if not _take_token(token):
             yield None
             continue
         try:
@@ -132,8 +141,8 @@ def _serve(requests: int, results: int, *tokens: int) -> None:
     ends and the read ends of its token pipes (``_only_descriptors``).
     Then, for each request it unpickles from ``requests``, a function, a
     list of argument tuples and the token pipe of each call (an index
-    into ``tokens``, or None), it writes to ``results`` each call's pickled
-    result, exception or None (``_answers``), each as soon as it has it.
+    into ``tokens``), it writes to ``results`` each call's pickled result,
+    exception or None (``_answers``), each as soon as it has it.
     At the end of ``requests``, which comes when its parent has closed it
     or ended, it leaves through ``os._exit``: it never returns into the
     parent's stack, so no atexit handler, buffered output or test teardown
@@ -148,9 +157,8 @@ def _serve(requests: int, results: int, *tokens: int) -> None:
                     work, calls, slots = pickle.load(inbox)
                 except EOFError:
                     break
-                for result in _answers(work, calls, [
-                        None if slot is None else tokens[slot]
-                        for slot in slots]):
+                for result in _answers(work, calls,
+                                       [tokens[slot] for slot in slots]):
                     outbox.write(pickle.dumps(result))
                     outbox.flush()
     finally:
@@ -288,37 +296,27 @@ if hasattr(os, "register_at_fork"):
 
 
 class Handle:
-    """A family's handle on the process's helper.
+    """A family's ``with`` block on the process's helper (see the module
+    docstring for the protocol).
 
-    The first family forks the helper, where ``_may_fork`` allows; every
-    later family of the process sends it its work and reads its results.
-    So the helper runs the package code, patches and wrappers included,
-    as they stood at its fork.  A family claims the helper for its
-    lifetime with a lock that it does not wait for: a family of another
-    thread that finds it claimed works in process, as every family does
-    where no helper may be had.  An idle helper serves a family beside
-    other threads, as no fork happens then.
-
-    ``close``, which its caller holds in a ``finally``, frees the helper for
-    the next family.  A family that leaves results unread (it raised, or its
-    route was refused before it read on) kills it first, since it may work
-    still, so that no family reads another's results; the next family forks
-    a fresh one.  Where every unread result is that of a call the family
-    made itself, which the helper skips, the family reads them instead,
-    and the helper serves on.  The helper exits at the end of its
-    request pipe, so with its parent, and it is killed and reaped at
-    interpreter exit.  A process forked later neither uses nor signals its
-    parent's helper (``_let_go``).
+    Entering it claims the helper, and forks it where none runs and
+    ``_may_fork`` allows; a family of another thread that finds it
+    claimed works in process, as every family does where no helper may be
+    had.  An idle helper serves a family beside other threads, as no fork
+    happens then.  Leaving it frees the helper for the next family: by a
+    return or an error, after taking the tokens still in their pipes and
+    reading the results of the calls the helper began; by an interrupt,
+    or where the helper has ended, after killing and reaping it.
     """
 
     def __init__(self):
         self._keys: dict = {}       # the key of each call sent -> its index
         self._results: list = []    # the results read, in the order sent
-        self._tokens: dict = {}     # the index of a call -> its token pipe
-        self._taken: set = set()    # the calls whose tokens this process took
         self._helper = self._pipe = None
+
+    def __enter__(self) -> Handle:
         if not _CLAIM.acquire(blocking=False):
-            return      # a family of another thread uses it
+            return self     # a family of another thread uses it
         try:
             self._helper = _helper()
             if self._helper is not None:
@@ -327,50 +325,59 @@ class Handle:
         finally:
             if self._helper is None:
                 _CLAIM.release()
+        return self
 
-    def send(self, work, calls: dict, either: bool = False) -> None:
-        """Have the helper run ``work(*args)`` for each (key, args) of
-        ``calls``, in turn; ``take(key, ...)`` reads the result.  With
-        ``either``, each call that a token pipe of the helper is left for
-        gets a token, so that either process may make it.  Nothing is sent
-        where no helper serves the family, or the request cannot be
-        pickled (a function that is no module attribute, such as a test's
-        patch), and the readers work in process."""
+    def __exit__(self, *exc) -> None:
         if self._helper is None:
             return
-        tokened = range(len(self._tokens),
-                        len(self._helper.tokens) if either else 0)[:len(calls)]
-        slots = [*tokened, *[None] * (len(calls) - len(tokened))]
+        end = True
         try:
-            data = pickle.dumps((work, list(calls.values()), slots))
+            if exc[0] is None or issubclass(exc[0], Exception):
+                unread = range(len(self._results), len(self._keys))
+                for index in unread:
+                    _take_token(self._helper.tokens[index][0])
+                for _ in unread:
+                    pickle.load(self._pipe)
+                end = False
+        except Exception:       # the helper ended
+            pass
+        finally:
+            self._release(end)
+
+    def send(self, work, calls: dict) -> None:
+        """Have the helper run ``work(*args)`` for each (key, args) of
+        ``calls``, in turn, each with a token; ``take(key, ...)`` reads the
+        result.  Nothing is sent where no helper serves the family, or the
+        request cannot be pickled (a function that is no module attribute,
+        such as a test's patch), and the readers work in process."""
+        if self._helper is None:
+            return
+        slots = range(len(self._keys), len(self._keys) + len(calls))
+        try:
+            data = pickle.dumps((work, list(calls.values()), list(slots)))
         except (pickle.PicklingError, AttributeError, TypeError):
             return
         try:
-            for slot in tokened:
+            for slot in slots:
                 os.write(self._helper.tokens[slot][1], b"t")
             self._helper.send(data)
         except OSError:     # it has ended: work here
             self._release(end=True)
             return
-        for key, slot in zip(calls, slots):
-            if slot is not None:
-                self._tokens[len(self._keys)] = self._helper.tokens[slot][0]
-            self._keys[key] = len(self._keys)
+        self._keys.update(zip(calls, slots))
 
     def take(self, key, compute):
         """The helper's result for ``key``, raised if it is an exception;
         ``compute()`` where no call was sent under ``key``, or the helper
-        ended without its result.  Results sent before it are read, and
-        kept, on the way.  A call with a token that the helper has not
-        taken yet is made here, by ``compute()``, and the helper skips it."""
+        ended without its result.  A call that the helper has not begun is
+        made here, by ``compute()``, once its token is taken, and the
+        helper skips it; else results sent before it are read, and kept,
+        on the way."""
         index = self._keys.get(key, len(self._keys))
-        if (index in self._tokens and index >= len(self._results)
-                and self._pipe is not None
-                and _take_token(self._tokens[index])):
-            self._taken.add(index)
-            return compute()
-        while self._pipe is not None and len(self._results) <= index < len(
+        while self._helper is not None and len(self._results) <= index < len(
                 self._keys):
+            if _take_token(self._helper.tokens[index][0]):
+                return compute()
             try:
                 self._results.append(pickle.load(self._pipe))
             except Exception:       # the helper ended without a result
@@ -381,21 +388,6 @@ class Handle:
         if isinstance(result, Exception):
             raise result
         return result
-
-    def close(self) -> None:
-        """Free the helper for the next family, and first kill and reap it
-        if it has results unread, unless each is that of a call made here,
-        whose None is read instead; later reads work here."""
-        if self._helper is None:
-            return
-        unread = range(len(self._results), len(self._keys))
-        end = not self._taken.issuperset(unread)
-        try:
-            for _ in () if end else unread:
-                self._results.append(pickle.load(self._pipe))
-        except Exception:       # the helper ended
-            end = True
-        self._release(end)
 
     def _release(self, end: bool) -> None:
         self._pipe.close()

@@ -15,16 +15,12 @@ once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
-``pipeline.compute_index`` and ``pipeline.verify_family`` have those of
-modes 1 and 2 integrated beside their finite-difference counts, on
-another CPU, by the process's helper (``_helper``): right after a family
-is solved, ``_integrate_beside`` sends it there, and the helper
-integrates l = 1, then l = 2, and then counts the mesh-2n half of the
-family's reductions (``spectral._count_beside``).  ``boundary_form``
-still runs the gate first, then reads the helper's result for its l, so
-every refusal and error surfaces where and as it did in process; where
-no helper serves the family, or it ended without a result, the
-solutions are integrated in process, as ``otsuki edwards`` always does.
+In ``pipeline`` the process's helper (``_helper``) integrates those of
+modes 1 and 2 beside the finite-difference counts, on another CPU:
+``_integrate_beside`` sends it the family right after it is solved.
+``boundary_form`` still runs the gate first, then reads the helper's
+result for its l, or integrates here where the helper has not begun it
+or serves no family, as ``otsuki edwards`` always does.
 
 The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with

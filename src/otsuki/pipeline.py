@@ -17,30 +17,20 @@ records from it, and ``verify_family`` reads the same rows and boundary
 forms under 'both'.  ``bounds_check`` sets the report beside the bounds
 and the counts known in closed form: mode 0 and the spectral index.
 
-Each family hands part of its work to the process's helper
-(``_helper.Handle``): right after it is solved, the family itself, whose
-boundary solutions of modes 1 and 2 the helper integrates where the
-boundary forms are read ('edwards', 'both' and ``verify_family``), and
-right after its trajectory is sampled, the samples and the family's
-stacks (``_stacks``), whose mesh-2n count-only reductions the helper
-makes next, unless this process needs one before the helper has begun
-it, and counts it itself.  The helper is forked once, at the first
-family, and serves every later one.  It works on another CPU while this
-process samples the trajectory and counts mesh n; each boundary form and
-each stack's count then reads its result, after doing first what it did
-in process, so every error surfaces where and as it did.  The helper
-runs the package code as it stood at its fork, exits with this process,
-and is killed and reaped at interpreter exit.  Without fork or process
-handles (Linux's pidfd), with one CPU, beside another thread when no
-helper runs yet, or while a family of another thread holds the helper,
-the work is done in process, as it is when the helper ends without a
-result.  A ``finally`` frees the helper for the next family, and first
-kills and reaps it if the family left results unread (but those of
-counts it made itself), so no family reads another's results.
+``_run_family`` runs one family for both: it solves the family and holds
+the process's helper (``_helper``, whose module docstring gives the
+protocol) in a ``with`` block, sending it the family right after it is
+solved, whose boundary solutions of modes 1 and 2 the helper integrates
+where the boundary forms are read ('edwards', 'both' and
+``verify_family``), and the trajectory's samples right after they are
+taken, whose stacks' mesh-2n count-only reductions it makes.  Each
+boundary form and each stack's count reads its result, after doing first
+what it did in process, so every error surfaces where and as it did.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import math
 import os
@@ -169,17 +159,6 @@ def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
             diffs=diffs)
 
 
-def _stacks(method: str, index: bool = True) -> list:
-    """The stacks (builds, level, ladders) of the count-only reductions of
-    a family, in the order they are counted: those of ``_count_family``,
-    mode 0's channels, then modes 1 and 2 (their ladders, or under
-    'edwards' their Dirichlet ends, ``spectral._dirichlet_ends``), and,
-    with ``index``, that of ``spectral_index``.  The helper counts their
-    mesh-2n halves (``spectral._count_beside``)."""
-    stacks = [(_CHANNELS, 0.0, True), (_MODES, 0.0, method != "edwards")]
-    return stacks + [_INDEX_STACK] if index else stacks
-
-
 def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
     """Count the family below l = 3 one mode per step, so a caller checks
     each mode before the next is counted: yield mode 0's (neg, zero) and
@@ -234,6 +213,26 @@ def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
         yield l, form, edwards_rows, direct_rows
 
 
+@contextlib.contextmanager
+def _run_family(p: int, q: int, n: int, method: str, index: bool = True):
+    """The run of the family p/q at mesh n under ``method``: the block of
+    its handle on the process's helper, which yields (its trajectory, its
+    ``_count_family`` pass, the handle).  The helper is sent the family's
+    stacks in the order they are counted: mode 0's channels, modes 1 and
+    2 (their ladders, or under 'edwards' their Dirichlet ends,
+    ``spectral._dirichlet_ends``) and, with ``index``, Laplace l = 1 for
+    ``spectral_index``."""
+    family = solve_parameter(p, q)
+    with Handle() as helped:
+        if method != "direct":
+            _integrate_beside(helped, family)
+        traj = family_trajectory(family, n)
+        stacks = [(_CHANNELS, 0.0, True), (_MODES, 0.0, method != "edwards")]
+        _count_beside(helped, traj, n,
+                      stacks + [_INDEX_STACK] if index else stacks)
+        yield traj, _count_family(traj, n, method, helped), helped
+
+
 def compute_index(p: int, q: int, method: str = "both",
                   n: int = 4096) -> IndexReport:
     """Full Morse index / nullity report for the closed family p/q.
@@ -246,18 +245,7 @@ def compute_index(p: int, q: int, method: str = "both",
     """
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    family = solve_parameter(p, q)
-    # the helper integrates modes 1 and 2's boundary solutions, unless only
-    # the direct route runs, beside the trajectory and the counts, and then
-    # counts the mesh-2n half of the family's reductions
-    helped = Handle()
-    try:
-        if method != "direct":
-            _integrate_beside(helped, family)
-        traj = family_trajectory(family, n)
-        _count_beside(helped, traj, n, _stacks(method))
-
-        counts = _count_family(traj, n, method, helped)
+    with _run_family(p, q, n, method) as (traj, counts, helped):
         (neg, zero), channel2 = next(counts)
         records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
         flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
@@ -294,16 +282,14 @@ def compute_index(p: int, q: int, method: str = "both",
         nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
         ind_s = spectral_index(traj, n, channel2, helped)
 
-        bounds = index_bounds(p, q)
-        bounds["rough_upper"] = 5 * ind_s + 2
-        report = IndexReport(
-            p=p, q=q, b=family.b, c=family.c, T=family.T, Xi=family.Xi,
-            t0=family.t0, n=n, method=method, per_mode=tuple(records),
-            ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    finally:
-        helped.close()
-    return report
+    family = traj.family
+    bounds = index_bounds(p, q)
+    bounds["rough_upper"] = 5 * ind_s + 2
+    return IndexReport(
+        p=p, q=q, b=family.b, c=family.c, T=family.T, Xi=family.Xi,
+        t0=family.t0, n=n, method=method, per_mode=tuple(records),
+        ind=ind, nul=nul, spectral_index=ind_s, bounds=bounds, flags=flags,
+        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
 
 
 def bounds_check(report: IndexReport) -> dict:
@@ -427,12 +413,8 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
     def add(name, ok, detail):
         rows.append({"check": name, "ok": bool(ok), "detail": detail})
 
-    family = solve_parameter(p, q)
-    helped = Handle()   # see compute_index
-    try:
-        _integrate_beside(helped, family)
-        traj = family_trajectory(family, n)
-        _count_beside(helped, traj, n, _stacks("both", index=False))
+    with _run_family(p, q, n, "both", index=False) as (traj, counts, _):
+        family = traj.family
         drift = traj.conservation_drift()
         add("conservation", drift < 1e-10, f"max drift {drift:.3e}")
         add("endpoint phi(T)=-b", abs(traj.phi[-1] + family.b) < 1e-8,
@@ -462,7 +444,6 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
         add("kernel residuals", max(residuals) < kernel_bound,
             f"max residual {max(residuals):.3e}")
 
-        counts = _count_family(traj, n, "both", helped)
         (neg, zero), channel2 = next(counts)
         want = _closed_form_counts(p, q)[0]
         add("l=0 counts", (neg, zero) == want,
@@ -498,6 +479,4 @@ def verify_family(p: int, q: int, n: int = 1024) -> list[dict]:
                 add(f"route agreement l={l}", False, f"MISMATCH: {exc}")
 
         add("l=3 positive", verify_high_l_positive(3, traj), "")
-    finally:
-        helped.close()
     return rows

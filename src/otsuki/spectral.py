@@ -38,15 +38,14 @@ problems (``_dirichlet_ends``).  Laplace l = 1 is counted at level 2,
 so no other ladder shares its shifts, and it is reduced alone.
 
 Each count-only call of a stack on one mesh is ``_mesh_counts``.  In
-``pipeline.compute_index`` and ``pipeline.verify_family`` the process's
-helper makes the mesh-2n calls: the family's trajectory samples and its
-stacks are sent to it (``_count_beside``), it rebuilds the stacks'
-systems from the samples and counts them through the same function
-(``_mesh2n``), and ``_counted`` counts mesh n here first, then reads the
-helper's result, or counts mesh 2n here where the family's handle holds
-none or the helper has not begun it (then the helper skips it).  So a
-stack's mesh-2n operators are built in one process only, and the parent
-builds those of the helper's stacks only for the twists it locates.
+``pipeline`` the process's helper (``_helper``) makes the mesh-2n calls:
+``_count_beside`` sends it the family's trajectory samples and stacks,
+it rebuilds the stacks' systems from the samples and counts them through
+the same function (``_mesh2n``), and ``_counted`` counts mesh n here
+first, then reads the helper's result, or counts mesh 2n here where the
+helper has not begun it.  So a stack's mesh-2n operators are built in
+one process only, and the parent builds those of the helper's stacks
+only for the twists it locates.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -247,8 +246,7 @@ def _count_beside(helped, traj: Trajectory, n: int, stacks: list) -> None:
     ``helped``, the family's handle on it (``_helper.Handle``), from the
     trajectory's samples; ``_counted`` reads each result under its stack,
     or counts the stack here where the helper has not begun it."""
-    helped.send(_mesh2n, {stack: (traj, n, *stack) for stack in stacks},
-                either=True)
+    helped.send(_mesh2n, {stack: (traj, n, *stack) for stack in stacks})
 
 
 def _taken(helped, stack: tuple):

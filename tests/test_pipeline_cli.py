@@ -424,8 +424,9 @@ def a_thread_python_does_not_run():
 
 @pytest.fixture
 def helper_counts_all(monkeypatch):
-    """This process takes no count's token, so the helper makes every count
-    sent to it, however far behind it runs: the split is fixed."""
+    """This process takes no call's token, so the helper makes every call
+    sent to it, counts and boundary solutions, however far behind it runs:
+    the split is fixed."""
     take, parent = _helper._take_token, os.getpid()
     monkeypatch.setattr(_helper, "_take_token",
                         lambda fd: os.getpid() != parent and take(fd))
@@ -433,8 +434,9 @@ def helper_counts_all(monkeypatch):
 
 @pytest.fixture
 def parent_counts_all(monkeypatch, fresh_helper):
-    """A helper, forked under the patch, that takes no count's token, so
-    this process makes every count itself, however early it needs it."""
+    """A helper, forked under the patch, that takes no call's token, so
+    this process makes every call itself, counts and boundary solutions,
+    however early it needs it."""
     take, parent = _helper._take_token, os.getpid()
     monkeypatch.setattr(_helper, "_take_token",
                         lambda fd: os.getpid() == parent and take(fd))
@@ -565,7 +567,7 @@ class TestBoundarySolutionsInAChild:
         _only_the_idle_helper()
 
     def test_failure_in_the_child_surfaces_as_in_process(
-            self, monkeypatch, forks, traj23):
+            self, monkeypatch, forks, kills, helper_counts_all, traj23):
         rhs = edwards._fundamental_rhs
 
         def nan_after_40(calls):
@@ -586,10 +588,10 @@ class TestBoundarySolutionsInAChild:
         assert type(helped.value) is type(alone.value)
         assert str(helped.value) == str(alone.value)
         assert "integration failed" in str(alone.value)
-        # the right-hand side ran in the helper only, which the family,
-        # raising with a count result unread, killed
-        assert parent == [] and len(forks) == 1
-        _no_child_left()
+        # the right-hand side ran in the helper only; the family, raising
+        # with results unread, reads them, and the helper serves on
+        assert parent == [] and len(forks) == 1 and kills == []
+        _only_the_idle_helper()
 
     def test_child_without_a_result(self, monkeypatch, forks, in_process,
                                      report23):
@@ -616,7 +618,9 @@ class TestBoundarySolutionsInAChild:
 
         monkeypatch.setattr(_helper.Handle, "take", recorded)
         compute_index(2, 3, method, n=512)
-        assert [key for key, _ in taken] == pipeline._stacks(method)
+        assert [key for key, _ in taken] == [
+            (spectral._CHANNELS, 0.0, True),
+            (spectral._MODES, 0.0, method != "edwards"), spectral._INDEX_STACK]
         traj = family_trajectory(solve_parameter(2, 3), 512)
         for (builds, level, ladders), got in taken:
             systems = [build(traj, BoundaryCondition.twisted(1.0))
@@ -637,8 +641,9 @@ class TestBoundarySolutionsInAChild:
     def test_the_family_counts_what_the_helper_has_not_begun(
             self, forks, kills, in_process, counted_on, parent_counts_all,
             method):
-        # every count's token is the family's: it counts both meshes, the
-        # helper skips them, and it serves on, killed by no family
+        # every call's token is the family's: it counts both meshes and
+        # integrates the boundary solutions, the helper skips them, and it
+        # serves on, killed by no family
         with another_thread():
             alone = [_document(compute_index(p, q, method, n=512))
                      for p, q in README_FAMILIES[:3]]
@@ -650,7 +655,8 @@ class TestBoundarySolutionsInAChild:
                   for p, q in README_FAMILIES[:3]]
         assert helped == alone and counted_on == want
         assert counted_on.count(1024) == 9
-        assert len(forks) == 1 and kills == [] and in_process == []
+        assert in_process == ([] if method == "direct" else [1, 2] * 3)
+        assert len(forks) == 1 and kills == []
         _only_the_idle_helper()
 
     def test_families_in_a_row_hand_each_count_to_one_process(
@@ -686,18 +692,20 @@ class TestBoundarySolutionsInAChild:
 
     def test_child_that_ends_before_a_count_result(self, monkeypatch, forks,
                                                     in_process, counted_on,
+                                                    helper_counts_all,
                                                     report23):
         # a helper that answers its first request, the boundary solutions,
         # and ends: the parent counts mesh 2n itself, reaps the helper, and
         # the next family forks a fresh one
         def solutions_only(requests, results, *tokens):
             try:
-                requests, results = _helper._only_descriptors(requests,
-                                                              results)
+                requests, results, *tokens = _helper._only_descriptors(
+                    requests, results, *tokens)
                 with os.fdopen(requests, "rb") as inbox, \
                         os.fdopen(results, "wb") as outbox:
                     work, calls, slots = pickle.load(inbox)
-                    for result in _helper._answers(work, calls, slots):
+                    for result in _helper._answers(
+                            work, calls, [tokens[slot] for slot in slots]):
                         outbox.write(pickle.dumps(result))
             finally:
                 os._exit(0)
@@ -719,10 +727,9 @@ class TestBoundarySolutionsInAChild:
     @pytest.mark.parametrize("method", ["edwards", "both"])
     @pytest.mark.parametrize("where", ["ladders", "refused"])
     def test_no_child_outlives_a_family_that_reads_no_form(
-            self, monkeypatch, forks, kills, helper_counts_all, method,
-            where):
-        # the helper makes every count, so a family that takes a count
-        # reads the boundary solutions sent before it
+            self, monkeypatch, forks, kills, method, where):
+        # a family that fails or is refused reads, on its way out, the
+        # results it left, and the helper serves the next family
         def failing(*args):
             raise NumericalError("forced")
 
@@ -740,24 +747,113 @@ class TestBoundarySolutionsInAChild:
         with pytest.raises(NumericalError) if where == "ladders" else \
                 contextlib.nullcontext():
             verify_family(2, 3, n=512)
-        if where == "ladders":
-            assert len(forks) == 2 and kills == ["handle", "handle"]
-            _no_child_left()
-            return
-        # a refused family reads its solutions on the way to its counts:
-        # only 'edwards', which raises before its spectral index is
-        # counted, leaves a result unread; the helper that read them all
-        # serves the next family
-        if method == "edwards":
-            assert len(forks) == 2 and kills == ["handle"]
-        else:
-            assert len(forks) == 1 and kills == []
+        assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
+
+    def test_a_refused_family_reads_the_boundary_solutions_it_left(
+            self, monkeypatch, forks, kills, report23):
+        # 'both' with its boundary forms refused: this process takes every
+        # stack's token and reads no form, so the boundary solutions that
+        # the helper integrated are the family's unread results; it reads
+        # them, and the helper serves the next family
+        answers = _helper._answers
+
+        def boundary_solutions_only(work, calls, tokens):
+            if work is spectral._mesh2n:    # leaves the token to the family
+                return iter([None] * len(calls))
+            return answers(work, calls, tokens)
+
+        def refuse(l, traj, **kwargs):
+            raise EdwardsInapplicableError("forced")
+
+        monkeypatch.setattr(_helper, "_answers", boundary_solutions_only)
+        monkeypatch.setattr(pipeline, "boundary_form", refuse)
+        report = compute_index(2, 3, "both", n=512)
+        assert report.flags["edwards_applicable"] == {"1": False, "2": False}
+        assert len(forks) == 1 and kills == []
+        helper = _helper._HELPER
+        assert helper is not None and not _helper._CLAIM.locked()
+        assert select.select([helper.results], [], [], 0.05)[0] == []
+        monkeypatch.setattr(pipeline, "boundary_form", boundary_form)
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
+
+    def test_a_failing_family_takes_what_the_helper_has_not_begun(
+            self, monkeypatch, forks, kills, tmp_path):
+        # the family fails while the helper integrates mode 1 slowly: it
+        # takes the tokens of the calls after it, so the helper makes at
+        # most the one call it began, and then serves on
+        import time
+
+        rhs, answers, made = edwards._fundamental_rhs, _helper._answers, \
+            tmp_path / "made"
+
+        def slow(y, out, l, c, A):
+            time.sleep(0.0005)
+            rhs(y, out, l, c, A)
+
+        def logged(work, calls, tokens):
+            for result in answers(work, calls, tokens):
+                if result is not None:
+                    with open(made, "a") as log:
+                        log.write(f"{work.__name__}\n")
+                yield result
+
+        def failing(*args):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(edwards, "_fundamental_rhs", slow)
+        monkeypatch.setattr(_helper, "_answers", logged)
+        monkeypatch.setattr(pipeline, "_ladders", failing)
+        with pytest.raises(NumericalError):
+            compute_index(2, 3, "both", n=512)
+        assert len(forks) == 1 and kills == []
+        log = made.read_text().split() if made.exists() else []
+        assert log in ([], ["_boundary_solutions"])
+        _only_the_idle_helper()
+
+    @pytest.mark.parametrize("where", ["block", "reading"])
+    def test_an_interrupt_kills_the_helper(self, monkeypatch, forks, kills,
+                                           report23, where):
+        # an interrupt leaves the pipes out of step, in the family's block
+        # or while it reads the results it left: the helper is killed
+        # through its handle and reaped, and the next family forks afresh
+        parent, load = os.getpid(), pickle.load
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        def failing(*args):
+            raise NumericalError("forced")
+
+        def interrupted(file):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return load(file)
+
+        with monkeypatch.context() as patched:
+            if where == "block":
+                patched.setattr(pipeline, "verify_high_l_positive", interrupt)
+            else:
+                patched.setattr(pipeline, "_ladders", failing)
+                patched.setattr(pickle, "load", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                compute_index(2, 3, "both", n=512)
+        assert kills == ["handle"] and len(forks) == 1
+        assert _helper._HELPER is None and not _helper._CLAIM.locked()
+        _no_child_left()
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 2
         _only_the_idle_helper()
 
     def test_the_next_family_reads_no_stale_result(self, monkeypatch, forks,
-                                                   kills, in_process):
-        # 2/3, refused under 'edwards', leaves its spectral index's count
-        # unread; 5/8 reads its own, from a fresh helper
+                                                   kills, in_process,
+                                                   helper_counts_all):
+        # 2/3, refused under 'edwards', raises with its results unread and
+        # reads them on its way out; 5/8 reads its own, from the same helper
         want = _document(compute_index(5, 8, "edwards", n=512))
 
         def refuse(l, traj, **kwargs):
@@ -768,13 +864,14 @@ class TestBoundarySolutionsInAChild:
             compute_index(2, 3, "edwards", n=512)
         monkeypatch.setattr(pipeline, "boundary_form", boundary_form)
         assert _document(compute_index(5, 8, "edwards", n=512)) == want
-        assert len(forks) == 2 and kills == ["handle"] and in_process == []
+        assert len(forks) == 1 and kills == [] and in_process == []
         _only_the_idle_helper()
 
-    def test_a_family_whose_mode_0_count_raises_kills_the_helper(
+    def test_a_family_whose_mode_0_count_raises_leaves_the_helper_idle(
             self, monkeypatch, forks, kills, report23):
-        # 2/3 raises at mode 0 with its count results unread; no stale
-        # result reaches 5/8, which a fresh helper serves
+        # 2/3 raises at mode 0 with its results unread, and reads them on
+        # its way out; no stale result reaches 5/8, which the same helper
+        # serves
         want = _document(compute_index(5, 8, "both", n=512))
 
         def failing_mode_0(build, traj, rows):
@@ -787,12 +884,12 @@ class TestBoundarySolutionsInAChild:
                             _changed_ladders(ladders, failing_mode_0))
         with pytest.raises(AmbiguousClassificationError):
             compute_index(2, 3, "both", n=512)
-        assert len(forks) == 1 and kills == ["handle"]
+        assert len(forks) == 1 and kills == []
         monkeypatch.setattr(pipeline, "_ladders", ladders)
         assert _document(compute_index(5, 8, "both", n=512)) == want
         assert _document(compute_index(2, 3, "both", n=512)) == \
             _document(report23)
-        assert len(forks) == 2 and kills == ["handle"]
+        assert len(forks) == 1 and kills == []
         _only_the_idle_helper()
 
     def test_no_child_outlives_a_sweep_with_a_failing_family(
@@ -810,8 +907,8 @@ class TestBoundarySolutionsInAChild:
         docs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         assert "ind" in docs[0] and docs[1]["error"]["message"] == "forced"
         assert (docs[2]["p"], docs[2]["q"], docs[2]["ind"]) == (5, 8, 41)
-        # 2/3 forks the helper and 3/5 kills it; 5/8 forks a fresh one
-        assert len(forks) == 2 and kills == ["handle"]
+        # one helper serves the three families, the failing 3/5 included
+        assert len(forks) == 1 and kills == []
         _only_the_idle_helper()
 
     def test_no_fork_beside_another_thread(self, monkeypatch, fresh_helper,
@@ -829,7 +926,7 @@ class TestBoundarySolutionsInAChild:
         _no_child_left()
 
     def test_an_idle_helper_serves_a_family_beside_a_thread(
-            self, forks, in_process, report23):
+            self, forks, in_process, helper_counts_all, report23):
         # no fork happens then
         compute_index(5, 8, "edwards", n=512)
         with another_thread(), warnings.catch_warnings():
@@ -840,22 +937,21 @@ class TestBoundarySolutionsInAChild:
         _only_the_idle_helper()
 
     def test_a_claimed_helper_leaves_the_next_family_in_process(
-            self, forks, in_process, report23, fam58):
+            self, forks, in_process, helper_counts_all, report23, fam58):
         # one family at a time: that of another thread does not wait
-        held = _helper.Handle()
-        edwards._integrate_beside(held, fam58)
-        reports = []
-        thread = threading.Thread(target=lambda: reports.append(
-            compute_index(2, 3, "both", n=512)))
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive() and in_process == [1, 2]
-        traj = family_trajectory(fam58, 512)
-        want = [edwards.boundary_solutions(l, traj) for l in (1, 2)]
-        in_process.clear()
-        got = [held.take(l, partial(edwards.boundary_solutions, l, traj))
-               for l in (1, 2)]
-        held.close()
+        with _helper.Handle() as held:
+            edwards._integrate_beside(held, fam58)
+            reports = []
+            thread = threading.Thread(target=lambda: reports.append(
+                compute_index(2, 3, "both", n=512)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive() and in_process == [1, 2]
+            traj = family_trajectory(fam58, 512)
+            want = [edwards.boundary_solutions(l, traj) for l in (1, 2)]
+            in_process.clear()
+            got = [held.take(l, partial(edwards.boundary_solutions, l, traj))
+                   for l in (1, 2)]
         assert _document(reports[0]) == _document(report23)
         assert len(forks) == 1 and in_process == []
         for a, b in zip(got, want):
@@ -1033,15 +1129,14 @@ class TestBoundarySolutionsInAChild:
                 raise NumericalError("three")
             return x
 
-        pipes = [os.pipe() for _ in range(3)]
+        pipes = [os.pipe() for _ in range(4)]
         try:
             for read, write in pipes:
                 os.set_blocking(read, False)
                 os.write(write, b"t")
             assert _helper._take_token(pipes[1][0])        # the parent's
             answers = list(_helper._answers(
-                work, [(1,), (2,), (3,), (4,)],
-                [read for read, _ in pipes] + [None]))
+                work, [(1,), (2,), (3,), (4,)], [read for read, _ in pipes]))
             assert answers[:2] == [1, None] and answers[3] == 4
             assert isinstance(answers[2], NumericalError)
             assert made == [1, 3, 4]

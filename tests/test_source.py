@@ -311,6 +311,23 @@ def test_one_mesh_count_function_for_both_processes():
     assert "_mesh2n" in names(functions["_count_beside"])
 
 
+def test_one_family_run_and_one_kind_of_helper_call():
+    # one function holds a family's handle on the helper, so its schedule
+    # of helper work is written once, and every call is sent one way: a
+    # second copy of the schedule, or a second kind of call, fails here
+    holders = [(path.name, name) for path in SOURCES
+               for name, fn in _functions(ast.parse(path.read_text()))
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-1] == "Handle"]
+    assert holders == [("pipeline.py", "_run_family")]
+    path = next(p for p in SOURCES if p.name == "_helper.py")
+    send = dict(_functions(ast.parse(path.read_text())))["Handle.send"].args
+    assert [a.arg for a in send.posonlyargs + send.args] == \
+        ["self", "work", "calls"]
+    assert not (send.defaults or send.kwonlyargs or send.vararg
+                or send.kwarg), "Handle.send takes a keyword argument"
+
+
 def _public_names(tree):
     """Module-level functions, classes and constants without a leading
     underscore."""
