@@ -2,29 +2,31 @@
 
 ``pipeline`` hands two kinds of work of each family to one helper process
 per process, while it does the rest itself: the boundary solutions of
-modes 1 and 2 (``edwards._integrate_beside``) and the mesh-2n half of the
-count-only reductions of the family's stacks (``spectral._count_beside``).
-This module holds the protocol they share, and no other module repeats
-it.
+modes 1 and 2 and the mesh-2n half of the count-only reductions of the
+family's stacks.  This module holds the protocol, and no other module
+repeats it.
 
 One fork per process.  The helper is forked at the first family and
 serves every later one; it runs the package code as it stood at its
 fork.  A family holds it through a ``Handle``, its ``with`` block, which
 claims it with a lock that it does not wait for.
 
-A token on every call.  A request is a function, the argument tuples of
-its calls and the token pipe of each call; the family writes one byte,
-the call's token, into that pipe as it sends the call.  The helper takes
-the token before it starts the call, writes the call's pickled result or
-the exception it raised, and, where the family took the token first,
-skips the call and writes None (``_serve``, ``_answers``).  The family
-reads each result by the key it was sent under (``Handle.take``); when it
-needs one before the helper has begun it, it takes the token and makes
-the call itself.  So the family never waits for work that the helper has
-not begun, and nothing is made twice.  The readers,
-``edwards.boundary_form`` and ``spectral._counted``, still do first what
-they did in process, so every refusal and error surfaces where and as it
-did in process.
+A token on every call, and a taker for each.  ``Handle.send(work,
+calls)`` sends a request: a function, the argument tuples of its calls
+and the token pipe of each call, its slot; the family writes one byte,
+the call's token, into that pipe as it sends the call.  A family has
+``_TOKENS`` slots, the k-th call it sends takes slot k, and a request
+whose calls do not all fit is sent nowhere.  The helper takes the token
+before it starts a call, writes the call's pickled result or the
+exception it raised, and, where the family took the token first, skips
+the call and writes None (``_serve``, ``_answers``).  ``send`` returns one
+taker per call: ``taker(compute)`` gives the helper's result, or raises
+its exception; where the helper has not begun the call it takes the
+token and returns ``compute()``, as it does for a call that was sent
+nowhere or whose helper ended without its result.  So the family never
+waits for work that the helper has not begun, and nothing is made
+twice.  The readers still do first what they did in process, so every
+refusal and error surfaces where and as it did in process.
 
 One end rule.  A family that leaves its block, by returning or by
 raising an error, takes the tokens still in their pipes and reads the
@@ -42,8 +44,8 @@ The family does the work in process where ``os.fork`` or
 process may run on one CPU only, another thread runs when the helper is
 to be forked (fork is unsafe then; a thread that Python does not run is
 seen after the fork, and the helper killed), a family of another thread
-holds the helper, a request cannot be pickled, or the helper ended
-without a result.
+holds the helper, a request cannot be pickled or finds too few free
+slots, or the helper ended without a result.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ import os
 import pickle
 import threading
 import warnings
+from functools import partial
 from typing import Optional
 
 # the request pipe holds a trajectory's samples, three arrays of at most
 # 4097 nodes, so a family sends them without waiting for the helper
 _REQUEST_PIPE_BYTES = 1 << 20
-# the calls one family sends, each with a token pipe of its own: two
-# boundary solutions and three stacks
+# the calls one family may send, each with a token pipe, its slot, of its
+# own: two boundary solutions and three stacks
 _TOKENS = 5
 
 
@@ -295,6 +298,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_let_go)
 
 
+def _in_process(compute):
+    """The taker of a call that was sent nowhere: ``compute()``."""
+    return compute()
+
+
 class Handle:
     """A family's ``with`` block on the process's helper (see the module
     docstring for the protocol).
@@ -310,7 +318,7 @@ class Handle:
     """
 
     def __init__(self):
-        self._keys: dict = {}       # the key of each call sent -> its index
+        self._sent = 0              # the calls sent; call k holds slot k
         self._results: list = []    # the results read, in the order sent
         self._helper = self._pipe = None
 
@@ -333,7 +341,7 @@ class Handle:
         end = True
         try:
             if exc[0] is None or issubclass(exc[0], Exception):
-                unread = range(len(self._results), len(self._keys))
+                unread = range(len(self._results), self._sent)
                 for index in unread:
                     _take_token(self._helper.tokens[index][0])
                 for _ in unread:
@@ -344,38 +352,36 @@ class Handle:
         finally:
             self._release(end)
 
-    def send(self, work, calls: dict) -> None:
-        """Have the helper run ``work(*args)`` for each (key, args) of
-        ``calls``, in turn, each with a token; ``take(key, ...)`` reads the
-        result.  Nothing is sent where no helper serves the family, or the
-        request cannot be pickled (a function that is no module attribute,
-        such as a test's patch), and the readers work in process."""
-        if self._helper is None:
-            return
-        slots = range(len(self._keys), len(self._keys) + len(calls))
+    def send(self, work, calls: list) -> list:
+        """Have the helper run ``work(*args)`` for each argument tuple of
+        ``calls``, in turn, each with a token, and return a taker for each
+        (``_take``).  Nothing is sent, and each taker makes its call here,
+        where no helper serves the family, the calls do not fit in the
+        slots left, or the request cannot be pickled (a function that is no
+        module attribute, such as a test's patch)."""
+        slots = range(self._sent, self._sent + len(calls))
+        if self._helper is None or slots.stop > _TOKENS:
+            return [_in_process] * len(calls)
         try:
-            data = pickle.dumps((work, list(calls.values()), list(slots)))
-        except (pickle.PicklingError, AttributeError, TypeError):
-            return
-        try:
+            data = pickle.dumps((work, list(calls), list(slots)))
             for slot in slots:
                 os.write(self._helper.tokens[slot][1], b"t")
             self._helper.send(data)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return [_in_process] * len(calls)
         except OSError:     # it has ended: work here
             self._release(end=True)
-            return
-        self._keys.update(zip(calls, slots))
+            return [_in_process] * len(calls)
+        self._sent = slots.stop
+        return [partial(self._take, slot) for slot in slots]
 
-    def take(self, key, compute):
-        """The helper's result for ``key``, raised if it is an exception;
-        ``compute()`` where no call was sent under ``key``, or the helper
-        ended without its result.  A call that the helper has not begun is
-        made here, by ``compute()``, once its token is taken, and the
-        helper skips it; else results sent before it are read, and kept,
-        on the way."""
-        index = self._keys.get(key, len(self._keys))
-        while self._helper is not None and len(self._results) <= index < len(
-                self._keys):
+    def _take(self, index: int, compute):
+        """The taker of call ``index``: the helper's result, raised if it is
+        an exception, or ``compute()`` where the helper ended without it.
+        A call that the helper has not begun is made here, by
+        ``compute()``, once its token is taken, and the helper skips it;
+        else results sent before it are read, and kept, on the way."""
+        while self._helper is not None and len(self._results) <= index:
             if _take_token(self._helper.tokens[index][0]):
                 return compute()
             try:

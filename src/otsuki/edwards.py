@@ -15,12 +15,11 @@ once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
 integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
 
-In ``pipeline`` the process's helper (``_helper``) integrates those of
-modes 1 and 2 beside the finite-difference counts, on another CPU:
-``_integrate_beside`` sends it the family right after it is solved.
-``boundary_form`` still runs the gate first, then reads the helper's
-result for its l, or integrates here where the helper has not begun it
-or serves no family, as ``otsuki edwards`` always does.
+``boundary_form`` runs the gate first, then takes the solutions from
+its ``solutions`` argument, which is handed the integration: ``pipeline``
+gives one that may return the integration made elsewhere
+(``_boundary_solutions``, which reads the family alone).  Without it
+they are integrated here, as ``otsuki edwards`` always does.
 
 The gate takes its Dirichlet count, ``known``, from an odd-even
 reduction of a twisted operator, which is the Dirichlet operator with
@@ -208,7 +207,7 @@ def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
 
 def _boundary_solutions(l: int, fam) -> BoundarySolutions:
     """``boundary_solutions`` of the family ``fam``: its b, c and T are all
-    the integration reads, so the helper runs it on the family alone."""
+    the integration reads, so it needs no trajectory."""
     y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
     c, A = fam.c, _A_CONSTANT.copy()
     sol = solve_ivp(lambda t, y, out: _fundamental_rhs(y, out, l, c, A),
@@ -235,13 +234,6 @@ def _boundary_solutions(l: int, fam) -> BoundarySolutions:
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
                              p_ends=(_weight(math.cos(fam.b)),
                                      _weight(math.cos(yT[0]))))
-
-
-def _integrate_beside(helped, family) -> None:
-    """Have the process's helper integrate the family's boundary solutions
-    of modes 1 and 2, through ``helped``, the family's handle on it
-    (``_helper.Handle``); ``boundary_form`` reads them by l."""
-    helped.send(_boundary_solutions, {l: (l, family) for l in (1, 2)})
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:
@@ -334,20 +326,20 @@ class BoundaryFormData:
 
 
 def boundary_form(l: int, traj: Trajectory, n: int,
-                  known: Optional[int] = None, helped=None,
+                  known: Optional[int] = None, solutions=None,
                   ) -> BoundaryFormData:
     """Assemble the full boundary-form data for mode l.
 
     The Dirichlet problem is counted on mesh n first, so the route is
     refused (EdwardsInapplicableError) before any integration when it is
     degenerate; see :func:`dirichlet_negative_count`, which takes
-    ``known``.  The boundary solutions are then read from ``helped``, the
-    family's handle on the helper (``_integrate_beside``), if given, or
-    else integrated here.
+    ``known``.  The boundary solutions are then integrated: by
+    ``solutions``, if given, which is handed the integration and returns
+    its result, or else here.
     """
     dirichlet = dirichlet_negative_count(l, traj, n, known)
-    sols = (boundary_solutions(l, traj) if helped is None
-            else helped.take(l, partial(boundary_solutions, l, traj)))
+    integrate = partial(boundary_solutions, l, traj)
+    sols = integrate() if solutions is None else solutions(integrate)
     a = gram_matrix(sols)
     return BoundaryFormData(l=l, b=traj.family.b, a=a, dirichlet=dirichlet,
                             poly=det_polynomial(a))

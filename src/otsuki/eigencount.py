@@ -544,7 +544,7 @@ def _systems(op: BandOperator) -> list:
     return [replace(op, diag=op.diag[:, j]) for j in range(op.diag.shape[1])]
 
 
-def _reduced_counts(op: BandOperator, systems: list, shifts: tuple) -> tuple:
+def _reduced_counts(op: BandOperator, shifts: tuple) -> tuple:
     """Count-only ``inertia`` of a cyclic operator, or of a stack of them,
     by odd-even reduction: (the counts, an int array with a row per
     (system, shift), system by system, and a column per twist, one for an
@@ -553,13 +553,12 @@ def _reduced_counts(op: BandOperator, systems: list, shifts: tuple) -> tuple:
     once, by broadcasting.
     A row whose pivots break down anywhere, the last Schur complement of
     any twist included, takes its counts from the node-order sweep of its
-    system as the caller gave it, one of ``systems``:
-    ``inertia(system, sigma, logdet=False, swept=True)``, which counts at
-    sigma itself unless a pivot of its own breaks down; its Dirichlet
-    count stays the reduction's."""
+    system alone (``_node_order_counts``); its Dirichlet count stays the
+    reduction's."""
     w = np.array(op.wrap_mult, dtype=complex).reshape(-1, op.dim)
     reduce, schur = ((_inertia_d1_reduction, _schur_d1) if op.dim == 1
                      else (_inertia_d2_reduction, _schur_d2))
+    systems = _systems(op)
     sigmas = shifts * len(systems)
     diag = op.diag.T
     lists = (diag, op.off, op.wrap_off) if op.dim == 1 else (*diag, op.off)
@@ -569,13 +568,23 @@ def _reduced_counts(op: BandOperator, systems: list, shifts: tuple) -> tuple:
         count, regular = _negatives(*schur(end, op.wrap_off, w))
     count = neg[:, None] + count
     for row in np.flatnonzero(~(ok & regular.all(axis=1))).tolist():
-        count[row] = inertia(systems[row // len(shifts)], sigmas[row],
-                             logdet=False, swept=True)[0][0]
+        count[row] = _node_order_counts(systems[row // len(shifts)],
+                                        sigmas[row])
     return count, dirichlet
 
 
+def _node_order_counts(op: BandOperator, sigma: float) -> list:
+    """The counts below sigma of a cyclic operator, one per twist, from the
+    sweep in node order: the fallback of a count-only call whose
+    reduction breaks down.  Each is taken at sigma itself, whatever its
+    log|det|, unless a pivot breaks down, which moves the shift
+    (``_retry_shift``)."""
+    out = _sweep(op, *_kernel(op), sigma, logdet=False)
+    return [c for c, _ in out] if op.ladder else [out[0]]
+
+
 def inertia(op: BandOperator, sigma: float, *more: float,
-            logdet: bool = True, swept: bool = False):
+            logdet: bool = True):
     """(number of eigenvalues strictly below sigma, log|det(A - sigma I)|).
 
     det(A - sigma I) is the product of (lambda_i - sigma), so its sign is
@@ -605,29 +614,21 @@ def inertia(op: BandOperator, sigma: float, *more: float,
     share the couplings and the wrap also takes them as a stack
     (``BandOperator``): then the rows run over (system, shift), system by
     system, each equal to the system's own call at the shift.
-
-    With ``swept`` as well, a count-only call takes its counts from the
-    sweep in node order, that fallback, and dirichlet is None: each count
-    is taken at the shift itself, whatever its log|det|, unless a pivot
-    breaks down, which moves the shift (``_retry_shift``).
     """
     if op.m < 4:
         raise NumericalError("operator too small for the elimination sweep")
     shifts = tuple(map(float, (sigma, *more)))
-    given, band = op, not op.cyclic
+    band = not op.cyclic
     if band:
         op = replace(op, wrap_off=0.0, wrap_mult=(1.0,) * op.dim)
-    if not (logdet or swept):
-        counts, dirichlet = _reduced_counts(op, _systems(given), shifts)
+    if not logdet:
+        counts, dirichlet = _reduced_counts(op, shifts)
         return counts, None if band else dirichlet
     if op.diag.ndim > op.dim:
         raise ValidationError("only the odd-even reduction takes a stack of "
                               "systems")
     kernel, lists = _kernel(op)
-    out = [_sweep(op, kernel, lists, s, logdet) for s in shifts]
-    if not logdet:
-        return np.array([[c for c, _ in res] if op.ladder else [res[0]]
-                         for res in out]), None
+    out = [_sweep(op, kernel, lists, s) for s in shifts]
     return out if more else out[0]
 
 
@@ -675,8 +676,8 @@ def _finish_ladder(op: BandOperator, sigma: float, end: tuple,
             res = None
         if res is None or (logdet and not isfinite(res[1])):
             alone = replace(op, wrap_mult=w)
-            res = (inertia(alone, sigma) if logdet else (int(inertia(
-                alone, sigma, logdet=False, swept=True)[0][0, 0]), None))
+            res = (inertia(alone, sigma) if logdet
+                   else (_node_order_counts(alone, sigma)[0], None))
         out.append(res)
     return out
 

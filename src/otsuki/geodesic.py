@@ -380,7 +380,7 @@ class Trajectory:
 
     def __reduce__(self):
         # the samples alone, whose grid is that of every trajectory: where
-        # unpickled (the helper process) they are padded again, and what is
+        # unpickled (in another process) they are padded again, and what is
         # derived from them is kept afresh
         return _sampled, (self.family, self.phi, self.phidot, self.theta)
 

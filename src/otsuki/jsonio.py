@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import math
 
+# the escapes of a JSON string: the backslash, the quote and every control
+# character, a newline as \n
+_ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)}, ord("\n"): "\\n",
+            ord('"'): '\\"', ord("\\"): "\\\\"}
+
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -35,15 +40,14 @@ def _emit(obj, out, indent, level):
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n") + '"')
+        out.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
-            out.append(f'{pad_in}"{k}": ')
+            out.append(f'{pad_in}"{str(k).translate(_ESCAPES)}": ')
             _emit(v, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")

@@ -17,14 +17,16 @@ records from it, and ``verify_family`` reads the same rows and boundary
 forms under 'both'.  ``bounds_check`` sets the report beside the bounds
 and the counts known in closed form: mode 0 and the spectral index.
 
-``_run_family`` runs one family for both: it solves the family and holds
-the process's helper (``_helper``, whose module docstring gives the
-protocol) in a ``with`` block, sending it the family right after it is
+``_run_family`` runs one family for both, and is the one place that
+plans the work of the process's helper (``_helper``, whose module
+docstring gives the protocol).  It solves the family and holds the
+helper in a ``with`` block, sending it the family right after it is
 solved, whose boundary solutions of modes 1 and 2 the helper integrates
 where the boundary forms are read ('edwards', 'both' and
 ``verify_family``), and the trajectory's samples right after they are
-taken, whose stacks' mesh-2n count-only reductions it makes.  Each
-boundary form and each stack's count reads its result, after doing first
+taken, whose stacks' mesh-2n count-only reductions it makes.  It hands
+each call's taker to the reader of its result: each boundary form its
+``solutions``, each stack's count its ``mesh2n``.  A reader does first
 what it did in process, so every error surfaces where and as it did.
 """
 
@@ -41,14 +43,14 @@ import numpy as np
 
 from . import jsonio
 from ._helper import Handle
-from .edwards import _integrate_beside, aggregate_roots, boundary_form
+from .edwards import _boundary_solutions, aggregate_roots, boundary_form
 from .errors import (EdwardsInapplicableError, NumericalError,
                      RouteDisagreementError, ValidationError)
 from .geodesic import (GeodesicFamily, Trajectory, sample_trajectory,
                        solve_parameter)
 # spectrum_counts is bound only for perfbench, which traces every binding
 from .spectral import (_CHANNELS, _INDEX_STACK, _MODES,  # noqa: F401
-                       TAU_ZERO, _count_beside, _dirichlet_ends, _ladders,
+                       TAU_ZERO, _dirichlet_ends, _ladders, _mesh2n,
                        class_counts, spectral_index, spectrum_counts,
                        verify_high_l_positive)
 from .surface import frame, kernel_fields, kernel_residuals
@@ -159,7 +161,8 @@ def _check_routes_agree(l: int, edwards_rows, direct_rows) -> None:
             diffs=diffs)
 
 
-def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
+def _count_family(traj: Trajectory, n: int, method: str, channels, modes,
+                  solutions):
     """Count the family below l = 3 one mode per step, so a caller checks
     each mode before the next is counted: yield mode 0's (neg, zero) and
     channel-2 rows, then for l = 1, 2 (l, form, edwards rows, direct rows).
@@ -179,22 +182,22 @@ def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
     Under 'edwards' one reduction per mesh of the stack of both modes'
     twisted operators at omega = 1 settles it (``spectral._dirichlet_ends``);
     if that raises, each gate counts alone, and any error surfaces there.
-    ``helped``, the family's handle on the helper, gives each boundary
-    form its solutions and each stack its mesh-2n count, where it holds
-    them."""
+    ``channels`` and ``modes`` are the takers of the mesh-2n counts of
+    mode 0's stack and of modes 1 and 2's, ``solutions`` those of the
+    boundary solutions of modes 1 and 2 (``_run_family``)."""
     q = traj.family.rotation.q
-    (chan1, _), (chan2, _) = _ladders(_CHANNELS, traj, n, 0.0, helped)
+    (chan1, _), (chan2, _) = _ladders(_CHANNELS, traj, n, 0.0, channels)
     # mode 0's twist r holds the twist r of both channels
     yield class_counts(0, q, chan1 + chan2), chan2
     stacked, direct = {}, None
     if method == "edwards":
         try:
-            stacked = _dirichlet_ends(traj, n, helped)
+            stacked = _dirichlet_ends(traj, n, modes)
         except (NumericalError, ValidationError):
             pass
     else:
-        direct = _ladders(_MODES, traj, n, 0.0, helped)
-    for l in (1, 2):
+        direct = _ladders(_MODES, traj, n, 0.0, modes)
+    for l, integrate in zip((1, 2), solutions):
         form = edwards_rows = direct_rows = None
         dirichlet = stacked.get(l)
         if direct is not None:
@@ -202,7 +205,7 @@ def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
         if method != "direct":
             try:
                 form = boundary_form(l, traj, n=n, known=dirichlet,
-                                     helped=helped)
+                                     solutions=integrate)
                 edwards_rows = aggregate_roots(form, q)
             except EdwardsInapplicableError as exc:
                 if method == "edwards":
@@ -217,20 +220,23 @@ def _count_family(traj: Trajectory, n: int, method: str, helped: Handle):
 def _run_family(p: int, q: int, n: int, method: str, index: bool = True):
     """The run of the family p/q at mesh n under ``method``: the block of
     its handle on the process's helper, which yields (its trajectory, its
-    ``_count_family`` pass, the handle).  The helper is sent the family's
+    ``_count_family`` pass, the takers of ``spectral_index``'s mesh-2n
+    count: one with ``index``, else none).  The helper is sent the boundary
+    solutions of modes 1 and 2 unless under 'direct', then the family's
     stacks in the order they are counted: mode 0's channels, modes 1 and
     2 (their ladders, or under 'edwards' their Dirichlet ends,
-    ``spectral._dirichlet_ends``) and, with ``index``, Laplace l = 1 for
-    ``spectral_index``."""
+    ``spectral._dirichlet_ends``) and, with ``index``, Laplace l = 1."""
     family = solve_parameter(p, q)
-    with Handle() as helped:
-        if method != "direct":
-            _integrate_beside(helped, family)
+    with Handle() as helper:
+        solutions = [None] * 2 if method == "direct" else helper.send(
+            _boundary_solutions, [(l, family) for l in (1, 2)])
         traj = family_trajectory(family, n)
         stacks = [(_CHANNELS, 0.0, True), (_MODES, 0.0, method != "edwards")]
-        _count_beside(helped, traj, n,
-                      stacks + [_INDEX_STACK] if index else stacks)
-        yield traj, _count_family(traj, n, method, helped), helped
+        if index:
+            stacks.append(_INDEX_STACK)
+        mesh2n = helper.send(_mesh2n, [(traj, n, *stack) for stack in stacks])
+        yield (traj, _count_family(traj, n, method, *mesh2n[:2], solutions),
+               mesh2n[2:])
 
 
 def compute_index(p: int, q: int, method: str = "both",
@@ -245,7 +251,7 @@ def compute_index(p: int, q: int, method: str = "both",
     """
     if method not in ("direct", "edwards", "both"):
         raise ValidationError(f"unknown method {method!r}")
-    with _run_family(p, q, n, method) as (traj, counts, helped):
+    with _run_family(p, q, n, method) as (traj, counts, (laplace1,)):
         (neg, zero), channel2 = next(counts)
         records = [PerModeRecord(l=0, neg=neg, zero=zero, method="direct")]
         flags: dict = {"tau_zero": TAU_ZERO, "edwards_applicable": {},
@@ -280,7 +286,7 @@ def compute_index(p: int, q: int, method: str = "both",
 
         ind = records[0].neg + 2 * records[1].neg + 2 * records[2].neg
         nul = records[0].zero + 2 * records[1].zero + 2 * records[2].zero
-        ind_s = spectral_index(traj, n, channel2, helped)
+        ind_s = spectral_index(traj, n, channel2, laplace1)
 
     family = traj.family
     bounds = index_bounds(p, q)

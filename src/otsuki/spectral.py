@@ -37,15 +37,13 @@ the stack, their twisted operators at omega = 1, counts both Dirichlet
 problems (``_dirichlet_ends``).  Laplace l = 1 is counted at level 2,
 so no other ladder shares its shifts, and it is reduced alone.
 
-Each count-only call of a stack on one mesh is ``_mesh_counts``.  In
-``pipeline`` the process's helper (``_helper``) makes the mesh-2n calls:
-``_count_beside`` sends it the family's trajectory samples and stacks,
-it rebuilds the stacks' systems from the samples and counts them through
-the same function (``_mesh2n``), and ``_counted`` counts mesh n here
-first, then reads the helper's result, or counts mesh 2n here where the
-helper has not begun it.  So a stack's mesh-2n operators are built in
-one process only, and the parent builds those of the helper's stacks
-only for the twists it locates.
+Each count-only call of a stack on one mesh is ``_mesh_counts``.
+``_counted`` counts mesh n first, then hands the mesh-2n call to its
+``mesh2n`` argument, which the counting readers (``_ladders``,
+``ladder_counts``, ``_dirichlet_ends``, ``spectral_index``) pass on:
+``pipeline`` gives one that may return the same call made elsewhere
+from the trajectory's samples alone (``_mesh2n``).  Then a stack's
+mesh-2n operators are built here only for the twists located.
 
 The coefficients repeat every half period T, so a problem over the closed
 length t0 = 2qT is the direct sum of its 2q twisted problems on [0, T],
@@ -178,9 +176,9 @@ def _mesh_counts(systems: list, n: int, level: float,
     """The count-only ``inertia`` result on mesh k n, k = 1 or 2, of the
     systems' stack (``_stack``, with the wrap multipliers of ``ladder``
     if given), at the zone ends and, with ``windows``, the window shifts
-    of that mesh.  The systems share the length, so the zone.  Both
-    processes count through it: ``_counted`` and the helper
-    (``_mesh2n``)."""
+    of that mesh.  The systems share the length, so the zone.  Every
+    count-only call of a stack goes through it: ``_counted`` and
+    ``_mesh2n``."""
     zone = _zone(systems[0], n)
     shifts = (level - zone, level + zone,
               *([level + s * _WINDOW for s in _WINDOW_SHIFTS[k - 1]]
@@ -197,12 +195,10 @@ def _counted(systems: list, n: int, level: float,
     column per shift, the zone ends and, with ``windows``, the window
     shifts; dirichlet an entry per shift, None for a band operator.
 
-    ``mesh2n``, the family's handle on the helper where it holds this
-    stack (``_taken``), gives the mesh-2n result as the helper counted
-    it, or counts it here, through the function it is handed, where the
-    helper gives none or has not begun it.  Mesh n is counted here first
-    either way, so an error on it surfaces before the helper's result is
-    read."""
+    ``mesh2n``, if given, is handed the mesh-2n call and returns its
+    result (``pipeline`` gives one that may have had it made elsewhere).
+    Mesh n is counted first either way, so an error on it surfaces
+    before the mesh-2n result is read."""
     meshes = []
     for k in (1, 2):
         count = partial(_mesh_counts, systems, n, level, ladder, windows, k)
@@ -231,28 +227,14 @@ def _ladder(traj: Trajectory, dim: int) -> np.ndarray:
 
 
 def _mesh2n(traj: Trajectory, n: int, builds, level: float, ladders: bool):
-    """In the helper: the mesh-2n result of ``_mesh_counts`` for the stack
-    (builds, level, ladders) of the family's trajectory, as ``_counted``
-    counts it for ``_ladders`` (``ladders``: the twist ladders, with
-    windows) or ``_dirichlet_ends`` (omega = 1, the zone ends alone)."""
+    """The mesh-2n result of ``_mesh_counts`` for the stack (builds, level,
+    ladders) of the trajectory, built from its samples alone, as
+    ``_counted`` counts it for ``_ladders`` (``ladders``: the twist
+    ladders, with windows) or ``_dirichlet_ends`` (omega = 1, the zone
+    ends alone)."""
     systems = _twisted(builds, traj)
     ladder = _ladder(traj, systems[0].dim) if ladders else None
     return _mesh_counts(systems, n, level, ladder, ladders, 2)
-
-
-def _count_beside(helped, traj: Trajectory, n: int, stacks: list) -> None:
-    """Have the process's helper count the mesh-2n half of each stack
-    (builds, level, ladders) of ``stacks``, in turn (``_mesh2n``), through
-    ``helped``, the family's handle on it (``_helper.Handle``), from the
-    trajectory's samples; ``_counted`` reads each result under its stack,
-    or counts the stack here where the helper has not begun it."""
-    helped.send(_mesh2n, {stack: (traj, n, *stack) for stack in stacks})
-
-
-def _taken(helped, stack: tuple):
-    """``_counted``'s ``mesh2n`` for the stack (builds, level, ladders):
-    the family's handle's result under it, or None without a handle."""
-    return None if helped is None else partial(helped.take, stack)
 
 
 def _zone_rows(system: SLSystem, n: int, level: float,
@@ -434,7 +416,7 @@ def spectrum_below(system: SLSystem, cutoff: float, n: int,
 # twist ladders on [0, T], the class rule, spectral index, l >= 3 positivity
 
 def ladder_counts(build, traj: Trajectory, n: int, level: float,
-                  helped=None) -> np.ndarray:
+                  mesh2n=None) -> np.ndarray:
     """The (2q, 2) array of (below, at), the counts below and at the level
     that ``spectrum_counts`` makes at 0, of each twist omega_r =
     exp(i pi r / q), r = 0..2q-1, of ``build(traj, bc)``; row r is twist r.
@@ -446,13 +428,12 @@ def ladder_counts(build, traj: Trajectory, n: int, level: float,
     own operator.  The rows r > q are copied from r' = 2q - r: omega_r is
     exactly conj(omega_r'), and the sweeps take only real parts of
     products of conjugates, so the two twists count bit for bit alike.
-    ``helped``, the family's handle on the helper, gives the mesh-2n
-    count where it holds the stack ((build,), level, True).
+    ``mesh2n`` is ``_counted``'s.
     """
-    return next(_ladders([build], traj, n, level, helped))[0]
+    return next(_ladders([build], traj, n, level, mesh2n))[0]
 
 
-def _ladders(builds, traj: Trajectory, n: int, level: float, helped=None):
+def _ladders(builds, traj: Trajectory, n: int, level: float, mesh2n=None):
     """Yield, for each build in turn, (its ``ladder_counts`` rows, the
     Dirichlet count that ``_zone_rows`` hands out with them).
 
@@ -465,9 +446,8 @@ def _ladders(builds, traj: Trajectory, n: int, level: float, helped=None):
     turn comes: a caller that checks a ladder before it asks for the next
     sees the errors in the order of the builds.  If the stacked count of
     several ladders raises, each is counted alone in its turn, where its
-    error surfaces as it would alone.  ``helped``, the family's handle on
-    the helper, gives the mesh-2n result where it holds the stack
-    (builds, level, ladders).
+    error surfaces as it would alone.  ``mesh2n`` is ``_counted``'s, for
+    the stack.
 
     The Dirichlet count is that of the Dirichlet problem of a build's
     system, with the twisted ladder's length T, so its zone: its operator
@@ -478,8 +458,7 @@ def _ladders(builds, traj: Trajectory, n: int, level: float, helped=None):
     systems = _twisted(builds, traj)
     ladder = _ladder(traj, systems[0].dim)
     try:
-        counted = _counted(systems, n, level, ladder,
-                           mesh2n=_taken(helped, (tuple(builds), level, True)))
+        counted = _counted(systems, n, level, ladder, mesh2n=mesh2n)
     except (NumericalError, ValidationError):
         if len(systems) == 1:
             raise
@@ -499,30 +478,28 @@ def class_counts(l: int, q: int, rows: np.ndarray) -> tuple[int, int]:
     return tuple((rows if q % 2 else rows[l % 2::2]).sum(axis=0).tolist())
 
 
-def _dirichlet_ends(traj: Trajectory, n: int, helped=None) -> dict:
+def _dirichlet_ends(traj: Trajectory, n: int, mesh2n=None) -> dict:
     """{l: the Dirichlet count of mode l's ladder (``_ladders``)} for
     l = 1, 2, without their ladders: the one-twist, zone-ends case of
     ``_counted``, one count-only reduction per mesh of the stack of the
     two modes' twisted operators at omega = 1, whose Dirichlet counts at
-    the zone ends are those of the Dirichlet blocks.  ``helped``, the
-    family's handle on the helper, gives the mesh-2n result where it
-    holds the stack (``_MODES``, 0, False)."""
+    the zone ends are those of the Dirichlet blocks.  ``mesh2n`` is
+    ``_counted``'s."""
     counted = _counted(_twisted(_MODES, traj), n, 0.0, windows=False,
-                       mesh2n=_taken(helped, (_MODES, 0.0, False)))
+                       mesh2n=mesh2n)
     return {l: _settled([below for _, below in rows])
             for l, rows in zip((1, 2), counted)}
 
 
-def spectral_index(traj: Trajectory, n: int, channel2, helped=None) -> int:
+def spectral_index(traj: Trajectory, n: int, channel2, mesh2n=None) -> int:
     """Number of Laplace eigenvalues below 2 in the class of the surface;
     mode l = 0 counts once, mode l = 1 twice.  Eigenvalues landing exactly
     on 2 (the coordinate functions) are excluded by extrapolation.
 
     Mode l = 0 is read from ``channel2``, the ``ladder_counts`` array of
     mode-0 channel 2 at level 0, and only mode l = 1 is swept
-    (``_INDEX_STACK``; ``helped``, the family's handle on the helper,
-    gives its mesh-2n count where it holds it).  The two
-    are supersymmetric partners.  With A h = sqrt(p) h' and sqrt(p) =
+    (``_INDEX_STACK``; ``mesh2n`` is ``_counted``'s).  The two are
+    supersymmetric partners.  With A h = sqrt(p) h' and sqrt(p) =
     2 pi cos(phi), the Laplace l = 0 operator -(p h')' is A*A, and since
     Q22(l = 0) + 2 = -sqrt(p) sqrt(p)'' along the geodesic, channel 2
     plus 2 is A A*.  sqrt(p) is T-periodic, so A maps omega-twisted
@@ -539,7 +516,7 @@ def spectral_index(traj: Trajectory, n: int, channel2, helped=None) -> int:
     """
     q = traj.family.rotation.q
     (laplace1,), level, _ = _INDEX_STACK
-    l1 = ladder_counts(laplace1, traj, n, level, helped)
+    l1 = ladder_counts(laplace1, traj, n, level, mesh2n)
     return class_counts(0, q, channel2)[0] + 2 * class_counts(1, q, l1)[0]
 
 

@@ -464,9 +464,15 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
     first = [w[0] for w in ladder.wrap_mult.tolist()]
     swept, finished, reduced = [], [], []
 
-    def recorded(op, s, logdet=True, **kwargs):
+    def recorded(op, s, logdet=True):
         swept.append((np.asarray(op.wrap_mult).tolist(), logdet))
-        return inertia(op, s, logdet=logdet, **kwargs)
+        return inertia(op, s, logdet=logdet)
+
+    node_order = eigencount._node_order_counts
+
+    def recorded_node_order(op, s):
+        swept.append((np.asarray(op.wrap_mult).tolist(), False))
+        return node_order(op, s)
 
     def fail_once(w0, tried):
         """Whether this finish of the twist with first multiplier w0 fails:
@@ -494,6 +500,7 @@ def test_ladder_sweeps_a_failed_twist_again_alone(traj58, monkeypatch, dim,
         return b11, det
 
     monkeypatch.setattr(eigencount, "inertia", recorded)
+    monkeypatch.setattr(eigencount, "_node_order_counts", recorded_node_order)
     monkeypatch.setattr(eigencount, finish, flaky_finish)
     monkeypatch.setattr(eigencount, schur, flaky_schur)
     whole = (ladder.wrap_mult.tolist(), True)
@@ -624,7 +631,7 @@ def test_a_broken_down_row_takes_node_order_counts_and_no_dirichlet_count(
 def test_a_count_only_fallback_counts_at_the_shift_itself(cyclic,
                                                          monkeypatch):
     # the reduction breaks down at node 1, 0 at sigma = 0; the node-order
-    # sweep of the operator as the caller gave it counts there: its first
+    # sweep of the operator, taken as cyclic, counts there: its first
     # pivot 1e-300 makes the second -1e10 / 1e-300, which overflows, so
     # log|det| is inf, which a count-only call does not read, and no
     # pivot breaks down, so the shift stays where it is
@@ -633,24 +640,24 @@ def test_a_count_only_fallback_counts_at_the_shift_itself(cyclic,
                       off=np.full(9, 1e5), **wrap)
     assert int((np.linalg.eigvalsh(op.to_dense()) < 0.0).sum()) == 5
     calls, moved = [], []
-    original, retry = eigencount.inertia, eigencount._retry_shift
+    original, retry = eigencount._node_order_counts, eigencount._retry_shift
 
-    def recorded(op, *shifts, **kwargs):
-        calls.append((op.cyclic, kwargs))
-        return original(op, *shifts, **kwargs)
+    def recorded(op, sigma):
+        calls.append((op.cyclic, op.wrap_off, sigma))
+        return original(op, sigma)
 
     def recorded_retry(*args):
         moved.append(args)
         return retry(*args)
 
-    monkeypatch.setattr(eigencount, "inertia", recorded)
+    monkeypatch.setattr(eigencount, "_node_order_counts", recorded)
     monkeypatch.setattr(eigencount, "_retry_shift", recorded_retry)
     counts, dirichlet = eigencount.inertia(op, 0.0, logdet=False)
     assert counts.tolist() == [[5]] and moved == []
     assert (dirichlet is None) == (not cyclic)
-    # the fallback sweeps the operator the caller gave, band or cyclic
-    assert calls == [(cyclic, {"logdet": False}),
-                     (cyclic, {"logdet": False, "swept": True})]
+    # the fallback sweeps the operator once, at the shift, as inertia took
+    # it: a band operator as the cyclic one with no wrap
+    assert calls == [(True, 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stack"])

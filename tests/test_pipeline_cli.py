@@ -32,9 +32,9 @@ from otsuki.surface import (fourier_block_system, kernel_fields,
 def _changed_ladders(original, change):
     """``spectral._ladders`` with each ladder's rows replaced by
     ``change(build, traj, rows)``."""
-    def ladders(builds, traj, n, level, helped=None):
+    def ladders(builds, traj, n, level, mesh2n=None):
         for build, (rows, dirichlet) in zip(
-                builds, original(builds, traj, n, level, helped)):
+                builds, original(builds, traj, n, level, mesh2n)):
             yield change(build, traj, rows), dirichlet
 
     return ladders
@@ -149,7 +149,7 @@ class TestComputeIndex:
         original, form = spectral._ladders, pipeline.boundary_form
         built, forms, stacks = [], [], []
 
-        def recorded(builds, traj, n, level, helped=None):
+        def recorded(builds, traj, n, level, mesh2n=None):
             def record(build, traj, rows):
                 built.append(((build.func.__name__, build.args, level),
                               rows.tolist()))
@@ -157,7 +157,7 @@ class TestComputeIndex:
 
             stacks.append((len(builds), level))
             return _changed_ladders(original, record)(builds, traj, n, level,
-                                                      helped)
+                                                      mesh2n)
 
         def recorded_form(l, traj, **kwargs):
             forms.append(l)
@@ -496,6 +496,18 @@ def counted_on(monkeypatch):
     return meshes
 
 
+def _record_takers(monkeypatch, wrap):
+    """Have each taker that ``Handle.send`` returns replaced by
+    ``wrap(work, args, taker)``, args the argument tuple of its call."""
+    send = _helper.Handle.send
+
+    def recorded(handle, work, calls):
+        return [wrap(work, args, take)
+                for args, take in zip(calls, send(handle, work, calls))]
+
+    monkeypatch.setattr(_helper.Handle, "send", recorded)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -603,22 +615,111 @@ class TestBoundarySolutionsInAChild:
         assert len(forks) == 1 and in_process == [1, 2]
         _no_child_left()
 
+    @pytest.mark.parametrize("run", ["both", "edwards", "direct", "verify"])
+    def test_each_reader_takes_its_call_before_the_block_exits(
+            self, monkeypatch, forks, helper_counts_all, run):
+        # the family run hands each call's taker to the reader of its
+        # result, which takes it inside the block, so leaving the block
+        # reads nothing; left every call, the helper makes each one, every
+        # stack's mesh-2n count included
+        sent, taken, made_here, left = [], [], [], []
+
+        def recorded(work, args, take):
+            call = (work.__name__, len(sent))
+            sent.append(call)
+
+            def taker(compute):
+                taken.append(call)
+                return take(lambda: made_here.append(call) or compute())
+            return taker
+
+        _record_takers(monkeypatch, recorded)
+        leave = _helper.Handle.__exit__
+
+        def leaving(handle, *exc):
+            left.append((set(sent) - set(taken),
+                         handle._sent - len(handle._results)))
+            return leave(handle, *exc)
+
+        monkeypatch.setattr(_helper.Handle, "__exit__", leaving)
+        if run == "verify":
+            verify_family(2, 3, n=512)
+        else:
+            compute_index(2, 3, run, n=512)
+        forms = 0 if run == "direct" else 2
+        stacks = 2 if run == "verify" else 3
+        assert [name for name, _ in sent] == \
+            ["_boundary_solutions"] * forms + ["_mesh2n"] * stacks
+        assert left == [(set(), 0)]
+        assert sorted(taken) == sent and made_here == []
+        assert len(forks) == 1
+        _only_the_idle_helper()
+
+    def test_stacks_after_solutions_that_cannot_be_pickled(
+            self, monkeypatch, forks, in_process, counted_on,
+            helper_counts_all, report23):
+        # the boundary solutions' request, whose function is no module
+        # attribute, is sent nowhere, and integrated here; the stacks sent
+        # after it take the first token pipes, and the helper makes every
+        # stack's mesh-2n count
+        monkeypatch.setattr(pipeline, "_boundary_solutions",
+                            lambda l, family: edwards._boundary_solutions(
+                                l, family))
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert in_process == [1, 2] and set(counted_on) == {512}
+        assert len(forks) == 1
+        _only_the_idle_helper()
+
+    def test_calls_beyond_the_token_pipes_are_made_here(
+            self, forks, kills, helper_counts_all, report23):
+        # a request of one call more than the token pipes is sent nowhere
+        # and leaves no token behind: each of its takers makes its call
+        # here.  A request sent after it still finds every pipe free, and
+        # the helper serves the next family
+        made_here = []
+
+        def here(k):
+            made_here.append(k)
+            return k
+
+        tokens = _helper._TOKENS
+        with _helper.Handle() as held:
+            beyond = held.send(abs, [(-k,) for k in range(tokens + 1)])
+            helper = _helper._HELPER
+            left = 0
+            for read, _ in helper.tokens:
+                with contextlib.suppress(BlockingIOError):
+                    left += len(os.read(read, 1))
+            fitting = held.send(abs, [(-k,) for k in range(tokens)])
+            got = [take(partial(here, k)) for k, take in enumerate(beyond)]
+            got += [take(partial(here, k)) for k, take in enumerate(fitting)]
+        assert left == 0
+        assert got == [*range(tokens + 1), *range(tokens)]
+        assert made_here == list(range(tokens + 1))
+        assert _document(compute_index(2, 3, "both", n=512)) == \
+            _document(report23)
+        assert len(forks) == 1 and kills == []
+        _only_the_idle_helper()
+
     @pytest.mark.parametrize("method", ["edwards", "both"])
     def test_the_helper_counts_mesh_2n_as_this_process_does(
             self, monkeypatch, forks, helper_counts_all, method):
         # each stack's result, as the family takes it from the helper, is
         # the count-only reduction of that stack on mesh 2n made here
-        taken, take = [], _helper.Handle.take
+        taken = []
 
-        def recorded(handle, key, compute):
-            result = take(handle, key, compute)
-            if isinstance(key, tuple):
-                taken.append((key, result))
-            return result
+        def recorded(stack, take):
+            def taker(compute):
+                result = take(compute)
+                taken.append((stack, result))
+                return result
+            return taker
 
-        monkeypatch.setattr(_helper.Handle, "take", recorded)
+        _record_takers(monkeypatch, lambda work, args, take: recorded(
+            args[2:], take) if work is spectral._mesh2n else take)
         compute_index(2, 3, method, n=512)
-        assert [key for key, _ in taken] == [
+        assert [stack for stack, _ in taken] == [
             (spectral._CHANNELS, 0.0, True),
             (spectral._MODES, 0.0, method != "edwards"), spectral._INDEX_STACK]
         traj = family_trajectory(solve_parameter(2, 3), 512)
@@ -940,7 +1041,8 @@ class TestBoundarySolutionsInAChild:
             self, forks, in_process, helper_counts_all, report23, fam58):
         # one family at a time: that of another thread does not wait
         with _helper.Handle() as held:
-            edwards._integrate_beside(held, fam58)
+            takers = held.send(edwards._boundary_solutions,
+                               [(l, fam58) for l in (1, 2)])
             reports = []
             thread = threading.Thread(target=lambda: reports.append(
                 compute_index(2, 3, "both", n=512)))
@@ -950,8 +1052,8 @@ class TestBoundarySolutionsInAChild:
             traj = family_trajectory(fam58, 512)
             want = [edwards.boundary_solutions(l, traj) for l in (1, 2)]
             in_process.clear()
-            got = [held.take(l, partial(edwards.boundary_solutions, l, traj))
-                   for l in (1, 2)]
+            got = [take(partial(edwards.boundary_solutions, l, traj))
+                   for take, l in zip(takers, (1, 2))]
         assert _document(reports[0]) == _document(report23)
         assert len(forks) == 1 and in_process == []
         for a, b in zip(got, want):
@@ -1303,6 +1405,15 @@ class TestJsonFormat:
         vals = [0.1, 1e-17, 13.957728399277759, -0.6585659592776205]
         doc = json.loads(jsonio.dumps({"v": vals}))
         assert doc["v"] == vals
+
+    def test_control_characters_and_quoted_keys_round_trip(self):
+        # every character below U+0020, a quote and a backslash, in values
+        # and keys alike; a newline keeps its short form
+        text = "".join(map(chr, range(32))) + '"\\'
+        doc = {'k"ey': text, text: [text, "x\ty"], "n": "a\nb"}
+        dumped = jsonio.dumps(doc)
+        assert json.loads(dumped) == doc
+        assert '"n": "a\\nb"' in dumped
 
     @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)])
     def test_numpy_scalars_other_than_float_are_refused(self, value):

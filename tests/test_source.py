@@ -293,8 +293,8 @@ def test_only_the_helper_module_forks_and_its_child_leaves_by_os_exit():
 
 def test_one_mesh_count_function_for_both_processes():
     # the parent's counts (_counted) and the helper's mesh-2n counts
-    # (_mesh2n, the work that _count_beside sends) reduce each stack
-    # through one function, so the two processes count alike
+    # (_mesh2n, the work that pipeline._run_family sends) reduce each
+    # stack through one function, so the two processes count alike
     defined = [(path.name, name) for path in SOURCES
                for name, _ in _functions(ast.parse(path.read_text()))
                if name == "_mesh_counts"]
@@ -308,24 +308,43 @@ def test_one_mesh_count_function_for_both_processes():
     callers = sorted(name for name, fn in functions.items()
                      if "_mesh_counts" in names(fn))
     assert callers == ["_counted", "_mesh2n"]
-    assert "_mesh2n" in names(functions["_count_beside"])
+    path = next(p for p in SOURCES if p.name == "pipeline.py")
+    assert "_mesh2n" in names(
+        dict(_functions(ast.parse(path.read_text())))["_run_family"])
 
 
 def test_one_family_run_and_one_kind_of_helper_call():
-    # one function holds a family's handle on the helper, so its schedule
-    # of helper work is written once, and every call is sent one way: a
-    # second copy of the schedule, or a second kind of call, fails here
-    holders = [(path.name, name) for path in SOURCES
-               for name, fn in _functions(ast.parse(path.read_text()))
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and ast.unparse(node.func).split(".")[-1] == "Handle"]
-    assert holders == [("pipeline.py", "_run_family")]
+    # one function holds a family's handle on the helper and sends every
+    # call, so its schedule of helper work is written once, and every call
+    # is sent one way: a second copy of the schedule, or a second kind of
+    # call, fails here
+    def callers(name, paths):
+        return [(path.name, owner) for path in paths
+                for owner, fn in _functions(ast.parse(path.read_text()))
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == name]
+
+    assert callers("Handle", SOURCES) == [("pipeline.py", "_run_family")]
+    assert set(callers("send", [p for p in SOURCES
+                                if p.name != "_helper.py"])) == \
+        {("pipeline.py", "_run_family")}
     path = next(p for p in SOURCES if p.name == "_helper.py")
     send = dict(_functions(ast.parse(path.read_text())))["Handle.send"].args
     assert [a.arg for a in send.posonlyargs + send.args] == \
         ["self", "work", "calls"]
     assert not (send.defaults or send.kwonlyargs or send.vararg
                 or send.kwarg), "Handle.send takes a keyword argument"
+
+
+def test_only_the_pipeline_and_the_helper_module_name_the_helper():
+    # the readers of the helper's results take plain callables, so no
+    # other module imports the helper module, or names the helper in its
+    # code, docstrings or comments
+    found = [path.name for path in SOURCES
+             if path.name not in ("pipeline.py", "_helper.py")
+             and ("helper" in path.read_text().lower()
+                  or "Handle" in path.read_text())]
+    assert not found, f"modules that name the helper: {found}"
 
 
 def _public_names(tree):
