@@ -13,7 +13,9 @@ modes, and its trace is linear in s, so ``aggregate_roots`` counts the
 Dirichlet problem to be nondegenerate, which ``boundary_form`` checks
 once per mode (``dirichlet_negative_count``, on the finite-difference
 mesh n) before ``boundary_solutions`` integrates.  The four solutions are
-integrated by the package's own DOP853 stepper, ``ode.solve_ivp``.
+integrated in the time-map variable u of the geodesic, phi = -b sin u,
+whose coefficients (``_coefficients``) are closed-form, by the RK4
+propagator product of ``ode.solve_ivp``.
 
 ``boundary_form`` runs the gate first, then takes the solutions from
 its ``solutions`` argument, which is handed the integration: ``pipeline``
@@ -50,25 +52,22 @@ import numpy as np
 
 from .errors import (AmbiguousClassificationError, EdwardsInapplicableError,
                      NumericalError)
-from .geodesic import Trajectory, _phi_ddot
+from .geodesic import Trajectory, _regular_factors, _time_rate
 from .ode import solve_ivp
 from .sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 # spectrum_counts is bound only for perfbench, which traces every binding
 from .spectral import (LOCATE_TOL, TAU_ZERO, _zone, _zone_rows,  # noqa: F401
                        spectrum_counts)
-from .surface import _q_entries, _weight, _weight_prime, fourier_block_system
+from .surface import _q_entries, _weight, fourier_block_system
 from .eigencount import BandOperator, eigenvalues_in
 
 SIGMA_SWAP = np.array([2, 3, 0, 1])  # boundary-ends swap (13)(24), zero-based
 # the route is refused unless the Dirichlet margin from zero exceeds this
 DIRICHLET_MARGIN = 10.0 * TAU_ZERO
 _MARGIN_CAP = 4.0       # the margin reported when no eigenvalue is nearer
-ODE_RTOL = 1e-11
 SYM_TOL = 1e-6          # relative (swap-)symmetry error tolerated in a_ij
 FORM_TOL_REL = 1e-7     # form eigenvalues within this fraction of max|A| are 0
 ROOT_TOL = 1e-6         # |Re(omega) - root| that counts as sitting at a root
-# the constant entries of the fundamental system's matrix A: [[0, 0], [I, 0]]
-_A_CONSTANT = np.eye(4, k=-2)
 
 
 @dataclass(frozen=True)
@@ -147,58 +146,29 @@ class BoundarySolutions:
     p_ends: tuple
 
 
-# id(buffer) -> (buffer, the 4x4 view of its solutions); the buffer is
-# held, so its id names no other array while its entry lives
-_BLOCKS: dict = {}
-
-
-def _block(buf):
-    """The 4x4 view of the solutions Y in the state buffer ``buf``, kept in
-    ``_BLOCKS``: the stepper passes a fixed set of buffers on every step
-    of an integration.  A caller that passes new buffers each time, as
-    scipy's ``solve_ivp`` does, empties it every 64 of them."""
-    entry = _BLOCKS.get(id(buf))
-    if entry is None:
-        if len(_BLOCKS) >= 64:
-            _BLOCKS.clear()
-        entry = _BLOCKS[id(buf)] = buf, buf[2:].reshape(4, 4)
-    return entry[1]
-
-
-def _fundamental_rhs(y, out, l, c, A):
-    """Write into out the derivative of the geodesic (phi, phi') and of the
-    four solutions, the rows of Y = [H | H'], at lambda = 0: (p H')' = H Q_l
-    gives Y' = Y A with A = [[0, Q_l / p], [I, -p'/p I]].  The system is
-    autonomous, since the geodesic rides along in the state.
-
-    It runs once per stage of the DOP853 stepper (12 per step), so it
-    allocates no array: the coefficients are taken on Python floats from
-    one cos/sin pair, and fill the variable entries of A, a copy of
-    ``_A_CONSTANT`` kept for one integration, and the 4x4 views of y and
-    out are made once per buffer (``_block``).  Y A is ``np.dot`` into the
-    rows of out, the same BLAS dgemm that ``np.matmul`` issues: a
-    hand-written 4x4 product rounds differently (OpenBLAS fuses
-    multiply-adds), and the boundary forms would move in the last bit.
-    """
-    phi, phid = y[:2].tolist()
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    p = _weight(cphi)
-    q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
-    damp = -_weight_prime(cphi, sphi, phid) / p
-    A[0, 2] = q11 / p
-    A[0, 3] = A[1, 2] = q12 / p
-    A[1, 3] = q22 / p
-    A[2, 2] = A[3, 3] = damp
-    out[0], out[1] = phid, _phi_ddot(c, cphi, sphi, phid)
-    np.dot(_block(y), A, out=_block(out))
+def _coefficients(l: int, fam, u: np.ndarray) -> np.ndarray:
+    """The (len(u), 4, 4) matrices A = tau [[0, I/p], [Q_l, 0]] of the
+    lambda = 0 system z' = A z of mode l in the time-map variable u, with
+    z = (h, p h') and tau = dt/du: (p h')' = Q_l h.  Along phi = -b sin u
+    the geodesic is closed-form, phi' = -b cos u / tau, so nothing of it
+    is integrated."""
+    phi, cphi, kernel = _regular_factors(u, fam.b)
+    rate = _time_rate(cphi, kernel)
+    q11, q12, q22 = _q_entries(l, fam.c, cphi, np.sin(phi),
+                               -fam.b * np.cos(u) / rate)
+    A = np.zeros((len(u), 4, 4))
+    A[:, 0, 2] = A[:, 1, 3] = rate / _weight(cphi)
+    A[:, 2, 0], A[:, 3, 1] = rate * q11, rate * q22
+    A[:, 2, 1] = A[:, 3, 0] = rate * q12
+    return A
 
 
 def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
     """Integrate the four fundamental solutions and match boundary values.
 
-    The geodesic rides along in the integrated state so the coefficients
-    are exact along the way.  Fails (NumericalError) when the integration
-    fails or the 4x4 matching system is ill conditioned, as it is when the
+    The system is integrated in u over [-pi/2, pi/2], which t maps onto
+    [0, T].  Fails (NumericalError) when the integration does not settle
+    or the 4x4 matching system is ill conditioned, as it is when the
     Dirichlet problem is degenerate (the boundary map is then no
     bijection); ``boundary_form`` refuses that case before integrating.
     """
@@ -206,17 +176,16 @@ def boundary_solutions(l: int, traj: Trajectory) -> BoundarySolutions:
 
 
 def _boundary_solutions(l: int, fam) -> BoundarySolutions:
-    """``boundary_solutions`` of the family ``fam``: its b, c and T are all
+    """``boundary_solutions`` of the family ``fam``: its b and c are all
     the integration reads, so it needs no trajectory."""
-    y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-    c, A = fam.c, _A_CONSTANT.copy()
-    sol = solve_ivp(lambda t, y, out: _fundamental_rhs(y, out, l, c, A),
-                    (0.0, fam.T), y0, rtol=ODE_RTOL, atol=1e-12)
+    # z = (h, p h') starts from (h, h') = e_k: p is the same at both
+    # ends, where phi = b and -b
+    p = _weight(math.cos(fam.b))
+    sol = solve_ivp(partial(_coefficients, l, fam), (-math.pi / 2, math.pi / 2),
+                    np.diag([1.0, 1.0, p, p]))
     if not sol.success:
         raise NumericalError(f"fundamental-solution integration failed: {sol.message}")
-    yT = sol.y
-    YT = yT[2:].reshape(4, 4)
-    U, Ud = YT[:, :2].T, YT[:, 2:].T        # columns u_k(T), u_k'(T)
+    U, Ud = sol.y[:2], sol.y[2:] / p        # columns u_k(T), u_k'(T)
 
     boundary_map = np.vstack((np.eye(2, 4), U))     # rows u_k(0), u_k(T)
     condition = float(np.linalg.cond(boundary_map))
@@ -232,8 +201,7 @@ def _boundary_solutions(l: int, fam) -> BoundarySolutions:
     psi_prime_T = Ud @ C
     return BoundarySolutions(l=l, T=fam.T, coeffs=C, condition=condition,
                              psi_prime_0=psi_prime_0, psi_prime_T=psi_prime_T,
-                             p_ends=(_weight(math.cos(fam.b)),
-                                     _weight(math.cos(yT[0]))))
+                             p_ends=(p, p))
 
 
 def gram_matrix(sols: BoundarySolutions) -> np.ndarray:

@@ -508,12 +508,17 @@ def _schur_d1(end, w_off, w):
     dm = rho_{m-1} - (w_off + u) and |w| = 1,
         b s0 = s0 dm - |u + w_off conj(w)|^2
              = rho_0 rho_{m-1} - (w_off + u)(rho_0 + rho_{m-1})
-               + 2 u w_off (1 - Re w),
-    whose terms do not cancel where the reduction's do not: negative
-    couplings and row sums near zero."""
+               + 2 u w_off (1 - Re w).
+    Near w = 1 the expanded terms do not cancel where the reduction's do
+    not: negative couplings and row sums near zero.  Where Re w < 0 the
+    last term cancels against the others, so there b is taken as
+    dm - |u + w_off conj(w)|^2 / s0."""
     s0, r0, rm, u = (v[:, None] for v in end)
-    b = (r0 * rm - (w_off + u) * (r0 + rm)
-         + 2.0 * u * w_off * (1.0 - w[:, 0].real)) / s0
+    wr, wi = w[:, 0].real, w[:, 0].imag
+    expanded = (r0 * rm - (w_off + u) * (r0 + rm)
+                + 2.0 * u * w_off * (1.0 - wr)) / s0
+    direct = rm - (w_off + u) - ((u + w_off * wr) ** 2 + (w_off * wi) ** 2) / s0
+    b = np.where(wr < 0.0, direct, expanded)
     return b, b
 
 

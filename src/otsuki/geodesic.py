@@ -14,9 +14,10 @@ every midpoint beyond them its sign.  ``sample_trajectory`` inverts the
 quadrature time map t(u) by Newton steps; the first integrates each
 node's partial panel, and each later one only its own increment.
 
-phi'' and theta' have one formula each, ``_phi_ddot`` and ``_theta_dot``,
-on cos(phi) and sin(phi); no flow is stepped here, and only the
-boundary-form ODE of ``edwards`` carries (phi, phi') along.
+The flow is stepped nowhere in the package: along phi = -b sin u, the
+time map's rate ``_time_rate`` gives phi' = -b cos u / (dt/du) in closed
+form, which the sampler and the boundary-form system of ``edwards`` both
+read.  theta' has one formula, ``_theta_dot``, on cos(phi).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .quadrature import TOL, adaptive_gauss
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = 4.0 * math.pi ** 2
-EIGHT_PI4 = 8.0 * math.pi ** 4
 
 # Limits of T(b) and Xi(b) as b -> 0- (the Clifford degeneration).
 CLIFFORD_HALF_PERIOD = math.sqrt(2.0) * math.pi ** 2
@@ -257,12 +257,6 @@ def solve_parameter(p: int, q: int) -> GeodesicFamily:
             hi = mid
     b = lo if abs(xi(lo) - target) <= abs(xi(hi) - target) else hi
     return replace(GeodesicFamily.from_b(b, Xi=xi(b)), rotation=rotation)
-
-
-def _phi_ddot(c: float, cphi, sphi, phid):
-    """phi'' on the geodesic of momentum c at (cos phi, sin phi, phi')."""
-    return (sphi / cphi) * phid * phid \
-        - c * c * sphi / (EIGHT_PI4 * cphi ** 7)
 
 
 def _theta_dot(c: float, cphi):

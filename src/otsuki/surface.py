@@ -13,19 +13,19 @@ on the half period [0, T] that the solvers consume.
 for p; every reader of either calls them.  These formula homes, and
 ``_weight_prime``, ``_weingarten`` and ``geodesic._theta_dot`` beneath
 them, take cos(phi) and sin(phi) rather than phi: the caller takes each
-once, and one formula serves numpy grids and the Python floats of the
-boundary-form ODE alike.  On a grid Q_l is sampled by
-``separated_coefficients``, whose (m, 3) rows (Q11, Q12, Q22) are the
-layout of ``SLSystem`` potentials: the builders of the mode-l and mode-0
-systems sample Q_l through it, and p, which the discretization reads
-only at the half nodes, through ``_weight``.  What several systems of one
-mesh read alike, p at the half nodes and the rows of Q_0 of the two
-mode-0 channels, is computed once per trajectory and mesh
-(``Trajectory.derived``).  Only ``kernel_residuals``,
-which needs p' from the same samples of (phi, phi'), calls ``_q_entries``
-on a grid itself.  It computes the residual row of ``otsuki verify`` on
-the nodes of [0, T), whatever q: Q_l once per mode, and one residual per
-twisted profile, four for the nine kernel fields.
+once.  On a grid Q_l is sampled by ``separated_coefficients``, whose
+(m, 3) rows (Q11, Q12, Q22) are the layout of ``SLSystem`` potentials:
+the builders of the mode-l and mode-0 systems sample Q_l through it, and
+p, which the discretization reads only at the half nodes, through
+``_weight``.  What several systems of one mesh read alike, p at the half
+nodes and the rows of Q_0 of the two mode-0 channels, is computed once
+per trajectory and mesh (``Trajectory.derived``).  Two readers call
+``_q_entries`` on arrays themselves: ``edwards._coefficients``, on
+points of the time-map variable u, and ``kernel_residuals``, which
+needs p' from the same samples of (phi, phi').  The latter computes the
+residual row of ``otsuki verify`` on the nodes of [0, T), whatever q:
+Q_l once per mode, and one residual per twisted profile, four for the
+nine kernel fields.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Oracles the tests share and the package does not run: constant-coefficient
-systems, a fine fixed-step RK4 flow (its samples and its turning time),
-the boundary-form ODE right-hand side as a function that returns a new
-array, the direct route's ladder of one mode alone, the 2x2 odd-even
+systems, the geodesic equation phi'' and a fine fixed-step RK4 flow of
+it (its samples and its turning time), the boundary solutions in arc
+time with the geodesic carried along, integrated by scipy's DOP853,
+the direct route's ladder of one mode alone, the 2x2 odd-even
 reduction with a general first level, the geodesic quadratures and
 samples with one integrand call per level and
 rates that take phi, the root by a bisection that integrates every
@@ -49,15 +50,22 @@ def constant_system(dim, length, weight, potential, bc):
                     potential=potentials)
 
 
+def phi_ddot(c, cphi, sphi, phid):
+    """phi'' on the geodesic of momentum c at (cos phi, sin phi, phi'):
+    the geodesic equation, which the package never steps."""
+    return (sphi / cphi) * phid * phid \
+        - c * c * sphi / (8.0 * math.pi ** 4 * cphi ** 7)
+
+
 def rk4(y0, y1, y2, c, h, steps):
     """Fixed-step RK4 for (phi, phidot, theta) with step h.
 
     Returns the state and its derivatives (phi, phidot, theta, phidotdot,
-    thetadot) after ``steps`` steps.  The derivatives come from the
-    package's formulas for phi'' and theta'.  Plain floats in and out: this
-    is the hot loop of every flow oracle.
+    thetadot) after ``steps`` steps.  phi'' is ``phi_ddot`` and theta' the
+    package's formula.  Plain floats in and out: this is the hot loop of
+    every flow oracle.
     """
-    phi_ddot, theta_dot = geodesic._phi_ddot, geodesic._theta_dot
+    theta_dot = geodesic._theta_dot
 
     def rhs(phi, phid):
         cphi, sphi = math.cos(phi), math.sin(phi)
@@ -124,26 +132,6 @@ def direct_twisted_counts(l, traj, n):
     counts the ladders of modes 1 and 2 as one stack, each row as alone."""
     return next(spectral._ladders([partial(fourier_block_system, l)], traj,
                                   n, 0.0))
-
-
-def fundamental_rhs_matmul(y, l, c):
-    """``edwards._fundamental_rhs`` as it was before it wrote in place: a
-    new A and a new result per call, and Y A through ``np.matmul``.  The
-    bit oracle of the in-place right-hand side."""
-    phi, phid = y[:2].tolist()
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    p = _weight(cphi)
-    q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
-    damp = -_weight_prime(cphi, sphi, phid) / p
-    A = edwards._A_CONSTANT.copy()
-    A[0, 2] = q11 / p
-    A[0, 3] = A[1, 2] = q12 / p
-    A[1, 3] = q22 / p
-    A[2, 2] = A[3, 3] = damp
-    out = np.empty(18)
-    out[0], out[1] = phid, geodesic._phi_ddot(c, cphi, sphi, phid)
-    np.matmul(y[2:].reshape(4, 4), A, out=out[2:].reshape(4, 4))
-    return out
 
 
 def inertia_d2_reduction_general(d11, d12, d22, e, sigma):
@@ -336,35 +324,49 @@ def solve_parameter_bisect(p, q):
     return replace(geodesic.GeodesicFamily.from_b(b), rotation=rotation)
 
 
-def returning(fun):
-    """fun(t, y, out), which writes f(t, y) into out, as the f(t, y) that
-    returns a new array, which scipy's ``solve_ivp`` calls."""
-    def f(t, y):
-        out = np.empty_like(y)
-        fun(t, y, out)
-        return out
-    return f
+# the tolerance at which scipy's DOP853 integrates the boundary solutions
+ODE_RTOL = 1e-11
 
 
 def fundamental_rhs(l, c):
-    """The right-hand side that ``edwards.boundary_solutions`` integrates
-    for mode l of the family of momentum c, as fun(t, y, out)."""
-    A = edwards._A_CONSTANT.copy()
-    return lambda t, y, out: edwards._fundamental_rhs(y, out, l, c, A)
+    """y' = f(t, y) of the four fundamental lambda = 0 solutions of mode l,
+    in arc time t, on the family of momentum c, as scipy's ``solve_ivp``
+    calls it: the state is the geodesic (phi, phi') followed by the rows of
+    Y = [H | H'], and (p H')' = H Q_l gives Y' = Y A with A = [[0, Q_l /
+    p], [I, -p'/p I]].  The package integrates the same solutions in the
+    time-map variable u instead, where phi is closed-form."""
+    def f(t, y):
+        phi, phid = y[:2]
+        cphi, sphi = math.cos(phi), math.sin(phi)
+        p = _weight(cphi)
+        q11, q12, q22 = _q_entries(l, c, cphi, sphi, phid)
+        A = np.eye(4, k=-2)
+        A[0, 2], A[0, 3], A[1, 2], A[1, 3] = q11 / p, q12 / p, q12 / p, q22 / p
+        A[2, 2] = A[3, 3] = -_weight_prime(cphi, sphi, phid) / p
+        return np.concatenate(([phid, phi_ddot(c, cphi, sphi, phid)],
+                               (y[2:].reshape(4, 4) @ A).ravel()))
+    return f
+
+
+def dop853_solutions(l, family, rtol=ODE_RTOL, dense_output=False):
+    """scipy's DOP853 integration of ``fundamental_rhs`` over [0, T] from
+    (phi, phi') = (b, 0) and Y = I: the tests' oracle for the package's
+    integrator."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    y0 = np.concatenate(([family.b, 0.0], np.eye(4).ravel()))
+    sol = solve_ivp(fundamental_rhs(l, family.c), (0.0, family.T), y0,
+                    method="DOP853", rtol=rtol, atol=1e-12,
+                    dense_output=dense_output)
+    assert sol.success, sol.message
+    return sol
 
 
 def boundary_psi(sols, traj):
     """psi(i, t), the values of psi_i (boundary data e_i) of
-    ``edwards.boundary_solutions`` at times t, shape (2, len(t)): the same
-    DOP853 integration again, by scipy, whose steps the package's stepper
-    takes bit for bit, for its dense interpolant."""
-    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    fam = traj.family
-    y0 = np.concatenate(([fam.b, 0.0], np.eye(4).ravel()))
-    sol = solve_ivp(
-        returning(fundamental_rhs(sols.l, fam.c)), (0.0, fam.T),
-        y0, method="DOP853", rtol=edwards.ODE_RTOL, atol=1e-12,
-        dense_output=True)
+    ``edwards.boundary_solutions`` at times t, shape (2, len(t)), from the
+    dense interpolant of scipy's DOP853 integration of the same solutions
+    in arc time."""
+    sol = dop853_solutions(sols.l, traj.family, dense_output=True)
 
     def psi(i, t):
         Y = sol.sol(np.atleast_1d(t))[2:].reshape(4, 4, -1)

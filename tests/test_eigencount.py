@@ -839,3 +839,18 @@ def test_first_reduction_level_keeps_the_bits(l, traj23, traj58):
             assert len(end) == len(want_end) == 10
             for got, want in zip(end, want_end):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sigma,count", [(-6.28012e-6, 1), (-6.2860e-6, 0),
+                                         (-6.2745e-6, 2)])
+def test_scalar_last_schur_complement_at_minus_one(sigma, count):
+    # at omega = -1 the expanded form of the last Schur complement
+    # cancels: at 13860/19601 (n = 512), mode-0 channel 2, between its
+    # zero mode and the -b^2 mode, it read 0 below -6.28012e-6 where the
+    # node-order sweep reads 1
+    traj = family_trajectory(solve_parameter(13860, 19601), 512)
+    op = l0_channel_system(2, traj,
+                           BoundaryCondition.antiperiodic()).operator(512)
+    assert op.wrap_mult == (-1.0,)
+    assert inertia(op, sigma, logdet=False)[0].tolist() == [[count]]
+    assert inertia(op, sigma)[0] == count

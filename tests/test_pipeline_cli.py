@@ -580,27 +580,28 @@ class TestBoundarySolutionsInAChild:
 
     def test_failure_in_the_child_surfaces_as_in_process(
             self, monkeypatch, forks, kills, helper_counts_all, traj23):
-        rhs = edwards._fundamental_rhs
+        coefficients = edwards._coefficients
 
-        def nan_after_40(calls):
-            def patched(y, out, l, c, A):
+        def nan_at_the_first_doubling(calls):
+            def patched(l, fam, u):
                 calls.append(1)
-                rhs(y, out, l, c, A)
-                if len(calls) > 40:
-                    out.fill(np.nan)
+                A = coefficients(l, fam, u)
+                return A * np.nan if len(calls) > 1 else A
             return patched
 
-        monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40([]))
+        monkeypatch.setattr(edwards, "_coefficients",
+                            nan_at_the_first_doubling([]))
         with pytest.raises(NumericalError) as alone:
             edwards.boundary_solutions(1, traj23)
         parent = []
-        monkeypatch.setattr(edwards, "_fundamental_rhs", nan_after_40(parent))
+        monkeypatch.setattr(edwards, "_coefficients",
+                            nan_at_the_first_doubling(parent))
         with pytest.raises(NumericalError) as helped:
             compute_index(2, 3, "edwards", n=512)
         assert type(helped.value) is type(alone.value)
         assert str(helped.value) == str(alone.value)
         assert "integration failed" in str(alone.value)
-        # the right-hand side ran in the helper only; the family, raising
+        # the coefficients ran in the helper only; the family, raising
         # with results unread, reads them, and the helper serves on
         assert parent == [] and len(forks) == 1 and kills == []
         _only_the_idle_helper()
@@ -888,12 +889,12 @@ class TestBoundarySolutionsInAChild:
         # most the one call it began, and then serves on
         import time
 
-        rhs, answers, made = edwards._fundamental_rhs, _helper._answers, \
-            tmp_path / "made"
+        coefficients, answers, made = edwards._coefficients, \
+            _helper._answers, tmp_path / "made"
 
-        def slow(y, out, l, c, A):
-            time.sleep(0.0005)
-            rhs(y, out, l, c, A)
+        def slow(l, fam, u):
+            time.sleep(0.1)
+            return coefficients(l, fam, u)
 
         def logged(work, calls, tokens):
             for result in answers(work, calls, tokens):
@@ -905,7 +906,7 @@ class TestBoundarySolutionsInAChild:
         def failing(*args):
             raise NumericalError("forced")
 
-        monkeypatch.setattr(edwards, "_fundamental_rhs", slow)
+        monkeypatch.setattr(edwards, "_coefficients", slow)
         monkeypatch.setattr(_helper, "_answers", logged)
         monkeypatch.setattr(pipeline, "_ladders", failing)
         with pytest.raises(NumericalError):

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -88,8 +89,6 @@ def _calls_the_tracer_may_wrap(tree, allowed=()):
     an array method."""
     import math
 
-    import numpy as np
-
     modules = {"math": math, "np": np}
     calls, found = 0, []
     for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
@@ -107,25 +106,23 @@ def _calls_the_tracer_may_wrap(tree, allowed=()):
 
 
 def test_fundamental_rhs_calls_nothing_traced():
-    # perfbench records a span for every call of a public package function,
-    # and the ODE right-hand side runs once per integrator stage: it calls
-    # only private helpers, math and numpy functions and array methods
+    # perfbench records a span for every call of a public package function:
+    # the coefficients of the fundamental system, evaluated once per
+    # doubling of the integrator, call only private helpers, builtins,
+    # math and numpy functions and array methods
     path = next(p for p in SOURCES if p.name == "edwards.py")
-    fn = dict(_functions(ast.parse(path.read_text())))["_fundamental_rhs"]
-    calls, found = _calls_the_tracer_may_wrap(fn)
-    assert calls, "no call found in _fundamental_rhs"
+    fn = dict(_functions(ast.parse(path.read_text())))["_coefficients"]
+    calls, found = _calls_the_tracer_may_wrap(fn, dir(builtins))
+    assert calls, "no call found in _coefficients"
     assert not found, f"calls the tracer may wrap: {found}"
-    # nor does the stepper's step loop, which holds the stage loop: about
-    # 8800 stages in one pass of the q <= 10 Edwards sweep.  It may also
-    # call builtins, which no tracer wraps, the right-hand side fun, and
-    # OdeResult, a class, on the return after a failed step
+    # nor does the integrator's doubling loop, which may also call
+    # builtins, which no tracer wraps, the coefficient function fun, and
+    # OdeResult, a class, on its return
     path = next(p for p in SOURCES if p.name == "ode.py")
     fn = dict(_functions(ast.parse(path.read_text())))["solve_ivp"]
     loop = next(n for n in fn.body if isinstance(n, ast.While))
-    stages = [n for n in ast.walk(loop) if isinstance(n, ast.For)]
-    assert stages and any(
-        isinstance(n, ast.Call) and ast.unparse(n.func) == "fun"
-        for n in ast.walk(stages[0])), "no stage loop calling fun found"
+    assert any(isinstance(n, ast.Call) and ast.unparse(n.func) == "fun"
+               for n in ast.walk(loop)), "no doubling loop calling fun found"
     _, found = _calls_the_tracer_may_wrap(
         loop, {"fun", "OdeResult", *dir(builtins)})
     assert not found, f"calls the tracer may wrap: {found}"
@@ -136,18 +133,60 @@ def test_fundamental_rhs_takes_one_cos_sin_pair():
     # formula homes take cos(phi) and sin(phi) and take neither again
     defs = {name: fn for path in SOURCES
             for name, fn in _functions(ast.parse(path.read_text()))}
-    seen, todo, calls = set(), ["_fundamental_rhs"], []
+    seen, todo, calls = set(), ["_coefficients"], []
     while todo:
         name = todo.pop()
         seen.add(name)
         for node in ast.walk(defs[name]):
             if isinstance(node, ast.Call):
                 func = ast.unparse(node.func)
-                calls.append(func.rpartition(".")[2])
+                calls.append((func.rpartition(".")[2],
+                              *map(ast.unparse, node.args)))
                 if func in defs and func not in seen:
                     todo.append(func)
-    assert (calls.count("cos"), calls.count("sin")) == (1, 1)
-    assert "_phi_ddot" in seen and "_q_entries" in seen
+    assert (calls.count(("cos", "phi")), calls.count(("sin", "phi"))) == (1, 1)
+    assert "_regular_factors" in seen and "_q_entries" in seen
+
+
+def test_the_geodesic_flow_has_one_implementation():
+    # phi' is closed-form along phi = -b sin u, so nothing steps the
+    # geodesic flow: no module defines or imports a phi'' formula
+    named = [path.name for path in SOURCES if "_phi_ddot" in path.read_text()]
+    assert not named, f"sources naming _phi_ddot: {named}"
+
+
+def test_boundary_solutions_reach_the_integrator_by_its_binding(monkeypatch):
+    # perfbench reads the coefficient evaluations through ``solve_ivp`` as
+    # edwards binds it, so that binding is the one way in: imported at
+    # module level, called by name and by ``_boundary_solutions`` alone
+    path = next(p for p in SOURCES if p.name == "edwards.py")
+    tree = ast.parse(path.read_text())
+    imports = [(node.module, a.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names
+               if node.module == "ode" or a.name == "ode"]
+    assert imports == [("ode", "solve_ivp")]
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "ode"
+               for node in tree.body)
+    callers = [name for name, fn in _functions(tree)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).rpartition(".")[2] == "solve_ivp"]
+    assert callers == ["_boundary_solutions"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "solve_ivp"
+                   for node in ast.walk(tree))
+    # and the state it integrates is (h, p h') of the four solutions, with
+    # no geodesic (phi, phi') carried along
+    from otsuki import edwards
+    from otsuki.geodesic import solve_parameter
+
+    seen, solve_ivp = [], edwards.solve_ivp
+
+    def recorded(fun, t_span, y0):
+        seen.append((fun(np.linspace(*t_span, 5)).shape, np.shape(y0)))
+        return solve_ivp(fun, t_span, y0)
+
+    monkeypatch.setattr(edwards, "solve_ivp", recorded)
+    edwards._boundary_solutions(1, solve_parameter(2, 3))
+    assert seen == [((5, 4, 4), (4, 4))]
 
 
 def test_kernel_rows_read_the_half_period_nodes():
@@ -459,8 +498,9 @@ def test_index_cache_hit_leaves_scipy_unloaded(tmp_path):
     assert _cli(*argv) == {"code": 0, "scipy": []}
 
 
-# the boundary-form route integrates with the package's own DOP853 stepper,
-# so computing an index loads no scipy (the miss above runs --method both)
+# the boundary-form route integrates with the package's own RK4 propagator
+# product, so computing an index loads no scipy (the miss above runs
+# --method both)
 def test_index_edwards_leaves_scipy_unloaded():
     assert _cli("index", "--p", "2", "--q", "3", "--n", "512", "--method",
                 "edwards", "--no-cache") == {"code": 0, "scipy": []}

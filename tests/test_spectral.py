@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from helpers import (check_interlacing, closed_length_positive,
                      closed_length_system, constant_system,
                      direct_twisted_counts, full_period_grid,
-                     half_length_system, oscillation_index,
+                     half_length_system, oscillation_index, phi_ddot,
                      spectrum_with_eigenfunctions, zero_count)
 from otsuki import eigencount, spectral
 from otsuki.errors import (AmbiguousClassificationError, NumericalError,
                            ValidationError)
-from otsuki.geodesic import _phi_ddot, sample_trajectory, solve_parameter
+from otsuki.geodesic import sample_trajectory, solve_parameter
 from otsuki.pipeline import compute_index, family_trajectory, report_document
 from otsuki.sl import BoundaryCondition, SLSystem, roots_of_unity_ladder
 from otsuki.spectral import (TAU_ZERO, ZONE, class_counts, ladder_counts,
@@ -492,7 +492,7 @@ class TestSpectralIndex:
         # l = 0 operator A*A, A h = sqrt(p) h'
         traj = sample_trajectory(solve_parameter(p, q), 1024)
         phi, phid, _ = traj.at(traj.grid)
-        phidd = _phi_ddot(traj.family.c, np.cos(phi), np.sin(phi), phid)
+        phidd = phi_ddot(traj.family.c, np.cos(phi), np.sin(phi), phid)
         root = 2.0 * math.pi * np.cos(phi)
         root_dd = -2.0 * math.pi * (np.cos(phi) * phid ** 2
                                     + np.sin(phi) * phidd)
